@@ -155,6 +155,9 @@ class BundleMetric:
         self.G_up_jets = up
         self.G_down = values_of(down)
         self.G_up = values_of(up)
+        #: per-point tables that other modules derive from this metric (the
+        #: Koszul frame tables, the curvature ingredients), built on first use
+        self.derived: dict = {}
 
     @property
     def n(self):

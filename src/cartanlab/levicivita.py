@@ -9,12 +9,21 @@ Routes kept deliberately separate:
 * ``koszul_oracle`` re-derives any connection value from the six-term Koszul
   formula using finite-difference frame derivatives of the metric components
   and measured frame brackets; it shares no algebra with the closed forms.
+  Its per-point tables are built by the first call at a point and kept on
+  the ``BundleMetric``: the G-pairings of all (2n)^2 frame brackets
+  [F_a, F_b], each computed by ``FrameVector.bracket`` and never quoted from
+  B or R_vv; the frame derivatives F_a(G(F_b, F_c)), from one Richardson
+  central difference of the whole 2n x 2n metric per chart variable; and
+  the inverse Gram matrix.  Each slot pair then only assembles the six
+  Koszul terms from those tables.
 * ``curvature_closed`` evaluates the six closed curvature blocks; it is
   guarded by ``curvature_defn``, which differentiates the connection
   coefficient fields (finite differences along x, exact jets along p) and
   composes them per the curvature definition.
 * ``ricci`` traces the closed blocks over the adapted frame and reports the
-  least-squares Einstein factor and defect.
+  least-squares Einstein factor and defect.  The closed blocks and Ricci
+  share one set of point-value ingredients (the covariant derivatives of C
+  and L among them), built once per ``BundleMetric``.
 
 Conventions: a frame slot is a pair ``(kind, index)`` with kind ``"h"`` for
 delta_i and ``"v"`` for pdot^i, matching the almost-complex module.  All
@@ -98,6 +107,18 @@ def _as_pair(slot):
     return kind, int(idx)
 
 
+def _slots(n):
+    return [("h", i) for i in range(n)] + [("v", i) for i in range(n)]
+
+
+def _slot_index(slot, n):
+    """Position of a frame slot in the adapted basis (delta_1.., pdot^1..)."""
+    kind, idx = _as_pair(slot)
+    if not 0 <= idx < n:
+        raise ValenceError(f"frame slot index must lie in [0, {n}), got {idx}")
+    return idx if kind == "h" else n + idx
+
+
 def _basis(geom, slot):
     kind, idx = _as_pair(slot)
     if kind == "h":
@@ -111,6 +132,14 @@ def _prepare(s, at, params, geom, metric):
     if metric is None:
         metric = BundleMetric(geom, params)
     return geom, metric
+
+
+def _derived(metric: BundleMetric, key: str, build):
+    """A per-point table kept on the metric, built by its first user."""
+    got = metric.derived.get(key)
+    if got is None:
+        got = metric.derived[key] = build()
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +240,15 @@ class MetricStencil:
             self._cache[key] = m
         return m
 
-    def component(self, a_slot, b_slot):
-        """Scalar field pt -> G(F_a, F_b)(pt) for adapted-frame fields."""
-        (ka, ia), (kb, ib) = _as_pair(a_slot), _as_pair(b_slot)
-        if ka != kb:
-            return lambda pt: 0.0
-        if ka == "h":
-            return lambda pt: self.metric_at(pt).G_down[ia, ib]
-        return lambda pt: self.metric_at(pt).G_up[ia, ib]
+    def frame_matrix(self, pt: ChartPoint) -> np.ndarray:
+        """G(F_a, F_b)(pt) over the adapted basis: the block-diagonal 2n x 2n
+        matrix of G_ij and G^ij."""
+        m = self.metric_at(pt)
+        n = pt.n
+        out = np.zeros((2 * n, 2 * n))
+        out[:n, :n] = m.G_down
+        out[n:, n:] = m.G_up
+        return out
 
 
 def _fd_partial(f, at: ChartPoint, var: int, steps=_FD_STEPS):
@@ -241,18 +271,47 @@ def _fd_partial(f, at: ChartPoint, var: int, steps=_FD_STEPS):
     return (ratio * ds[1] - ds[0]) / (ratio - 1.0)
 
 
-def _frame_derivative_fd(f, geom: PointGeometry, slot):
-    """X(f) for a frame field X, all partial derivatives by finite differences."""
+def _frame_derivative_fd(partials, geom: PointGeometry, slot):
+    """X(f) for a frame field X, given the finite-difference partials of f
+    along all 2n chart variables."""
     kind, idx = _as_pair(slot)
     n = geom.n
     if kind == "v":
-        return _fd_partial(f, geom.at, n + idx)
-    out = _fd_partial(f, geom.at, idx)
+        return partials[n + idx]
+    out = partials[idx].copy()
     for l in range(n):
         nl = geom.N[idx, l]
         if nl != 0.0:
-            out += nl * _fd_partial(f, geom.at, n + l)
+            out += nl * partials[n + l]
     return out
+
+
+class _KoszulTables:
+    """Koszul ingredients at one point over the adapted basis F_a.
+
+    ``dG[a, b, c] = F_a(G(F_b, F_c))``, by finite differences of the metric
+    over the stencil; ``bracket_G[a, b, c] = G([F_a, F_b], F_c)``, every
+    bracket computed by ``FrameVector.bracket``; ``gram_inv`` inverts the
+    Gram matrix G(F_a, F_b).
+    """
+
+    def __init__(self, geom: PointGeometry, metric: BundleMetric, stencil: MetricStencil):
+        slots = _slots(geom.n)
+        dim = len(slots)
+        partials = [_fd_partial(stencil.frame_matrix, geom.at, var) for var in range(dim)]
+        self.dG = np.array([_frame_derivative_fd(partials, geom, sl) for sl in slots])
+        basis = [_basis(geom, sl) for sl in slots]
+        self.bracket_G = np.empty((dim, dim, dim))
+        for a in range(dim):
+            for b in range(dim):
+                br = basis[a].bracket(basis[b])
+                for c in range(dim):
+                    self.bracket_G[a, b, c] = metric.inner(br, basis[c])
+        gram = np.empty((dim, dim))
+        for a in range(dim):
+            for b in range(a, dim):
+                gram[a, b] = gram[b, a] = metric.inner(basis[a], basis[b])
+        self.gram_inv = invert(gram)
 
 
 def koszul_oracle(
@@ -268,36 +327,26 @@ def koszul_oracle(
     """nabla_X Y from the six-term Koszul formula, for adapted-frame X, Y.
 
     Frame derivatives of the metric components are plain central differences
-    (Richardson extrapolated); brackets are computed, not quoted.  Raises a
-    conditioning error if the frame Gram matrix is numerically singular.
+    (Richardson extrapolated); brackets are computed by
+    ``FrameVector.bracket``, not quoted from B or R_vv.  The first call at a
+    point builds the per-point tables (all (2n)^2 brackets paired with the
+    basis, the frame derivatives of the whole metric, the inverse Gram
+    matrix) and keeps them on ``metric``; later calls with the same metric
+    only assemble the six terms.  Raises a conditioning error if the frame
+    Gram matrix is numerically singular.
     """
     geom, metric = _prepare(s, at, params, geom, metric)
     if stencil is None:
         stencil = MetricStencil(s, params)
+    t = _derived(metric, "koszul", lambda: _KoszulTables(geom, metric, stencil))
     n = geom.n
-    slots = [("h", i) for i in range(n)] + [("v", i) for i in range(n)]
-    basis = [_basis(geom, sl) for sl in slots]
-    X = _basis(geom, x_slot)
-    Y = _basis(geom, y_slot)
-    br_xy = X.bracket(Y)
-    rhs = np.empty(2 * n)
-    for zi, z_slot in enumerate(slots):
-        Z = basis[zi]
-        g_yz = stencil.component(y_slot, z_slot)
-        g_xz = stencil.component(x_slot, z_slot)
-        g_xy = stencil.component(x_slot, y_slot)
-        total = _frame_derivative_fd(g_yz, geom, x_slot)
-        total += _frame_derivative_fd(g_xz, geom, y_slot)
-        total -= _frame_derivative_fd(g_xy, geom, z_slot)
-        total += metric.inner(br_xy, Z)
-        total -= metric.inner(X.bracket(Z), Y)
-        total -= metric.inner(Y.bracket(Z), X)
-        rhs[zi] = total
-    gram = np.empty((2 * n, 2 * n))
-    for a in range(2 * n):
-        for b in range(a, 2 * n):
-            gram[a, b] = gram[b, a] = metric.inner(basis[a], basis[b])
-    coef = invert(gram) @ (0.5 * rhs)
+    x, y = _slot_index(x_slot, n), _slot_index(y_slot, n)
+    # the six Koszul terms against every basis field Z at once
+    rhs = (
+        t.dG[x, y] + t.dG[y, x] - t.dG[:, x, y]
+        + t.bracket_G[x, y] - t.bracket_G[x, :, y] - t.bracket_G[y, :, x]
+    )
+    coef = t.gram_inv @ (0.5 * rhs)
     return FrameVector(geom, coef[:n], coef[n:])
 
 
@@ -322,7 +371,7 @@ def connection_defects(
     geom, metric = _prepare(s, at, params, geom, metric)
     n = geom.n
     conn = lc_closed_form(s, at, params, geom, metric)
-    slots = [("h", i) for i in range(n)] + [("v", i) for i in range(n)]
+    slots = _slots(n)
     basis = {sl: _basis(geom, sl) for sl in slots}
 
     def nabla(x_slot, y_slot) -> FrameVector:
@@ -646,7 +695,7 @@ def curvature_closed(
         raise ValueError(f"unknown curvature block {which!r}; expected one of {CURVATURE_BLOCKS}")
     if ingredients is None:
         geom, metric = _prepare(s, at, params, geom, metric)
-        ingredients = _Ingredients(geom, metric)
+        ingredients = _derived(metric, "ingredients", lambda: _Ingredients(geom, metric))
     H, V = _BLOCK_BUILDERS[which](ingredients)
     return CurvatureBlock(which=which, h=H, v=V)
 
@@ -672,7 +721,8 @@ class _DefnContext:
     def _value_tables(self, coords: np.ndarray) -> dict:
         n = self.geom.n
         pt = ChartPoint(coords[:n], coords[n:])
-        g = PointGeometry(self.s, pt)
+        # only values are read here, and order 4 keeps them exact
+        g = PointGeometry(self.s, pt, order=4)
         m = BundleMetric(g, self.params)
         tables, _ = _connection_jet_tables(g, m)
         return {key: (values_of(hj), values_of(vj)) for key, (hj, vj) in tables.items()}
@@ -855,7 +905,7 @@ def ricci(
     frame, with lambda_hat = argmin_l |Ric - l G|_F over the diagonal blocks
     and defect = max componentwise residual over all four blocks."""
     geom, metric = _prepare(s, at, params, geom, metric)
-    w = _Ingredients(geom, metric)
+    w = _derived(metric, "ingredients", lambda: _Ingredients(geom, metric))
     b14 = _BLOCK_BUILDERS["hh_h"](w)
     b17 = _BLOCK_BUILDERS["hv_h"](w)
     b13 = _BLOCK_BUILDERS["hv_v"](w)

@@ -1,8 +1,13 @@
 """Connection, curvature, and Einstein analysis of the bundle metric."""
+import json
+
 import numpy as np
 import pytest
 
+from cartanlab import levicivita
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual
+from cartanlab.checks import run_suite
+from cartanlab.errors import ValenceError
 from cartanlab.geometry import PointGeometry, values_of
 from cartanlab.kahler import BundleMetric, DeformationParams, tube_predicate
 from cartanlab.levicivita import (
@@ -17,6 +22,7 @@ from cartanlab.levicivita import (
     ricci,
     vertical_ricci_obstruction,
 )
+from cartanlab.manifest import parse_manifest
 
 from conftest import general_randers, pt
 
@@ -384,3 +390,118 @@ def test_distribution_geodesy():
     want = c * np.outer(at.p, at.p) * (1.0 - 2.0 * c * params.beta**2 * geom.tau)
     assert np.abs(got - want).max() <= 1e-10
     assert np.abs(got).max() > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# per-point tables: built once, reused for every slot, and changing no number
+
+
+def _same_frame_vector(a, b):
+    return np.array_equal(a.h_values, b.h_values) and np.array_equal(a.v_values, b.v_values)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_koszul_tables_reused_match_fresh(n):
+    s = conformal_structure(n, -1.0)
+    params = DeformationParams(c=-1.0)
+    at = _sample_points(s, params, n, 1, seed=6)[0]
+    geom = PointGeometry(s, at)
+    shared = BundleMetric(geom, params)
+    stencil = MetricStencil(s, params)
+    for xs in _slots(n):
+        for ys in _slots(n):
+            reused = koszul_oracle(s, at, params, xs, ys, geom=geom, metric=shared, stencil=stencil)
+            fresh = koszul_oracle(
+                s, at, params, xs, ys, geom=geom, metric=BundleMetric(geom, params)
+            )
+            assert _same_frame_vector(reused, fresh), f"{xs} {ys}"
+
+
+def test_curvature_ingredients_shared_match_fresh():
+    s = general_randers()
+    params = DeformationParams(alpha=1.3, beta=0.8, c=0.0)
+    at = pt([0.25, -0.1], [0.9, 0.55])
+    geom = PointGeometry(s, at)
+    shared = BundleMetric(geom, params)
+    for which in CURVATURE_BLOCKS:
+        got = curvature_closed(s, at, params, which, geom=geom, metric=shared)
+        want = curvature_closed(s, at, params, which, geom=geom, metric=BundleMetric(geom, params))
+        assert np.array_equal(got.h, want.h) and np.array_equal(got.v, want.v), which
+    got = ricci(s, at, params, geom=geom, metric=shared)
+    want = ricci(s, at, params, geom=geom, metric=BundleMetric(geom, params))
+    for name in ("Ric_hh", "Ric_vv", "Ric_hv", "Ric_vh"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.lambda_hat, got.defect) == (want.lambda_hat, want.defect)
+    res, mean = vertical_ricci_obstruction(s, at, params, geom=geom, metric=shared)
+    res0, mean0 = vertical_ricci_obstruction(
+        s, at, params, geom=geom, metric=BundleMetric(geom, params)
+    )
+    assert np.array_equal(res, res0) and np.array_equal(mean, mean0)
+
+
+def test_each_ingredient_built_once_per_point(monkeypatch):
+    counts = {"ingredients": 0, "brackets": 0}
+    ingredients_init = levicivita._Ingredients.__init__
+    bracket = levicivita.FrameVector.bracket
+
+    def counted_ingredients(self, *args):
+        counts["ingredients"] += 1
+        ingredients_init(self, *args)
+
+    def counted_bracket(self, other):
+        counts["brackets"] += 1
+        return bracket(self, other)
+
+    monkeypatch.setattr(levicivita._Ingredients, "__init__", counted_ingredients)
+    monkeypatch.setattr(levicivita.FrameVector, "bracket", counted_bracket)
+    n, points = 2, 2
+    manifest = parse_manifest(json.dumps({
+        "structures": [{"family": "riemannian_conformal", "n": n, "c": -1.0}],
+        "params": [{"label": "hyperbolic", "alpha": 1.0, "beta": 1.0, "c": -1.0}],
+        "sampling": {"seed": 0, "count": points, "p_norm": [0.5, 1.5]},
+    }))
+    only = (
+        "levicivita.koszul_agreement",
+        "levicivita.curvature_blocks_universal",
+        "levicivita.curvature_blocks_paired",
+        "levicivita.einstein_obstruction_identity",
+        "levicivita.ricci_mixed_symmetry",
+    )
+    report = run_suite(manifest, only=only)
+    assert report["summary"] == {"total": len(only) * points, "passed": len(only) * points, "failed": 0}
+    assert counts == {"ingredients": points, "brackets": points * (2 * n) ** 2}
+
+
+def test_cached_koszul_tables_still_detect_mismatch():
+    # structure curvature +1 against params tuned for -1: the closed form is
+    # not the Levi-Civita connection there, and the Koszul oracle must say so
+    # just as loudly from cached tables as from a first call
+    s = conformal_structure(2, 1.0)
+    params = DeformationParams(c=-1.0)
+    at = _sample_points(s, params, 2, 1, seed=7)[0]
+    geom = PointGeometry(s, at)
+    metric = BundleMetric(geom, params)
+    conn = lc_closed_form(s, at, params, geom, metric)
+    koszul_oracle(s, at, params, ("h", 0), ("h", 0), geom=geom, metric=metric)
+    assert "koszul" in metric.derived
+    worst = 0.0
+    for xs in _slots(2):
+        for ys in _slots(2):
+            got = koszul_oracle(s, at, params, xs, ys, geom=geom, metric=metric)
+            blk = conn.block(xs[0], ys[0])
+            worst = max(
+                worst,
+                np.abs(got.h_values - blk.h[xs[1], ys[1]]).max(),
+                np.abs(got.v_values - blk.v[xs[1], ys[1]]).max(),
+            )
+    # measured 0.481 here, 4.8e3 times the koszul_agreement tolerance of 1e-4
+    assert worst >= 0.4, f"mismatch only {worst}"
+
+
+def test_koszul_rejects_bad_slots():
+    s = conformal_structure(2, -1.0)
+    params = DeformationParams(c=-1.0)
+    at = pt([0.25, -0.1], [0.9, 0.55])
+    for bad in (("h", 2), ("v", -1), ("x", 0)):
+        with pytest.raises(ValenceError):
+            koszul_oracle(s, at, params, bad, ("h", 0))
