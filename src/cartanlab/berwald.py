@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValenceError
-from .geometry import PointGeometry, values_of
+from .geometry import PointGeometry
 from .jets import ChartPoint, Jet, jet_eval
 
 __all__ = [
@@ -56,13 +56,12 @@ class BerwaldData:
 
 
 class DTensor:
-    """Distinguished tensor at a point: jet-valued components plus a valence
-    string ('u'/'d' per axis, e.g. 'uud' for T^{ij}_k)."""
+    """Distinguished tensor at a point: one tensor jet of components plus a
+    valence string ('u'/'d' per axis, e.g. 'uud' for T^{ij}_k)."""
 
     __slots__ = ("geom", "comp", "valence")
 
-    def __init__(self, geom: PointGeometry, comp, valence: str):
-        comp = np.asarray(comp, dtype=object)
+    def __init__(self, geom: PointGeometry, comp: Jet, valence: str):
         if any(ch not in "ud" for ch in valence):
             raise ValenceError(f"valence string {valence!r} must use only 'u'/'d'")
         if comp.ndim != len(valence):
@@ -70,50 +69,21 @@ class DTensor:
                 f"components have {comp.ndim} axes but valence {valence!r} "
                 f"declares {len(valence)}"
             )
-        lifted = np.empty(comp.shape, dtype=object)
-        for idx in np.ndindex(comp.shape):
-            e = comp[idx]
-            lifted[idx] = (
-                e if isinstance(e, Jet) else Jet.constant(float(e), 2 * geom.n, 2)
-            )
         self.geom = geom
-        self.comp = lifted
+        self.comp = comp
         self.valence = valence
 
     @property
     def values(self) -> np.ndarray:
-        return values_of(self.comp)
+        return self.comp.value
 
     def h_cov(self) -> "DTensor":
         """Horizontal covariant derivative T -> T_{|k} (index appended, down)."""
-        geom = self.geom
-        n = geom.n
-        b = geom.B_jets
-        out = np.empty(self.comp.shape + (n,), dtype=object)
-        for idx in np.ndindex(self.comp.shape):
-            d = geom.delta(self.comp[idx])
-            for k in range(n):
-                s = d[k]
-                for axis, ch in enumerate(self.valence):
-                    i_ax = idx[axis]
-                    for m in range(n):
-                        jdx = idx[:axis] + (m,) + idx[axis + 1 :]
-                        if ch == "u":
-                            s = s + self.comp[jdx] * b[i_ax, m, k]
-                        else:
-                            s = s - self.comp[jdx] * b[m, i_ax, k]
-                out[idx + (k,)] = s
-        return DTensor(geom, out, self.valence + "d")
+        return DTensor(self.geom, self.geom.h_cov(self.comp, self.valence), self.valence + "d")
 
     def v_cov(self) -> "DTensor":
         """Vertical covariant derivative T -> T|^k (index appended, up)."""
-        geom = self.geom
-        n = geom.n
-        out = np.empty(self.comp.shape + (n,), dtype=object)
-        for idx in np.ndindex(self.comp.shape):
-            for k in range(n):
-                out[idx + (k,)] = self.comp[idx].deriv(n + k)
-        return DTensor(geom, out, self.valence + "u")
+        return DTensor(self.geom, self.comp.derivs(self.geom.pvars), self.valence + "u")
 
 
 def h_cov(t: DTensor) -> DTensor:
@@ -134,7 +104,7 @@ def _geom(s, at, geom):
 
 def nonlinear_connection(s, at: ChartPoint, geom: PointGeometry = None) -> NonlinearConnection:
     geom = _geom(s, at, geom)
-    gamma = values_of(geom.gamma_jets)
+    gamma = geom.gamma_jets.value
     gamma0 = np.einsum("ijk,i->jk", gamma, at.p)
     gamma00 = gamma0 @ geom.p_up
     return NonlinearConnection(
@@ -147,7 +117,7 @@ def delta_apply(s, at: ChartPoint, f, geom: PointGeometry = None) -> np.ndarray:
     geom = _geom(s, at, geom)
     n = at.n
     fj = jet_eval(f, at, 1)
-    grad = np.array([fj.deriv(k).value for k in range(2 * n)])
+    grad = fj.derivs(range(2 * n)).value
     return grad[:n] + geom.N @ grad[n:]
 
 
@@ -172,18 +142,11 @@ def metric_delta_identity(s, at: ChartPoint, geom: PointGeometry = None) -> floa
     equals the Landsberg defect of the structure at the point.
     """
     geom = _geom(s, at, geom)
-    n = geom.n
-    g = geom.g_down_jets
     bv = geom.B
     gv = geom.g_down
-    worst = 0.0
-    for j in range(n):
-        for k in range(j, n):
-            d = geom.delta(g[j, k])
-            for i in range(n):
-                rhs = sum(bv[m, j, i] * gv[m, k] + bv[m, k, i] * gv[j, m] for m in range(n))
-                worst = max(worst, abs(d[i].value - rhs))
-    return worst
+    lhs = geom.delta(geom.g_down_jets).value  # delta_i g_jk at [j, k, i]
+    rhs = np.einsum("mji,mk->jki", bv, gv) + np.einsum("mki,jm->jki", bv, gv)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import EvaluationDomainError, RegularityError
-from .geometry import PointGeometry, jet_mat_inv, values_of
-from .jets import ChartPoint, Jet, exp, log, power, sqrt
+from .geometry import PointGeometry, jet_mat_inv
+from .jets import ChartPoint, Jet, contract, exp, invert, log, power, sqrt, stack
 
 __all__ = [
     "CartanStructure",
@@ -170,18 +170,16 @@ def _quadratic_dual(a_fn, n):
     """K^2 = a^ij(x) p_i p_j as a jet-capable field."""
 
     def k2(xs, ps):
-        mat = np.empty((n, n), dtype=object)
         a = a_fn(xs)
-        for i in range(n):
-            for j in range(n):
-                mat[i, j] = a[i][j] if not isinstance(a, np.ndarray) else a[i, j]
-        aup = jet_mat_inv(mat)
-        s = None
-        for i in range(n):
-            for j in range(n):
-                t = aup[i, j] * ps[i] * ps[j]
-                s = t if s is None else s + t
-        return s
+        if not isinstance(ps[0], Jet):  # plain point values
+            p = np.asarray(ps, dtype=float)
+            return float(p @ invert(np.asarray(a, dtype=float)) @ p)
+        p = stack(ps)
+        if isinstance(a, np.ndarray) and a.dtype.kind == "f":
+            aup = invert(a)  # constant coefficients: the float inverse is exact
+        else:
+            aup = jet_mat_inv(stack(a, p.nvars, p.order))
+        return contract("i,i->", p, contract("ij,j->i", aup, p))
 
     return k2
 

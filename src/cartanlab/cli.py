@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .cartan import cartan_tensor, fundamental
 from .errors import CartanLabError, ManifestError
-from .geometry import FrameVector, PointGeometry, values_of
+from .geometry import FrameVector, PointGeometry
 from .jets import ChartPoint
 from .kahler import BundleMetric, almost_complex, theta_matrix
 from .levicivita import CURVATURE_BLOCKS, curvature_closed, lc_closed_form, ricci
@@ -91,12 +91,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(document: dict, out_path) -> None:
-    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    # streamed chunk by chunk, so a large report is never held as one string
     if out_path is None:
-        sys.stdout.write(text)
+        json.dump(document, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            json.dump(document, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _load(args) -> Manifest:
@@ -192,12 +194,8 @@ def _tensor_objects(structure, params, at, names):
             }
         elif name == "J":
             m = need_metric()
-            n = geom.n
-            basis = [FrameVector.delta_frame(geom, i) for i in range(n)] + [
-                FrameVector.vdot_frame(geom, i) for i in range(n)
-            ]
             cols = []
-            for b in basis:
+            for b in FrameVector.basis(geom):
                 jb = almost_complex(m, b)
                 cols.append(list(jb.h_values) + list(jb.v_values))
             out[name] = {

@@ -8,13 +8,22 @@ coefficients, the Landsberg family, and the curvature tensors of the base
 geometry.  Nothing here uses finite differences; the FD oracles live next to
 their checks.
 
+Each `*_jets` attribute is one tensor `Jet`: a single coefficient array of
+shape `(*tensor_shape, ncoef)` (see `jets`).  Momentum and base derivatives
+of a whole tensor are one gather (`Jet.derivs`), raising or lowering an index
+and every other index sum is one `jets.contract`, and the float attribute of
+the same name without `_jets` (`g_up`, `C_uuu`, `B`, ...) is its `.value`.
+
 Order bookkeeping from one order-5 jet of K^2:
     g (3) -> C (2) -> gamma, N (2) -> B, L, R_vv (1) -> curvatures (0)
 so every downstream value is exact to roundoff.
 
 `FrameVector` represents vector fields on the slit bundle in the adapted frame
-(h^i delta_i + v_i pdot^i) with jet coefficient functions, and computes Lie
-brackets by passing through the coordinate frame.
+(h^i delta_i + v_i pdot^i) with one (2n,) jet of coefficient functions, and
+computes Lie brackets by passing through the coordinate frame.  The adapted
+basis is addressed by frame slots `(kind, index)`, kind "h" for delta_i and
+"v" for pdot^i: `frame_slots(n)` lists them in basis order, `slot_index`
+validates one, and `FrameVector.basis` / `FrameVector.slot` build the fields.
 """
 from __future__ import annotations
 
@@ -23,91 +32,36 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import RegularityError, EvaluationDomainError
-from .jets import Jet, invert, jet_eval
+from .errors import EvaluationDomainError, RegularityError, ValenceError
+from .jets import Jet, contract, invert, jet_eval, stack
 
 __all__ = [
     "PointGeometry",
     "FrameVector",
+    "frame_slots",
+    "slot_index",
     "jet_mat_inv",
-    "values_of",
 ]
 
-
-def _oarr(shape):
-    return np.empty(shape, dtype=object)
-
-
-def values_of(arr):
-    """Float array of jet values from an object array of jets/numbers."""
-    out = np.empty(np.shape(arr))
-    a = np.asarray(arr, dtype=object)
-    for idx in np.ndindex(a.shape):
-        v = a[idx]
-        out[idx] = v.value if isinstance(v, Jet) else float(v)
-    return out
+# letters for the free axes of a tensor of any valence in `contract` specs
+_AXES = "abcdefgh"
 
 
-def _ref_jet(mat):
-    for idx in np.ndindex(mat.shape):
-        if isinstance(mat[idx], Jet):
-            return mat[idx]
-    return None
-
-
-def _lift(entry, ref: Jet) -> Jet:
-    if isinstance(entry, Jet):
-        return entry
-    return Jet.constant(float(entry), ref.nvars, ref.order)
-
-
-def _jmatmul(a, b, n):
-    out = _oarr((n, n))
-    for i in range(n):
-        for j in range(n):
-            s = a[i, 0] * b[0, j]
-            for k in range(1, n):
-                s = s + a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
-
-
-def jet_mat_inv(mat):
+def jet_mat_inv(mat: Jet) -> Jet:
     """Inverse of a symmetric matrix of jets by Newton iteration.
 
     Seeds with the guarded float inverse of the value part; each iteration
     X <- X(2I - AX) doubles the correct Taylor degree, so ceil(log2(order+1))
-    iterations make the product the identity through the jet order.
+    iterations make the product the identity through the jet order.  While
+    X is the float seed, its products with jets are linear in the jet
+    coefficients and need no product table.
     """
-    mat = np.asarray(mat, dtype=object)
-    n = mat.shape[0]
-    ref = _ref_jet(mat)
-    if ref is None:
-        return invert(values_of(mat))
-    a = _oarr((n, n))
-    for i in range(n):
-        for j in range(n):
-            a[i, j] = _lift(mat[i, j], ref)
-    x0 = invert(values_of(a))
-    x = _oarr((n, n))
-    for i in range(n):
-        for j in range(n):
-            x[i, j] = Jet.constant(x0[i, j], ref.nvars, ref.order)
-    for _ in range(max(1, math.ceil(math.log2(ref.order + 1)))):
-        ax = _jmatmul(a, x, n)
-        for i in range(n):
-            ax[i, i] = -(ax[i, i] - 2.0)
-            for j in range(n):
-                if j != i:
-                    ax[i, j] = -ax[i, j]
-        x = _jmatmul(x, ax, n)
+    x = invert(mat.value)
+    two = 2.0 * np.eye(mat.shape[0])
+    for _ in range(max(1, math.ceil(math.log2(mat.order + 1)))):
+        x = contract("ij,jk->ik", x, two - contract("ij,jk->ik", mat, x))
     # symmetrize away roundoff
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = (x[i, j] + x[j, i]) * 0.5
-            x[i, j] = s
-            x[j, i] = s
-    return x
+    return (x + contract("ij->ji", x)) * 0.5
 
 
 class PointGeometry:
@@ -118,6 +72,9 @@ class PointGeometry:
         self.at = at
         self.order = order
         self.n = at.n
+        # chart-variable indices of the base coordinates and of the momenta
+        self.xvars = tuple(range(self.n))
+        self.pvars = tuple(range(self.n, 2 * self.n))
 
     # ---- scalar level
 
@@ -134,29 +91,20 @@ class PointGeometry:
     def tau(self) -> float:
         return 0.5 * self.k2.value
 
-    def p_coord(self, order: int) -> np.ndarray:
+    def p_coord(self, order: int) -> Jet:
+        """The momentum coordinates p_i as an (n,) jet of the given order."""
         n = self.n
-        out = _oarr(n)
-        for i in range(n):
-            out[i] = Jet.variable(n + i, self.at.p[i], 2 * n, order)
-        return out
+        return stack([Jet.variable(n + i, self.at.p[i], 2 * n, order) for i in range(n)])
 
     # ---- fundamental tensor
 
     @cached_property
     def g_up_jets(self):
-        n = self.n
-        out = _oarr((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                jet = self.k2.deriv(n + i).deriv(n + j) * 0.5
-                out[i, j] = jet
-                out[j, i] = jet
-        return out
+        return self.k2.derivs(self.pvars, 2) * 0.5
 
     @cached_property
     def g_up(self):
-        vals = values_of(self.g_up_jets)
+        vals = self.g_up_jets.value
         w = np.linalg.eigvalsh(vals)
         if w[0] <= 0.0:
             raise RegularityError(
@@ -172,316 +120,163 @@ class PointGeometry:
 
     @cached_property
     def g_down(self):
-        return values_of(self.g_down_jets)
+        return self.g_down_jets.value
 
     @cached_property
     def p_up_jets(self):
-        n = self.n
-        out = _oarr(n)
-        for i in range(n):
-            out[i] = self.k2.deriv(n + i) * 0.5
-        return out
+        return self.k2.derivs(self.pvars) * 0.5
 
     @cached_property
     def p_up(self):
-        return values_of(self.p_up_jets)
+        return self.p_up_jets.value
 
     # ---- Cartan tensor
 
     @cached_property
     def C_uuu_jets(self):
-        n = self.n
-        out = _oarr((n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                base = self.k2.deriv(n + i).deriv(n + j)
-                for k in range(j, n):
-                    jet = base.deriv(n + k) * (-0.25)
-                    for perm in (
-                        (i, j, k), (i, k, j), (j, i, k),
-                        (j, k, i), (k, i, j), (k, j, i),
-                    ):
-                        out[perm] = jet
-        return out
+        return self.k2.derivs(self.pvars, 3) * (-0.25)
 
     @cached_property
     def C_uuu(self):
-        return values_of(self.C_uuu_jets)
+        return self.C_uuu_jets.value
 
     @cached_property
     def C_uud_jets(self):
-        n = self.n
-        g = self.g_down_jets
-        c = self.C_uuu_jets
-        out = _oarr((n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(n):
-                    s = c[i, j, 0] * g[0, k]
-                    for m in range(1, n):
-                        s = s + c[i, j, m] * g[m, k]
-                    out[i, j, k] = s
-                    out[j, i, k] = s
-        return out
+        return contract("ijm,mk->ijk", self.C_uuu_jets, self.g_down_jets)
 
     @cached_property
     def C_mixed_jets(self):
         """C^r_jk: first index up, last two lowered."""
-        n = self.n
-        g = self.g_down_jets
-        cu = self.C_uud_jets
-        out = _oarr((n, n, n))
-        for r in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    s = cu[r, 0, k] * g[0, j]
-                    for m in range(1, n):
-                        s = s + cu[r, m, k] * g[m, j]
-                    out[r, j, k] = s
-                    out[r, k, j] = s
-        return out
+        return contract("rmk,mj->rjk", self.C_uud_jets, self.g_down_jets)
 
     @cached_property
     def C_mixed(self):
-        return values_of(self.C_mixed_jets)
+        return self.C_mixed_jets.value
 
     @cached_property
     def C_ddd_jets(self):
-        n = self.n
-        g = self.g_down_jets
-        cm = self.C_mixed_jets
-        out = _oarr((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    s = cm[0, j, k] * g[0, i]
-                    for m in range(1, n):
-                        s = s + cm[m, j, k] * g[m, i]
-                    out[i, j, k] = s
-        return out
+        return contract("mjk,mi->ijk", self.C_mixed_jets, self.g_down_jets)
 
     @cached_property
     def C_ddd(self):
-        return values_of(self.C_ddd_jets)
+        return self.C_ddd_jets.value
 
     @cached_property
     def I_up_jets(self):
-        n = self.n
-        g = self.g_down_jets
-        c = self.C_uuu_jets
-        out = _oarr(n)
-        for j in range(n):
-            s = None
-            for h in range(n):
-                for m in range(n):
-                    t = g[h, m] * c[j, h, m]
-                    s = t if s is None else s + t
-            out[j] = s
-        return out
+        return contract("hm,jhm->j", self.g_down_jets, self.C_uuu_jets)
 
     @cached_property
     def I_up(self):
-        return values_of(self.I_up_jets)
+        return self.I_up_jets.value
 
     # ---- nonlinear connection
 
     @cached_property
     def gamma_jets(self):
         """Formal Christoffel symbols of g_down in the base variables."""
-        n = self.n
-        g = self.g_down_jets
-        gu = self.g_up_jets
-        out = _oarr((n, n, n))
-        for j in range(n):
-            for k in range(j, n):
-                for i in range(n):
-                    s = None
-                    for m in range(n):
-                        t = gu[i, m] * (
-                            g[j, m].deriv(k) + g[m, k].deriv(j) - g[j, k].deriv(m)
-                        )
-                        s = t if s is None else s + t
-                    s = s * 0.5
-                    out[i, j, k] = s
-                    out[i, k, j] = s
-        return out
+        dg = self.g_down_jets.derivs(self.xvars)  # dg[j, m, k] = d_k g_jm
+        # [j, k, m]: d_k g_jm + d_j g_mk - d_m g_jk
+        first = contract("jmk->jkm", dg) + contract("mkj->jkm", dg) - dg
+        return contract("im,jkm->ijk", self.g_up_jets, first) * 0.5
 
     @cached_property
     def N_jets(self):
-        n = self.n
-        gam = self.gamma_jets
-        p = self.p_coord(self.order - 2)
-        pu = self.p_up_jets
-        g0 = _oarr((n, n))  # gamma^i_jk p_i
-        for j in range(n):
-            for k in range(j, n):
-                s = gam[0, j, k] * p[0]
-                for i in range(1, n):
-                    s = s + gam[i, j, k] * p[i]
-                g0[j, k] = s
-                g0[k, j] = s
-        g00 = _oarr(n)  # gamma^i_hk p_i p^k
-        for h in range(n):
-            s = g0[h, 0] * pu[0]
-            for k in range(1, n):
-                s = s + g0[h, k] * pu[k]
-            g00[h] = s
-        g = self.g_down_jets
-        out = _oarr((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                s = g0[i, j]
-                for h in range(n):
-                    s = s - 0.5 * (g00[h] * g[i, j].deriv(n + h))
-                out[i, j] = s
-                out[j, i] = s
-        return out
+        gamma0 = contract("ijk,i->jk", self.gamma_jets, self.p_coord(self.order - 2))
+        gamma00 = contract("hk,k->h", gamma0, self.p_up_jets)
+        dg_p = self.g_down_jets.derivs(self.pvars)  # pdot^h g_ij at [i, j, h]
+        return gamma0 - contract("h,ijh->ij", gamma00, dg_p) * 0.5
 
     @cached_property
     def N(self):
-        return values_of(self.N_jets)
+        return self.N_jets.value
 
-    def delta(self, f: Jet) -> np.ndarray:
-        """Adapted-frame derivatives (delta_1 f, ..., delta_n f) as jets."""
+    def delta(self, f: Jet) -> Jet:
+        """Adapted-frame derivatives delta_i f of every component of f, on a
+        new trailing axis."""
+        free = _AXES[: f.ndim]
+        vertical = contract(f"{free}j,ij->{free}i", f.derivs(self.pvars), self.N_jets)
+        return f.derivs(self.xvars) + vertical
+
+    def h_cov(self, t: Jet, valence: str) -> Jet:
+        """Horizontal covariant derivative T_{|k} of a tensor with the given
+        valence ('u'/'d' per axis): delta_k T plus one Berwald contraction per
+        axis, the new index appended last."""
+        free = _AXES[: t.ndim]
+        out = self.delta(t)
+        for axis, kind in enumerate(valence):
+            summed = free[:axis] + "m" + free[axis + 1 :]
+            if kind == "u":
+                out = out + contract(f"{summed},{free[axis]}mk->{free}k", t, self.B_jets)
+            else:
+                out = out - contract(f"{summed},m{free[axis]}k->{free}k", t, self.B_jets)
+        return out
+
+    @cached_property
+    def frame_jets(self) -> tuple:
+        """(E, E^-1): row a of E holds the coordinate-frame components
+        (partial_i, pdot^i) of the adapted basis field F_a, and E^-1 maps
+        coordinate components back to adapted ones."""
         n = self.n
         nn = self.N_jets
-        out = _oarr(n)
-        for i in range(n):
-            s = f.deriv(i)
-            for j in range(n):
-                s = s + nn[i, j] * f.deriv(n + j)
-            out[i] = s
-        return out
+        eye = Jet.constant(np.eye(2 * n), 2 * n, nn.order).c
+        to_coords, to_adapted = eye.copy(), eye.copy()
+        to_coords[:n, n:] = nn.c  # delta_i = partial_i + N_ik pdot^k
+        to_adapted[:n, n:] = -nn.c
+        return Jet(2 * n, nn.order, to_coords), Jet(2 * n, nn.order, to_adapted)
 
     # ---- Berwald coefficients and Landsberg family
 
     @cached_property
     def B_jets(self):
-        n = self.n
-        nn = self.N_jets
-        out = _oarr((n, n, n))
-        for j in range(n):
-            for k in range(j, n):
-                d = nn[j, k]
-                for i in range(n):
-                    jet = d.deriv(n + i)
-                    out[i, j, k] = jet
-                    out[i, k, j] = jet
-        return out
+        return contract("jki->ijk", self.N_jets.derivs(self.pvars))
 
     @cached_property
     def B(self):
-        return values_of(self.B_jets)
+        return self.B_jets.value
 
     @cached_property
     def L_uud_jets(self):
         """Landsberg L^ij_k = (h-covariant derivative of C^ij_k) contracted with p."""
-        n = self.n
-        c = self.C_uud_jets
-        b = self.B_jets
-        pu = self.p_up_jets
-        out = _oarr((n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(n):
-                    dC = self.delta(c[i, j, k])
-                    s = None
-                    for h in range(n):
-                        t = dC[h]
-                        for m in range(n):
-                            t = (
-                                t
-                                + c[m, j, k] * b[i, m, h]
-                                + c[i, m, k] * b[j, m, h]
-                                - c[i, j, m] * b[m, k, h]
-                            )
-                        t = t * pu[h]
-                        s = t if s is None else s + t
-                    out[i, j, k] = s
-                    out[j, i, k] = s
-        return out
+        return contract(
+            "ijkh,h->ijk", self.h_cov(self.C_uud_jets, "uud"), self.p_up_jets
+        )
 
     @cached_property
     def L_uud(self):
-        return values_of(self.L_uud_jets)
+        return self.L_uud_jets.value
 
     @cached_property
     def L_uuu_jets(self):
-        n = self.n
-        l = self.L_uud_jets
-        gu = self.g_up_jets
-        out = _oarr((n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(n):
-                    s = l[i, j, 0] * gu[0, k]
-                    for m in range(1, n):
-                        s = s + l[i, j, m] * gu[m, k]
-                    out[i, j, k] = s
-                    out[j, i, k] = s
-        return out
+        return contract("ijm,mk->ijk", self.L_uud_jets, self.g_up_jets)
 
     @cached_property
     def L_uuu(self):
-        return values_of(self.L_uuu_jets)
+        return self.L_uuu_jets.value
 
     @cached_property
     def L_udd_jets(self):
         """L^i_jk: lower the middle index of L^ij_k."""
-        n = self.n
-        l = self.L_uud_jets
-        g = self.g_down_jets
-        out = _oarr((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    s = l[i, 0, k] * g[0, j]
-                    for m in range(1, n):
-                        s = s + l[i, m, k] * g[m, j]
-                    out[i, j, k] = s
-        return out
+        return contract("imk,mj->ijk", self.L_uud_jets, self.g_down_jets)
 
     @cached_property
     def L_udd(self):
-        return values_of(self.L_udd_jets)
+        return self.L_udd_jets.value
 
     @cached_property
     def L_ddd_jets(self):
-        n = self.n
-        l = self.L_udd_jets
-        g = self.g_down_jets
-        out = _oarr((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    s = l[0, j, k] * g[0, i]
-                    for m in range(1, n):
-                        s = s + l[m, j, k] * g[m, i]
-                    out[i, j, k] = s
-        return out
+        return contract("mjk,mi->ijk", self.L_udd_jets, self.g_down_jets)
 
     @cached_property
     def L_ddd(self):
-        return values_of(self.L_ddd_jets)
+        return self.L_ddd_jets.value
 
     @cached_property
     def J_up_jets(self):
-        n = self.n
-        g = self.g_down_jets
-        l = self.L_uuu_jets
-        out = _oarr(n)
-        for s_ in range(n):
-            acc = None
-            for i in range(n):
-                for j in range(n):
-                    t = g[i, j] * l[i, j, s_]
-                    acc = t if acc is None else acc + t
-            out[s_] = acc
-        return out
+        return contract("ij,ijs->s", self.g_down_jets, self.L_uuu_jets)
 
     @cached_property
     def J_up(self):
-        return values_of(self.J_up_jets)
+        return self.J_up_jets.value
 
     @cached_property
     def J_down(self):
@@ -497,223 +292,153 @@ class PointGeometry:
         [delta_i, delta_j] = R_kij pdot^k; with this orientation a base of
         constant sectional curvature c yields R_kij = c (g_jk p_i - g_ik p_j).
         """
-        n = self.n
-        nn = self.N_jets
-        dN = _oarr((n, n, n))  # delta_k N_ij
-        for i in range(n):
-            for j in range(i, n):
-                d = self.delta(nn[i, j])
-                for k in range(n):
-                    dN[i, j, k] = d[k]
-                    dN[j, i, k] = d[k]
-        out = _oarr((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    out[i, j, k] = dN[i, k, j] - dN[i, j, k]
-        return out
+        dN = self.delta(self.N_jets)  # delta_k N_ij at [i, j, k]
+        return contract("ikj->ijk", dN) - dN
 
     @cached_property
     def R_vv(self):
-        return values_of(self.R_vv_jets)
+        return self.R_vv_jets.value
 
     @cached_property
     def R_curv(self):
         """R^i_jkh = delta_h B^i_jk - delta_k B^i_jh + B^s_jk B^i_sh - B^s_jh B^i_sk."""
-        n = self.n
-        b = self.B_jets
-        bv = self.B
-        dB = np.empty((n, n, n, n))  # delta_h B^i_jk
-        for i in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    d = self.delta(b[i, j, k])
-                    for h in range(n):
-                        dB[i, j, k, h] = d[h].value
-                        dB[i, k, j, h] = d[h].value
-        out = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for h in range(n):
-                        s = dB[i, j, k, h] - dB[i, j, h, k]
-                        for m in range(n):
-                            s += bv[m, j, k] * bv[i, m, h] - bv[m, j, h] * bv[i, m, k]
-                        out[i, j, k, h] = s
-        return out
+        dB = self.delta(self.B_jets).value  # delta_h B^i_jk at [i, j, k, h]
+        b = self.B
+        return (
+            dB
+            - np.einsum("ijhk->ijkh", dB)
+            + np.einsum("mjk,imh->ijkh", b, b)
+            - np.einsum("mjh,imk->ijkh", b, b)
+        )
 
     @cached_property
     def P_curv(self):
         """P^{ih}_{jk} = pdot^h B^i_jk."""
-        n = self.n
-        b = self.B_jets
-        out = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    for h in range(n):
-                        v = b[i, j, k].deriv(n + h).value
-                        out[i, h, j, k] = v
-                        out[i, h, k, j] = v
-        return out
+        return np.einsum("ijkh->ihjk", self.B_jets.derivs(self.pvars).value)
 
     # ---- volume-form derivatives (log sqrt det g)
 
     @cached_property
     def dln_sqrtg_v_jets(self):
         """pdot^j of ln sqrt(det g) via the trace rule, as jets."""
-        n = self.n
-        gu = self.g_up_jets
-        g = self.g_down_jets
-        out = _oarr(n)
-        for j in range(n):
-            s = None
-            for a in range(n):
-                for b in range(n):
-                    t = gu[a, b] * g[a, b].deriv(n + j)
-                    s = t if s is None else s + t
-            out[j] = s * 0.5
-        return out
+        dg_p = self.g_down_jets.derivs(self.pvars)
+        return contract("ab,abj->j", self.g_up_jets, dg_p) * 0.5
 
     @cached_property
     def dln_sqrtg_v(self):
-        return values_of(self.dln_sqrtg_v_jets)
+        return self.dln_sqrtg_v_jets.value
 
     @cached_property
     def dln_sqrtg_h(self):
         """delta_i of ln sqrt(det g), exact."""
-        n = self.n
-        gu = self.g_up_jets
-        g = self.g_down_jets
-        out = _oarr(n)
-        for i in range(n):
-            s = None
-            for a in range(n):
-                for b in range(n):
-                    t = gu[a, b] * g[a, b].deriv(i)
-                    s = t if s is None else s + t
-            out[i] = s * 0.5
-        return values_of(out) + self.N @ self.dln_sqrtg_v
+        dg_x = self.g_down_jets.derivs(self.xvars)
+        partial = (contract("ab,abi->i", self.g_up_jets, dg_x) * 0.5).value
+        return partial + self.N @ self.dln_sqrtg_v
+
+
+def frame_slots(n: int) -> list:
+    """The adapted basis (delta_1..delta_n, pdot^1..pdot^n) as frame slots."""
+    return [("h", i) for i in range(n)] + [("v", i) for i in range(n)]
+
+
+def slot_index(slot, n: int) -> int:
+    """Position of a frame slot (kind, index) in the adapted basis.
+
+    Raises ValenceError for a kind other than 'h'/'v' or an index outside
+    [0, n).
+    """
+    kind, idx = slot
+    if kind not in ("h", "v"):
+        raise ValenceError(f"frame slot kind must be 'h' or 'v', got {kind!r}")
+    idx = int(idx)
+    if not 0 <= idx < n:
+        raise ValenceError(f"frame slot index must lie in [0, {n}), got {idx}")
+    return idx if kind == "h" else n + idx
 
 
 class FrameVector:
-    """Vector field X = h^i delta_i + v_i pdot^i with jet coefficients."""
+    """Vector field X = h^i delta_i + v_i pdot^i with jet coefficients.
 
-    __slots__ = ("geom", "h", "v")
+    The adapted components are one (2n,) jet ``w``, h first; ``h`` and ``v``
+    are its two (n,) halves.  The constructor takes float components and
+    lifts them to constant jets of order ``geom.order - 2``.
+    """
+
+    __slots__ = ("geom", "w")
 
     def __init__(self, geom: PointGeometry, h, v):
-        n = geom.n
         self.geom = geom
-        self.h = self._lift_arr(h, n)
-        self.v = self._lift_arr(v, n)
+        self.w = Jet.constant(np.concatenate([h, v]), 2 * geom.n, geom.order - 2)
 
-    def _lift_arr(self, arr, n):
-        out = _oarr(n)
-        for i in range(n):
-            e = arr[i]
-            if isinstance(e, Jet):
-                out[i] = e
-            else:
-                out[i] = Jet.constant(float(e), 2 * n, self.geom.order - 2)
+    @classmethod
+    def _of(cls, geom: PointGeometry, w: Jet) -> "FrameVector":
+        out = cls.__new__(cls)
+        out.geom = geom
+        out.w = w
         return out
 
     @classmethod
+    def basis(cls, geom: PointGeometry) -> list:
+        """The 2n adapted basis fields, in the order of `frame_slots`."""
+        dim = 2 * geom.n
+        eye = Jet.constant(np.eye(dim), dim, geom.order - 2)
+        return [cls._of(geom, eye[a]) for a in range(dim)]
+
+    @classmethod
+    def slot(cls, geom: PointGeometry, slot) -> "FrameVector":
+        """The adapted basis field of one frame slot."""
+        dim = 2 * geom.n
+        unit = np.eye(dim)[slot_index(slot, geom.n)]
+        return cls._of(geom, Jet.constant(unit, dim, geom.order - 2))
+
+    @classmethod
     def zero(cls, geom):
-        z = [0.0] * geom.n
+        z = np.zeros(geom.n)
         return cls(geom, z, z)
 
     @classmethod
     def delta_frame(cls, geom, i):
-        h = [1.0 if k == i else 0.0 for k in range(geom.n)]
-        return cls(geom, h, [0.0] * geom.n)
+        return cls.slot(geom, ("h", i))
 
     @classmethod
     def vdot_frame(cls, geom, i):
-        v = [1.0 if k == i else 0.0 for k in range(geom.n)]
-        return cls(geom, [0.0] * geom.n, v)
+        return cls.slot(geom, ("v", i))
+
+    @property
+    def h(self) -> Jet:
+        return self.w[: self.geom.n]
+
+    @property
+    def v(self) -> Jet:
+        return self.w[self.geom.n :]
 
     @property
     def h_values(self):
-        return values_of(self.h)
+        return self.w.value[: self.geom.n]
 
     @property
     def v_values(self):
-        return values_of(self.v)
+        return self.w.value[self.geom.n :]
 
     def __add__(self, other):
-        n = self.geom.n
-        return FrameVector(
-            self.geom,
-            [self.h[i] + other.h[i] for i in range(n)],
-            [self.v[i] + other.v[i] for i in range(n)],
-        )
+        return FrameVector._of(self.geom, self.w + other.w)
 
     def __sub__(self, other):
-        n = self.geom.n
-        return FrameVector(
-            self.geom,
-            [self.h[i] - other.h[i] for i in range(n)],
-            [self.v[i] - other.v[i] for i in range(n)],
-        )
+        return FrameVector._of(self.geom, self.w - other.w)
 
     def __neg__(self):
-        n = self.geom.n
-        return FrameVector(
-            self.geom, [-self.h[i] for i in range(n)], [-self.v[i] for i in range(n)]
-        )
+        return FrameVector._of(self.geom, -self.w)
 
     def scale(self, factor):
-        n = self.geom.n
-        return FrameVector(
-            self.geom,
-            [self.h[i] * factor for i in range(n)],
-            [self.v[i] * factor for i in range(n)],
-        )
+        return FrameVector._of(self.geom, self.w * factor)
 
-    def coord_coeffs(self):
-        """Coefficients in the coordinate frame (partial_i, pdot^i)."""
-        n = self.geom.n
-        nn = self.geom.N_jets
-        a = _oarr(n)
-        b = _oarr(n)
-        for k in range(n):
-            a[k] = self.h[k]
-            s = self.v[k]
-            for i in range(n):
-                s = s + self.h[i] * nn[i, k]
-            b[k] = s
-        return a, b
-
-    def apply(self, f: Jet) -> Jet:
-        """Directional derivative X(f)."""
-        n = self.geom.n
-        a, b = self.coord_coeffs()
-        s = None
-        for i in range(n):
-            t = a[i] * f.deriv(i) + b[i] * f.deriv(n + i)
-            s = t if s is None else s + t
-        return s
+    def coord_coeffs(self) -> Jet:
+        """Components in the coordinate frame (partial_i, pdot^i), as a (2n,) jet."""
+        return contract("a,av->v", self.w, self.geom.frame_jets[0])
 
     def bracket(self, other: "FrameVector") -> "FrameVector":
         """Lie bracket [X, Y], computed in the coordinate frame."""
-        n = self.geom.n
-        a1, b1 = self.coord_coeffs()
-        a2, b2 = other.coord_coeffs()
-
-        def directional(a, b, f):
-            s = None
-            for i in range(n):
-                t = a[i] * f.deriv(i) + b[i] * f.deriv(n + i)
-                s = t if s is None else s + t
-            return s
-
-        ca = [directional(a1, b1, a2[k]) - directional(a2, b2, a1[k]) for k in range(n)]
-        cb = [directional(a1, b1, b2[k]) - directional(a2, b2, b1[k]) for k in range(n)]
-        nn = self.geom.N_jets
-        v = []
-        for k in range(n):
-            s = cb[k]
-            for j in range(n):
-                s = s - ca[j] * nn[j, k]
-            v.append(s)
-        return FrameVector(self.geom, ca, v)
+        chart = range(2 * self.geom.n)
+        a, b = self.coord_coeffs(), other.coord_coeffs()
+        z = contract("u,vu->v", a, b.derivs(chart)) - contract("u,vu->v", b, a.derivs(chart))
+        return FrameVector._of(self.geom, contract("v,va->a", z, self.geom.frame_jets[1]))

@@ -2,14 +2,31 @@
 cross-check.
 
 A chart point carries the 2n coordinates (x^1..x^n, p_1..p_n).  A `Jet` stores
-the Taylor coefficients of a smooth scalar about such a point, indexed by
-multi-indices over the 2n variables up to a total order (order 5 is enough for
-every consumer in this package: two base derivatives on top of three momentum
-derivatives of K^2).  Ring operations are exact truncated-polynomial
-operations; smooth primitives (sqrt, exp, log, real powers) are evaluated by
-composing the primitive's Taylor series with the nilpotent part of the
-operand.  Mixed partial derivatives of any expression built this way are read
-off coefficients, with no step-size error.
+the Taylor coefficients of a smooth scalar, or of a tensor of smooth scalars,
+about such a point, indexed by multi-indices over the 2n variables up to a
+total order (order 5 is enough for every consumer in this package: two base
+derivatives on top of three momentum derivatives of K^2).  Ring operations are
+exact truncated-polynomial operations; smooth primitives (sqrt, exp, log, real
+powers) are evaluated by composing the primitive's Taylor series with the
+nilpotent part of the operand.  Mixed partial derivatives of any expression
+built this way are read off coefficients, with no step-size error.
+
+Layout: the coefficients of a jet are one float array `c` of shape
+`(*shape, ncoef)`.  The leading axes are the tensor axes (`shape == ()` for a
+scalar); the last axis runs over the multi-indices in graded order, so
+truncation is a slice and `c[..., 0]` is the value.  Every operation acts on
+all components at once:
+
+* `+`, `-` and `*` broadcast over the leading axes.  A product gathers both
+  coefficient axes through the product table of `_Tables.mul`, multiplies,
+  and sums each output coefficient with one `np.add.reduceat`; the table is
+  sorted by output index when it is built, so the sums are contiguous runs.
+* `contract(spec, a, b)` is an einsum over the leading axes
+  (`contract("ijm,mk->ijk", a, b)`) taken before the same reduction, so an
+  index contraction of two jet tensors costs one gather, one einsum and one
+  reduction.
+* `deriv` and `derivs` are gathers on the last axis; indexing selects
+  leading axes; `stack` builds a tensor from scalar jets and numbers.
 
 `fd_derivative` provides the independent oracle: iterated central differences
 at two step sizes with Richardson extrapolation and an honest error estimate
@@ -20,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +47,8 @@ from .errors import ConditioningError, EvaluationDomainError
 __all__ = [
     "ChartPoint",
     "Jet",
+    "contract",
+    "stack",
     "jet_eval",
     "fd_derivative",
     "invert",
@@ -76,42 +95,70 @@ class _Tables:
         self.sizes = sizes
         self.index = {e: i for i, e in enumerate(exps)}
         self.degree = np.array([sum(e) for e in exps], dtype=np.int64)
+        # each multi-index as one integer, its exponents read as digits in
+        # base order + 1; a sum of two multi-indices within the order adds
+        # their codes without a carry
+        self._radix = (order + 1) ** np.arange(nvars, dtype=np.int64)
+        self._codes = np.array(exps, dtype=np.int64).reshape(self.size, nvars) @ self._radix
+        self._by_code = np.argsort(self._codes, kind="stable")
         self._mul = None
-        self._deriv: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._derivs: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _lookup(self, codes: np.ndarray) -> np.ndarray:
+        """Table positions of multi-indices given by their codes."""
+        sorted_codes = self._codes[self._by_code]
+        return self._by_code[np.searchsorted(sorted_codes, codes)]
 
     @property
     def mul(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ia, ib, starts) of the truncated product c = a * b.
+
+        Each product a[ia[t]] * b[ib[t]] adds to one output coefficient; the
+        terms are sorted by that output index (stably, so each output sums
+        its terms in enumeration order), and output k is the sum of the run
+        that begins at ``starts[k]``, ready for ``np.add.reduceat``.
+        """
         if self._mul is None:
-            ia, ib, iout = [], [], []
-            for a, ea in enumerate(self.exps):
-                da = self.degree[a]
-                for b in range(self.sizes[self.order - da + 1]):
-                    eb = self.exps[b]
-                    iout.append(self.index[tuple(x + y for x, y in zip(ea, eb))])
-                    ia.append(a)
-                    ib.append(b)
-            self._mul = (
-                np.array(ia, dtype=np.int64),
-                np.array(ib, dtype=np.int64),
-                np.array(iout, dtype=np.int64),
-            )
+            # b runs over every multi-index of degree <= order - deg(a)
+            counts = np.asarray(self.sizes)[self.order - self.degree + 1]
+            ia = np.repeat(np.arange(self.size), counts)
+            ib = np.arange(ia.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            iout = self._lookup(self._codes[ia] + self._codes[ib])
+            by_out = np.argsort(iout, kind="stable")
+            iout = iout[by_out]
+            starts = np.flatnonzero(np.r_[True, iout[1:] != iout[:-1]])
+            self._mul = (ia[by_out], ib[by_out], starts)
         return self._mul
+
+    def derivs_map(self, vars: tuple, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Index map realizing all count-fold partials along ``vars``.
+
+        ``src`` and ``mult`` have shape ``(len(vars),) * count + (lower,)``,
+        where ``lower`` is the table size ``count`` orders down:
+        ``c[..., src] * mult`` holds the partials, one trailing axis per
+        derivative.  The multipliers are exact integers, so the result is
+        exactly symmetric in its derivative axes.
+        """
+        key = (vars, count)
+        got = self._derivs.get(key)
+        if got is None:
+            lower = _tables(self.nvars, self.order - count)
+            low = np.array(lower.exps, dtype=np.int64).reshape(lower.size, self.nvars)
+            bump = np.zeros((len(vars),) * count + (self.nvars,), dtype=np.int64)
+            for combo in product(range(len(vars)), repeat=count):
+                for a in combo:
+                    bump[combo + (vars[a],)] += 1
+            bumped = bump[..., None, :] + low
+            src = self._lookup(bumped @ self._radix)
+            fact = np.array([math.factorial(k) for k in range(self.order + 1)], dtype=float)
+            mult = np.prod(fact[bumped], axis=-1) / np.prod(fact[low], axis=-1)
+            got = self._derivs[key] = (src, mult)
+        return got
 
     def deriv_map(self, var: int) -> tuple[np.ndarray, np.ndarray]:
         """Index map realizing d/d(var): tables of order-1 jets index into us."""
-        got = self._deriv.get(var)
-        if got is None:
-            lower = _tables(self.nvars, self.order - 1)
-            src = np.empty(lower.size, dtype=np.int64)
-            mult = np.empty(lower.size, dtype=np.float64)
-            for t, e in enumerate(lower.exps):
-                bumped = list(e)
-                bumped[var] += 1
-                src[t] = self.index[tuple(bumped)]
-                mult[t] = e[var] + 1
-            got = (src, mult)
-            self._deriv[var] = got
-        return got
+        src, mult = self.derivs_map((var,), 1)
+        return src[0], mult[0]
 
 
 @lru_cache(maxsize=None)
@@ -125,18 +172,32 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating))
 
 
+def _common_order(a: "Jet", b: "Jet") -> int:
+    if a.nvars != b.nvars:
+        raise ValueError("jets over different variable sets")
+    return min(a.order, b.order)
+
+
+def _scalar_or_array(v: np.ndarray):
+    return float(v) if v.ndim == 0 else v.copy()
+
+
 # ---------------------------------------------------------------------------
 # jets
 
 
 class Jet:
-    """Taylor coefficients of a scalar about a point, truncated at `order`.
+    """Taylor coefficients of a scalar or a tensor about a point, truncated
+    at `order`.
 
-    coeffs[i] is the series coefficient c_alpha for the i-th multi-index, so
-    the mixed partial for alpha is c_alpha * alpha!.
+    c[..., i] is the series coefficient c_alpha for the i-th multi-index, so
+    the mixed partial for alpha is c_alpha * alpha!; the leading axes of c
+    are the tensor axes (none for a scalar).
     """
 
     __slots__ = ("nvars", "order", "c")
+    # numpy scalars and arrays defer mixed arithmetic to the jet's operators
+    __array_ufunc__ = None
 
     def __init__(self, nvars: int, order: int, coeffs: np.ndarray):
         self.nvars = nvars
@@ -146,9 +207,11 @@ class Jet:
     # -- constructors
 
     @classmethod
-    def constant(cls, value: float, nvars: int, order: int) -> "Jet":
-        c = np.zeros(_tables(nvars, order).size)
-        c[0] = value
+    def constant(cls, value, nvars: int, order: int) -> "Jet":
+        """A constant jet; an array value gives a tensor of constants."""
+        value = np.asarray(value, dtype=float)
+        c = np.zeros(value.shape + (_tables(nvars, order).size,))
+        c[..., 0] = value
         return cls(nvars, order, c)
 
     @classmethod
@@ -160,25 +223,40 @@ class Jet:
         c[1 + index] = 1.0
         return cls(nvars, order, c)
 
-    # -- coefficient access
+    # -- shape and coefficient access
 
     @property
-    def value(self) -> float:
-        return float(self.c[0])
+    def shape(self) -> tuple:
+        return self.c.shape[:-1]
+
+    @property
+    def ndim(self) -> int:
+        return self.c.ndim - 1
+
+    @property
+    def value(self):
+        """The value: a float for a scalar jet, else an array of `shape`."""
+        return _scalar_or_array(self.c[..., 0])
 
     @property
     def coeffs(self) -> np.ndarray:
         return self.c
 
-    def coefficient(self, alpha: Sequence[int]) -> float:
+    def __getitem__(self, idx) -> "Jet":
+        """Index the tensor axes; the coefficient axis is kept whole."""
+        if not isinstance(idx, tuple):
+            idx = (idx,)
+        return Jet(self.nvars, self.order, self.c[idx + (slice(None),)])
+
+    def coefficient(self, alpha: Sequence[int]):
         """Raw series coefficient c_alpha."""
         tab = _tables(self.nvars, self.order)
         idx = tab.index.get(tuple(alpha))
         if idx is None:
             raise ValueError(f"multi-index {tuple(alpha)} outside order {self.order}")
-        return float(self.c[idx])
+        return _scalar_or_array(self.c[..., idx])
 
-    def partial(self, alpha: Sequence[int]) -> float:
+    def partial(self, alpha: Sequence[int]):
         """Mixed partial derivative value: c_alpha * alpha!."""
         fact = 1.0
         for a in alpha:
@@ -190,33 +268,47 @@ class Jet:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         src, mult = _tables(self.nvars, self.order).deriv_map(var)
-        return Jet(self.nvars, self.order - 1, self.c[src] * mult)
+        return Jet(self.nvars, self.order - 1, self.c.take(src, axis=-1) * mult)
+
+    def derivs(self, vars: Sequence[int], count: int = 1) -> "Jet":
+        """All count-fold partials along the chart variables ``vars``.
+
+        Each derivative appends one trailing tensor axis over ``vars`` and
+        lowers the order by one: ``f.derivs(range(n, 2 * n))[..., k]`` is
+        ``f.deriv(n + k)`` for every component at once.
+        """
+        if self.order < count:
+            raise ValueError(f"cannot differentiate an order-{self.order} jet {count} times")
+        src, mult = _tables(self.nvars, self.order).derivs_map(tuple(vars), count)
+        return Jet(self.nvars, self.order - count, self.c.take(src, axis=-1) * mult)
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise ValueError("cannot extend a jet to higher order")
         if order == self.order:
             return self
-        return Jet(self.nvars, order, self.c[: _tables(self.nvars, order).size])
+        return Jet(self.nvars, order, self.c[..., : _tables(self.nvars, order).size])
 
-    # -- ring operations
+    # -- ring operations (broadcasting over the tensor axes)
 
-    def _pair(self, other: "Jet") -> tuple[int, np.ndarray, np.ndarray]:
-        if other.nvars != self.nvars:
-            raise ValueError("jets over different variable sets")
-        k = min(self.order, other.order)
-        t = _tables(self.nvars, k).size
-        return k, self.c[:t], other.c[:t]
+    def _shift(self, other, sign: float):
+        """self + sign * other for a number or an array of numbers."""
+        if _is_number(other):
+            c = self.c.copy()
+        elif isinstance(other, np.ndarray):
+            shape = np.broadcast_shapes(self.shape, other.shape)
+            c = np.array(np.broadcast_to(self.c, shape + self.c.shape[-1:]))
+        else:
+            return NotImplemented
+        c[..., 0] += sign * other
+        return Jet(self.nvars, self.order, c)
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            k, a, b = self._pair(other)
-            return Jet(self.nvars, k, a + b)
-        if _is_number(other):
-            c = self.c.copy()
-            c[0] += other
-            return Jet(self.nvars, self.order, c)
-        return NotImplemented
+            k = _common_order(self, other)
+            t = _tables(self.nvars, k).size
+            return Jet(self.nvars, k, self.c[..., :t] + other.c[..., :t])
+        return self._shift(other, 1.0)
 
     __radd__ = __add__
 
@@ -225,23 +317,20 @@ class Jet:
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            k, a, b = self._pair(other)
-            return Jet(self.nvars, k, a - b)
-        if _is_number(other):
-            c = self.c.copy()
-            c[0] -= other
-            return Jet(self.nvars, self.order, c)
-        return NotImplemented
+            k = _common_order(self, other)
+            t = _tables(self.nvars, k).size
+            return Jet(self.nvars, k, self.c[..., :t] - other.c[..., :t])
+        return self._shift(other, -1.0)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return (-self)._shift(other, 1.0)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            k, a, b = self._pair(other)
-            tab = _tables(self.nvars, k)
-            ia, ib, iout = tab.mul
-            return Jet(self.nvars, k, np.bincount(iout, a[ia] * b[ib], minlength=tab.size))
+            k = _common_order(self, other)
+            ia, ib, starts = _tables(self.nvars, k).mul
+            prod = self.c.take(ia, axis=-1) * other.c.take(ib, axis=-1)
+            return Jet(self.nvars, k, np.add.reduceat(prod, starts, axis=-1))
         if _is_number(other):
             return Jet(self.nvars, self.order, self.c * other)
         return NotImplemented
@@ -280,7 +369,7 @@ class Jet:
     def _analytic(self, series: Sequence[float]) -> "Jet":
         """Compose a power series sum a_k u^k with u = self - self.value (Horner)."""
         u = Jet(self.nvars, self.order, self.c.copy())
-        u.c[0] = 0.0
+        u.c[..., 0] = 0.0
         out = series[-1]
         for k in range(len(series) - 2, -1, -1):
             out = out * u + series[k]
@@ -296,7 +385,81 @@ class Jet:
         return self._analytic(series)
 
     def __repr__(self):
-        return f"Jet(nvars={self.nvars}, order={self.order}, value={self.value!r})"
+        shape = f", shape={self.shape}" if self.shape else ""
+        return f"Jet(nvars={self.nvars}, order={self.order}{shape}, value={self.value!r})"
+
+
+@lru_cache(maxsize=None)
+def _contract_plan(spec: str, is_jet: tuple) -> str:
+    """The einsum expression of a contraction, with the coefficient axis
+    carried along every jet operand as a trailing ellipsis."""
+    inputs, out = spec.replace(" ", "").split("->")
+    subs = inputs.split(",")
+    if len(subs) != len(is_jet):
+        raise ValueError(f"spec {spec!r} names {len(subs)} operands, got {len(is_jet)}")
+    if sum(is_jet) not in (1, 2):
+        raise ValueError("contract needs one or two jet operands")
+    terms = [s + "..." if jet else s for s, jet in zip(subs, is_jet)]
+    return ",".join(terms) + f"->{out}..."
+
+
+def contract(spec: str, *operands) -> Jet:
+    """Einstein summation over the tensor axes of jets.
+
+    ``spec`` is an einsum subscript string over the tensor axes only, e.g.
+    ``contract("ijm,mk->ijk", a, b)`` is the jet of sum_m a[i,j,m] b[m,k].
+    With two jets the product table gathers both coefficient axes, einsum
+    sums the named indices, and one reduction lands on the output
+    coefficients, as in ``*``.  A single jet (a transpose or a trace), or a
+    jet with an array of numbers, is linear in the coefficients and needs no
+    table.
+    """
+    is_jet = tuple(isinstance(x, Jet) for x in operands)
+    expr = _contract_plan(spec, is_jet)
+    if all(is_jet) and len(operands) == 2:
+        a, b = operands
+        k = _common_order(a, b)
+        ia, ib, starts = _tables(a.nvars, k).mul
+        prod = np.einsum(expr, a.c.take(ia, axis=-1), b.c.take(ib, axis=-1))
+        return Jet(a.nvars, k, np.add.reduceat(prod, starts, axis=-1))
+    ref = operands[is_jet.index(True)]
+    arrays = [x.c if jet else x for x, jet in zip(operands, is_jet)]
+    return Jet(ref.nvars, ref.order, np.einsum(expr, *arrays))
+
+
+def _leaves(items) -> tuple[list, tuple]:
+    """Flat leaves and shape of a nested sequence of scalar jets and numbers."""
+    if isinstance(items, Jet) or _is_number(items):
+        return [items], ()
+    parts = [_leaves(x) for x in items]
+    inner = parts[0][1] if parts else ()
+    if any(shape != inner for _, shape in parts):
+        raise ValueError("ragged nested sequence")
+    return [leaf for leaves, _ in parts for leaf in leaves], (len(parts),) + inner
+
+
+def stack(items, nvars: int = None, order: int = None) -> Jet:
+    """One tensor jet from a nested sequence of scalar jets and numbers.
+
+    Numbers become constants.  The result has the lowest order among the
+    jets; ``nvars`` and ``order`` are read only when no leaf is a jet.
+    """
+    flat, shape = _leaves(items)
+    jets = [x for x in flat if isinstance(x, Jet)]
+    if jets:
+        nvars, order = jets[0].nvars, min(x.order for x in jets)
+    if nvars is None or order is None:
+        raise ValueError("stack needs nvars and order when no leaf is a jet")
+    size = _tables(nvars, order).size
+    c = np.zeros((len(flat), size))
+    for r, x in enumerate(flat):
+        if isinstance(x, Jet):
+            if x.nvars != nvars or x.shape:
+                raise ValueError("stack takes scalar jets over one variable set")
+            c[r] = x.c[:size]
+        else:
+            c[r, 0] = x
+    return Jet(nvars, order, c.reshape(shape + (size,)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,14 @@ the deformation parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .geometry import FrameVector, PointGeometry, values_of
-from .jets import ChartPoint, Jet
+from .geometry import FrameVector, PointGeometry
+from .jets import ChartPoint, Jet, contract
 
 __all__ = [
     "DeformationParams",
@@ -116,7 +117,6 @@ class BundleMetric:
         self.geom = geom
         self.at = geom.at
         self.params = params
-        n = geom.n
         tau_jet = geom.k2 * 0.5
         v_jet = params.v_at(tau_jet)
         v_val = v_jet.value if isinstance(v_jet, Jet) else float(v_jet)
@@ -129,32 +129,20 @@ class BundleMetric:
         self.v_value = v_val
         self.gauge = gauge
 
-        p = geom.p_coord(3)
-        pu = geom.p_up_jets
         a, b = params.alpha, params.beta
-        down = np.empty((n, n), dtype=object)
-        up = np.empty((n, n), dtype=object)
-        v_is_zero = not isinstance(v_jet, Jet) and v_val == 0.0
-        if not v_is_zero:
+        down = geom.g_down_jets * (1.0 / b)
+        up = geom.g_up_jets * b
+        if isinstance(v_jet, Jet) or v_val != 0.0:
             vj = v_jet if isinstance(v_jet, Jet) else tau_jet * 0.0 + v_val
             gauge_jet = (tau_jet * vj) * 2.0 + a
-            down_scale = vj * (1.0 / (a * b))
-            up_scale = (vj * b) / gauge_jet
-        for i in range(n):
-            for j in range(i, n):
-                d = geom.g_down_jets[i, j] * (1.0 / b)
-                u = geom.g_up_jets[i, j] * b
-                if not v_is_zero:
-                    d = d + p[i] * p[j] * down_scale
-                    u = u - pu[i] * pu[j] * up_scale
-                down[i, j] = d
-                down[j, i] = d
-                up[i, j] = u
-                up[j, i] = u
+            p = geom.p_coord(3)
+            pu = geom.p_up_jets
+            down = down + contract("i,j->ij", p, p) * (vj * (1.0 / (a * b)))
+            up = up - contract("i,j->ij", pu, pu) * ((vj * b) / gauge_jet)
         self.G_down_jets = down
         self.G_up_jets = up
-        self.G_down = values_of(down)
-        self.G_up = values_of(up)
+        self.G_down = down.value
+        self.G_up = up.value
         #: per-point tables that other modules derive from this metric (the
         #: Koszul frame tables, the curvature ingredients), built on first use
         self.derived: dict = {}
@@ -163,22 +151,29 @@ class BundleMetric:
     def n(self):
         return self.geom.n
 
+    @cached_property
+    def complex_jets(self) -> Jet:
+        """J on the adapted basis: row a holds the adapted components of J(F_a),
+        [[0, G_ij], [-G^ij, 0]] in blocks."""
+        n = self.n
+        order = min(self.G_down_jets.order, self.G_up_jets.order)
+        down, up = self.G_down_jets.truncate(order), self.G_up_jets.truncate(order)
+        c = np.zeros((2 * n, 2 * n) + down.c.shape[-1:])
+        c[:n, n:] = down.c
+        c[n:, :n] = -up.c
+        return Jet(2 * n, order, c)
+
     def inner(self, x: FrameVector, y: FrameVector) -> float:
         """G(X, Y) = G_ij X^i Y^j + G^ij Xbar_i Ybar_j at the point."""
-        return float(
-            x.h_values @ self.G_down @ y.h_values
-            + x.v_values @ self.G_up @ y.v_values
-        )
+        n = self.n
+        wx, wy = x.w.value, y.w.value
+        return float(wx[:n] @ self.G_down @ wy[:n] + wx[n:] @ self.G_up @ wy[n:])
 
     def inner_jet(self, x: FrameVector, y: FrameVector) -> Jet:
         """G(X, Y) as a jet (scalar function along the chart)."""
-        n = self.n
-        s = None
-        for i in range(n):
-            for j in range(n):
-                t = x.h[i] * self.G_down_jets[i, j] * y.h[j] + x.v[i] * self.G_up_jets[i, j] * y.v[j]
-                s = t if s is None else s + t
-        return s
+        down = contract("i,i->", x.h, contract("ij,j->i", self.G_down_jets, y.h))
+        up = contract("i,i->", x.v, contract("ij,j->i", self.G_up_jets, y.v))
+        return down + up
 
 
 class IntegrabilityDefect(NamedTuple):
@@ -210,20 +205,7 @@ def tube_predicate(s, params: DeformationParams):
 
 def almost_complex(m: BundleMetric, x: FrameVector) -> FrameVector:
     """J(X): delta_i -> G_ik pdot^k, pdot^i -> -G^ik delta_k."""
-    n = m.n
-    h = []
-    v = []
-    for k in range(n):
-        sh = None
-        sv = None
-        for i in range(n):
-            th = x.v[i] * m.G_up_jets[i, k]
-            tv = x.h[i] * m.G_down_jets[i, k]
-            sh = th if sh is None else sh + th
-            sv = tv if sv is None else sv + tv
-        h.append(-sh)
-        v.append(sv)
-    return FrameVector(m.geom, h, v)
+    return FrameVector._of(m.geom, contract("a,ab->b", x.w, m.complex_jets))
 
 
 def fundamental_form(m: BundleMetric, x: FrameVector, y: FrameVector) -> float:
@@ -237,26 +219,9 @@ def theta_matrix(m: BundleMetric) -> np.ndarray:
     The canonical answer is [[0, -I], [I, 0]] for any structure and any
     admissible deformation parameters.
     """
-    n = m.n
-    geom = m.geom
-    basis = [FrameVector.delta_frame(geom, i) for i in range(n)] + [
-        FrameVector.vdot_frame(geom, i) for i in range(n)
-    ]
-    out = np.empty((2 * n, 2 * n))
+    basis = FrameVector.basis(m.geom)
     jb = [almost_complex(m, b) for b in basis]
-    for i in range(2 * n):
-        for j in range(2 * n):
-            out[i, j] = m.inner(basis[i], jb[j])
-    return out
-
-
-def _frame(geom: PointGeometry, spec) -> FrameVector:
-    kind, idx = spec
-    if kind == "h":
-        return FrameVector.delta_frame(geom, idx)
-    if kind == "v":
-        return FrameVector.vdot_frame(geom, idx)
-    raise ValueError(f"frame kind must be 'h' or 'v', got {kind!r}")
+    return np.array([[m.inner(x, y) for y in jb] for x in basis])
 
 
 def nijenhuis(
@@ -275,8 +240,8 @@ def nijenhuis(
     """
     geom = geom if geom is not None else PointGeometry(s, at)
     m = metric if metric is not None else BundleMetric(geom, params)
-    x = _frame(geom, pair[0])
-    y = _frame(geom, pair[1])
+    x = FrameVector.slot(geom, pair[0])
+    y = FrameVector.slot(geom, pair[1])
     jx = almost_complex(m, x)
     jy = almost_complex(m, y)
     t1 = jx.bracket(jy)
@@ -306,17 +271,8 @@ def integrability_defect(
     bv = geom.B
     gd = geom.g_down
     Gd = m.G_down
-    dG = np.empty((n, n, n))  # dG[i, j, k] = delta_i G_jk
-    dg = np.empty((n, n, n))
-    for j in range(n):
-        for k in range(j, n):
-            dj = geom.delta(m.G_down_jets[j, k])
-            djg = geom.delta(geom.g_down_jets[j, k])
-            for i in range(n):
-                dG[i, j, k] = dj[i].value
-                dG[i, k, j] = dj[i].value
-                dg[i, j, k] = djg[i].value
-                dg[i, k, j] = djg[i].value
+    dG = np.einsum("jki->ijk", geom.delta(m.G_down_jets).value)  # delta_i G_jk
+    dg = np.einsum("jki->ijk", geom.delta(geom.g_down_jets).value)
     a_res = 0.0
     a_res_g = 0.0
     for k in range(n):

@@ -38,8 +38,8 @@ import numpy as np
 
 from .berwald import DTensor
 from .errors import ValenceError
-from .geometry import FrameVector, PointGeometry, values_of
-from .jets import ChartPoint, Jet, invert
+from .geometry import FrameVector, PointGeometry, frame_slots, slot_index
+from .jets import ChartPoint, contract, invert
 from .kahler import BundleMetric, DeformationParams
 
 __all__ = [
@@ -100,32 +100,6 @@ class LCConnection:
             ) from None
 
 
-def _as_pair(slot):
-    kind, idx = slot
-    if kind not in ("h", "v"):
-        raise ValenceError(f"frame slot kind must be 'h' or 'v', got {kind!r}")
-    return kind, int(idx)
-
-
-def _slots(n):
-    return [("h", i) for i in range(n)] + [("v", i) for i in range(n)]
-
-
-def _slot_index(slot, n):
-    """Position of a frame slot in the adapted basis (delta_1.., pdot^1..)."""
-    kind, idx = _as_pair(slot)
-    if not 0 <= idx < n:
-        raise ValenceError(f"frame slot index must lie in [0, {n}), got {idx}")
-    return idx if kind == "h" else n + idx
-
-
-def _basis(geom, slot):
-    kind, idx = _as_pair(slot)
-    if kind == "h":
-        return FrameVector.delta_frame(geom, idx)
-    return FrameVector.vdot_frame(geom, idx)
-
-
 def _prepare(s, at, params, geom, metric):
     if geom is None:
         geom = metric.geom if metric is not None else PointGeometry(s, at)
@@ -147,48 +121,30 @@ def _derived(metric: BundleMetric, key: str, build):
 
 
 def _connection_jet_tables(geom: PointGeometry, metric: BundleMetric):
-    """The four coefficient blocks as jet arrays [i, j, s]."""
-    n = geom.n
+    """The four coefficient blocks as jet tensors [i, j, s]."""
     beta = metric.params.beta
     c = metric.params.c_at(geom.tau)
     C_uud = geom.C_uud_jets
-    C_ddd = geom.C_ddd_jets
-    L_uuu = geom.L_uuu_jets
-    L_udd = geom.L_udd_jets
-    B = geom.B_jets
-    Gd = metric.G_down_jets
-    Gu = metric.G_up_jets
+    L_udd_B = geom.L_udd_jets + geom.B_jets
     p = geom.p_coord(3)
-
-    vvh = np.empty((n, n, n), dtype=object)
-    vvv = np.empty((n, n, n), dtype=object)
-    hvh = np.empty((n, n, n), dtype=object)
-    hvv = np.empty((n, n, n), dtype=object)
-    vhh = np.empty((n, n, n), dtype=object)
-    vhv = np.empty((n, n, n), dtype=object)
-    hhh = np.empty((n, n, n), dtype=object)
-    hhv = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            for s_ in range(n):
-                # nabla_{pdot^i} pdot^j = beta^2 L^{ijs} delta_s
-                #                         + (-C^{ij}_s + c beta G^{ij} p_s) pdot^s
-                vvh[i, j, s_] = L_uuu[i, j, s_] * (beta * beta)
-                vvv[i, j, s_] = -C_uud[i, j, s_] + Gu[i, j] * p[s_] * (c * beta)
-                # nabla_{delta_i} pdot^j = (C^{js}_i - c beta G^{js} p_i) delta_s
-                #                          - (L^j_{is} + B^j_{is}) pdot^s
-                hvh[i, j, s_] = C_uud[j, s_, i] - Gu[j, s_] * p[i] * (c * beta)
-                hvv[i, j, s_] = -(L_udd[j, i, s_] + B[j, i, s_])
-                # nabla_{pdot^i} delta_j = (C^{is}_j - c beta G^{is} p_j) delta_s
-                #                          - L^i_{js} pdot^s
-                vhh[i, j, s_] = C_uud[i, s_, j] - Gu[i, s_] * p[j] * (c * beta)
-                vhv[i, j, s_] = -L_udd[i, j, s_]
-                # nabla_{delta_i} delta_j = (L^s_{ij} + B^s_{ij}) delta_s
-                #     + (-(1/beta^2) C_{ijs} + c beta G_{js} p_i) pdot^s
-                hhh[i, j, s_] = L_udd[s_, i, j] + B[s_, i, j]
-                hhv[i, j, s_] = C_ddd[i, j, s_] * (-1.0 / (beta * beta)) + Gd[
-                    j, s_
-                ] * p[i] * (c * beta)
+    Gu_p = contract("ij,s->ijs", metric.G_up_jets, p) * (c * beta)  # c beta G^ij p_s
+    # nabla_{pdot^i} pdot^j = beta^2 L^{ijs} delta_s
+    #                         + (-C^{ij}_s + c beta G^{ij} p_s) pdot^s
+    vvh = geom.L_uuu_jets * (beta * beta)
+    vvv = -C_uud + Gu_p
+    # nabla_{delta_i} pdot^j = (C^{js}_i - c beta G^{js} p_i) delta_s
+    #                          - (L^j_{is} + B^j_{is}) pdot^s
+    hvh = contract("jsi->ijs", C_uud - Gu_p)
+    hvv = -contract("jis->ijs", L_udd_B)
+    # nabla_{pdot^i} delta_j = (C^{is}_j - c beta G^{is} p_j) delta_s
+    #                          - L^i_{js} pdot^s
+    vhh = contract("isj->ijs", C_uud - Gu_p)
+    vhv = -geom.L_udd_jets
+    # nabla_{delta_i} delta_j = (L^s_{ij} + B^s_{ij}) delta_s
+    #     + (-(1/beta^2) C_{ijs} + c beta G_{js} p_i) pdot^s
+    hhh = contract("sij->ijs", L_udd_B)
+    Gd_p = contract("js,i->ijs", metric.G_down_jets, p) * (c * beta)  # c beta G_js p_i
+    hhv = geom.C_ddd_jets * (-1.0 / (beta * beta)) + Gd_p
     return {
         "v_v": (vvh, vvv),
         "h_v": (hvh, hvv),
@@ -214,7 +170,7 @@ def lc_closed_form(
     geom, metric = _prepare(s, at, params, geom, metric)
     tables, c = _connection_jet_tables(geom, metric)
     blocks = {
-        key: LCBlock(h=values_of(hj), v=values_of(vj))
+        key: LCBlock(h=hj.value, v=vj.value)
         for key, (hj, vj) in tables.items()
     }
     return LCConnection(at=geom.at, c_eff=c, **blocks)
@@ -271,16 +227,15 @@ def _fd_partial(f, at: ChartPoint, var: int, steps=_FD_STEPS):
     return (ratio * ds[1] - ds[0]) / (ratio - 1.0)
 
 
-def _frame_derivative_fd(partials, geom: PointGeometry, slot):
-    """X(f) for a frame field X, given the finite-difference partials of f
-    along all 2n chart variables."""
-    kind, idx = _as_pair(slot)
+def _frame_derivative_fd(partials, geom: PointGeometry, a: int):
+    """F_a(f) for the adapted basis field F_a, given the finite-difference
+    partials of f along all 2n chart variables."""
     n = geom.n
-    if kind == "v":
-        return partials[n + idx]
-    out = partials[idx].copy()
+    if a >= n:
+        return partials[a]
+    out = partials[a].copy()
     for l in range(n):
-        nl = geom.N[idx, l]
+        nl = geom.N[a, l]
         if nl != 0.0:
             out += nl * partials[n + l]
     return out
@@ -296,11 +251,10 @@ class _KoszulTables:
     """
 
     def __init__(self, geom: PointGeometry, metric: BundleMetric, stencil: MetricStencil):
-        slots = _slots(geom.n)
-        dim = len(slots)
+        dim = 2 * geom.n
         partials = [_fd_partial(stencil.frame_matrix, geom.at, var) for var in range(dim)]
-        self.dG = np.array([_frame_derivative_fd(partials, geom, sl) for sl in slots])
-        basis = [_basis(geom, sl) for sl in slots]
+        self.dG = np.array([_frame_derivative_fd(partials, geom, a) for a in range(dim)])
+        basis = FrameVector.basis(geom)
         self.bracket_G = np.empty((dim, dim, dim))
         for a in range(dim):
             for b in range(dim):
@@ -340,7 +294,7 @@ def koszul_oracle(
         stencil = MetricStencil(s, params)
     t = _derived(metric, "koszul", lambda: _KoszulTables(geom, metric, stencil))
     n = geom.n
-    x, y = _slot_index(x_slot, n), _slot_index(y_slot, n)
+    x, y = slot_index(x_slot, n), slot_index(y_slot, n)
     # the six Koszul terms against every basis field Z at once
     rhs = (
         t.dG[x, y] + t.dG[y, x] - t.dG[:, x, y]
@@ -370,42 +324,34 @@ def connection_defects(
     """
     geom, metric = _prepare(s, at, params, geom, metric)
     n = geom.n
+    dim = 2 * n
     conn = lc_closed_form(s, at, params, geom, metric)
-    slots = _slots(n)
-    basis = {sl: _basis(geom, sl) for sl in slots}
+    slots = frame_slots(n)
+    basis = FrameVector.basis(geom)
 
-    def nabla(x_slot, y_slot) -> FrameVector:
-        blk = conn.block(x_slot[0], y_slot[0])
-        return FrameVector(geom, blk.h[x_slot[1], y_slot[1]], blk.v[x_slot[1], y_slot[1]])
+    def nabla(a, b) -> FrameVector:
+        (ka, ia), (kb, ib) = slots[a], slots[b]
+        blk = conn.block(ka, kb)
+        return FrameVector(geom, blk.h[ia, ib], blk.v[ia, ib])
 
     torsion = 0.0
-    for a, xs in enumerate(slots):
-        for ys in slots[a + 1 :]:
-            t = nabla(xs, ys) - nabla(ys, xs) - basis[xs].bracket(basis[ys])
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            t = nabla(a, b) - nabla(b, a) - basis[a].bracket(basis[b])
             torsion = max(torsion, np.max(np.abs(t.h_values)), np.max(np.abs(t.v_values)))
 
-    def metric_jet(a_slot, b_slot):
-        (ka, ia), (kb, ib) = a_slot, b_slot
-        if ka != kb:
-            return None
-        return metric.G_down_jets[ia, ib] if ka == "h" else metric.G_up_jets[ia, ib]
+    # exact F_a(G(F_b, F_c)) at [a, b, c]; the mixed h-v blocks of G vanish
+    dmetric = np.zeros((dim, dim, dim))
+    for block, jets in ((slice(0, n), metric.G_down_jets), (slice(n, dim), metric.G_up_jets)):
+        dmetric[:n, block, block] = np.einsum("bca->abc", geom.delta(jets).value)
+        dmetric[n:, block, block] = np.einsum("bca->abc", jets.derivs(geom.pvars).value)
 
     compat = 0.0
-    for xs in slots:
-        for a, ys in enumerate(slots):
-            for zs in slots[a:]:
-                gj = metric_jet(ys, zs)
-                if gj is None:
-                    lhs = 0.0
-                else:
-                    if xs[0] == "h":
-                        lhs = geom.delta(gj)[xs[1]].value
-                    else:
-                        lhs = gj.deriv(n + xs[1]).value
-                rhs = metric.inner(nabla(xs, ys), basis[zs]) + metric.inner(
-                    basis[ys], nabla(xs, zs)
-                )
-                compat = max(compat, abs(lhs - rhs))
+    for x in range(dim):
+        for b in range(dim):
+            for c in range(b, dim):
+                rhs = metric.inner(nabla(x, b), basis[c]) + metric.inner(basis[b], nabla(x, c))
+                compat = max(compat, abs(dmetric[x, b, c] - rhs))
     return torsion, compat
 
 
@@ -431,7 +377,7 @@ class _Ingredients:
         self.beta = metric.params.beta
         self.c = metric.params.c_at(geom.tau)
         self.p = geom.at.p
-        self.C_uud = values_of(geom.C_uud_jets)
+        self.C_uud = geom.C_uud_jets.value
         self.C_ddd = geom.C_ddd
         self.C_mixed = geom.C_mixed
         self.L_uuu = geom.L_uuu
@@ -705,8 +651,9 @@ def curvature_closed(
 
 
 class _DefnContext:
-    """Connection coefficient fields around a point: jets at the center for
-    exact vertical derivatives, finite-difference tables for x-partials."""
+    """Connection coefficient fields around a point: values and exact
+    vertical derivatives from the jets at the center, finite-difference
+    tables for x-partials."""
 
     def __init__(self, s, at, params, geom=None, metric=None, steps=_FD_STEPS):
         geom, metric = _prepare(s, at, params, geom, metric)
@@ -715,7 +662,13 @@ class _DefnContext:
         self.geom = geom
         self.metric = metric
         self.steps = steps
-        self.jets, self.c_eff = _connection_jet_tables(geom, metric)
+        jets, self.c_eff = _connection_jet_tables(geom, metric)
+        #: block -> (h, v) coefficient values [i, j, s]
+        self.values = {key: (hj.value, vj.value) for key, (hj, vj) in jets.items()}
+        #: block -> (h, v) momentum derivatives pdot^l at [i, j, s, l]
+        self.vderivs = {
+            key: tuple(t.derivs(geom.pvars).value for t in pair) for key, pair in jets.items()
+        }
         self._x_partials: dict[int, dict] = {}
 
     def _value_tables(self, coords: np.ndarray) -> dict:
@@ -725,7 +678,7 @@ class _DefnContext:
         g = PointGeometry(self.s, pt, order=4)
         m = BundleMetric(g, self.params)
         tables, _ = _connection_jet_tables(g, m)
-        return {key: (values_of(hj), values_of(vj)) for key, (hj, vj) in tables.items()}
+        return {key: (hj.value, vj.value) for key, (hj, vj) in tables.items()}
 
     def x_partial(self, var: int) -> dict:
         """d/dx^var of all coefficient tables, Richardson extrapolated."""
@@ -765,53 +718,33 @@ class _DefnContext:
 
     def nabla_values(self, x_slot, y_slot):
         """(h, v) component vectors of nabla_X Y at the center."""
-        (kx, ix), (ky, iy) = _as_pair(x_slot), _as_pair(y_slot)
-        hj, vj = self.jets[f"{kx}_{ky}"]
-        n = self.geom.n
-        return (
-            np.array([hj[ix, iy, s_].value for s_ in range(n)]),
-            np.array([vj[ix, iy, s_].value for s_ in range(n)]),
-        )
+        (kx, ix), (ky, iy) = x_slot, y_slot
+        hv, vv = self.values[f"{kx}_{ky}"]
+        return hv[ix, iy].copy(), vv[ix, iy].copy()
 
     def frame_derivative_of_table(self, x_slot, key, iy, iz):
         """X applied to the 2n coefficient fields of nabla_{F_iy} F_iz for
         the block named by key; returns (dh[s], dv[s])."""
-        kx, ix = _as_pair(x_slot)
-        n = self.geom.n
-        hj, vj = self.jets[key]
+        kx, ix = x_slot
+        dh_p, dv_p = self.vderivs[key]
         if kx == "v":
-            dh = np.array([hj[iy, iz, s_].deriv(n + ix).value for s_ in range(n)])
-            dv = np.array([vj[iy, iz, s_].deriv(n + ix).value for s_ in range(n)])
-            return dh, dv
+            return dh_p[iy, iz, :, ix].copy(), dv_p[iy, iz, :, ix].copy()
         part = self.x_partial(ix)
         dh = part[key][0][iy, iz, :].copy()
         dv = part[key][1][iy, iz, :].copy()
-        for l in range(n):
+        for l in range(self.geom.n):
             nl = self.geom.N[ix, l]
             if nl != 0.0:
-                dh += nl * np.array(
-                    [hj[iy, iz, s_].deriv(n + l).value for s_ in range(n)]
-                )
-                dv += nl * np.array(
-                    [vj[iy, iz, s_].deriv(n + l).value for s_ in range(n)]
-                )
+                dh += nl * dh_p[iy, iz, :, l]
+                dv += nl * dv_p[iy, iz, :, l]
         return dh, dv
 
     def nabla_of_vector(self, x_slot, h_comp, v_comp):
         """nabla_X W for a point vector W given by frame components."""
-        kx, ix = _as_pair(x_slot)
-        n = self.geom.n
-        hh, hv = self.jets[f"{kx}_h"]
-        vh, vv = self.jets[f"{kx}_v"]
-        out_h = np.zeros(n)
-        out_v = np.zeros(n)
-        for s_ in range(n):
-            for t_ in range(n):
-                out_h[t_] += h_comp[s_] * hh[ix, s_, t_].value
-                out_v[t_] += h_comp[s_] * hv[ix, s_, t_].value
-                out_h[t_] += v_comp[s_] * vh[ix, s_, t_].value
-                out_v[t_] += v_comp[s_] * vv[ix, s_, t_].value
-        return out_h, out_v
+        kx, ix = x_slot
+        hh, hv = self.values[f"{kx}_h"]
+        vh, vv = self.values[f"{kx}_v"]
+        return h_comp @ hh[ix] + v_comp @ vh[ix], h_comp @ hv[ix] + v_comp @ vv[ix]
 
     def covariant_of_field(self, x_slot, y_slot, z_slot):
         """nabla_X (nabla_Y Z) treating nabla_Y Z as a frame-coefficient field."""
@@ -826,7 +759,7 @@ class _DefnContext:
     def bracket_vertical(self, x_slot, y_slot) -> np.ndarray:
         """Vertical components of [X, Y] for adapted-frame fields (the
         horizontal components vanish identically)."""
-        (kx, ix), (ky, iy) = _as_pair(x_slot), _as_pair(y_slot)
+        (kx, ix), (ky, iy) = x_slot, y_slot
         g = self.geom
         if kx == "h" and ky == "h":
             return g.R_vv[:, ix, iy].copy()
@@ -861,19 +794,16 @@ def curvature_defn(
     fields (finite differences along x, exact jets along p)."""
     if ctx is None:
         ctx = _DefnContext(s, at, params, geom=geom, metric=metric)
+    n = ctx.geom.n
+    x_slot, y_slot, z_slot = (
+        (sl[0], slot_index(sl, n) % n) for sl in (x_slot, y_slot, z_slot)
+    )
     h1, v1 = ctx.covariant_of_field(x_slot, y_slot, z_slot)
     h2, v2 = ctx.covariant_of_field(y_slot, x_slot, z_slot)
     w = ctx.bracket_vertical(x_slot, y_slot)
-    n = ctx.geom.n
-    h3 = np.zeros(n)
-    v3 = np.zeros(n)
-    vh, vv = ctx.jets["v_h" if z_slot[0] == "h" else "v_v"]
-    iz = z_slot[1]
-    for l in range(n):
-        if w[l] != 0.0:
-            for s_ in range(n):
-                h3[s_] += w[l] * vh[l, iz, s_].value
-                v3[s_] += w[l] * vv[l, iz, s_].value
+    vh, vv = ctx.values["v_h" if z_slot[0] == "h" else "v_v"]
+    h3 = w @ vh[:, z_slot[1], :]
+    v3 = w @ vv[:, z_slot[1], :]
     return FrameVector(ctx.geom, h1 - h2 - h3, v1 - v2 - v3)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .geometry import FrameVector, PointGeometry, values_of
+from .geometry import FrameVector, PointGeometry
 from .jets import ChartPoint, Jet, fd_derivative
 from .kahler import BundleMetric, DeformationParams
 from .levicivita import LCConnection, lc_closed_form
@@ -128,9 +128,8 @@ def _scalar_partials(ctx: OperatorContext, f):
     differences for callables of a chart point."""
     n = ctx.geom.n
     if isinstance(f, Jet):
-        dx = np.array([f.deriv(i).value for i in range(n)])
-        dp = np.array([f.deriv(n + i).value for i in range(n)])
-        return dx, dp
+        grad = f.derivs(range(2 * n)).value
+        return grad[:n], grad[n:]
     def split(xs, ps):
         return f(ChartPoint(np.asarray(xs, dtype=float), np.asarray(ps, dtype=float)))
 
@@ -221,7 +220,7 @@ def laplacian(ctx: OperatorContext, f) -> LaplacianResult:
 
 def geodesic_spray(ctx: OperatorContext) -> FrameVector:
     """S = p^i delta_i."""
-    p_up = values_of(ctx.geom.p_up_jets)
+    p_up = ctx.geom.p_up
     return FrameVector(ctx.geom, p_up, np.zeros(ctx.geom.n))
 
 
@@ -241,7 +240,7 @@ def landsberg_characterizations(ctx: OperatorContext, tol: float = 1e-6) -> dict
     condition holds then div S = 0).
     """
     dln = fd_dln_sqrtg_h(ctx)
-    p_up = values_of(ctx.geom.p_up_jets)
+    p_up = ctx.geom.p_up
     div_s = divergence(ctx, geodesic_spray(ctx))
     identity = float(p_up @ dln - p_up @ ctx.J)
     balanced = bool(np.abs(ctx.J - dln).max() <= tol)

@@ -37,7 +37,7 @@ from cartanlab.cartan import (
     sample_points,
 )
 from cartanlab.checks import run_suite
-from cartanlab.geometry import FrameVector, PointGeometry, values_of
+from cartanlab.geometry import FrameVector, PointGeometry
 from cartanlab.kahler import (
     BundleMetric,
     DeformationParams,
@@ -420,7 +420,7 @@ def test_criterion_8_operator_bundle():
             w_liou = max(w_liou, abs(divergence(ctx, liouville_field(ctx))))
             r = laplacian(ctx, ctx.geom.k2)
             w_k2 = max(w_k2, abs(r.direct), abs(r.closed))
-            p_up = values_of(ctx.geom.p_up_jets)
+            p_up = ctx.geom.p_up_jets.value
             w_spray = max(
                 w_spray,
                 abs(divergence(ctx, geodesic_spray(ctx)) - p_up @ fd_dln_sqrtg_h(ctx)),

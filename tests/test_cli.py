@@ -241,6 +241,42 @@ def test_verify_manifest_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _single_check_registry(monkeypatch, error):
+    """Swap the registry for one structure-scope check whose runner raises."""
+    from dataclasses import replace
+
+    from cartanlab import checks
+
+    def runner(ctx, idx, pt):
+        raise error
+
+    spec = next(s for s in checks.REGISTRY if s.scope == "structure")
+    monkeypatch.setattr(checks, "REGISTRY", (replace(spec, run=runner),))
+    return spec.check_id
+
+
+def test_verify_internal_fault_exits_three_without_report(tmp_path, capsys, monkeypatch):
+    _single_check_registry(monkeypatch, TypeError("unsupported operand"))
+    path = _write(tmp_path, _manifest_dict(structures=[{"family": "flat", "n": 2}]))
+    code = main(["verify", "--manifest", path, "--points", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "internal error: TypeError" in captured.err
+
+
+def test_verify_evaluation_error_is_a_failed_record(tmp_path, capsys, monkeypatch):
+    from cartanlab.errors import EvaluationDomainError
+
+    check_id = _single_check_registry(monkeypatch, EvaluationDomainError("outside the domain"))
+    path = _write(tmp_path, _manifest_dict(structures=[{"family": "flat", "n": 2}]))
+    code, out = _run(capsys, ["verify", "--manifest", path, "--points", "2"])
+    assert code == 1
+    records = json.loads(out)["checks"]
+    assert [r["check_id"] for r in records] == [check_id, check_id]
+    assert all(r["residual"] is None and r["pass"] is False for r in records)
+
+
 # ---------------------------------------------------------------- tensor
 
 

@@ -276,3 +276,129 @@ def test_invert_bundle_metric_pair():
         up = beta * np.eye(3) + (c * beta**3 / (1 - 2 * c * beta**2 * tau)) * np.outer(p, p)
         np.testing.assert_allclose(invert(down), up, rtol=0, atol=1e-10)
         np.testing.assert_allclose(down @ up, np.eye(3), rtol=0, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# tensor jets: one coefficient array with leading tensor axes
+
+_TENSOR_CASES = dict(
+    n=st.sampled_from([2, 3, 4]),
+    order=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _random_jet(rng, shape, nvars, order):
+    from cartanlab.jets import _tables
+
+    return Jet(nvars, order, rng.normal(size=shape + (_tables(nvars, order).size,)))
+
+
+def _close(got: Jet, want: Jet):
+    assert (got.nvars, got.order, got.shape) == (want.nvars, want.order, want.shape)
+    scale = max(1.0, float(np.abs(want.c).max()))
+    np.testing.assert_allclose(got.c, want.c, rtol=0, atol=1e-13 * scale)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_TENSOR_CASES)
+def test_broadcast_product_matches_scalar_products(n, order, seed):
+    rng = np.random.default_rng(seed)
+    nvars = 2 * n
+    a = _random_jet(rng, (2, 3), nvars, order)
+    b = _random_jet(rng, (3,), nvars, order)
+    prod = a * b
+    for i in range(2):
+        for j in range(3):
+            _close(prod[i, j], a[i, j] * b[j])
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_TENSOR_CASES)
+def test_contract_matches_scalar_sums(n, order, seed):
+    from cartanlab.jets import contract
+
+    rng = np.random.default_rng(seed)
+    nvars = 2 * n
+    a = _random_jet(rng, (2, 2, 3), nvars, order)
+    b = _random_jet(rng, (3, 2), nvars, order)
+    got = contract("ijm,mk->ijk", a, b)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                want = a[i, j, 0] * b[0, k]
+                for m in range(1, 3):
+                    want = want + a[i, j, m] * b[m, k]
+                _close(got[i, j, k], want)
+    # a float operand and a single jet (a transpose) are linear in the coefficients
+    w = rng.normal(size=(3,))
+    np.testing.assert_allclose(
+        contract("ijm,m->ij", a, w).c, np.einsum("ijmz,m->ijz", a.c, w), rtol=1e-14
+    )
+    np.testing.assert_array_equal(contract("ijm->mji", a).c, np.transpose(a.c, (2, 1, 0, 3)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_TENSOR_CASES)
+def test_tensor_derivatives_match_elementwise(n, order, seed):
+    rng = np.random.default_rng(seed)
+    nvars = 2 * n
+    t = _random_jet(rng, (3, 2), nvars, order)
+    if order == 0:
+        with pytest.raises(ValueError):
+            t.deriv(0)
+        return
+    var = int(rng.integers(nvars))
+    d = t.deriv(var)
+    grad = t.derivs(range(nvars))
+    for i in range(3):
+        for j in range(2):
+            want = t[i, j].deriv(var)
+            np.testing.assert_array_equal(d[i, j].c, want.c)
+            np.testing.assert_array_equal(grad[i, j, var].c, want.c)
+    if order >= 2:
+        hess = t.derivs(range(nvars), 2)
+        u, v = (int(k) for k in rng.integers(nvars, size=2))
+        # exact integer multipliers: second partials agree in either order
+        np.testing.assert_array_equal(hess[..., u, v].c, hess[..., v, u].c)
+        _close(hess[..., u, v], t.deriv(u).deriv(v))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_TENSOR_CASES)
+def test_jet_mat_inv_is_identity_through_order(n, order, seed):
+    from cartanlab.geometry import jet_mat_inv
+    from cartanlab.jets import contract
+
+    rng = np.random.default_rng(seed)
+    nvars = 2 * n
+    noise = _random_jet(rng, (n, n), nvars, order)
+    a = (noise + contract("ij->ji", noise)) * 0.05
+    a = a + 2.0 * np.eye(n) - Jet.constant(a.value, nvars, order)
+    x = jet_mat_inv(a)
+    ident = contract("ij,jk->ik", a, x)
+    _close(ident, Jet.constant(np.eye(n), nvars, order))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_TENSOR_CASES)
+def test_tensor_value_and_indexing(n, order, seed):
+    from cartanlab.jets import stack
+
+    rng = np.random.default_rng(seed)
+    nvars = 2 * n
+    t = _random_jet(rng, (2, 3), nvars, order)
+    scalar = t[1, 2]
+    assert isinstance(scalar.value, float)
+    assert scalar.value == t.c[1, 2, 0]
+    assert t.value.shape == (2, 3)
+    for part in (t[0], t[:, 1], t[..., 2], scalar):
+        assert isinstance(part, Jet)
+        assert (part.nvars, part.order) == (nvars, order)
+    with pytest.raises(IndexError):
+        scalar[0]
+    # stack lifts numbers to constants beside jets
+    lifted = stack([[scalar, 1.5], [0.0, t[0, 0]]])
+    assert lifted.shape == (2, 2) and lifted.order == order
+    np.testing.assert_array_equal(lifted[0, 0].c, scalar.c)
+    np.testing.assert_array_equal(lifted[0, 1].c, Jet.constant(1.5, nvars, order).c)

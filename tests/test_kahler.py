@@ -290,3 +290,32 @@ def test_integrability_defect_r_residual_matches_structure():
     params = DeformationParams(c=-1.0)
     for at in _sample(s, params, 4, 41):
         assert integrability_defect(s, at, params).R_res <= 1e-5
+
+
+def test_frame_slots_are_shared_and_validated():
+    from cartanlab.errors import ValenceError
+    from cartanlab.geometry import frame_slots, slot_index
+    from cartanlab.levicivita import curvature_defn
+
+    s = conformal_structure(2, c=-1.0)
+    params = DeformationParams(c=-1.0)
+    at = pt([0.25, -0.1], [0.9, 0.55])
+    geom = PointGeometry(s, at)
+    slots = frame_slots(2)
+    assert slots == [("h", 0), ("h", 1), ("v", 0), ("v", 1)]
+    assert [slot_index(sl, 2) for sl in slots] == [0, 1, 2, 3]
+    # the basis fields are the unit vectors of the adapted frame, in slot order
+    for a, (field, sl) in enumerate(zip(FrameVector.basis(geom), slots)):
+        unit = np.eye(4)[a]
+        np.testing.assert_array_equal(field.h_values, unit[:2])
+        np.testing.assert_array_equal(field.v_values, unit[2:])
+        np.testing.assert_array_equal(FrameVector.slot(geom, sl).w.c, field.w.c)
+    for bad in (("h", 2), ("v", -1), ("x", 0)):
+        with pytest.raises(ValenceError):
+            slot_index(bad, 2)
+        with pytest.raises(ValenceError):
+            FrameVector.slot(geom, bad)
+        with pytest.raises(ValenceError):
+            nijenhuis(s, at, params, (bad, ("h", 0)), geom=geom)
+        with pytest.raises(ValenceError):
+            curvature_defn(s, at, params, ("h", 0), bad, ("v", 1), geom=geom)

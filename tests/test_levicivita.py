@@ -8,7 +8,7 @@ from cartanlab import levicivita
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual
 from cartanlab.checks import run_suite
 from cartanlab.errors import ValenceError
-from cartanlab.geometry import PointGeometry, values_of
+from cartanlab.geometry import PointGeometry
 from cartanlab.kahler import BundleMetric, DeformationParams, tube_predicate
 from cartanlab.levicivita import (
     CURVATURE_BLOCKS,
@@ -384,7 +384,7 @@ def test_distribution_geodesy():
     at = pt([0.25, -0.1], [0.9, 0.55])
     geom = PointGeometry(s, at)
     conn = lc_closed_form(s, at, params, geom=geom)
-    p_up = values_of(geom.p_up_jets)
+    p_up = geom.p_up_jets.value
     got = np.einsum("ijs,j->is", conn.h_h.v, p_up)
     c = params.c_at(geom.tau)
     want = c * np.outer(at.p, at.p) * (1.0 - 2.0 * c * params.beta**2 * geom.tau)

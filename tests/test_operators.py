@@ -2,7 +2,7 @@
 import numpy as np
 
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual
-from cartanlab.geometry import FrameVector, PointGeometry, values_of
+from cartanlab.geometry import FrameVector, PointGeometry
 from cartanlab.jets import ChartPoint
 from cartanlab.kahler import DeformationParams
 from cartanlab.operators import (
@@ -76,7 +76,7 @@ def test_spray_divergence_matches_volume_derivative():
                     lnsg(ChartPoint(cp[:n], cp[n:])) - lnsg(ChartPoint(cm[:n], cm[n:]))
                 ) / (2 * h)
             dln[i] = grad[i] + ctx.geom.N[i] @ grad[n:]
-        p_up = values_of(ctx.geom.p_up_jets)
+        p_up = ctx.geom.p_up_jets.value
         div_s = divergence(ctx, geodesic_spray(ctx))
         assert abs(div_s - p_up @ dln) <= 1e-5, f"{s.label}"
 
@@ -103,7 +103,7 @@ def test_gradient_values():
     for s, params, at in _cases():
         ctx = operator_context(s, at, params)
         g = gradient(ctx, ctx.geom.k2)
-        p_up = values_of(ctx.geom.p_up_jets)
+        p_up = ctx.geom.p_up_jets.value
         assert np.abs(g.h_values).max() <= 1e-10
         assert np.abs(g.v_values - ctx.metric.G_down @ (2 * p_up)).max() <= 1e-10
     # coordinate function on the flat structure at unit deformation
