@@ -66,7 +66,6 @@ from .levicivita import (
     connection_defects,
     curvature_closed,
     curvature_context,
-    curvature_defn,
     koszul_oracle,
     lc_closed_form,
     ricci,
@@ -489,29 +488,19 @@ def _block_residual(ctx, idx, pt, names):
     g = ctx.geometry(idx)
     m = ctx.metric(idx)
     dctx = ctx.defn_context(idx)
-    n = g.n
     worst = 0.0
     for which in names:
         blk = curvature_closed(
             ctx.structure, pt, ctx.params, which, geom=g, metric=m
         )
-        a, b, z = which[0], which[1], which[3]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    fv = curvature_defn(
-                        ctx.structure, pt, ctx.params, (a, i), (b, j), (z, k), ctx=dctx
-                    )
-                    scale = max(
-                        1.0,
-                        float(np.abs(fv.h_values).max()),
-                        float(np.abs(fv.v_values).max()),
-                    )
-                    worst = max(
-                        worst,
-                        float(np.abs(fv.h_values - blk.h[i, j, k]).max()) / scale,
-                        float(np.abs(fv.v_values - blk.v[i, j, k]).max()) / scale,
-                    )
+        dh, dv = dctx.block(which[0], which[1], which[3])
+        # one scale per slot triple (i, j, k): max(1, |defn h|, |defn v|)
+        scale = np.maximum(1.0, np.maximum(np.abs(dh).max(axis=3), np.abs(dv).max(axis=3)))
+        worst = max(
+            worst,
+            float((np.abs(dh - blk.h).max(axis=3) / scale).max()),
+            float((np.abs(dv - blk.v).max(axis=3) / scale).max()),
+        )
     return worst
 
 

@@ -16,14 +16,21 @@ Routes kept deliberately separate:
   central difference of the whole 2n x 2n metric per chart variable; and
   the inverse Gram matrix.  Each slot pair then only assembles the six
   Koszul terms from those tables.
-* ``curvature_closed`` evaluates the six closed curvature blocks; it is
-  guarded by ``curvature_defn``, which differentiates the connection
+* ``curvature_closed`` evaluates the six closed curvature blocks, each an
+  ``np.einsum`` expression over the point values of C, L, B, R, P, G and the
+  covariant derivatives of C and L.  All six are built together by the
+  first call for a ``BundleMetric`` and kept on it, as read-only arrays.
+* ``curvature_defn`` guards them.  It differentiates the connection
   coefficient fields (finite differences along x, exact jets along p) and
-  composes them per the curvature definition.
+  composes them per the curvature definition.  Its context builds a whole
+  block of frame-slot triples at once (``_DefnContext.block``) from its own
+  tables: the coefficient values, their momentum derivatives, the x-partials
+  and the frame brackets from B and R_vv.  It never reads the closed
+  curvature algebra.
 * ``ricci`` traces the closed blocks over the adapted frame and reports the
-  least-squares Einstein factor and defect.  The closed blocks and Ricci
-  share one set of point-value ingredients (the covariant derivatives of C
-  and L among them), built once per ``BundleMetric``.
+  least-squares Einstein factor and defect.  It reads the cached blocks and
+  is itself kept on the ``BundleMetric``, so ``vertical_ricci_obstruction``
+  reuses it.
 
 Conventions: a frame slot is a pair ``(kind, index)`` with kind ``"h"`` for
 delta_i and ``"v"`` for pdot^i, matching the almost-complex module.  All
@@ -403,228 +410,83 @@ class _Ingredients:
         self.hL_udd = t_L_udd.h_cov().values
 
 
-def _block_vv_v(w: _Ingredients):
-    n, c, b = w.n, w.c, w.beta
-    H = np.zeros((n, n, n, n))
-    V = np.zeros((n, n, n, n))
-    eye = np.eye(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for h in range(n):
-                    H[i, j, k, h] = b * b * (w.dL_uuu[j, k, h, i] - w.dL_uuu[i, k, h, j])
-                    t = (
-                        w.dC_uud[i, k, h, j]
-                        - w.dC_uud[j, k, h, i]
-                        + c * b * (w.Gu[j, k] * eye[i, h] - w.Gu[i, k] * eye[j, h])
-                    )
-                    for s_ in range(n):
-                        t += (
-                            w.C_uud[j, k, s_] * w.C_uud[i, s_, h]
-                            - w.C_uud[i, k, s_] * w.C_uud[j, s_, h]
-                        )
-                        t += b * b * (
-                            w.L_udd[j, s_, h] * w.L_uuu[s_, i, k]
-                            - w.L_udd[i, s_, h] * w.L_uuu[s_, j, k]
-                        )
-                    V[i, j, k, h] = t
-    return H, V
+def _e(spec: str, *operands) -> np.ndarray:
+    """einsum onto the block layout [i, j, k, h]; ``spec`` names the inputs."""
+    return np.einsum(spec + "->ijkh", *operands)
 
 
-def _block_hv_v(w: _Ingredients):
-    n, c, b = w.n, w.c, w.beta
-    H = np.zeros((n, n, n, n))
-    V = np.zeros((n, n, n, n))
-    eye = np.eye(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for h in range(n):
-                    t = (
-                        c * b * w.Gu[k, h] * eye[j, i]
-                        - w.dC_uud[k, h, i, j]
-                        + b * b * w.hL_uuu[h, j, k, i]
-                    )
-                    u = (
-                        w.P[k, j, i, h]
-                        - w.hC_uud[j, k, h, i]
-                        - c * b * b * w.L_uud[j, k, i] * w.p[h]
-                        + w.dL_udd[k, h, i, j]
-                    )
-                    for s_ in range(n):
-                        t -= w.C_uud[j, h, s_] * w.C_uud[k, s_, i]
-                        t -= w.C_uud[j, k, s_] * w.C_uud[h, s_, i]
-                        t += b * b * (
-                            w.L_uuu[s_, j, k] * w.L_udd[h, i, s_]
-                            + w.L_udd[k, s_, i] * w.L_uuu[h, j, s_]
-                        )
-                        u -= w.C_ddd[i, s_, h] * w.L_uuu[j, s_, k]
-                        u += w.C_uud[j, k, s_] * w.L_udd[s_, i, h]
-                        u += w.C_uud[s_, k, i] * w.L_udd[j, s_, h]
-                        u -= w.C_uud[j, s_, h] * w.L_udd[k, i, s_]
-                    H[i, j, k, h] = t
-                    V[i, j, k, h] = u
-    return H, V
+def _anti(t: np.ndarray) -> np.ndarray:
+    """t[i, j, k, h] - t[j, i, k, h]: antisymmetric part in the frame pair."""
+    return t - t.transpose(1, 0, 2, 3)
 
 
-def _block_hh_h(w: _Ingredients):
-    n, c, b = w.n, w.c, w.beta
-    H = np.zeros((n, n, n, n))
-    V = np.zeros((n, n, n, n))
-    eye = np.eye(n)
-    inv_b2 = 1.0 / (b * b)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for h in range(n):
-                    t = (
-                        w.R_curv[h, k, j, i]
-                        + c * c * b * b * (w.p[i] * eye[h, j] - w.p[j] * eye[h, i]) * w.p[k]
-                        + w.hL_udd[h, k, j, i]
-                        - w.hL_udd[h, k, i, j]
-                    )
-                    u = inv_b2 * (w.hC_ddd[i, k, h, j] - w.hC_ddd[j, k, h, i])
-                    for s_ in range(n):
-                        t += inv_b2 * (
-                            w.C_ddd[i, k, s_] * w.C_uud[h, s_, j]
-                            - w.C_ddd[j, k, s_] * w.C_uud[h, s_, i]
-                        )
-                        t += (
-                            w.L_udd[s_, k, j] * w.L_udd[h, i, s_]
-                            - w.L_udd[s_, k, i] * w.L_udd[h, j, s_]
-                        )
-                        u += 2.0 * w.R_vv[s_, i, j] * w.L_udd[s_, h, k]
-                        u += inv_b2 * (
-                            w.C_ddd[j, k, s_] * w.L_udd[s_, i, h]
-                            - w.C_ddd[i, k, s_] * w.L_udd[s_, j, h]
-                            + w.C_ddd[j, h, s_] * w.L_udd[s_, k, i]
-                            - w.C_ddd[i, h, s_] * w.L_udd[s_, j, k]
-                        )
-                    H[i, j, k, h] = t
-                    V[i, j, k, h] = u
-    return H, V
+def _closed_blocks(w: _Ingredients) -> dict:
+    """The six closed blocks, (h, v) at [i, j, k, h] as in CurvatureBlock."""
+    c, b, p, eye = w.c, w.beta, w.p, np.eye(w.n)
+    b2, inv_b2 = b * b, 1.0 / (b * b)
+    C, Cd, Cm, L, Lu, Ld = w.C_uud, w.C_ddd, w.C_mixed, w.L_uuu, w.L_uud, w.L_udd
+    blocks = {
+        "vv_v": (
+            b2 * _anti(_e("jkhi", w.dL_uuu)),
+            _anti(
+                _e("ikhj", w.dC_uud) + c * b * _e("jk,ih", w.Gu, eye)
+                + _e("jks,ish", C, C) + b2 * _e("jsh,sik", Ld, L)
+            ),
+        ),
+        "hv_v": (
+            c * b * _e("kh,ji", w.Gu, eye) - _e("khij", w.dC_uud) + b2 * _e("hjki", w.hL_uuu)
+            - _e("jhs,ksi", C, C) - _e("jks,hsi", C, C)
+            + b2 * (_e("sjk,his", L, Ld) + _e("ksi,hjs", Ld, L)),
+            _e("kjih", w.P) - _e("jkhi", w.hC_uud) - c * b2 * _e("jki,h", Lu, p)
+            + _e("khij", w.dL_udd) - _e("ish,jsk", Cd, L) + _e("jks,sih", C, Ld)
+            + _e("ski,jsh", C, Ld) - _e("jsh,kis", C, Ld),
+        ),
+        "hh_h": (
+            _e("hkji", w.R_curv) + _anti(
+                c * c * b2 * _e("i,hj,k", p, eye, p) + _e("hkji", w.hL_udd)
+                + inv_b2 * _e("iks,hsj", Cd, C) + _e("skj,his", Ld, Ld)
+            ),
+            inv_b2 * _anti(_e("ikhj", w.hC_ddd)) + 2.0 * _e("sij,shk", w.R_vv, Ld)
+            + inv_b2 * (
+                _anti(_e("jks,sih", Cd, Ld)) + _e("jhs,ski", Cd, Ld) - _e("ihs,sjk", Cd, Ld)
+            ),
+        ),
+        "hh_v": (
+            _anti(
+                _e("khji", w.hC_uud) + c * b2 * _e("j,khi", p, Lu)
+                + _e("ksj,hsi", C, Ld) + _e("shj,ksi", C, Ld)
+            ),
+            -_e("khji", w.R_curv) + _anti(
+                c * c * b2 * _e("h,j,ki", p, p, eye) + _e("khij", w.hL_udd)
+                + inv_b2 * _e("ksi,jhs", C, Cd) + _e("ksj,shi", Ld, Ld)
+            ),
+        ),
+        "vv_h": (
+            _anti(
+                _e("jhki", w.dC_uud) + c * b * _e("ih,jk", w.Gu, eye)
+                + _e("jsk,ihs", C, C) + b2 * _e("jsh,isk", L, Ld)
+            ),
+            _anti(_e("ikhj", w.dL_udd)),
+        ),
+        "hv_h": (
+            _e("jhki", w.hC_uud) + c * b2 * _e("jhi,k", Lu, p) - _e("hkij", w.dL_udd)
+            - _e("hjik", w.P) + _e("jsk,hsi", C, Ld) - _e("jhs,ski", C, Ld)
+            - _e("shi,jsk", C, Ld) + _e("iks,hjs", Cd, L),
+            inv_b2 * _e("ikhj", w.dC_ddd) + c * _e("h,jik", p, Cm) + c * _e("k,jih", p, Cm)
+            - c * b * _e("kh,ji", w.Gd, eye) - _e("jhki", w.hL_udd)
+            - inv_b2 * (_e("ish,jsk", Cd, C) + _e("iks,jsh", Cd, C))
+            + _e("jsk,shi", Ld, Ld) + _e("jsh,ski", Ld, Ld),
+        ),
+    }
+    for H, V in blocks.values():
+        H.setflags(write=False)
+        V.setflags(write=False)
+    return {which: CurvatureBlock(which, H, V) for which, (H, V) in blocks.items()}
 
 
-def _block_hh_v(w: _Ingredients):
-    n, c, b = w.n, w.c, w.beta
-    H = np.zeros((n, n, n, n))
-    V = np.zeros((n, n, n, n))
-    eye = np.eye(n)
-    inv_b2 = 1.0 / (b * b)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for h in range(n):
-                    t = (
-                        w.hC_uud[k, h, j, i]
-                        - w.hC_uud[k, h, i, j]
-                        + c * b * b * (w.p[j] * w.L_uud[k, h, i] - w.p[i] * w.L_uud[k, h, j])
-                    )
-                    u = (
-                        -w.R_curv[k, h, j, i]
-                        + c * c * b * b * w.p[h] * (w.p[j] * eye[k, i] - w.p[i] * eye[k, j])
-                        + w.hL_udd[k, h, i, j]
-                        - w.hL_udd[k, h, j, i]
-                    )
-                    for s_ in range(n):
-                        t += (
-                            w.C_uud[k, s_, j] * w.L_udd[h, s_, i]
-                            - w.C_uud[k, s_, i] * w.L_udd[h, s_, j]
-                        )
-                        t += (
-                            w.C_uud[s_, h, j] * w.L_udd[k, s_, i]
-                            - w.C_uud[s_, h, i] * w.L_udd[k, s_, j]
-                        )
-                        u += inv_b2 * (
-                            w.C_uud[k, s_, i] * w.C_ddd[j, h, s_]
-                            - w.C_uud[k, s_, j] * w.C_ddd[i, h, s_]
-                        )
-                        u += (
-                            w.L_udd[k, s_, j] * w.L_udd[s_, h, i]
-                            - w.L_udd[k, s_, i] * w.L_udd[s_, h, j]
-                        )
-                    H[i, j, k, h] = t
-                    V[i, j, k, h] = u
-    return H, V
-
-
-def _block_vv_h(w: _Ingredients):
-    n, c, b = w.n, w.c, w.beta
-    H = np.zeros((n, n, n, n))
-    V = np.zeros((n, n, n, n))
-    eye = np.eye(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for h in range(n):
-                    t = (
-                        w.dC_uud[j, h, k, i]
-                        - w.dC_uud[i, h, k, j]
-                        + c * b * (w.Gu[i, h] * eye[j, k] - w.Gu[j, h] * eye[i, k])
-                    )
-                    for s_ in range(n):
-                        t += (
-                            w.C_uud[j, s_, k] * w.C_uud[i, h, s_]
-                            - w.C_uud[i, s_, k] * w.C_uud[j, h, s_]
-                        )
-                        t += b * b * (
-                            w.L_uuu[j, s_, h] * w.L_udd[i, s_, k]
-                            - w.L_uuu[i, s_, h] * w.L_udd[j, s_, k]
-                        )
-                    H[i, j, k, h] = t
-                    V[i, j, k, h] = w.dL_udd[i, k, h, j] - w.dL_udd[j, k, h, i]
-    return H, V
-
-
-def _block_hv_h(w: _Ingredients):
-    n, c, b = w.n, w.c, w.beta
-    H = np.zeros((n, n, n, n))
-    V = np.zeros((n, n, n, n))
-    eye = np.eye(n)
-    inv_b2 = 1.0 / (b * b)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for h in range(n):
-                    t = (
-                        w.hC_uud[j, h, k, i]
-                        + c * b * b * w.L_uud[j, h, i] * w.p[k]
-                        - w.dL_udd[h, k, i, j]
-                        - w.P[h, j, i, k]
-                    )
-                    u = (
-                        inv_b2 * w.dC_ddd[i, k, h, j]
-                        + c * w.p[h] * w.C_mixed[j, i, k]
-                        + c * w.p[k] * w.C_mixed[j, i, h]
-                        - c * b * w.Gd[k, h] * eye[j, i]
-                        - w.hL_udd[j, h, k, i]
-                    )
-                    for s_ in range(n):
-                        t += w.C_uud[j, s_, k] * w.L_udd[h, s_, i]
-                        t -= w.C_uud[j, h, s_] * w.L_udd[s_, k, i]
-                        t -= w.C_uud[s_, h, i] * w.L_udd[j, s_, k]
-                        t += w.C_ddd[i, k, s_] * w.L_uuu[h, j, s_]
-                        u -= inv_b2 * (
-                            w.C_ddd[i, s_, h] * w.C_uud[j, s_, k]
-                            + w.C_ddd[i, k, s_] * w.C_uud[j, s_, h]
-                        )
-                        u += (
-                            w.L_udd[j, s_, k] * w.L_udd[s_, h, i]
-                            + w.L_udd[j, s_, h] * w.L_udd[s_, k, i]
-                        )
-                    H[i, j, k, h] = t
-                    V[i, j, k, h] = u
-    return H, V
-
-
-_BLOCK_BUILDERS = {
-    "vv_v": _block_vv_v,
-    "hv_v": _block_hv_v,
-    "hh_h": _block_hh_h,
-    "hh_v": _block_hh_v,
-    "vv_h": _block_vv_h,
-    "hv_h": _block_hv_h,
-}
+def _blocks(geom: PointGeometry, metric: BundleMetric) -> dict:
+    """All six closed blocks at the metric's point, built once per metric."""
+    return _derived(metric, "blocks", lambda: _closed_blocks(_Ingredients(geom, metric)))
 
 
 def curvature_closed(
@@ -636,14 +498,17 @@ def curvature_closed(
     metric: BundleMetric = None,
     ingredients: _Ingredients = None,
 ) -> CurvatureBlock:
-    """One closed-form curvature block (see CURVATURE_BLOCKS for names)."""
-    if which not in _BLOCK_BUILDERS:
+    """One closed-form curvature block (see CURVATURE_BLOCKS for names).
+
+    The six blocks are built together by the first call for a metric and
+    kept on it; their arrays are read-only.
+    """
+    if which not in CURVATURE_BLOCKS:
         raise ValueError(f"unknown curvature block {which!r}; expected one of {CURVATURE_BLOCKS}")
-    if ingredients is None:
-        geom, metric = _prepare(s, at, params, geom, metric)
-        ingredients = _derived(metric, "ingredients", lambda: _Ingredients(geom, metric))
-    H, V = _BLOCK_BUILDERS[which](ingredients)
-    return CurvatureBlock(which=which, h=H, v=V)
+    if ingredients is not None:
+        return _closed_blocks(ingredients)[which]
+    geom, metric = _prepare(s, at, params, geom, metric)
+    return _blocks(geom, metric)[which]
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +518,7 @@ def curvature_closed(
 class _DefnContext:
     """Connection coefficient fields around a point: values and exact
     vertical derivatives from the jets at the center, finite-difference
-    tables for x-partials."""
+    tables for x-partials, and the curvature blocks composed from them."""
 
     def __init__(self, s, at, params, geom=None, metric=None, steps=_FD_STEPS):
         geom, metric = _prepare(s, at, params, geom, metric)
@@ -670,6 +535,13 @@ class _DefnContext:
             key: tuple(t.derivs(geom.pvars).value for t in pair) for key, pair in jets.items()
         }
         self._x_partials: dict[int, dict] = {}
+        self._tables: dict[tuple, object] = {}
+
+    def _cached(self, key: tuple, build):
+        got = self._tables.get(key)
+        if got is None:
+            got = self._tables[key] = build()
+        return got
 
     def _value_tables(self, coords: np.ndarray) -> dict:
         n = self.geom.n
@@ -716,58 +588,76 @@ class _DefnContext:
         self._x_partials[var] = out
         return out
 
-    def nabla_values(self, x_slot, y_slot):
-        """(h, v) component vectors of nabla_X Y at the center."""
-        (kx, ix), (ky, iy) = x_slot, y_slot
-        hv, vv = self.values[f"{kx}_{ky}"]
-        return hv[ix, iy].copy(), vv[ix, iy].copy()
+    def _frame_derivative(self, kx: str) -> dict:
+        """F_a applied to every coefficient field, for the basis fields F_a
+        of kind kx: block -> (h, v) at [a, i, j, s]."""
 
-    def frame_derivative_of_table(self, x_slot, key, iy, iz):
-        """X applied to the 2n coefficient fields of nabla_{F_iy} F_iz for
-        the block named by key; returns (dh[s], dv[s])."""
-        kx, ix = x_slot
-        dh_p, dv_p = self.vderivs[key]
-        if kx == "v":
-            return dh_p[iy, iz, :, ix].copy(), dv_p[iy, iz, :, ix].copy()
-        part = self.x_partial(ix)
-        dh = part[key][0][iy, iz, :].copy()
-        dv = part[key][1][iy, iz, :].copy()
-        for l in range(self.geom.n):
-            nl = self.geom.N[ix, l]
-            if nl != 0.0:
-                dh += nl * dh_p[iy, iz, :, l]
-                dv += nl * dv_p[iy, iz, :, l]
-        return dh, dv
+        def build():
+            d = {
+                key: [np.einsum("ijsl->lijs", t) for t in pair]
+                for key, pair in self.vderivs.items()
+            }
+            if kx == "v":
+                return d
+            # delta_a = d/dx^a + N_al d/dp_l
+            parts = [self.x_partial(a) for a in range(self.geom.n)]
+            return {
+                key: [
+                    np.array([q[key][t] for q in parts])
+                    + np.einsum("al,lijs->aijs", self.geom.N, d[key][t])
+                    for t in (0, 1)
+                ]
+                for key in d
+            }
 
-    def nabla_of_vector(self, x_slot, h_comp, v_comp):
-        """nabla_X W for a point vector W given by frame components."""
-        kx, ix = x_slot
-        hh, hv = self.values[f"{kx}_h"]
-        vh, vv = self.values[f"{kx}_v"]
-        return h_comp @ hh[ix] + v_comp @ vh[ix], h_comp @ hv[ix] + v_comp @ vv[ix]
+        return self._cached(("d", kx), build)
 
-    def covariant_of_field(self, x_slot, y_slot, z_slot):
-        """nabla_X (nabla_Y Z) treating nabla_Y Z as a frame-coefficient field."""
-        ky, kz = y_slot[0], z_slot[0]
-        key = f"{ky}_{kz}"
-        iy, iz = y_slot[1], z_slot[1]
-        dh, dv = self.frame_derivative_of_table(x_slot, key, iy, iz)
-        wh, wv = self.nabla_values(y_slot, z_slot)
-        th, tv = self.nabla_of_vector(x_slot, wh, wv)
-        return dh + th, dv + tv
+    def _covariant(self, kx: str, ky: str, kz: str) -> list:
+        """nabla_X (nabla_Y Z) for every slot triple of the kinds kx, ky,
+        kz, with nabla_Y Z taken as a frame-coefficient field: (h, v) at
+        [x, y, z, s]."""
 
-    def bracket_vertical(self, x_slot, y_slot) -> np.ndarray:
-        """Vertical components of [X, Y] for adapted-frame fields (the
-        horizontal components vanish identically)."""
-        (kx, ix), (ky, iy) = x_slot, y_slot
-        g = self.geom
-        if kx == "h" and ky == "h":
-            return g.R_vv[:, ix, iy].copy()
-        if kx == "h" and ky == "v":
-            return -g.B[iy, ix, :].copy()
-        if kx == "v" and ky == "h":
-            return g.B[ix, iy, :].copy()
-        return np.zeros(g.n)
+        def build():
+            d = self._frame_derivative(kx)[f"{ky}_{kz}"]
+            wh, wv = self.values[f"{ky}_{kz}"]
+            xh, xv = self.values[f"{kx}_h"], self.values[f"{kx}_v"]
+            return [
+                d[t] + np.einsum("yzm,xms->xyzs", wh, xh[t]) + np.einsum("yzm,xms->xyzs", wv, xv[t])
+                for t in (0, 1)
+            ]
+
+        return self._cached(("cov", kx, ky, kz), build)
+
+    def block(self, kx: str, ky: str, kz: str) -> tuple:
+        """K(F_i, F_j) F_k for every slot triple of the frame kinds kx, ky,
+        kz: the read-only (h, v) arrays [i, j, k, s].
+
+        K(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z,
+        where the bracket of two adapted basis fields is vertical: R_vv for
+        two horizontal fields, +-B for mixed kinds, zero for two vertical.
+        """
+        if not {kx, ky, kz} <= {"h", "v"}:
+            raise ValenceError(f"frame kinds must be 'h' or 'v', got {(kx, ky, kz)!r}")
+
+        def build():
+            g = self.geom
+            if kx != ky:
+                bracket = g.B if kx == "v" else -np.einsum("jim->ijm", g.B)
+            elif kx == "h":
+                bracket = np.einsum("mij->ijm", g.R_vv)
+            else:
+                bracket = np.zeros((g.n, g.n, g.n))
+            xyz, yxz = self._covariant(kx, ky, kz), self._covariant(ky, kx, kz)
+            out = []
+            for t in (0, 1):
+                k = xyz[t] - yxz[t].transpose(1, 0, 2, 3) - np.einsum(
+                    "ijm,mks->ijks", bracket, self.values[f"v_{kz}"][t]
+                )
+                k.setflags(write=False)
+                out.append(k)
+            return tuple(out)
+
+        return self._cached(("K", kx, ky, kz), build)
 
 
 def curvature_context(
@@ -795,16 +685,11 @@ def curvature_defn(
     if ctx is None:
         ctx = _DefnContext(s, at, params, geom=geom, metric=metric)
     n = ctx.geom.n
-    x_slot, y_slot, z_slot = (
+    (kx, ix), (ky, iy), (kz, iz) = (
         (sl[0], slot_index(sl, n) % n) for sl in (x_slot, y_slot, z_slot)
     )
-    h1, v1 = ctx.covariant_of_field(x_slot, y_slot, z_slot)
-    h2, v2 = ctx.covariant_of_field(y_slot, x_slot, z_slot)
-    w = ctx.bracket_vertical(x_slot, y_slot)
-    vh, vv = ctx.values["v_h" if z_slot[0] == "h" else "v_v"]
-    h3 = w @ vh[:, z_slot[1], :]
-    v3 = w @ vv[:, z_slot[1], :]
-    return FrameVector(ctx.geom, h1 - h2 - h3, v1 - v2 - v3)
+    h, v = ctx.block(kx, ky, kz)
+    return FrameVector(ctx.geom, h[ix, iy, iz], v[ix, iy, iz])
 
 
 # ---------------------------------------------------------------------------
@@ -824,31 +709,14 @@ class RicciData:
     defect: float
 
 
-def ricci(
-    s,
-    at: ChartPoint,
-    params: DeformationParams,
-    geom: PointGeometry = None,
-    metric: BundleMetric = None,
-) -> RicciData:
-    """Ricci tensor by tracing the closed curvature blocks over the adapted
-    frame, with lambda_hat = argmin_l |Ric - l G|_F over the diagonal blocks
-    and defect = max componentwise residual over all four blocks."""
-    geom, metric = _prepare(s, at, params, geom, metric)
-    w = _derived(metric, "ingredients", lambda: _Ingredients(geom, metric))
-    b14 = _BLOCK_BUILDERS["hh_h"](w)
-    b17 = _BLOCK_BUILDERS["hv_h"](w)
-    b13 = _BLOCK_BUILDERS["hv_v"](w)
-    b6 = _BLOCK_BUILDERS["vv_v"](w)
-    b15 = _BLOCK_BUILDERS["hh_v"](w)
-    b16 = _BLOCK_BUILDERS["vv_h"](w)
+def _ricci_data(metric: BundleMetric, k: dict) -> RicciData:
     # trace of X -> K(X, Y) Z: the delta_i coefficient of K(delta_i, Y) Z
     # plus the pdot_i coefficient of K(pdot^i, Y) Z; mixed-kind pairs enter
     # through antisymmetry of K in its first two slots
-    ric_hh = np.einsum("ijki->jk", b14[0]) - np.einsum("jiki->jk", b17[1])
-    ric_vv = np.einsum("ijki->jk", b13[0]) + np.einsum("ijki->jk", b6[1])
-    ric_hv = np.einsum("ijki->jk", b15[0]) - np.einsum("jiki->jk", b13[1])
-    ric_vh = np.einsum("ijki->jk", b17[0]) + np.einsum("ijki->jk", b16[1])
+    ric_hh = np.einsum("ijki->jk", k["hh_h"].h) - np.einsum("jiki->jk", k["hv_h"].v)
+    ric_vv = np.einsum("ijki->jk", k["hv_v"].h) + np.einsum("ijki->jk", k["vv_v"].v)
+    ric_hv = np.einsum("ijki->jk", k["hh_v"].h) - np.einsum("jiki->jk", k["hv_v"].v)
+    ric_vh = np.einsum("ijki->jk", k["hv_h"].h) + np.einsum("ijki->jk", k["vv_h"].v)
     gd, gu = metric.G_down, metric.G_up
     num = float(np.sum(ric_hh * gd) + np.sum(ric_vv * gu))
     den = float(np.sum(gd * gd) + np.sum(gu * gu))
@@ -859,6 +727,8 @@ def ricci(
         float(np.max(np.abs(ric_hv))),
         float(np.max(np.abs(ric_vh))),
     )
+    for ric in (ric_hh, ric_vv, ric_hv, ric_vh):
+        ric.setflags(write=False)
     return RicciData(
         Ric_hh=ric_hh,
         Ric_vv=ric_vv,
@@ -867,6 +737,21 @@ def ricci(
         lambda_hat=lam,
         defect=defect,
     )
+
+
+def ricci(
+    s,
+    at: ChartPoint,
+    params: DeformationParams,
+    geom: PointGeometry = None,
+    metric: BundleMetric = None,
+) -> RicciData:
+    """Ricci tensor by tracing the closed curvature blocks over the adapted
+    frame, with lambda_hat = argmin_l |Ric - l G|_F over the diagonal blocks
+    and defect = max componentwise residual over all four blocks.  Built
+    once per metric; its arrays are read-only."""
+    geom, metric = _prepare(s, at, params, geom, metric)
+    return _derived(metric, "ricci", lambda: _ricci_data(metric, _blocks(geom, metric)))
 
 
 def vertical_ricci_obstruction(

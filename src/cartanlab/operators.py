@@ -15,6 +15,7 @@ of a scalar reduces to the closed first-order form checked below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,38 @@ class OperatorContext:
     J: np.ndarray
     #: delta_i(ln sqrt g), jet-exact route
     H_trace: np.ndarray
+
+    @cached_property
+    def dln_sqrtg_h_fd(self) -> np.ndarray:
+        """delta_i(ln sqrt det g) by the finite-difference route (see the
+        module function fd_dln_sqrtg_h), built on first use; read-only."""
+        s, at, geom = self.structure, self.at, self.geom
+        n = geom.n
+
+        def field(pt: ChartPoint) -> float:
+            g = PointGeometry(s, pt, order=2)
+            return 0.5 * float(np.log(np.linalg.det(g.g_down)))
+
+        out = np.empty(n)
+        for i in range(n):
+            base = at.coords
+            scale = max(1.0, abs(base[i]))
+            ds = []
+            for h in _FD_STEPS:
+                hh = h * scale
+                plus = base.copy()
+                minus = base.copy()
+                plus[i] += hh
+                minus[i] -= hh
+                ds.append(
+                    (field(ChartPoint(plus[:n], plus[n:])) - field(ChartPoint(minus[:n], minus[n:])))
+                    / (2.0 * hh)
+                )
+            ratio = (_FD_STEPS[0] / _FD_STEPS[1]) ** 2
+            out[i] = (ratio * ds[1] - ds[0]) / (ratio - 1.0)
+        out += geom.N @ geom.dln_sqrtg_v
+        out.setflags(write=False)
+        return out
 
 
 def operator_context(
@@ -153,7 +186,10 @@ def gradient(ctx: OperatorContext, f) -> FrameVector:
     f may be a callable of a chart point (finite-difference partials) or a
     jet at the context point (exact partials).
     """
-    df_h, df_v = _frame_partials(ctx, f)
+    return _gradient(ctx, *_frame_partials(ctx, f))
+
+
+def _gradient(ctx: OperatorContext, df_h, df_v) -> FrameVector:
     return FrameVector(ctx.geom, ctx.metric.G_up @ df_h, ctx.metric.G_down @ df_v)
 
 
@@ -164,36 +200,12 @@ def directional_derivative(ctx: OperatorContext, f, X) -> float:
     return float(xh @ df_h + xv @ df_v)
 
 
-def fd_dln_sqrtg_h(ctx: OperatorContext, steps=_FD_STEPS) -> np.ndarray:
+def fd_dln_sqrtg_h(ctx: OperatorContext) -> np.ndarray:
     """delta_i(ln sqrt det g) with the x-partials by Richardson-extrapolated
     finite differences of fresh low-order geometries and the p-partials by
-    jets; independent of the connection-trace route."""
-    s = ctx.structure
-    at = ctx.at
-    n = ctx.geom.n
-
-    def field(pt: ChartPoint) -> float:
-        g = PointGeometry(s, pt, order=2)
-        return 0.5 * float(np.log(np.linalg.det(g.g_down)))
-
-    out = np.empty(n)
-    for i in range(n):
-        base = at.coords
-        scale = max(1.0, abs(base[i]))
-        ds = []
-        for h in steps:
-            hh = h * scale
-            plus = base.copy()
-            minus = base.copy()
-            plus[i] += hh
-            minus[i] -= hh
-            ds.append(
-                (field(ChartPoint(plus[:n], plus[n:])) - field(ChartPoint(minus[:n], minus[n:])))
-                / (2.0 * hh)
-            )
-        ratio = (steps[0] / steps[1]) ** 2
-        out[i] = (ratio * ds[1] - ds[0]) / (ratio - 1.0)
-    return out + ctx.geom.N @ ctx.geom.dln_sqrtg_v
+    jets; independent of the connection-trace route.  The stencil runs once
+    per context; each call returns a fresh copy."""
+    return ctx.dln_sqrtg_h_fd.copy()
 
 
 @dataclass(frozen=True)
@@ -211,9 +223,9 @@ class LaplacianResult:
 
 
 def laplacian(ctx: OperatorContext, f) -> LaplacianResult:
-    direct = divergence(ctx, gradient(ctx, f))
-    df_h, _ = _frame_partials(ctx, f)
-    weight = fd_dln_sqrtg_h(ctx) - ctx.J
+    df_h, df_v = _frame_partials(ctx, f)
+    direct = divergence(ctx, _gradient(ctx, df_h, df_v))
+    weight = ctx.dln_sqrtg_h_fd - ctx.J
     closed = float(df_h @ ctx.metric.G_up @ weight)
     return LaplacianResult(direct=direct, closed=closed)
 

@@ -1,4 +1,5 @@
 """Connection, curvature, and Einstein analysis of the bundle metric."""
+import itertools
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from cartanlab import levicivita
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual
 from cartanlab.checks import run_suite
 from cartanlab.errors import ValenceError
-from cartanlab.geometry import PointGeometry
+from cartanlab.geometry import FrameVector, PointGeometry, slot_index
 from cartanlab.kahler import BundleMetric, DeformationParams, tube_predicate
 from cartanlab.levicivita import (
     CURVATURE_BLOCKS,
@@ -440,9 +441,15 @@ def test_curvature_ingredients_shared_match_fresh():
 
 
 def test_each_ingredient_built_once_per_point(monkeypatch):
-    counts = {"ingredients": 0, "brackets": 0}
+    counts = {"ingredients": 0, "brackets": 0, "blocks": 0, "ricci": 0}
     ingredients_init = levicivita._Ingredients.__init__
     bracket = levicivita.FrameVector.bracket
+    for name, key in (("_closed_blocks", "blocks"), ("_ricci_data", "ricci")):
+        def counted(*args, _build=getattr(levicivita, name), _key=key):
+            counts[_key] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(levicivita, name, counted)
 
     def counted_ingredients(self, *args):
         counts["ingredients"] += 1
@@ -469,7 +476,12 @@ def test_each_ingredient_built_once_per_point(monkeypatch):
     )
     report = run_suite(manifest, only=only)
     assert report["summary"] == {"total": len(only) * points, "passed": len(only) * points, "failed": 0}
-    assert counts == {"ingredients": points, "brackets": points * (2 * n) ** 2}
+    assert counts == {
+        "ingredients": points,
+        "brackets": points * (2 * n) ** 2,
+        "blocks": points,
+        "ricci": points,
+    }
 
 
 def test_cached_koszul_tables_still_detect_mismatch():
@@ -505,3 +517,372 @@ def test_koszul_rejects_bad_slots():
     for bad in (("h", 2), ("v", -1), ("x", 0)):
         with pytest.raises(ValenceError):
             koszul_oracle(s, at, params, bad, ("h", 0))
+
+
+# ---------------------------------------------------------------------------
+# test-only references: the five-deep float loops the einsum blocks replaced,
+# and the per-slot composition the whole-block definition oracle replaced,
+# both kept as they stood before the rewrite
+
+
+def _block_vv_v(w):
+    n, c, b = w.n, w.c, w.beta
+    H = np.zeros((n, n, n, n))
+    V = np.zeros((n, n, n, n))
+    eye = np.eye(n)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for h in range(n):
+                    H[i, j, k, h] = b * b * (w.dL_uuu[j, k, h, i] - w.dL_uuu[i, k, h, j])
+                    t = (
+                        w.dC_uud[i, k, h, j]
+                        - w.dC_uud[j, k, h, i]
+                        + c * b * (w.Gu[j, k] * eye[i, h] - w.Gu[i, k] * eye[j, h])
+                    )
+                    for s_ in range(n):
+                        t += (
+                            w.C_uud[j, k, s_] * w.C_uud[i, s_, h]
+                            - w.C_uud[i, k, s_] * w.C_uud[j, s_, h]
+                        )
+                        t += b * b * (
+                            w.L_udd[j, s_, h] * w.L_uuu[s_, i, k]
+                            - w.L_udd[i, s_, h] * w.L_uuu[s_, j, k]
+                        )
+                    V[i, j, k, h] = t
+    return H, V
+
+
+def _block_hv_v(w):
+    n, c, b = w.n, w.c, w.beta
+    H = np.zeros((n, n, n, n))
+    V = np.zeros((n, n, n, n))
+    eye = np.eye(n)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for h in range(n):
+                    t = (
+                        c * b * w.Gu[k, h] * eye[j, i]
+                        - w.dC_uud[k, h, i, j]
+                        + b * b * w.hL_uuu[h, j, k, i]
+                    )
+                    u = (
+                        w.P[k, j, i, h]
+                        - w.hC_uud[j, k, h, i]
+                        - c * b * b * w.L_uud[j, k, i] * w.p[h]
+                        + w.dL_udd[k, h, i, j]
+                    )
+                    for s_ in range(n):
+                        t -= w.C_uud[j, h, s_] * w.C_uud[k, s_, i]
+                        t -= w.C_uud[j, k, s_] * w.C_uud[h, s_, i]
+                        t += b * b * (
+                            w.L_uuu[s_, j, k] * w.L_udd[h, i, s_]
+                            + w.L_udd[k, s_, i] * w.L_uuu[h, j, s_]
+                        )
+                        u -= w.C_ddd[i, s_, h] * w.L_uuu[j, s_, k]
+                        u += w.C_uud[j, k, s_] * w.L_udd[s_, i, h]
+                        u += w.C_uud[s_, k, i] * w.L_udd[j, s_, h]
+                        u -= w.C_uud[j, s_, h] * w.L_udd[k, i, s_]
+                    H[i, j, k, h] = t
+                    V[i, j, k, h] = u
+    return H, V
+
+
+def _block_hh_h(w):
+    n, c, b = w.n, w.c, w.beta
+    H = np.zeros((n, n, n, n))
+    V = np.zeros((n, n, n, n))
+    eye = np.eye(n)
+    inv_b2 = 1.0 / (b * b)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for h in range(n):
+                    t = (
+                        w.R_curv[h, k, j, i]
+                        + c * c * b * b * (w.p[i] * eye[h, j] - w.p[j] * eye[h, i]) * w.p[k]
+                        + w.hL_udd[h, k, j, i]
+                        - w.hL_udd[h, k, i, j]
+                    )
+                    u = inv_b2 * (w.hC_ddd[i, k, h, j] - w.hC_ddd[j, k, h, i])
+                    for s_ in range(n):
+                        t += inv_b2 * (
+                            w.C_ddd[i, k, s_] * w.C_uud[h, s_, j]
+                            - w.C_ddd[j, k, s_] * w.C_uud[h, s_, i]
+                        )
+                        t += (
+                            w.L_udd[s_, k, j] * w.L_udd[h, i, s_]
+                            - w.L_udd[s_, k, i] * w.L_udd[h, j, s_]
+                        )
+                        u += 2.0 * w.R_vv[s_, i, j] * w.L_udd[s_, h, k]
+                        u += inv_b2 * (
+                            w.C_ddd[j, k, s_] * w.L_udd[s_, i, h]
+                            - w.C_ddd[i, k, s_] * w.L_udd[s_, j, h]
+                            + w.C_ddd[j, h, s_] * w.L_udd[s_, k, i]
+                            - w.C_ddd[i, h, s_] * w.L_udd[s_, j, k]
+                        )
+                    H[i, j, k, h] = t
+                    V[i, j, k, h] = u
+    return H, V
+
+
+def _block_hh_v(w):
+    n, c, b = w.n, w.c, w.beta
+    H = np.zeros((n, n, n, n))
+    V = np.zeros((n, n, n, n))
+    eye = np.eye(n)
+    inv_b2 = 1.0 / (b * b)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for h in range(n):
+                    t = (
+                        w.hC_uud[k, h, j, i]
+                        - w.hC_uud[k, h, i, j]
+                        + c * b * b * (w.p[j] * w.L_uud[k, h, i] - w.p[i] * w.L_uud[k, h, j])
+                    )
+                    u = (
+                        -w.R_curv[k, h, j, i]
+                        + c * c * b * b * w.p[h] * (w.p[j] * eye[k, i] - w.p[i] * eye[k, j])
+                        + w.hL_udd[k, h, i, j]
+                        - w.hL_udd[k, h, j, i]
+                    )
+                    for s_ in range(n):
+                        t += (
+                            w.C_uud[k, s_, j] * w.L_udd[h, s_, i]
+                            - w.C_uud[k, s_, i] * w.L_udd[h, s_, j]
+                        )
+                        t += (
+                            w.C_uud[s_, h, j] * w.L_udd[k, s_, i]
+                            - w.C_uud[s_, h, i] * w.L_udd[k, s_, j]
+                        )
+                        u += inv_b2 * (
+                            w.C_uud[k, s_, i] * w.C_ddd[j, h, s_]
+                            - w.C_uud[k, s_, j] * w.C_ddd[i, h, s_]
+                        )
+                        u += (
+                            w.L_udd[k, s_, j] * w.L_udd[s_, h, i]
+                            - w.L_udd[k, s_, i] * w.L_udd[s_, h, j]
+                        )
+                    H[i, j, k, h] = t
+                    V[i, j, k, h] = u
+    return H, V
+
+
+def _block_vv_h(w):
+    n, c, b = w.n, w.c, w.beta
+    H = np.zeros((n, n, n, n))
+    V = np.zeros((n, n, n, n))
+    eye = np.eye(n)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for h in range(n):
+                    t = (
+                        w.dC_uud[j, h, k, i]
+                        - w.dC_uud[i, h, k, j]
+                        + c * b * (w.Gu[i, h] * eye[j, k] - w.Gu[j, h] * eye[i, k])
+                    )
+                    for s_ in range(n):
+                        t += (
+                            w.C_uud[j, s_, k] * w.C_uud[i, h, s_]
+                            - w.C_uud[i, s_, k] * w.C_uud[j, h, s_]
+                        )
+                        t += b * b * (
+                            w.L_uuu[j, s_, h] * w.L_udd[i, s_, k]
+                            - w.L_uuu[i, s_, h] * w.L_udd[j, s_, k]
+                        )
+                    H[i, j, k, h] = t
+                    V[i, j, k, h] = w.dL_udd[i, k, h, j] - w.dL_udd[j, k, h, i]
+    return H, V
+
+
+def _block_hv_h(w):
+    n, c, b = w.n, w.c, w.beta
+    H = np.zeros((n, n, n, n))
+    V = np.zeros((n, n, n, n))
+    eye = np.eye(n)
+    inv_b2 = 1.0 / (b * b)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for h in range(n):
+                    t = (
+                        w.hC_uud[j, h, k, i]
+                        + c * b * b * w.L_uud[j, h, i] * w.p[k]
+                        - w.dL_udd[h, k, i, j]
+                        - w.P[h, j, i, k]
+                    )
+                    u = (
+                        inv_b2 * w.dC_ddd[i, k, h, j]
+                        + c * w.p[h] * w.C_mixed[j, i, k]
+                        + c * w.p[k] * w.C_mixed[j, i, h]
+                        - c * b * w.Gd[k, h] * eye[j, i]
+                        - w.hL_udd[j, h, k, i]
+                    )
+                    for s_ in range(n):
+                        t += w.C_uud[j, s_, k] * w.L_udd[h, s_, i]
+                        t -= w.C_uud[j, h, s_] * w.L_udd[s_, k, i]
+                        t -= w.C_uud[s_, h, i] * w.L_udd[j, s_, k]
+                        t += w.C_ddd[i, k, s_] * w.L_uuu[h, j, s_]
+                        u -= inv_b2 * (
+                            w.C_ddd[i, s_, h] * w.C_uud[j, s_, k]
+                            + w.C_ddd[i, k, s_] * w.C_uud[j, s_, h]
+                        )
+                        u += (
+                            w.L_udd[j, s_, k] * w.L_udd[s_, h, i]
+                            + w.L_udd[j, s_, h] * w.L_udd[s_, k, i]
+                        )
+                    H[i, j, k, h] = t
+                    V[i, j, k, h] = u
+    return H, V
+
+
+_LOOP_BLOCKS = {
+    "vv_v": _block_vv_v,
+    "hv_v": _block_hv_v,
+    "hh_h": _block_hh_h,
+    "hh_v": _block_hh_v,
+    "vv_h": _block_vv_h,
+    "hv_h": _block_hv_h,
+}
+
+
+class _PerSlotDefn(levicivita._DefnContext):
+    def nabla_values(self, x_slot, y_slot):
+        """(h, v) component vectors of nabla_X Y at the center."""
+        (kx, ix), (ky, iy) = x_slot, y_slot
+        hv, vv = self.values[f"{kx}_{ky}"]
+        return hv[ix, iy].copy(), vv[ix, iy].copy()
+
+    def frame_derivative_of_table(self, x_slot, key, iy, iz):
+        """X applied to the 2n coefficient fields of nabla_{F_iy} F_iz for
+        the block named by key; returns (dh[s], dv[s])."""
+        kx, ix = x_slot
+        dh_p, dv_p = self.vderivs[key]
+        if kx == "v":
+            return dh_p[iy, iz, :, ix].copy(), dv_p[iy, iz, :, ix].copy()
+        part = self.x_partial(ix)
+        dh = part[key][0][iy, iz, :].copy()
+        dv = part[key][1][iy, iz, :].copy()
+        for l in range(self.geom.n):
+            nl = self.geom.N[ix, l]
+            if nl != 0.0:
+                dh += nl * dh_p[iy, iz, :, l]
+                dv += nl * dv_p[iy, iz, :, l]
+        return dh, dv
+
+    def nabla_of_vector(self, x_slot, h_comp, v_comp):
+        """nabla_X W for a point vector W given by frame components."""
+        kx, ix = x_slot
+        hh, hv = self.values[f"{kx}_h"]
+        vh, vv = self.values[f"{kx}_v"]
+        return h_comp @ hh[ix] + v_comp @ vh[ix], h_comp @ hv[ix] + v_comp @ vv[ix]
+
+    def covariant_of_field(self, x_slot, y_slot, z_slot):
+        """nabla_X (nabla_Y Z) treating nabla_Y Z as a frame-coefficient field."""
+        ky, kz = y_slot[0], z_slot[0]
+        key = f"{ky}_{kz}"
+        iy, iz = y_slot[1], z_slot[1]
+        dh, dv = self.frame_derivative_of_table(x_slot, key, iy, iz)
+        wh, wv = self.nabla_values(y_slot, z_slot)
+        th, tv = self.nabla_of_vector(x_slot, wh, wv)
+        return dh + th, dv + tv
+
+    def bracket_vertical(self, x_slot, y_slot) -> np.ndarray:
+        """Vertical components of [X, Y] for adapted-frame fields (the
+        horizontal components vanish identically)."""
+        (kx, ix), (ky, iy) = x_slot, y_slot
+        g = self.geom
+        if kx == "h" and ky == "h":
+            return g.R_vv[:, ix, iy].copy()
+        if kx == "h" and ky == "v":
+            return -g.B[iy, ix, :].copy()
+        if kx == "v" and ky == "h":
+            return g.B[ix, iy, :].copy()
+        return np.zeros(g.n)
+
+
+def _defn_per_slot(ctx, x_slot, y_slot, z_slot) -> FrameVector:
+    n = ctx.geom.n
+    x_slot, y_slot, z_slot = (
+        (sl[0], slot_index(sl, n) % n) for sl in (x_slot, y_slot, z_slot)
+    )
+    h1, v1 = ctx.covariant_of_field(x_slot, y_slot, z_slot)
+    h2, v2 = ctx.covariant_of_field(y_slot, x_slot, z_slot)
+    w = ctx.bracket_vertical(x_slot, y_slot)
+    vh, vv = ctx.values["v_h" if z_slot[0] == "h" else "v_v"]
+    h3 = w @ vh[:, z_slot[1], :]
+    v3 = w @ vv[:, z_slot[1], :]
+    return FrameVector(ctx.geom, h1 - h2 - h3, v1 - v2 - v3)
+
+
+_TRANSCRIPTION_PARAMS = (
+    DeformationParams(alpha=1.0, beta=1.0, c=-1.0),
+    DeformationParams(alpha=1.5, beta=0.7, c=-1.0),
+)
+
+
+def _transcription_structures(n):
+    return (conformal_structure(n, -1.0), randers_dual(n=n), general_randers(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_einsum_blocks_match_loop_reference(n):
+    for s in _transcription_structures(n):
+        for params in _TRANSCRIPTION_PARAMS:
+            at = _sample_points(s, params, n, 1, seed=10 + n)[0]
+            geom = PointGeometry(s, at)
+            metric = BundleMetric(geom, params)
+            w = levicivita._Ingredients(geom, metric)
+            for which in CURVATURE_BLOCKS:
+                blk = curvature_closed(s, at, params, which, geom=geom, metric=metric)
+                H, V = _LOOP_BLOCKS[which](w)
+                scale = max(1.0, np.abs(H).max(), np.abs(V).max())
+                rel = max(np.abs(blk.h - H).max(), np.abs(blk.v - V).max()) / scale
+                assert rel <= 1e-13, f"{s.label} {params} {which}: {rel}"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_whole_block_definition_matches_per_slot_reference(n):
+    for s, params in (
+        (conformal_structure(n, -1.0), _TRANSCRIPTION_PARAMS[1]),
+        (general_randers(n), DeformationParams(alpha=1.3, beta=0.8, c=0.0)),
+    ):
+        at = _sample_points(s, params, n, 1, seed=20 + n)[0]
+        ctx = curvature_context(s, at, params)
+        ref = _PerSlotDefn(s, at, params, geom=ctx.geom, metric=ctx.metric)
+        # all eight kind patterns, (v, h, .) included
+        for kx, ky, kz in itertools.product("hv", repeat=3):
+            H, V = ctx.block(kx, ky, kz)
+            assert H.shape == V.shape == (n, n, n, n)
+            for i, j, k in itertools.product(range(n), repeat=3):
+                want = _defn_per_slot(ref, (kx, i), (ky, j), (kz, k))
+                got = curvature_defn(s, at, params, (kx, i), (ky, j), (kz, k), ctx=ctx)
+                scale = max(1.0, np.abs(want.h_values).max(), np.abs(want.v_values).max())
+                for a, b in ((H[i, j, k], want.h_values), (V[i, j, k], want.v_values),
+                             (got.h_values, want.h_values), (got.v_values, want.v_values)):
+                    assert np.abs(a - b).max() / scale <= 1e-13, (kx, ky, kz, i, j, k)
+    with pytest.raises(ValenceError):
+        ctx.block("h", "x", "v")
+
+
+def test_cached_blocks_and_ricci_are_read_only():
+    s = general_randers()
+    params = DeformationParams(alpha=1.3, beta=0.8, c=0.0)
+    at = pt([0.25, -0.1], [0.9, 0.55])
+    geom = PointGeometry(s, at)
+    metric = BundleMetric(geom, params)
+    first = curvature_closed(s, at, params, "hv_h", geom=geom, metric=metric)
+    kept = first.h.copy()
+    with pytest.raises(ValueError):
+        first.h[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        first.h += 1.0
+    again = curvature_closed(s, at, params, "hv_h", geom=geom, metric=metric)
+    assert again is first and np.array_equal(again.h, kept)
+    rd = ricci(s, at, params, geom=geom, metric=metric)
+    with pytest.raises(ValueError):
+        rd.Ric_vv[0, 0] = 1.0
+    assert ricci(s, at, params, geom=geom, metric=metric) is rd

@@ -1,10 +1,15 @@
 """Divergence, gradient, Laplacian, and the mean-Landsberg report."""
+import json
+
 import numpy as np
 
+from cartanlab import checks, geometry, operators
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual
+from cartanlab.checks import run_suite
 from cartanlab.geometry import FrameVector, PointGeometry
 from cartanlab.jets import ChartPoint
 from cartanlab.kahler import DeformationParams
+from cartanlab.manifest import parse_manifest
 from cartanlab.operators import (
     directional_derivative,
     divergence,
@@ -189,3 +194,51 @@ def test_independent_volume_derivative_route():
     for s, params, at in _cases():
         ctx = operator_context(s, at, params)
         assert np.abs(fd_dln_sqrtg_h(ctx) - ctx.H_trace).max() <= 1e-6
+
+
+def test_fd_volume_derivative_is_returned_as_a_copy():
+    s, params, at = _cases()[2]
+    ctx = operator_context(s, at, params)
+    first = fd_dln_sqrtg_h(ctx)
+    kept = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(fd_dln_sqrtg_h(ctx), kept)
+
+
+def test_operator_stencils_built_once_per_context(monkeypatch):
+    counts = {"order2": 0, "contexts": 0, "laplacians": 0, "fd": 0}
+    geom_init = geometry.PointGeometry.__init__
+
+    def counted_geom(self, structure, at, order=5):
+        counts["order2"] += order == 2
+        geom_init(self, structure, at, order)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(geometry.PointGeometry, "__init__", counted_geom)
+    monkeypatch.setattr(checks, "operator_context", counted("contexts", checks.operator_context))
+    monkeypatch.setattr(checks, "laplacian", counted("laplacians", checks.laplacian))
+    monkeypatch.setattr(operators, "fd_derivative", counted("fd", operators.fd_derivative))
+    n, points = 2, 2
+    manifest = parse_manifest(json.dumps({
+        "structures": [{"family": "riemannian_conformal", "n": n, "c": -1.0}],
+        "params": [{"label": "hyperbolic", "alpha": 1.0, "beta": 1.0, "c": -1.0}],
+        "sampling": {"seed": 0, "count": points, "p_norm": [0.5, 1.5]},
+    }))
+    only = (
+        "operators.laplacian_routes",
+        "operators.k2_harmonic",
+        "operators.spray_divergence",
+    )
+    report = run_suite(manifest, only=only)
+    assert report["summary"] == {"total": len(only) * points, "passed": len(only) * points, "failed": 0}
+    # laplacian_routes takes five callable fields, k2_harmonic one
+    assert counts["contexts"] == points and counts["laplacians"] == 6 * points
+    assert counts["order2"] == 4 * n * counts["contexts"]
+    assert counts["fd"] == 2 * n * counts["laplacians"]
+
