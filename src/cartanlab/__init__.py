@@ -6,9 +6,12 @@ The package is organized bottom-up:
 * :mod:`cartanlab.jets` -- truncated multivariate Taylor arithmetic and
   finite-difference oracles.
 * :mod:`cartanlab.cartan` -- Hamiltonian structures (quadratic duals,
-  Randers-type duals, expression-defined) and their fundamental tensors.
-* :mod:`cartanlab.berwald` -- nonlinear connection, adapted frame,
-  Berwald coefficients, Landsberg tensors, curvature arrays.
+  Randers-type duals, expression-defined).
+* :mod:`cartanlab.geometry` -- the per-point jet pipeline: fundamental and
+  Cartan tensors, nonlinear connection, Berwald coefficients, Landsberg
+  tensors, curvature arrays, adapted frame.
+* :mod:`cartanlab.berwald` -- distinguished tensors and their covariant
+  derivatives, finite-difference oracles for N and the h-curvature.
 * :mod:`cartanlab.kahler` -- deformed bundle metric, almost complex
   structure, canonical two-form, integrability diagnostics.
 * :mod:`cartanlab.levicivita` -- Levi-Civita connection of the bundle
@@ -30,7 +33,7 @@ from .errors import (
     RegularityError,
     ValenceError,
 )
-from .jets import ChartPoint, Jet, fd_derivative, jet_eval
+from .jets import ChartPoint, Jet, fd_derivative, fd_partial, jet_eval
 from .cartan import (
     CartanStructure,
     conformal_structure,
@@ -41,16 +44,9 @@ from .cartan import (
     sample_points,
 )
 from .geometry import FrameVector, PointGeometry
-from .berwald import (
-    BerwaldData,
-    NonlinearConnection,
-    berwald_data,
-    nonlinear_connection,
-)
 from .kahler import (
     BundleMetric,
     DeformationParams,
-    bundle_metric,
     integrability_defect,
     theta_matrix,
     tube_predicate,
@@ -84,6 +80,7 @@ __all__ = [
     "ChartPoint",
     "Jet",
     "fd_derivative",
+    "fd_partial",
     "jet_eval",
     "CartanStructure",
     "conformal_structure",
@@ -94,13 +91,8 @@ __all__ = [
     "sample_points",
     "FrameVector",
     "PointGeometry",
-    "BerwaldData",
-    "NonlinearConnection",
-    "berwald_data",
-    "nonlinear_connection",
     "BundleMetric",
     "DeformationParams",
-    "bundle_metric",
     "integrability_defect",
     "theta_matrix",
     "tube_predicate",

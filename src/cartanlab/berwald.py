@@ -1,58 +1,30 @@
-"""Nonlinear connection, adapted frame, Berwald coefficients, Landsberg
-tensors, and the curvature tensors of the base geometry.
+"""Distinguished tensors, the adapted-frame derivative and the FD oracles of
+the base geometry (nonlinear connection, Berwald coefficients, Landsberg
+tensors, curvature tensors).
 
-The closed route reads everything off the exact jet pipeline in
-`geometry.PointGeometry`.  The FD oracles here recompute the nonlinear
-connection and the h-curvature from plain central differences of point
-values, so the two routes share no derivative mechanism.
+The closed route is the exact jet pipeline in `geometry.PointGeometry`,
+whose attributes (`N`, `B`, `L_*`, `J_*`, `R_vv`, `R_curv`, `P_curv`) hold
+the point values.  This module adds distinguished tensors with their
+covariant derivatives, the adapted-frame derivative of a scalar field, the
+metric-delta identity, and the FD oracles: they recompute the nonlinear
+connection and the h-curvature from `jets.fd_partial` central differences
+of point values, so the two routes share no derivative mechanism.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValenceError
 from .geometry import PointGeometry
-from .jets import ChartPoint, Jet, jet_eval
+from .jets import ChartPoint, Jet, fd_partial, jet_eval
 
 __all__ = [
-    "NonlinearConnection",
-    "BerwaldData",
     "DTensor",
-    "nonlinear_connection",
     "nonlinear_connection_fd",
     "delta_apply",
-    "berwald_data",
     "berwald_curvature_fd",
-    "h_cov",
-    "v_cov",
     "metric_delta_identity",
 ]
-
-
-@dataclass(frozen=True)
-class NonlinearConnection:
-    """N_ij with the formal Christoffel data it is built from."""
-
-    N_downdown: np.ndarray
-    gamma: np.ndarray
-    gamma0: np.ndarray   # gamma^i_jk p_i
-    gamma00: np.ndarray  # gamma^i_hk p_i p^k
-
-
-@dataclass(frozen=True)
-class BerwaldData:
-    """Connection coefficients and curvatures of the base geometry."""
-
-    B: np.ndarray        # B^i_jk
-    L_udd: np.ndarray    # L^i_jk
-    L_uud: np.ndarray    # L^ij_k
-    J_up: np.ndarray     # mean Landsberg J^s
-    J_down: np.ndarray
-    R_vv: np.ndarray     # R_ijk
-    R_hcurv: np.ndarray  # R^i_jkh
-    P_curv: np.ndarray   # P^{ih}_{jk}
 
 
 class DTensor:
@@ -86,30 +58,12 @@ class DTensor:
         return DTensor(self.geom, self.comp.derivs(self.geom.pvars), self.valence + "u")
 
 
-def h_cov(t: DTensor) -> DTensor:
-    return t.h_cov()
-
-
-def v_cov(t: DTensor) -> DTensor:
-    return t.v_cov()
-
-
 # ---------------------------------------------------------------------------
 # closed-route operations
 
 
 def _geom(s, at, geom):
     return geom if geom is not None else PointGeometry(s, at)
-
-
-def nonlinear_connection(s, at: ChartPoint, geom: PointGeometry = None) -> NonlinearConnection:
-    geom = _geom(s, at, geom)
-    gamma = geom.gamma_jets.value
-    gamma0 = np.einsum("ijk,i->jk", gamma, at.p)
-    gamma00 = gamma0 @ geom.p_up
-    return NonlinearConnection(
-        N_downdown=geom.N, gamma=gamma, gamma0=gamma0, gamma00=gamma00
-    )
 
 
 def delta_apply(s, at: ChartPoint, f, geom: PointGeometry = None) -> np.ndarray:
@@ -119,20 +73,6 @@ def delta_apply(s, at: ChartPoint, f, geom: PointGeometry = None) -> np.ndarray:
     fj = jet_eval(f, at, 1)
     grad = fj.derivs(range(2 * n)).value
     return grad[:n] + geom.N @ grad[n:]
-
-
-def berwald_data(s, at: ChartPoint, geom: PointGeometry = None) -> BerwaldData:
-    geom = _geom(s, at, geom)
-    return BerwaldData(
-        B=geom.B,
-        L_udd=geom.L_udd,
-        L_uud=geom.L_uud,
-        J_up=geom.J_up,
-        J_down=geom.J_down,
-        R_vv=geom.R_vv,
-        R_hcurv=geom.R_curv,
-        P_curv=geom.P_curv,
-    )
 
 
 def metric_delta_identity(s, at: ChartPoint, geom: PointGeometry = None) -> float:
@@ -153,30 +93,21 @@ def metric_delta_identity(s, at: ChartPoint, geom: PointGeometry = None) -> floa
 # FD oracles (independent derivative mechanism)
 
 
-def _central_table(fn, center, dim_index, h):
-    """Central difference of an array-valued point function in one coordinate."""
-    ep = center.copy()
-    em = center.copy()
-    ep[dim_index] += h
-    em[dim_index] -= h
-    return (fn(ep) - fn(em)) / (2.0 * h)
-
-
-def nonlinear_connection_fd(s, at: ChartPoint, h: float = 1e-4) -> np.ndarray:
+def nonlinear_connection_fd(s, at: ChartPoint) -> np.ndarray:
     """N_ij recomputed with central differences for every derivative.
 
     Point values of the fundamental tensor are taken from the exact pipeline
     (they are zero-order data); all x- and p-derivatives entering the formal
-    Christoffel symbols and the momentum correction term are plain FD.
+    Christoffel symbols and the momentum correction term are plain central
+    differences at one step of 1e-4 (no Richardson extrapolation).
     """
     n = at.n
-    coords = at.coords
 
-    def gdown(z):
-        return PointGeometry(s, ChartPoint(z[:n], z[n:]), order=2).g_down
+    def gdown(pt):
+        return PointGeometry(s, pt, order=2).g_down
 
-    dg_x = np.array([_central_table(gdown, coords, k, h) for k in range(n)])
-    dg_p = np.array([_central_table(gdown, coords, n + k, h) for k in range(n)])
+    dg = np.array([fd_partial(gdown, at, k, steps=(1e-4,)) for k in range(2 * n)])
+    dg_x, dg_p = dg[:n], dg[n:]
     geom0 = PointGeometry(s, at, order=2)
     gu = geom0.g_up
     gamma = np.empty((n, n, n))
@@ -192,31 +123,23 @@ def nonlinear_connection_fd(s, at: ChartPoint, h: float = 1e-4) -> np.ndarray:
     return gamma0 - 0.5 * np.einsum("h,hij->ij", gamma00, dg_p)
 
 
-def berwald_curvature_fd(s, at: ChartPoint, steps=(1e-3, 5e-4)) -> np.ndarray:
+def berwald_curvature_fd(s, at: ChartPoint) -> np.ndarray:
     """R^i_jkh with the frame derivative delta realized by finite differences.
 
     Both the base and the momentum derivatives of the connection coefficients
-    are Richardson-extrapolated central differences of point values of B.
+    are Richardson-extrapolated central differences (`jets.fd_partial`) of
+    point values of B.
     """
     n = at.n
-    coords = at.coords
     geom0 = PointGeometry(s, at)
     nval = geom0.N
     b0 = geom0.B
 
-    def bfun(z):
-        return PointGeometry(s, ChartPoint(z[:n], z[n:]), order=4).B
+    def bfun(pt):
+        return PointGeometry(s, pt, order=4).B
 
-    def richardson(dim_index):
-        h1, h2 = steps
-        scale = max(1.0, abs(coords[dim_index]))
-        d1 = _central_table(bfun, coords, dim_index, h1 * scale)
-        d2 = _central_table(bfun, coords, dim_index, h2 * scale)
-        r = (h1 / h2) ** 2
-        return d2 + (d2 - d1) / (r - 1.0)
-
-    db_x = np.array([richardson(k) for k in range(n)])
-    db_p = np.array([richardson(n + k) for k in range(n)])
+    db = np.array([fd_partial(bfun, at, k) for k in range(2 * n)])
+    db_x, db_p = db[:n], db[n:]
     delta_b = np.array(
         [db_x[h_] + np.einsum("j,jabc->abc", nval[h_], db_p) for h_ in range(n)]
     )

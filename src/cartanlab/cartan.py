@@ -1,7 +1,8 @@
 """Cartan structures: a dimension plus a positive 2-homogeneous Hamiltonian
-K^2(x, p) on the slit cotangent chart, with the zero-order tensors derived
-from it (fundamental tensor, its inverse, distinguished momentum vector,
-energy, Cartan torsion tensor and its mean trace).
+K^2(x, p) on the slit cotangent chart.  The tensors derived from it
+(fundamental tensor, its inverse, distinguished momentum vector, energy,
+Cartan torsion tensor and its mean trace) are attributes of
+`geometry.PointGeometry`.
 
 Built-in families:
   * flat: K^2 = sum p_i^2 (Euclidean dual).
@@ -22,21 +23,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import EvaluationDomainError, RegularityError
-from .geometry import PointGeometry, jet_mat_inv
+from .geometry import jet_mat_inv
 from .jets import ChartPoint, Jet, contract, exp, invert, log, power, sqrt, stack
 
 __all__ = [
     "CartanStructure",
-    "FundamentalTensors",
-    "CartanTensor",
     "flat_structure",
     "conformal_structure",
     "riemannian_dual",
     "randers_dual",
     "expression_structure",
     "parse_scalar_expression",
-    "fundamental",
-    "cartan_tensor",
     "sample_points",
     "DEFAULT_P_NORM",
 ]
@@ -74,23 +71,6 @@ class CartanStructure:
 
     def __repr__(self):
         return f"CartanStructure({self.label!r}, dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class FundamentalTensors:
-    g_up: np.ndarray
-    g_down: np.ndarray
-    p_up: np.ndarray
-    tau: float
-    at: ChartPoint
-
-
-@dataclass(frozen=True)
-class CartanTensor:
-    C_upupup: np.ndarray
-    C_mixed: np.ndarray
-    C_down: np.ndarray
-    I_up: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -355,24 +335,6 @@ def expression_structure(
         x_box=x_box,
         constant_curvature=constant_curvature,
         is_riemannian=False,
-    )
-
-
-# ---------------------------------------------------------------------------
-# zero-order tensor extraction
-
-
-def fundamental(s: CartanStructure, at: ChartPoint, geom: PointGeometry = None) -> FundamentalTensors:
-    g = geom or PointGeometry(s, at)
-    return FundamentalTensors(
-        g_up=g.g_up, g_down=g.g_down, p_up=g.p_up, tau=g.tau, at=at
-    )
-
-
-def cartan_tensor(s: CartanStructure, at: ChartPoint, geom: PointGeometry = None) -> CartanTensor:
-    g = geom or PointGeometry(s, at)
-    return CartanTensor(
-        C_upupup=g.C_uuu, C_mixed=g.C_mixed, C_down=g.C_ddd, I_up=g.I_up
     )
 
 

@@ -24,7 +24,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cartan import cartan_tensor, fundamental
 from .errors import CartanLabError, ManifestError
 from .geometry import FrameVector, PointGeometry
 from .jets import ChartPoint
@@ -160,20 +159,18 @@ def _tensor_objects(structure, params, at, names):
 
     for name in names:
         if name == "g":
-            ft = fundamental(structure, at, geom=geom)
             out[name] = {
                 "anchor": "fundamental-tensor",
-                "g_up": _arr(ft.g_up),
-                "g_down": _arr(ft.g_down),
-                "p_up": _arr(ft.p_up),
-                "tau": float(ft.tau),
+                "g_up": _arr(geom.g_up),
+                "g_down": _arr(geom.g_down),
+                "p_up": _arr(geom.p_up),
+                "tau": float(geom.tau),
             }
         elif name == "C":
-            ct = cartan_tensor(structure, at, geom=geom)
             out[name] = {
                 "anchor": "cartan-tensor",
-                "C_upupup": _arr(ct.C_upupup),
-                "mean_cartan": _arr(ct.I_up),
+                "C_upupup": _arr(geom.C_uuu),
+                "mean_cartan": _arr(geom.I_up),
             }
         elif name == "N":
             out[name] = {"anchor": "nonlinear-connection", "N": _arr(geom.N)}

@@ -59,12 +59,17 @@ INDEX: Mapping[str, FormulaEntry] = {
         "jets.Jet / jets.jet_eval / jets.fd_derivative",
     ),
     "fd-oracles": FormulaEntry(
-        "Independent finite-difference oracles: central differences with "
-        "Richardson extrapolation over two step sizes, used to arbitrate "
-        "every closed-form table.",
-        "jets.fd_derivative / berwald.nonlinear_connection_fd / "
-        "berwald.berwald_curvature_fd / levicivita.koszul_oracle / "
-        "levicivita.curvature_defn",
+        "Independent finite-difference oracles, used to arbitrate every "
+        "closed-form table: central differences with steps scaled by "
+        "max(1, |coordinate|), Richardson-extrapolated over two step sizes, "
+        "except the nonlinear-connection oracle, which takes one plain step "
+        "of 1e-4.  First derivatives of point values all go through "
+        "jets.fd_partial; iterated mixed partials of a scalar through "
+        "jets.fd_derivative.",
+        "jets.fd_partial / jets.fd_derivative / "
+        "berwald.nonlinear_connection_fd / berwald.berwald_curvature_fd / "
+        "levicivita.koszul_oracle / levicivita.curvature_defn / "
+        "operators.fd_dln_sqrtg_h",
     ),
     "harness": FormulaEntry(
         "Batch verification plumbing: manifest schema, seeded sampling, "
@@ -81,14 +86,15 @@ INDEX: Mapping[str, FormulaEntry] = {
         "g^ij = (1/2) dot^i dot^j K^2 is symmetric, 0-homogeneous in p, "
         "positive definite, and reconstructs the Hamiltonian: "
         "g^ij p_i p_j = K^2; momenta satisfy p^i = (1/2) dot^i K^2 = g^ij p_j.",
-        "geometry.PointGeometry.g_up / cartan.fundamental",
+        "geometry.PointGeometry.g_up / geometry.PointGeometry.g_down / "
+        "geometry.PointGeometry.p_up",
     ),
     "cartan-tensor": FormulaEntry(
         "C^ijk = -(1/4) dot^i dot^j dot^k K^2 is totally symmetric, "
         "transversal (C^ijk p_k = 0), and gives the vertical metric "
         "derivative: dot^k g^ij = -2 C^ijk.  C = 0 iff the structure is a "
         "quadratic (Riemannian) dual.",
-        "geometry.PointGeometry.C_uuu / cartan.cartan_tensor",
+        "geometry.PointGeometry.C_uuu / geometry.PointGeometry.C_ddd",
     ),
     "mean-cartan": FormulaEntry(
         "Mean Cartan vector I^j = C^jh_h = C^jhk g_hk; vanishes exactly in "
@@ -104,7 +110,7 @@ INDEX: Mapping[str, FormulaEntry] = {
     "nonlinear-connection": FormulaEntry(
         "Symmetric nonlinear connection N_ij built from the base-derivative "
         "Christoffel contractions of g; 1-homogeneous in p.",
-        "berwald.nonlinear_connection / geometry.PointGeometry.N",
+        "geometry.PointGeometry.N / berwald.nonlinear_connection_fd",
     ),
     "adapted-frame": FormulaEntry(
         "Horizontal derivative delta_i = d_i + N_ij dot^j; the frame "
@@ -115,7 +121,8 @@ INDEX: Mapping[str, FormulaEntry] = {
         "Berwald coefficients B^i_jk = dot^i N_jk (0-homogeneous in p); "
         "horizontal covariant rule T^i|k = delta_k T^i + T^s B^i_sk - ..., "
         "vertical rule T^i|^k = dot^k T^i.",
-        "berwald.berwald_data / berwald.h_cov / berwald.v_cov",
+        "geometry.PointGeometry.B / geometry.PointGeometry.h_cov / "
+        "berwald.DTensor.h_cov / berwald.DTensor.v_cov",
     ),
     "metric-delta": FormulaEntry(
         "delta_i g_jk = B^s_ji g_sk + B^s_ki g_js, equivalently the "
@@ -156,7 +163,7 @@ INDEX: Mapping[str, FormulaEntry] = {
         "G(dot^i, dot^j) = the matching contravariant block "
         "(beta/1) scaling, G(delta, dot) = 0; positive definite under the "
         "gauge alpha + 2 tau v > 0.",
-        "kahler.BundleMetric / kahler.bundle_metric",
+        "kahler.BundleMetric",
     ),
     "positivity-tube": FormulaEntry(
         "For c > 0 the bundle metric stays positive definite only on the "

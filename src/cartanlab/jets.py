@@ -30,7 +30,11 @@ all components at once:
 
 `fd_derivative` provides the independent oracle: iterated central differences
 at two step sizes with Richardson extrapolation and an honest error estimate
-(two-step disagreement plus a roundoff floor).
+(two-step disagreement plus a roundoff floor).  `fd_partial` is the
+first-order helper every FD oracle of the package differentiates with: the
+central difference of an array-valued function of a chart point along one
+chart variable, Richardson extrapolated over two steps (or the plain
+difference for one step).
 """
 from __future__ import annotations
 
@@ -51,6 +55,7 @@ __all__ = [
     "stack",
     "jet_eval",
     "fd_derivative",
+    "fd_partial",
     "invert",
     "sqrt",
     "exp",
@@ -643,6 +648,40 @@ def fd_derivative(
     roundoff = absc2 * _EPS * max(fmax2, 1e-300)
     err = abs(d2 - d1) / (ratio2 - 1.0) + roundoff
     return extrap, err
+
+
+def fd_partial(
+    f: Callable, at: ChartPoint, var: int, steps: Sequence[float] = DEFAULT_FD_STEPS
+):
+    """Central difference of an array-valued ``f(ChartPoint)`` along the chart
+    variable ``var`` (0..n-1 base, n..2n-1 momentum).
+
+    Each step is scaled by ``max(1, |coord|)``.  Two steps (h1 > h2) give the
+    Richardson-extrapolated difference; a one-element ``steps`` gives the
+    plain central difference at that step.
+    """
+    base = at.coords
+    n = at.n
+    if not 0 <= var < 2 * n:
+        raise ValueError(f"chart variable {var} outside 0..{2 * n - 1}")
+    if len(steps) not in (1, 2):
+        raise ValueError("steps must hold one or two step sizes")
+    scale = max(1.0, abs(base[var]))
+    diffs = []
+    for h in steps:
+        hh = h * scale
+        plus = base.copy()
+        minus = base.copy()
+        plus[var] += hh
+        minus[var] -= hh
+        diffs.append(
+            (f(ChartPoint(plus[:n], plus[n:])) - f(ChartPoint(minus[:n], minus[n:])))
+            / (2.0 * hh)
+        )
+    if len(diffs) == 1:
+        return diffs[0]
+    ratio = (steps[0] / steps[1]) ** 2
+    return (ratio * diffs[1] - diffs[0]) / (ratio - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ __all__ = [
     "BundleMetric",
     "FrameVector",
     "IntegrabilityDefect",
-    "bundle_metric",
     "almost_complex",
     "fundamental_form",
     "theta_matrix",
@@ -180,12 +179,6 @@ class IntegrabilityDefect(NamedTuple):
     A_res: float    # antisymmetrized frame derivative of G (h-h block)
     R_res: float    # distance of R_kij from the constant-curvature form
     A_res_g: float  # same antisymmetrization built with g instead of G
-
-
-def bundle_metric(
-    s, at: ChartPoint, params: DeformationParams, geom: PointGeometry = None
-) -> BundleMetric:
-    return BundleMetric(geom if geom is not None else PointGeometry(s, at), params)
 
 
 def tube_predicate(s, params: DeformationParams):

@@ -12,21 +12,22 @@ Routes kept deliberately separate:
   Its per-point tables are built by the first call at a point and kept on
   the ``BundleMetric``: the G-pairings of all (2n)^2 frame brackets
   [F_a, F_b], each computed by ``FrameVector.bracket`` and never quoted from
-  B or R_vv; the frame derivatives F_a(G(F_b, F_c)), from one Richardson
-  central difference of the whole 2n x 2n metric per chart variable; and
-  the inverse Gram matrix.  Each slot pair then only assembles the six
-  Koszul terms from those tables.
+  B or R_vv; the frame derivatives F_a(G(F_b, F_c)), from one
+  ``jets.fd_partial`` (a Richardson-extrapolated central difference) of the
+  whole 2n x 2n metric per chart variable; and the inverse Gram matrix.
+  Each slot pair then only assembles the six Koszul terms from those
+  tables.
 * ``curvature_closed`` evaluates the six closed curvature blocks, each an
   ``np.einsum`` expression over the point values of C, L, B, R, P, G and the
   covariant derivatives of C and L.  All six are built together by the
   first call for a ``BundleMetric`` and kept on it, as read-only arrays.
 * ``curvature_defn`` guards them.  It differentiates the connection
-  coefficient fields (finite differences along x, exact jets along p) and
-  composes them per the curvature definition.  Its context builds a whole
-  block of frame-slot triples at once (``_DefnContext.block``) from its own
-  tables: the coefficient values, their momentum derivatives, the x-partials
-  and the frame brackets from B and R_vv.  It never reads the closed
-  curvature algebra.
+  coefficient fields (``jets.fd_partial`` of all coefficient tables at once
+  along x, exact jets along p) and composes them per the curvature
+  definition.  Its context builds a whole block of frame-slot triples at
+  once (``_DefnContext.block``) from its own tables: the coefficient values,
+  their momentum derivatives, the x-partials and the frame brackets from B
+  and R_vv.  It never reads the closed curvature algebra.
 * ``ricci`` traces the closed blocks over the adapted frame and reports the
   least-squares Einstein factor and defect.  It reads the cached blocks and
   is itself kept on the ``BundleMetric``, so ``vertical_ricci_obstruction``
@@ -46,7 +47,7 @@ import numpy as np
 from .berwald import DTensor
 from .errors import ValenceError
 from .geometry import FrameVector, PointGeometry, frame_slots, slot_index
-from .jets import ChartPoint, contract, invert
+from .jets import ChartPoint, contract, fd_partial, invert
 from .kahler import BundleMetric, DeformationParams
 
 __all__ = [
@@ -70,8 +71,6 @@ __all__ = [
 #: first two letters naming the kinds of the antisymmetric pair and the
 #: letter after the underscore naming the kind of the argument.
 CURVATURE_BLOCKS = ("vv_v", "hv_v", "hh_h", "hh_v", "vv_h", "hv_h")
-
-_FD_STEPS = (1e-3, 5e-4)
 
 
 @dataclass(frozen=True)
@@ -214,26 +213,6 @@ class MetricStencil:
         return out
 
 
-def _fd_partial(f, at: ChartPoint, var: int, steps=_FD_STEPS):
-    """Richardson-extrapolated central difference of f along one chart variable."""
-    base = at.coords
-    scale = max(1.0, abs(base[var]))
-    ds = []
-    for h in steps:
-        hh = h * scale
-        plus = base.copy()
-        minus = base.copy()
-        plus[var] += hh
-        minus[var] -= hh
-        n = at.n
-        ds.append(
-            (f(ChartPoint(plus[:n], plus[n:])) - f(ChartPoint(minus[:n], minus[n:])))
-            / (2.0 * hh)
-        )
-    ratio = (steps[0] / steps[1]) ** 2
-    return (ratio * ds[1] - ds[0]) / (ratio - 1.0)
-
-
 def _frame_derivative_fd(partials, geom: PointGeometry, a: int):
     """F_a(f) for the adapted basis field F_a, given the finite-difference
     partials of f along all 2n chart variables."""
@@ -259,7 +238,7 @@ class _KoszulTables:
 
     def __init__(self, geom: PointGeometry, metric: BundleMetric, stencil: MetricStencil):
         dim = 2 * geom.n
-        partials = [_fd_partial(stencil.frame_matrix, geom.at, var) for var in range(dim)]
+        partials = [fd_partial(stencil.frame_matrix, geom.at, var) for var in range(dim)]
         self.dG = np.array([_frame_derivative_fd(partials, geom, a) for a in range(dim)])
         basis = FrameVector.basis(geom)
         self.bracket_G = np.empty((dim, dim, dim))
@@ -520,13 +499,12 @@ class _DefnContext:
     vertical derivatives from the jets at the center, finite-difference
     tables for x-partials, and the curvature blocks composed from them."""
 
-    def __init__(self, s, at, params, geom=None, metric=None, steps=_FD_STEPS):
+    def __init__(self, s, at, params, geom=None, metric=None):
         geom, metric = _prepare(s, at, params, geom, metric)
         self.s = s
         self.params = params
         self.geom = geom
         self.metric = metric
-        self.steps = steps
         jets, self.c_eff = _connection_jet_tables(geom, metric)
         #: block -> (h, v) coefficient values [i, j, s]
         self.values = {key: (hj.value, vj.value) for key, (hj, vj) in jets.items()}
@@ -543,50 +521,24 @@ class _DefnContext:
             got = self._tables[key] = build()
         return got
 
-    def _value_tables(self, coords: np.ndarray) -> dict:
-        n = self.geom.n
-        pt = ChartPoint(coords[:n], coords[n:])
+    def _value_tables(self, pt: ChartPoint) -> np.ndarray:
+        """All coefficient values at pt, stacked as [block, h/v, i, j, s] in
+        the order of ``self.values``."""
         # only values are read here, and order 4 keeps them exact
         g = PointGeometry(self.s, pt, order=4)
-        m = BundleMetric(g, self.params)
-        tables, _ = _connection_jet_tables(g, m)
-        return {key: (hj.value, vj.value) for key, (hj, vj) in tables.items()}
+        tables, _ = _connection_jet_tables(g, BundleMetric(g, self.params))
+        return np.array([(hj.value, vj.value) for hj, vj in tables.values()])
 
     def x_partial(self, var: int) -> dict:
-        """d/dx^var of all coefficient tables, Richardson extrapolated."""
+        """d/dx^var of all coefficient tables (``jets.fd_partial``): block ->
+        (h, v) at [i, j, s]."""
         got = self._x_partials.get(var)
-        if got is not None:
-            return got
-        base = self.geom.at.coords
-        scale = max(1.0, abs(base[var]))
-        diffs = []
-        for h in self.steps:
-            hh = h * scale
-            plus = base.copy()
-            minus = base.copy()
-            plus[var] += hh
-            minus[var] -= hh
-            tp = self._value_tables(plus)
-            tm = self._value_tables(minus)
-            diffs.append(
-                {
-                    key: (
-                        (tp[key][0] - tm[key][0]) / (2.0 * hh),
-                        (tp[key][1] - tm[key][1]) / (2.0 * hh),
-                    )
-                    for key in tp
-                }
-            )
-        ratio = (self.steps[0] / self.steps[1]) ** 2
-        out = {
-            key: (
-                (ratio * diffs[1][key][0] - diffs[0][key][0]) / (ratio - 1.0),
-                (ratio * diffs[1][key][1] - diffs[0][key][1]) / (ratio - 1.0),
-            )
-            for key in diffs[0]
-        }
-        self._x_partials[var] = out
-        return out
+        if got is None:
+            d = fd_partial(self._value_tables, self.geom.at, var)
+            got = self._x_partials[var] = {
+                key: (d[b, 0], d[b, 1]) for b, key in enumerate(self.values)
+            }
+        return got
 
     def _frame_derivative(self, kx: str) -> dict:
         """F_a applied to every coefficient field, for the basis fields F_a

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EvaluationDomainError
 from .geometry import FrameVector, PointGeometry
-from .jets import ChartPoint, Jet, fd_derivative
+from .jets import ChartPoint, Jet, fd_derivative, fd_partial
 from .kahler import BundleMetric, DeformationParams
 from .levicivita import LCConnection, lc_closed_form
 
@@ -38,8 +38,6 @@ __all__ = [
     "landsberg_characterizations",
     "fd_dln_sqrtg_h",
 ]
-
-_FD_STEPS = (1e-3, 5e-4)
 
 
 @dataclass(frozen=True)
@@ -67,30 +65,13 @@ class OperatorContext:
     def dln_sqrtg_h_fd(self) -> np.ndarray:
         """delta_i(ln sqrt det g) by the finite-difference route (see the
         module function fd_dln_sqrtg_h), built on first use; read-only."""
-        s, at, geom = self.structure, self.at, self.geom
-        n = geom.n
+        s, geom = self.structure, self.geom
 
         def field(pt: ChartPoint) -> float:
             g = PointGeometry(s, pt, order=2)
             return 0.5 * float(np.log(np.linalg.det(g.g_down)))
 
-        out = np.empty(n)
-        for i in range(n):
-            base = at.coords
-            scale = max(1.0, abs(base[i]))
-            ds = []
-            for h in _FD_STEPS:
-                hh = h * scale
-                plus = base.copy()
-                minus = base.copy()
-                plus[i] += hh
-                minus[i] -= hh
-                ds.append(
-                    (field(ChartPoint(plus[:n], plus[n:])) - field(ChartPoint(minus[:n], minus[n:])))
-                    / (2.0 * hh)
-                )
-            ratio = (_FD_STEPS[0] / _FD_STEPS[1]) ** 2
-            out[i] = (ratio * ds[1] - ds[0]) / (ratio - 1.0)
+        out = np.array([fd_partial(field, self.at, i) for i in range(geom.n)])
         out += geom.N @ geom.dln_sqrtg_v
         out.setflags(write=False)
         return out
@@ -169,8 +150,8 @@ def _scalar_partials(ctx: OperatorContext, f):
     dx = np.empty(n)
     dp = np.empty(n)
     for i in range(n):
-        dx[i], _ = fd_derivative(split, ctx.at, [i], steps=_FD_STEPS)
-        dp[i], _ = fd_derivative(split, ctx.at, [n + i], steps=_FD_STEPS)
+        dx[i], _ = fd_derivative(split, ctx.at, [i])
+        dp[i], _ = fd_derivative(split, ctx.at, [n + i])
     return dx, dp
 
 

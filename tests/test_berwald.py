@@ -10,10 +10,8 @@ from conftest import builtin_structures, christoffel_fd, general_randers, pt
 from cartanlab.berwald import (
     DTensor,
     berwald_curvature_fd,
-    berwald_data,
     delta_apply,
     metric_delta_identity,
-    nonlinear_connection,
     nonlinear_connection_fd,
 )
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual, sample_points
@@ -29,25 +27,23 @@ from cartanlab.jets import ChartPoint
 def test_flat_everything_vanishes():
     s = flat_structure(2)
     at = pt([0.4, -0.2], [1.0, 0.7])
-    nc = nonlinear_connection(s, at)
-    bd = berwald_data(s, at)
-    np.testing.assert_allclose(nc.N_downdown, 0.0, atol=1e-14)
-    np.testing.assert_allclose(bd.B, 0.0, atol=1e-14)
-    np.testing.assert_allclose(bd.L_uud, 0.0, atol=1e-14)
-    np.testing.assert_allclose(bd.R_vv, 0.0, atol=1e-14)
-    np.testing.assert_allclose(bd.R_hcurv, 0.0, atol=1e-14)
+    geom = PointGeometry(s, at)
+    np.testing.assert_allclose(geom.N, 0.0, atol=1e-14)
+    np.testing.assert_allclose(geom.B, 0.0, atol=1e-14)
+    np.testing.assert_allclose(geom.L_uud, 0.0, atol=1e-14)
+    np.testing.assert_allclose(geom.R_vv, 0.0, atol=1e-14)
+    np.testing.assert_allclose(geom.R_curv, 0.0, atol=1e-14)
 
 
 def test_locally_minkowski_randers():
     # constant a, b: x-independence kills gamma, N, L, R; C stays nonzero
     s = randers_dual(n=2)
     at = pt([0.3, 0.5], [1.0, 0.2])
-    nc = nonlinear_connection(s, at)
-    bd = berwald_data(s, at)
-    np.testing.assert_allclose(nc.N_downdown, 0.0, atol=1e-10)
-    np.testing.assert_allclose(bd.B, 0.0, atol=1e-10)
-    np.testing.assert_allclose(bd.L_uud, 0.0, atol=1e-10)
-    np.testing.assert_allclose(bd.R_vv, 0.0, atol=1e-10)
+    geom = PointGeometry(s, at)
+    np.testing.assert_allclose(geom.N, 0.0, atol=1e-10)
+    np.testing.assert_allclose(geom.B, 0.0, atol=1e-10)
+    np.testing.assert_allclose(geom.L_uud, 0.0, atol=1e-10)
+    np.testing.assert_allclose(geom.R_vv, 0.0, atol=1e-10)
     assert metric_delta_identity(s, at) <= 1e-8
 
 
@@ -58,7 +54,7 @@ def test_locally_minkowski_randers():
 def test_nonlinear_connection_matches_fd_at_pinned_point():
     s = conformal_structure(2, 1.0)
     at = pt([0.3, 0.0], [1.0, 0.4])
-    closed = nonlinear_connection(s, at).N_downdown
+    closed = PointGeometry(s, at).N
     oracle = nonlinear_connection_fd(s, at)
     assert np.max(np.abs(closed - oracle)) <= 1e-5
     assert np.max(np.abs(closed)) > 1e-3  # non-vacuous
@@ -68,7 +64,7 @@ def test_nonlinear_connection_matches_fd_at_pinned_point():
                          ids=lambda s: s.label)
 def test_nonlinear_connection_fd_random_points(s):
     for at in sample_points(s, 4, 5):
-        closed = nonlinear_connection(s, at).N_downdown
+        closed = PointGeometry(s, at).N
         oracle = nonlinear_connection_fd(s, at)
         scale = max(1.0, np.max(np.abs(closed)))
         assert np.max(np.abs(closed - oracle)) <= 1e-5 * scale
@@ -98,10 +94,10 @@ def test_delta_reduces_to_base_derivative_off_momentum():
 def test_delta_of_momentum_coordinate_is_connection():
     s = conformal_structure(2, -1.0)
     at = pt([0.4, 0.1], [1.2, -0.5])
-    nc = nonlinear_connection(s, at)
+    geom = PointGeometry(s, at)
     for k in range(2):
         d = delta_apply(s, at, lambda xs, ps, k=k: ps[k])
-        np.testing.assert_allclose(d, nc.N_downdown[:, k], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d, geom.N[:, k], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +113,11 @@ def test_berwald_equals_christoffel_on_riemannian(c):
         return np.eye(2) / phi**2
 
     for at in sample_points(s, 5, 3):
-        bd = berwald_data(s, at)
+        geom = PointGeometry(s, at)
         gam = christoffel_fd(a_fn, at.x)
-        assert np.max(np.abs(bd.B - gam)) <= 1e-6
+        assert np.max(np.abs(geom.B - gam)) <= 1e-6
         # Riemannian B is p-independent, so the P-curvature vanishes
-        np.testing.assert_allclose(bd.P_curv, 0.0, atol=1e-10)
+        np.testing.assert_allclose(geom.P_curv, 0.0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +158,7 @@ def test_R_transversal_to_momentum(s):
                          ids=lambda s: s.label)
 def test_h_curvature_closed_vs_fd(s):
     for at in sample_points(s, 2, 29):
-        closed = berwald_data(s, at).R_hcurv
+        closed = PointGeometry(s, at).R_curv
         oracle = berwald_curvature_fd(s, at)
         scale = max(1.0, np.max(np.abs(oracle)))
         assert np.max(np.abs(closed - oracle)) <= 1e-4 * scale

@@ -9,11 +9,9 @@ import pytest
 
 from cartanlab.cartan import (
     CartanStructure,
-    cartan_tensor,
     conformal_structure,
     expression_structure,
     flat_structure,
-    fundamental,
     parse_scalar_expression,
     randers_dual,
     riemannian_dual,
@@ -89,7 +87,7 @@ def sectional_curvature_fd(a_fn, x, h=1e-4):
 def test_identity_base_gives_flat_hamiltonian():
     s = riemannian_dual(n=2)
     pt = _pt([0.2, -0.4], [1.0, 0.5])
-    f = fundamental(s, pt)
+    f = PointGeometry(s, pt)
     np.testing.assert_allclose(f.g_up, np.eye(2), atol=1e-12)
     assert s.k2_values(pt.x, pt.p) == pytest.approx(1.25, rel=1e-14)
 
@@ -109,13 +107,13 @@ def test_conformal_base_curvature(u):
     s = conformal_structure(2, u)
     pt = _pt([0.3, -0.1], [0.8, 0.6])
     phi = 1.0 + (u / 4.0) * float(pt.x @ pt.x)
-    np.testing.assert_allclose(fundamental(s, pt).g_up, phi**2 * np.eye(2), rtol=1e-12)
+    np.testing.assert_allclose(PointGeometry(s, pt).g_up, phi**2 * np.eye(2), rtol=1e-12)
 
 
 def test_flat_fundamental_values():
     s = flat_structure(2)
     pt = _pt([0.7, -0.2], [0.6, -1.1])
-    f = fundamental(s, pt)
+    f = PointGeometry(s, pt)
     np.testing.assert_allclose(f.g_up, np.eye(2), atol=0)
     np.testing.assert_allclose(f.g_down, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(f.p_up, pt.p, atol=1e-14)
@@ -131,24 +129,24 @@ def test_randers_zero_drift_matches_riemannian():
     s1 = riemannian_dual(n=2)
     pt = _pt([0.1, 0.2], [1.0, 0.2])
     np.testing.assert_allclose(
-        fundamental(s0, pt).g_up, fundamental(s1, pt).g_up, atol=1e-12
+        PointGeometry(s0, pt).g_up, PointGeometry(s1, pt).g_up, atol=1e-12
     )
 
 
 def test_randers_is_x_independent_but_not_riemannian():
     s = randers_dual(n=2)
     p = [1.0, 0.2]
-    g_a = fundamental(s, _pt([0.0, 0.0], p)).g_up
-    g_b = fundamental(s, _pt([0.5, -0.7], p)).g_up
+    g_a = PointGeometry(s, _pt([0.0, 0.0], p)).g_up
+    g_b = PointGeometry(s, _pt([0.5, -0.7], p)).g_up
     np.testing.assert_allclose(g_a, g_b, atol=1e-12)
-    ct = cartan_tensor(s, _pt([0.0, 0.0], p))
+    ct = PointGeometry(s, _pt([0.0, 0.0], p))
     assert np.max(np.abs(ct.I_up)) > 1e-2  # mean Cartan tensor is nonzero
 
 
 def test_randers_norm_identity():
     s = randers_dual(n=2)
     pt = _pt([0.3, 0.1], [1.0, 0.2])
-    f = fundamental(s, pt)
+    f = PointGeometry(s, pt)
     k2 = s.k2_values(pt.x, pt.p)
     assert float(pt.p @ f.g_up @ pt.p) == pytest.approx(k2, rel=1e-9)
     np.testing.assert_allclose(f.g_up @ pt.p, f.p_up, rtol=1e-9)
@@ -161,9 +159,9 @@ def test_randers_rejects_large_drift():
 
 def test_randers_drift_continuity():
     pt = _pt([0.2, -0.3], [0.9, 0.4])
-    base = fundamental(randers_dual(b_up=np.zeros(2), n=2), pt).g_up
+    base = PointGeometry(randers_dual(b_up=np.zeros(2), n=2), pt).g_up
     for eps in (1e-2, 1e-3):
-        g = fundamental(randers_dual(b_up=np.array([eps, 0.0]), n=2), pt).g_up
+        g = PointGeometry(randers_dual(b_up=np.array([eps, 0.0]), n=2), pt).g_up
         assert np.max(np.abs(g - base)) <= 10 * eps
 
 
@@ -174,20 +172,20 @@ def test_randers_drift_continuity():
 def test_riemannian_cartan_tensor_vanishes():
     for s in [flat_structure(2), conformal_structure(2, -1.0)]:
         pt = _pt([0.2, 0.1], [0.7, -0.4])
-        ct = cartan_tensor(s, pt)
-        assert np.max(np.abs(ct.C_upupup)) <= 1e-12
+        ct = PointGeometry(s, pt)
+        assert np.max(np.abs(ct.C_uuu)) <= 1e-12
         assert np.max(np.abs(ct.I_up)) <= 1e-12
 
 
 def test_cartan_tensor_momentum_transversality_and_symmetry():
     s = randers_dual(n=2)
     pt = _pt([0.0, 0.0], [1.0, 0.2])
-    ct = cartan_tensor(s, pt)
-    assert np.max(np.abs(ct.C_upupup)) > 1e-3
-    contraction = np.einsum("ijk,k->ij", ct.C_upupup, pt.p)
+    ct = PointGeometry(s, pt)
+    assert np.max(np.abs(ct.C_uuu)) > 1e-3
+    contraction = np.einsum("ijk,k->ij", ct.C_uuu, pt.p)
     assert np.max(np.abs(contraction)) <= 1e-9
     for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
-        assert np.max(np.abs(ct.C_upupup - np.transpose(ct.C_upupup, perm))) <= 1e-12
+        assert np.max(np.abs(ct.C_uuu - np.transpose(ct.C_uuu, perm))) <= 1e-12
 
 
 def test_momentum_derivative_of_metric_is_cartan():
@@ -205,8 +203,8 @@ def test_momentum_derivative_of_metric_is_cartan():
 
 def test_cartan_tensor_is_minus1_homogeneous():
     s = randers_dual(n=2)
-    c1 = cartan_tensor(s, _pt([0.0, 0.0], [1.0, 0.2])).C_upupup
-    c2 = cartan_tensor(s, _pt([0.0, 0.0], [2.0, 0.4])).C_upupup
+    c1 = PointGeometry(s, _pt([0.0, 0.0], [1.0, 0.2])).C_uuu
+    c2 = PointGeometry(s, _pt([0.0, 0.0], [2.0, 0.4])).C_uuu
     np.testing.assert_allclose(c2, 0.5 * c1, rtol=1e-9)
 
 
@@ -233,7 +231,7 @@ def test_euler_identities_100_points(s):
 def test_indefinite_hamiltonian_is_rejected():
     s = expression_structure(2, "p1*p1 - p2*p2", label="indefinite")
     with pytest.raises(RegularityError) as ei:
-        fundamental(s, _pt([0.0, 0.0], [1.0, 0.5]))
+        PointGeometry(s, _pt([0.0, 0.0], [1.0, 0.5])).g_up
     assert "eigenvalue" in str(ei.value)
 
 
@@ -248,7 +246,7 @@ def test_expression_structure_matches_builtin():
     ref = conformal_structure(2, -1.0)
     pt = _pt([0.3, -0.2], [0.8, 0.5])
     np.testing.assert_allclose(
-        fundamental(s, pt).g_up, fundamental(ref, pt).g_up, rtol=1e-12
+        PointGeometry(s, pt).g_up, PointGeometry(ref, pt).g_up, rtol=1e-12
     )
 
 

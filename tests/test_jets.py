@@ -17,6 +17,7 @@ from cartanlab.jets import (
     Jet,
     exp,
     fd_derivative,
+    fd_partial,
     invert,
     jet_eval,
     log,
@@ -114,6 +115,41 @@ def test_fd_error_paths():
         fd_derivative(lambda x, p: float("nan"), pt, dirs=(0,))
     with pytest.raises(ValueError):
         fd_derivative(lambda x, p: 0.0, pt, dirs=(0,), steps=(1e-4, 1e-3))
+
+
+def _quartic(pt):
+    c = pt.coords
+    return np.array([c[0] ** 4 * c[2], c[0] ** 3 - 2 * c[2] ** 4 + c[1] * c[3], c[1] * c[2] ** 3 * c[0]])
+
+
+def _quartic_derivs(c, var):
+    """First and third partials of _quartic along chart variable 0 or 2."""
+    if var == 0:
+        return (np.array([4 * c[0] ** 3 * c[2], 3 * c[0] ** 2, c[1] * c[2] ** 3]),
+                np.array([24 * c[0] * c[2], 6.0, 0.0]))
+    return (np.array([c[0] ** 4, -8 * c[2] ** 3, 3 * c[1] * c[2] ** 2 * c[0]]),
+            np.array([0.0, -48 * c[2], 6 * c[1] * c[0]]))
+
+
+@pytest.mark.parametrize("var", [0, 2])
+def test_fd_partial_on_array_quartic(var):
+    # |p_0| = 1.6 > 1, so the step along var 2 is scaled by 1.6
+    pt = _pt([0.4, -0.7], [1.6, 0.3])
+    first, third = _quartic_derivs(pt.coords, var)
+    # two steps: the h^2 terms cancel, and a quartic has no h^4 term
+    np.testing.assert_allclose(fd_partial(_quartic, pt, var), first, rtol=0, atol=1e-9)
+    # one step: the error is h^2 f'''/6 with h the scaled step
+    h = 1e-3 * max(1.0, abs(pt.coords[var]))
+    err = fd_partial(_quartic, pt, var, steps=(1e-3,)) - first
+    np.testing.assert_allclose(err, h * h * third / 6.0, rtol=1e-4, atol=1e-9)
+    assert np.max(np.abs(err)) > 1e-6  # non-vacuous
+
+
+def test_fd_partial_rejects_variables_outside_chart():
+    pt = _pt([0.0, 0.0], [1.0, 0.0])
+    for var in (-1, 4):
+        with pytest.raises(ValueError):
+            fd_partial(_quartic, pt, var)
 
 
 def test_fd_jet_contract_on_smooth_field():

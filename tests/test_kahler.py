@@ -17,7 +17,6 @@ from cartanlab.kahler import (
     BundleMetric,
     DeformationParams,
     almost_complex,
-    bundle_metric,
     fundamental_form,
     integrability_defect,
     nijenhuis,
@@ -66,7 +65,7 @@ def test_zero_deformation_rescales_fundamental():
     s = randers_dual(n=2)
     at = pt([0.1, 0.3], [1.0, 0.2])
     geom = PointGeometry(s, at)
-    m = bundle_metric(s, at, DeformationParams(beta=2.0, c=0.0), geom)
+    m = BundleMetric(geom, DeformationParams(beta=2.0, c=0.0))
     np.testing.assert_allclose(m.G_down, geom.g_down / 2.0, rtol=1e-13)
     np.testing.assert_allclose(m.G_up, 2.0 * geom.g_up, rtol=1e-13)
 
@@ -74,7 +73,7 @@ def test_zero_deformation_rescales_fundamental():
 def test_flat_hand_computed_blocks():
     s = flat_structure(2)
     at = pt([0.0, 0.0], [1.0, 0.0])
-    m = bundle_metric(s, at, DeformationParams(alpha=1.0, beta=1.0, c=-1.0))
+    m = BundleMetric(PointGeometry(s, at), DeformationParams(alpha=1.0, beta=1.0, c=-1.0))
     np.testing.assert_allclose(m.G_down, [[2.0, 0.0], [0.0, 1.0]], atol=1e-14)
     np.testing.assert_allclose(m.G_up, [[0.5, 0.0], [0.0, 1.0]], atol=1e-14)
     assert m.G_up[0, 0] == pytest.approx(0.5, abs=1e-14)
@@ -84,20 +83,20 @@ def test_flat_hand_computed_blocks():
 def test_positivity_domain_boundary():
     s = flat_structure(2)
     params = DeformationParams(alpha=1.0, beta=1.0, c=1.0)
-    ok = bundle_metric(s, pt([0.0, 0.0], [0.99, 0.0]), params)  # 2 tau = 0.9801
+    ok = BundleMetric(PointGeometry(s, pt([0.0, 0.0], [0.99, 0.0])), params)  # 2 tau = 0.9801
     assert np.linalg.eigvalsh(ok.G_down)[0] > 0
     with pytest.raises(EvaluationDomainError) as ei:
-        bundle_metric(s, pt([0.0, 0.0], [1.0, 0.0]), params)  # 2 tau = 1 exactly
+        BundleMetric(PointGeometry(s, pt([0.0, 0.0], [1.0, 0.0])), params)  # 2 tau = 1 exactly
     assert "alpha + 2 tau v" in str(ei.value)
     with pytest.raises(EvaluationDomainError):
-        bundle_metric(s, pt([0.0, 0.0], [1.2, 0.0]), params)
+        BundleMetric(PointGeometry(s, pt([0.0, 0.0], [1.2, 0.0])), params)
 
 
 @pytest.mark.parametrize("params", PARAM_SETS, ids=lambda p: p.describe())
 def test_inverse_pair_and_positivity(params):
     for s in [conformal_structure(2, -1.0), general_randers(2)]:
         for at in _sample(s, params, 4, 13):
-            m = bundle_metric(s, at, params)
+            m = BundleMetric(PointGeometry(s, at), params)
             np.testing.assert_allclose(m.G_down @ m.G_up, np.eye(2), atol=1e-10)
             np.testing.assert_allclose(invert(m.G_down), m.G_up, atol=1e-10)
             assert np.linalg.eigvalsh(m.G_down)[0] > 0
@@ -137,7 +136,7 @@ def test_frame_bracket_relations():
 def test_j_on_basis_fields():
     s = flat_structure(2)
     at = pt([0.0, 0.0], [1.0, 0.5])
-    m = bundle_metric(s, at, DeformationParams(c=-1.0))
+    m = BundleMetric(PointGeometry(s, at), DeformationParams(c=-1.0))
     geom = m.geom
     jd1 = almost_complex(m, FrameVector.delta_frame(geom, 0))
     np.testing.assert_allclose(jd1.h_values, 0.0, atol=1e-14)
@@ -193,12 +192,12 @@ def test_theta_is_canonical_and_params_independent():
     )
     mats = []
     for params in [DeformationParams(c=0.0), DeformationParams(c=-1.0)]:
-        th = theta_matrix(bundle_metric(s, at, params))
+        th = theta_matrix(BundleMetric(PointGeometry(s, at), params))
         np.testing.assert_allclose(th, canonical, atol=1e-12)
         mats.append(th)
     np.testing.assert_allclose(mats[0], mats[1], atol=1e-12)
     # spot values
-    m = bundle_metric(s, at, DeformationParams(c=-1.0))
+    m = BundleMetric(PointGeometry(s, at), DeformationParams(c=-1.0))
     geom = m.geom
     d1 = FrameVector.delta_frame(geom, 0)
     d2 = FrameVector.delta_frame(geom, 1)
