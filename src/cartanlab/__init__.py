@@ -43,17 +43,19 @@ from .cartan import (
     riemannian_dual,
     sample_points,
 )
-from .geometry import FrameVector, PointGeometry
+from .geometry import FrameVector, PointGeometry, lie_brackets
 from .kahler import (
     BundleMetric,
     DeformationParams,
     integrability_defect,
+    nijenhuis_table,
     theta_matrix,
     tube_predicate,
 )
 from .levicivita import (
     CURVATURE_BLOCKS,
     LCConnection,
+    connection_defects,
     curvature_closed,
     curvature_defn,
     lc_closed_form,
@@ -91,13 +93,16 @@ __all__ = [
     "sample_points",
     "FrameVector",
     "PointGeometry",
+    "lie_brackets",
     "BundleMetric",
     "DeformationParams",
     "integrability_defect",
+    "nijenhuis_table",
     "theta_matrix",
     "tube_predicate",
     "CURVATURE_BLOCKS",
     "LCConnection",
+    "connection_defects",
     "curvature_closed",
     "curvature_defn",
     "lc_closed_form",

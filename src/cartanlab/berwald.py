@@ -110,14 +110,9 @@ def nonlinear_connection_fd(s, at: ChartPoint) -> np.ndarray:
     dg_x, dg_p = dg[:n], dg[n:]
     geom0 = PointGeometry(s, at, order=2)
     gu = geom0.g_up
-    gamma = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                ssum = 0.0
-                for m in range(n):
-                    ssum += gu[i, m] * (dg_x[k][j, m] + dg_x[j][m, k] - dg_x[m][j, k])
-                gamma[i, j, k] = 0.5 * ssum
+    # [j, k, m]: d_k g_jm + d_j g_mk - d_m g_jk
+    first = np.einsum("kjm->jkm", dg_x) + np.einsum("jmk->jkm", dg_x) - np.einsum("mjk->jkm", dg_x)
+    gamma = 0.5 * np.einsum("im,jkm->ijk", gu, first)
     gamma0 = np.einsum("ijk,i->jk", gamma, at.p)
     gamma00 = gamma0 @ geom0.p_up
     return gamma0 - 0.5 * np.einsum("h,hij->ij", gamma00, dg_p)
@@ -140,16 +135,10 @@ def berwald_curvature_fd(s, at: ChartPoint) -> np.ndarray:
 
     db = np.array([fd_partial(bfun, at, k) for k in range(2 * n)])
     db_x, db_p = db[:n], db[n:]
-    delta_b = np.array(
-        [db_x[h_] + np.einsum("j,jabc->abc", nval[h_], db_p) for h_ in range(n)]
+    delta_b = db_x + np.einsum("hj,jabc->habc", nval, db_p)  # delta_h B^a_bc at [h, a, b, c]
+    return (
+        np.einsum("hijk->ijkh", delta_b)
+        - np.einsum("kijh->ijkh", delta_b)
+        + np.einsum("mjk,imh->ijkh", b0, b0)
+        - np.einsum("mjh,imk->ijkh", b0, b0)
     )
-    out = np.empty((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for h_ in range(n):
-                    ssum = delta_b[h_][i, j, k] - delta_b[k][i, j, h_]
-                    for m in range(n):
-                        ssum += b0[m, j, k] * b0[i, m, h_] - b0[m, j, h_] * b0[i, m, k]
-                    out[i, j, k, h_] = ssum
-    return out

@@ -124,14 +124,14 @@ def conformal_structure(n: int = 2, c: float = -1.0) -> CartanStructure:
 
 
 def _as_matrix_fn(a, n):
-    if a is None:
-        ident = np.eye(n)
-        return lambda xs: ident
+    """The base metric as a function of x; a constant one (an array, or None
+    for the identity) becomes a private read-only copy."""
     if callable(a):
         return a
-    arr = np.asarray(a, dtype=float)
+    arr = np.eye(n) if a is None else np.array(a, dtype=float)
     if arr.shape != (n, n):
         raise ValueError(f"base metric must be {n}x{n}, got {arr.shape}")
+    arr.setflags(write=False)
     return lambda xs: arr
 
 
@@ -146,17 +146,31 @@ def _as_vector_fn(b, n):
     return lambda xs: arr
 
 
-def _quadratic_dual(a_fn, n):
-    """K^2 = a^ij(x) p_i p_j as a jet-capable field."""
+def _quadratic_dual(a_down, n):
+    """K^2 = a^ij(x) p_i p_j as a jet-capable field.
+
+    A constant base metric is inverted once, by its first evaluation; one
+    that fails the guards of `jets.invert` raises at every evaluation, as a
+    varying one does.
+    """
+    a_fn = _as_matrix_fn(a_down, n)
+    kept = []  # the guarded inverse of a constant base metric
+
+    def float_inverse(a):
+        if callable(a_down):
+            return invert(a)
+        if not kept:
+            kept.append(invert(a))
+        return kept[0]
 
     def k2(xs, ps):
         a = a_fn(xs)
         if not isinstance(ps[0], Jet):  # plain point values
             p = np.asarray(ps, dtype=float)
-            return float(p @ invert(np.asarray(a, dtype=float)) @ p)
+            return float(p @ float_inverse(a) @ p)
         p = stack(ps)
         if isinstance(a, np.ndarray) and a.dtype.kind == "f":
-            aup = invert(a)  # constant coefficients: the float inverse is exact
+            aup = float_inverse(a)  # constant coefficients: the float inverse is exact
         else:
             aup = jet_mat_inv(stack(a, p.nvars, p.order))
         return contract("i,i->", p, contract("ij,j->i", aup, p))
@@ -166,10 +180,9 @@ def _quadratic_dual(a_fn, n):
 
 def riemannian_dual(a_down=None, n: int = 2, label: str = None) -> CartanStructure:
     """Structure with K^2 = a^ij(x) p_i p_j; its Cartan tensor vanishes."""
-    a_fn = _as_matrix_fn(a_down, n)
     return CartanStructure(
         dim=n,
-        k2=_quadratic_dual(a_fn, n),
+        k2=_quadratic_dual(a_down, n),
         label=label or f"riemannian-{n}d",
         is_riemannian=True,
     )
@@ -211,7 +224,7 @@ def randers_dual(
                 f"drift norm |b|_a = {np.sqrt(norm2):.6f} >= 1 at x = {x.tolist()}"
             )
 
-    quad = _quadratic_dual(a_fn, n)
+    quad = _quadratic_dual(a_down, n)
 
     def k2(xs, ps):
         alpha2 = quad(xs, ps)

@@ -57,7 +57,7 @@ from .kahler import (
     BundleMetric,
     DeformationParams,
     almost_complex,
-    nijenhuis,
+    nijenhuis_table,
     theta_matrix,
     tube_predicate,
 )
@@ -413,23 +413,14 @@ def _r_positive_definite(ctx, idx, pt):
     return max(0.0, -low)
 
 
-def _nij_pairs(n):
-    slots = frame_slots(n)
-    return [(a, b) for k, a in enumerate(slots) for b in slots[k + 1 :]]
+def _nijenhuis_worst(m) -> float:
+    """Largest |N_J(F_a, F_b)| component over the slot pairs a < b."""
+    a, b = np.triu_indices(2 * m.n, 1)
+    return float(np.abs(nijenhuis_table(m)[a, b]).max())
 
 
 def _r_nijenhuis_integrable(ctx, idx, pt):
-    g = ctx.geometry(idx)
-    m = ctx.metric(idx)
-    worst = 0.0
-    for pair in _nij_pairs(g.n):
-        nj = nijenhuis(ctx.structure, pt, ctx.params, pair, geom=g, metric=m)
-        worst = max(
-            worst,
-            float(np.abs(nj.h_values).max()),
-            float(np.abs(nj.v_values).max()),
-        )
-    return worst
+    return _nijenhuis_worst(ctx.metric(idx))
 
 
 def _r_nijenhuis_detects(ctx, idx, pt):
@@ -439,17 +430,7 @@ def _r_nijenhuis_detects(ctx, idx, pt):
     perturbed = DeformationParams(alpha=base.alpha, beta=base.beta, v=v0 + 0.1)
     if not tube_predicate(ctx.structure, perturbed)(pt):
         raise SkipPoint
-    g = ctx.geometry(idx)
-    m = BundleMetric(g, perturbed)
-    worst = 0.0
-    for pair in _nij_pairs(g.n):
-        nj = nijenhuis(ctx.structure, pt, perturbed, pair, geom=g, metric=m)
-        worst = max(
-            worst,
-            float(np.abs(nj.h_values).max()),
-            float(np.abs(nj.v_values).max()),
-        )
-    return worst
+    return _nijenhuis_worst(BundleMetric(ctx.geometry(idx), perturbed))
 
 
 # ---------------------------------------------------------------------------

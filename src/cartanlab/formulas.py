@@ -187,6 +187,7 @@ INDEX: Mapping[str, FormulaEntry] = {
         "- [X, Y]; vanishes (integrability) iff v = -c alpha beta^2 with c "
         "the constant of the vv-curvature shape; any other profile leaves "
         "a detectable defect.",
+        "kahler.nijenhuis_table (four geometry.lie_brackets tables) / "
         "kahler.nijenhuis / kahler.integrability_defect",
     ),
     # --------------------------------------------------------- Levi-Civita
@@ -194,14 +195,16 @@ INDEX: Mapping[str, FormulaEntry] = {
         "Koszul formula 2 G(nabla_X Y, Z) = X G(Y,Z) + Y G(X,Z) - Z G(X,Y) "
         "+ G([X,Y], Z) - G([X,Z], Y) - G([Y,Z], X) on adapted frame "
         "fields; the independent oracle for the closed connection blocks.",
-        "levicivita.koszul_oracle",
+        "levicivita.koszul_oracle (brackets from "
+        "geometry.PointGeometry.basis_brackets) / geometry.lie_brackets",
     ),
     "connection-blocks": FormulaEntry(
         "Closed-form Levi-Civita blocks of the bundle metric in the "
         "adapted frame: nabla_{F_i} F_j = H[i,j,s] delta_s + V[i,j,s] "
         "dot^s with H, V built from C, L, B, G and the constant c; "
         "torsion-free and metric-compatible.",
-        "levicivita.lc_closed_form / levicivita.connection_defects",
+        "levicivita.lc_closed_form / levicivita.LCConnection.table / "
+        "levicivita.connection_defects / geometry.PointGeometry.basis_brackets",
     ),
     "curvature-defn": FormulaEntry(
         "Curvature by definition: K(X, Y)Z = nabla_X nabla_Y Z - nabla_Y "

@@ -19,8 +19,11 @@ Order bookkeeping from one order-5 jet of K^2:
 so every downstream value is exact to roundoff.
 
 `FrameVector` represents vector fields on the slit bundle in the adapted frame
-(h^i delta_i + v_i pdot^i) with one (2n,) jet of coefficient functions, and
-computes Lie brackets by passing through the coordinate frame.  The adapted
+(h^i delta_i + v_i pdot^i) with one (2n,) jet of coefficient functions.
+`lie_brackets` takes two stacks of such fields and returns every Lie bracket
+between them as one jet, passing through the coordinate frame;
+`FrameVector.bracket` is its one-by-one case, and `PointGeometry` keeps the
+table [F_a, F_b] of the adapted basis (`basis_brackets`).  The adapted
 basis is addressed by frame slots `(kind, index)`, kind "h" for delta_i and
 "v" for pdot^i: `frame_slots(n)` lists them in basis order, `slot_index`
 validates one, and `FrameVector.basis` / `FrameVector.slot` build the fields.
@@ -38,6 +41,7 @@ from .jets import Jet, contract, invert, jet_eval, stack
 __all__ = [
     "PointGeometry",
     "FrameVector",
+    "lie_brackets",
     "frame_slots",
     "slot_index",
     "jet_mat_inv",
@@ -224,6 +228,19 @@ class PointGeometry:
         to_adapted[:n, n:] = -nn.c
         return Jet(2 * n, nn.order, to_coords), Jet(2 * n, nn.order, to_adapted)
 
+    @cached_property
+    def basis_jets(self) -> Jet:
+        """The adapted basis as constant fields: row a holds the adapted
+        components of F_a.  Shared by every basis `FrameVector`, so read-only."""
+        out = Jet.constant(np.eye(2 * self.n), 2 * self.n, self.order - 2)
+        out.c.setflags(write=False)
+        return out
+
+    @cached_property
+    def basis_brackets(self):
+        """[F_a, F_b] over the adapted basis: adapted components at [a, b, :]."""
+        return lie_brackets(self, self.basis_jets, self.basis_jets).value
+
     # ---- Berwald coefficients and Landsberg family
 
     @cached_property
@@ -336,6 +353,22 @@ class PointGeometry:
         return partial + self.N @ self.dln_sqrtg_v
 
 
+def lie_brackets(geom: PointGeometry, xs: Jet, ys: Jet) -> Jet:
+    """Every Lie bracket [X_a, Y_b] of two stacks of adapted-frame fields.
+
+    ``xs`` (m1, 2n) and ``ys`` (m2, 2n) hold adapted components, one field
+    per row; the result (m1, m2, 2n) holds the adapted components of
+    [X_a, Y_b] at [a, b, :].  The fields pass to the coordinate frame
+    (partial_i, pdot^i), where the bracket is X(Y) - Y(X), and back.
+    """
+    to_coords, to_adapted = geom.frame_jets
+    chart = range(2 * geom.n)
+    a = contract("xu,uv->xv", xs, to_coords)
+    b = contract("yu,uv->yv", ys, to_coords)
+    z = contract("xu,yvu->xyv", a, b.derivs(chart)) - contract("yu,xvu->xyv", b, a.derivs(chart))
+    return contract("xyv,va->xya", z, to_adapted)
+
+
 def frame_slots(n: int) -> list:
     """The adapted basis (delta_1..delta_n, pdot^1..pdot^n) as frame slots."""
     return [("h", i) for i in range(n)] + [("v", i) for i in range(n)]
@@ -380,16 +413,12 @@ class FrameVector:
     @classmethod
     def basis(cls, geom: PointGeometry) -> list:
         """The 2n adapted basis fields, in the order of `frame_slots`."""
-        dim = 2 * geom.n
-        eye = Jet.constant(np.eye(dim), dim, geom.order - 2)
-        return [cls._of(geom, eye[a]) for a in range(dim)]
+        return [cls._of(geom, geom.basis_jets[a]) for a in range(2 * geom.n)]
 
     @classmethod
     def slot(cls, geom: PointGeometry, slot) -> "FrameVector":
         """The adapted basis field of one frame slot."""
-        dim = 2 * geom.n
-        unit = np.eye(dim)[slot_index(slot, geom.n)]
-        return cls._of(geom, Jet.constant(unit, dim, geom.order - 2))
+        return cls._of(geom, geom.basis_jets[slot_index(slot, geom.n)])
 
     @classmethod
     def zero(cls, geom):
@@ -432,13 +461,7 @@ class FrameVector:
     def scale(self, factor):
         return FrameVector._of(self.geom, self.w * factor)
 
-    def coord_coeffs(self) -> Jet:
-        """Components in the coordinate frame (partial_i, pdot^i), as a (2n,) jet."""
-        return contract("a,av->v", self.w, self.geom.frame_jets[0])
-
     def bracket(self, other: "FrameVector") -> "FrameVector":
-        """Lie bracket [X, Y], computed in the coordinate frame."""
-        chart = range(2 * self.geom.n)
-        a, b = self.coord_coeffs(), other.coord_coeffs()
-        z = contract("u,vu->v", a, b.derivs(chart)) - contract("u,vu->v", b, a.derivs(chart))
-        return FrameVector._of(self.geom, contract("v,va->a", z, self.geom.frame_jets[1]))
+        """Lie bracket [X, Y]: the one-by-one case of `lie_brackets`."""
+        one = lie_brackets(self.geom, self.w[None], other.w[None])[0, 0]
+        return FrameVector._of(self.geom, one)

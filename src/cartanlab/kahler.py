@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .geometry import FrameVector, PointGeometry
+from .geometry import FrameVector, PointGeometry, lie_brackets, slot_index
 from .jets import ChartPoint, Jet, contract
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "fundamental_form",
     "theta_matrix",
     "nijenhuis",
+    "nijenhuis_table",
     "integrability_defect",
     "tube_predicate",
 ]
@@ -142,9 +143,16 @@ class BundleMetric:
         self.G_up_jets = up
         self.G_down = down.value
         self.G_up = up.value
-        #: per-point tables that other modules derive from this metric (the
-        #: Koszul frame tables, the curvature ingredients), built on first use
+        #: per-point tables derived from this metric (the Nijenhuis table,
+        #: the Koszul frame tables, the curvature blocks), built on first use
         self.derived: dict = {}
+
+    def derive(self, key: str, build):
+        """The per-point table ``key`` in `derived`, built by its first user."""
+        got = self.derived.get(key)
+        if got is None:
+            got = self.derived[key] = build()
+        return got
 
     @property
     def n(self):
@@ -217,6 +225,28 @@ def theta_matrix(m: BundleMetric) -> np.ndarray:
     return np.array([[m.inner(x, y) for y in jb] for x in basis])
 
 
+def nijenhuis_table(m: BundleMetric) -> np.ndarray:
+    """N_J(F_a, F_b) = [JF_a, JF_b] - J[JF_a, F_b] - J[F_a, JF_b] - [F_a, F_b]
+    over the adapted basis, adapted components at [a, b, :]: four batched
+    `geometry.lie_brackets` of the basis and its J-image.  Built once per
+    metric; the array is read-only.
+    """
+
+    def build():
+        geom, jb = m.geom, m.complex_jets  # row a of jb: J(F_a)
+        j = jb.value
+        out = (
+            lie_brackets(geom, jb, jb).value
+            - lie_brackets(geom, jb, geom.basis_jets).value @ j
+            - lie_brackets(geom, geom.basis_jets, jb).value @ j
+            - geom.basis_brackets
+        )
+        out.setflags(write=False)
+        return out
+
+    return m.derive("nijenhuis", build)
+
+
 def nijenhuis(
     s,
     at: ChartPoint,
@@ -228,20 +258,14 @@ def nijenhuis(
     """Nijenhuis tensor N_J(X, Y) on a pair of adapted frame fields.
 
     pair is two (kind, index) tuples with kind 'h' for delta_i and 'v' for
-    pdot^i.  Computed from Lie brackets of the J-images; the brackets are
-    evaluated on exact jet coefficients.
+    pdot^i.  Read from the metric's `nijenhuis_table`.
     """
-    geom = geom if geom is not None else PointGeometry(s, at)
-    m = metric if metric is not None else BundleMetric(geom, params)
-    x = FrameVector.slot(geom, pair[0])
-    y = FrameVector.slot(geom, pair[1])
-    jx = almost_complex(m, x)
-    jy = almost_complex(m, y)
-    t1 = jx.bracket(jy)
-    t2 = almost_complex(m, jx.bracket(y))
-    t3 = almost_complex(m, x.bracket(jy))
-    t4 = x.bracket(y)
-    return t1 - t2 - t3 - t4
+    if metric is None:
+        metric = BundleMetric(geom if geom is not None else PointGeometry(s, at), params)
+    n = metric.n
+    a, b = (slot_index(sl, n) for sl in pair)
+    w = nijenhuis_table(metric)[a, b]
+    return FrameVector(metric.geom, w[:n], w[n:])
 
 
 def integrability_defect(
@@ -260,27 +284,19 @@ def integrability_defect(
     """
     geom = geom if geom is not None else PointGeometry(s, at)
     m = BundleMetric(geom, params)
-    n = geom.n
-    bv = geom.B
-    gd = geom.g_down
-    Gd = m.G_down
-    dG = np.einsum("jki->ijk", geom.delta(m.G_down_jets).value)  # delta_i G_jk
-    dg = np.einsum("jki->ijk", geom.delta(geom.g_down_jets).value)
-    a_res = 0.0
-    a_res_g = 0.0
-    for k in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                corr = sum(Gd[i, r] * bv[r, j, k] - Gd[j, r] * bv[r, i, k] for r in range(n))
-                corr_g = sum(gd[i, r] * bv[r, j, k] - gd[j, r] * bv[r, i, k] for r in range(n))
-                a_res = max(a_res, abs(dG[i, j, k] - dG[j, i, k] + corr))
-                a_res_g = max(a_res_g, abs(dg[i, j, k] - dg[j, i, k] + corr_g))
+
+    def anti_res(metric: Jet) -> float:
+        # delta_i M_jk + M_ir B^r_jk at [i, j, k], antisymmetrized over i < j
+        t = np.einsum("jki->ijk", geom.delta(metric).value)
+        t += np.einsum("ir,rjk->ijk", metric.value, geom.B)
+        i, j = np.triu_indices(geom.n, 1)
+        return float(np.abs(t[i, j] - t[j, i]).max(initial=0.0))
+
+    gd, p = geom.g_down, at.p
     c = params.c_at(geom.tau)
-    p = at.p
-    r_res = 0.0
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                want = c * (gd[j, k] * p[i] - gd[i, k] * p[j])
-                r_res = max(r_res, abs(geom.R_vv[k, i, j] - want))
-    return IntegrabilityDefect(A_res=a_res, R_res=r_res, A_res_g=a_res_g)
+    want = c * (np.einsum("jk,i->kij", gd, p) - np.einsum("ik,j->kij", gd, p))
+    return IntegrabilityDefect(
+        A_res=anti_res(m.G_down_jets),
+        R_res=float(np.abs(geom.R_vv - want).max()),
+        A_res_g=anti_res(geom.g_down_jets),
+    )

@@ -9,14 +9,18 @@ Routes kept deliberately separate:
 * ``koszul_oracle`` re-derives any connection value from the six-term Koszul
   formula using finite-difference frame derivatives of the metric components
   and measured frame brackets; it shares no algebra with the closed forms.
-  Its per-point tables are built by the first call at a point and kept on
-  the ``BundleMetric``: the G-pairings of all (2n)^2 frame brackets
-  [F_a, F_b], each computed by ``FrameVector.bracket`` and never quoted from
-  B or R_vv; the frame derivatives F_a(G(F_b, F_c)), from one
+  The first call at a point solves it for every slot pair at once and keeps
+  the table of nabla_{F_x} F_y on the ``BundleMetric``; each call then only
+  reads its slot pair.  The ingredients: the G-pairings of the basis bracket
+  table [F_a, F_b] (``PointGeometry.basis_brackets``, one
+  ``geometry.lie_brackets`` build through the coordinate frame, never quoted
+  from B or R_vv); the frame derivatives F_a(G(F_b, F_c)), from one
   ``jets.fd_partial`` (a Richardson-extrapolated central difference) of the
   whole 2n x 2n metric per chart variable; and the inverse Gram matrix.
-  Each slot pair then only assembles the six Koszul terms from those
-  tables.
+* ``connection_defects`` measures the torsion and the metric compatibility
+  of the closed connection as whole-array expressions of its table
+  (``LCConnection.table``), the same basis bracket table and the Gram
+  matrix.
 * ``curvature_closed`` evaluates the six closed curvature blocks, each an
   ``np.einsum`` expression over the point values of C, L, B, R, P, G and the
   covariant derivatives of C and L.  All six are built together by the
@@ -46,7 +50,7 @@ import numpy as np
 
 from .berwald import DTensor
 from .errors import ValenceError
-from .geometry import FrameVector, PointGeometry, frame_slots, slot_index
+from .geometry import FrameVector, PointGeometry, slot_index
 from .jets import ChartPoint, contract, fd_partial, invert
 from .kahler import BundleMetric, DeformationParams
 
@@ -97,6 +101,13 @@ class LCConnection:
     c_eff: float
     at: ChartPoint
 
+    def table(self) -> np.ndarray:
+        """All four blocks as one array over the adapted basis: the adapted
+        components of nabla_{F_a} F_b at [a, b, :]."""
+        blocks = ((self.h_h, self.h_v), (self.v_h, self.v_v))
+        rows = [np.concatenate([np.concatenate([b.h, b.v], -1) for b in row], 1) for row in blocks]
+        return np.concatenate(rows, 0)
+
     def block(self, direction_kind: str, argument_kind: str) -> LCBlock:
         try:
             return getattr(self, f"{direction_kind}_{argument_kind}")
@@ -112,14 +123,6 @@ def _prepare(s, at, params, geom, metric):
     if metric is None:
         metric = BundleMetric(geom, params)
     return geom, metric
-
-
-def _derived(metric: BundleMetric, key: str, build):
-    """A per-point table kept on the metric, built by its first user."""
-    got = metric.derived.get(key)
-    if got is None:
-        got = metric.derived[key] = build()
-    return got
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +189,16 @@ def lc_closed_form(
 # Koszul oracle
 
 
+def _gram(metric: BundleMetric) -> np.ndarray:
+    """G(F_a, F_b) over the adapted basis: the block-diagonal 2n x 2n matrix
+    of G_ij and G^ij."""
+    n = metric.n
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, :n] = metric.G_down
+    out[n:, n:] = metric.G_up
+    return out
+
+
 class MetricStencil:
     """Bundle-metric components at shifted chart points, cached per offset."""
 
@@ -203,14 +216,8 @@ class MetricStencil:
         return m
 
     def frame_matrix(self, pt: ChartPoint) -> np.ndarray:
-        """G(F_a, F_b)(pt) over the adapted basis: the block-diagonal 2n x 2n
-        matrix of G_ij and G^ij."""
-        m = self.metric_at(pt)
-        n = pt.n
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = m.G_down
-        out[n:, n:] = m.G_up
-        return out
+        """G(F_a, F_b)(pt) over the adapted basis."""
+        return _gram(self.metric_at(pt))
 
 
 def _frame_derivative_fd(partials, geom: PointGeometry, a: int):
@@ -227,31 +234,27 @@ def _frame_derivative_fd(partials, geom: PointGeometry, a: int):
     return out
 
 
-class _KoszulTables:
-    """Koszul ingredients at one point over the adapted basis F_a.
+def _koszul_table(geom: PointGeometry, metric: BundleMetric, stencil: MetricStencil):
+    """nabla_{F_x} F_y over the adapted basis, adapted components at
+    [x, y, :], solved from the six Koszul terms for all slot pairs at once.
 
-    ``dG[a, b, c] = F_a(G(F_b, F_c))``, by finite differences of the metric
-    over the stencil; ``bracket_G[a, b, c] = G([F_a, F_b], F_c)``, every
-    bracket computed by ``FrameVector.bracket``; ``gram_inv`` inverts the
-    Gram matrix G(F_a, F_b).
+    ``dG[a, b, c] = F_a(G(F_b, F_c))`` comes from finite differences of the
+    metric over the stencil, ``bG[a, b, c] = G([F_a, F_b], F_c)`` from the
+    basis bracket table ``PointGeometry.basis_brackets``.  The array is
+    read-only.
     """
-
-    def __init__(self, geom: PointGeometry, metric: BundleMetric, stencil: MetricStencil):
-        dim = 2 * geom.n
-        partials = [fd_partial(stencil.frame_matrix, geom.at, var) for var in range(dim)]
-        self.dG = np.array([_frame_derivative_fd(partials, geom, a) for a in range(dim)])
-        basis = FrameVector.basis(geom)
-        self.bracket_G = np.empty((dim, dim, dim))
-        for a in range(dim):
-            for b in range(dim):
-                br = basis[a].bracket(basis[b])
-                for c in range(dim):
-                    self.bracket_G[a, b, c] = metric.inner(br, basis[c])
-        gram = np.empty((dim, dim))
-        for a in range(dim):
-            for b in range(a, dim):
-                gram[a, b] = gram[b, a] = metric.inner(basis[a], basis[b])
-        self.gram_inv = invert(gram)
+    dim = 2 * geom.n
+    partials = [fd_partial(stencil.frame_matrix, geom.at, var) for var in range(dim)]
+    dG = np.array([_frame_derivative_fd(partials, geom, a) for a in range(dim)])
+    gram = _gram(metric)
+    bG = geom.basis_brackets @ gram
+    # 2 G(nabla_{F_x} F_y, F_z) at [x, y, z]
+    rhs = dG + np.einsum("yxz->xyz", dG) - np.einsum("zxy->xyz", dG) + bG
+    rhs -= np.einsum("xzy->xyz", bG)
+    rhs -= np.einsum("yzx->xyz", bG)
+    out = np.einsum("ab,xyb->xya", invert(gram), 0.5 * rhs)
+    out.setflags(write=False)
+    return out
 
 
 def koszul_oracle(
@@ -267,26 +270,19 @@ def koszul_oracle(
     """nabla_X Y from the six-term Koszul formula, for adapted-frame X, Y.
 
     Frame derivatives of the metric components are plain central differences
-    (Richardson extrapolated); brackets are computed by
-    ``FrameVector.bracket``, not quoted from B or R_vv.  The first call at a
-    point builds the per-point tables (all (2n)^2 brackets paired with the
-    basis, the frame derivatives of the whole metric, the inverse Gram
-    matrix) and keeps them on ``metric``; later calls with the same metric
-    only assemble the six terms.  Raises a conditioning error if the frame
+    (Richardson extrapolated); brackets come from the basis bracket table
+    (``geometry.lie_brackets``), not quoted from B or R_vv.  The first call
+    at a point solves the Koszul formula for every slot pair at once and
+    keeps the solved table on ``metric``; later calls with the same metric
+    only read their slot pair.  Raises a conditioning error if the frame
     Gram matrix is numerically singular.
     """
     geom, metric = _prepare(s, at, params, geom, metric)
     if stencil is None:
         stencil = MetricStencil(s, params)
-    t = _derived(metric, "koszul", lambda: _KoszulTables(geom, metric, stencil))
+    table = metric.derive("koszul", lambda: _koszul_table(geom, metric, stencil))
     n = geom.n
-    x, y = slot_index(x_slot, n), slot_index(y_slot, n)
-    # the six Koszul terms against every basis field Z at once
-    rhs = (
-        t.dG[x, y] + t.dG[y, x] - t.dG[:, x, y]
-        + t.bracket_G[x, y] - t.bracket_G[x, :, y] - t.bracket_G[y, :, x]
-    )
-    coef = t.gram_inv @ (0.5 * rhs)
+    coef = table[slot_index(x_slot, n), slot_index(y_slot, n)]
     return FrameVector(geom, coef[:n], coef[n:])
 
 
@@ -303,42 +299,30 @@ def connection_defects(
 ):
     """(torsion, compatibility) residuals of the closed-form connection.
 
-    Torsion uses computed frame brackets; compatibility compares exact frame
-    derivatives of the metric components with the connection contraction.
-    Both vanish exactly when the horizontal curvature matches the
-    constant-curvature form for the effective constant.
+    Torsion nabla_{F_a} F_b - nabla_{F_b} F_a - [F_a, F_b] reads the basis
+    bracket table; compatibility compares exact frame derivatives of the
+    metric components with G(nabla_{F_x} F_b, F_c) + G(F_b, nabla_{F_x} F_c).
+    Both are whole-array expressions over the slot pairs (a < b for torsion,
+    b <= c for compatibility).  Both vanish exactly when the horizontal
+    curvature matches the constant-curvature form for the effective constant.
     """
     geom, metric = _prepare(s, at, params, geom, metric)
     n = geom.n
     dim = 2 * n
-    conn = lc_closed_form(s, at, params, geom, metric)
-    slots = frame_slots(n)
-    basis = FrameVector.basis(geom)
+    nabla = lc_closed_form(s, at, params, geom, metric).table()
 
-    def nabla(a, b) -> FrameVector:
-        (ka, ia), (kb, ib) = slots[a], slots[b]
-        blk = conn.block(ka, kb)
-        return FrameVector(geom, blk.h[ia, ib], blk.v[ia, ib])
-
-    torsion = 0.0
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            t = nabla(a, b) - nabla(b, a) - basis[a].bracket(basis[b])
-            torsion = max(torsion, np.max(np.abs(t.h_values)), np.max(np.abs(t.v_values)))
+    a, b = np.triu_indices(dim, 1)
+    torsion = nabla[a, b] - nabla[b, a] - geom.basis_brackets[a, b]
 
     # exact F_a(G(F_b, F_c)) at [a, b, c]; the mixed h-v blocks of G vanish
     dmetric = np.zeros((dim, dim, dim))
     for block, jets in ((slice(0, n), metric.G_down_jets), (slice(n, dim), metric.G_up_jets)):
         dmetric[:n, block, block] = np.einsum("bca->abc", geom.delta(jets).value)
         dmetric[n:, block, block] = np.einsum("bca->abc", jets.derivs(geom.pvars).value)
-
-    compat = 0.0
-    for x in range(dim):
-        for b in range(dim):
-            for c in range(b, dim):
-                rhs = metric.inner(nabla(x, b), basis[c]) + metric.inner(basis[b], nabla(x, c))
-                compat = max(compat, abs(dmetric[x, b, c] - rhs))
-    return torsion, compat
+    paired = nabla @ _gram(metric)  # G(nabla_{F_x} F_b, F_c) at [x, b, c]
+    b, c = np.triu_indices(dim)
+    compat = dmetric[:, b, c] - paired[:, b, c] - paired[:, c, b]
+    return float(np.abs(torsion).max()), float(np.abs(compat).max())
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +449,7 @@ def _closed_blocks(w: _Ingredients) -> dict:
 
 def _blocks(geom: PointGeometry, metric: BundleMetric) -> dict:
     """All six closed blocks at the metric's point, built once per metric."""
-    return _derived(metric, "blocks", lambda: _closed_blocks(_Ingredients(geom, metric)))
+    return metric.derive("blocks", lambda: _closed_blocks(_Ingredients(geom, metric)))
 
 
 def curvature_closed(
@@ -703,7 +687,7 @@ def ricci(
     and defect = max componentwise residual over all four blocks.  Built
     once per metric; its arrays are read-only."""
     geom, metric = _prepare(s, at, params, geom, metric)
-    return _derived(metric, "ricci", lambda: _ricci_data(metric, _blocks(geom, metric)))
+    return metric.derive("ricci", lambda: _ricci_data(metric, _blocks(geom, metric)))
 
 
 def vertical_ricci_obstruction(

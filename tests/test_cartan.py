@@ -17,7 +17,8 @@ from cartanlab.cartan import (
     riemannian_dual,
     sample_points,
 )
-from cartanlab.errors import RegularityError
+from cartanlab import cartan
+from cartanlab.errors import ConditioningError, RegularityError
 from cartanlab.geometry import PointGeometry
 from cartanlab.jets import ChartPoint
 
@@ -122,6 +123,38 @@ def test_flat_fundamental_values():
 
 # ---------------------------------------------------------------------------
 # Randers family
+
+
+def test_constant_base_metric_is_inverted_once(monkeypatch):
+    calls = []
+    real = cartan.invert
+
+    def counted(m):
+        calls.append(1)
+        return real(m)
+
+    monkeypatch.setattr(cartan, "invert", counted)
+    a = np.array([[2.0, 0.3], [0.3, 1.0]])
+    want = np.linalg.inv(a)
+    for s in (riemannian_dual(a, n=2), randers_dual(a, np.array([0.2, 0.1]), n=2)):
+        calls.clear()
+        a[0, 0] = 50.0  # the structure keeps its own copy
+        for x, p in (([0.1, 0.2], [0.8, -0.3]), ([-0.4, 0.3], [0.2, 1.1])):
+            PointGeometry(s, _pt(x, p)).k2
+            s.k2_values(np.array(x), np.array(p))
+        assert len(calls) == 1
+        a[0, 0] = 2.0
+    p = np.array([0.8, -0.3])
+    assert riemannian_dual(a, n=2).k2_values(np.zeros(2), p) == pytest.approx(p @ want @ p, rel=1e-14)
+
+
+def test_singular_constant_base_metric_fails_at_every_evaluation():
+    s = riemannian_dual(np.ones((2, 2)), n=2)  # construction does not invert
+    for _ in range(2):
+        with pytest.raises(ConditioningError):
+            s.k2_values(np.zeros(2), np.array([1.0, 0.5]))
+        with pytest.raises(ConditioningError):
+            PointGeometry(s, _pt([0.0, 0.0], [1.0, 0.5])).k2
 
 
 def test_randers_zero_drift_matches_riemannian():

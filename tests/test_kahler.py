@@ -20,6 +20,7 @@ from cartanlab.kahler import (
     fundamental_form,
     integrability_defect,
     nijenhuis,
+    nijenhuis_table,
     theta_matrix,
     tube_predicate,
 )
@@ -129,6 +130,32 @@ def test_frame_bracket_relations():
             np.testing.assert_allclose(br.v_values, 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "s, at",
+    [
+        (general_randers(3), pt([0.2, -0.3, 0.1], [1.0, 0.6, -0.4])),
+        (conformal_structure(4, -1.0), pt([0.3, -0.2, 0.1, 0.25], [0.7, -0.5, 0.4, 0.6])),
+    ],
+    ids=["randers-curved-3d", "conformal-4d"],
+)
+def test_basis_bracket_table_relations(s, at):
+    geom = PointGeometry(s, at)
+    n = geom.n
+    h, v = slice(0, n), slice(n, 2 * n)
+    br = geom.basis_brackets  # [F_a, F_b] at [a, b, :]
+    if s.label.startswith("randers"):
+        assert np.abs(geom.L_uud).max() > 1e-3  # a non-Landsberg point
+    # every bracket of the adapted basis is vertical
+    np.testing.assert_allclose(br[:, :, h], 0.0, atol=1e-12)
+    # [delta_i, delta_j] = R_kij pdot^k
+    np.testing.assert_allclose(br[h, h, v], np.einsum("kij->ijk", geom.R_vv), atol=1e-12)
+    # [delta_i, pdot^j] = -B^j_ik pdot^k and [pdot^i, delta_j] = B^i_jk pdot^k
+    np.testing.assert_allclose(br[h, v, v], -np.einsum("jik->ijk", geom.B), atol=1e-12)
+    np.testing.assert_allclose(br[v, h, v], geom.B, atol=1e-12)
+    # [pdot^i, pdot^j] = 0
+    np.testing.assert_allclose(br[v, v, v], 0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # almost complex structure
 
@@ -213,6 +240,30 @@ def test_theta_is_canonical_and_params_independent():
 def _nij_norm(s, at, params, pair, geom=None, metric=None):
     njv = nijenhuis(s, at, params, pair, geom=geom, metric=metric)
     return max(np.max(np.abs(njv.h_values)), np.max(np.abs(njv.v_values)))
+
+
+@pytest.mark.parametrize("c_params", [-1.0, 2.0], ids=["matching", "mismatched"])
+def test_nijenhuis_table_matches_single_brackets(c_params):
+    s = conformal_structure(3, -1.0)
+    params = DeformationParams(alpha=1.3, beta=0.8, c=c_params)
+    at = _sample(s, params, 1, 43)[0]
+    m = BundleMetric(PointGeometry(s, at), params)
+    table = nijenhuis_table(m)
+    assert not table.flags.writeable
+    basis = FrameVector.basis(m.geom)
+    worst = 0.0
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            x, y = basis[a], basis[b]
+            jx, jy = almost_complex(m, x), almost_complex(m, y)
+            want = (
+                jx.bracket(jy) - almost_complex(m, jx.bracket(y))
+                - almost_complex(m, x.bracket(jy)) - x.bracket(y)
+            )
+            np.testing.assert_allclose(table[a, b], want.w.value, rtol=0.0, atol=1e-12)
+            worst = max(worst, np.abs(want.w.value).max())
+    if c_params != -1.0:
+        assert worst > 1e-2  # the comparison is not between two zeros
 
 
 def test_vertical_pair_vanishes_when_integrable():

@@ -1,15 +1,17 @@
 """Connection, curvature, and Einstein analysis of the bundle metric."""
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cartanlab import levicivita
+from cartanlab import checks, geometry, levicivita
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual
 from cartanlab.checks import run_suite
 from cartanlab.errors import ValenceError
 from cartanlab.geometry import FrameVector, PointGeometry, slot_index
+from cartanlab.jets import Jet
 from cartanlab.kahler import BundleMetric, DeformationParams, tube_predicate
 from cartanlab.levicivita import (
     CURVATURE_BLOCKS,
@@ -441,9 +443,9 @@ def test_curvature_ingredients_shared_match_fresh():
 
 
 def test_each_ingredient_built_once_per_point(monkeypatch):
-    counts = {"ingredients": 0, "brackets": 0, "blocks": 0, "ricci": 0}
+    counts = {"ingredients": 0, "bracket_tables": 0, "blocks": 0, "ricci": 0}
     ingredients_init = levicivita._Ingredients.__init__
-    bracket = levicivita.FrameVector.bracket
+    brackets = geometry.lie_brackets
     for name, key in (("_closed_blocks", "blocks"), ("_ricci_data", "ricci")):
         def counted(*args, _build=getattr(levicivita, name), _key=key):
             counts[_key] += 1
@@ -455,12 +457,12 @@ def test_each_ingredient_built_once_per_point(monkeypatch):
         counts["ingredients"] += 1
         ingredients_init(self, *args)
 
-    def counted_bracket(self, other):
-        counts["brackets"] += 1
-        return bracket(self, other)
+    def counted_brackets(*args):
+        counts["bracket_tables"] += 1
+        return brackets(*args)
 
     monkeypatch.setattr(levicivita._Ingredients, "__init__", counted_ingredients)
-    monkeypatch.setattr(levicivita.FrameVector, "bracket", counted_bracket)
+    monkeypatch.setattr(geometry, "lie_brackets", counted_brackets)
     n, points = 2, 2
     manifest = parse_manifest(json.dumps({
         "structures": [{"family": "riemannian_conformal", "n": n, "c": -1.0}],
@@ -469,6 +471,7 @@ def test_each_ingredient_built_once_per_point(monkeypatch):
     }))
     only = (
         "levicivita.koszul_agreement",
+        "levicivita.torsion_free",
         "levicivita.curvature_blocks_universal",
         "levicivita.curvature_blocks_paired",
         "levicivita.einstein_obstruction_identity",
@@ -478,7 +481,7 @@ def test_each_ingredient_built_once_per_point(monkeypatch):
     assert report["summary"] == {"total": len(only) * points, "passed": len(only) * points, "failed": 0}
     assert counts == {
         "ingredients": points,
-        "brackets": points * (2 * n) ** 2,
+        "bracket_tables": points,
         "blocks": points,
         "ricci": points,
     }
@@ -508,6 +511,51 @@ def test_cached_koszul_tables_still_detect_mismatch():
             )
     # measured 0.481 here, 4.8e3 times the koszul_agreement tolerance of 1e-4
     assert worst >= 0.4, f"mismatch only {worst}"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_planted_connection_defect_seen_for_every_slot_pair(n, monkeypatch):
+    # 1e-6 added to one entry of the closed table, nabla_{F_a} F_b gaining
+    # 1e-6 F_b, must reach the torsion, compatibility and Koszul residuals for
+    # every ordered slot pair: a mask or transpose slip in the whole-table
+    # maxima would drop a pair.  Torsion is antisymmetric, so it cannot see
+    # a pair with a == b.
+    s = conformal_structure(n, -1.0)
+    params = DeformationParams(c=-1.0)
+    at = _sample_points(s, params, n, 1, seed=5)[0]
+    geom = PointGeometry(s, at)
+    metric = BundleMetric(geom, params)
+    stencil = MetricStencil(s, params)
+    ctx = SimpleNamespace(
+        structure=s,
+        params=params,
+        geometry=lambda idx: geom,
+        metric=lambda idx: metric,
+        stencil=lambda: stencil,
+        connection=lambda idx: lc_closed_form(s, at, params, geom, metric),
+        defects=lambda idx: connection_defects(s, at, params, geom=geom, metric=metric),
+    )
+    clean = levicivita._connection_jet_tables
+    planted = []
+
+    def plant(g, m):
+        tables, c = clean(g, m)
+        (ka, ia), (kb, ib) = planted[-1]
+        pair = list(tables[f"{ka}_{kb}"])
+        t = pair[kb == "v"]
+        coeffs = t.c.copy()
+        coeffs[ia, ib, ib, 0] += 1e-6
+        pair[kb == "v"] = Jet(t.nvars, t.order, coeffs)
+        return {**tables, f"{ka}_{kb}": tuple(pair)}, c
+
+    monkeypatch.setattr(levicivita, "_connection_jet_tables", plant)
+    for xs in _slots(n):
+        for ys in _slots(n):
+            planted.append((xs, ys))
+            if xs != ys:
+                assert checks._r_torsion(ctx, 0, at) >= 5e-7, (xs, ys)
+            assert checks._r_metric_compat(ctx, 0, at) >= 5e-7, (xs, ys)
+            assert checks._r_koszul(ctx, 0, at) >= 5e-7, (xs, ys)
 
 
 def test_koszul_rejects_bad_slots():
