@@ -12,7 +12,9 @@ point.  Checks come in two scopes:
 Points are rejection-sampled per scope from a deterministic seed stream
 derived from the manifest seed, so two runs of the same manifest emit
 identical reports.  Per-point evaluation errors are recorded as failing
-records with ``residual: null``; they never abort the suite.
+records with ``residual: null`` and an ``error`` naming the exception; they
+never abort the suite.  The report (``cartanlab-report-v2``) keeps each
+scope's points once, in ``points[tag]``; records refer to them by index.
 
 Applicability gating (resolved empirically; see the formula index):
 
@@ -36,6 +38,8 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,7 +60,6 @@ from .jets import ChartPoint, fd_derivative, jet_eval
 from .kahler import (
     BundleMetric,
     DeformationParams,
-    almost_complex,
     nijenhuis_table,
     theta_matrix,
     tube_predicate,
@@ -94,23 +97,25 @@ class SkipPoint(Exception):
 @dataclass(frozen=True)
 class CheckRecord:
     check_id: str
-    anchor: str
     structure: str
-    point: Optional[dict]
+    index: int  # into the scope's point table
     residual: Optional[float]
     tolerance: float
     passed: bool
+    error: Optional[str] = None  # "<Class>: <message>" when residual is None
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "check_id": self.check_id,
-            "anchor": self.anchor,
             "structure": self.structure,
-            "point": self.point,
+            "point": {"index": self.index},
             "residual": self.residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
 @dataclass(frozen=True)
@@ -169,9 +174,6 @@ class CheckContext:
 
     def metric(self, idx) -> BundleMetric:
         return self._memo(("metric", idx), lambda: BundleMetric(self.geometry(idx), self.params))
-
-    def basis(self, idx):
-        return self._memo(("basis", idx), lambda: FrameVector.basis(self.geometry(idx)))
 
     def stencil(self) -> MetricStencil:
         return self._memo(("stencil",), lambda: MetricStencil(self.structure, self.params))
@@ -372,27 +374,16 @@ def _r_r_contraction(ctx, idx, pt):
 
 
 def _r_j_squared(ctx, idx, pt):
-    m = ctx.metric(idx)
-    worst = 0.0
-    for x in ctx.basis(idx):
-        jjx = almost_complex(m, almost_complex(m, x))
-        worst = max(
-            worst,
-            float(np.abs(jjx.h_values + x.h_values).max()),
-            float(np.abs(jjx.v_values + x.v_values).max()),
-        )
-    return worst
+    j = ctx.metric(idx).complex_jets.value
+    return float(np.abs(j @ j + np.eye(len(j))).max())
 
 
 def _r_hermitian(ctx, idx, pt):
+    # G(J F_a, J F_b) - G(F_a, F_b) over a <= b
     m = ctx.metric(idx)
-    basis = ctx.basis(idx)
-    jb = [almost_complex(m, b) for b in basis]
-    worst = 0.0
-    for i, x in enumerate(basis):
-        for j in range(i, len(basis)):
-            worst = max(worst, abs(m.inner(jb[i], jb[j]) - m.inner(x, basis[j])))
-    return worst
+    j, gram = m.complex_jets.value, m.gram
+    a, b = np.triu_indices(len(j))
+    return float(np.abs((j @ gram @ j.T - gram)[a, b]).max())
 
 
 def _r_theta_canonical(ctx, idx, pt):
@@ -641,8 +632,8 @@ REGISTRY = (
 )
 
 
-def _point_payload(idx: int, pt: ChartPoint) -> dict:
-    return {"index": idx, "x": [float(v) for v in pt.x], "p": [float(v) for v in pt.p]}
+def _point_payload(pt: ChartPoint) -> dict:
+    return {"x": [float(v) for v in pt.x], "p": [float(v) for v in pt.p]}
 
 
 def _run_check(spec: CheckSpec, ctx: CheckContext) -> list:
@@ -658,16 +649,42 @@ def _run_check(spec: CheckSpec, ctx: CheckContext) -> list:
             residual = float(spec.run(ctx, idx, pt))
         except SkipPoint:
             continue
-        except CartanLabError:
-            records.append(
-                CheckRecord(spec.check_id, spec.anchor, ctx.tag, _point_payload(idx, pt), None, tol, False)
-            )
+        except CartanLabError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            records.append(CheckRecord(spec.check_id, ctx.tag, idx, None, tol, False, error))
             continue
         ok = residual <= tol if spec.mode == "bound" else residual >= tol
-        records.append(
-            CheckRecord(spec.check_id, spec.anchor, ctx.tag, _point_payload(idx, pt), residual, tol, bool(ok))
-        )
+        records.append(CheckRecord(spec.check_id, ctx.tag, idx, residual, tol, bool(ok)))
     return records
+
+
+def _margin(spec: CheckSpec, record: CheckRecord) -> float:
+    """residual / tolerance (bound) or floor / residual (detection): a
+    record passes exactly when its margin is at most 1."""
+    if spec.mode == "bound":
+        return record.residual / record.tolerance
+    return record.tolerance / record.residual if record.residual > 0.0 else math.inf
+
+
+def _by_check(selected, records) -> dict:
+    """Per check id of the sorted ``records``: anchor, record counts, and
+    the residual and margin of the record closest to failing (or furthest
+    past it); a NaN margin counts as the worst."""
+    specs = {spec.check_id: spec for spec in selected}
+    out = {}
+    for cid, group in groupby(records, key=attrgetter("check_id")):
+        mine = list(group)
+        scored = [(_margin(specs[cid], r), r.residual) for r in mine if r.residual is not None]
+        worst = max(scored, key=lambda mr: (math.isnan(mr[0]), mr[0]), default=(None, None))
+        out[cid] = {
+            "anchor": specs[cid].anchor,
+            "records": len(mine),
+            "failed": sum(1 for r in mine if not r.passed),
+            "errored": len(mine) - len(scored),
+            "worst_residual": worst[1],
+            "worst_margin": worst[0],
+        }
+    return out
 
 
 def run_suite(manifest: Manifest, only=None) -> dict:
@@ -685,14 +702,23 @@ def run_suite(manifest: Manifest, only=None) -> dict:
     selected = REGISTRY if only is None else tuple(
         spec for spec in REGISTRY if spec.check_id in set(only)
     )
-    records = []
+    records, points = [], {}
+
+    def run_scope(ctx, scope):
+        got = [
+            rec
+            for spec in selected
+            if spec.scope == scope and spec.applies(ctx)
+            for rec in _run_check(spec, ctx)
+        ]
+        if got:
+            points[ctx.tag] = [_point_payload(pt) for pt in ctx.points]
+            records.extend(got)
+
     for si, (structure, config) in enumerate(
         zip(manifest.structures, manifest.structure_configs)
     ):
-        sctx = CheckContext(manifest, structure, config, si)
-        for spec in selected:
-            if spec.scope == "structure" and spec.applies(sctx):
-                records.extend(_run_check(spec, sctx))
+        run_scope(CheckContext(manifest, structure, config, si), "structure")
         if not any(spec.scope == "pair" for spec in selected):
             continue
         for pi, (params, plabel) in enumerate(
@@ -701,21 +727,21 @@ def run_suite(manifest: Manifest, only=None) -> dict:
             pctx = CheckContext(
                 manifest, structure, config, si, params=params, param_label=plabel, p_index=pi
             )
-            for spec in selected:
-                if spec.scope == "pair" and spec.applies(pctx):
-                    records.extend(_run_check(spec, pctx))
-    records.sort(key=lambda r: (r.check_id, r.structure, r.point["index"]))
+            run_scope(pctx, "pair")
+    records.sort(key=lambda r: (r.check_id, r.structure, r.index))
     passed = sum(1 for r in records if r.passed)
     report = {
         "summary": {
             "total": len(records),
             "passed": passed,
             "failed": len(records) - passed,
+            "by_check": _by_check(selected, records),
         },
         "checks": [r.as_dict() for r in records],
+        "points": points,
         "meta": {
             "engine_version": __version__,
-            "format": "cartanlab-report-v1",
+            "format": "cartanlab-report-v2",
             "manifest": manifest.echo,
         },
     }

@@ -4,7 +4,8 @@ Two subcommands:
 
 * ``cartanlab verify --manifest m.json``: run the whole check registry
   over the manifest's structures, params, and sampling; emit a JSON
-  report (top-level keys ``summary``, ``checks``, ``meta``).  Exit code
+  report (top-level keys ``checks``, ``meta``, ``points``, ``summary``)
+  with one check record per line.  Exit code
   0 when every check passes, 1 when any check fails, 2 on manifest
   errors, 3 on internal evaluation errors.
 * ``cartanlab tensor --manifest m.json --point "x1,x2;p1,p2" --objects
@@ -25,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .errors import CartanLabError, ManifestError
-from .geometry import FrameVector, PointGeometry
+from .geometry import PointGeometry
 from .jets import ChartPoint
-from .kahler import BundleMetric, almost_complex, theta_matrix
+from .kahler import BundleMetric, theta_matrix
 from .levicivita import CURVATURE_BLOCKS, curvature_closed, lc_closed_form, ricci
 from .manifest import Manifest, load_manifest, with_overrides
 from .checks import run_suite
@@ -89,15 +90,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(document: dict, out_path) -> None:
-    # streamed chunk by chunk, so a large report is never held as one string
+def _write_report(report: dict, fh) -> None:
+    """The verify report as one JSON document with sorted keys, streamed one
+    check record per line ("checks" sorts first).  Each line is one
+    ``json.dumps`` call, which runs the C encoder (``indent`` does not)."""
+    fh.write('{\n"checks": [')
+    for i, record in enumerate(report["checks"]):
+        fh.write((",\n" if i else "\n") + json.dumps(record, sort_keys=True))
+    rest = ",\n".join(
+        f"{json.dumps(k)}: {json.dumps(report[k], sort_keys=True)}" for k in sorted(report) if k != "checks"
+    )
+    fh.write(f"\n],\n{rest}\n}}\n")
+
+
+def _emit(write, out_path) -> None:
+    """Run ``write(fh)`` on stdout or on the file at ``out_path``."""
     if out_path is None:
-        json.dump(document, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        write(sys.stdout)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write(fh)
 
 
 def _load(args) -> Manifest:
@@ -108,7 +120,7 @@ def _load(args) -> Manifest:
 def _cmd_verify(args) -> int:
     manifest = _load(args)
     report = run_suite(manifest)
-    _emit(report, args.out)
+    _emit(lambda fh: _write_report(report, fh), args.out)
     return 0 if report["summary"]["failed"] == 0 else 1
 
 
@@ -190,14 +202,10 @@ def _tensor_objects(structure, params, at, names):
                 "G_up": _arr(m.G_up),
             }
         elif name == "J":
-            m = need_metric()
-            cols = []
-            for b in FrameVector.basis(geom):
-                jb = almost_complex(m, b)
-                cols.append(list(jb.h_values) + list(jb.v_values))
+            # column b holds the adapted components of J(F_b)
             out[name] = {
                 "anchor": "almost-complex",
-                "matrix": _arr(np.array(cols).T),
+                "matrix": _arr(need_metric().complex_jets.value.T),
             }
         elif name == "theta":
             out[name] = {
@@ -271,7 +279,7 @@ def _cmd_tensor(args) -> int:
         },
         "objects": objects,
     }
-    _emit(document, args.out)
+    _emit(lambda fh: fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n"), args.out)
     return 0
 
 

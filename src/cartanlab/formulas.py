@@ -163,7 +163,7 @@ INDEX: Mapping[str, FormulaEntry] = {
         "G(dot^i, dot^j) = the matching contravariant block "
         "(beta/1) scaling, G(delta, dot) = 0; positive definite under the "
         "gauge alpha + 2 tau v > 0.",
-        "kahler.BundleMetric",
+        "kahler.BundleMetric / kahler.BundleMetric.gram (the Gram matrix of the adapted basis)",
     ),
     "positivity-tube": FormulaEntry(
         "For c > 0 the bundle metric stays positive definite only on the "
@@ -174,13 +174,13 @@ INDEX: Mapping[str, FormulaEntry] = {
     "almost-complex": FormulaEntry(
         "Almost complex structure J(delta_i) = G_ik dot^k, J(dot^i) = "
         "-G^ik delta_k; satisfies J^2 = -Id and G(JX, JY) = G(X, Y).",
-        "kahler.almost_complex",
+        "kahler.BundleMetric.complex_jets (row a is J(F_a)) / kahler.almost_complex",
     ),
     "canonical-form": FormulaEntry(
         "Fundamental two-form theta(X, Y) = G(X, JY) equals the constant "
         "canonical symplectic matrix [[0, -I], [I, 0]] in the adapted "
         "frame, for every structure and parameter set.",
-        "kahler.theta_matrix / kahler.fundamental_form",
+        "kahler.theta_matrix (gram @ J.T) / kahler.fundamental_form",
     ),
     "nijenhuis": FormulaEntry(
         "Nijenhuis tensor N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] "

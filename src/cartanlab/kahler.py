@@ -18,6 +18,10 @@ beta^2 is the one whose almost complex structure can be integrable; then
 J maps delta_i -> G_ik pdot^k and pdot^i -> -G^ik delta_k; the fundamental
 form G(X, JY) is the canonical symplectic pairing of the chart regardless of
 the deformation parameters.
+
+``BundleMetric.gram`` is the Gram matrix G(F_a, F_b) = block-diag(G_ij, G^ij)
+of the adapted basis and row a of J = ``complex_jets.value`` is J(F_a), so the
+identities of J and theta are matrix expressions (theta is ``gram @ J.T``).
 """
 from __future__ import annotations
 
@@ -159,6 +163,16 @@ class BundleMetric:
         return self.geom.n
 
     @cached_property
+    def gram(self) -> np.ndarray:
+        """G(F_a, F_b) over the adapted basis: the block-diagonal 2n x 2n
+        matrix of G_ij and G^ij.  Read-only."""
+        n = self.n
+        out = np.zeros((2 * n, 2 * n))
+        out[:n, :n], out[n:, n:] = self.G_down, self.G_up
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def complex_jets(self) -> Jet:
         """J on the adapted basis: row a holds the adapted components of J(F_a),
         [[0, G_ij], [-G^ij, 0]] in blocks."""
@@ -217,12 +231,11 @@ def fundamental_form(m: BundleMetric, x: FrameVector, y: FrameVector) -> float:
 def theta_matrix(m: BundleMetric) -> np.ndarray:
     """theta on the 2n adapted basis fields (delta_1..delta_n, pdot^1..pdot^n).
 
-    The canonical answer is [[0, -I], [I, 0]] for any structure and any
-    admissible deformation parameters.
+    theta(F_a, F_b) = G(F_a, J F_b) is ``gram @ J.T``.  The canonical answer
+    is [[0, -I], [I, 0]] for any structure and any admissible deformation
+    parameters.
     """
-    basis = FrameVector.basis(m.geom)
-    jb = [almost_complex(m, b) for b in basis]
-    return np.array([[m.inner(x, y) for y in jb] for x in basis])
+    return m.gram @ m.complex_jets.value.T
 
 
 def nijenhuis_table(m: BundleMetric) -> np.ndarray:

@@ -16,11 +16,12 @@ Routes kept deliberately separate:
   ``geometry.lie_brackets`` build through the coordinate frame, never quoted
   from B or R_vv); the frame derivatives F_a(G(F_b, F_c)), from one
   ``jets.fd_partial`` (a Richardson-extrapolated central difference) of the
-  whole 2n x 2n metric per chart variable; and the inverse Gram matrix.
+  whole 2n x 2n metric per chart variable; and the inverse of the Gram
+  matrix ``BundleMetric.gram``.
 * ``connection_defects`` measures the torsion and the metric compatibility
   of the closed connection as whole-array expressions of its table
-  (``LCConnection.table``), the same basis bracket table and the Gram
-  matrix.
+  (``LCConnection.table``), the same basis bracket table and
+  ``BundleMetric.gram``.
 * ``curvature_closed`` evaluates the six closed curvature blocks, each an
   ``np.einsum`` expression over the point values of C, L, B, R, P, G and the
   covariant derivatives of C and L.  All six are built together by the
@@ -189,16 +190,6 @@ def lc_closed_form(
 # Koszul oracle
 
 
-def _gram(metric: BundleMetric) -> np.ndarray:
-    """G(F_a, F_b) over the adapted basis: the block-diagonal 2n x 2n matrix
-    of G_ij and G^ij."""
-    n = metric.n
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = metric.G_down
-    out[n:, n:] = metric.G_up
-    return out
-
-
 class MetricStencil:
     """Bundle-metric components at shifted chart points, cached per offset."""
 
@@ -217,7 +208,7 @@ class MetricStencil:
 
     def frame_matrix(self, pt: ChartPoint) -> np.ndarray:
         """G(F_a, F_b)(pt) over the adapted basis."""
-        return _gram(self.metric_at(pt))
+        return self.metric_at(pt).gram
 
 
 def _frame_derivative_fd(partials, geom: PointGeometry, a: int):
@@ -246,7 +237,7 @@ def _koszul_table(geom: PointGeometry, metric: BundleMetric, stencil: MetricSten
     dim = 2 * geom.n
     partials = [fd_partial(stencil.frame_matrix, geom.at, var) for var in range(dim)]
     dG = np.array([_frame_derivative_fd(partials, geom, a) for a in range(dim)])
-    gram = _gram(metric)
+    gram = metric.gram
     bG = geom.basis_brackets @ gram
     # 2 G(nabla_{F_x} F_y, F_z) at [x, y, z]
     rhs = dG + np.einsum("yxz->xyz", dG) - np.einsum("zxy->xyz", dG) + bG
@@ -319,7 +310,7 @@ def connection_defects(
     for block, jets in ((slice(0, n), metric.G_down_jets), (slice(n, dim), metric.G_up_jets)):
         dmetric[:n, block, block] = np.einsum("bca->abc", geom.delta(jets).value)
         dmetric[n:, block, block] = np.einsum("bca->abc", jets.derivs(geom.pvars).value)
-    paired = nabla @ _gram(metric)  # G(nabla_{F_x} F_b, F_c) at [x, b, c]
+    paired = nabla @ metric.gram  # G(nabla_{F_x} F_b, F_c) at [x, b, c]
     b, c = np.triu_indices(dim)
     compat = dmetric[:, b, c] - paired[:, b, c] - paired[:, c, b]
     return float(np.abs(torsion).max()), float(np.abs(compat).max())

@@ -3,10 +3,13 @@
 Dual routes: the closed jet pipeline against FD oracles for the nonlinear
 connection and the h-curvature; structural identities at seeded points.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from conftest import builtin_structures, christoffel_fd, general_randers, pt
 
+from cartanlab import checks
 from cartanlab.berwald import (
     DTensor,
     berwald_curvature_fd,
@@ -17,7 +20,8 @@ from cartanlab.berwald import (
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual, sample_points
 from cartanlab.errors import ValenceError
 from cartanlab.geometry import PointGeometry
-from cartanlab.jets import ChartPoint
+from cartanlab.jets import ChartPoint, fd_partial
+from cartanlab.manifest import DEFAULT_TOLERANCES, build_structure
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +79,39 @@ def test_nonlinear_connection_fd_random_points(s):
 
 # ---------------------------------------------------------------------------
 # adapted frame derivative
+
+
+def _n_fd_without_momentum_term(s, at):
+    """`nonlinear_connection_fd` with its momentum-correction term
+    -0.5 gamma00^h pdot^h g_ij dropped: a planted defect."""
+    n = at.n
+    dg = np.array([
+        fd_partial(lambda q: PointGeometry(s, q, order=2).g_down, at, k, steps=(1e-4,))
+        for k in range(2 * n)
+    ])
+    dg_x = dg[:n]
+    gu = PointGeometry(s, at, order=2).g_up
+    first = np.einsum("kjm->jkm", dg_x) + np.einsum("jmk->jkm", dg_x) - np.einsum("mjk->jkm", dg_x)
+    return np.einsum("ijk,i->jk", 0.5 * np.einsum("im,jkm->ijk", gu, first), at.p)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_n_fd_oracle_covers_the_momentum_term_on_curved_randers(n, monkeypatch):
+    # the shipped manifests have either dot g = 0 or gamma = 0, which hides
+    # the momentum-correction term; curved Randers has neither, and points
+    # with |p_k| > 1 also exercise the step scaling
+    s = build_structure({"family": "randers", "n": n, "c": -1.0, "drift": 0.3})
+    pts = [q for q in sample_points(s, 40, 3 + n, p_norm=(1.2, 2.0)) if np.abs(q.p).max() > 1.0]
+    tol = DEFAULT_TOLERANCES["fd_single"]
+    clean = checks.nonlinear_connection_fd
+    for at in pts[:2]:
+        ctx = SimpleNamespace(structure=s, geometry=lambda idx, at=at: PointGeometry(s, at))
+        term = np.abs(clean(s, at) - _n_fd_without_momentum_term(s, at)).max()
+        assert term >= 1e-3
+        assert checks._r_n_fd_oracle(ctx, 0, at) <= tol
+        monkeypatch.setattr(checks, "nonlinear_connection_fd", _n_fd_without_momentum_term)
+        assert checks._r_n_fd_oracle(ctx, 0, at) > tol
+        monkeypatch.setattr(checks, "nonlinear_connection_fd", clean)
 
 
 def test_delta_of_k2_vanishes():

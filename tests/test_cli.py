@@ -177,25 +177,38 @@ def test_verify_report_schema_and_exit_zero(tmp_path, capsys):
     code, out = _run(capsys, ["verify", "--manifest", path, "--points", "4"])
     assert code == 0
     report = json.loads(out)
-    assert set(report) == {"summary", "checks", "meta"}
-    assert report["meta"]["format"] == "cartanlab-report-v1"
+    assert set(report) == {"summary", "checks", "meta", "points"}
+    assert report["meta"]["format"] == "cartanlab-report-v2"
     assert report["meta"]["manifest"]["sampling"]["count"] == 4
     summary = report["summary"]
     records = report["checks"]
     assert summary["total"] == len(records)
     assert summary["passed"] + summary["failed"] == summary["total"]
     assert summary["failed"] == 0
-    keys = {"check_id", "anchor", "structure", "point", "residual", "tolerance", "pass"}
-    assert all(set(r) == keys for r in records)
+    keys = {"check_id", "structure", "point", "residual", "tolerance", "pass"}
+    assert all(set(r) == keys and set(r["point"]) == {"index"} for r in records)
     # deterministic ordering: by check id, then structure tag, then point index
-    order = [
-        (r["check_id"], r["structure"], -1 if r["point"] is None else r["point"]["index"])
-        for r in records
-    ]
+    order = [(r["check_id"], r["structure"], r["point"]["index"]) for r in records]
     assert order == sorted(order)
     # both scopes are present: bare structure tags and structure|params tags
     tags = {r["structure"] for r in records}
     assert any("|" in t for t in tags) and any("|" not in t for t in tags)
+    # every record's point resolves in its scope's point table
+    points = report["points"]
+    assert set(points) == tags
+    for r in records:
+        point = points[r["structure"]][r["point"]["index"]]
+        assert set(point) == {"x", "p"} and len(point["x"]) == len(point["p"])
+    # the per-check summary counts the records
+    by_check = summary["by_check"]
+    assert set(by_check) == {r["check_id"] for r in records}
+    assert sum(e["records"] for e in by_check.values()) == summary["total"]
+    assert sum(e["failed"] for e in by_check.values()) == summary["failed"]
+    for cid, entry in by_check.items():
+        mine = [r for r in records if r["check_id"] == cid]
+        assert entry["records"] == len(mine)
+        assert entry["failed"] == sum(not r["pass"] for r in mine)
+        assert entry["errored"] == sum(r["residual"] is None for r in mine)
 
 
 def test_verify_is_deterministic_byte_for_byte(tmp_path, capsys):
@@ -212,9 +225,10 @@ def test_verify_seed_override_changes_sample_points(tmp_path, capsys):
     path = _write(tmp_path, _manifest_dict())
     _, out_a = _run(capsys, ["verify", "--manifest", path, "--points", "3", "--seed", "1"])
     _, out_b = _run(capsys, ["verify", "--manifest", path, "--points", "3", "--seed", "2"])
-    pts_a = [r["point"] for r in json.loads(out_a)["checks"] if r["point"]]
-    pts_b = [r["point"] for r in json.loads(out_b)["checks"] if r["point"]]
-    assert pts_a != pts_b
+    pts_a = json.loads(out_a)["points"]
+    pts_b = json.loads(out_b)["points"]
+    assert set(pts_a) == set(pts_b)
+    assert all(pts_a[tag] != pts_b[tag] for tag in pts_a)
     assert json.loads(out_a)["meta"]["manifest"]["sampling"]["seed"] == 1
 
 
@@ -275,6 +289,61 @@ def test_verify_evaluation_error_is_a_failed_record(tmp_path, capsys, monkeypatc
     records = json.loads(out)["checks"]
     assert [r["check_id"] for r in records] == [check_id, check_id]
     assert all(r["residual"] is None and r["pass"] is False for r in records)
+
+
+def test_verify_error_record_names_its_exception(tmp_path, capsys, monkeypatch):
+    from cartanlab.errors import ConditioningError
+
+    check_id = _single_check_registry(monkeypatch, ConditioningError("pivot 1e-17"))
+    path = _write(tmp_path, _manifest_dict(structures=[{"family": "flat", "n": 2}]))
+    code, out = _run(capsys, ["verify", "--manifest", path, "--points", "2"])
+    assert code == 1
+    report = json.loads(out)
+    assert all(r["error"] == "ConditioningError: pivot 1e-17" for r in report["checks"])
+    entry = report["summary"]["by_check"][check_id]
+    assert (entry["records"], entry["failed"], entry["errored"]) == (2, 2, 2)
+    assert entry["worst_residual"] is None and entry["worst_margin"] is None
+
+
+def test_verify_margins_say_which_records_pass(tmp_path, capsys):
+    # a tiny tolerance scale fails some bound checks; detection checks keep
+    # their floors.  A record passes exactly when its margin is at most 1.
+    from cartanlab.checks import REGISTRY
+
+    path = _write(tmp_path, _manifest_dict())
+    code, out = _run(capsys, ["verify", "--manifest", path, "--points", "3", "--tol-scale", "1e-6"])
+    assert code == 1
+    report = json.loads(out)
+    modes = {spec.check_id: spec.mode for spec in REGISTRY}
+    assert "exceeds" in {modes[cid] for cid in report["summary"]["by_check"]}
+    worst = {}
+    for r in report["checks"]:
+        assert r["residual"] is not None
+        res, tol = r["residual"], r["tolerance"]
+        margin = res / tol if modes[r["check_id"]] == "bound" else tol / res
+        assert (margin <= 1.0) == r["pass"]
+        if margin >= worst.get(r["check_id"], (-1.0,))[0]:
+            worst[r["check_id"]] = (margin, res)
+    by_check = report["summary"]["by_check"]
+    assert any(entry["failed"] for entry in by_check.values())
+    for cid, entry in by_check.items():
+        assert entry["anchor"] == next(s.anchor for s in REGISTRY if s.check_id == cid)
+        assert (entry["worst_margin"], entry["worst_residual"]) == worst[cid]
+        assert (entry["worst_margin"] > 1.0) == (entry["failed"] > 0)
+
+
+def test_verify_report_has_one_record_per_line(tmp_path, capsys):
+    path = _write(tmp_path, _manifest_dict())
+    out = tmp_path / "r.json"
+    assert main(["verify", "--manifest", path, "--points", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    report = json.loads(text)
+    lines = text.splitlines()
+    first = lines.index('"checks": [') + 1
+    rows = lines[first:first + len(report["checks"])]
+    assert [json.loads(row.rstrip(",")) for row in rows] == report["checks"]
+    assert lines[first + len(report["checks"])] == "],"
 
 
 # ---------------------------------------------------------------- tensor

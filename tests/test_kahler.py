@@ -5,10 +5,13 @@ Pinned values: the rank-one-update inverse is checked against guarded dense
 inversion; the flat beta=1, c=-1 case is worked out by hand; the canonical
 form of theta is asserted to near machine precision.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from conftest import builtin_structures, general_randers, pt
 
+from cartanlab import checks
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual, sample_points
 from cartanlab.errors import EvaluationDomainError
 from cartanlab.geometry import FrameVector, PointGeometry
@@ -231,6 +234,64 @@ def test_theta_is_canonical_and_params_independent():
     v1 = FrameVector.vdot_frame(geom, 0)
     assert fundamental_form(m, v1, d1) == pytest.approx(1.0, abs=1e-12)
     assert fundamental_form(m, d1, d2) == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# whole-matrix Kahler checks against a per-basis reference
+
+
+def _kahler_reference(m):
+    """J^2 + 1, hermitian and theta residuals and the theta matrix, from
+    `almost_complex` and `inner` one basis field at a time."""
+    basis = FrameVector.basis(m.geom)
+    jb = [almost_complex(m, b) for b in basis]
+    j_sq = max(
+        float(np.abs(almost_complex(m, jx).w.value + x.w.value).max())
+        for x, jx in zip(basis, jb)
+    )
+    herm = max(
+        abs(m.inner(jb[a], jb[b]) - m.inner(basis[a], basis[b]))
+        for a in range(len(basis))
+        for b in range(a, len(basis))
+    )
+    theta = np.array([[m.inner(x, y) for y in jb] for x in basis])
+    n = m.n
+    canonical = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+    return j_sq, herm, float(np.abs(theta - canonical).max()), theta
+
+
+KAHLER_RUNNERS = (checks._r_j_squared, checks._r_hermitian, checks._r_theta_canonical)
+KAHLER_PARAMS = [DeformationParams(c=-1.0), DeformationParams(alpha=1.5, beta=0.7)]
+
+
+@pytest.mark.parametrize("params", KAHLER_PARAMS, ids=["matching", "mismatched"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_matrix_kahler_checks_match_per_basis_reference(n, params):
+    for s in (conformal_structure(n, -1.0), general_randers(n)):
+        at = _sample(s, params, 1, 17 + n)[0]
+        m = BundleMetric(PointGeometry(s, at), params)
+        assert not m.gram.flags.writeable
+        ctx = SimpleNamespace(metric=lambda idx: m)
+        *want, theta = _kahler_reference(m)
+        got = [run(ctx, 0, at) for run in KAHLER_RUNNERS]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(theta_matrix(m), theta, rtol=0.0, atol=1e-13)
+        assert max(got) <= 1e-13
+
+
+@pytest.mark.parametrize("params", KAHLER_PARAMS, ids=["matching", "mismatched"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_matrix_kahler_checks_see_a_planted_metric_defect(n, params):
+    # G^ij scaled by (1 + 1e-6) at one point, before the Gram matrix and J
+    # are first read, reaches J^2, G(JX, JY) and theta alike
+    s = conformal_structure(n, -1.0)
+    at = _sample(s, params, 1, 29 + n)[0]
+    m = BundleMetric(PointGeometry(s, at), params)
+    m.G_up_jets = m.G_up_jets * (1.0 + 1e-6)
+    m.G_up = m.G_up_jets.value
+    ctx = SimpleNamespace(metric=lambda idx: m)
+    for run in KAHLER_RUNNERS:
+        assert run(ctx, 0, at) >= 5e-7, run.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,7 @@ def test_operator_stencils_built_once_per_context(monkeypatch):
         "operators.spray_divergence",
     )
     report = run_suite(manifest, only=only)
+    assert set(report["summary"].pop("by_check")) == set(only)
     assert report["summary"] == {"total": len(only) * points, "passed": len(only) * points, "failed": 0}
     # laplacian_routes takes five callable fields, k2_harmonic one
     assert counts["contexts"] == points and counts["laplacians"] == 6 * points
