@@ -43,7 +43,7 @@ from .cartan import (
     riemannian_dual,
     sample_points,
 )
-from .geometry import FrameVector, PointGeometry, lie_brackets
+from .geometry import PointGeometry, lie_brackets
 from .kahler import (
     BundleMetric,
     DeformationParams,
@@ -91,7 +91,6 @@ __all__ = [
     "randers_dual",
     "riemannian_dual",
     "sample_points",
-    "FrameVector",
     "PointGeometry",
     "lie_brackets",
     "BundleMetric",

@@ -115,7 +115,8 @@ INDEX: Mapping[str, FormulaEntry] = {
     "adapted-frame": FormulaEntry(
         "Horizontal derivative delta_i = d_i + N_ij dot^j; the frame "
         "(delta_i, dot^i) splits the bundle tangent space.",
-        "berwald.delta_apply / geometry.FrameVector",
+        "berwald.delta_apply / geometry.PointGeometry.frame_jets / "
+        "geometry.PointGeometry.basis_jets / geometry.slot_index",
     ),
     "berwald-coefficients": FormulaEntry(
         "Berwald coefficients B^i_jk = dot^i N_jk (0-homogeneous in p); "
@@ -174,13 +175,14 @@ INDEX: Mapping[str, FormulaEntry] = {
     "almost-complex": FormulaEntry(
         "Almost complex structure J(delta_i) = G_ik dot^k, J(dot^i) = "
         "-G^ik delta_k; satisfies J^2 = -Id and G(JX, JY) = G(X, Y).",
-        "kahler.BundleMetric.complex_jets (row a is J(F_a)) / kahler.almost_complex",
+        "kahler.BundleMetric.complex_jets (row a is J(F_a)) / "
+        "kahler.BundleMetric.gram (G(X, Y) is x @ gram @ y)",
     ),
     "canonical-form": FormulaEntry(
         "Fundamental two-form theta(X, Y) = G(X, JY) equals the constant "
         "canonical symplectic matrix [[0, -I], [I, 0]] in the adapted "
         "frame, for every structure and parameter set.",
-        "kahler.theta_matrix (gram @ J.T) / kahler.fundamental_form",
+        "kahler.theta_matrix (gram @ J.T)",
     ),
     "nijenhuis": FormulaEntry(
         "Nijenhuis tensor N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] "
@@ -188,15 +190,16 @@ INDEX: Mapping[str, FormulaEntry] = {
         "the constant of the vv-curvature shape; any other profile leaves "
         "a detectable defect.",
         "kahler.nijenhuis_table (four geometry.lie_brackets tables) / "
-        "kahler.nijenhuis / kahler.integrability_defect",
+        "kahler.integrability_defect",
     ),
     # --------------------------------------------------------- Levi-Civita
     "koszul": FormulaEntry(
         "Koszul formula 2 G(nabla_X Y, Z) = X G(Y,Z) + Y G(X,Z) - Z G(X,Y) "
         "+ G([X,Y], Z) - G([X,Z], Y) - G([Y,Z], X) on adapted frame "
         "fields; the independent oracle for the closed connection blocks.",
-        "levicivita.koszul_oracle (brackets from "
-        "geometry.PointGeometry.basis_brackets) / geometry.lie_brackets",
+        "levicivita.koszul_oracle (the whole table, brackets from "
+        "geometry.PointGeometry.basis_brackets) / geometry.lie_brackets / "
+        "levicivita.LCConnection.table",
     ),
     "connection-blocks": FormulaEntry(
         "Closed-form Levi-Civita blocks of the bundle metric in the "
@@ -210,7 +213,8 @@ INDEX: Mapping[str, FormulaEntry] = {
         "Curvature by definition: K(X, Y)Z = nabla_X nabla_Y Z - nabla_Y "
         "nabla_X Z - nabla_[X,Y] Z, evaluated with finite-difference frame "
         "derivatives of the closed connection coefficients.",
-        "levicivita.curvature_defn",
+        "levicivita.curvature_defn (one whole block, as "
+        "levicivita.curvature_closed) / levicivita.curvature_context",
     ),
     "curvature-blocks": FormulaEntry(
         "Six closed-form curvature blocks, named by the frame kinds of "

@@ -18,15 +18,16 @@ Order bookkeeping from one order-5 jet of K^2:
     g (3) -> C (2) -> gamma, N (2) -> B, L, R_vv (1) -> curvatures (0)
 so every downstream value is exact to roundoff.
 
-`FrameVector` represents vector fields on the slit bundle in the adapted frame
-(h^i delta_i + v_i pdot^i) with one (2n,) jet of coefficient functions.
-`lie_brackets` takes two stacks of such fields and returns every Lie bracket
-between them as one jet, passing through the coordinate frame;
-`FrameVector.bracket` is its one-by-one case, and `PointGeometry` keeps the
-table [F_a, F_b] of the adapted basis (`basis_brackets`).  The adapted
-basis is addressed by frame slots `(kind, index)`, kind "h" for delta_i and
-"v" for pdot^i: `frame_slots(n)` lists them in basis order, `slot_index`
-validates one, and `FrameVector.basis` / `FrameVector.slot` build the fields.
+A vector field on the slit bundle in the adapted frame,
+h^i delta_i + v_i pdot^i, is its (2n,) array of adapted components, h
+first, or a (2n,) jet of them where derivatives are needed.  In these
+components the adapted basis F_a (delta_1..delta_n, pdot^1..pdot^n) is the
+identity matrix: row a of `basis_jets` holds F_a, and a frame slot `(kind, index)`, kind "h" for
+delta_i and "v" for pdot^i, names row `slot_index(slot, n)`.
+`lie_brackets` takes two stacks of such fields and returns every Lie
+bracket between them as one jet, passing through the coordinate frame;
+`PointGeometry` keeps the table [F_a, F_b] of the adapted basis
+(`basis_brackets`).
 """
 from __future__ import annotations
 
@@ -40,9 +41,7 @@ from .jets import Jet, contract, invert, jet_eval, stack
 
 __all__ = [
     "PointGeometry",
-    "FrameVector",
     "lie_brackets",
-    "frame_slots",
     "slot_index",
     "jet_mat_inv",
 ]
@@ -231,7 +230,7 @@ class PointGeometry:
     @cached_property
     def basis_jets(self) -> Jet:
         """The adapted basis as constant fields: row a holds the adapted
-        components of F_a.  Shared by every basis `FrameVector`, so read-only."""
+        components of F_a.  Read-only."""
         out = Jet.constant(np.eye(2 * self.n), 2 * self.n, self.order - 2)
         out.c.setflags(write=False)
         return out
@@ -369,11 +368,6 @@ def lie_brackets(geom: PointGeometry, xs: Jet, ys: Jet) -> Jet:
     return contract("xyv,va->xya", z, to_adapted)
 
 
-def frame_slots(n: int) -> list:
-    """The adapted basis (delta_1..delta_n, pdot^1..pdot^n) as frame slots."""
-    return [("h", i) for i in range(n)] + [("v", i) for i in range(n)]
-
-
 def slot_index(slot, n: int) -> int:
     """Position of a frame slot (kind, index) in the adapted basis.
 
@@ -387,81 +381,3 @@ def slot_index(slot, n: int) -> int:
     if not 0 <= idx < n:
         raise ValenceError(f"frame slot index must lie in [0, {n}), got {idx}")
     return idx if kind == "h" else n + idx
-
-
-class FrameVector:
-    """Vector field X = h^i delta_i + v_i pdot^i with jet coefficients.
-
-    The adapted components are one (2n,) jet ``w``, h first; ``h`` and ``v``
-    are its two (n,) halves.  The constructor takes float components and
-    lifts them to constant jets of order ``geom.order - 2``.
-    """
-
-    __slots__ = ("geom", "w")
-
-    def __init__(self, geom: PointGeometry, h, v):
-        self.geom = geom
-        self.w = Jet.constant(np.concatenate([h, v]), 2 * geom.n, geom.order - 2)
-
-    @classmethod
-    def _of(cls, geom: PointGeometry, w: Jet) -> "FrameVector":
-        out = cls.__new__(cls)
-        out.geom = geom
-        out.w = w
-        return out
-
-    @classmethod
-    def basis(cls, geom: PointGeometry) -> list:
-        """The 2n adapted basis fields, in the order of `frame_slots`."""
-        return [cls._of(geom, geom.basis_jets[a]) for a in range(2 * geom.n)]
-
-    @classmethod
-    def slot(cls, geom: PointGeometry, slot) -> "FrameVector":
-        """The adapted basis field of one frame slot."""
-        return cls._of(geom, geom.basis_jets[slot_index(slot, geom.n)])
-
-    @classmethod
-    def zero(cls, geom):
-        z = np.zeros(geom.n)
-        return cls(geom, z, z)
-
-    @classmethod
-    def delta_frame(cls, geom, i):
-        return cls.slot(geom, ("h", i))
-
-    @classmethod
-    def vdot_frame(cls, geom, i):
-        return cls.slot(geom, ("v", i))
-
-    @property
-    def h(self) -> Jet:
-        return self.w[: self.geom.n]
-
-    @property
-    def v(self) -> Jet:
-        return self.w[self.geom.n :]
-
-    @property
-    def h_values(self):
-        return self.w.value[: self.geom.n]
-
-    @property
-    def v_values(self):
-        return self.w.value[self.geom.n :]
-
-    def __add__(self, other):
-        return FrameVector._of(self.geom, self.w + other.w)
-
-    def __sub__(self, other):
-        return FrameVector._of(self.geom, self.w - other.w)
-
-    def __neg__(self):
-        return FrameVector._of(self.geom, -self.w)
-
-    def scale(self, factor):
-        return FrameVector._of(self.geom, self.w * factor)
-
-    def bracket(self, other: "FrameVector") -> "FrameVector":
-        """Lie bracket [X, Y]: the one-by-one case of `lie_brackets`."""
-        one = lie_brackets(self.geom, self.w[None], other.w[None])[0, 0]
-        return FrameVector._of(self.geom, one)

@@ -658,7 +658,8 @@ def fd_partial(
 
     Each step is scaled by ``max(1, |coord|)``.  Two steps (h1 > h2) give the
     Richardson-extrapolated difference; a one-element ``steps`` gives the
-    plain central difference at that step.
+    plain central difference at that step.  Raises EvaluationDomainError if
+    any stencil value is not finite.
     """
     base = at.coords
     n = at.n
@@ -667,17 +668,21 @@ def fd_partial(
     if len(steps) not in (1, 2):
         raise ValueError("steps must hold one or two step sizes")
     scale = max(1.0, abs(base[var]))
+
+    def value(shift: float):
+        coords = base.copy()
+        coords[var] += shift
+        out = f(ChartPoint(coords[:n], coords[n:]))
+        if not np.all(np.isfinite(out)):
+            raise EvaluationDomainError(
+                f"non-finite evaluation at step {shift:+.3e} along chart variable {var}"
+            )
+        return out
+
     diffs = []
     for h in steps:
         hh = h * scale
-        plus = base.copy()
-        minus = base.copy()
-        plus[var] += hh
-        minus[var] -= hh
-        diffs.append(
-            (f(ChartPoint(plus[:n], plus[n:])) - f(ChartPoint(minus[:n], minus[n:])))
-            / (2.0 * hh)
-        )
+        diffs.append((value(hh) - value(-hh)) / (2.0 * hh))
     if len(diffs) == 1:
         return diffs[0]
     ratio = (steps[0] / steps[1]) ** 2

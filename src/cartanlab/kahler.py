@@ -19,9 +19,12 @@ J maps delta_i -> G_ik pdot^k and pdot^i -> -G^ik delta_k; the fundamental
 form G(X, JY) is the canonical symplectic pairing of the chart regardless of
 the deformation parameters.
 
+A frame field is its (2n,) array of adapted components (see `geometry`).
 ``BundleMetric.gram`` is the Gram matrix G(F_a, F_b) = block-diag(G_ij, G^ij)
-of the adapted basis and row a of J = ``complex_jets.value`` is J(F_a), so the
-identities of J and theta are matrix expressions (theta is ``gram @ J.T``).
+of the adapted basis, so G(X, Y) is ``x @ gram @ y``; row a of
+J = ``complex_jets.value`` is J(F_a), so J(X) is ``x @ J``.  The identities
+of J and theta are therefore matrix expressions (theta is ``gram @ J.T``),
+and the Nijenhuis tensor is one table over the basis (`nijenhuis_table`).
 """
 from __future__ import annotations
 
@@ -32,18 +35,14 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .geometry import FrameVector, PointGeometry, lie_brackets, slot_index
+from .geometry import PointGeometry, lie_brackets
 from .jets import ChartPoint, Jet, contract
 
 __all__ = [
     "DeformationParams",
     "BundleMetric",
-    "FrameVector",
     "IntegrabilityDefect",
-    "almost_complex",
-    "fundamental_form",
     "theta_matrix",
-    "nijenhuis",
     "nijenhuis_table",
     "integrability_defect",
     "tube_predicate",
@@ -184,18 +183,6 @@ class BundleMetric:
         c[n:, :n] = -up.c
         return Jet(2 * n, order, c)
 
-    def inner(self, x: FrameVector, y: FrameVector) -> float:
-        """G(X, Y) = G_ij X^i Y^j + G^ij Xbar_i Ybar_j at the point."""
-        n = self.n
-        wx, wy = x.w.value, y.w.value
-        return float(wx[:n] @ self.G_down @ wy[:n] + wx[n:] @ self.G_up @ wy[n:])
-
-    def inner_jet(self, x: FrameVector, y: FrameVector) -> Jet:
-        """G(X, Y) as a jet (scalar function along the chart)."""
-        down = contract("i,i->", x.h, contract("ij,j->i", self.G_down_jets, y.h))
-        up = contract("i,i->", x.v, contract("ij,j->i", self.G_up_jets, y.v))
-        return down + up
-
 
 class IntegrabilityDefect(NamedTuple):
     A_res: float    # antisymmetrized frame derivative of G (h-h block)
@@ -216,16 +203,6 @@ def tube_predicate(s, params: DeformationParams):
         return params.alpha + 2.0 * tau * v >= 0.2 * params.alpha
 
     return accept
-
-
-def almost_complex(m: BundleMetric, x: FrameVector) -> FrameVector:
-    """J(X): delta_i -> G_ik pdot^k, pdot^i -> -G^ik delta_k."""
-    return FrameVector._of(m.geom, contract("a,ab->b", x.w, m.complex_jets))
-
-
-def fundamental_form(m: BundleMetric, x: FrameVector, y: FrameVector) -> float:
-    """theta(X, Y) = G(X, JY)."""
-    return m.inner(x, almost_complex(m, y))
 
 
 def theta_matrix(m: BundleMetric) -> np.ndarray:
@@ -258,27 +235,6 @@ def nijenhuis_table(m: BundleMetric) -> np.ndarray:
         return out
 
     return m.derive("nijenhuis", build)
-
-
-def nijenhuis(
-    s,
-    at: ChartPoint,
-    params: DeformationParams,
-    pair,
-    geom: PointGeometry = None,
-    metric: BundleMetric = None,
-) -> FrameVector:
-    """Nijenhuis tensor N_J(X, Y) on a pair of adapted frame fields.
-
-    pair is two (kind, index) tuples with kind 'h' for delta_i and 'v' for
-    pdot^i.  Read from the metric's `nijenhuis_table`.
-    """
-    if metric is None:
-        metric = BundleMetric(geom if geom is not None else PointGeometry(s, at), params)
-    n = metric.n
-    a, b = (slot_index(sl, n) for sl in pair)
-    w = nijenhuis_table(metric)[a, b]
-    return FrameVector(metric.geom, w[:n], w[n:])
 
 
 def integrability_defect(

@@ -6,13 +6,13 @@ Routes kept deliberately separate:
 * ``lc_closed_form`` assembles the four adapted-frame connection blocks from
   closed formulas in the Cartan tensor, the Landsberg tensor, the Berwald
   coefficients and the bundle metric.
-* ``koszul_oracle`` re-derives any connection value from the six-term Koszul
-  formula using finite-difference frame derivatives of the metric components
-  and measured frame brackets; it shares no algebra with the closed forms.
-  The first call at a point solves it for every slot pair at once and keeps
-  the table of nabla_{F_x} F_y on the ``BundleMetric``; each call then only
-  reads its slot pair.  The ingredients: the G-pairings of the basis bracket
-  table [F_a, F_b] (``PointGeometry.basis_brackets``, one
+* ``koszul_oracle`` re-derives the whole connection table from the six-term
+  Koszul formula using finite-difference frame derivatives of the metric
+  components and measured frame brackets; it shares no algebra with the
+  closed forms.  The first call at a point solves it for every slot pair at
+  once and keeps the table of nabla_{F_x} F_y on the ``BundleMetric``; later
+  calls return the kept table.  The ingredients: the G-pairings of the basis
+  bracket table [F_a, F_b] (``PointGeometry.basis_brackets``, one
   ``geometry.lie_brackets`` build through the coordinate frame, never quoted
   from B or R_vv); the frame derivatives F_a(G(F_b, F_c)), from one
   ``jets.fd_partial`` (a Richardson-extrapolated central difference) of the
@@ -29,7 +29,8 @@ Routes kept deliberately separate:
 * ``curvature_defn`` guards them.  It differentiates the connection
   coefficient fields (``jets.fd_partial`` of all coefficient tables at once
   along x, exact jets along p) and composes them per the curvature
-  definition.  Its context builds a whole block of frame-slot triples at
+  definition, one whole block per call, in the ``CurvatureBlock`` layout of
+  ``curvature_closed``.  Its context builds a block of frame-slot triples at
   once (``_DefnContext.block``) from its own tables: the coefficient values,
   their momentum derivatives, the x-partials and the frame brackets from B
   and R_vv.  It never reads the closed curvature algebra.
@@ -38,10 +39,11 @@ Routes kept deliberately separate:
   is itself kept on the ``BundleMetric``, so ``vertical_ricci_obstruction``
   reuses it.
 
-Conventions: a frame slot is a pair ``(kind, index)`` with kind ``"h"`` for
-delta_i and ``"v"`` for pdot^i, matching the almost-complex module.  All
-component arrays are indexed with inputs first and the output frame index
-last.
+Conventions: every table is over the adapted basis (delta_1..delta_n,
+pdot^1..pdot^n), or over one frame kind of it, ``"h"`` for delta_i and
+``"v"`` for pdot^i.  All component arrays are indexed with inputs first and
+the output frame index last, so an oracle table and its closed-form
+counterpart compare as whole arrays.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ import numpy as np
 
 from .berwald import DTensor
 from .errors import ValenceError
-from .geometry import FrameVector, PointGeometry, slot_index
+from .geometry import PointGeometry
 from .jets import ChartPoint, contract, fd_partial, invert
 from .kahler import BundleMetric, DeformationParams
 
@@ -108,14 +110,6 @@ class LCConnection:
         blocks = ((self.h_h, self.h_v), (self.v_h, self.v_v))
         rows = [np.concatenate([np.concatenate([b.h, b.v], -1) for b in row], 1) for row in blocks]
         return np.concatenate(rows, 0)
-
-    def block(self, direction_kind: str, argument_kind: str) -> LCBlock:
-        try:
-            return getattr(self, f"{direction_kind}_{argument_kind}")
-        except AttributeError:
-            raise ValenceError(
-                f"frame kinds must be 'h' or 'v', got {direction_kind!r}/{argument_kind!r}"
-            ) from None
 
 
 def _prepare(s, at, params, geom, metric):
@@ -211,18 +205,13 @@ class MetricStencil:
         return self.metric_at(pt).gram
 
 
-def _frame_derivative_fd(partials, geom: PointGeometry, a: int):
-    """F_a(f) for the adapted basis field F_a, given the finite-difference
-    partials of f along all 2n chart variables."""
+def _frame_derivative_fd(partials: np.ndarray, geom: PointGeometry) -> np.ndarray:
+    """F_a(f) at [a, ...] for every adapted basis field F_a, given the
+    finite-difference partials of f along the 2n chart variables at
+    [var, ...]: delta_a = d/dx^a + N_al d/dp_l and pdot^a = d/dp_a."""
     n = geom.n
-    if a >= n:
-        return partials[a]
-    out = partials[a].copy()
-    for l in range(n):
-        nl = geom.N[a, l]
-        if nl != 0.0:
-            out += nl * partials[n + l]
-    return out
+    p_x, p_p = partials[:n], partials[n:]
+    return np.concatenate([p_x + np.tensordot(geom.N, p_p, 1), p_p])
 
 
 def _koszul_table(geom: PointGeometry, metric: BundleMetric, stencil: MetricStencil):
@@ -234,9 +223,10 @@ def _koszul_table(geom: PointGeometry, metric: BundleMetric, stencil: MetricSten
     basis bracket table ``PointGeometry.basis_brackets``.  The array is
     read-only.
     """
-    dim = 2 * geom.n
-    partials = [fd_partial(stencil.frame_matrix, geom.at, var) for var in range(dim)]
-    dG = np.array([_frame_derivative_fd(partials, geom, a) for a in range(dim)])
+    partials = np.array(
+        [fd_partial(stencil.frame_matrix, geom.at, var) for var in range(2 * geom.n)]
+    )
+    dG = _frame_derivative_fd(partials, geom)
     gram = metric.gram
     bG = geom.basis_brackets @ gram
     # 2 G(nabla_{F_x} F_y, F_z) at [x, y, z]
@@ -252,29 +242,26 @@ def koszul_oracle(
     s,
     at: ChartPoint,
     params: DeformationParams,
-    x_slot,
-    y_slot,
     geom: PointGeometry = None,
     metric: BundleMetric = None,
     stencil: MetricStencil = None,
-) -> FrameVector:
-    """nabla_X Y from the six-term Koszul formula, for adapted-frame X, Y.
+) -> np.ndarray:
+    """nabla_{F_x} F_y from the six-term Koszul formula over the adapted
+    basis: the read-only table of adapted components at [x, y, :], laid out
+    as ``LCConnection.table``.
 
     Frame derivatives of the metric components are plain central differences
     (Richardson extrapolated); brackets come from the basis bracket table
     (``geometry.lie_brackets``), not quoted from B or R_vv.  The first call
     at a point solves the Koszul formula for every slot pair at once and
-    keeps the solved table on ``metric``; later calls with the same metric
-    only read their slot pair.  Raises a conditioning error if the frame
-    Gram matrix is numerically singular.
+    keeps the table on ``metric``; later calls with the same metric return
+    it.  Raises a conditioning error if the frame Gram matrix is numerically
+    singular.
     """
     geom, metric = _prepare(s, at, params, geom, metric)
     if stencil is None:
         stencil = MetricStencil(s, params)
-    table = metric.derive("koszul", lambda: _koszul_table(geom, metric, stencil))
-    n = geom.n
-    coef = table[slot_index(x_slot, n), slot_index(y_slot, n)]
-    return FrameVector(geom, coef[:n], coef[n:])
+    return metric.derive("koszul", lambda: _koszul_table(geom, metric, stencil))
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +425,11 @@ def _closed_blocks(w: _Ingredients) -> dict:
     return {which: CurvatureBlock(which, H, V) for which, (H, V) in blocks.items()}
 
 
+def _check_block_name(which: str) -> None:
+    if which not in CURVATURE_BLOCKS:
+        raise ValueError(f"unknown curvature block {which!r}; expected one of {CURVATURE_BLOCKS}")
+
+
 def _blocks(geom: PointGeometry, metric: BundleMetric) -> dict:
     """All six closed blocks at the metric's point, built once per metric."""
     return metric.derive("blocks", lambda: _closed_blocks(_Ingredients(geom, metric)))
@@ -450,17 +442,13 @@ def curvature_closed(
     which: str,
     geom: PointGeometry = None,
     metric: BundleMetric = None,
-    ingredients: _Ingredients = None,
 ) -> CurvatureBlock:
     """One closed-form curvature block (see CURVATURE_BLOCKS for names).
 
     The six blocks are built together by the first call for a metric and
     kept on it; their arrays are read-only.
     """
-    if which not in CURVATURE_BLOCKS:
-        raise ValueError(f"unknown curvature block {which!r}; expected one of {CURVATURE_BLOCKS}")
-    if ingredients is not None:
-        return _closed_blocks(ingredients)[which]
+    _check_block_name(which)
     geom, metric = _prepare(s, at, params, geom, metric)
     return _blocks(geom, metric)[which]
 
@@ -599,24 +587,21 @@ def curvature_defn(
     s,
     at: ChartPoint,
     params: DeformationParams,
-    x_slot,
-    y_slot,
-    z_slot,
+    which: str,
     geom: PointGeometry = None,
     metric: BundleMetric = None,
     ctx: _DefnContext = None,
-) -> FrameVector:
-    """K(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z
-    for adapted-frame slots, differentiating the closed-form coefficient
-    fields (finite differences along x, exact jets along p)."""
+) -> CurvatureBlock:
+    """One curvature block by definition, K(X, Y) Z = nabla_X nabla_Y Z -
+    nabla_Y nabla_X Z - nabla_{[X,Y]} Z over every slot triple of its frame
+    kinds, differentiating the closed-form coefficient fields (finite
+    differences along x, exact jets along p).  Named and laid out as the
+    block of ``curvature_closed``; its arrays are read-only."""
+    _check_block_name(which)
     if ctx is None:
         ctx = _DefnContext(s, at, params, geom=geom, metric=metric)
-    n = ctx.geom.n
-    (kx, ix), (ky, iy), (kz, iz) = (
-        (sl[0], slot_index(sl, n) % n) for sl in (x_slot, y_slot, z_slot)
-    )
-    h, v = ctx.block(kx, ky, kz)
-    return FrameVector(ctx.geom, h[ix, iy, iz], v[ix, iy, iz])
+    h, v = ctx.block(which[0], which[1], which[3])
+    return CurvatureBlock(which, h, v)
 
 
 # ---------------------------------------------------------------------------

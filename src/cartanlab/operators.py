@@ -11,6 +11,10 @@ with div(delta_i), div(pdot^i) computed as genuine traces of the Levi-Civita
 coefficient tables.  Under this definition the vertical frame divergences
 vanish identically, the Liouville field is divergence-free, and the Laplacian
 of a scalar reduces to the closed first-order form checked below.
+
+A vector field is its (2n,) float array of adapted components (X^i, Xbar_i),
+h first: `gradient`, `geodesic_spray` and `liouville_field` return one, and
+`divergence` and `directional_derivative` take one.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .geometry import FrameVector, PointGeometry
+from .geometry import PointGeometry
 from .jets import ChartPoint, Jet, fd_derivative, fd_partial
 from .kahler import BundleMetric, DeformationParams
 from .levicivita import LCConnection, lc_closed_form
@@ -92,21 +96,9 @@ def operator_context(
     if det_g <= 0.0:
         raise EvaluationDomainError(f"det(g_ij) = {det_g:g} is not positive")
     conn = lc_closed_form(s, at, params, geom, metric)
+    # div(F_b) is the trace over a of the F_a component of nabla_{F_a} F_b
+    div = np.einsum("aba->b", conn.table())
     n = geom.n
-    div_h = np.array(
-        [
-            sum(conn.h_h.h[i, j, i] for i in range(n))
-            + sum(conn.v_h.v[i, j, i] for i in range(n))
-            for j in range(n)
-        ]
-    )
-    div_v = np.array(
-        [
-            sum(conn.h_v.h[i, j, i] for i in range(n))
-            + sum(conn.v_v.v[i, j, i] for i in range(n))
-            for j in range(n)
-        ]
-    )
     J = np.einsum("ssi->i", geom.L_udd)
     return OperatorContext(
         structure=s,
@@ -116,25 +108,18 @@ def operator_context(
         metric=metric,
         conn=conn,
         sqrt_g=float(np.sqrt(det_g)),
-        div_h=div_h,
-        div_v=div_v,
+        div_h=div[:n],
+        div_v=div[n:],
         J=J,
         H_trace=geom.dln_sqrtg_h.copy(),
     )
 
 
-def _components(ctx, X):
-    if isinstance(X, FrameVector):
-        return X.h_values, X.v_values
-    xh, xv = X
-    return np.asarray(xh, dtype=float), np.asarray(xv, dtype=float)
-
-
-def divergence(ctx: OperatorContext, X) -> float:
-    """Frame-trace divergence of X = X^i delta_i + Xbar_i pdot^i with the
-    components frozen at the evaluation point."""
-    xh, xv = _components(ctx, X)
-    return float(xh @ ctx.div_h + xv @ ctx.div_v)
+def divergence(ctx: OperatorContext, x: np.ndarray) -> float:
+    """Frame-trace divergence of X = X^i delta_i + Xbar_i pdot^i, given its
+    (2n,) adapted components frozen at the evaluation point."""
+    n = ctx.geom.n
+    return float(x[:n] @ ctx.div_h + x[n:] @ ctx.div_v)
 
 
 def _scalar_partials(ctx: OperatorContext, f):
@@ -161,8 +146,9 @@ def _frame_partials(ctx: OperatorContext, f):
     return dx + ctx.geom.N @ dp, dp
 
 
-def gradient(ctx: OperatorContext, f) -> FrameVector:
-    """grad f = G^{ih} (delta_h f) delta_i + G_{ih} (pdot^h f) pdot^i.
+def gradient(ctx: OperatorContext, f) -> np.ndarray:
+    """grad f = G^{ih} (delta_h f) delta_i + G_{ih} (pdot^h f) pdot^i, as
+    (2n,) adapted components.
 
     f may be a callable of a chart point (finite-difference partials) or a
     jet at the context point (exact partials).
@@ -170,15 +156,16 @@ def gradient(ctx: OperatorContext, f) -> FrameVector:
     return _gradient(ctx, *_frame_partials(ctx, f))
 
 
-def _gradient(ctx: OperatorContext, df_h, df_v) -> FrameVector:
-    return FrameVector(ctx.geom, ctx.metric.G_up @ df_h, ctx.metric.G_down @ df_v)
+def _gradient(ctx: OperatorContext, df_h, df_v) -> np.ndarray:
+    return np.concatenate([ctx.metric.G_up @ df_h, ctx.metric.G_down @ df_v])
 
 
-def directional_derivative(ctx: OperatorContext, f, X) -> float:
-    """X f for a frame vector X, using the same partials as gradient."""
+def directional_derivative(ctx: OperatorContext, f, x: np.ndarray) -> float:
+    """X f for the frame field with (2n,) adapted components x, using the
+    same partials as gradient."""
     df_h, df_v = _frame_partials(ctx, f)
-    xh, xv = _components(ctx, X)
-    return float(xh @ df_h + xv @ df_v)
+    n = ctx.geom.n
+    return float(x[:n] @ df_h + x[n:] @ df_v)
 
 
 def fd_dln_sqrtg_h(ctx: OperatorContext) -> np.ndarray:
@@ -211,15 +198,14 @@ def laplacian(ctx: OperatorContext, f) -> LaplacianResult:
     return LaplacianResult(direct=direct, closed=closed)
 
 
-def geodesic_spray(ctx: OperatorContext) -> FrameVector:
-    """S = p^i delta_i."""
-    p_up = ctx.geom.p_up
-    return FrameVector(ctx.geom, p_up, np.zeros(ctx.geom.n))
+def geodesic_spray(ctx: OperatorContext) -> np.ndarray:
+    """S = p^i delta_i, as (2n,) adapted components."""
+    return np.concatenate([ctx.geom.p_up, np.zeros(ctx.geom.n)])
 
 
-def liouville_field(ctx: OperatorContext) -> FrameVector:
-    """C* = p_i pdot^i."""
-    return FrameVector(ctx.geom, np.zeros(ctx.geom.n), ctx.at.p.copy())
+def liouville_field(ctx: OperatorContext) -> np.ndarray:
+    """C* = p_i pdot^i, as (2n,) adapted components."""
+    return np.concatenate([np.zeros(ctx.geom.n), ctx.at.p])
 
 
 def landsberg_characterizations(ctx: OperatorContext, tol: float = 1e-6) -> dict:

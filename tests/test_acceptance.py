@@ -37,11 +37,11 @@ from cartanlab.cartan import (
     sample_points,
 )
 from cartanlab.checks import run_suite
-from cartanlab.geometry import FrameVector, PointGeometry
+from cartanlab.geometry import PointGeometry
 from cartanlab.kahler import (
     BundleMetric,
     DeformationParams,
-    nijenhuis,
+    nijenhuis_table,
     theta_matrix,
     tube_predicate,
 )
@@ -96,10 +96,6 @@ def _builtin_manifest(count: int, seed: int):
         "sampling": {"seed": seed, "count": count, "p_norm": [0.5, 1.5]},
     }
     return parse_manifest(json.dumps(doc))
-
-
-def _slots(n):
-    return [("h", i) for i in range(n)] + [("v", i) for i in range(n)]
 
 
 def _matched_cases():
@@ -213,19 +209,10 @@ def test_criterion_2_almost_kahler():
 # --------------------------------------------------------------- criterion 3
 
 
-def _nij_max(s, at, params, geom, metric):
-    n = geom.n
-    worst = 0.0
-    sl = _slots(n)
-    for a in range(2 * n):
-        for b in range(a + 1, 2 * n):
-            fv = nijenhuis(s, at, params, (sl[a], sl[b]), geom=geom, metric=metric)
-            worst = max(
-                worst,
-                float(np.abs(fv.h_values).max()),
-                float(np.abs(fv.v_values).max()),
-            )
-    return worst
+def _nij_max(metric):
+    """Largest |N_J(F_a, F_b)| component over the slot pairs a < b."""
+    a, b = np.triu_indices(2 * metric.n, 1)
+    return float(np.abs(nijenhuis_table(metric)[a, b]).max())
 
 
 def test_criterion_3_integrability_and_detection():
@@ -246,7 +233,7 @@ def test_criterion_3_integrability_and_detection():
                 assert 2.0 * tau <= 0.8 / (params.c_at(tau) * params.beta**2) + 1e-9
             geom = PointGeometry(s, at)
             metric = BundleMetric(geom, params)
-            worst_match = max(worst_match, _nij_max(s, at, params, geom, metric))
+            worst_match = max(worst_match, _nij_max(metric))
             v0 = params.v_at(tau)
             perturbed = DeformationParams(
                 alpha=params.alpha, beta=params.beta, v=v0 + 0.1
@@ -254,7 +241,7 @@ def test_criterion_3_integrability_and_detection():
             if not tube_predicate(s, perturbed)(at):
                 continue
             pm = BundleMetric(geom, perturbed)
-            detect = max(detect, _nij_max(s, at, perturbed, geom, pm))
+            detect = max(detect, _nij_max(pm))
         weakest_detection = min(weakest_detection, detect)
     ok = worst_match <= 1e-5 and weakest_detection >= 1e-2
     _verdict(
@@ -280,17 +267,8 @@ def test_criterion_4_connection_vs_koszul():
             geom = PointGeometry(s, at)
             metric = BundleMetric(geom, params)
             conn = lc_closed_form(s, at, params, geom, metric)
-            for xs in _slots(geom.n):
-                for ys in _slots(geom.n):
-                    oracle = koszul_oracle(
-                        s, at, params, xs, ys, geom=geom, metric=metric, stencil=stencil
-                    )
-                    blk = conn.block(xs[0], ys[0])
-                    res = max(
-                        float(np.abs(oracle.h_values - blk.h[xs[1], ys[1]]).max()),
-                        float(np.abs(oracle.v_values - blk.v[xs[1], ys[1]]).max()),
-                    )
-                    worst_koszul = max(worst_koszul, res)
+            oracle = koszul_oracle(s, at, params, geom=geom, metric=metric, stencil=stencil)
+            worst_koszul = max(worst_koszul, float(np.abs(oracle - conn.table()).max()))
             t, c = connection_defects(s, at, params, geom=geom, metric=metric)
             worst_torsion = max(worst_torsion, t)
             worst_compat = max(worst_compat, c)
@@ -314,26 +292,18 @@ def test_criterion_4_connection_vs_koszul():
 def test_criterion_5_curvature_blocks_vs_definition():
     worst_rel = 0.0
     for s, params in _matched_cases():
-        n = s.dim
         for at in _points(s, params, 2, seed=23):
             ctx = curvature_context(s, at, params)
             for which in CURVATURE_BLOCKS:
-                a, b, cnt = which[0], which[1], which[3]
                 blk = curvature_closed(
                     s, at, params, which, geom=ctx.geom, metric=ctx.metric
                 )
                 scale = max(float(np.abs(blk.h).max()), float(np.abs(blk.v).max()), 1.0)
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            fv = curvature_defn(
-                                s, at, params, (a, i), (b, j), (cnt, k), ctx=ctx
-                            )
-                            res = max(
-                                float(np.abs(fv.h_values - blk.h[i, j, k]).max()),
-                                float(np.abs(fv.v_values - blk.v[i, j, k]).max()),
-                            )
-                            worst_rel = max(worst_rel, res / scale)
+                defn = curvature_defn(s, at, params, which, ctx=ctx)
+                res = max(
+                    float(np.abs(defn.h - blk.h).max()), float(np.abs(defn.v - blk.v).max())
+                )
+                worst_rel = max(worst_rel, res / scale)
     ok = worst_rel <= 1e-3
     _verdict(
         5,
@@ -416,7 +386,7 @@ def test_criterion_8_operator_bundle():
             n = ctx.geom.n
             for _ in range(3):
                 xv = rng.normal(size=n)
-                w_vert = max(w_vert, abs(divergence(ctx, (np.zeros(n), xv))))
+                w_vert = max(w_vert, abs(divergence(ctx, np.concatenate([np.zeros(n), xv]))))
             w_liou = max(w_liou, abs(divergence(ctx, liouville_field(ctx))))
             r = laplacian(ctx, ctx.geom.k2)
             w_k2 = max(w_k2, abs(r.direct), abs(r.closed))
@@ -428,10 +398,9 @@ def test_criterion_8_operator_bundle():
             for f in corpus[:2]:
                 gf = gradient(ctx, f)
                 for _ in range(5):
-                    xh, xv = rng.normal(size=n), rng.normal(size=n)
-                    lhs = ctx.metric.inner(gf, FrameVector(ctx.geom, xh, xv))
-                    rhs = directional_derivative(ctx, f, (xh, xv))
-                    w_dual = max(w_dual, abs(lhs - rhs))
+                    x = np.concatenate([rng.normal(size=n), rng.normal(size=n)])
+                    lhs = gf @ ctx.metric.gram @ x
+                    w_dual = max(w_dual, abs(lhs - directional_derivative(ctx, f, x)))
             for f in corpus:
                 w_routes = max(w_routes, laplacian(ctx, f).difference)
     ok = (

@@ -152,6 +152,25 @@ def test_fd_partial_rejects_variables_outside_chart():
             fd_partial(_quartic, pt, var)
 
 
+@pytest.mark.parametrize("steps", [(1e-3,), (1e-3, 5e-4)], ids=["one-step", "richardson"])
+def test_fd_partial_rejects_non_finite_stencil_values(steps):
+    # NaN in one component at the point one small step below along var 2
+    # must raise, not come back as a NaN difference
+    pt = _pt([0.4, -0.7], [1.6, 0.3])
+    low = pt.coords[2] - steps[-1] * 1.6
+
+    def f(q):
+        out = _quartic(q)
+        if q.coords[2] == low:
+            out[1] = np.nan
+        return out
+
+    with pytest.raises(EvaluationDomainError, match="non-finite"):
+        fd_partial(f, pt, 2, steps=steps)
+    # the same field is fine along a variable whose stencil misses that point
+    assert np.isfinite(fd_partial(f, pt, 0, steps=steps)).all()
+
+
 def test_fd_jet_contract_on_smooth_field():
     # arbitrary smooth field mixing all primitive kinds
     def f_jets(xs, ps):

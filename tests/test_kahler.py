@@ -13,16 +13,13 @@ from conftest import builtin_structures, general_randers, pt
 
 from cartanlab import checks
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual, sample_points
-from cartanlab.errors import EvaluationDomainError
-from cartanlab.geometry import FrameVector, PointGeometry
-from cartanlab.jets import ChartPoint, invert
+from cartanlab.errors import EvaluationDomainError, ValenceError
+from cartanlab.geometry import PointGeometry, lie_brackets, slot_index
+from cartanlab.jets import invert
 from cartanlab.kahler import (
     BundleMetric,
     DeformationParams,
-    almost_complex,
-    fundamental_form,
     integrability_defect,
-    nijenhuis,
     nijenhuis_table,
     theta_matrix,
     tube_predicate,
@@ -39,6 +36,32 @@ PARAM_SETS = [
 
 def _sample(s, params, count, seed):
     return sample_points(s, count, seed, accept=tube_predicate(s, params))
+
+
+# test-only references on (2n,) adapted components, built from G_down and
+# G_up by the paper's rules, never from `complex_jets` or `gram`
+
+
+def _j_of(m, x):
+    """J(X): delta_i -> G_ik pdot^k, pdot^i -> -G^ik delta_k."""
+    n = m.n
+    return np.concatenate([-m.G_up @ x[n:], m.G_down @ x[:n]])
+
+
+def _g_of(m, x, y):
+    """G(X, Y) = G_ij X^i Y^j + G^ij Xbar_i Ybar_j."""
+    n = m.n
+    return float(x[:n] @ m.G_down @ y[:n] + x[n:] @ m.G_up @ y[n:])
+
+
+def _theta_of(m, x, y):
+    """theta(X, Y) = G(X, JY)."""
+    return _g_of(m, x, _j_of(m, y))
+
+
+def _bracket(geom, x, y):
+    """[X, Y] of two (2n,) jet fields: `lie_brackets` on one row each."""
+    return lie_brackets(geom, x[None], y[None]).value[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +139,22 @@ def test_frame_bracket_relations():
     at = pt([0.2, -0.3], [1.0, 0.6])
     geom = PointGeometry(s, at)
     n = 2
+    delta, vdot = geom.basis_jets[:n], geom.basis_jets[n:]
     for i in range(n):
         for j in range(n):
             # [delta_i, delta_j] = R_kij pdot^k
-            br = FrameVector.delta_frame(geom, i).bracket(FrameVector.delta_frame(geom, j))
-            np.testing.assert_allclose(br.h_values, 0.0, atol=1e-12)
+            br = _bracket(geom, delta[i], delta[j])
+            np.testing.assert_allclose(br[:n], 0.0, atol=1e-12)
             want = np.array([geom.R_vv[k, i, j] for k in range(n)])
-            np.testing.assert_allclose(br.v_values, want, atol=1e-10)
+            np.testing.assert_allclose(br[n:], want, atol=1e-10)
             # [delta_i, pdot^j] = -B^j_ik pdot^k
-            br = FrameVector.delta_frame(geom, i).bracket(FrameVector.vdot_frame(geom, j))
-            np.testing.assert_allclose(br.h_values, 0.0, atol=1e-12)
-            np.testing.assert_allclose(br.v_values, -geom.B[j, i, :], atol=1e-10)
+            br = _bracket(geom, delta[i], vdot[j])
+            np.testing.assert_allclose(br[:n], 0.0, atol=1e-12)
+            np.testing.assert_allclose(br[n:], -geom.B[j, i, :], atol=1e-10)
             # [pdot^i, pdot^j] = 0
-            br = FrameVector.vdot_frame(geom, i).bracket(FrameVector.vdot_frame(geom, j))
-            np.testing.assert_allclose(br.h_values, 0.0, atol=1e-14)
-            np.testing.assert_allclose(br.v_values, 0.0, atol=1e-14)
+            br = _bracket(geom, vdot[i], vdot[j])
+            np.testing.assert_allclose(br[:n], 0.0, atol=1e-14)
+            np.testing.assert_allclose(br[n:], 0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -167,13 +191,13 @@ def test_j_on_basis_fields():
     s = flat_structure(2)
     at = pt([0.0, 0.0], [1.0, 0.5])
     m = BundleMetric(PointGeometry(s, at), DeformationParams(c=-1.0))
-    geom = m.geom
-    jd1 = almost_complex(m, FrameVector.delta_frame(geom, 0))
-    np.testing.assert_allclose(jd1.h_values, 0.0, atol=1e-14)
-    np.testing.assert_allclose(jd1.v_values, m.G_down[0], atol=1e-14)
-    jv2 = almost_complex(m, FrameVector.vdot_frame(geom, 1))
-    np.testing.assert_allclose(jv2.v_values, 0.0, atol=1e-14)
-    np.testing.assert_allclose(jv2.h_values, -m.G_up[1], atol=1e-14)
+    j = m.complex_jets.value  # row a is J(F_a)
+    jd1 = j[0]
+    np.testing.assert_allclose(jd1[:2], 0.0, atol=1e-14)
+    np.testing.assert_allclose(jd1[2:], m.G_down[0], atol=1e-14)
+    jv2 = j[3]
+    np.testing.assert_allclose(jv2[2:], 0.0, atol=1e-14)
+    np.testing.assert_allclose(jv2[:2], -m.G_up[1], atol=1e-14)
 
 
 @pytest.mark.parametrize("params", PARAM_SETS[:3], ids=lambda p: p.describe())
@@ -181,19 +205,12 @@ def test_j_squared_is_minus_identity(params):
     rng = np.random.default_rng(5)
     for s in [general_randers(2), conformal_structure(2, 1.0)]:
         for at in _sample(s, params, 3, rng):
-            geom = PointGeometry(s, at)
-            m = BundleMetric(geom, params)
-            basis = [FrameVector.delta_frame(geom, i) for i in range(2)] + [
-                FrameVector.vdot_frame(geom, i) for i in range(2)
-            ]
-            for x in basis:
-                jjx = almost_complex(m, almost_complex(m, x))
-                np.testing.assert_allclose(jjx.h_values, -x.h_values, atol=1e-10)
-                np.testing.assert_allclose(jjx.v_values, -x.v_values, atol=1e-10)
-            x = FrameVector(geom, rng.normal(size=2), rng.normal(size=2))
-            jjx = almost_complex(m, almost_complex(m, x))
-            np.testing.assert_allclose(jjx.h_values, -x.h_values, atol=1e-10)
-            np.testing.assert_allclose(jjx.v_values, -x.v_values, atol=1e-10)
+            m = BundleMetric(PointGeometry(s, at), params)
+            j = m.complex_jets.value  # J(X) is x @ j
+            for x in np.eye(4):
+                np.testing.assert_allclose(x @ j @ j, -x, atol=1e-10)
+            x = np.concatenate([rng.normal(size=2), rng.normal(size=2)])
+            np.testing.assert_allclose(x @ j @ j, -x, atol=1e-10)
 
 
 def test_metric_is_hermitian_under_j():
@@ -201,13 +218,13 @@ def test_metric_is_hermitian_under_j():
     s = general_randers(2)
     params = DeformationParams(alpha=1.5, beta=0.7, c=-1.0)
     at = pt([0.3, -0.1], [0.9, 0.8])
-    geom = PointGeometry(s, at)
-    m = BundleMetric(geom, params)
+    m = BundleMetric(PointGeometry(s, at), params)
+    j, gram = m.complex_jets.value, m.gram
     for _ in range(20):
-        x = FrameVector(geom, rng.normal(size=2), rng.normal(size=2))
-        y = FrameVector(geom, rng.normal(size=2), rng.normal(size=2))
-        jx, jy = almost_complex(m, x), almost_complex(m, y)
-        assert m.inner(jx, jy) == pytest.approx(m.inner(x, y), rel=1e-10, abs=1e-10)
+        x = np.concatenate([rng.normal(size=2), rng.normal(size=2)])
+        y = np.concatenate([rng.normal(size=2), rng.normal(size=2)])
+        jx, jy = x @ j, y @ j
+        assert jx @ gram @ jy == pytest.approx(x @ gram @ y, rel=1e-10, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +245,9 @@ def test_theta_is_canonical_and_params_independent():
     np.testing.assert_allclose(mats[0], mats[1], atol=1e-12)
     # spot values
     m = BundleMetric(PointGeometry(s, at), DeformationParams(c=-1.0))
-    geom = m.geom
-    d1 = FrameVector.delta_frame(geom, 0)
-    d2 = FrameVector.delta_frame(geom, 1)
-    v1 = FrameVector.vdot_frame(geom, 0)
-    assert fundamental_form(m, v1, d1) == pytest.approx(1.0, abs=1e-12)
-    assert fundamental_form(m, d1, d2) == pytest.approx(0.0, abs=1e-12)
+    d1, d2, v1, _ = np.eye(4)
+    assert _theta_of(m, v1, d1) == pytest.approx(1.0, abs=1e-12)
+    assert _theta_of(m, d1, d2) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +256,17 @@ def test_theta_is_canonical_and_params_independent():
 
 def _kahler_reference(m):
     """J^2 + 1, hermitian and theta residuals and the theta matrix, from
-    `almost_complex` and `inner` one basis field at a time."""
-    basis = FrameVector.basis(m.geom)
-    jb = [almost_complex(m, b) for b in basis]
-    j_sq = max(
-        float(np.abs(almost_complex(m, jx).w.value + x.w.value).max())
-        for x, jx in zip(basis, jb)
-    )
+    `_j_of` and `_g_of` one basis field at a time."""
+    n = m.n
+    basis = np.eye(2 * n)
+    jb = [_j_of(m, b) for b in basis]
+    j_sq = max(float(np.abs(_j_of(m, jx) + x).max()) for x, jx in zip(basis, jb))
     herm = max(
-        abs(m.inner(jb[a], jb[b]) - m.inner(basis[a], basis[b]))
+        abs(_g_of(m, jb[a], jb[b]) - _g_of(m, basis[a], basis[b]))
         for a in range(len(basis))
         for b in range(a, len(basis))
     )
-    theta = np.array([[m.inner(x, y) for y in jb] for x in basis])
-    n = m.n
+    theta = np.array([[_g_of(m, x, y) for y in jb] for x in basis])
     canonical = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
     return j_sq, herm, float(np.abs(theta - canonical).max()), theta
 
@@ -299,8 +310,11 @@ def test_matrix_kahler_checks_see_a_planted_metric_defect(n, params):
 
 
 def _nij_norm(s, at, params, pair, geom=None, metric=None):
-    njv = nijenhuis(s, at, params, pair, geom=geom, metric=metric)
-    return max(np.max(np.abs(njv.h_values)), np.max(np.abs(njv.v_values)))
+    """Largest |N_J(X, Y)| component for one pair of frame slots."""
+    if metric is None:
+        metric = BundleMetric(geom if geom is not None else PointGeometry(s, at), params)
+    a, b = (slot_index(sl, metric.n) for sl in pair)
+    return float(np.abs(nijenhuis_table(metric)[a, b]).max())
 
 
 @pytest.mark.parametrize("c_params", [-1.0, 2.0], ids=["matching", "mismatched"])
@@ -311,18 +325,18 @@ def test_nijenhuis_table_matches_single_brackets(c_params):
     m = BundleMetric(PointGeometry(s, at), params)
     table = nijenhuis_table(m)
     assert not table.flags.writeable
-    basis = FrameVector.basis(m.geom)
+    geom, basis, jb = m.geom, m.geom.basis_jets, m.complex_jets  # row a: F_a, J(F_a)
+    j = jb.value
     worst = 0.0
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            x, y = basis[a], basis[b]
-            jx, jy = almost_complex(m, x), almost_complex(m, y)
+    dim = 2 * m.n
+    for a in range(dim):
+        for b in range(a + 1, dim):
             want = (
-                jx.bracket(jy) - almost_complex(m, jx.bracket(y))
-                - almost_complex(m, x.bracket(jy)) - x.bracket(y)
+                _bracket(geom, jb[a], jb[b]) - _bracket(geom, jb[a], basis[b]) @ j
+                - _bracket(geom, basis[a], jb[b]) @ j - _bracket(geom, basis[a], basis[b])
             )
-            np.testing.assert_allclose(table[a, b], want.w.value, rtol=0.0, atol=1e-12)
-            worst = max(worst, np.abs(want.w.value).max())
+            np.testing.assert_allclose(table[a, b], want, rtol=0.0, atol=1e-12)
+            worst = max(worst, np.abs(want).max())
     if c_params != -1.0:
         assert worst > 1e-2  # the comparison is not between two zeros
 
@@ -404,29 +418,15 @@ def test_integrability_defect_r_residual_matches_structure():
 
 
 def test_frame_slots_are_shared_and_validated():
-    from cartanlab.errors import ValenceError
-    from cartanlab.geometry import frame_slots, slot_index
-    from cartanlab.levicivita import curvature_defn
-
-    s = conformal_structure(2, c=-1.0)
-    params = DeformationParams(c=-1.0)
-    at = pt([0.25, -0.1], [0.9, 0.55])
-    geom = PointGeometry(s, at)
-    slots = frame_slots(2)
-    assert slots == [("h", 0), ("h", 1), ("v", 0), ("v", 1)]
+    geom = PointGeometry(conformal_structure(2, c=-1.0), pt([0.25, -0.1], [0.9, 0.55]))
+    slots = [("h", 0), ("h", 1), ("v", 0), ("v", 1)]
     assert [slot_index(sl, 2) for sl in slots] == [0, 1, 2, 3]
-    # the basis fields are the unit vectors of the adapted frame, in slot order
-    for a, (field, sl) in enumerate(zip(FrameVector.basis(geom), slots)):
-        unit = np.eye(4)[a]
-        np.testing.assert_array_equal(field.h_values, unit[:2])
-        np.testing.assert_array_equal(field.v_values, unit[2:])
-        np.testing.assert_array_equal(FrameVector.slot(geom, sl).w.c, field.w.c)
+    # the basis fields are the constant unit vectors of the adapted frame, in
+    # slot order, and every user reads the one read-only table
+    basis = geom.basis_jets
+    np.testing.assert_array_equal(basis.value, np.eye(4))
+    assert np.abs(basis.c[..., 1:]).max() == 0.0
+    assert geom.basis_jets is basis and not basis.c.flags.writeable
     for bad in (("h", 2), ("v", -1), ("x", 0)):
         with pytest.raises(ValenceError):
             slot_index(bad, 2)
-        with pytest.raises(ValenceError):
-            FrameVector.slot(geom, bad)
-        with pytest.raises(ValenceError):
-            nijenhuis(s, at, params, (bad, ("h", 0)), geom=geom)
-        with pytest.raises(ValenceError):
-            curvature_defn(s, at, params, ("h", 0), bad, ("v", 1), geom=geom)

@@ -6,7 +6,7 @@ import numpy as np
 from cartanlab import checks, geometry, operators
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual
 from cartanlab.checks import run_suite
-from cartanlab.geometry import FrameVector, PointGeometry
+from cartanlab.geometry import PointGeometry
 from cartanlab.jets import ChartPoint
 from cartanlab.kahler import DeformationParams
 from cartanlab.manifest import parse_manifest
@@ -55,7 +55,7 @@ def test_vertical_divergences_vanish():
         assert np.abs(ctx.div_v).max() <= 1e-12
         for _ in range(5):
             xv = rng.normal(size=n)
-            assert abs(divergence(ctx, (np.zeros(n), xv))) <= 1e-6
+            assert abs(divergence(ctx, np.concatenate([np.zeros(n), xv]))) <= 1e-6
         assert abs(divergence(ctx, liouville_field(ctx))) <= 1e-6
         assert ctx.sqrt_g > 0.0
 
@@ -102,21 +102,22 @@ def test_gradient_values():
     s, params, at = _cases()[1]
     ctx = operator_context(s, at, params)
     g = gradient(ctx, lambda q: 4.2)
-    assert np.abs(g.h_values).max() == 0.0
-    assert np.abs(g.v_values).max() == 0.0
+    assert g.shape == (2 * ctx.geom.n,)
+    assert np.abs(g).max() == 0.0
     # energy function: horizontal part drops, vertical part is G p doubled
     for s, params, at in _cases():
         ctx = operator_context(s, at, params)
+        n = ctx.geom.n
         g = gradient(ctx, ctx.geom.k2)
         p_up = ctx.geom.p_up_jets.value
-        assert np.abs(g.h_values).max() <= 1e-10
-        assert np.abs(g.v_values - ctx.metric.G_down @ (2 * p_up)).max() <= 1e-10
+        assert np.abs(g[:n]).max() <= 1e-10
+        assert np.abs(g[n:] - ctx.metric.G_down @ (2 * p_up)).max() <= 1e-10
     # coordinate function on the flat structure at unit deformation
     s = flat_structure(2)
     ctx = operator_context(s, pt([0.3, -0.2], [0.8, 1.1]), DeformationParams(c=0.0))
     g = gradient(ctx, lambda q: q.x[0])
-    assert np.abs(g.h_values - np.array([1.0, 0.0])).max() <= 1e-9
-    assert np.abs(g.v_values).max() <= 1e-9
+    assert np.abs(g[:2] - np.array([1.0, 0.0])).max() <= 1e-9
+    assert np.abs(g[2:]).max() <= 1e-9
 
 
 def test_gradient_duality():
@@ -127,10 +128,9 @@ def test_gradient_duality():
         for f in _corpus(s):
             gf = gradient(ctx, f)
             for _ in range(20):
-                xh, xv = rng.normal(size=n), rng.normal(size=n)
-                lhs = ctx.metric.inner(gf, FrameVector(ctx.geom, xh, xv))
-                rhs = directional_derivative(ctx, f, (xh, xv))
-                assert abs(lhs - rhs) <= 1e-8
+                x = np.concatenate([rng.normal(size=n), rng.normal(size=n)])
+                lhs = gf @ ctx.metric.gram @ x
+                assert abs(lhs - directional_derivative(ctx, f, x)) <= 1e-8
 
 
 def test_laplacian_routes_agree():
