@@ -15,8 +15,9 @@ The package is organized bottom-up:
 * :mod:`cartanlab.kahler` -- deformed bundle metric, almost complex
   structure, canonical two-form, integrability diagnostics.
 * :mod:`cartanlab.levicivita` -- Levi-Civita connection of the bundle
-  metric in closed form, a Koszul oracle, six curvature blocks, a
-  curvature-definition oracle, Ricci traces and Einstein diagnostics.
+  metric in closed form and its curvature, one table each over the
+  adapted basis, a Koszul oracle, a curvature-definition oracle, the
+  Ricci trace and Einstein diagnostics.
 * :mod:`cartanlab.operators` -- divergence, gradient and Laplacian in
   the adapted frame.
 * :mod:`cartanlab.formulas` -- the anchor index tying verification
@@ -43,7 +44,7 @@ from .cartan import (
     riemannian_dual,
     sample_points,
 )
-from .geometry import PointGeometry, lie_brackets
+from .geometry import PointGeometry, frame_block, lie_brackets
 from .kahler import (
     BundleMetric,
     DeformationParams,
@@ -54,7 +55,6 @@ from .kahler import (
 )
 from .levicivita import (
     CURVATURE_BLOCKS,
-    LCConnection,
     connection_defects,
     curvature_closed,
     curvature_defn,
@@ -92,6 +92,7 @@ __all__ = [
     "riemannian_dual",
     "sample_points",
     "PointGeometry",
+    "frame_block",
     "lie_brackets",
     "BundleMetric",
     "DeformationParams",
@@ -100,7 +101,6 @@ __all__ = [
     "theta_matrix",
     "tube_predicate",
     "CURVATURE_BLOCKS",
-    "LCConnection",
     "connection_defects",
     "curvature_closed",
     "curvature_defn",

@@ -27,6 +27,13 @@ Applicability gating (resolved empirically; see the formula index):
 * Everything else is an identity of the coefficient field and runs on
   every structure/params pairing.
 
+Runners compare whole tables over the adapted basis: the Koszul check the
+oracle table with the closed connection table, the curvature-block checks
+``geometry.frame_block`` slices of the closed and the definition curvature
+tables, and the Ricci checks the one Ricci table and its blocks.  The
+tables are kept on the point's ``BundleMetric``, so a scope memoizes only
+the geometry, the metric and the oracle contexts.
+
 Two checks run in *detection* mode: instead of requiring a residual
 below tolerance they require it **above** a floor (a deliberately broken
 input must be seen to fail).  Their ``tolerance`` field records the
@@ -55,7 +62,7 @@ from .berwald import (
 from .cartan import sample_points
 from .errors import CartanLabError
 from .formulas import INDEX
-from .geometry import PointGeometry
+from .geometry import PointGeometry, frame_block
 from .jets import ChartPoint, fd_derivative, jet_eval
 from .kahler import (
     BundleMetric,
@@ -179,15 +186,6 @@ class CheckContext:
     def stencil(self) -> MetricStencil:
         return self._memo(("stencil",), lambda: MetricStencil(self.structure, self.params))
 
-    def connection(self, idx):
-        return self._memo(
-            ("conn", idx),
-            lambda: lc_closed_form(
-                self.structure, self.points[idx], self.params,
-                geom=self.geometry(idx), metric=self.metric(idx),
-            ),
-        )
-
     def defects(self, idx):
         return self._memo(
             ("defects", idx),
@@ -201,15 +199,6 @@ class CheckContext:
         return self._memo(
             ("defn", idx),
             lambda: curvature_context(
-                self.structure, self.points[idx], self.params,
-                geom=self.geometry(idx), metric=self.metric(idx),
-            ),
-        )
-
-    def ricci(self, idx):
-        return self._memo(
-            ("ricci", idx),
-            lambda: ricci(
                 self.structure, self.points[idx], self.params,
                 geom=self.geometry(idx), metric=self.metric(idx),
             ),
@@ -434,7 +423,8 @@ def _r_koszul(ctx, idx, pt):
         ctx.structure, pt, ctx.params,
         geom=ctx.geometry(idx), metric=ctx.metric(idx), stencil=ctx.stencil(),
     )
-    return float(np.abs(got - ctx.connection(idx).table()).max())
+    closed = lc_closed_form(ctx.structure, pt, ctx.params, geom=ctx.geometry(idx), metric=ctx.metric(idx))
+    return float(np.abs(got - closed).max())
 
 
 def _r_torsion(ctx, idx, pt):
@@ -446,21 +436,13 @@ def _r_metric_compat(ctx, idx, pt):
 
 
 def _block_residual(ctx, idx, pt, names):
-    g = ctx.geometry(idx)
-    m = ctx.metric(idx)
-    dctx = ctx.defn_context(idx)
-    worst = 0.0
-    for which in names:
-        blk = curvature_closed(ctx.structure, pt, ctx.params, which, geom=g, metric=m)
-        defn = curvature_defn(ctx.structure, pt, ctx.params, which, ctx=dctx)
-        # one scale per slot triple (i, j, k): max(1, |defn h|, |defn v|)
-        scale = np.maximum(1.0, np.maximum(np.abs(defn.h).max(axis=3), np.abs(defn.v).max(axis=3)))
-        worst = max(
-            worst,
-            float((np.abs(defn.h - blk.h).max(axis=3) / scale).max()),
-            float((np.abs(defn.v - blk.v).max(axis=3) / scale).max()),
-        )
-    return worst
+    """Largest |closed - defn| over the curvature blocks ``names``, each
+    slot triple (x, y, z) scaled by max(1, |defn[x, y, z, :]|)."""
+    closed = curvature_closed(ctx.structure, pt, ctx.params, geom=ctx.geometry(idx), metric=ctx.metric(idx))
+    defn = curvature_defn(ctx.structure, pt, ctx.params, ctx=ctx.defn_context(idx))
+    scale = np.maximum(1.0, np.abs(defn).max(axis=3))
+    rel = np.abs(defn - closed).max(axis=3) / scale
+    return max(float(frame_block(rel, which).max()) for which in names)
 
 
 def _r_blocks_universal(ctx, idx, pt):
@@ -471,20 +453,24 @@ def _r_blocks_paired(ctx, idx, pt):
     return _block_residual(ctx, idx, pt, ("hh_h", "hh_v"))
 
 
+def _ricci(ctx, idx, pt):
+    return ricci(ctx.structure, pt, ctx.params, geom=ctx.geometry(idx), metric=ctx.metric(idx))
+
+
 def _r_einstein_forward(ctx, idx, pt):
-    rd = ctx.ricci(idx)
+    rd = _ricci(ctx, idx, pt)
     g = ctx.geometry(idx)
     target = ctx.params.c_at(g.tau) * g.n * ctx.params.beta
     return max(abs(rd.lambda_hat - target), rd.defect)
 
 
 def _r_einstein_defect(ctx, idx, pt):
-    return float(ctx.ricci(idx).defect)
+    return float(_ricci(ctx, idx, pt).defect)
 
 
 def _r_ricci_symmetry(ctx, idx, pt):
-    rd = ctx.ricci(idx)
-    return float(np.abs(rd.Ric_hv - rd.Ric_vh.T).max())
+    ric = _ricci(ctx, idx, pt).ric
+    return float(np.abs(frame_block(ric, "hv") - frame_block(ric, "vh").T).max())
 
 
 def _r_obstruction_identity(ctx, idx, pt):
@@ -500,9 +486,8 @@ def _r_obstruction_identity(ctx, idx, pt):
 
 def _r_vertical_divergence(ctx, idx, pt):
     octx = ctx.op_context(idx)
-    n = octx.geom.n
-    # div(pdot^i) for each vertical basis field, rows n.. of the identity
-    return float(np.abs([divergence(octx, x) for x in np.eye(2 * n)[n:]]).max())
+    # div(pdot^i) for each vertical basis field, the v rows of the identity
+    return float(np.abs([divergence(octx, x) for x in frame_block(np.eye(2 * octx.geom.n), "v")]).max())
 
 
 def _r_liouville_divergence(ctx, idx, pt):

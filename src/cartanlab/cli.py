@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CartanLabError, ManifestError
-from .geometry import PointGeometry
+from .geometry import PointGeometry, frame_block
 from .jets import ChartPoint
 from .kahler import BundleMetric, theta_matrix
 from .levicivita import CURVATURE_BLOCKS, curvature_closed, lc_closed_form, ricci
@@ -72,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--points", type=int, default=None, help="override the sample count")
     common.add_argument("--tol-scale", type=float, default=None, help="scale all tolerances")
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
-    common.add_argument("--format", choices=["json"], default="json", help="report format")
 
     sub.add_parser("verify", parents=[common], help="run the full check suite")
 
@@ -142,6 +141,10 @@ def _parse_point(text: str, n: int) -> ChartPoint:
             f"--point needs {n} base and {n} momentum coordinates for this "
             f"structure, got {len(x)} and {len(p)}"
         )
+    if not np.all(np.isfinite(x + p)):
+        raise ManifestError(f"--point has non-finite entries: {text!r}")
+    if not any(p):
+        raise ManifestError(f"--point needs a nonzero momentum on the slit bundle, got {text!r}")
     return ChartPoint(np.array(x), np.array(p))
 
 
@@ -214,26 +217,21 @@ def _tensor_objects(structure, params, at, names):
             }
         elif name == "connection":
             conn = lc_closed_form(structure, at, params, geom=geom, metric=need_metric())
-            doc = {"anchor": "connection-blocks", "c_effective": float(conn.c_eff)}
+            doc = {"anchor": "connection-blocks", "c_effective": float(params.c_at(geom.tau))}
             for key in ("v_v", "h_v", "v_h", "h_h"):
-                blk = getattr(conn, key)
-                doc[key] = {"h": _arr(blk.h), "v": _arr(blk.v)}
+                doc[key] = {t: _arr(frame_block(conn, key + t)) for t in "hv"}
             out[name] = doc
         elif name == "curvature":
-            m = need_metric()
+            k = curvature_closed(structure, at, params, geom=geom, metric=need_metric())
             doc = {"anchor": "curvature-blocks"}
             for which in CURVATURE_BLOCKS:
-                blk = curvature_closed(structure, at, params, which, geom=geom, metric=m)
-                doc[which] = {"h": _arr(blk.h), "v": _arr(blk.v)}
+                doc[which] = {t: _arr(frame_block(k, which + t)) for t in "hv"}
             out[name] = doc
         elif name == "ricci":
             rd = ricci(structure, at, params, geom=geom, metric=need_metric())
             out[name] = {
                 "anchor": "ricci-traces",
-                "Ric_hh": _arr(rd.Ric_hh),
-                "Ric_vv": _arr(rd.Ric_vv),
-                "Ric_hv": _arr(rd.Ric_hv),
-                "Ric_vh": _arr(rd.Ric_vh),
+                **{f"Ric_{kinds}": _arr(frame_block(rd.ric, kinds)) for kinds in ("hh", "vv", "hv", "vh")},
                 "lambda_hat": float(rd.lambda_hat),
                 "defect": float(rd.defect),
             }

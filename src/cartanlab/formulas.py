@@ -196,47 +196,55 @@ INDEX: Mapping[str, FormulaEntry] = {
     "koszul": FormulaEntry(
         "Koszul formula 2 G(nabla_X Y, Z) = X G(Y,Z) + Y G(X,Z) - Z G(X,Y) "
         "+ G([X,Y], Z) - G([X,Z], Y) - G([Y,Z], X) on adapted frame "
-        "fields; the independent oracle for the closed connection blocks.",
+        "fields; the independent oracle for the closed connection table.",
         "levicivita.koszul_oracle (the whole table, brackets from "
         "geometry.PointGeometry.basis_brackets) / geometry.lie_brackets / "
-        "levicivita.LCConnection.table",
+        "levicivita.lc_closed_form",
     ),
     "connection-blocks": FormulaEntry(
-        "Closed-form Levi-Civita blocks of the bundle metric in the "
-        "adapted frame: nabla_{F_i} F_j = H[i,j,s] delta_s + V[i,j,s] "
-        "dot^s with H, V built from C, L, B, G and the constant c; "
-        "torsion-free and metric-compatible.",
-        "levicivita.lc_closed_form / levicivita.LCConnection.table / "
+        "Closed-form Levi-Civita connection of the bundle metric in the "
+        "adapted frame, one table Gamma[a, b, :] of the adapted components "
+        "of nabla_{F_a} F_b built from C, L, B, G and the constant c; its "
+        "blocks nabla_{F_i} F_j = H[i,j,s] delta_s + V[i,j,s] dot^s by "
+        "frame kind are slices; torsion-free and metric-compatible.",
+        "levicivita.lc_closed_form / geometry.frame_block / "
         "levicivita.connection_defects / geometry.PointGeometry.basis_brackets",
     ),
     "curvature-defn": FormulaEntry(
         "Curvature by definition: K(X, Y)Z = nabla_X nabla_Y Z - nabla_Y "
-        "nabla_X Z - nabla_[X,Y] Z, evaluated with finite-difference frame "
-        "derivatives of the closed connection coefficients.",
-        "levicivita.curvature_defn (one whole block, as "
+        "nabla_X Z - nabla_[X,Y] Z over every slot triple at once, "
+        "evaluated with finite-difference frame derivatives of the closed "
+        "connection table and the basis brackets.",
+        "levicivita.curvature_defn (the whole table, as "
         "levicivita.curvature_closed) / levicivita.curvature_context",
     ),
     "curvature-blocks": FormulaEntry(
         "Six closed-form curvature blocks, named by the frame kinds of "
-        "(X, Y, Z): vv_v, hv_v, hh_h, hh_v, vv_h, hv_h.  Blocks vv_v, "
-        "hv_v, vv_h, hv_h are identities of the coefficient field for any "
-        "structure; hh_h and hh_v additionally presuppose the "
-        "constant-curvature shape of the vv-curvature.",
-        "levicivita.curvature_closed / levicivita.CURVATURE_BLOCKS",
+        "(X, Y, Z): vv_v, hv_v, hh_h, hh_v, vv_h, hv_h, assembled into one "
+        "table K[x, y, z, :] with the (v, h, .) kinds by antisymmetry in "
+        "the first pair.  Blocks vv_v, hv_v, vv_h, hv_h are identities of "
+        "the coefficient field for any structure; hh_h and hh_v "
+        "additionally presuppose the constant-curvature shape of the "
+        "vv-curvature.",
+        "levicivita.curvature_closed / levicivita.CURVATURE_BLOCKS / "
+        "geometry.frame_block",
     ),
     "ricci-traces": FormulaEntry(
-        "Ricci traces of the four curvature blocks that carry them: "
+        "Ricci tensor as one trace of the curvature table over the adapted "
+        "basis: Ric(F_y, F_z) = sum_x K[x, y, z, x].  Its blocks are "
         "Ric_hh[j,k] = hh_h.h[i,j,k,i] - hv_h.v[j,i,k,i], Ric_vv[j,k] = "
         "hv_v.h[i,j,k,i] + vv_v.v[i,j,k,i], and the mixed traces; the "
         "mixed blocks satisfy Ric_hv = Ric_vh^T.",
-        "levicivita.ricci",
+        "levicivita.ricci / levicivita.RicciData",
     ),
     "einstein-forward": FormulaEntry(
         "On quadratic duals of constant curvature c with the matching "
         "profile v = -c alpha beta^2, the bundle metric is Einstein: "
         "Ric = lambda G with lambda = c n beta (least-squares factor "
-        "lambda-hat equals c n beta and the max-norm defect vanishes).",
-        "levicivita.ricci / levicivita.RicciData",
+        "lambda-hat = <Ric, G> / <G, G> over the Gram matrix equals "
+        "c n beta and the max-norm defect max |Ric - lambda-hat G| "
+        "vanishes).",
+        "levicivita.ricci / levicivita.RicciData / kahler.BundleMetric.gram",
     ),
     "einstein-obstruction": FormulaEntry(
         "Obstruction identity: p_k Ric_vv[j,k] - c n beta p_k G^jk = I^j "

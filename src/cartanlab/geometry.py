@@ -22,8 +22,11 @@ A vector field on the slit bundle in the adapted frame,
 h^i delta_i + v_i pdot^i, is its (2n,) array of adapted components, h
 first, or a (2n,) jet of them where derivatives are needed.  In these
 components the adapted basis F_a (delta_1..delta_n, pdot^1..pdot^n) is the
-identity matrix: row a of `basis_jets` holds F_a, and a frame slot `(kind, index)`, kind "h" for
-delta_i and "v" for pdot^i, names row `slot_index(slot, n)`.
+identity matrix: row a of `basis_jets` holds F_a, and a frame slot
+`(kind, index)`, kind "h" for delta_i and "v" for pdot^i, names row
+`slot_index(slot, n)`.  A table over the adapted basis splits into blocks
+by the frame kinds of its leading axes; `frame_block(table, kinds)` is the
+one place that slices them.
 `lie_brackets` takes two stacks of such fields and returns every Lie
 bracket between them as one jet, passing through the coordinate frame;
 `PointGeometry` keeps the table [F_a, F_b] of the adapted basis
@@ -43,6 +46,7 @@ __all__ = [
     "PointGeometry",
     "lie_brackets",
     "slot_index",
+    "frame_block",
     "jet_mat_inv",
 ]
 
@@ -381,3 +385,20 @@ def slot_index(slot, n: int) -> int:
     if not 0 <= idx < n:
         raise ValenceError(f"frame slot index must lie in [0, {n}), got {idx}")
     return idx if kind == "h" else n + idx
+
+
+def frame_block(table, kinds: str):
+    """The block of a table over the adapted basis whose leading axes have
+    the frame kinds ``kinds``, one letter per axis ('h' for delta_i, 'v' for
+    pdot^i; a '_' is ignored): ``frame_block(K, "hv_h")`` is K[:n, n:, :n].
+    The axes after them stay whole.  A view of ``table``.
+
+    Raises ValenceError for any other letter.
+    """
+    n = table.shape[0] // 2
+    index = []
+    for kind in kinds.replace("_", ""):
+        if kind not in ("h", "v"):
+            raise ValenceError(f"frame kind must be 'h' or 'v', got {kind!r} in {kinds!r}")
+        index.append(slice(0, n) if kind == "h" else slice(n, 2 * n))
+    return table[tuple(index)]

@@ -243,10 +243,6 @@ class Jet:
         """The value: a float for a scalar jet, else an array of `shape`."""
         return _scalar_or_array(self.c[..., 0])
 
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.c
-
     def __getitem__(self, idx) -> "Jet":
         """Index the tensor axes; the coefficient axis is kept whole."""
         if not isinstance(idx, tuple):

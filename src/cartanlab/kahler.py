@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .geometry import PointGeometry, lie_brackets
+from .geometry import PointGeometry, frame_block, lie_brackets
 from .jets import ChartPoint, Jet, contract
 
 __all__ = [
@@ -129,8 +129,6 @@ class BundleMetric:
                 f"deformed metric loses positivity: alpha + 2 tau v = {gauge:.6e} "
                 f"<= 0 at {self.at!r} (tau={geom.tau:.6f}, v={v_val:.6f})"
             )
-        self.v_value = v_val
-        self.gauge = gauge
 
         a, b = params.alpha, params.beta
         down = geom.g_down_jets * (1.0 / b)
@@ -147,7 +145,8 @@ class BundleMetric:
         self.G_down = down.value
         self.G_up = up.value
         #: per-point tables derived from this metric (the Nijenhuis table,
-        #: the Koszul frame tables, the curvature blocks), built on first use
+        #: the Koszul table, the connection jet, the curvature table and
+        #: Ricci), built on first use
         self.derived: dict = {}
 
     def derive(self, key: str, build):
@@ -165,9 +164,9 @@ class BundleMetric:
     def gram(self) -> np.ndarray:
         """G(F_a, F_b) over the adapted basis: the block-diagonal 2n x 2n
         matrix of G_ij and G^ij.  Read-only."""
-        n = self.n
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n], out[n:, n:] = self.G_down, self.G_up
+        out = np.zeros((2 * self.n, 2 * self.n))
+        frame_block(out, "hh")[...] = self.G_down
+        frame_block(out, "vv")[...] = self.G_up
         out.setflags(write=False)
         return out
 
@@ -179,8 +178,8 @@ class BundleMetric:
         order = min(self.G_down_jets.order, self.G_up_jets.order)
         down, up = self.G_down_jets.truncate(order), self.G_up_jets.truncate(order)
         c = np.zeros((2 * n, 2 * n) + down.c.shape[-1:])
-        c[:n, n:] = down.c
-        c[n:, :n] = -up.c
+        frame_block(c, "hv")[...] = down.c
+        frame_block(c, "vh")[...] = -up.c
         return Jet(2 * n, order, c)
 
 

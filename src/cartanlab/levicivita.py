@@ -1,66 +1,66 @@
 """Levi-Civita connection of the deformed bundle metric, its curvature, and
 the Einstein analysis.
 
+The connection is one table over the adapted basis F_a (delta_1..delta_n,
+pdot^1..pdot^n): Gamma[a, b, :] holds the adapted components of
+nabla_{F_a} F_b.  The curvature is one table K[x, y, z, :] holding the
+adapted components of K(F_x, F_y) F_z.  A block of either, named by the
+frame kinds of its leading axes (``"h"`` for delta_i, ``"v"`` for pdot^i),
+is the slice ``geometry.frame_block(table, kinds)``: the curvature block
+``"hv_h"`` is K[:n, n:, :n].  Each table is built once per
+``BundleMetric``, kept on it and read-only.
+
 Routes kept deliberately separate:
 
-* ``lc_closed_form`` assembles the four adapted-frame connection blocks from
-  closed formulas in the Cartan tensor, the Landsberg tensor, the Berwald
-  coefficients and the bundle metric.
+* ``lc_closed_form`` returns the connection table from closed formulas in
+  the Cartan tensor, the Landsberg tensor, the Berwald coefficients and the
+  bundle metric.  The table is the value of one (2n, 2n, 2n) jet
+  (``_connection_jet``), which the definition route differentiates.
 * ``koszul_oracle`` re-derives the whole connection table from the six-term
   Koszul formula using finite-difference frame derivatives of the metric
   components and measured frame brackets; it shares no algebra with the
-  closed forms.  The first call at a point solves it for every slot pair at
-  once and keeps the table of nabla_{F_x} F_y on the ``BundleMetric``; later
-  calls return the kept table.  The ingredients: the G-pairings of the basis
-  bracket table [F_a, F_b] (``PointGeometry.basis_brackets``, one
-  ``geometry.lie_brackets`` build through the coordinate frame, never quoted
-  from B or R_vv); the frame derivatives F_a(G(F_b, F_c)), from one
-  ``jets.fd_partial`` (a Richardson-extrapolated central difference) of the
-  whole 2n x 2n metric per chart variable; and the inverse of the Gram
-  matrix ``BundleMetric.gram``.
-* ``connection_defects`` measures the torsion and the metric compatibility
-  of the closed connection as whole-array expressions of its table
-  (``LCConnection.table``), the same basis bracket table and
+  closed forms.  The ingredients: the G-pairings of the basis bracket table
+  [F_a, F_b] (``PointGeometry.basis_brackets``, one ``geometry.lie_brackets``
+  build through the coordinate frame, never quoted from B or R_vv); the
+  frame derivatives F_a(G(F_b, F_c)), from one ``jets.fd_partial`` (a
+  Richardson-extrapolated central difference) of the whole 2n x 2n metric
+  per chart variable; and the inverse of the Gram matrix
   ``BundleMetric.gram``.
-* ``curvature_closed`` evaluates the six closed curvature blocks, each an
-  ``np.einsum`` expression over the point values of C, L, B, R, P, G and the
-  covariant derivatives of C and L.  All six are built together by the
-  first call for a ``BundleMetric`` and kept on it, as read-only arrays.
-* ``curvature_defn`` guards them.  It differentiates the connection
-  coefficient fields (``jets.fd_partial`` of all coefficient tables at once
-  along x, exact jets along p) and composes them per the curvature
-  definition, one whole block per call, in the ``CurvatureBlock`` layout of
-  ``curvature_closed``.  Its context builds a block of frame-slot triples at
-  once (``_DefnContext.block``) from its own tables: the coefficient values,
-  their momentum derivatives, the x-partials and the frame brackets from B
-  and R_vv.  It never reads the closed curvature algebra.
-* ``ricci`` traces the closed blocks over the adapted frame and reports the
-  least-squares Einstein factor and defect.  It reads the cached blocks and
-  is itself kept on the ``BundleMetric``, so ``vertical_ricci_obstruction``
-  reuses it.
+* ``connection_defects`` measures the torsion and the metric compatibility
+  of the closed connection as whole-array expressions of its table, the
+  same basis bracket table and ``BundleMetric.gram``.
+* ``curvature_closed`` returns the curvature table assembled from the six
+  closed blocks (``CURVATURE_BLOCKS``), each an ``np.einsum`` expression
+  over the point values of C, L, B, R, P, G and the covariant derivatives
+  of C and L; the (v, h, .) blocks follow by antisymmetry in the first
+  pair.
+* ``curvature_defn`` guards it.  It differentiates the connection jet
+  (``jets.fd_partial`` of the whole value table along x, exact jets along
+  p) and composes the whole table per the curvature definition
+  K(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z, with
+  the brackets from ``basis_brackets``.  It never reads the closed
+  curvature algebra.
+* ``ricci`` traces the closed curvature table, Ric(F_y, F_z) =
+  sum_x K[x, y, z, x], and reports the least-squares Einstein factor and
+  defect; ``vertical_ricci_obstruction`` reuses it.
 
-Conventions: every table is over the adapted basis (delta_1..delta_n,
-pdot^1..pdot^n), or over one frame kind of it, ``"h"`` for delta_i and
-``"v"`` for pdot^i.  All component arrays are indexed with inputs first and
-the output frame index last, so an oracle table and its closed-form
-counterpart compare as whole arrays.
+All component arrays are indexed with inputs first and the output frame
+index last, so an oracle table and its closed-form counterpart compare as
+whole arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .berwald import DTensor
-from .errors import ValenceError
-from .geometry import PointGeometry
-from .jets import ChartPoint, contract, fd_partial, invert
+from .geometry import PointGeometry, frame_block
+from .jets import ChartPoint, Jet, contract, fd_partial, invert
 from .kahler import BundleMetric, DeformationParams
 
 __all__ = [
-    "LCBlock",
-    "LCConnection",
-    "CurvatureBlock",
     "RicciData",
     "lc_closed_form",
     "koszul_oracle",
@@ -74,42 +74,15 @@ __all__ = [
     "vertical_ricci_obstruction",
 ]
 
-#: frame-kind patterns of the six curvature blocks: K(F_i, F_j) F_k with the
-#: first two letters naming the kinds of the antisymmetric pair and the
-#: letter after the underscore naming the kind of the argument.
+#: frame-kind patterns of the six closed curvature blocks: K(F_i, F_j) F_k
+#: with the first two letters naming the kinds of the antisymmetric pair and
+#: the letter after the underscore naming the kind of the argument.
 CURVATURE_BLOCKS = ("vv_v", "hv_v", "hh_h", "hh_v", "vv_h", "hv_h")
 
 
-@dataclass(frozen=True)
-class LCBlock:
-    """One connection block: nabla_{F_i} F_j = h[i,j,s] delta_s + v[i,j,s] pdot^s."""
-
-    h: np.ndarray
-    v: np.ndarray
-
-
-@dataclass(frozen=True)
-class LCConnection:
-    """Adapted-frame Levi-Civita coefficient tables at a point.
-
-    Block names give the kinds of (direction, argument): ``v_v`` is
-    nabla_{pdot^i} pdot^j, ``h_v`` is nabla_{delta_i} pdot^j, ``v_h`` is
-    nabla_{pdot^i} delta_j and ``h_h`` is nabla_{delta_i} delta_j.
-    """
-
-    v_v: LCBlock
-    h_v: LCBlock
-    v_h: LCBlock
-    h_h: LCBlock
-    c_eff: float
-    at: ChartPoint
-
-    def table(self) -> np.ndarray:
-        """All four blocks as one array over the adapted basis: the adapted
-        components of nabla_{F_a} F_b at [a, b, :]."""
-        blocks = ((self.h_h, self.h_v), (self.v_h, self.v_v))
-        rows = [np.concatenate([np.concatenate([b.h, b.v], -1) for b in row], 1) for row in blocks]
-        return np.concatenate(rows, 0)
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
 
 
 def _prepare(s, at, params, geom, metric):
@@ -124,37 +97,47 @@ def _prepare(s, at, params, geom, metric):
 # closed-form connection
 
 
-def _connection_jet_tables(geom: PointGeometry, metric: BundleMetric):
-    """The four coefficient blocks as jet tensors [i, j, s]."""
+def _connection_jet(geom: PointGeometry, metric: BundleMetric) -> Jet:
+    """nabla_{F_a} F_b as one (2n, 2n, 2n) jet: adapted components at
+    [a, b, :], at the common order of its eight blocks (1 from an order-5
+    geometry).  The coefficient array is read-only."""
     beta = metric.params.beta
     c = metric.params.c_at(geom.tau)
     C_uud = geom.C_uud_jets
     L_udd_B = geom.L_udd_jets + geom.B_jets
     p = geom.p_coord(3)
     Gu_p = contract("ij,s->ijs", metric.G_up_jets, p) * (c * beta)  # c beta G^ij p_s
-    # nabla_{pdot^i} pdot^j = beta^2 L^{ijs} delta_s
-    #                         + (-C^{ij}_s + c beta G^{ij} p_s) pdot^s
-    vvh = geom.L_uuu_jets * (beta * beta)
-    vvv = -C_uud + Gu_p
-    # nabla_{delta_i} pdot^j = (C^{js}_i - c beta G^{js} p_i) delta_s
-    #                          - (L^j_{is} + B^j_{is}) pdot^s
-    hvh = contract("jsi->ijs", C_uud - Gu_p)
-    hvv = -contract("jis->ijs", L_udd_B)
-    # nabla_{pdot^i} delta_j = (C^{is}_j - c beta G^{is} p_j) delta_s
-    #                          - L^i_{js} pdot^s
-    vhh = contract("isj->ijs", C_uud - Gu_p)
-    vhv = -geom.L_udd_jets
-    # nabla_{delta_i} delta_j = (L^s_{ij} + B^s_{ij}) delta_s
-    #     + (-(1/beta^2) C_{ijs} + c beta G_{js} p_i) pdot^s
-    hhh = contract("sij->ijs", L_udd_B)
     Gd_p = contract("js,i->ijs", metric.G_down_jets, p) * (c * beta)  # c beta G_js p_i
-    hhv = geom.C_ddd_jets * (-1.0 / (beta * beta)) + Gd_p
-    return {
-        "v_v": (vvh, vvv),
-        "h_v": (hvh, hvv),
-        "v_h": (vhh, vhv),
-        "h_h": (hhh, hhv),
-    }, c
+    blocks = {
+        # nabla_{pdot^i} pdot^j = beta^2 L^{ijs} delta_s
+        #                         + (-C^{ij}_s + c beta G^{ij} p_s) pdot^s
+        "vvh": geom.L_uuu_jets * (beta * beta),
+        "vvv": -C_uud + Gu_p,
+        # nabla_{delta_i} pdot^j = (C^{js}_i - c beta G^{js} p_i) delta_s
+        #                          - (L^j_{is} + B^j_{is}) pdot^s
+        "hvh": contract("jsi->ijs", C_uud - Gu_p),
+        "hvv": -contract("jis->ijs", L_udd_B),
+        # nabla_{pdot^i} delta_j = (C^{is}_j - c beta G^{is} p_j) delta_s
+        #                          - L^i_{js} pdot^s
+        "vhh": contract("isj->ijs", C_uud - Gu_p),
+        "vhv": -geom.L_udd_jets,
+        # nabla_{delta_i} delta_j = (L^s_{ij} + B^s_{ij}) delta_s
+        #     + (-(1/beta^2) C_{ijs} + c beta G_{js} p_i) pdot^s
+        "hhh": contract("sij->ijs", L_udd_B),
+        "hhv": geom.C_ddd_jets * (-1.0 / (beta * beta)) + Gd_p,
+    }
+    order = min(t.order for t in blocks.values())
+    dim = 2 * geom.n
+    out = Jet.constant(np.zeros((dim, dim, dim)), dim, order)
+    for kinds, t in blocks.items():
+        frame_block(out.c, kinds)[...] = t.truncate(order).c
+    _read_only(out.c)
+    return out
+
+
+def _connection(geom: PointGeometry, metric: BundleMetric) -> Jet:
+    """The connection jet at the metric's point, built once per metric."""
+    return metric.derive("connection", lambda: _connection_jet(geom, metric))
 
 
 def lc_closed_form(
@@ -163,8 +146,9 @@ def lc_closed_form(
     params: DeformationParams,
     geom: PointGeometry = None,
     metric: BundleMetric = None,
-) -> LCConnection:
-    """Closed-form Levi-Civita coefficient tables at a point.
+) -> np.ndarray:
+    """Closed-form Levi-Civita connection at a point: the read-only table of
+    the adapted components of nabla_{F_a} F_b at [a, b, :].
 
     Valid as the Levi-Civita connection of the bundle metric when the
     horizontal curvature satisfies the constant-curvature form for
@@ -172,12 +156,7 @@ def lc_closed_form(
     coefficient field (the Koszul oracle then measures the discrepancy).
     """
     geom, metric = _prepare(s, at, params, geom, metric)
-    tables, c = _connection_jet_tables(geom, metric)
-    blocks = {
-        key: LCBlock(h=hj.value, v=vj.value)
-        for key, (hj, vj) in tables.items()
-    }
-    return LCConnection(at=geom.at, c_eff=c, **blocks)
+    return _connection(geom, metric).c[..., 0]  # a view of the read-only coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +212,7 @@ def _koszul_table(geom: PointGeometry, metric: BundleMetric, stencil: MetricSten
     rhs = dG + np.einsum("yxz->xyz", dG) - np.einsum("zxy->xyz", dG) + bG
     rhs -= np.einsum("xzy->xyz", bG)
     rhs -= np.einsum("yzx->xyz", bG)
-    out = np.einsum("ab,xyb->xya", invert(gram), 0.5 * rhs)
-    out.setflags(write=False)
-    return out
+    return _read_only(np.einsum("ab,xyb->xya", invert(gram), 0.5 * rhs))
 
 
 def koszul_oracle(
@@ -248,7 +225,7 @@ def koszul_oracle(
 ) -> np.ndarray:
     """nabla_{F_x} F_y from the six-term Koszul formula over the adapted
     basis: the read-only table of adapted components at [x, y, :], laid out
-    as ``LCConnection.table``.
+    as ``lc_closed_form``.
 
     Frame derivatives of the metric components are plain central differences
     (Richardson extrapolated); brackets come from the basis bracket table
@@ -285,18 +262,19 @@ def connection_defects(
     curvature matches the constant-curvature form for the effective constant.
     """
     geom, metric = _prepare(s, at, params, geom, metric)
-    n = geom.n
-    dim = 2 * n
-    nabla = lc_closed_form(s, at, params, geom, metric).table()
+    dim = 2 * geom.n
+    nabla = lc_closed_form(s, at, params, geom, metric)
 
     a, b = np.triu_indices(dim, 1)
     torsion = nabla[a, b] - nabla[b, a] - geom.basis_brackets[a, b]
 
     # exact F_a(G(F_b, F_c)) at [a, b, c]; the mixed h-v blocks of G vanish
     dmetric = np.zeros((dim, dim, dim))
-    for block, jets in ((slice(0, n), metric.G_down_jets), (slice(n, dim), metric.G_up_jets)):
-        dmetric[:n, block, block] = np.einsum("bca->abc", geom.delta(jets).value)
-        dmetric[n:, block, block] = np.einsum("bca->abc", jets.derivs(geom.pvars).value)
+    for kind, jets in (("h", metric.G_down_jets), ("v", metric.G_up_jets)):
+        frame_block(dmetric, "h" + kind + kind)[...] = np.einsum("bca->abc", geom.delta(jets).value)
+        frame_block(dmetric, "v" + kind + kind)[...] = np.einsum(
+            "bca->abc", jets.derivs(geom.pvars).value
+        )
     paired = nabla @ metric.gram  # G(nabla_{F_x} F_b, F_c) at [x, b, c]
     b, c = np.triu_indices(dim)
     compat = dmetric[:, b, c] - paired[:, b, c] - paired[:, c, b]
@@ -305,15 +283,6 @@ def connection_defects(
 
 # ---------------------------------------------------------------------------
 # curvature: closed blocks
-
-
-@dataclass(frozen=True)
-class CurvatureBlock:
-    """K(F_i, F_j) F_k = h[i,j,k,s] delta_s + v[i,j,k,s] pdot^s."""
-
-    which: str
-    h: np.ndarray
-    v: np.ndarray
 
 
 class _Ingredients:
@@ -362,11 +331,12 @@ def _anti(t: np.ndarray) -> np.ndarray:
 
 
 def _closed_blocks(w: _Ingredients) -> dict:
-    """The six closed blocks, (h, v) at [i, j, k, h] as in CurvatureBlock."""
+    """The six closed blocks by name (``CURVATURE_BLOCKS``): the (h, v) parts
+    of K(F_i, F_j) F_k at [i, j, k, h]."""
     c, b, p, eye = w.c, w.beta, w.p, np.eye(w.n)
     b2, inv_b2 = b * b, 1.0 / (b * b)
     C, Cd, Cm, L, Lu, Ld = w.C_uud, w.C_ddd, w.C_mixed, w.L_uuu, w.L_uud, w.L_udd
-    blocks = {
+    return {
         "vv_v": (
             b2 * _anti(_e("jkhi", w.dL_uuu)),
             _anti(
@@ -419,38 +389,32 @@ def _closed_blocks(w: _Ingredients) -> dict:
             + _e("jsk,shi", Ld, Ld) + _e("jsh,ski", Ld, Ld),
         ),
     }
-    for H, V in blocks.values():
-        H.setflags(write=False)
-        V.setflags(write=False)
-    return {which: CurvatureBlock(which, H, V) for which, (H, V) in blocks.items()}
 
 
-def _check_block_name(which: str) -> None:
-    if which not in CURVATURE_BLOCKS:
-        raise ValueError(f"unknown curvature block {which!r}; expected one of {CURVATURE_BLOCKS}")
-
-
-def _blocks(geom: PointGeometry, metric: BundleMetric) -> dict:
-    """All six closed blocks at the metric's point, built once per metric."""
-    return metric.derive("blocks", lambda: _closed_blocks(_Ingredients(geom, metric)))
+def _closed_curvature(w: _Ingredients) -> np.ndarray:
+    """The read-only curvature table K[x, y, z, :] from the six closed
+    blocks; the (v, h, .) kinds follow by antisymmetry in the first pair."""
+    dim = 2 * w.n
+    k = np.zeros((dim,) * 4)
+    for which, (H, V) in _closed_blocks(w).items():
+        frame_block(k, which + "h")[...] = H
+        frame_block(k, which + "v")[...] = V
+    frame_block(k, "vh")[...] = -frame_block(k, "hv").transpose(1, 0, 2, 3)
+    return _read_only(k)
 
 
 def curvature_closed(
     s,
     at: ChartPoint,
     params: DeformationParams,
-    which: str,
     geom: PointGeometry = None,
     metric: BundleMetric = None,
-) -> CurvatureBlock:
-    """One closed-form curvature block (see CURVATURE_BLOCKS for names).
-
-    The six blocks are built together by the first call for a metric and
-    kept on it; their arrays are read-only.
-    """
-    _check_block_name(which)
+) -> np.ndarray:
+    """Closed-form curvature: the read-only table of the adapted components
+    of K(F_x, F_y) F_z at [x, y, z, :], built once per metric.  Its blocks
+    are ``frame_block(K, which)`` for ``which`` in ``CURVATURE_BLOCKS``."""
     geom, metric = _prepare(s, at, params, geom, metric)
-    return _blocks(geom, metric)[which]
+    return metric.derive("curvature", lambda: _closed_curvature(_Ingredients(geom, metric)))
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +422,9 @@ def curvature_closed(
 
 
 class _DefnContext:
-    """Connection coefficient fields around a point: values and exact
-    vertical derivatives from the jets at the center, finite-difference
-    tables for x-partials, and the curvature blocks composed from them."""
+    """The connection field around a point: its jet at the center (values
+    and exact momentum derivatives), finite-difference x-partials of its
+    value table, and the curvature table composed from them."""
 
     def __init__(self, s, at, params, geom=None, metric=None):
         geom, metric = _prepare(s, at, params, geom, metric)
@@ -468,118 +432,45 @@ class _DefnContext:
         self.params = params
         self.geom = geom
         self.metric = metric
-        jets, self.c_eff = _connection_jet_tables(geom, metric)
-        #: block -> (h, v) coefficient values [i, j, s]
-        self.values = {key: (hj.value, vj.value) for key, (hj, vj) in jets.items()}
-        #: block -> (h, v) momentum derivatives pdot^l at [i, j, s, l]
-        self.vderivs = {
-            key: tuple(t.derivs(geom.pvars).value for t in pair) for key, pair in jets.items()
-        }
-        self._x_partials: dict[int, dict] = {}
-        self._tables: dict[tuple, object] = {}
+        self._x_partials: dict[int, np.ndarray] = {}
 
-    def _cached(self, key: tuple, build):
-        got = self._tables.get(key)
-        if got is None:
-            got = self._tables[key] = build()
-        return got
-
-    def _value_tables(self, pt: ChartPoint) -> np.ndarray:
-        """All coefficient values at pt, stacked as [block, h/v, i, j, s] in
-        the order of ``self.values``."""
+    def _values(self, pt: ChartPoint) -> np.ndarray:
+        """The connection table at pt."""
         # only values are read here, and order 4 keeps them exact
         g = PointGeometry(self.s, pt, order=4)
-        tables, _ = _connection_jet_tables(g, BundleMetric(g, self.params))
-        return np.array([(hj.value, vj.value) for hj, vj in tables.values()])
+        return _connection_jet(g, BundleMetric(g, self.params)).value
 
-    def x_partial(self, var: int) -> dict:
-        """d/dx^var of all coefficient tables (``jets.fd_partial``): block ->
-        (h, v) at [i, j, s]."""
+    def x_partial(self, var: int) -> np.ndarray:
+        """d/dx^var of the whole connection table (``jets.fd_partial``), at
+        [a, b, :]."""
         got = self._x_partials.get(var)
         if got is None:
-            d = fd_partial(self._value_tables, self.geom.at, var)
-            got = self._x_partials[var] = {
-                key: (d[b, 0], d[b, 1]) for b, key in enumerate(self.values)
-            }
+            got = self._x_partials[var] = fd_partial(self._values, self.geom.at, var)
         return got
 
-    def _frame_derivative(self, kx: str) -> dict:
-        """F_a applied to every coefficient field, for the basis fields F_a
-        of kind kx: block -> (h, v) at [a, i, j, s]."""
-
-        def build():
-            d = {
-                key: [np.einsum("ijsl->lijs", t) for t in pair]
-                for key, pair in self.vderivs.items()
-            }
-            if kx == "v":
-                return d
-            # delta_a = d/dx^a + N_al d/dp_l
-            parts = [self.x_partial(a) for a in range(self.geom.n)]
-            return {
-                key: [
-                    np.array([q[key][t] for q in parts])
-                    + np.einsum("al,lijs->aijs", self.geom.N, d[key][t])
-                    for t in (0, 1)
-                ]
-                for key in d
-            }
-
-        return self._cached(("d", kx), build)
-
-    def _covariant(self, kx: str, ky: str, kz: str) -> list:
-        """nabla_X (nabla_Y Z) for every slot triple of the kinds kx, ky,
-        kz, with nabla_Y Z taken as a frame-coefficient field: (h, v) at
-        [x, y, z, s]."""
-
-        def build():
-            d = self._frame_derivative(kx)[f"{ky}_{kz}"]
-            wh, wv = self.values[f"{ky}_{kz}"]
-            xh, xv = self.values[f"{kx}_h"], self.values[f"{kx}_v"]
-            return [
-                d[t] + np.einsum("yzm,xms->xyzs", wh, xh[t]) + np.einsum("yzm,xms->xyzs", wv, xv[t])
-                for t in (0, 1)
-            ]
-
-        return self._cached(("cov", kx, ky, kz), build)
-
-    def block(self, kx: str, ky: str, kz: str) -> tuple:
-        """K(F_i, F_j) F_k for every slot triple of the frame kinds kx, ky,
-        kz: the read-only (h, v) arrays [i, j, k, s].
-
-        K(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z,
-        where the bracket of two adapted basis fields is vertical: R_vv for
-        two horizontal fields, +-B for mixed kinds, zero for two vertical.
-        """
-        if not {kx, ky, kz} <= {"h", "v"}:
-            raise ValenceError(f"frame kinds must be 'h' or 'v', got {(kx, ky, kz)!r}")
-
-        def build():
-            g = self.geom
-            if kx != ky:
-                bracket = g.B if kx == "v" else -np.einsum("jim->ijm", g.B)
-            elif kx == "h":
-                bracket = np.einsum("mij->ijm", g.R_vv)
-            else:
-                bracket = np.zeros((g.n, g.n, g.n))
-            xyz, yxz = self._covariant(kx, ky, kz), self._covariant(ky, kx, kz)
-            out = []
-            for t in (0, 1):
-                k = xyz[t] - yxz[t].transpose(1, 0, 2, 3) - np.einsum(
-                    "ijm,mks->ijks", bracket, self.values[f"v_{kz}"][t]
-                )
-                k.setflags(write=False)
-                out.append(k)
-            return tuple(out)
-
-        return self._cached(("K", kx, ky, kz), build)
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """K(F_x, F_y) F_z = nabla_{F_x} nabla_{F_y} F_z - nabla_{F_y}
+        nabla_{F_x} F_z - nabla_{[F_x, F_y]} F_z for every slot triple: the
+        read-only table of adapted components at [x, y, z, :]."""
+        geom = self.geom
+        jet = _connection(geom, self.metric)
+        gamma = jet.value
+        partials = np.concatenate([
+            [self.x_partial(var) for var in geom.xvars],
+            np.moveaxis(jet.derivs(geom.pvars).value, -1, 0),
+        ])
+        # nabla_{F_x} (nabla_{F_y} F_z), with nabla_{F_y} F_z a coefficient field
+        cov = _frame_derivative_fd(partials, geom) + np.einsum("yzm,xms->xyzs", gamma, gamma)
+        k = cov - cov.transpose(1, 0, 2, 3)
+        return _read_only(k - np.einsum("xym,mzs->xyzs", geom.basis_brackets, gamma))
 
 
 def curvature_context(
     s, at: ChartPoint, params: DeformationParams, geom=None, metric=None
 ) -> _DefnContext:
-    """Reusable context for many definition-route curvature evaluations at
-    one point (caches the finite-difference coefficient tables)."""
+    """Reusable context for the definition-route curvature at one point
+    (caches the finite-difference partials and the composed table)."""
     return _DefnContext(s, at, params, geom=geom, metric=metric)
 
 
@@ -587,21 +478,18 @@ def curvature_defn(
     s,
     at: ChartPoint,
     params: DeformationParams,
-    which: str,
     geom: PointGeometry = None,
     metric: BundleMetric = None,
     ctx: _DefnContext = None,
-) -> CurvatureBlock:
-    """One curvature block by definition, K(X, Y) Z = nabla_X nabla_Y Z -
-    nabla_Y nabla_X Z - nabla_{[X,Y]} Z over every slot triple of its frame
-    kinds, differentiating the closed-form coefficient fields (finite
-    differences along x, exact jets along p).  Named and laid out as the
-    block of ``curvature_closed``; its arrays are read-only."""
-    _check_block_name(which)
+) -> np.ndarray:
+    """Curvature by definition, K(X, Y) Z = nabla_X nabla_Y Z -
+    nabla_Y nabla_X Z - nabla_{[X,Y]} Z over every slot triple,
+    differentiating the closed-form connection field (finite differences
+    along x, exact jets along p).  Laid out as ``curvature_closed``; the
+    table is read-only."""
     if ctx is None:
         ctx = _DefnContext(s, at, params, geom=geom, metric=metric)
-    h, v = ctx.block(which[0], which[1], which[3])
-    return CurvatureBlock(which, h, v)
+    return ctx.curvature
 
 
 # ---------------------------------------------------------------------------
@@ -610,45 +498,21 @@ def curvature_defn(
 
 @dataclass(frozen=True)
 class RicciData:
-    """Ricci blocks of the bundle metric in the adapted frame, the
-    least-squares Einstein factor and the Einstein defect."""
+    """Ricci tensor of the bundle metric over the adapted basis (``ric``,
+    read-only, Ric(F_y, F_z) at [y, z]), the least-squares Einstein factor
+    and the Einstein defect."""
 
-    Ric_hh: np.ndarray
-    Ric_vv: np.ndarray
-    Ric_hv: np.ndarray
-    Ric_vh: np.ndarray
+    ric: np.ndarray
     lambda_hat: float
     defect: float
 
 
-def _ricci_data(metric: BundleMetric, k: dict) -> RicciData:
-    # trace of X -> K(X, Y) Z: the delta_i coefficient of K(delta_i, Y) Z
-    # plus the pdot_i coefficient of K(pdot^i, Y) Z; mixed-kind pairs enter
-    # through antisymmetry of K in its first two slots
-    ric_hh = np.einsum("ijki->jk", k["hh_h"].h) - np.einsum("jiki->jk", k["hv_h"].v)
-    ric_vv = np.einsum("ijki->jk", k["hv_v"].h) + np.einsum("ijki->jk", k["vv_v"].v)
-    ric_hv = np.einsum("ijki->jk", k["hh_v"].h) - np.einsum("jiki->jk", k["hv_v"].v)
-    ric_vh = np.einsum("ijki->jk", k["hv_h"].h) + np.einsum("ijki->jk", k["vv_h"].v)
-    gd, gu = metric.G_down, metric.G_up
-    num = float(np.sum(ric_hh * gd) + np.sum(ric_vv * gu))
-    den = float(np.sum(gd * gd) + np.sum(gu * gu))
-    lam = num / den
-    defect = max(
-        float(np.max(np.abs(ric_hh - lam * gd))),
-        float(np.max(np.abs(ric_vv - lam * gu))),
-        float(np.max(np.abs(ric_hv))),
-        float(np.max(np.abs(ric_vh))),
-    )
-    for ric in (ric_hh, ric_vv, ric_hv, ric_vh):
-        ric.setflags(write=False)
-    return RicciData(
-        Ric_hh=ric_hh,
-        Ric_vv=ric_vv,
-        Ric_hv=ric_hv,
-        Ric_vh=ric_vh,
-        lambda_hat=lam,
-        defect=defect,
-    )
+def _ricci_data(metric: BundleMetric, k: np.ndarray) -> RicciData:
+    # trace of X -> K(X, F_y) F_z
+    ric = _read_only(np.einsum("abca->bc", k))
+    gram = metric.gram
+    lam = float(np.sum(ric * gram)) / float(np.sum(gram * gram))
+    return RicciData(ric=ric, lambda_hat=lam, defect=float(np.abs(ric - lam * gram).max()))
 
 
 def ricci(
@@ -658,12 +522,13 @@ def ricci(
     geom: PointGeometry = None,
     metric: BundleMetric = None,
 ) -> RicciData:
-    """Ricci tensor by tracing the closed curvature blocks over the adapted
-    frame, with lambda_hat = argmin_l |Ric - l G|_F over the diagonal blocks
-    and defect = max componentwise residual over all four blocks.  Built
-    once per metric; its arrays are read-only."""
+    """Ricci tensor as the trace of the closed curvature table, with
+    lambda_hat = argmin_l |Ric - l G|_F over the Gram matrix and defect =
+    max |Ric - lambda_hat G|.  Built once per metric."""
     geom, metric = _prepare(s, at, params, geom, metric)
-    return metric.derive("ricci", lambda: _ricci_data(metric, _blocks(geom, metric)))
+    return metric.derive(
+        "ricci", lambda: _ricci_data(metric, curvature_closed(s, at, params, geom, metric))
+    )
 
 
 def vertical_ricci_obstruction(
@@ -684,5 +549,5 @@ def vertical_ricci_obstruction(
     n = geom.n
     c = metric.params.c_at(geom.tau)
     beta = metric.params.beta
-    residual = rd.Ric_vv @ at.p - c * n * beta * (metric.G_up @ at.p)
+    residual = frame_block(rd.ric, "vv") @ at.p - c * n * beta * (metric.G_up @ at.p)
     return residual, geom.I_up.copy()

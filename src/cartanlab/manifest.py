@@ -97,9 +97,6 @@ class Manifest:
     tolerances: Mapping[str, float]
     echo: dict
 
-    def tolerance(self, category: str) -> float:
-        return self.tolerances[category]
-
 
 # ---------------------------------------------------------------------------
 # low-level validators
@@ -494,18 +491,20 @@ def with_overrides(
     tol_scale: Optional[float] = None,
 ) -> Manifest:
     """Apply command-line overrides, returning a new Manifest whose echo
-    reflects the effective configuration."""
+    reflects the effective configuration.  Each override is validated as its
+    manifest key is; a bad one raises ManifestError."""
     sampling = m.sampling
     if seed is not None or count is not None:
         sampling = SamplingSpec(
-            seed=int(seed) if seed is not None else sampling.seed,
-            count=int(count) if count is not None else sampling.count,
+            seed=sampling.seed if seed is None else _as_int(seed, "--seed", minimum=0),
+            count=sampling.count if count is None else _as_int(count, "--points", minimum=1),
             p_norm=sampling.p_norm,
         )
     tolerances = dict(m.tolerances)
     if tol_scale is not None:
+        tol_scale = _as_number(tol_scale, "--tol-scale")
         if tol_scale <= 0:
-            raise ManifestError(f"--tol-scale must be positive, got {tol_scale}")
+            _fail("--tol-scale", f"must be positive, got {tol_scale}")
         tolerances = {k: max(v * tol_scale, _EPS) for k, v in tolerances.items()}
     echo = dict(m.echo)
     echo["sampling"] = sampling.as_dict()

@@ -7,14 +7,17 @@ by the divergences of the frame fields themselves,
 
     div(X) = X^i div(delta_i) + Xbar_i div(pdot^i),
 
-with div(delta_i), div(pdot^i) computed as genuine traces of the Levi-Civita
-coefficient tables.  Under this definition the vertical frame divergences
-vanish identically, the Liouville field is divergence-free, and the Laplacian
-of a scalar reduces to the closed first-order form checked below.
+with div(F_b) = sum_a Gamma[a, b, a], one trace of the closed Levi-Civita
+table Gamma[a, b, :] = nabla_{F_a} F_b (`levicivita.lc_closed_form`).  Under
+this definition the vertical frame divergences vanish identically, the
+Liouville field is divergence-free, and the Laplacian of a scalar reduces to
+the closed first-order form checked below.
 
 A vector field is its (2n,) float array of adapted components (X^i, Xbar_i),
 h first: `gradient`, `geodesic_spray` and `liouville_field` return one, and
-`divergence` and `directional_derivative` take one.
+`divergence` and `directional_derivative` take one.  The chart partials of a
+scalar field are exact for a jet and one `jets.fd_partial` per chart
+variable for a callable of a chart point.
 """
 from __future__ import annotations
 
@@ -25,9 +28,9 @@ import numpy as np
 
 from .errors import EvaluationDomainError
 from .geometry import PointGeometry
-from .jets import ChartPoint, Jet, fd_derivative, fd_partial
+from .jets import ChartPoint, Jet, fd_partial
 from .kahler import BundleMetric, DeformationParams
-from .levicivita import LCConnection, lc_closed_form
+from .levicivita import lc_closed_form
 
 __all__ = [
     "OperatorContext",
@@ -53,7 +56,8 @@ class OperatorContext:
     at: ChartPoint
     geom: PointGeometry
     metric: BundleMetric
-    conn: LCConnection
+    #: the closed Levi-Civita table, nabla_{F_a} F_b at [a, b, :] (read-only)
+    conn: np.ndarray
     sqrt_g: float
     #: div(delta_j) over the adapted frame (trace of the connection tables)
     div_h: np.ndarray
@@ -97,7 +101,7 @@ def operator_context(
         raise EvaluationDomainError(f"det(g_ij) = {det_g:g} is not positive")
     conn = lc_closed_form(s, at, params, geom, metric)
     # div(F_b) is the trace over a of the F_a component of nabla_{F_a} F_b
-    div = np.einsum("aba->b", conn.table())
+    div = np.einsum("aba->b", conn)
     n = geom.n
     J = np.einsum("ssi->i", geom.L_udd)
     return OperatorContext(
@@ -124,20 +128,13 @@ def divergence(ctx: OperatorContext, x: np.ndarray) -> float:
 
 def _scalar_partials(ctx: OperatorContext, f):
     """All 2n chart partials of a scalar; jet-exact for Jet inputs, finite
-    differences for callables of a chart point."""
+    differences (``jets.fd_partial``) for callables of a chart point."""
     n = ctx.geom.n
     if isinstance(f, Jet):
         grad = f.derivs(range(2 * n)).value
-        return grad[:n], grad[n:]
-    def split(xs, ps):
-        return f(ChartPoint(np.asarray(xs, dtype=float), np.asarray(ps, dtype=float)))
-
-    dx = np.empty(n)
-    dp = np.empty(n)
-    for i in range(n):
-        dx[i], _ = fd_derivative(split, ctx.at, [i])
-        dp[i], _ = fd_derivative(split, ctx.at, [n + i])
-    return dx, dp
+    else:
+        grad = np.array([fd_partial(f, ctx.at, var) for var in range(2 * n)])
+    return grad[:n], grad[n:]
 
 
 def _frame_partials(ctx: OperatorContext, f):

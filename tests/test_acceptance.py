@@ -37,7 +37,7 @@ from cartanlab.cartan import (
     sample_points,
 )
 from cartanlab.checks import run_suite
-from cartanlab.geometry import PointGeometry
+from cartanlab.geometry import PointGeometry, frame_block
 from cartanlab.kahler import (
     BundleMetric,
     DeformationParams,
@@ -268,7 +268,7 @@ def test_criterion_4_connection_vs_koszul():
             metric = BundleMetric(geom, params)
             conn = lc_closed_form(s, at, params, geom, metric)
             oracle = koszul_oracle(s, at, params, geom=geom, metric=metric, stencil=stencil)
-            worst_koszul = max(worst_koszul, float(np.abs(oracle - conn.table()).max()))
+            worst_koszul = max(worst_koszul, float(np.abs(oracle - conn).max()))
             t, c = connection_defects(s, at, params, geom=geom, metric=metric)
             worst_torsion = max(worst_torsion, t)
             worst_compat = max(worst_compat, c)
@@ -294,16 +294,12 @@ def test_criterion_5_curvature_blocks_vs_definition():
     for s, params in _matched_cases():
         for at in _points(s, params, 2, seed=23):
             ctx = curvature_context(s, at, params)
+            closed = curvature_closed(s, at, params, geom=ctx.geom, metric=ctx.metric)
+            defn = curvature_defn(s, at, params, ctx=ctx)
             for which in CURVATURE_BLOCKS:
-                blk = curvature_closed(
-                    s, at, params, which, geom=ctx.geom, metric=ctx.metric
-                )
-                scale = max(float(np.abs(blk.h).max()), float(np.abs(blk.v).max()), 1.0)
-                defn = curvature_defn(s, at, params, which, ctx=ctx)
-                res = max(
-                    float(np.abs(defn.h - blk.h).max()), float(np.abs(defn.v - blk.v).max())
-                )
-                worst_rel = max(worst_rel, res / scale)
+                blk, got = frame_block(closed, which), frame_block(defn, which)
+                scale = max(float(np.abs(blk).max()), 1.0)
+                worst_rel = max(worst_rel, float(np.abs(got - blk).max()) / scale)
     ok = worst_rel <= 1e-3
     _verdict(
         5,

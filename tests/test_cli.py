@@ -255,6 +255,19 @@ def test_verify_manifest_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--points", "0"), ("--points", "-2"), ("--seed", "-1"), ("--tol-scale", "inf"), ("--tol-scale", "nan")],
+)
+def test_verify_bad_overrides_exit_two_without_report(tmp_path, capsys, flag, value):
+    path = _write(tmp_path, _manifest_dict())
+    out = tmp_path / "r.json"
+    code = main(["verify", "--manifest", path, f"{flag}={value}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith("manifest error: ") and flag in err
+
+
 def _single_check_registry(monkeypatch, error):
     """Swap the registry for one structure-scope check whose runner raises."""
     from dataclasses import replace
@@ -397,6 +410,18 @@ def test_tensor_rejects_bad_requests(tmp_path, capsys):
                  "--params", "flat-gauge", "--point", "0;1,1",
                  "--objects", "g"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("point", ["nan,0.1;0.5,0.5", "0.1,0.1;inf,0.5", "0.1,0.1;0,0"])
+def test_tensor_rejects_non_finite_or_zero_momentum_point(tmp_path, capsys, point):
+    path = _write(tmp_path, _manifest_dict())
+    out = tmp_path / "t.json"
+    code = main(["tensor", "--manifest", path, "--structure", "conformal-2d-c-1",
+                 "--params", "hyperbolic", f"--point={point}", "--objects", "g,ricci",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith("manifest error: --point")
 
 
 def test_tensor_rejects_inadmissible_point(tmp_path, capsys):

@@ -10,7 +10,7 @@ from cartanlab import checks, geometry, levicivita
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual
 from cartanlab.checks import run_suite
 from cartanlab.errors import ValenceError
-from cartanlab.geometry import PointGeometry, slot_index
+from cartanlab.geometry import PointGeometry, frame_block, slot_index
 from cartanlab.jets import Jet
 from cartanlab.kahler import BundleMetric, DeformationParams, tube_predicate
 from cartanlab.levicivita import (
@@ -78,14 +78,8 @@ def test_flat_connection_and_curvature_vanish():
     s = flat_structure(2)
     params = DeformationParams(c=0.0)
     at = pt([0.3, -0.2], [0.8, 1.1])
-    conn = lc_closed_form(s, at, params)
-    for blk in (conn.v_v, conn.h_v, conn.v_h, conn.h_h):
-        assert np.abs(blk.h).max() == 0.0
-        assert np.abs(blk.v).max() == 0.0
-    for which in CURVATURE_BLOCKS:
-        blk = curvature_closed(s, at, params, which)
-        assert np.abs(blk.h).max() == 0.0
-        assert np.abs(blk.v).max() == 0.0
+    assert np.abs(lc_closed_form(s, at, params)).max() == 0.0
+    assert np.abs(curvature_closed(s, at, params)).max() == 0.0
     rd = ricci(s, at, params)
     assert rd.lambda_hat == 0.0
     assert rd.defect == 0.0
@@ -103,8 +97,8 @@ def test_riemannian_vertical_vertical_connection():
         c = params.c_at(geom.tau)
         beta = params.beta
         want = c * beta * np.einsum("ij,s->ijs", metric.G_up, at.p)
-        assert np.abs(conn.v_v.h).max() <= 1e-12
-        assert np.abs(conn.v_v.v - want).max() <= 1e-10
+        assert np.abs(frame_block(conn, "vvh")).max() <= 1e-12
+        assert np.abs(frame_block(conn, "vvv") - want).max() <= 1e-10
 
 
 def test_closed_form_matches_koszul():
@@ -115,7 +109,7 @@ def test_closed_form_matches_koszul():
             metric = BundleMetric(geom, params)
             conn = lc_closed_form(s, at, params, geom, metric)
             got = koszul_oracle(s, at, params, geom=geom, metric=metric, stencil=stencil)
-            worst = np.abs(got - conn.table()).max()
+            worst = np.abs(got - conn).max()
             assert worst <= 1e-4, f"{s.label}: koszul mismatch {worst}"
 
 
@@ -145,18 +139,23 @@ def test_torsion_free_and_metric_compatible():
 # curvature blocks vs the definition oracle
 
 
+def _block_residuals(s, at, params, ctx, names=CURVATURE_BLOCKS) -> dict:
+    """Per named block: max |defn - closed| / max(1, max |closed block|)."""
+    closed = curvature_closed(s, at, params, geom=ctx.geom, metric=ctx.metric)
+    defn = curvature_defn(s, at, params, ctx=ctx)
+    out = {}
+    for which in names:
+        blk = frame_block(closed, which)
+        out[which] = np.abs(frame_block(defn, which) - blk).max() / max(np.abs(blk).max(), 1.0)
+    return out
+
+
 def test_curvature_blocks_match_definition():
     for s, params in _matching_cases(2):
         for at in _sample_points(s, params, 2, 2, seed=2):
             ctx = curvature_context(s, at, params)
-            for which in CURVATURE_BLOCKS:
-                blk = curvature_closed(
-                    s, at, params, which, geom=ctx.geom, metric=ctx.metric
-                )
-                scale = max(np.abs(blk.h).max(), np.abs(blk.v).max(), 1.0)
-                defn = curvature_defn(s, at, params, which, ctx=ctx)
-                res = max(np.abs(defn.h - blk.h).max(), np.abs(defn.v - blk.v).max())
-                assert res / scale <= 1e-3, f"{s.label} {which}: {res / scale}"
+            for which, rel in _block_residuals(s, at, params, ctx).items():
+                assert rel <= 1e-3, f"{s.label} {which}: {rel}"
 
 
 def test_curvature_blocks_match_definition_3d():
@@ -164,12 +163,8 @@ def test_curvature_blocks_match_definition_3d():
     params = DeformationParams(c=-1.0)
     at = pt([0.2, -0.1, 0.15], [0.8, 0.5, -0.3])
     ctx = curvature_context(s, at, params)
-    for which in CURVATURE_BLOCKS:
-        blk = curvature_closed(s, at, params, which, geom=ctx.geom, metric=ctx.metric)
-        scale = max(np.abs(blk.h).max(), np.abs(blk.v).max(), 1.0)
-        defn = curvature_defn(s, at, params, which, ctx=ctx)
-        res = max(np.abs(defn.h - blk.h).max(), np.abs(defn.v - blk.v).max())
-        assert res / scale <= 1e-3, which
+    for which, rel in _block_residuals(s, at, params, ctx).items():
+        assert rel <= 1e-3, which
 
 
 def test_universal_blocks_on_curved_randers():
@@ -183,14 +178,9 @@ def test_universal_blocks_on_curved_randers():
             geom = PointGeometry(s, at)
             assert np.abs(geom.L_uuu).max() > 1e-4  # Landsberg really active
             ctx = curvature_context(s, at, params, geom=geom)
-            for which in ("vv_v", "hv_v", "vv_h", "hv_h"):
-                blk = curvature_closed(
-                    s, at, params, which, geom=ctx.geom, metric=ctx.metric
-                )
-                scale = max(np.abs(blk.h).max(), np.abs(blk.v).max(), 1.0)
-                defn = curvature_defn(s, at, params, which, ctx=ctx)
-                res = max(np.abs(defn.h - blk.h).max(), np.abs(defn.v - blk.v).max())
-                assert res / scale <= 1e-3, f"{which}: {res / scale}"
+            universal = ("vv_v", "hv_v", "vv_h", "hv_h")
+            for which, rel in _block_residuals(s, at, params, ctx, universal).items():
+                assert rel <= 1e-3, f"{which}: {rel}"
 
 
 def test_curvature_defn_riemannian_reductions():
@@ -203,12 +193,12 @@ def test_curvature_defn_riemannian_reductions():
     ctx = curvature_context(s, at, params, geom=geom, metric=metric)
     c = params.c_at(geom.tau)
     eye = np.eye(2)
-    defn = curvature_defn(s, at, params, "hh_h", ctx=ctx)
+    defn = curvature_defn(s, at, params, ctx=ctx)
     want = c * params.beta * (
         np.einsum("kj,si->ijks", metric.G_down, eye) - np.einsum("ki,sj->ijks", metric.G_down, eye)
     )
-    assert np.abs(defn.h - want).max() <= 1e-4
-    assert np.abs(defn.v).max() <= 1e-4
+    assert np.abs(frame_block(defn, "hh_hh") - want).max() <= 1e-4
+    assert np.abs(frame_block(defn, "hh_hv")).max() <= 1e-4
     # K(pdot^i, delta_j) delta_k = c beta G_sk d^i_j pdot^s, so by antisymmetry
     # in the pair K(delta_i, pdot^j) delta_k = -c beta G_sk d^i_j pdot^s
     s = conformal_structure(2, -1.0)
@@ -218,10 +208,10 @@ def test_curvature_defn_riemannian_reductions():
     metric = BundleMetric(geom, params)
     ctx = curvature_context(s, at, params, geom=geom, metric=metric)
     c = params.c_at(geom.tau)
-    defn = curvature_defn(s, at, params, "hv_h", ctx=ctx)
+    defn = curvature_defn(s, at, params, ctx=ctx)
     want = -c * params.beta * np.einsum("sk,ij->ijks", metric.G_down, np.eye(2))
-    assert np.abs(defn.v - want).max() <= 1e-4
-    assert np.abs(defn.h).max() <= 1e-4
+    assert np.abs(frame_block(defn, "hv_hv") - want).max() <= 1e-4
+    assert np.abs(frame_block(defn, "hv_hh")).max() <= 1e-4
 
 
 def test_closed_block_riemannian_reductions():
@@ -234,37 +224,36 @@ def test_closed_block_riemannian_reductions():
     b = params.beta
     eye = np.eye(2)
     Gu, Gd = metric.G_up, metric.G_down
-    vv_v = curvature_closed(s, at, params, "vv_v", geom=geom, metric=metric)
-    hv_v = curvature_closed(s, at, params, "hv_v", geom=geom, metric=metric)
-    vv_h = curvature_closed(s, at, params, "vv_h", geom=geom, metric=metric)
-    hv_h = curvature_closed(s, at, params, "hv_h", geom=geom, metric=metric)
+    k = curvature_closed(s, at, params, geom=geom, metric=metric)
     want_vv_v = c * b * (
         np.einsum("jk,ih->ijkh", Gu, eye) - np.einsum("ik,jh->ijkh", Gu, eye)
     )
-    assert np.abs(vv_v.v - want_vv_v).max() <= 1e-10
-    assert np.abs(vv_v.h).max() <= 1e-10
+    assert np.abs(frame_block(k, "vv_vv") - want_vv_v).max() <= 1e-10
+    assert np.abs(frame_block(k, "vv_vh")).max() <= 1e-10
     want_hv_v = c * b * np.einsum("kh,ji->ijkh", Gu, eye)
-    assert np.abs(hv_v.h - want_hv_v).max() <= 1e-10
+    assert np.abs(frame_block(k, "hv_vh") - want_hv_v).max() <= 1e-10
     want_vv_h = c * b * (
         np.einsum("ih,jk->ijkh", Gu, eye) - np.einsum("jh,ik->ijkh", Gu, eye)
     )
-    assert np.abs(vv_h.h - want_vv_h).max() <= 1e-10
-    assert np.abs(vv_h.v).max() <= 1e-10
+    assert np.abs(frame_block(k, "vv_hh") - want_vv_h).max() <= 1e-10
+    assert np.abs(frame_block(k, "vv_hv")).max() <= 1e-10
     # K(pdot^i, delta_j) delta_k = c beta G_sk d^i_j pdot^s, i.e. the
     # (h,v)-ordered block with its first two slots swapped and negated
     want_hv_h_v = -c * b * np.einsum("hk,ji->jikh", Gd, eye)
-    assert np.abs(hv_h.v - want_hv_h_v).max() <= 1e-10
-    assert np.abs(hv_h.h).max() <= 1e-10
+    assert np.abs(frame_block(k, "hv_hv") - want_hv_h_v).max() <= 1e-10
+    assert np.abs(frame_block(k, "hv_hh")).max() <= 1e-10
 
 
 def test_curvature_antisymmetry_in_first_pair():
     s = general_randers()
     params = DeformationParams(c=0.0)
     at = pt([0.25, -0.1], [0.9, 0.55])
+    k = curvature_closed(s, at, params)
     for which in ("vv_v", "vv_h", "hh_h", "hh_v"):
-        blk = curvature_closed(s, at, params, which)
-        assert np.abs(blk.h + np.einsum("ijkh->jikh", blk.h)).max() <= 1e-12
-        assert np.abs(blk.v + np.einsum("ijkh->jikh", blk.v)).max() <= 1e-12
+        blk = frame_block(k, which)
+        assert np.abs(blk + np.einsum("ijkh->jikh", blk)).max() <= 1e-12
+    # the (v, h, .) kinds are the (h, v, .) blocks with the pair swapped
+    assert np.array_equal(frame_block(k, "vh"), -frame_block(k, "hv").transpose(1, 0, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +289,15 @@ def test_mixed_ricci_and_transpose_symmetry():
     params = DeformationParams(c=-1.0)
     at = pt([0.25, -0.1], [0.9, 0.55])
     rd = ricci(s, at, params)
-    assert np.abs(rd.Ric_hv).max() <= 1e-4
-    assert np.abs(rd.Ric_vh).max() <= 1e-4
+    assert np.abs(frame_block(rd.ric, "hv")).max() <= 1e-4
+    assert np.abs(frame_block(rd.ric, "vh")).max() <= 1e-4
     # the transpose relation also holds where the mixed blocks do not vanish
     s = general_randers()
     params = DeformationParams(c=0.0)
     at = pt([0.25, -0.1], [0.9, 0.55])
     rd = ricci(s, at, params)
-    assert np.abs(rd.Ric_hv).max() > 1e-3
-    assert np.abs(rd.Ric_hv - rd.Ric_vh.T).max() <= 1e-10
+    assert np.abs(frame_block(rd.ric, "hv")).max() > 1e-3
+    assert np.abs(frame_block(rd.ric, "hv") - frame_block(rd.ric, "vh").T).max() <= 1e-10
 
 
 def test_einstein_obstruction_on_randers():
@@ -329,13 +318,13 @@ def test_distribution_geodesy():
     params = DeformationParams(c=0.0)
     at = pt([0.3, -0.2], [0.8, 1.1])
     conn = lc_closed_form(s, at, params)
-    assert np.abs(conn.v_v.h).max() <= 1e-12
+    assert np.abs(frame_block(conn, "vvh")).max() <= 1e-12
     s = general_randers()
     at = pt([0.25, -0.1], [0.9, 0.55])
     geom = PointGeometry(s, at)
     conn = lc_closed_form(s, at, params, geom=geom)
-    assert np.abs(conn.v_v.h - params.beta**2 * geom.L_uuu).max() <= 1e-12
-    assert np.abs(conn.v_v.h).max() > 1e-6
+    assert np.abs(frame_block(conn, "vvh") - params.beta**2 * geom.L_uuu).max() <= 1e-12
+    assert np.abs(frame_block(conn, "vvh")).max() > 1e-6
     # vertical part of nabla_{delta_i} delta_j contracted with p^j equals
     # c p_i p_s (1 - 2 c beta^2 tau): never identically zero when c != 0
     s = conformal_structure(2, -1.0)
@@ -344,7 +333,7 @@ def test_distribution_geodesy():
     geom = PointGeometry(s, at)
     conn = lc_closed_form(s, at, params, geom=geom)
     p_up = geom.p_up_jets.value
-    got = np.einsum("ijs,j->is", conn.h_h.v, p_up)
+    got = np.einsum("ijs,j->is", frame_block(conn, "hhv"), p_up)
     c = params.c_at(geom.tau)
     want = c * np.outer(at.p, at.p) * (1.0 - 2.0 * c * params.beta**2 * geom.tau)
     assert np.abs(got - want).max() <= 1e-10
@@ -376,14 +365,12 @@ def test_curvature_ingredients_shared_match_fresh():
     at = pt([0.25, -0.1], [0.9, 0.55])
     geom = PointGeometry(s, at)
     shared = BundleMetric(geom, params)
-    for which in CURVATURE_BLOCKS:
-        got = curvature_closed(s, at, params, which, geom=geom, metric=shared)
-        want = curvature_closed(s, at, params, which, geom=geom, metric=BundleMetric(geom, params))
-        assert np.array_equal(got.h, want.h) and np.array_equal(got.v, want.v), which
+    got = curvature_closed(s, at, params, geom=geom, metric=shared)
+    want = curvature_closed(s, at, params, geom=geom, metric=BundleMetric(geom, params))
+    assert np.array_equal(got, want)
     got = ricci(s, at, params, geom=geom, metric=shared)
     want = ricci(s, at, params, geom=geom, metric=BundleMetric(geom, params))
-    for name in ("Ric_hh", "Ric_vv", "Ric_hv", "Ric_vh"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.ric, want.ric)
     assert (got.lambda_hat, got.defect) == (want.lambda_hat, want.defect)
     res, mean = vertical_ricci_obstruction(s, at, params, geom=geom, metric=shared)
     res0, mean0 = vertical_ricci_obstruction(
@@ -451,7 +438,7 @@ def test_cached_koszul_tables_still_detect_mismatch():
     first = koszul_oracle(s, at, params, geom=geom, metric=metric)
     assert metric.derived["koszul"] is first
     got = koszul_oracle(s, at, params, geom=geom, metric=metric)
-    worst = np.abs(got - conn.table()).max()
+    worst = np.abs(got - conn).max()
     # measured 0.481 here, 4.8e3 times the koszul_agreement tolerance of 1e-4
     assert worst >= 0.4, f"mismatch only {worst}"
 
@@ -462,43 +449,79 @@ def test_planted_connection_defect_seen_for_every_slot_pair(n, monkeypatch):
     # 1e-6 F_b, must reach the torsion, compatibility and Koszul residuals for
     # every ordered slot pair: a mask or transpose slip in the whole-table
     # maxima would drop a pair.  Torsion is antisymmetric, so it cannot see
-    # a pair with a == b.
+    # a pair with a == b.  The table is kept on the metric, so each plant
+    # gets a fresh one.
     s = conformal_structure(n, -1.0)
     params = DeformationParams(c=-1.0)
     at = _sample_points(s, params, n, 1, seed=5)[0]
     geom = PointGeometry(s, at)
-    metric = BundleMetric(geom, params)
     stencil = MetricStencil(s, params)
+    state = {}
     ctx = SimpleNamespace(
         structure=s,
         params=params,
         geometry=lambda idx: geom,
-        metric=lambda idx: metric,
+        metric=lambda idx: state["metric"],
         stencil=lambda: stencil,
-        connection=lambda idx: lc_closed_form(s, at, params, geom, metric),
-        defects=lambda idx: connection_defects(s, at, params, geom=geom, metric=metric),
+        defects=lambda idx: connection_defects(s, at, params, geom=geom, metric=state["metric"]),
     )
-    clean = levicivita._connection_jet_tables
-    planted = []
+    clean = levicivita._connection_jet
 
     def plant(g, m):
-        tables, c = clean(g, m)
-        (ka, ia), (kb, ib) = planted[-1]
-        pair = list(tables[f"{ka}_{kb}"])
-        t = pair[kb == "v"]
-        coeffs = t.c.copy()
-        coeffs[ia, ib, ib, 0] += 1e-6
-        pair[kb == "v"] = Jet(t.nvars, t.order, coeffs)
-        return {**tables, f"{ka}_{kb}": tuple(pair)}, c
+        jet = clean(g, m)
+        a, b = state["pair"]
+        coeffs = jet.c.copy()
+        coeffs[a, b, b, 0] += 1e-6
+        return Jet(jet.nvars, jet.order, coeffs)
 
-    monkeypatch.setattr(levicivita, "_connection_jet_tables", plant)
-    for xs in _slots(n):
-        for ys in _slots(n):
-            planted.append((xs, ys))
-            if xs != ys:
-                assert checks._r_torsion(ctx, 0, at) >= 5e-7, (xs, ys)
-            assert checks._r_metric_compat(ctx, 0, at) >= 5e-7, (xs, ys)
-            assert checks._r_koszul(ctx, 0, at) >= 5e-7, (xs, ys)
+    monkeypatch.setattr(levicivita, "_connection_jet", plant)
+    for a, b in itertools.product(range(2 * n), repeat=2):
+        state["pair"], state["metric"] = (a, b), BundleMetric(geom, params)
+        if a != b:
+            assert checks._r_torsion(ctx, 0, at) >= 5e-7, (a, b)
+        assert checks._r_metric_compat(ctx, 0, at) >= 5e-7, (a, b)
+        assert checks._r_koszul(ctx, 0, at) >= 5e-7, (a, b)
+
+
+def test_planted_curvature_defect_seen_for_every_slot_triple(monkeypatch):
+    # 1e-6 added to one entry of the closed curvature table must raise the
+    # block residual of the one block that holds it, and of the check that
+    # reads that block, for every slot triple of the six blocks: a kind or
+    # slicing slip that drops a triple would leave it at the clean value
+    n = 2
+    s = conformal_structure(n, -1.0)
+    params = DeformationParams(c=-1.0)
+    at = _sample_points(s, params, n, 1, seed=5)[0]
+    geom = PointGeometry(s, at)
+    dctx = curvature_context(s, at, params, geom=geom)
+    state = {"metric": BundleMetric(geom, params)}
+    ctx = SimpleNamespace(
+        structure=s,
+        params=params,
+        geometry=lambda idx: geom,
+        metric=lambda idx: state["metric"],
+        defn_context=lambda idx: dctx,
+    )
+    clean = checks._block_residual(ctx, 0, at, CURVATURE_BLOCKS)
+    assert clean < 1e-9
+    closed = levicivita._closed_curvature
+
+    def plant(w):
+        k = closed(w).copy()
+        k[state["triple"] + (state["triple"][2],)] += 1e-6
+        return k
+
+    monkeypatch.setattr(levicivita, "_closed_curvature", plant)
+    runners = {"hh_h": checks._r_blocks_paired, "hh_v": checks._r_blocks_paired}
+    for which in CURVATURE_BLOCKS:
+        kinds = [range(n) if kind == "h" else range(n, 2 * n) for kind in which.replace("_", "")]
+        for triple in itertools.product(*kinds):
+            state["triple"], state["metric"] = triple, BundleMetric(geom, params)
+            assert checks._block_residual(ctx, 0, at, (which,)) >= 5e-7, (which, triple)
+            others = tuple(w for w in CURVATURE_BLOCKS if w != which)
+            assert checks._block_residual(ctx, 0, at, others) < 1e-9, (which, triple)
+            run = runners.get(which, checks._r_blocks_universal)
+            assert run(ctx, 0, at) >= 5e-7, (which, triple)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +754,32 @@ _LOOP_BLOCKS = {
 }
 
 
+def _connection_blocks(table) -> dict:
+    """Block name "ky_kz" -> the (h, v) parts of a table over [y, z, s, ...]
+    whose first two axes are the slots of nabla_{F_y} F_z."""
+    return {
+        f"{ky}_{kz}": tuple(frame_block(table, ky + kz + t) for t in "hv")
+        for ky in "hv"
+        for kz in "hv"
+    }
+
+
 class _PerSlotDefn(levicivita._DefnContext):
+    """The per-slot definition composition; its block inputs (values,
+    momentum derivatives, x-partials) are sliced out of the whole tables."""
+
+    @property
+    def _jet(self):
+        return levicivita._connection(self.geom, self.metric)
+
+    @property
+    def values(self):
+        return _connection_blocks(self._jet.value)
+
+    @property
+    def vderivs(self):
+        return _connection_blocks(self._jet.derivs(self.geom.pvars).value)
+
     def nabla_values(self, x_slot, y_slot):
         """(h, v) component vectors of nabla_X Y at the center."""
         (kx, ix), (ky, iy) = x_slot, y_slot
@@ -745,7 +793,7 @@ class _PerSlotDefn(levicivita._DefnContext):
         dh_p, dv_p = self.vderivs[key]
         if kx == "v":
             return dh_p[iy, iz, :, ix].copy(), dv_p[iy, iz, :, ix].copy()
-        part = self.x_partial(ix)
+        part = _connection_blocks(self.x_partial(ix))
         dh = part[key][0][iy, iz, :].copy()
         dv = part[key][1][iy, iz, :].copy()
         for l in range(self.geom.n):
@@ -818,11 +866,14 @@ def test_einsum_blocks_match_loop_reference(n):
             geom = PointGeometry(s, at)
             metric = BundleMetric(geom, params)
             w = levicivita._Ingredients(geom, metric)
+            k = curvature_closed(s, at, params, geom=geom, metric=metric)
             for which in CURVATURE_BLOCKS:
-                blk = curvature_closed(s, at, params, which, geom=geom, metric=metric)
                 H, V = _LOOP_BLOCKS[which](w)
                 scale = max(1.0, np.abs(H).max(), np.abs(V).max())
-                rel = max(np.abs(blk.h - H).max(), np.abs(blk.v - V).max()) / scale
+                rel = max(
+                    np.abs(frame_block(k, which + "h") - H).max(),
+                    np.abs(frame_block(k, which + "v") - V).max(),
+                ) / scale
                 assert rel <= 1e-13, f"{s.label} {params} {which}: {rel}"
 
 
@@ -835,25 +886,54 @@ def test_whole_block_definition_matches_per_slot_reference(n):
         at = _sample_points(s, params, n, 1, seed=20 + n)[0]
         ctx = curvature_context(s, at, params)
         ref = _PerSlotDefn(s, at, params, geom=ctx.geom, metric=ctx.metric)
+        defn = curvature_defn(s, at, params, ctx=ctx)
+        assert defn.shape == (2 * n,) * 4
         # all eight kind patterns, (v, h, .) included
         for kx, ky, kz in itertools.product("hv", repeat=3):
-            H, V = ctx.block(kx, ky, kz)
-            assert H.shape == V.shape == (n, n, n, n)
+            blk = frame_block(defn, kx + ky + kz)
             for i, j, k in itertools.product(range(n), repeat=3):
-                want_h, want_v = _defn_per_slot(ref, (kx, i), (ky, j), (kz, k))
-                scale = max(1.0, np.abs(want_h).max(), np.abs(want_v).max())
-                for a, b in ((H[i, j, k], want_h), (V[i, j, k], want_v)):
-                    assert np.abs(a - b).max() / scale <= 1e-13, (kx, ky, kz, i, j, k)
-        # curvature_defn hands out the named blocks as they are
-        for which in CURVATURE_BLOCKS:
-            got = curvature_defn(s, at, params, which, ctx=ctx)
-            assert got.which == which
-            assert got.h is ctx.block(which[0], which[1], which[3])[0]
-            assert got.v is ctx.block(which[0], which[1], which[3])[1]
+                want = np.concatenate(_defn_per_slot(ref, (kx, i), (ky, j), (kz, k)))
+                scale = max(1.0, np.abs(want).max())
+                assert np.abs(blk[i, j, k] - want).max() / scale <= 1e-13, (kx, ky, kz, i, j, k)
+        # the context composes the table once and hands it out as it is
+        assert curvature_defn(s, at, params, ctx=ctx) is defn
     with pytest.raises(ValenceError):
-        ctx.block("h", "x", "v")
-    with pytest.raises(ValueError):
-        curvature_defn(s, at, params, "vh_h", ctx=ctx)
+        frame_block(defn, "hx_v")
+
+
+def test_ricci_is_the_four_block_trace():
+    # the four-block trace formula of the ricci-traces entry, as the
+    # Ricci blocks were computed before Ricci became one trace
+    def four_block(k):
+        b = {w: (frame_block(k, w + "h"), frame_block(k, w + "v")) for w in CURVATURE_BLOCKS}
+        tr = lambda t, spec="ijki->jk": np.einsum(spec, t)
+        hh = tr(b["hh_h"][0]) - tr(b["hv_h"][1], "jiki->jk")
+        vv = tr(b["hv_v"][0]) + tr(b["vv_v"][1])
+        hv = tr(b["hh_v"][0]) - tr(b["hv_v"][1], "jiki->jk")
+        vh = tr(b["hv_h"][0]) + tr(b["vv_h"][1])
+        return hh, vv, hv, vh
+
+    for n in (2, 3, 4):
+        for s, params in (
+            (conformal_structure(n, -1.0), DeformationParams(alpha=1.5, beta=0.7, c=-1.0)),
+            (general_randers(n), DeformationParams(alpha=1.3, beta=0.8, c=0.0)),
+        ):
+            at = _sample_points(s, params, n, 1, seed=30 + n)[0]
+            geom = PointGeometry(s, at)
+            metric = BundleMetric(geom, params)
+            rd = ricci(s, at, params, geom=geom, metric=metric)
+            hh, vv, hv, vh = four_block(curvature_closed(s, at, params, geom=geom, metric=metric))
+            want = np.block([[hh, hv], [vh, vv]])
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(rd.ric - want).max() / scale <= 1e-13, (s.label, n)
+            gd, gu = metric.G_down, metric.G_up
+            lam = (np.sum(hh * gd) + np.sum(vv * gu)) / (np.sum(gd * gd) + np.sum(gu * gu))
+            defect = max(
+                np.abs(hh - lam * gd).max(), np.abs(vv - lam * gu).max(),
+                np.abs(hv).max(), np.abs(vh).max(),
+            )
+            assert abs(rd.lambda_hat - lam) <= 1e-13 * max(1.0, abs(lam)), (s.label, n)
+            assert abs(rd.defect - defect) <= 1e-13 * max(1.0, defect), (s.label, n)
 
 
 def test_cached_blocks_and_ricci_are_read_only():
@@ -862,15 +942,23 @@ def test_cached_blocks_and_ricci_are_read_only():
     at = pt([0.25, -0.1], [0.9, 0.55])
     geom = PointGeometry(s, at)
     metric = BundleMetric(geom, params)
-    first = curvature_closed(s, at, params, "hv_h", geom=geom, metric=metric)
-    kept = first.h.copy()
+    first = curvature_closed(s, at, params, geom=geom, metric=metric)
+    kept = first.copy()
     with pytest.raises(ValueError):
-        first.h[0, 0, 0, 0] = 1.0
+        first[0, 0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        first.h += 1.0
-    again = curvature_closed(s, at, params, "hv_h", geom=geom, metric=metric)
-    assert again is first and np.array_equal(again.h, kept)
+        first += 1.0
+    with pytest.raises(ValueError):
+        frame_block(first, "hv_h")[0, 0, 0, 0] = 1.0
+    again = curvature_closed(s, at, params, geom=geom, metric=metric)
+    assert again is first and np.array_equal(again, kept)
+    conn = lc_closed_form(s, at, params, geom=geom, metric=metric)
+    with pytest.raises(ValueError):
+        conn[0, 0, 0] = 1.0
+    defn = curvature_defn(s, at, params, geom=geom, metric=metric)
+    with pytest.raises(ValueError):
+        defn[0, 0, 0, 0] = 1.0
     rd = ricci(s, at, params, geom=geom, metric=metric)
     with pytest.raises(ValueError):
-        rd.Ric_vv[0, 0] = 1.0
+        rd.ric[0, 0] = 1.0
     assert ricci(s, at, params, geom=geom, metric=metric) is rd

@@ -223,7 +223,7 @@ def test_operator_stencils_built_once_per_context(monkeypatch):
     monkeypatch.setattr(geometry.PointGeometry, "__init__", counted_geom)
     monkeypatch.setattr(checks, "operator_context", counted("contexts", checks.operator_context))
     monkeypatch.setattr(checks, "laplacian", counted("laplacians", checks.laplacian))
-    monkeypatch.setattr(operators, "fd_derivative", counted("fd", operators.fd_derivative))
+    monkeypatch.setattr(operators, "fd_partial", counted("fd", operators.fd_partial))
     n, points = 2, 2
     manifest = parse_manifest(json.dumps({
         "structures": [{"family": "riemannian_conformal", "n": n, "c": -1.0}],
@@ -241,5 +241,7 @@ def test_operator_stencils_built_once_per_context(monkeypatch):
     # laplacian_routes takes five callable fields, k2_harmonic one
     assert counts["contexts"] == points and counts["laplacians"] == 6 * points
     assert counts["order2"] == 4 * n * counts["contexts"]
-    assert counts["fd"] == 2 * n * counts["laplacians"]
+    # one stencil per chart variable for each Laplacian's field, and one per
+    # base variable for each context's log-volume derivative
+    assert counts["fd"] == 2 * n * counts["laplacians"] + n * counts["contexts"]
 
