@@ -62,7 +62,6 @@ from .levicivita import (
     ricci,
 )
 from .operators import (
-    OperatorContext,
     divergence,
     gradient,
     laplacian,
@@ -106,7 +105,6 @@ __all__ = [
     "curvature_defn",
     "lc_closed_form",
     "ricci",
-    "OperatorContext",
     "divergence",
     "gradient",
     "laplacian",

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ValenceError
 from .geometry import PointGeometry
 from .jets import ChartPoint, Jet, fd_partial, jet_eval
+from .kahler import point_state
 
 __all__ = [
     "DTensor",
@@ -62,13 +63,9 @@ class DTensor:
 # closed-route operations
 
 
-def _geom(s, at, geom):
-    return geom if geom is not None else PointGeometry(s, at)
-
-
 def delta_apply(s, at: ChartPoint, f, geom: PointGeometry = None) -> np.ndarray:
     """delta_i f for a scalar field f(xs, ps) built from smooth primitives."""
-    geom = _geom(s, at, geom)
+    geom, _ = point_state(s, at, geom=geom)
     n = at.n
     fj = jet_eval(f, at, 1)
     grad = fj.derivs(range(2 * n)).value
@@ -81,7 +78,7 @@ def metric_delta_identity(s, at: ChartPoint, geom: PointGeometry = None) -> floa
     Zero exactly when the Landsberg tensor vanishes; in general the residual
     equals the Landsberg defect of the structure at the point.
     """
-    geom = _geom(s, at, geom)
+    geom, _ = point_state(s, at, geom=geom)
     bv = geom.B
     gv = geom.g_down
     lhs = geom.delta(geom.g_down_jets).value  # delta_i g_jk at [j, k, i]
@@ -93,14 +90,16 @@ def metric_delta_identity(s, at: ChartPoint, geom: PointGeometry = None) -> floa
 # FD oracles (independent derivative mechanism)
 
 
-def nonlinear_connection_fd(s, at: ChartPoint) -> np.ndarray:
+def nonlinear_connection_fd(s, at: ChartPoint, geom: PointGeometry = None) -> np.ndarray:
     """N_ij recomputed with central differences for every derivative.
 
     Point values of the fundamental tensor are taken from the exact pipeline
-    (they are zero-order data); all x- and p-derivatives entering the formal
-    Christoffel symbols and the momentum correction term are plain central
-    differences at one step of 1e-4 (no Richardson extrapolation).
+    (they are zero-order data, read at the center from ``geom``); all x- and
+    p-derivatives entering the formal Christoffel symbols and the momentum
+    correction term are plain central differences at one step of 1e-4 (no
+    Richardson extrapolation).
     """
+    geom, _ = point_state(s, at, geom=geom)
     n = at.n
 
     def gdown(pt):
@@ -108,27 +107,26 @@ def nonlinear_connection_fd(s, at: ChartPoint) -> np.ndarray:
 
     dg = np.array([fd_partial(gdown, at, k, steps=(1e-4,)) for k in range(2 * n)])
     dg_x, dg_p = dg[:n], dg[n:]
-    geom0 = PointGeometry(s, at, order=2)
-    gu = geom0.g_up
+    gu = geom.g_up
     # [j, k, m]: d_k g_jm + d_j g_mk - d_m g_jk
     first = np.einsum("kjm->jkm", dg_x) + np.einsum("jmk->jkm", dg_x) - np.einsum("mjk->jkm", dg_x)
     gamma = 0.5 * np.einsum("im,jkm->ijk", gu, first)
     gamma0 = np.einsum("ijk,i->jk", gamma, at.p)
-    gamma00 = gamma0 @ geom0.p_up
+    gamma00 = gamma0 @ geom.p_up
     return gamma0 - 0.5 * np.einsum("h,hij->ij", gamma00, dg_p)
 
 
-def berwald_curvature_fd(s, at: ChartPoint) -> np.ndarray:
+def berwald_curvature_fd(s, at: ChartPoint, geom: PointGeometry = None) -> np.ndarray:
     """R^i_jkh with the frame derivative delta realized by finite differences.
 
     Both the base and the momentum derivatives of the connection coefficients
     are Richardson-extrapolated central differences (`jets.fd_partial`) of
-    point values of B.
+    point values of B; N and B at the center are read from ``geom``.
     """
+    geom, _ = point_state(s, at, geom=geom)
     n = at.n
-    geom0 = PointGeometry(s, at)
-    nval = geom0.N
-    b0 = geom0.B
+    nval = geom.N
+    b0 = geom.B
 
     def bfun(pt):
         return PointGeometry(s, pt, order=4).B

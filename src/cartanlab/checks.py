@@ -30,9 +30,11 @@ Applicability gating (resolved empirically; see the formula index):
 Runners compare whole tables over the adapted basis: the Koszul check the
 oracle table with the closed connection table, the curvature-block checks
 ``geometry.frame_block`` slices of the closed and the definition curvature
-tables, and the Ricci checks the one Ricci table and its blocks.  The
-tables are kept on the point's ``BundleMetric``, so a scope memoizes only
-the geometry, the metric and the oracle contexts.
+tables, and the Ricci checks the one Ricci table and its blocks.  All
+pair-scope state of a point (the tables, the connection defects, the
+curvature-definition context and the operators' tables) is kept on the
+point's ``BundleMetric``, so a scope memoizes only each point's geometry
+and metric, its ``MetricStencil`` and the Randers limit structures.
 
 Two checks run in *detection* mode: instead of requiring a residual
 below tolerance they require it **above** a floor (a deliberately broken
@@ -75,7 +77,6 @@ from .levicivita import (
     MetricStencil,
     connection_defects,
     curvature_closed,
-    curvature_context,
     curvature_defn,
     koszul_oracle,
     lc_closed_form,
@@ -186,40 +187,9 @@ class CheckContext:
     def stencil(self) -> MetricStencil:
         return self._memo(("stencil",), lambda: MetricStencil(self.structure, self.params))
 
-    def defects(self, idx):
-        return self._memo(
-            ("defects", idx),
-            lambda: connection_defects(
-                self.structure, self.points[idx], self.params,
-                geom=self.geometry(idx), metric=self.metric(idx),
-            ),
-        )
-
-    def defn_context(self, idx):
-        return self._memo(
-            ("defn", idx),
-            lambda: curvature_context(
-                self.structure, self.points[idx], self.params,
-                geom=self.geometry(idx), metric=self.metric(idx),
-            ),
-        )
-
-    def op_context(self, idx):
-        return self._memo(
-            ("opctx", idx),
-            lambda: operator_context(
-                self.structure, self.points[idx], self.params,
-                geom=self.geometry(idx), metric=self.metric(idx),
-            ),
-        )
-
 
 # ---------------------------------------------------------------------------
 # applicability predicates
-
-
-def _always(ctx) -> bool:
-    return True
 
 
 def _matching(ctx) -> bool:
@@ -343,13 +313,13 @@ def _r_connection_homogeneity(ctx, idx, pt):
 
 def _r_n_fd_oracle(ctx, idx, pt):
     g = ctx.geometry(idx)
-    fd = nonlinear_connection_fd(ctx.structure, pt)
+    fd = nonlinear_connection_fd(ctx.structure, pt, geom=g)
     return float(np.abs(g.N - fd).max()) / max(1.0, float(np.abs(g.N).max()))
 
 
 def _r_curvature_fd_oracle(ctx, idx, pt):
     g = ctx.geometry(idx)
-    fd = berwald_curvature_fd(ctx.structure, pt)
+    fd = berwald_curvature_fd(ctx.structure, pt, geom=g)
     return float(np.abs(g.R_curv - fd).max()) / max(1.0, float(np.abs(g.R_curv).max()))
 
 
@@ -418,28 +388,30 @@ def _r_nijenhuis_detects(ctx, idx, pt):
 # pair-scope runners: Levi-Civita connection and curvature
 
 
+def _at(fn, ctx, idx, pt, **kwargs):
+    """``fn(s, pt, params, geom=, metric=)`` on the point's memoized geometry
+    and metric, which keeps whatever ``fn`` derives."""
+    return fn(ctx.structure, pt, ctx.params, geom=ctx.geometry(idx), metric=ctx.metric(idx), **kwargs)
+
+
 def _r_koszul(ctx, idx, pt):
-    got = koszul_oracle(
-        ctx.structure, pt, ctx.params,
-        geom=ctx.geometry(idx), metric=ctx.metric(idx), stencil=ctx.stencil(),
-    )
-    closed = lc_closed_form(ctx.structure, pt, ctx.params, geom=ctx.geometry(idx), metric=ctx.metric(idx))
-    return float(np.abs(got - closed).max())
+    got = _at(koszul_oracle, ctx, idx, pt, stencil=ctx.stencil())
+    return float(np.abs(got - _at(lc_closed_form, ctx, idx, pt)).max())
 
 
 def _r_torsion(ctx, idx, pt):
-    return float(ctx.defects(idx)[0])
+    return float(_at(connection_defects, ctx, idx, pt)[0])
 
 
 def _r_metric_compat(ctx, idx, pt):
-    return float(ctx.defects(idx)[1])
+    return float(_at(connection_defects, ctx, idx, pt)[1])
 
 
 def _block_residual(ctx, idx, pt, names):
     """Largest |closed - defn| over the curvature blocks ``names``, each
     slot triple (x, y, z) scaled by max(1, |defn[x, y, z, :]|)."""
-    closed = curvature_closed(ctx.structure, pt, ctx.params, geom=ctx.geometry(idx), metric=ctx.metric(idx))
-    defn = curvature_defn(ctx.structure, pt, ctx.params, ctx=ctx.defn_context(idx))
+    closed = _at(curvature_closed, ctx, idx, pt)
+    defn = _at(curvature_defn, ctx, idx, pt)
     scale = np.maximum(1.0, np.abs(defn).max(axis=3))
     rel = np.abs(defn - closed).max(axis=3) / scale
     return max(float(frame_block(rel, which).max()) for which in names)
@@ -453,30 +425,24 @@ def _r_blocks_paired(ctx, idx, pt):
     return _block_residual(ctx, idx, pt, ("hh_h", "hh_v"))
 
 
-def _ricci(ctx, idx, pt):
-    return ricci(ctx.structure, pt, ctx.params, geom=ctx.geometry(idx), metric=ctx.metric(idx))
-
-
 def _r_einstein_forward(ctx, idx, pt):
-    rd = _ricci(ctx, idx, pt)
+    rd = _at(ricci, ctx, idx, pt)
     g = ctx.geometry(idx)
     target = ctx.params.c_at(g.tau) * g.n * ctx.params.beta
     return max(abs(rd.lambda_hat - target), rd.defect)
 
 
 def _r_einstein_defect(ctx, idx, pt):
-    return float(_ricci(ctx, idx, pt).defect)
+    return float(_at(ricci, ctx, idx, pt).defect)
 
 
 def _r_ricci_symmetry(ctx, idx, pt):
-    ric = _ricci(ctx, idx, pt).ric
+    ric = _at(ricci, ctx, idx, pt).ric
     return float(np.abs(frame_block(ric, "hv") - frame_block(ric, "vh").T).max())
 
 
 def _r_obstruction_identity(ctx, idx, pt):
-    res, mean_cartan = vertical_ricci_obstruction(
-        ctx.structure, pt, ctx.params, geom=ctx.geometry(idx), metric=ctx.metric(idx)
-    )
+    res, mean_cartan = _at(vertical_ricci_obstruction, ctx, idx, pt)
     return float(np.abs(res - mean_cartan).max())
 
 
@@ -485,26 +451,26 @@ def _r_obstruction_identity(ctx, idx, pt):
 
 
 def _r_vertical_divergence(ctx, idx, pt):
-    octx = ctx.op_context(idx)
+    m = _at(operator_context, ctx, idx, pt)
     # div(pdot^i) for each vertical basis field, the v rows of the identity
-    return float(np.abs([divergence(octx, x) for x in frame_block(np.eye(2 * octx.geom.n), "v")]).max())
+    return float(np.abs([divergence(m, x) for x in frame_block(np.eye(2 * m.n), "v")]).max())
 
 
 def _r_liouville_divergence(ctx, idx, pt):
-    octx = ctx.op_context(idx)
-    return abs(divergence(octx, liouville_field(octx)))
+    m = _at(operator_context, ctx, idx, pt)
+    return abs(divergence(m, liouville_field(m)))
 
 
 def _r_spray_divergence(ctx, idx, pt):
-    octx = ctx.op_context(idx)
-    got = divergence(octx, geodesic_spray(octx))
+    m = _at(operator_context, ctx, idx, pt)
+    got = divergence(m, geodesic_spray(m))
     p_up = ctx.geometry(idx).p_up
-    ref = float(p_up @ fd_dln_sqrtg_h(octx))
+    ref = float(p_up @ fd_dln_sqrtg_h(m))
     return abs(got - ref)
 
 
 def _r_gradient_duality(ctx, idx, pt):
-    octx = ctx.op_context(idx)
+    m = _at(operator_context, ctx, idx, pt)
     s = ctx.structure
     fields = [
         lambda q: float(q.x @ q.p),
@@ -512,13 +478,13 @@ def _r_gradient_duality(ctx, idx, pt):
     ]
     rng = ctx.rng_for("operators.gradient_duality")
     n = ctx.geometry(idx).n
-    gram = octx.metric.gram
+    gram = m.gram
     worst = 0.0
     for f in fields:
-        gf = gradient(octx, f)
+        gf = gradient(m, f)
         for _ in range(5):
             x = np.concatenate([rng.normal(size=n), rng.normal(size=n)])  # h, then v
-            worst = max(worst, abs(gf @ gram @ x - directional_derivative(octx, f, x)))
+            worst = max(worst, abs(gf @ gram @ x - directional_derivative(m, f, x)))
     return worst
 
 
@@ -533,18 +499,18 @@ def _field_corpus(s):
 
 
 def _r_laplacian_routes(ctx, idx, pt):
-    octx = ctx.op_context(idx)
+    m = _at(operator_context, ctx, idx, pt)
     worst = 0.0
     for f in _field_corpus(ctx.structure):
-        res = laplacian(octx, f)
+        res = laplacian(m, f)
         worst = max(worst, abs(res.difference))
     return worst
 
 
 def _r_k2_harmonic(ctx, idx, pt):
-    octx = ctx.op_context(idx)
+    m = _at(operator_context, ctx, idx, pt)
     s = ctx.structure
-    res = laplacian(octx, lambda q: s.k2_values(q.x, q.p))
+    res = laplacian(m, lambda q: s.k2_values(q.x, q.p))
     return max(abs(res.direct), abs(res.closed))
 
 

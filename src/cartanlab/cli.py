@@ -236,12 +236,12 @@ def _tensor_objects(structure, params, at, names):
                 "defect": float(rd.defect),
             }
         elif name == "operators":
-            octx = operator_context(structure, at, params, geom=geom, metric=need_metric())
-            lap = laplacian(octx, lambda q: structure.k2_values(q.x, q.p))
+            m = operator_context(structure, at, params, geom=geom, metric=need_metric())
+            lap = laplacian(m, lambda q: structure.k2_values(q.x, q.p))
             out[name] = {
                 "anchor": "frame-divergence",
-                "div_spray": float(divergence(octx, geodesic_spray(octx))),
-                "div_liouville": float(divergence(octx, liouville_field(octx))),
+                "div_spray": float(divergence(m, geodesic_spray(m))),
+                "div_liouville": float(divergence(m, liouville_field(m))),
                 "laplacian_k2_direct": float(lap.direct),
                 "laplacian_k2_closed": float(lap.closed),
             }

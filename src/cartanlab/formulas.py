@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-__all__ = ["FormulaEntry", "INDEX", "anchor_exists", "describe"]
+__all__ = ["FormulaEntry", "INDEX", "describe"]
 
 
 class FormulaEntry(NamedTuple):
@@ -260,7 +260,7 @@ INDEX: Mapping[str, FormulaEntry] = {
         "= delta_j ln sqrt(g) - J_j and div of the vertical frame fields "
         "vanishes; hence div of any dot-constant field is 0 and the "
         "Liouville field C* = p_i dot^i has div(C*) = 0.",
-        "operators.divergence / operators.OperatorContext",
+        "operators.divergence / operators.operator_context",
     ),
     "volume-trace": FormulaEntry(
         "Trace identity for the horizontal connection coefficients: "
@@ -287,11 +287,6 @@ INDEX: Mapping[str, FormulaEntry] = {
         "operators.geodesic_spray / operators.landsberg_characterizations",
     ),
 }
-
-
-def anchor_exists(anchor: str) -> bool:
-    """True when ``anchor`` is a key of the index."""
-    return anchor in INDEX
 
 
 def describe(anchor: str) -> str:

@@ -46,6 +46,7 @@ __all__ = [
     "nijenhuis_table",
     "integrability_defect",
     "tube_predicate",
+    "point_state",
 ]
 
 
@@ -144,9 +145,11 @@ class BundleMetric:
         self.G_up_jets = up
         self.G_down = down.value
         self.G_up = up.value
-        #: per-point tables derived from this metric (the Nijenhuis table,
-        #: the Koszul table, the connection jet, the curvature table and
-        #: Ricci), built on first use
+        #: all per-point state derived from this metric, built on first use:
+        #: the Nijenhuis table, the Koszul table, the connection jet and its
+        #: defects, the curvature table, the curvature-definition context,
+        #: Ricci, and the operators' frame divergences, mean Landsberg trace
+        #: and finite-difference log-volume partials
         self.derived: dict = {}
 
     def derive(self, key: str, build):
@@ -181,6 +184,17 @@ class BundleMetric:
         frame_block(c, "hv")[...] = down.c
         frame_block(c, "vh")[...] = -up.c
         return Jet(2 * n, order, c)
+
+
+def point_state(s, at: ChartPoint, params: DeformationParams = None, geom=None, metric=None):
+    """(geom, metric) at a chart point from what the caller already holds:
+    the geometry defaults to the metric's, else a fresh one at ``at``; the
+    metric to one on that geometry when ``params`` is given, else None."""
+    if geom is None:
+        geom = metric.geom if metric is not None else PointGeometry(s, at)
+    if metric is None and params is not None:
+        metric = BundleMetric(geom, params)
+    return geom, metric
 
 
 class IntegrabilityDefect(NamedTuple):
@@ -250,8 +264,7 @@ def integrability_defect(
     effective constant c = -v(tau)/(alpha beta^2); A_res_g is the same
     antisymmetrization with the undeformed g.
     """
-    geom = geom if geom is not None else PointGeometry(s, at)
-    m = BundleMetric(geom, params)
+    geom, m = point_state(s, at, params, geom)
 
     def anti_res(metric: Jet) -> float:
         # delta_i M_jk + M_ir B^r_jk at [i, j, k], antisymmetrized over i < j

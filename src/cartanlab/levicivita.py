@@ -7,8 +7,9 @@ nabla_{F_a} F_b.  The curvature is one table K[x, y, z, :] holding the
 adapted components of K(F_x, F_y) F_z.  A block of either, named by the
 frame kinds of its leading axes (``"h"`` for delta_i, ``"v"`` for pdot^i),
 is the slice ``geometry.frame_block(table, kinds)``: the curvature block
-``"hv_h"`` is K[:n, n:, :n].  Each table is built once per
-``BundleMetric``, kept on it and read-only.
+``"hv_h"`` is K[:n, n:, :n].  Each table, the connection defects and
+the curvature-definition context are built once per ``BundleMetric`` and
+kept on it; the tables are read-only.
 
 Routes kept deliberately separate:
 
@@ -58,7 +59,7 @@ import numpy as np
 from .berwald import DTensor
 from .geometry import PointGeometry, frame_block
 from .jets import ChartPoint, Jet, contract, fd_partial, invert
-from .kahler import BundleMetric, DeformationParams
+from .kahler import BundleMetric, DeformationParams, point_state
 
 __all__ = [
     "RicciData",
@@ -83,14 +84,6 @@ CURVATURE_BLOCKS = ("vv_v", "hv_v", "hh_h", "hh_v", "vv_h", "hv_h")
 def _read_only(table: np.ndarray) -> np.ndarray:
     table.setflags(write=False)
     return table
-
-
-def _prepare(s, at, params, geom, metric):
-    if geom is None:
-        geom = metric.geom if metric is not None else PointGeometry(s, at)
-    if metric is None:
-        metric = BundleMetric(geom, params)
-    return geom, metric
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +148,7 @@ def lc_closed_form(
     c = -v/(alpha beta^2); for other inputs it is simply the displayed
     coefficient field (the Koszul oracle then measures the discrepancy).
     """
-    geom, metric = _prepare(s, at, params, geom, metric)
+    geom, metric = point_state(s, at, params, geom, metric)
     return _connection(geom, metric).c[..., 0]  # a view of the read-only coefficients
 
 
@@ -164,20 +157,15 @@ def lc_closed_form(
 
 
 class MetricStencil:
-    """Bundle-metric components at shifted chart points, cached per offset."""
+    """Bundle-metric components of one structure and parameter set at the
+    shifted chart points of a stencil; nothing is kept between points."""
 
     def __init__(self, s, params):
         self.s = s
         self.params = params
-        self._cache: dict[bytes, BundleMetric] = {}
 
     def metric_at(self, pt: ChartPoint) -> BundleMetric:
-        key = pt.coords.tobytes()
-        m = self._cache.get(key)
-        if m is None:
-            m = BundleMetric(PointGeometry(self.s, pt, order=2), self.params)
-            self._cache[key] = m
-        return m
+        return BundleMetric(PointGeometry(self.s, pt, order=2), self.params)
 
     def frame_matrix(self, pt: ChartPoint) -> np.ndarray:
         """G(F_a, F_b)(pt) over the adapted basis."""
@@ -235,7 +223,7 @@ def koszul_oracle(
     it.  Raises a conditioning error if the frame Gram matrix is numerically
     singular.
     """
-    geom, metric = _prepare(s, at, params, geom, metric)
+    geom, metric = point_state(s, at, params, geom, metric)
     if stencil is None:
         stencil = MetricStencil(s, params)
     return metric.derive("koszul", lambda: _koszul_table(geom, metric, stencil))
@@ -252,7 +240,8 @@ def connection_defects(
     geom: PointGeometry = None,
     metric: BundleMetric = None,
 ):
-    """(torsion, compatibility) residuals of the closed-form connection.
+    """(torsion, compatibility) residuals of the closed-form connection,
+    computed once per metric.
 
     Torsion nabla_{F_a} F_b - nabla_{F_b} F_a - [F_a, F_b] reads the basis
     bracket table; compatibility compares exact frame derivatives of the
@@ -261,24 +250,26 @@ def connection_defects(
     b <= c for compatibility).  Both vanish exactly when the horizontal
     curvature matches the constant-curvature form for the effective constant.
     """
-    geom, metric = _prepare(s, at, params, geom, metric)
-    dim = 2 * geom.n
-    nabla = lc_closed_form(s, at, params, geom, metric)
+    geom, metric = point_state(s, at, params, geom, metric)
 
-    a, b = np.triu_indices(dim, 1)
-    torsion = nabla[a, b] - nabla[b, a] - geom.basis_brackets[a, b]
+    def build():
+        dim = 2 * geom.n
+        nabla = lc_closed_form(s, at, params, geom, metric)
+        a, b = np.triu_indices(dim, 1)
+        torsion = nabla[a, b] - nabla[b, a] - geom.basis_brackets[a, b]
+        # exact F_a(G(F_b, F_c)) at [a, b, c]; the mixed h-v blocks of G vanish
+        dmetric = np.zeros((dim, dim, dim))
+        for kind, jets in (("h", metric.G_down_jets), ("v", metric.G_up_jets)):
+            frame_block(dmetric, "h" + kind + kind)[...] = np.einsum("bca->abc", geom.delta(jets).value)
+            frame_block(dmetric, "v" + kind + kind)[...] = np.einsum(
+                "bca->abc", jets.derivs(geom.pvars).value
+            )
+        paired = nabla @ metric.gram  # G(nabla_{F_x} F_b, F_c) at [x, b, c]
+        b, c = np.triu_indices(dim)
+        compat = dmetric[:, b, c] - paired[:, b, c] - paired[:, c, b]
+        return float(np.abs(torsion).max()), float(np.abs(compat).max())
 
-    # exact F_a(G(F_b, F_c)) at [a, b, c]; the mixed h-v blocks of G vanish
-    dmetric = np.zeros((dim, dim, dim))
-    for kind, jets in (("h", metric.G_down_jets), ("v", metric.G_up_jets)):
-        frame_block(dmetric, "h" + kind + kind)[...] = np.einsum("bca->abc", geom.delta(jets).value)
-        frame_block(dmetric, "v" + kind + kind)[...] = np.einsum(
-            "bca->abc", jets.derivs(geom.pvars).value
-        )
-    paired = nabla @ metric.gram  # G(nabla_{F_x} F_b, F_c) at [x, b, c]
-    b, c = np.triu_indices(dim)
-    compat = dmetric[:, b, c] - paired[:, b, c] - paired[:, c, b]
-    return float(np.abs(torsion).max()), float(np.abs(compat).max())
+    return metric.derive("defects", build)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +404,7 @@ def curvature_closed(
     """Closed-form curvature: the read-only table of the adapted components
     of K(F_x, F_y) F_z at [x, y, z, :], built once per metric.  Its blocks
     are ``frame_block(K, which)`` for ``which`` in ``CURVATURE_BLOCKS``."""
-    geom, metric = _prepare(s, at, params, geom, metric)
+    geom, metric = point_state(s, at, params, geom, metric)
     return metric.derive("curvature", lambda: _closed_curvature(_Ingredients(geom, metric)))
 
 
@@ -426,18 +417,18 @@ class _DefnContext:
     and exact momentum derivatives), finite-difference x-partials of its
     value table, and the curvature table composed from them."""
 
-    def __init__(self, s, at, params, geom=None, metric=None):
-        geom, metric = _prepare(s, at, params, geom, metric)
-        self.s = s
-        self.params = params
+    def __init__(self, geom: PointGeometry, metric: BundleMetric):
+        # kept on the metric, so it holds what it reads of the metric and
+        # not the metric itself: a reference cycle would outlive the scope
         self.geom = geom
-        self.metric = metric
+        self.params = metric.params
+        self.jet = _connection(geom, metric)
         self._x_partials: dict[int, np.ndarray] = {}
 
     def _values(self, pt: ChartPoint) -> np.ndarray:
         """The connection table at pt."""
         # only values are read here, and order 4 keeps them exact
-        g = PointGeometry(self.s, pt, order=4)
+        g = PointGeometry(self.geom.structure, pt, order=4)
         return _connection_jet(g, BundleMetric(g, self.params)).value
 
     def x_partial(self, var: int) -> np.ndarray:
@@ -453,8 +444,7 @@ class _DefnContext:
         """K(F_x, F_y) F_z = nabla_{F_x} nabla_{F_y} F_z - nabla_{F_y}
         nabla_{F_x} F_z - nabla_{[F_x, F_y]} F_z for every slot triple: the
         read-only table of adapted components at [x, y, z, :]."""
-        geom = self.geom
-        jet = _connection(geom, self.metric)
+        geom, jet = self.geom, self.jet
         gamma = jet.value
         partials = np.concatenate([
             [self.x_partial(var) for var in geom.xvars],
@@ -469,9 +459,11 @@ class _DefnContext:
 def curvature_context(
     s, at: ChartPoint, params: DeformationParams, geom=None, metric=None
 ) -> _DefnContext:
-    """Reusable context for the definition-route curvature at one point
-    (caches the finite-difference partials and the composed table)."""
-    return _DefnContext(s, at, params, geom=geom, metric=metric)
+    """The definition-route curvature context at one point, built once per
+    metric (it caches the finite-difference partials and the composed
+    table)."""
+    geom, metric = point_state(s, at, params, geom, metric)
+    return metric.derive("defn", lambda: _DefnContext(geom, metric))
 
 
 def curvature_defn(
@@ -488,7 +480,7 @@ def curvature_defn(
     along x, exact jets along p).  Laid out as ``curvature_closed``; the
     table is read-only."""
     if ctx is None:
-        ctx = _DefnContext(s, at, params, geom=geom, metric=metric)
+        ctx = curvature_context(s, at, params, geom, metric)
     return ctx.curvature
 
 
@@ -525,7 +517,7 @@ def ricci(
     """Ricci tensor as the trace of the closed curvature table, with
     lambda_hat = argmin_l |Ric - l G|_F over the Gram matrix and defect =
     max |Ric - lambda_hat G|.  Built once per metric."""
-    geom, metric = _prepare(s, at, params, geom, metric)
+    geom, metric = point_state(s, at, params, geom, metric)
     return metric.derive(
         "ricci", lambda: _ricci_data(metric, curvature_closed(s, at, params, geom, metric))
     )
@@ -544,7 +536,7 @@ def vertical_ricci_obstruction(
     residual^j = p_k Ric(pdot^j, pdot^k) - c n beta p_k G^{jk}; a nonzero
     mean Cartan vector obstructs the Einstein property.
     """
-    geom, metric = _prepare(s, at, params, geom, metric)
+    geom, metric = point_state(s, at, params, geom, metric)
     rd = ricci(s, at, params, geom, metric)
     n = geom.n
     c = metric.params.c_at(geom.tau)

@@ -294,7 +294,7 @@ def test_criterion_5_curvature_blocks_vs_definition():
     for s, params in _matched_cases():
         for at in _points(s, params, 2, seed=23):
             ctx = curvature_context(s, at, params)
-            closed = curvature_closed(s, at, params, geom=ctx.geom, metric=ctx.metric)
+            closed = curvature_closed(s, at, params, geom=ctx.geom)
             defn = curvature_defn(s, at, params, ctx=ctx)
             for which in CURVATURE_BLOCKS:
                 blk, got = frame_block(closed, which), frame_block(defn, which)
@@ -378,27 +378,27 @@ def test_criterion_8_operator_bundle():
             lambda q: float(np.log(s.k2(list(q.x), list(q.p)))),
         ]
         for at in _points(s, params, 3, seed=47):
-            ctx = operator_context(s, at, params)
-            n = ctx.geom.n
+            m = operator_context(s, at, params)
+            n = m.geom.n
             for _ in range(3):
                 xv = rng.normal(size=n)
-                w_vert = max(w_vert, abs(divergence(ctx, np.concatenate([np.zeros(n), xv]))))
-            w_liou = max(w_liou, abs(divergence(ctx, liouville_field(ctx))))
-            r = laplacian(ctx, ctx.geom.k2)
+                w_vert = max(w_vert, abs(divergence(m, np.concatenate([np.zeros(n), xv]))))
+            w_liou = max(w_liou, abs(divergence(m, liouville_field(m))))
+            r = laplacian(m, m.geom.k2)
             w_k2 = max(w_k2, abs(r.direct), abs(r.closed))
-            p_up = ctx.geom.p_up_jets.value
+            p_up = m.geom.p_up_jets.value
             w_spray = max(
                 w_spray,
-                abs(divergence(ctx, geodesic_spray(ctx)) - p_up @ fd_dln_sqrtg_h(ctx)),
+                abs(divergence(m, geodesic_spray(m)) - p_up @ fd_dln_sqrtg_h(m)),
             )
             for f in corpus[:2]:
-                gf = gradient(ctx, f)
+                gf = gradient(m, f)
                 for _ in range(5):
                     x = np.concatenate([rng.normal(size=n), rng.normal(size=n)])
-                    lhs = gf @ ctx.metric.gram @ x
-                    w_dual = max(w_dual, abs(lhs - directional_derivative(ctx, f, x)))
+                    lhs = gf @ m.gram @ x
+                    w_dual = max(w_dual, abs(lhs - directional_derivative(m, f, x)))
             for f in corpus:
-                w_routes = max(w_routes, laplacian(ctx, f).difference)
+                w_routes = max(w_routes, laplacian(m, f).difference)
     ok = (
         w_vert <= 1e-6
         and w_liou <= 1e-6

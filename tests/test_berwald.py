@@ -3,13 +3,15 @@
 Dual routes: the closed jet pipeline against FD oracles for the nonlinear
 connection and the h-curvature; structural identities at seeded points.
 """
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import builtin_structures, christoffel_fd, general_randers, pt
 
-from cartanlab import checks
+from cartanlab import checks, geometry
+from cartanlab.checks import run_suite
 from cartanlab.berwald import (
     DTensor,
     berwald_curvature_fd,
@@ -21,7 +23,7 @@ from cartanlab.cartan import conformal_structure, flat_structure, randers_dual, 
 from cartanlab.errors import ValenceError
 from cartanlab.geometry import PointGeometry
 from cartanlab.jets import ChartPoint, fd_partial
-from cartanlab.manifest import DEFAULT_TOLERANCES, build_structure
+from cartanlab.manifest import DEFAULT_TOLERANCES, build_structure, parse_manifest
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +83,10 @@ def test_nonlinear_connection_fd_random_points(s):
 # adapted frame derivative
 
 
-def _n_fd_without_momentum_term(s, at):
+def _n_fd_without_momentum_term(s, at, geom=None):
     """`nonlinear_connection_fd` with its momentum-correction term
-    -0.5 gamma00^h pdot^h g_ij dropped: a planted defect."""
+    -0.5 gamma00^h pdot^h g_ij dropped: a planted defect (it takes the
+    oracle's ``geom`` argument and builds its own center instead)."""
     n = at.n
     dg = np.array([
         fd_partial(lambda q: PointGeometry(s, q, order=2).g_down, at, k, steps=(1e-4,))
@@ -112,6 +115,30 @@ def test_n_fd_oracle_covers_the_momentum_term_on_curved_randers(n, monkeypatch):
         monkeypatch.setattr(checks, "nonlinear_connection_fd", _n_fd_without_momentum_term)
         assert checks._r_n_fd_oracle(ctx, 0, at) > tol
         monkeypatch.setattr(checks, "nonlinear_connection_fd", clean)
+
+
+def test_fd_oracle_runners_reuse_the_scope_geometry(monkeypatch):
+    # the two FD oracles read their center values from the scope's order-5
+    # geometry, so the only other builds are their shifted stencil points:
+    # 2n variables x 2 signs at one step (N) or two steps (B)
+    built = {2: 0, 4: 0, 5: 0}
+    geom_init = geometry.PointGeometry.__init__
+
+    def counted_geom(self, structure, at, order=5):
+        built[order] += 1
+        geom_init(self, structure, at, order)
+
+    monkeypatch.setattr(geometry.PointGeometry, "__init__", counted_geom)
+    n, points = 2, 3
+    manifest = parse_manifest(json.dumps({
+        "structures": [{"family": "randers", "n": n, "c": -1.0, "drift": 0.3}],
+        "params": [{"label": "flat", "c": 0.0}],
+        "sampling": {"seed": 0, "count": points, "p_norm": [0.5, 1.5]},
+    }))
+    only = ("berwald.curvature_fd_oracle", "berwald.n_fd_oracle")
+    report = run_suite(manifest, only=only)
+    assert report["summary"]["total"] == 2 * points and report["summary"]["failed"] == 0
+    assert built == {5: points, 2: 4 * n * points, 4: 8 * n * points}
 
 
 def test_delta_of_k2_vanishes():

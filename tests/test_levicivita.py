@@ -141,7 +141,7 @@ def test_torsion_free_and_metric_compatible():
 
 def _block_residuals(s, at, params, ctx, names=CURVATURE_BLOCKS) -> dict:
     """Per named block: max |defn - closed| / max(1, max |closed block|)."""
-    closed = curvature_closed(s, at, params, geom=ctx.geom, metric=ctx.metric)
+    closed = curvature_closed(s, at, params, geom=ctx.geom)
     defn = curvature_defn(s, at, params, ctx=ctx)
     out = {}
     for which in names:
@@ -463,7 +463,6 @@ def test_planted_connection_defect_seen_for_every_slot_pair(n, monkeypatch):
         geometry=lambda idx: geom,
         metric=lambda idx: state["metric"],
         stencil=lambda: stencil,
-        defects=lambda idx: connection_defects(s, at, params, geom=geom, metric=state["metric"]),
     )
     clean = levicivita._connection_jet
 
@@ -487,20 +486,21 @@ def test_planted_curvature_defect_seen_for_every_slot_triple(monkeypatch):
     # 1e-6 added to one entry of the closed curvature table must raise the
     # block residual of the one block that holds it, and of the check that
     # reads that block, for every slot triple of the six blocks: a kind or
-    # slicing slip that drops a triple would leave it at the clean value
+    # slicing slip that drops a triple would leave it at the clean value.
+    # The definition context stays on the metric; each plant drops the
+    # closed table kept there.
     n = 2
     s = conformal_structure(n, -1.0)
     params = DeformationParams(c=-1.0)
     at = _sample_points(s, params, n, 1, seed=5)[0]
     geom = PointGeometry(s, at)
-    dctx = curvature_context(s, at, params, geom=geom)
-    state = {"metric": BundleMetric(geom, params)}
+    metric = BundleMetric(geom, params)
+    state = {}
     ctx = SimpleNamespace(
         structure=s,
         params=params,
         geometry=lambda idx: geom,
-        metric=lambda idx: state["metric"],
-        defn_context=lambda idx: dctx,
+        metric=lambda idx: metric,
     )
     clean = checks._block_residual(ctx, 0, at, CURVATURE_BLOCKS)
     assert clean < 1e-9
@@ -516,7 +516,8 @@ def test_planted_curvature_defect_seen_for_every_slot_triple(monkeypatch):
     for which in CURVATURE_BLOCKS:
         kinds = [range(n) if kind == "h" else range(n, 2 * n) for kind in which.replace("_", "")]
         for triple in itertools.product(*kinds):
-            state["triple"], state["metric"] = triple, BundleMetric(geom, params)
+            state["triple"] = triple
+            del metric.derived["curvature"]
             assert checks._block_residual(ctx, 0, at, (which,)) >= 5e-7, (which, triple)
             others = tuple(w for w in CURVATURE_BLOCKS if w != which)
             assert checks._block_residual(ctx, 0, at, others) < 1e-9, (which, triple)
@@ -769,16 +770,12 @@ class _PerSlotDefn(levicivita._DefnContext):
     momentum derivatives, x-partials) are sliced out of the whole tables."""
 
     @property
-    def _jet(self):
-        return levicivita._connection(self.geom, self.metric)
-
-    @property
     def values(self):
-        return _connection_blocks(self._jet.value)
+        return _connection_blocks(self.jet.value)
 
     @property
     def vderivs(self):
-        return _connection_blocks(self._jet.derivs(self.geom.pvars).value)
+        return _connection_blocks(self.jet.derivs(self.geom.pvars).value)
 
     def nabla_values(self, x_slot, y_slot):
         """(h, v) component vectors of nabla_X Y at the center."""
@@ -884,8 +881,9 @@ def test_whole_block_definition_matches_per_slot_reference(n):
         (general_randers(n), DeformationParams(alpha=1.3, beta=0.8, c=0.0)),
     ):
         at = _sample_points(s, params, n, 1, seed=20 + n)[0]
-        ctx = curvature_context(s, at, params)
-        ref = _PerSlotDefn(s, at, params, geom=ctx.geom, metric=ctx.metric)
+        metric = BundleMetric(PointGeometry(s, at), params)
+        ctx = curvature_context(s, at, params, metric=metric)
+        ref = _PerSlotDefn(ctx.geom, metric)
         defn = curvature_defn(s, at, params, ctx=ctx)
         assert defn.shape == (2 * n,) * 4
         # all eight kind patterns, (v, h, .) included
