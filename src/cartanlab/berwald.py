@@ -7,8 +7,12 @@ whose attributes (`N`, `B`, `L_*`, `J_*`, `R_vv`, `R_curv`, `P_curv`) hold
 the point values.  This module adds distinguished tensors with their
 covariant derivatives, the adapted-frame derivative of a scalar field, the
 metric-delta identity, and the FD oracles: they recompute the nonlinear
-connection and the h-curvature from `jets.fd_partial` central differences
-of point values, so the two routes share no derivative mechanism.
+connection and the h-curvature from central differences of point values
+(`jets.fd_stencil` and `jets.fd_combine`, the arithmetic of
+`jets.fd_partial`), so the two routes share no derivative mechanism.  Each
+oracle reads only base-geometry values at its shifted points, so its whole
+stencil, every chart variable and step and sign, is one batched
+`PointGeometry` of the low order those values need.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ import numpy as np
 
 from .errors import ValenceError
 from .geometry import PointGeometry
-from .jets import ChartPoint, Jet, fd_partial, jet_eval
+from .jets import ChartPoint, Jet, fd_combine, fd_stencil, jet_eval
 from .kahler import point_state
 
 __all__ = [
@@ -97,15 +101,14 @@ def nonlinear_connection_fd(s, at: ChartPoint, geom: PointGeometry = None) -> np
     (they are zero-order data, read at the center from ``geom``); all x- and
     p-derivatives entering the formal Christoffel symbols and the momentum
     correction term are plain central differences at one step of 1e-4 (no
-    Richardson extrapolation).
+    Richardson extrapolation), from one order-2 geometry over the 4n
+    shifted points.
     """
     geom, _ = point_state(s, at, geom=geom)
     n = at.n
-
-    def gdown(pt):
-        return PointGeometry(s, pt, order=2).g_down
-
-    dg = np.array([fd_partial(gdown, at, k, steps=(1e-4,)) for k in range(2 * n)])
+    chart, steps = range(2 * n), (1e-4,)
+    gdown = PointGeometry(s, fd_stencil(at, chart, steps), order=2).g_down
+    dg = fd_combine(gdown, at, chart, steps)
     dg_x, dg_p = dg[:n], dg[n:]
     gu = geom.g_up
     # [j, k, m]: d_k g_jm + d_j g_mk - d_m g_jk
@@ -120,18 +123,16 @@ def berwald_curvature_fd(s, at: ChartPoint, geom: PointGeometry = None) -> np.nd
     """R^i_jkh with the frame derivative delta realized by finite differences.
 
     Both the base and the momentum derivatives of the connection coefficients
-    are Richardson-extrapolated central differences (`jets.fd_partial`) of
-    point values of B; N and B at the center are read from ``geom``.
+    are Richardson-extrapolated central differences of point values of B,
+    from one order-4 geometry over the 8n shifted points; N and B at the
+    center are read from ``geom``.
     """
     geom, _ = point_state(s, at, geom=geom)
     n = at.n
     nval = geom.N
     b0 = geom.B
-
-    def bfun(pt):
-        return PointGeometry(s, pt, order=4).B
-
-    db = np.array([fd_partial(bfun, at, k) for k in range(2 * n)])
+    chart = range(2 * n)
+    db = fd_combine(PointGeometry(s, fd_stencil(at, chart), order=4).B, at, chart)
     db_x, db_p = db[:n], db[n:]
     delta_b = db_x + np.einsum("hj,jabc->habc", nval, db_p)  # delta_h B^a_bc at [h, a, b, c]
     return (

@@ -172,7 +172,7 @@ def _quadratic_dual(a_down, n):
         if isinstance(a, np.ndarray) and a.dtype.kind == "f":
             aup = float_inverse(a)  # constant coefficients: the float inverse is exact
         else:
-            aup = jet_mat_inv(stack(a, p.nvars, p.order))
+            aup = jet_mat_inv(stack(a, p.nvars, p.order, p.xcap))
         return contract("i,i->", p, contract("ij,j->i", aup, p))
 
     return k2

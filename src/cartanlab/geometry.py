@@ -16,7 +16,18 @@ the same name without `_jets` (`g_up`, `C_uuu`, `B`, ...) is its `.value`.
 
 Order bookkeeping from one order-5 jet of K^2:
     g (3) -> C (2) -> gamma, N (2) -> B, L, R_vv (1) -> curvatures (0)
-so every downstream value is exact to roundoff.
+so every downstream value is exact to roundoff.  A geometry of lower order
+serves the shifted points of the finite-difference stencils, which read
+values only: it also caps the degree of its jets in the base variables at
+order - 3 (see `jets`), x-linear at order 4, which keeps the values of N,
+B, C and L exact, and free of x at order 2, which keeps g.  Its R_vv and
+R_curv, which need a second x-derivative of N, raise.
+
+The chart point may be a batch of points (`jets.ChartPoint` with batch
+axes): every jet then carries the batch axes in front of its tensor axes,
+K^2 is evaluated point by point and stacked, and the guards (K^2 > 0,
+positive g, the conditioning of its inverse) run per point, so a bad point
+raises its own error.
 
 A vector field on the slit bundle in the adapted frame,
 h^i delta_i + v_i pdot^i, is its (2n,) array of adapted components, h
@@ -40,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EvaluationDomainError, RegularityError, ValenceError
-from .jets import Jet, contract, invert, jet_eval, stack
+from .jets import Jet, contract, invert, jet_eval
 
 __all__ = [
     "PointGeometry",
@@ -64,21 +75,37 @@ def jet_mat_inv(mat: Jet) -> Jet:
     coefficients and need no product table.
     """
     x = invert(mat.value)
-    two = 2.0 * np.eye(mat.shape[0])
+    two = 2.0 * np.eye(mat.shape[-1])
     for _ in range(max(1, math.ceil(math.log2(mat.order + 1)))):
         x = contract("ij,jk->ik", x, two - contract("ij,jk->ik", mat, x))
     # symmetrize away roundoff
     return (x + contract("ij->ji", x)) * 0.5
 
 
+def _point_guard(bad: np.ndarray, at):
+    """The first point of ``at`` (a point or a batch) where ``bad`` holds,
+    with its batch position, or None."""
+    if bad.ndim == 0:
+        return (0, at) if bad else None
+    hits = np.flatnonzero(bad)
+    if not hits.size:
+        return None
+    return hits[0], at.points()[hits[0]]
+
+
 class PointGeometry:
-    """All base tensors of one structure at one chart point, computed lazily."""
+    """All base tensors of one structure at one chart point (or a batch of
+    points), computed lazily."""
 
     def __init__(self, structure, at, order: int = 5):
         self.structure = structure
         self.at = at
         self.order = order
+        # degree cap in the base variables: what the stencil readers of a
+        # low-order geometry need (see the module docstring)
+        self.xcap = order if order >= 5 else max(0, order - 3)
         self.n = at.n
+        self._batch = len(at.batch_shape)
         # chart-variable indices of the base coordinates and of the momenta
         self.xvars = tuple(range(self.n))
         self.pvars = tuple(range(self.n, 2 * self.n))
@@ -87,21 +114,30 @@ class PointGeometry:
 
     @cached_property
     def k2(self) -> Jet:
-        j = jet_eval(self.structure.k2, self.at, self.order)
-        if j.value <= 0.0:
+        j = jet_eval(self.structure.k2, self.at, self.order, self.xcap)
+        vals = j.c[..., 0]
+        bad = _point_guard(vals <= 0.0, self.at)
+        if bad is not None:
             raise EvaluationDomainError(
-                f"K^2 = {j.value!r} is not positive at {self.at!r}"
+                f"K^2 = {float(vals.flat[bad[0]])!r} is not positive at {bad[1]!r}"
             )
         return j
 
     @cached_property
-    def tau(self) -> float:
+    def tau(self):
         return 0.5 * self.k2.value
 
     def p_coord(self, order: int) -> Jet:
-        """The momentum coordinates p_i as an (n,) jet of the given order."""
+        """The momentum coordinates p_i as an (n,) jet of the given order
+        (at this geometry's x-cap)."""
         n = self.n
-        return stack([Jet.variable(n + i, self.at.p[i], 2 * n, order) for i in range(n)])
+        out = Jet.constant(self.at.p, 2 * n, order, self.xcap)
+        if order >= 1:
+            # the degree-1 coefficients follow the value in variable order,
+            # those of the base variables dropped at x-cap 0
+            first = 1 if out.xcap == 0 else 1 + n
+            out.c[..., range(n), range(first, first + n)] = 1.0
+        return out
 
     # ---- fundamental tensor
 
@@ -112,11 +148,12 @@ class PointGeometry:
     @cached_property
     def g_up(self):
         vals = self.g_up_jets.value
-        w = np.linalg.eigvalsh(vals)
-        if w[0] <= 0.0:
+        low = np.linalg.eigvalsh(vals)[..., 0]
+        bad = _point_guard(low <= 0.0, self.at)
+        if bad is not None:
             raise RegularityError(
-                f"fundamental tensor not positive definite at {self.at!r}: "
-                f"smallest eigenvalue {w[0]:.6e}"
+                f"fundamental tensor not positive definite at {bad[1]!r}: "
+                f"smallest eigenvalue {float(low.flat[bad[0]]):.6e}"
             )
         return vals
 
@@ -200,7 +237,7 @@ class PointGeometry:
     def delta(self, f: Jet) -> Jet:
         """Adapted-frame derivatives delta_i f of every component of f, on a
         new trailing axis."""
-        free = _AXES[: f.ndim]
+        free = _AXES[: f.ndim - self._batch]
         vertical = contract(f"{free}j,ij->{free}i", f.derivs(self.pvars), self.N_jets)
         return f.derivs(self.xvars) + vertical
 
@@ -208,7 +245,7 @@ class PointGeometry:
         """Horizontal covariant derivative T_{|k} of a tensor with the given
         valence ('u'/'d' per axis): delta_k T plus one Berwald contraction per
         axis, the new index appended last."""
-        free = _AXES[: t.ndim]
+        free = _AXES[: t.ndim - self._batch]
         out = self.delta(t)
         for axis, kind in enumerate(valence):
             summed = free[:axis] + "m" + free[axis + 1 :]
@@ -225,17 +262,17 @@ class PointGeometry:
         coordinate components back to adapted ones."""
         n = self.n
         nn = self.N_jets
-        eye = Jet.constant(np.eye(2 * n), 2 * n, nn.order).c
+        eye = Jet.constant(np.eye(2 * n), 2 * n, nn.order, nn.xcap).c
         to_coords, to_adapted = eye.copy(), eye.copy()
         to_coords[:n, n:] = nn.c  # delta_i = partial_i + N_ik pdot^k
         to_adapted[:n, n:] = -nn.c
-        return Jet(2 * n, nn.order, to_coords), Jet(2 * n, nn.order, to_adapted)
+        return Jet(2 * n, nn.order, to_coords, nn.xcap), Jet(2 * n, nn.order, to_adapted, nn.xcap)
 
     @cached_property
     def basis_jets(self) -> Jet:
         """The adapted basis as constant fields: row a holds the adapted
         components of F_a.  Read-only."""
-        out = Jet.constant(np.eye(2 * self.n), 2 * self.n, self.order - 2)
+        out = Jet.constant(np.eye(2 * self.n), 2 * self.n, self.order - 2, self.xcap)
         out.c.setflags(write=False)
         return out
 
@@ -326,15 +363,15 @@ class PointGeometry:
         b = self.B
         return (
             dB
-            - np.einsum("ijhk->ijkh", dB)
-            + np.einsum("mjk,imh->ijkh", b, b)
-            - np.einsum("mjh,imk->ijkh", b, b)
+            - np.einsum("...ijhk->...ijkh", dB)
+            + np.einsum("...mjk,...imh->...ijkh", b, b)
+            - np.einsum("...mjh,...imk->...ijkh", b, b)
         )
 
     @cached_property
     def P_curv(self):
         """P^{ih}_{jk} = pdot^h B^i_jk."""
-        return np.einsum("ijkh->ihjk", self.B_jets.derivs(self.pvars).value)
+        return np.einsum("...ijkh->...ihjk", self.B_jets.derivs(self.pvars).value)
 
     # ---- volume-form derivatives (log sqrt det g)
 

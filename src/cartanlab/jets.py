@@ -11,19 +11,30 @@ powers) are evaluated by composing the primitive's Taylor series with the
 nilpotent part of the operand.  Mixed partial derivatives of any expression
 built this way are read off coefficients, with no step-size error.
 
+Two gradings.  Besides the total order, a jet may cap the degree in the base
+variables x (the first half of its variables) at `xcap` < `order`; the two
+gradings truncate independently (Neidinger, SIAM Review 52, 2010; Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  A jet with `xcap ==
+order` keeps every multi-index of its order.  Products and sums land on the
+lower cap of their operands; an x-derivative lowers the cap by one, and an
+x-derivative of a jet whose cap is 0 (x-exhausted) raises instead of
+returning a number that would silently drop terms.
+
 Layout: the coefficients of a jet are one float array `c` of shape
 `(*shape, ncoef)`.  The leading axes are the tensor axes (`shape == ()` for a
-scalar); the last axis runs over the multi-indices in graded order, so
-truncation is a slice and `c[..., 0]` is the value.  Every operation acts on
-all components at once:
+scalar), optionally preceded by batch axes over a stack of chart points; the
+last axis runs over the multi-indices in graded order, so `c[..., 0]` is the
+value and lowering the total order at a fixed x-cap is a slice (lowering the
+cap is a gather).  Every operation acts on all components at once:
 
 * `+`, `-` and `*` broadcast over the leading axes.  A product gathers both
   coefficient axes through the product table of `_Tables.mul`, multiplies,
   and sums each output coefficient with one `np.add.reduceat`; the table is
   sorted by output index when it is built, so the sums are contiguous runs.
-* `contract(spec, a, b)` is an einsum over the leading axes
-  (`contract("ijm,mk->ijk", a, b)`) taken before the same reduction, so an
-  index contraction of two jet tensors costs one gather, one einsum and one
+* `contract(spec, a, b)` is an einsum over the tensor axes
+  (`contract("ijm,mk->ijk", a, b)`), with any batch axes carried along as a
+  leading ellipsis, taken before the same reduction, so an index
+  contraction of two jet tensors costs one gather, one einsum and one
   reduction.
 * `deriv` and `derivs` are gathers on the last axis; indexing selects
   leading axes; `stack` builds a tensor from scalar jets and numbers.
@@ -34,7 +45,9 @@ at two step sizes with Richardson extrapolation and an honest error estimate
 first-order helper every FD oracle of the package differentiates with: the
 central difference of an array-valued function of a chart point along one
 chart variable, Richardson extrapolated over two steps (or the plain
-difference for one step).
+difference for one step).  `fd_stencil` lays the same shifted points out as
+one batch of chart points for callers that evaluate them together, and
+`fd_combine` turns their values into the same partials.
 """
 from __future__ import annotations
 
@@ -56,6 +69,8 @@ __all__ = [
     "jet_eval",
     "fd_derivative",
     "fd_partial",
+    "fd_stencil",
+    "fd_combine",
     "invert",
     "sqrt",
     "exp",
@@ -75,16 +90,20 @@ _EPS = np.finfo(float).eps
 
 
 class _Tables:
-    """Precomputed index tables for one (nvars, order) pair.
+    """Precomputed index tables for one (nvars, order, xcap) triple.
 
-    Multi-indices are enumerated degree by degree (graded order), so the
-    table of a lower order is a prefix of the table of a higher order and
-    truncation is a slice.
+    Multi-indices of total degree <= order whose degree in the base
+    variables (the first ``nvars // 2``) is <= xcap are enumerated degree by
+    degree (graded order), so the table of a lower order at the same cap is
+    a prefix of the table of a higher order, and a capped table keeps the
+    relative order of the full one.  ``xcap == order`` is the full table.
     """
 
-    def __init__(self, nvars: int, order: int):
+    def __init__(self, nvars: int, order: int, xcap: int):
         self.nvars = nvars
         self.order = order
+        self.xcap = xcap
+        nx = nvars // 2
         exps: list[tuple[int, ...]] = []
         sizes = [0]
         for deg in range(order + 1):
@@ -92,22 +111,25 @@ class _Tables:
                 e = [0] * nvars
                 for v in combo:
                     e[v] += 1
-                exps.append(tuple(e))
+                if sum(e[:nx]) <= xcap:
+                    exps.append(tuple(e))
             sizes.append(len(exps))
         self.exps = exps
         self.size = len(exps)
         # cumulative size per degree: coeffs[: sizes[d + 1]] holds degree <= d
         self.sizes = sizes
         self.index = {e: i for i, e in enumerate(exps)}
-        self.degree = np.array([sum(e) for e in exps], dtype=np.int64)
+        arr = np.array(exps, dtype=np.int64).reshape(self.size, nvars)
+        self.degree = arr.sum(axis=1)
+        self.xdegree = arr[:, :nx].sum(axis=1)
         # each multi-index as one integer, its exponents read as digits in
         # base order + 1; a sum of two multi-indices within the order adds
         # their codes without a carry
         self._radix = (order + 1) ** np.arange(nvars, dtype=np.int64)
-        self._codes = np.array(exps, dtype=np.int64).reshape(self.size, nvars) @ self._radix
+        self._codes = arr @ self._radix
         self._by_code = np.argsort(self._codes, kind="stable")
         self._mul = None
-        self._derivs: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._derivs: dict[tuple, tuple[np.ndarray, np.ndarray, int]] = {}
 
     def _lookup(self, codes: np.ndarray) -> np.ndarray:
         """Table positions of multi-indices given by their codes."""
@@ -128,6 +150,9 @@ class _Tables:
             counts = np.asarray(self.sizes)[self.order - self.degree + 1]
             ia = np.repeat(np.arange(self.size), counts)
             ib = np.arange(ia.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            if self.xcap < self.order:
+                keep = self.xdegree[ia] + self.xdegree[ib] <= self.xcap
+                ia, ib = ia[keep], ib[keep]
             iout = self._lookup(self._codes[ia] + self._codes[ib])
             by_out = np.argsort(iout, kind="stable")
             iout = iout[by_out]
@@ -135,19 +160,30 @@ class _Tables:
             self._mul = (ia[by_out], ib[by_out], starts)
         return self._mul
 
-    def derivs_map(self, vars: tuple, count: int) -> tuple[np.ndarray, np.ndarray]:
+    def derivs_map(self, vars: tuple, count: int) -> tuple[np.ndarray, np.ndarray, int]:
         """Index map realizing all count-fold partials along ``vars``.
 
         ``src`` and ``mult`` have shape ``(len(vars),) * count + (lower,)``,
-        where ``lower`` is the table size ``count`` orders down:
-        ``c[..., src] * mult`` holds the partials, one trailing axis per
-        derivative.  The multipliers are exact integers, so the result is
-        exactly symmetric in its derivative axes.
+        where ``lower`` is the size of the table ``count`` orders down, with
+        the x-cap lowered by ``count`` when ``vars`` holds a base variable
+        (returned third): ``c[..., src] * mult`` holds the partials, one
+        trailing axis per derivative.  The multipliers are exact integers,
+        so the result is exactly symmetric in its derivative axes.  Raises
+        ValueError when a base variable is asked of a jet whose x-cap is
+        used up.
         """
         key = (vars, count)
         got = self._derivs.get(key)
         if got is None:
-            lower = _tables(self.nvars, self.order - count)
+            lower_order = self.order - count
+            lower_cap = self.xcap
+            if any(v < self.nvars // 2 for v in vars):
+                lower_cap -= count
+                if lower_cap < 0:
+                    raise ValueError(
+                        f"{count}-fold x-derivative of a jet whose x-degree is capped at {self.xcap}"
+                    )
+            lower = _tables(self.nvars, lower_order, lower_cap)
             low = np.array(lower.exps, dtype=np.int64).reshape(lower.size, self.nvars)
             bump = np.zeros((len(vars),) * count + (self.nvars,), dtype=np.int64)
             for combo in product(range(len(vars)), repeat=count):
@@ -157,30 +193,66 @@ class _Tables:
             src = self._lookup(bumped @ self._radix)
             fact = np.array([math.factorial(k) for k in range(self.order + 1)], dtype=float)
             mult = np.prod(fact[bumped], axis=-1) / np.prod(fact[low], axis=-1)
-            got = self._derivs[key] = (src, mult)
+            got = self._derivs[key] = (src, mult, lower.xcap)
         return got
 
     def deriv_map(self, var: int) -> tuple[np.ndarray, np.ndarray]:
         """Index map realizing d/d(var): tables of order-1 jets index into us."""
-        src, mult = self.derivs_map((var,), 1)
+        src, mult, _ = self.derivs_map((var,), 1)
         return src[0], mult[0]
 
 
 @lru_cache(maxsize=None)
-def _tables(nvars: int, order: int) -> _Tables:
+def _tables(nvars: int, order: int, xcap: int = None) -> _Tables:
+    """The tables of (nvars, order, xcap); no cap, or one at or above the
+    order, is the full table."""
     if nvars < 1 or order < 0:
         raise ValueError("need nvars >= 1 and order >= 0")
-    return _Tables(nvars, order)
+    if xcap is None or xcap >= order:
+        return _full_tables(nvars, order)
+    if xcap < 0:
+        raise ValueError("need xcap >= 0")
+    return _Tables(nvars, order, xcap)
+
+
+@lru_cache(maxsize=None)
+def _full_tables(nvars: int, order: int) -> _Tables:
+    return _Tables(nvars, order, order)
+
+
+@lru_cache(maxsize=None)
+def _embedding(nvars: int, src: tuple, dst: tuple) -> np.ndarray:
+    """Positions in the table ``src`` = (order, xcap) of the multi-indices
+    of the smaller table ``dst``."""
+    big = _tables(nvars, *src)
+    return big._lookup(np.array(_tables(nvars, *dst).exps, dtype=np.int64) @ big._radix)
 
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating))
 
 
-def _common_order(a: "Jet", b: "Jet") -> int:
+def _common_table(a: "Jet", b: "Jet") -> _Tables:
+    """The table two operands meet on: the lower order and the lower cap."""
     if a.nvars != b.nvars:
         raise ValueError("jets over different variable sets")
-    return min(a.order, b.order)
+    k = a.order if a.order < b.order else b.order
+    if a.xcap >= k and b.xcap >= k:
+        return _tables(a.nvars, k)
+    return _tables(a.nvars, k, min(a.xcap, b.xcap))
+
+
+def _on(jet: "Jet", tab: _Tables, exact: bool = False) -> np.ndarray:
+    """The coefficients of ``jet`` on the multi-indices of ``tab``, a table
+    within the jet's own.  When ``tab`` is a prefix of the jet's table this
+    is the jet's array itself, with trailing entries beyond ``tab`` unless
+    ``exact``; else a gather."""
+    if jet.xcap == tab.xcap or (tab.xcap == tab.order and jet.xcap >= tab.order):
+        if exact and jet.order != tab.order:
+            return jet.c[..., : tab.size]
+        return jet.c
+    key = (jet.order, jet.xcap)
+    return jet.c.take(_embedding(jet.nvars, key, (tab.order, tab.xcap)), axis=-1)
 
 
 def _scalar_or_array(v: np.ndarray):
@@ -193,40 +265,51 @@ def _scalar_or_array(v: np.ndarray):
 
 class Jet:
     """Taylor coefficients of a scalar or a tensor about a point, truncated
-    at `order`.
+    at total `order` and at degree `xcap` in the base variables.
 
-    c[..., i] is the series coefficient c_alpha for the i-th multi-index, so
-    the mixed partial for alpha is c_alpha * alpha!; the leading axes of c
-    are the tensor axes (none for a scalar).
+    c[..., i] is the series coefficient c_alpha for the i-th multi-index of
+    the (nvars, order, xcap) table, so the mixed partial for alpha is
+    c_alpha * alpha!; the leading axes of c are the tensor axes (none for a
+    scalar).  ``xcap`` defaults to the order: every multi-index is kept.
     """
 
-    __slots__ = ("nvars", "order", "c")
+    __slots__ = ("nvars", "order", "xcap", "c")
     # numpy scalars and arrays defer mixed arithmetic to the jet's operators
     __array_ufunc__ = None
 
-    def __init__(self, nvars: int, order: int, coeffs: np.ndarray):
+    def __init__(self, nvars: int, order: int, coeffs: np.ndarray, xcap: int = None):
         self.nvars = nvars
         self.order = order
+        self.xcap = order if xcap is None or xcap > order else xcap
         self.c = coeffs
+
+    @property
+    def _table(self) -> _Tables:
+        return _tables(self.nvars, self.order, self.xcap)
 
     # -- constructors
 
     @classmethod
-    def constant(cls, value, nvars: int, order: int) -> "Jet":
+    def constant(cls, value, nvars: int, order: int, xcap: int = None) -> "Jet":
         """A constant jet; an array value gives a tensor of constants."""
         value = np.asarray(value, dtype=float)
-        c = np.zeros(value.shape + (_tables(nvars, order).size,))
+        c = np.zeros(value.shape + (_tables(nvars, order, xcap).size,))
         c[..., 0] = value
-        return cls(nvars, order, c)
+        return cls(nvars, order, c, xcap)
 
     @classmethod
-    def variable(cls, index: int, value: float, nvars: int, order: int) -> "Jet":
+    def variable(cls, index: int, value: float, nvars: int, order: int, xcap: int = None) -> "Jet":
+        """The coordinate jet of chart variable ``index`` at ``value``; at
+        x-cap 0 a base variable is the constant."""
         if order < 1:
             raise ValueError("coordinate jets need order >= 1")
-        c = np.zeros(_tables(nvars, order).size)
-        c[0] = value
-        c[1 + index] = 1.0
-        return cls(nvars, order, c)
+        out = cls.constant(value, nvars, order, xcap)
+        # the degree-1 multi-indices follow the value in variable order; a
+        # cap of 0 drops those of the base variables
+        nx = nvars // 2 if out.xcap == 0 else 0
+        if index >= nx:
+            out.c[..., 1 + index - nx] = 1.0
+        return out
 
     # -- shape and coefficient access
 
@@ -247,14 +330,15 @@ class Jet:
         """Index the tensor axes; the coefficient axis is kept whole."""
         if not isinstance(idx, tuple):
             idx = (idx,)
-        return Jet(self.nvars, self.order, self.c[idx + (slice(None),)])
+        return Jet(self.nvars, self.order, self.c[idx + (slice(None),)], self.xcap)
 
     def coefficient(self, alpha: Sequence[int]):
         """Raw series coefficient c_alpha."""
-        tab = _tables(self.nvars, self.order)
-        idx = tab.index.get(tuple(alpha))
+        idx = self._table.index.get(tuple(alpha))
         if idx is None:
-            raise ValueError(f"multi-index {tuple(alpha)} outside order {self.order}")
+            raise ValueError(
+                f"multi-index {tuple(alpha)} outside order {self.order} (x-cap {self.xcap})"
+            )
         return _scalar_or_array(self.c[..., idx])
 
     def partial(self, alpha: Sequence[int]):
@@ -268,27 +352,32 @@ class Jet:
         """Partial derivative with respect to one chart variable, one order lower."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        src, mult = _tables(self.nvars, self.order).deriv_map(var)
-        return Jet(self.nvars, self.order - 1, self.c.take(src, axis=-1) * mult)
+        src, mult, xcap = self._table.derivs_map((var,), 1)
+        return Jet(self.nvars, self.order - 1, self.c.take(src[0], axis=-1) * mult[0], xcap)
 
     def derivs(self, vars: Sequence[int], count: int = 1) -> "Jet":
         """All count-fold partials along the chart variables ``vars``.
 
         Each derivative appends one trailing tensor axis over ``vars`` and
-        lowers the order by one: ``f.derivs(range(n, 2 * n))[..., k]`` is
-        ``f.deriv(n + k)`` for every component at once.
+        lowers the order by one, and the x-cap by one when ``vars`` holds a
+        base variable: ``f.derivs(range(n, 2 * n))[..., k]`` is
+        ``f.deriv(n + k)`` for every component at once.  Raises ValueError
+        past the order, or past the x-cap along a base variable.
         """
         if self.order < count:
             raise ValueError(f"cannot differentiate an order-{self.order} jet {count} times")
-        src, mult = _tables(self.nvars, self.order).derivs_map(tuple(vars), count)
-        return Jet(self.nvars, self.order - count, self.c.take(src, axis=-1) * mult)
+        src, mult, xcap = self._table.derivs_map(tuple(vars), count)
+        return Jet(self.nvars, self.order - count, self.c.take(src, axis=-1) * mult, xcap)
 
-    def truncate(self, order: int) -> "Jet":
-        if order > self.order:
-            raise ValueError("cannot extend a jet to higher order")
-        if order == self.order:
+    def truncate(self, order: int, xcap: int = None) -> "Jet":
+        """The jet at a lower total order and, optionally, a lower x-cap."""
+        xcap = min(self.xcap if xcap is None else xcap, order)
+        if order > self.order or xcap > self.xcap:
+            raise ValueError("cannot extend a jet to a higher order or x-cap")
+        if order == self.order and xcap == self.xcap:
             return self
-        return Jet(self.nvars, order, self.c[..., : _tables(self.nvars, order).size])
+        tab = _tables(self.nvars, order, xcap)
+        return Jet(self.nvars, order, _on(self, tab, True), xcap)
 
     # -- ring operations (broadcasting over the tensor axes)
 
@@ -302,25 +391,23 @@ class Jet:
         else:
             return NotImplemented
         c[..., 0] += sign * other
-        return Jet(self.nvars, self.order, c)
+        return Jet(self.nvars, self.order, c, self.xcap)
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            k = _common_order(self, other)
-            t = _tables(self.nvars, k).size
-            return Jet(self.nvars, k, self.c[..., :t] + other.c[..., :t])
+            tab = _common_table(self, other)
+            return Jet(self.nvars, tab.order, _on(self, tab, True) + _on(other, tab, True), tab.xcap)
         return self._shift(other, 1.0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.nvars, self.order, -self.c)
+        return Jet(self.nvars, self.order, -self.c, self.xcap)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            k = _common_order(self, other)
-            t = _tables(self.nvars, k).size
-            return Jet(self.nvars, k, self.c[..., :t] - other.c[..., :t])
+            tab = _common_table(self, other)
+            return Jet(self.nvars, tab.order, _on(self, tab, True) - _on(other, tab, True), tab.xcap)
         return self._shift(other, -1.0)
 
     def __rsub__(self, other):
@@ -328,12 +415,12 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            k = _common_order(self, other)
-            ia, ib, starts = _tables(self.nvars, k).mul
-            prod = self.c.take(ia, axis=-1) * other.c.take(ib, axis=-1)
-            return Jet(self.nvars, k, np.add.reduceat(prod, starts, axis=-1))
+            tab = _common_table(self, other)
+            ia, ib, starts = tab.mul
+            prod = _on(self, tab).take(ia, axis=-1) * _on(other, tab).take(ib, axis=-1)
+            return Jet(self.nvars, tab.order, np.add.reduceat(prod, starts, axis=-1), tab.xcap)
         if _is_number(other):
-            return Jet(self.nvars, self.order, self.c * other)
+            return Jet(self.nvars, self.order, self.c * other, self.xcap)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -342,7 +429,7 @@ class Jet:
         if isinstance(other, Jet):
             return self * other._reciprocal()
         if _is_number(other):
-            return Jet(self.nvars, self.order, self.c / other)
+            return Jet(self.nvars, self.order, self.c / other, self.xcap)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -355,7 +442,7 @@ class Jet:
             e = int(expo)
             if e < 0:
                 return (self ** (-e))._reciprocal()
-            out = Jet.constant(1.0, self.nvars, self.order)
+            out = Jet.constant(1.0, self.nvars, self.order, self.xcap)
             base = self
             while e:
                 if e & 1:
@@ -369,13 +456,13 @@ class Jet:
 
     def _analytic(self, series: Sequence[float]) -> "Jet":
         """Compose a power series sum a_k u^k with u = self - self.value (Horner)."""
-        u = Jet(self.nvars, self.order, self.c.copy())
+        u = Jet(self.nvars, self.order, self.c.copy(), self.xcap)
         u.c[..., 0] = 0.0
         out = series[-1]
         for k in range(len(series) - 2, -1, -1):
             out = out * u + series[k]
         if not isinstance(out, Jet):  # order 0 operand
-            out = Jet.constant(out, self.nvars, self.order)
+            out = Jet.constant(out, self.nvars, self.order, self.xcap)
         return out
 
     def _reciprocal(self) -> "Jet":
@@ -387,45 +474,53 @@ class Jet:
 
     def __repr__(self):
         shape = f", shape={self.shape}" if self.shape else ""
-        return f"Jet(nvars={self.nvars}, order={self.order}{shape}, value={self.value!r})"
+        cap = f", xcap={self.xcap}" if self.xcap < self.order else ""
+        return f"Jet(nvars={self.nvars}, order={self.order}{cap}{shape}, value={self.value!r})"
 
 
 @lru_cache(maxsize=None)
 def _contract_plan(spec: str, is_jet: tuple) -> str:
-    """The einsum expression of a contraction, with the coefficient axis
-    carried along every jet operand as a trailing ellipsis."""
+    """The einsum expression of a contraction: every operand and the output
+    lead with an ellipsis over batch axes, and the coefficient axis of every
+    jet operand is the trailing letter ``Z``."""
     inputs, out = spec.replace(" ", "").split("->")
     subs = inputs.split(",")
     if len(subs) != len(is_jet):
         raise ValueError(f"spec {spec!r} names {len(subs)} operands, got {len(is_jet)}")
-    if sum(is_jet) not in (1, 2):
-        raise ValueError("contract needs one or two jet operands")
-    terms = [s + "..." if jet else s for s, jet in zip(subs, is_jet)]
-    return ",".join(terms) + f"->{out}..."
+    if sum(is_jet) > 2:
+        raise ValueError("contract takes at most two jet operands")
+    if not any(is_jet):
+        return ",".join("..." + s for s in subs) + f"->...{out}"
+    terms = ["..." + s + "Z" if jet else "..." + s for s, jet in zip(subs, is_jet)]
+    return ",".join(terms) + f"->...{out}Z"
 
 
-def contract(spec: str, *operands) -> Jet:
+def contract(spec: str, *operands):
     """Einstein summation over the tensor axes of jets.
 
     ``spec`` is an einsum subscript string over the tensor axes only, e.g.
-    ``contract("ijm,mk->ijk", a, b)`` is the jet of sum_m a[i,j,m] b[m,k].
+    ``contract("ijm,mk->ijk", a, b)`` is the jet of sum_m a[i,j,m] b[m,k];
+    leading batch axes of the operands broadcast as in ``...ijm,...mk``.
     With two jets the product table gathers both coefficient axes, einsum
     sums the named indices, and one reduction lands on the output
     coefficients, as in ``*``.  A single jet (a transpose or a trace), or a
     jet with an array of numbers, is linear in the coefficients and needs no
-    table.
+    table.  With arrays of numbers only it is the plain einsum, so a formula
+    written with ``contract`` also evaluates on point values.
     """
     is_jet = tuple(isinstance(x, Jet) for x in operands)
     expr = _contract_plan(spec, is_jet)
     if all(is_jet) and len(operands) == 2:
         a, b = operands
-        k = _common_order(a, b)
-        ia, ib, starts = _tables(a.nvars, k).mul
-        prod = np.einsum(expr, a.c.take(ia, axis=-1), b.c.take(ib, axis=-1))
-        return Jet(a.nvars, k, np.add.reduceat(prod, starts, axis=-1))
+        tab = _common_table(a, b)
+        ia, ib, starts = tab.mul
+        prod = np.einsum(expr, _on(a, tab).take(ia, axis=-1), _on(b, tab).take(ib, axis=-1))
+        return Jet(a.nvars, tab.order, np.add.reduceat(prod, starts, axis=-1), tab.xcap)
+    if not any(is_jet):
+        return np.einsum(expr, *operands)
     ref = operands[is_jet.index(True)]
     arrays = [x.c if jet else x for x, jet in zip(operands, is_jet)]
-    return Jet(ref.nvars, ref.order, np.einsum(expr, *arrays))
+    return Jet(ref.nvars, ref.order, np.einsum(expr, *arrays), ref.xcap)
 
 
 def _leaves(items) -> tuple[list, tuple]:
@@ -439,28 +534,31 @@ def _leaves(items) -> tuple[list, tuple]:
     return [leaf for leaves, _ in parts for leaf in leaves], (len(parts),) + inner
 
 
-def stack(items, nvars: int = None, order: int = None) -> Jet:
+def stack(items, nvars: int = None, order: int = None, xcap: int = None) -> Jet:
     """One tensor jet from a nested sequence of scalar jets and numbers.
 
-    Numbers become constants.  The result has the lowest order among the
-    jets; ``nvars`` and ``order`` are read only when no leaf is a jet.
+    Numbers become constants.  The result has the lowest order and x-cap
+    among the jets; ``nvars``, ``order`` and ``xcap`` are read only when no
+    leaf is a jet.
     """
     flat, shape = _leaves(items)
     jets = [x for x in flat if isinstance(x, Jet)]
     if jets:
         nvars, order = jets[0].nvars, min(x.order for x in jets)
+        xcap = min(x.xcap for x in jets)
     if nvars is None or order is None:
         raise ValueError("stack needs nvars and order when no leaf is a jet")
-    size = _tables(nvars, order).size
+    tab = _tables(nvars, order, xcap)
+    size = tab.size
     c = np.zeros((len(flat), size))
     for r, x in enumerate(flat):
         if isinstance(x, Jet):
             if x.nvars != nvars or x.shape:
                 raise ValueError("stack takes scalar jets over one variable set")
-            c[r] = x.c[:size]
+            c[r] = _on(x, tab, True)
         else:
             c[r, 0] = x
-    return Jet(nvars, order, c.reshape(shape + (size,)))
+    return Jet(nvars, order, c.reshape(shape + (size,)), tab.xcap)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +619,12 @@ def power(z, r: float):
 
 @dataclass(frozen=True, eq=False)
 class ChartPoint:
-    """A point of the slit cotangent chart: base coordinates x, momenta p != 0."""
+    """A point of the slit cotangent chart: base coordinates x, momenta p != 0.
+
+    x and p of shape ``(*batch, n)`` hold a batch of points, as the shifted
+    points of a finite-difference stencil (`fd_stencil`); ``points()`` lists
+    them one by one.
+    """
 
     x: np.ndarray
     p: np.ndarray
@@ -529,24 +632,36 @@ class ChartPoint:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         p = np.asarray(self.p, dtype=float)
-        if x.ndim != 1 or p.shape != x.shape:
-            raise ValueError("x and p must be 1-d arrays of equal length")
-        if x.size < 2:
+        if x.ndim < 1 or p.shape != x.shape:
+            raise ValueError("x and p must be arrays of equal shape (*batch, n)")
+        if x.shape[-1] < 2:
             raise ValueError("chart dimension must be at least 2")
         if not (np.isfinite(x).all() and np.isfinite(p).all()):
             raise ValueError("non-finite chart coordinates")
-        if float(np.linalg.norm(p)) == 0.0:
+        if (float(np.linalg.norm(p)) if p.ndim == 1 else np.linalg.norm(p, axis=-1).min()) == 0.0:
             raise EvaluationDomainError("momentum p = 0 is outside the slit bundle")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
 
     @property
     def n(self) -> int:
-        return self.x.size
+        return self.x.shape[-1]
+
+    @property
+    def batch_shape(self) -> tuple:
+        """The batch axes: () for one point."""
+        return self.x.shape[:-1]
+
+    def points(self) -> list:
+        """The points of a batch one by one, in C order; [self] for one point."""
+        if not self.batch_shape:
+            return [self]
+        n = self.n
+        return [ChartPoint(x, p) for x, p in zip(self.x.reshape(-1, n), self.p.reshape(-1, n))]
 
     @property
     def coords(self) -> np.ndarray:
-        return np.concatenate([self.x, self.p])
+        return np.concatenate([self.x, self.p], axis=-1)
 
     def key(self) -> tuple:
         return (self.x.tobytes(), self.p.tobytes())
@@ -559,21 +674,31 @@ class ChartPoint:
 # jet evaluation of a scalar field
 
 
-def jet_eval(f: Callable, at: ChartPoint, order: int) -> Jet:
-    """Evaluate f(x, p) on coordinate jets, returning its Taylor table.
+def jet_eval(f: Callable, at: ChartPoint, order: int, xcap: int = None) -> Jet:
+    """Evaluate f(x, p) on coordinate jets, returning its Taylor table at the
+    given order and x-cap.
 
     f receives two lists of jets (x variables first, then p) and must be
-    built from arithmetic and the smooth primitives of this module.
+    built from arithmetic and the smooth primitives of this module.  For a
+    batch of points f is evaluated point by point, and the tables stack
+    along the batch axes.
     """
+    if at.batch_shape:
+        tables = [jet_eval(f, pt, order, xcap).c for pt in at.points()]
+        c = np.stack(tables).reshape(at.batch_shape + tables[0].shape)
+        return Jet(2 * at.n, order, c, xcap)
     n = at.n
     nv = 2 * n
-    xs = [Jet.variable(i, at.x[i], nv, order) for i in range(n)]
-    ps = [Jet.variable(n + i, at.p[i], nv, order) for i in range(n)]
+    xs = [Jet.variable(i, at.x[i], nv, order, xcap) for i in range(n)]
+    ps = [Jet.variable(n + i, at.p[i], nv, order, xcap) for i in range(n)]
     out = f(xs, ps)
     if _is_number(out):
-        out = Jet.constant(float(out), nv, order)
+        out = Jet.constant(float(out), nv, order, xcap)
     if not isinstance(out, Jet):
         raise TypeError("field did not evaluate to a jet or number")
+    want = order if xcap is None else min(xcap, order)
+    if out.xcap > want:  # a field that never read a base variable
+        out = out.truncate(out.order, want)
     if not np.isfinite(out.c).all():
         raise EvaluationDomainError("non-finite jet coefficients at " + repr(at))
     return out
@@ -646,6 +771,66 @@ def fd_derivative(
     return extrap, err
 
 
+def _fd_shifts(at: ChartPoint, vars: Sequence[int], steps: Sequence[float]) -> np.ndarray:
+    """The signed shifts of the central differences along ``vars``, at
+    [v, k, sign]: +-steps[k] * max(1, |coord|), + first."""
+    n = at.n
+    for var in vars:
+        if not 0 <= var < 2 * n:
+            raise ValueError(f"chart variable {var} outside 0..{2 * n - 1}")
+    if len(steps) not in (1, 2):
+        raise ValueError("steps must hold one or two step sizes")
+    hh = np.multiply.outer(np.maximum(1.0, np.abs(at.coords[list(vars)])), steps)
+    return np.stack([hh, -hh], axis=-1)
+
+
+def fd_stencil(
+    at: ChartPoint, vars: Sequence[int], steps: Sequence[float] = DEFAULT_FD_STEPS
+) -> ChartPoint:
+    """The shifted points of `fd_partial` about one point for every chart
+    variable in ``vars``, as one batch of shape (len(vars), len(steps), 2):
+    point [v, k, 0] moves chart variable vars[v] by +steps[k] * max(1,
+    |coord|), point [v, k, 1] by the same step down."""
+    shifts = _fd_shifts(at, vars, steps)
+    coords = np.broadcast_to(at.coords, shifts.shape + (2 * at.n,)).copy()
+    for v, var in enumerate(vars):
+        coords[v, ..., var] += shifts[v]
+    n = at.n
+    return ChartPoint(coords[..., :n], coords[..., n:])
+
+
+def fd_combine(
+    values, at: ChartPoint, vars: Sequence[int], steps: Sequence[float] = DEFAULT_FD_STEPS
+) -> np.ndarray:
+    """The partials along ``vars``, at [v, ...], from the values of a
+    function at the points of ``fd_stencil(at, vars, steps)``, laid out on
+    its batch axes: the central difference at each step, Richardson
+    extrapolated over two steps (h1 > h2).  Raises EvaluationDomainError if
+    any value is not finite."""
+    values = np.asarray(values)
+    shifts = _fd_shifts(at, vars, steps)
+    finite = np.isfinite(values).reshape(shifts.shape + (-1,)).all(axis=-1)
+    if not finite.all():
+        idx = np.unravel_index(np.flatnonzero(~finite)[0], shifts.shape)
+        raise EvaluationDomainError(
+            f"non-finite evaluation at step {shifts[idx]:+.3e} "
+            f"along chart variable {vars[idx[0]]}"
+        )
+    tail = (1,) * (values.ndim - shifts.ndim)
+    hh = shifts[..., 0].reshape(shifts.shape[:-1] + tail)
+    diffs = (values[:, :, 0] - values[:, :, 1]) / (2.0 * hh)
+    return _richardson(np.moveaxis(diffs, 1, 0), steps)
+
+
+def _richardson(diffs, steps: Sequence[float]):
+    """The central differences at each step, diffs[k], combined: the plain
+    difference for one step, the Richardson extrapolation for two."""
+    if len(steps) == 1:
+        return diffs[0]
+    ratio = (steps[0] / steps[1]) ** 2
+    return (ratio * diffs[1] - diffs[0]) / (ratio - 1.0)
+
+
 def fd_partial(
     f: Callable, at: ChartPoint, var: int, steps: Sequence[float] = DEFAULT_FD_STEPS
 ):
@@ -654,16 +839,13 @@ def fd_partial(
 
     Each step is scaled by ``max(1, |coord|)``.  Two steps (h1 > h2) give the
     Richardson-extrapolated difference; a one-element ``steps`` gives the
-    plain central difference at that step.  Raises EvaluationDomainError if
-    any stencil value is not finite.
+    plain central difference at that step.  The shifted points are those of
+    `fd_stencil`, evaluated one by one in the order +h1, -h1, +h2, -h2.
+    Raises EvaluationDomainError if any stencil value is not finite.
     """
     base = at.coords
     n = at.n
-    if not 0 <= var < 2 * n:
-        raise ValueError(f"chart variable {var} outside 0..{2 * n - 1}")
-    if len(steps) not in (1, 2):
-        raise ValueError("steps must hold one or two step sizes")
-    scale = max(1.0, abs(base[var]))
+    (scaled,) = _fd_shifts(at, (var,), steps)[..., 0]
 
     def value(shift: float):
         coords = base.copy()
@@ -675,14 +857,7 @@ def fd_partial(
             )
         return out
 
-    diffs = []
-    for h in steps:
-        hh = h * scale
-        diffs.append((value(hh) - value(-hh)) / (2.0 * hh))
-    if len(diffs) == 1:
-        return diffs[0]
-    ratio = (steps[0] / steps[1]) ** 2
-    return (ratio * diffs[1] - diffs[0]) / (ratio - 1.0)
+    return _richardson([(value(hh) - value(-hh)) / (2.0 * hh) for hh in scaled], steps)
 
 
 # ---------------------------------------------------------------------------
@@ -707,27 +882,45 @@ def _worst_pivot(m: np.ndarray) -> tuple[float, int]:
     return worst
 
 
+def _first(bad: np.ndarray):
+    """The C-order position of the first True entry, or None."""
+    hits = np.flatnonzero(bad)
+    return np.unravel_index(hits[0], bad.shape) if hits.size else None
+
+
 def invert(m: np.ndarray, cond_bound: float = CONDITION_BOUND) -> np.ndarray:
-    """Invert a symmetric matrix with symmetry and conditioning guards."""
+    """Invert a symmetric matrix with symmetry and conditioning guards.
+
+    A stack of matrices (leading batch axes) is inverted matrix by matrix,
+    each with its own guards; the first matrix, in C order, that fails one
+    raises, naming its position in the stack."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("invert expects a square matrix")
-    scale = max(float(np.max(np.abs(m))), 1.0)
-    if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric within 1e-10 relative")
-    cond = float(np.linalg.cond(m))
-    if not np.isfinite(cond) or cond > cond_bound:
-        piv, idx = _worst_pivot(m)
+    batch = m.shape[:-2]
+
+    def where(idx) -> str:
+        return f" (matrix {tuple(map(int, idx))} of the stack)" if batch else ""
+
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    bad = _first(np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1)) > 1e-10 * scale)
+    if bad is not None:
+        raise ValueError("matrix is not symmetric within 1e-10 relative" + where(bad))
+    cond = np.linalg.cond(m)
+    bad = _first(~np.isfinite(cond) | (cond > cond_bound))
+    if bad is not None:
+        piv, idx = _worst_pivot(m[bad])
         raise ConditioningError(
-            f"condition estimate {cond:.3e} exceeds bound {cond_bound:.1e} "
-            f"(worst pivot {piv:.3e} at elimination step {idx})"
+            f"condition estimate {float(cond[bad]):.3e} exceeds bound {cond_bound:.1e} "
+            f"(worst pivot {piv:.3e} at elimination step {idx})" + where(bad)
         )
     inv = np.linalg.inv(m)
-    residual = float(np.max(np.abs(m @ inv - np.eye(m.shape[0]))))
-    if residual > 1e-10:
-        piv, idx = _worst_pivot(m)
+    residual = np.abs(m @ inv - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    bad = _first(residual > 1e-10)
+    if bad is not None:
+        piv, idx = _worst_pivot(m[bad])
         raise ConditioningError(
-            f"inverse residual {residual:.3e} exceeds 1e-10 "
-            f"(worst pivot {piv:.3e} at elimination step {idx})"
+            f"inverse residual {float(residual[bad]):.3e} exceeds 1e-10 "
+            f"(worst pivot {piv:.3e} at elimination step {idx})" + where(bad)
         )
     return inv

@@ -114,42 +114,49 @@ class DeformationParams:
         return f"DeformationParams({self.describe()})"
 
 
+def _blocks(g_down, g_up, p, p_up, tau, v, alpha: float, beta: float):
+    """(G_ij, G^ij) from the base tensors, the energy tau and the profile
+    value v, from jets or from point values alike."""
+    down = g_down * (1.0 / beta)
+    up = g_up * beta
+    if not isinstance(v, Jet) and v == 0.0:
+        return down, up
+    gauge = (tau * v) * 2.0 + alpha
+    down = down + contract("i,j->ij", p, p) * (v * (1.0 / (alpha * beta)))
+    up = up - contract("i,j->ij", p_up, p_up) * ((v * beta) / gauge)
+    return down, up
+
+
 class BundleMetric:
-    """Block-diagonal metric on the slit bundle in the adapted frame."""
+    """Block-diagonal metric on the slit bundle in the adapted frame.
+
+    The point values G_ij and G^ij (``G_down``, ``G_up``) and the Gram
+    matrix are built from the geometry's values; the jets of the blocks
+    (``G_down_jets``, ``G_up_jets``), which the connection, its defects and
+    J differentiate or read, are built when one of them is first asked for.
+    """
 
     def __init__(self, geom: PointGeometry, params: DeformationParams):
         self.geom = geom
         self.at = geom.at
         self.params = params
-        tau_jet = geom.k2 * 0.5
-        v_jet = params.v_at(tau_jet)
-        v_val = v_jet.value if isinstance(v_jet, Jet) else float(v_jet)
+        v_val = params.v_at(geom.tau)
+        v_val = v_val.value if isinstance(v_val, Jet) else float(v_val)
         gauge = params.alpha + 2.0 * geom.tau * v_val
         if gauge <= 0.0:
             raise EvaluationDomainError(
                 f"deformed metric loses positivity: alpha + 2 tau v = {gauge:.6e} "
                 f"<= 0 at {self.at!r} (tau={geom.tau:.6f}, v={v_val:.6f})"
             )
-
-        a, b = params.alpha, params.beta
-        down = geom.g_down_jets * (1.0 / b)
-        up = geom.g_up_jets * b
-        if isinstance(v_jet, Jet) or v_val != 0.0:
-            vj = v_jet if isinstance(v_jet, Jet) else tau_jet * 0.0 + v_val
-            gauge_jet = (tau_jet * vj) * 2.0 + a
-            p = geom.p_coord(3)
-            pu = geom.p_up_jets
-            down = down + contract("i,j->ij", p, p) * (vj * (1.0 / (a * b)))
-            up = up - contract("i,j->ij", pu, pu) * ((vj * b) / gauge_jet)
-        self.G_down_jets = down
-        self.G_up_jets = up
-        self.G_down = down.value
-        self.G_up = up.value
+        self.G_down, self.G_up = _blocks(
+            geom.g_down, geom.g_up, self.at.p, geom.p_up, geom.tau, v_val, params.alpha, params.beta
+        )
         #: all per-point state derived from this metric, built on first use:
         #: the Nijenhuis table, the Koszul table, the connection jet and its
-        #: defects, the curvature table, the curvature-definition context,
-        #: Ricci, and the operators' frame divergences, mean Landsberg trace
-        #: and finite-difference log-volume partials
+        #: defects, the curvature table, the curvature-definition context and
+        #: the stencil partials it shares with the Koszul table, Ricci, and
+        #: the operators' frame divergences, mean Landsberg trace and
+        #: finite-difference log-volume partials
         self.derived: dict = {}
 
     def derive(self, key: str, build):
@@ -162,6 +169,23 @@ class BundleMetric:
     @property
     def n(self):
         return self.geom.n
+
+    @cached_property
+    def _jets(self) -> tuple:
+        geom, params = self.geom, self.params
+        tau_jet = geom.k2 * 0.5
+        return _blocks(
+            geom.g_down_jets, geom.g_up_jets, geom.p_coord(3), geom.p_up_jets, tau_jet,
+            params.v_at(tau_jet), params.alpha, params.beta,
+        )
+
+    @cached_property
+    def G_down_jets(self) -> Jet:
+        return self._jets[0]
+
+    @cached_property
+    def G_up_jets(self) -> Jet:
+        return self._jets[1]
 
     @cached_property
     def gram(self) -> np.ndarray:

@@ -27,6 +27,13 @@ Routes kept deliberately separate:
   Richardson-extrapolated central difference) of the whole 2n x 2n metric
   per chart variable; and the inverse of the Gram matrix
   ``BundleMetric.gram``.
+* The Koszul oracle and the definition route below difference the same
+  neighborhood with the same steps, so they share one evaluation per
+  shifted point (``_StencilPartials``, kept on the center metric as
+  arrays): along a base variable one order-4 metric gives the Gram matrix
+  and the connection table (``_connection_values``, the closed blocks
+  assembled from point values), along a momentum one an order-2 metric
+  gives the Gram matrix.
 * ``connection_defects`` measures the torsion and the metric compatibility
   of the closed connection as whole-array expressions of its table, the
   same basis bracket table and ``BundleMetric.gram``.
@@ -35,9 +42,10 @@ Routes kept deliberately separate:
   over the point values of C, L, B, R, P, G and the covariant derivatives
   of C and L; the (v, h, .) blocks follow by antisymmetry in the first
   pair.
-* ``curvature_defn`` guards it.  It differentiates the connection jet
-  (``jets.fd_partial`` of the whole value table along x, exact jets along
-  p) and composes the whole table per the curvature definition
+* ``curvature_defn`` guards it.  It differentiates the connection field
+  (``jets.fd_partial`` of the whole value table along x, exact jets of the
+  center's connection jet along p) and composes the whole table per the
+  curvature definition
   K(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z, with
   the brackets from ``basis_brackets``.  It never reads the closed
   curvature algebra.
@@ -90,21 +98,16 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 # closed-form connection
 
 
-def _connection_jet(geom: PointGeometry, metric: BundleMetric) -> Jet:
-    """nabla_{F_a} F_b as one (2n, 2n, 2n) jet: adapted components at
-    [a, b, :], at the common order of its eight blocks (1 from an order-5
-    geometry).  The coefficient array is read-only."""
-    beta = metric.params.beta
-    c = metric.params.c_at(geom.tau)
-    C_uud = geom.C_uud_jets
-    L_udd_B = geom.L_udd_jets + geom.B_jets
-    p = geom.p_coord(3)
-    Gu_p = contract("ij,s->ijs", metric.G_up_jets, p) * (c * beta)  # c beta G^ij p_s
-    Gd_p = contract("js,i->ijs", metric.G_down_jets, p) * (c * beta)  # c beta G_js p_i
-    blocks = {
+def _connection_blocks(C_uud, C_ddd, L_uuu, L_udd, B, G_up, G_down, p, beta: float, c: float) -> dict:
+    """The eight blocks of nabla_{F_a} F_b by the frame kinds of [a, b, :],
+    from jets or from point values alike."""
+    L_udd_B = L_udd + B
+    Gu_p = contract("ij,s->ijs", G_up, p) * (c * beta)  # c beta G^ij p_s
+    Gd_p = contract("js,i->ijs", G_down, p) * (c * beta)  # c beta G_js p_i
+    return {
         # nabla_{pdot^i} pdot^j = beta^2 L^{ijs} delta_s
         #                         + (-C^{ij}_s + c beta G^{ij} p_s) pdot^s
-        "vvh": geom.L_uuu_jets * (beta * beta),
+        "vvh": L_uuu * (beta * beta),
         "vvv": -C_uud + Gu_p,
         # nabla_{delta_i} pdot^j = (C^{js}_i - c beta G^{js} p_i) delta_s
         #                          - (L^j_{is} + B^j_{is}) pdot^s
@@ -113,18 +116,45 @@ def _connection_jet(geom: PointGeometry, metric: BundleMetric) -> Jet:
         # nabla_{pdot^i} delta_j = (C^{is}_j - c beta G^{is} p_j) delta_s
         #                          - L^i_{js} pdot^s
         "vhh": contract("isj->ijs", C_uud - Gu_p),
-        "vhv": -geom.L_udd_jets,
+        "vhv": -L_udd,
         # nabla_{delta_i} delta_j = (L^s_{ij} + B^s_{ij}) delta_s
         #     + (-(1/beta^2) C_{ijs} + c beta G_{js} p_i) pdot^s
         "hhh": contract("sij->ijs", L_udd_B),
-        "hhv": geom.C_ddd_jets * (-1.0 / (beta * beta)) + Gd_p,
+        "hhv": C_ddd * (-1.0 / (beta * beta)) + Gd_p,
     }
+
+
+def _connection_jet(geom: PointGeometry, metric: BundleMetric) -> Jet:
+    """nabla_{F_a} F_b as one (2n, 2n, 2n) jet: adapted components at
+    [a, b, :], at the common order of its eight blocks (1 from an order-5
+    geometry).  The coefficient array is read-only."""
+    params = metric.params
+    blocks = _connection_blocks(
+        geom.C_uud_jets, geom.C_ddd_jets, geom.L_uuu_jets, geom.L_udd_jets, geom.B_jets,
+        metric.G_up_jets, metric.G_down_jets, geom.p_coord(3), params.beta, params.c_at(geom.tau),
+    )
     order = min(t.order for t in blocks.values())
+    xcap = min(t.xcap for t in blocks.values())
     dim = 2 * geom.n
-    out = Jet.constant(np.zeros((dim, dim, dim)), dim, order)
+    out = Jet.constant(np.zeros((dim, dim, dim)), dim, order, xcap)
     for kinds, t in blocks.items():
-        frame_block(out.c, kinds)[...] = t.truncate(order).c
+        frame_block(out.c, kinds)[...] = t.truncate(order, xcap).c
     _read_only(out.c)
+    return out
+
+
+def _connection_values(metric: BundleMetric) -> np.ndarray:
+    """The connection table at the metric's point from point values only:
+    the blocks of `_connection_jet` at order 0."""
+    geom, params = metric.geom, metric.params
+    blocks = _connection_blocks(
+        geom.C_uud_jets.value, geom.C_ddd, geom.L_uuu, geom.L_udd, geom.B,
+        metric.G_up, metric.G_down, geom.at.p, params.beta, params.c_at(geom.tau),
+    )
+    dim = 2 * geom.n
+    out = np.zeros((dim, dim, dim))
+    for kinds, t in blocks.items():
+        frame_block(out, kinds)[...] = t
     return out
 
 
@@ -157,19 +187,68 @@ def lc_closed_form(
 
 
 class MetricStencil:
-    """Bundle-metric components of one structure and parameter set at the
-    shifted chart points of a stencil; nothing is kept between points."""
+    """Bundle metrics of one structure and parameter set at the shifted
+    chart points of a stencil; nothing is kept between points."""
 
     def __init__(self, s, params):
         self.s = s
         self.params = params
 
-    def metric_at(self, pt: ChartPoint) -> BundleMetric:
-        return BundleMetric(PointGeometry(self.s, pt, order=2), self.params)
+    def metric_at(self, pt: ChartPoint, order: int = 2) -> BundleMetric:
+        """The metric at ``pt`` on a geometry of ``order``: 2 keeps the
+        values of G, 4 those of the connection table too."""
+        return BundleMetric(PointGeometry(self.s, pt, order), self.params)
 
-    def frame_matrix(self, pt: ChartPoint) -> np.ndarray:
-        """G(F_a, F_b)(pt) over the adapted basis."""
-        return self.metric_at(pt).gram
+
+class _StencilPartials:
+    """Finite-difference partials about one chart point of the Gram matrix
+    G(F_a, F_b), along every chart variable, and of the connection table,
+    along the base variables, from one evaluation per shifted point: the
+    Koszul oracle and the curvature-definition context share them.  Along a
+    base variable each shifted point builds one order-4 metric and reads
+    both tables as values; along a momentum one, an order-2 metric for the
+    Gram matrix.  Kept on the center point's metric, it holds the stencil
+    and the point, not the metric."""
+
+    def __init__(self, stencil: MetricStencil, at: ChartPoint):
+        self.stencil = stencil
+        self.at = at
+        self._gram: dict[int, np.ndarray] = {}
+        self._connection: dict[int, np.ndarray] = {}
+
+    def _evaluate(self, var: int) -> None:
+        if var >= self.at.n:
+            self._gram[var] = fd_partial(lambda pt: self.stencil.metric_at(pt).gram, self.at, var)
+            return
+        dim = 2 * self.at.n
+
+        def both(pt: ChartPoint) -> np.ndarray:
+            m = self.stencil.metric_at(pt, order=4)
+            return np.concatenate([m.gram.ravel(), _connection_values(m).ravel()])
+
+        flat = fd_partial(both, self.at, var)
+        self._gram[var] = flat[: dim * dim].reshape(dim, dim)
+        self._connection[var] = flat[dim * dim :].reshape(dim, dim, dim)
+
+    def gram(self, var: int) -> np.ndarray:
+        """d/d(chart variable var) of the Gram matrix, at [a, b]."""
+        if var not in self._gram:
+            self._evaluate(var)
+        return self._gram[var]
+
+    def connection(self, var: int) -> np.ndarray:
+        """d/dx^var of the connection table, at [a, b, :]."""
+        if var not in self._connection:
+            self._evaluate(var)
+        return self._connection[var]
+
+
+def _stencil_partials(geom: PointGeometry, metric: BundleMetric, stencil: MetricStencil = None):
+    """The shared stencil partials about the metric's point, built once per
+    metric."""
+    if stencil is None:
+        stencil = MetricStencil(geom.structure, metric.params)
+    return metric.derive("stencil", lambda: _StencilPartials(stencil, geom.at))
 
 
 def _frame_derivative_fd(partials: np.ndarray, geom: PointGeometry) -> np.ndarray:
@@ -186,13 +265,12 @@ def _koszul_table(geom: PointGeometry, metric: BundleMetric, stencil: MetricSten
     [x, y, :], solved from the six Koszul terms for all slot pairs at once.
 
     ``dG[a, b, c] = F_a(G(F_b, F_c))`` comes from finite differences of the
-    metric over the stencil, ``bG[a, b, c] = G([F_a, F_b], F_c)`` from the
-    basis bracket table ``PointGeometry.basis_brackets``.  The array is
-    read-only.
+    metric over the stencil (the shared `_StencilPartials`),
+    ``bG[a, b, c] = G([F_a, F_b], F_c)`` from the basis bracket table
+    ``PointGeometry.basis_brackets``.  The array is read-only.
     """
-    partials = np.array(
-        [fd_partial(stencil.frame_matrix, geom.at, var) for var in range(2 * geom.n)]
-    )
+    shared = _stencil_partials(geom, metric, stencil)
+    partials = np.array([shared.gram(var) for var in range(2 * geom.n)])
     dG = _frame_derivative_fd(partials, geom)
     gram = metric.gram
     bG = geom.basis_brackets @ gram
@@ -415,29 +493,20 @@ def curvature_closed(
 class _DefnContext:
     """The connection field around a point: its jet at the center (values
     and exact momentum derivatives), finite-difference x-partials of its
-    value table, and the curvature table composed from them."""
+    value table (the shared `_StencilPartials`), and the curvature table
+    composed from them."""
 
     def __init__(self, geom: PointGeometry, metric: BundleMetric):
         # kept on the metric, so it holds what it reads of the metric and
         # not the metric itself: a reference cycle would outlive the scope
         self.geom = geom
-        self.params = metric.params
         self.jet = _connection(geom, metric)
-        self._x_partials: dict[int, np.ndarray] = {}
-
-    def _values(self, pt: ChartPoint) -> np.ndarray:
-        """The connection table at pt."""
-        # only values are read here, and order 4 keeps them exact
-        g = PointGeometry(self.geom.structure, pt, order=4)
-        return _connection_jet(g, BundleMetric(g, self.params)).value
+        self._stencil = _stencil_partials(geom, metric)
 
     def x_partial(self, var: int) -> np.ndarray:
         """d/dx^var of the whole connection table (``jets.fd_partial``), at
         [a, b, :]."""
-        got = self._x_partials.get(var)
-        if got is None:
-            got = self._x_partials[var] = fd_partial(self._values, self.geom.at, var)
-        return got
+        return self._stencil.connection(var)
 
     @cached_property
     def curvature(self) -> np.ndarray:

@@ -19,10 +19,21 @@ from cartanlab.berwald import (
     metric_delta_identity,
     nonlinear_connection_fd,
 )
-from cartanlab.cartan import conformal_structure, flat_structure, randers_dual, sample_points
-from cartanlab.errors import ValenceError
+from cartanlab.cartan import (
+    CartanStructure,
+    conformal_structure,
+    flat_structure,
+    randers_dual,
+    sample_points,
+)
+from cartanlab.errors import (
+    ConditioningError,
+    EvaluationDomainError,
+    RegularityError,
+    ValenceError,
+)
 from cartanlab.geometry import PointGeometry
-from cartanlab.jets import ChartPoint, fd_partial
+from cartanlab.jets import ChartPoint, fd_partial, fd_stencil
 from cartanlab.manifest import DEFAULT_TOLERANCES, build_structure, parse_manifest
 
 
@@ -119,13 +130,16 @@ def test_n_fd_oracle_covers_the_momentum_term_on_curved_randers(n, monkeypatch):
 
 def test_fd_oracle_runners_reuse_the_scope_geometry(monkeypatch):
     # the two FD oracles read their center values from the scope's order-5
-    # geometry, so the only other builds are their shifted stencil points:
-    # 2n variables x 2 signs at one step (N) or two steps (B)
+    # geometry, so the only other builds are their shifted stencils, one
+    # batched geometry per record: 2n variables x 2 signs at one step (N)
+    # or two steps (B)
     built = {2: 0, 4: 0, 5: 0}
+    stencil_points = {2: 0, 4: 0, 5: 0}
     geom_init = geometry.PointGeometry.__init__
 
     def counted_geom(self, structure, at, order=5):
         built[order] += 1
+        stencil_points[order] += len(at.points())
         geom_init(self, structure, at, order)
 
     monkeypatch.setattr(geometry.PointGeometry, "__init__", counted_geom)
@@ -138,7 +152,117 @@ def test_fd_oracle_runners_reuse_the_scope_geometry(monkeypatch):
     only = ("berwald.curvature_fd_oracle", "berwald.n_fd_oracle")
     report = run_suite(manifest, only=only)
     assert report["summary"]["total"] == 2 * points and report["summary"]["failed"] == 0
-    assert built == {5: points, 2: 4 * n * points, 4: 8 * n * points}
+    assert built == {5: points, 2: points, 4: points}
+    assert stencil_points == {5: points, 2: 4 * n * points, 4: 8 * n * points}
+
+
+def _stencil_structure(family, n):
+    """The three kinds of structure the batched stencils are held to: a
+    Riemannian conformal one, the x-independent Randers one, and an
+    anisotropic expression with an x-dependent momentum weight."""
+    if family == "conformal":
+        return build_structure({"family": "riemannian_conformal", "n": n, "c": -1.0})
+    if family == "randers":
+        return build_structure({"family": "randers", "n": n, "c": 0.0, "drift": 0.3})
+    rest = " + ".join(f"p{k}*p{k}" for k in range(3, n + 1))
+    return build_structure({
+        "family": "expression", "n": n, "label": f"anisotropic-quadratic-{n}d",
+        "k2": "(1 + 0.5*x1*x1) * p2*p2 + p1*p1" + (" + " + rest if rest else ""),
+    })
+
+
+@pytest.mark.parametrize("family", ["conformal", "randers", "expression"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batched_stencil_values_match_per_point_geometries(family, n):
+    # one geometry over a whole stencil gives each shifted point the values
+    # a geometry of that point alone gives, and the FD oracles built on the
+    # batch equal their per-point fd_partial formulation
+    s = _stencil_structure(family, n)
+    at = sample_points(s, 1, 40 + n)[0]
+    chart = range(2 * n)
+    for steps, order, attr in (((1e-3, 5e-4), 4, "B"), ((1e-4,), 2, "g_down")):
+        pts = fd_stencil(at, chart, steps)
+        assert pts.batch_shape == (2 * n, len(steps), 2)
+        batched = getattr(PointGeometry(s, pts, order), attr)
+        single = np.array([getattr(PointGeometry(s, q, order), attr) for q in pts.points()])
+        single = single.reshape(batched.shape)
+        scale = max(1.0, float(np.abs(single).max()))
+        assert float(np.abs(batched - single).max()) <= 1e-15 * scale
+    geom = PointGeometry(s, at)
+
+    def per_point(attr, order, steps):
+        return np.array([
+            fd_partial(lambda q: getattr(PointGeometry(s, q, order), attr), at, k, steps)
+            for k in chart
+        ])
+
+    db, dg = per_point("B", 4, (1e-3, 5e-4)), per_point("g_down", 2, (1e-4,))
+    nval, b0, gu = geom.N, geom.B, geom.g_up
+    delta_b = db[:n] + np.einsum("hj,jabc->habc", nval, db[n:])
+    want_r = (
+        np.einsum("hijk->ijkh", delta_b) - np.einsum("kijh->ijkh", delta_b)
+        + np.einsum("mjk,imh->ijkh", b0, b0) - np.einsum("mjh,imk->ijkh", b0, b0)
+    )
+    first = np.einsum("kjm->jkm", dg[:n]) + np.einsum("jmk->jkm", dg[:n]) - np.einsum("mjk->jkm", dg[:n])
+    gamma0 = np.einsum("ijk,i->jk", 0.5 * np.einsum("im,jkm->ijk", gu, first), at.p)
+    want_n = gamma0 - 0.5 * np.einsum("h,hij->ij", gamma0 @ geom.p_up, dg[n:])
+    for got, want in ((berwald_curvature_fd(s, at, geom=geom), want_r),
+                      (nonlinear_connection_fd(s, at, geom=geom), want_n)):
+        scale = max(1.0, float(np.abs(want).max()))
+        assert float(np.abs(got - want).max()) <= 1e-15 * scale
+
+
+def _one_bad_stencil_point(kind, step):
+    """A structure and a center point whose FD stencil along x^1 has exactly
+    one bad point, the one a step ``step`` down: there K^2 <= 0
+    (EvaluationDomainError), g is indefinite (RegularityError), or g is
+    positive but singular past the conditioning bound (ConditioningError).
+    K^2 = p1^2 + w(x1) p2^2 with w(x1) = x1 - a, zero just above that point
+    (or 1e-13 below it)."""
+    x1 = 0.3
+    edge = (x1 - step) + (-1e-13 if kind == "conditioning" else 1e-7)
+    if kind == "k2":
+        k2 = lambda xs, ps: (xs[0] - edge) * (ps[0] * ps[0] + ps[1] * ps[1])
+    else:
+        k2 = lambda xs, ps: ps[0] * ps[0] + (xs[0] - edge) * ps[1] * ps[1]
+    s = CartanStructure(dim=2, k2=k2, label=f"bad-{kind}")
+    return s, pt([x1, 0.1], [0.8, 0.6])
+
+
+@pytest.mark.parametrize(
+    "kind, error",
+    [("k2", EvaluationDomainError), ("regularity", RegularityError), ("conditioning", ConditioningError)],
+)
+def test_a_bad_stencil_point_is_its_records_typed_error(kind, error):
+    for check_id, step in (("berwald.curvature_fd_oracle", 1e-3), ("berwald.n_fd_oracle", 1e-4)):
+        s, at = _one_bad_stencil_point(kind, step)
+        geom = PointGeometry(s, at)
+        geom.B  # the center point itself is fine
+        spec = next(spec for spec in checks.REGISTRY if spec.check_id == check_id)
+        ctx = SimpleNamespace(
+            structure=s, geometry=lambda idx: geom, points=[at], tag=s.label,
+            manifest=SimpleNamespace(tolerances=DEFAULT_TOLERANCES),
+        )
+        (record,) = checks._run_check(spec, ctx)
+        assert record.residual is None and not record.passed
+        assert record.error.startswith(error.__name__ + ":"), record.error
+
+
+def test_an_order4_stencil_geometry_keeps_values_and_refuses_second_x_derivatives():
+    # x-linear jets keep N, B, C and L exact, but R_vv needs a second
+    # x-derivative of K^2's momentum Hessian (and R_curv one more order)
+    for s in (conformal_structure(3, -1.0), general_randers(3)):
+        at = sample_points(s, 1, 5)[0]
+        low, high = PointGeometry(s, at, order=4), PointGeometry(s, at)
+        assert low.xcap == 1 and PointGeometry(s, at, order=2).xcap == 0 and high.xcap == 5
+        for attr in ("g_down", "C_ddd", "N", "B", "L_udd"):
+            want = getattr(high, attr)
+            scale = max(1.0, float(np.abs(want).max()))
+            assert float(np.abs(getattr(low, attr) - want).max()) <= 1e-13 * scale
+        with pytest.raises(ValueError, match="x-derivative"):
+            low.R_vv
+        with pytest.raises(ValueError):
+            low.R_curv
 
 
 def test_delta_of_k2_vanishes():

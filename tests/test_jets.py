@@ -457,3 +457,76 @@ def test_tensor_value_and_indexing(n, order, seed):
     assert lifted.shape == (2, 2) and lifted.order == order
     np.testing.assert_array_equal(lifted[0, 0].c, scalar.c)
     np.testing.assert_array_equal(lifted[0, 1].c, Jet.constant(1.5, nvars, order).c)
+
+
+# ---------------------------------------------------------------------------
+# two gradings: total order and a cap on the degree in the base variables
+
+_GRADED_CASES = dict(
+    n=st.sampled_from([2, 3]),
+    order=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_GRADED_CASES)
+def test_graded_jets_equal_full_ones_on_every_retained_coefficient(n, order, seed):
+    # capping the x-degree drops coefficients but never changes a kept one:
+    # products, contractions, primitives, derivatives and truncations of the
+    # capped jets equal the capped results of the full ones, bit for bit
+    from cartanlab.jets import contract
+
+    rng = np.random.default_rng(seed)
+    nvars = 2 * n
+    xs, ps = tuple(range(n)), tuple(range(n, nvars))
+    a_full = _random_jet(rng, (n, n), nvars, order)
+    b_full = _random_jet(rng, (n,), nvars, order)
+    a_full.c[..., 0] += 3.0  # keep the reciprocal's value away from zero
+    for cap in range(order):
+        a, b = a_full.truncate(order, cap), b_full.truncate(order, cap)
+        assert (a.order, a.xcap) == (order, cap) and a.c.shape[-1] < a_full.c.shape[-1]
+
+        def same(got, want):
+            assert (got.order, got.xcap) == (want.order, want.xcap)
+            np.testing.assert_array_equal(got.c, want.c)
+
+        same(a * b[0], (a_full * b_full[0]).truncate(order, cap))
+        same(a + b, (a_full + b_full).truncate(order, cap))
+        same(contract("ij,j->i", a, b), contract("ij,j->i", a_full, b_full).truncate(order, cap))
+        same(1.0 / a[0, 1], (1.0 / a_full[0, 1]).truncate(order, cap))
+        same(a.derivs(ps), a_full.derivs(ps).truncate(order - 1, cap))
+        if cap >= 1:
+            same(a.derivs(xs), a_full.derivs(xs).truncate(order - 1, cap - 1))
+            same(a.deriv(0), a_full.deriv(0).truncate(order - 1, cap - 1))
+        for low in range(order):
+            same(a.truncate(low), a_full.truncate(low).truncate(low, cap))
+        # a full jet meets a capped one on the capped table
+        same(a_full[0] * b, (a_full[0] * b_full).truncate(order, cap))
+
+
+def test_x_derivative_of_an_x_exhausted_jet_raises():
+    rng = np.random.default_rng(3)
+    full = _random_jet(rng, (2,), 4, 4)
+    capped = full.truncate(4, 0)
+    assert capped.derivs((2, 3)).xcap == 0  # momentum derivatives are kept
+    for ask in (lambda: capped.deriv(0), lambda: capped.derivs((0, 1)),
+                lambda: capped.derivs(range(4)), lambda: full.truncate(4, 1).derivs((1,), 2)):
+        with pytest.raises(ValueError, match="x-derivative"):
+            ask()
+    with pytest.raises(ValueError):
+        capped.truncate(4, 1)  # a cap is never raised back
+
+
+def test_graded_coordinate_jets():
+    at = _pt([0.3, -0.2], [1.1, 0.4])
+    f = lambda xs, ps: xs[0] * ps[0] * ps[1] + xs[1] * xs[1] * ps[0]
+    full = jet_eval(f, at, 4)
+    for cap in (0, 1, 2):
+        got = jet_eval(f, at, 4, cap)
+        assert got.xcap == cap
+        np.testing.assert_array_equal(got.c, full.truncate(4, cap).c)
+    # x-free at cap 0: the base variables are constants there
+    assert jet_eval(f, at, 4, 0).coefficient((0, 0, 1, 1)) == pytest.approx(0.3)
+    with pytest.raises(ValueError):
+        jet_eval(f, at, 4, 0).coefficient((1, 0, 1, 1))

@@ -359,6 +359,47 @@ def test_koszul_tables_reused_match_fresh(n):
     assert np.array_equal(reused, fresh)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("first", ["koszul", "definition"])
+def test_koszul_and_definition_share_one_evaluation_per_shifted_point(n, first, monkeypatch):
+    # both oracles difference the metric's neighborhood with the same steps:
+    # along a base variable one order-4 metric per shifted point serves the
+    # Gram matrix and the connection table, along a momentum one an order-2
+    # metric serves the Gram matrix; whichever oracle asks first, the tables
+    # equal those each oracle gets alone
+    s = conformal_structure(n, -1.0)
+    params = DeformationParams(c=-1.0)
+    at = _sample_points(s, params, n, 1, seed=8)[0]
+    geom = PointGeometry(s, at)
+
+    def tables(metric):
+        if first == "koszul":
+            k = koszul_oracle(s, at, params, geom=geom, metric=metric)
+            return k, curvature_context(s, at, params, geom=geom, metric=metric).curvature
+        d = curvature_context(s, at, params, geom=geom, metric=metric).curvature
+        return koszul_oracle(s, at, params, geom=geom, metric=metric), d
+
+    alone = (
+        koszul_oracle(s, at, params, geom=geom, metric=BundleMetric(geom, params)),
+        curvature_context(s, at, params, geom=geom, metric=BundleMetric(geom, params)).curvature,
+    )
+    built = {2: 0, 4: 0, 5: 0}
+    geom_init = geometry.PointGeometry.__init__
+
+    def counted_geom(self, structure, at, order=5):
+        built[order] += 1
+        geom_init(self, structure, at, order)
+
+    monkeypatch.setattr(geometry.PointGeometry, "__init__", counted_geom)
+    metric = BundleMetric(geom, params)
+    shared = tables(metric)
+    assert built == {2: 4 * n, 4: 4 * n, 5: 0}
+    assert all(np.array_equal(got, want) for got, want in zip(shared, alone))
+    kept = metric.derived["stencil"]
+    values = [*kept._gram.values(), *kept._connection.values()]
+    assert len(values) == 3 * n and all(isinstance(v, np.ndarray) for v in values)
+
+
 def test_curvature_ingredients_shared_match_fresh():
     s = general_randers()
     params = DeformationParams(alpha=1.3, beta=0.8, c=0.0)

@@ -300,8 +300,16 @@ def test_derived_state_does_not_keep_the_metric_alive():
         nijenhuis_table(metric)
         landsberg_characterizations(operator_context(s, at, params, metric=metric))
         assert {"koszul", "defects", "defn", "ricci", "nijenhuis", "divergences"} <= set(metric.derived)
+        # the shifted-point values the Koszul and definition oracles share
+        # are kept as arrays, with no geometry or metric of a shifted point
+        shared = metric.derived["stencil"]
+        assert shared.stencil.params is params and shared.at is at
+        assert all(
+            type(v) is np.ndarray for v in (*shared._gram.values(), *shared._connection.values())
+        )
+        shifted = weakref.ref(shared)
         kept = weakref.ref(metric)
-        del metric
-        assert kept() is None
+        del metric, shared
+        assert kept() is None and shifted() is None
     finally:
         gc.enable()
