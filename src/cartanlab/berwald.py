@@ -8,8 +8,8 @@ the point values.  This module adds distinguished tensors with their
 covariant derivatives, the adapted-frame derivative of a scalar field, the
 metric-delta identity, and the FD oracles: they recompute the nonlinear
 connection and the h-curvature from central differences of point values
-(`jets.fd_stencil` and `jets.fd_combine`, the arithmetic of
-`jets.fd_partial`), so the two routes share no derivative mechanism.  Each
+(`jets.fd_stencil` and `jets.fd_combine`, the one FD path of the package),
+so the two routes share no derivative mechanism.  Each
 oracle reads only base-geometry values at its shifted points, so its whole
 stencil, every chart variable and step and sign, is one batched
 `PointGeometry` of the low order those values need.

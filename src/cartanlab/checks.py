@@ -34,7 +34,7 @@ tables, and the Ricci checks the one Ricci table and its blocks.  All
 pair-scope state of a point (the tables, the connection defects, the
 curvature-definition context and the operators' tables) is kept on the
 point's ``BundleMetric``, so a scope memoizes only each point's geometry
-and metric, its ``MetricStencil`` and the Randers limit structures.
+and metric and the Randers limit structures.
 
 Two checks run in *detection* mode: instead of requiring a residual
 below tolerance they require it **above** a floor (a deliberately broken
@@ -74,7 +74,6 @@ from .kahler import (
     tube_predicate,
 )
 from .levicivita import (
-    MetricStencil,
     connection_defects,
     curvature_closed,
     curvature_defn,
@@ -183,9 +182,6 @@ class CheckContext:
 
     def metric(self, idx) -> BundleMetric:
         return self._memo(("metric", idx), lambda: BundleMetric(self.geometry(idx), self.params))
-
-    def stencil(self) -> MetricStencil:
-        return self._memo(("stencil",), lambda: MetricStencil(self.structure, self.params))
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +384,14 @@ def _r_nijenhuis_detects(ctx, idx, pt):
 # pair-scope runners: Levi-Civita connection and curvature
 
 
-def _at(fn, ctx, idx, pt, **kwargs):
+def _at(fn, ctx, idx, pt):
     """``fn(s, pt, params, geom=, metric=)`` on the point's memoized geometry
     and metric, which keeps whatever ``fn`` derives."""
-    return fn(ctx.structure, pt, ctx.params, geom=ctx.geometry(idx), metric=ctx.metric(idx), **kwargs)
+    return fn(ctx.structure, pt, ctx.params, geom=ctx.geometry(idx), metric=ctx.metric(idx))
 
 
 def _r_koszul(ctx, idx, pt):
-    got = _at(koszul_oracle, ctx, idx, pt, stencil=ctx.stencil())
+    got = _at(koszul_oracle, ctx, idx, pt)
     return float(np.abs(got - _at(lc_closed_form, ctx, idx, pt)).max())
 
 

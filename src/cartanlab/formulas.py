@@ -64,9 +64,9 @@ INDEX: Mapping[str, FormulaEntry] = {
         "max(1, |coordinate|), Richardson-extrapolated over two step sizes, "
         "except the nonlinear-connection oracle, which takes one plain step "
         "of 1e-4.  First derivatives of point values all go through "
-        "jets.fd_partial; iterated mixed partials of a scalar through "
-        "jets.fd_derivative.",
-        "jets.fd_partial / jets.fd_derivative / "
+        "jets.fd_stencil and jets.fd_combine (or jets.fd_partial); iterated "
+        "mixed partials of a scalar through jets.fd_derivative.",
+        "jets.fd_partial / jets.fd_combine / jets.fd_derivative / "
         "berwald.nonlinear_connection_fd / berwald.berwald_curvature_fd / "
         "levicivita.koszul_oracle / levicivita.curvature_defn / "
         "operators.fd_dln_sqrtg_h",

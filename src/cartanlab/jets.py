@@ -41,13 +41,14 @@ cap is a gather).  Every operation acts on all components at once:
 
 `fd_derivative` provides the independent oracle: iterated central differences
 at two step sizes with Richardson extrapolation and an honest error estimate
-(two-step disagreement plus a roundoff floor).  `fd_partial` is the
-first-order helper every FD oracle of the package differentiates with: the
-central difference of an array-valued function of a chart point along one
-chart variable, Richardson extrapolated over two steps (or the plain
-difference for one step).  `fd_stencil` lays the same shifted points out as
-one batch of chart points for callers that evaluate them together, and
-`fd_combine` turns their values into the same partials.
+(two-step disagreement plus a roundoff floor).  The first-order partials every
+FD oracle of the package differentiates with have one path: `fd_stencil`
+lays the shifted points about a chart point out as one batch, for a list of
+chart variables, and `fd_combine` turns the values of an array-valued
+function there into central differences, Richardson extrapolated over two
+steps (or the plain difference for one step).  `fd_partial` evaluates a
+function of a chart point at those points one at a time, for callers that
+cannot evaluate the batch together, and combines the values the same way.
 """
 from __future__ import annotations
 
@@ -773,24 +774,31 @@ def fd_derivative(
 
 def _fd_shifts(at: ChartPoint, vars: Sequence[int], steps: Sequence[float]) -> np.ndarray:
     """The signed shifts of the central differences along ``vars``, at
-    [v, k, sign]: +-steps[k] * max(1, |coord|), + first."""
+    [v, k, sign]: +-steps[k] * max(1, |coord|), + first.  Raises ValueError
+    unless ``steps`` is one positive step or two with h1 > h2 > 0, and
+    EvaluationDomainError if a shift is lost to rounding."""
     n = at.n
     for var in vars:
         if not 0 <= var < 2 * n:
             raise ValueError(f"chart variable {var} outside 0..{2 * n - 1}")
-    if len(steps) not in (1, 2):
-        raise ValueError("steps must hold one or two step sizes")
-    hh = np.multiply.outer(np.maximum(1.0, np.abs(at.coords[list(vars)])), steps)
-    return np.stack([hh, -hh], axis=-1)
+    if not ((len(steps) == 1 and steps[0] > 0) or (len(steps) == 2 and steps[0] > steps[1] > 0)):
+        raise ValueError("steps must be one step h1 > 0 or two steps h1 > h2 > 0")
+    coords = at.coords[list(vars)]
+    hh = np.multiply.outer(np.maximum(1.0, np.abs(coords)), steps)
+    shifts = np.stack([hh, -hh], axis=-1)
+    lost = _first(coords[:, None, None] + shifts == coords[:, None, None])
+    if lost is not None:
+        raise EvaluationDomainError(f"FD step underflow along chart variable {vars[lost[0]]}")
+    return shifts
 
 
 def fd_stencil(
     at: ChartPoint, vars: Sequence[int], steps: Sequence[float] = DEFAULT_FD_STEPS
 ) -> ChartPoint:
-    """The shifted points of `fd_partial` about one point for every chart
-    variable in ``vars``, as one batch of shape (len(vars), len(steps), 2):
-    point [v, k, 0] moves chart variable vars[v] by +steps[k] * max(1,
-    |coord|), point [v, k, 1] by the same step down."""
+    """The shifted points of the central differences about one point along
+    every chart variable in ``vars``, as one batch of shape (len(vars),
+    len(steps), 2): point [v, k, 0] moves chart variable vars[v] by
+    +steps[k] * max(1, |coord|), point [v, k, 1] by the same step down."""
     shifts = _fd_shifts(at, vars, steps)
     coords = np.broadcast_to(at.coords, shifts.shape + (2 * at.n,)).copy()
     for v, var in enumerate(vars):
@@ -805,59 +813,37 @@ def fd_combine(
     """The partials along ``vars``, at [v, ...], from the values of a
     function at the points of ``fd_stencil(at, vars, steps)``, laid out on
     its batch axes: the central difference at each step, Richardson
-    extrapolated over two steps (h1 > h2).  Raises EvaluationDomainError if
-    any value is not finite."""
+    extrapolated over two steps (h1 > h2), the plain difference for one.
+    Raises EvaluationDomainError if any value is not finite, naming the
+    first such point in stencil order."""
     values = np.asarray(values)
     shifts = _fd_shifts(at, vars, steps)
-    finite = np.isfinite(values).reshape(shifts.shape + (-1,)).all(axis=-1)
-    if not finite.all():
-        idx = np.unravel_index(np.flatnonzero(~finite)[0], shifts.shape)
+    bad = _first(~np.isfinite(values).reshape(shifts.shape + (-1,)).all(axis=-1))
+    if bad is not None:
         raise EvaluationDomainError(
-            f"non-finite evaluation at step {shifts[idx]:+.3e} "
-            f"along chart variable {vars[idx[0]]}"
+            f"non-finite evaluation at step {shifts[bad]:+.3e} "
+            f"along chart variable {vars[bad[0]]}"
         )
     tail = (1,) * (values.ndim - shifts.ndim)
     hh = shifts[..., 0].reshape(shifts.shape[:-1] + tail)
     diffs = (values[:, :, 0] - values[:, :, 1]) / (2.0 * hh)
-    return _richardson(np.moveaxis(diffs, 1, 0), steps)
-
-
-def _richardson(diffs, steps: Sequence[float]):
-    """The central differences at each step, diffs[k], combined: the plain
-    difference for one step, the Richardson extrapolation for two."""
     if len(steps) == 1:
-        return diffs[0]
+        return diffs[:, 0]
     ratio = (steps[0] / steps[1]) ** 2
-    return (ratio * diffs[1] - diffs[0]) / (ratio - 1.0)
+    return (ratio * diffs[:, 1] - diffs[:, 0]) / (ratio - 1.0)
 
 
 def fd_partial(
-    f: Callable, at: ChartPoint, var: int, steps: Sequence[float] = DEFAULT_FD_STEPS
-):
-    """Central difference of an array-valued ``f(ChartPoint)`` along the chart
-    variable ``var`` (0..n-1 base, n..2n-1 momentum).
-
-    Each step is scaled by ``max(1, |coord|)``.  Two steps (h1 > h2) give the
-    Richardson-extrapolated difference; a one-element ``steps`` gives the
-    plain central difference at that step.  The shifted points are those of
-    `fd_stencil`, evaluated one by one in the order +h1, -h1, +h2, -h2.
-    Raises EvaluationDomainError if any stencil value is not finite.
-    """
-    base = at.coords
-    n = at.n
-    (scaled,) = _fd_shifts(at, (var,), steps)[..., 0]
-
-    def value(shift: float):
-        coords = base.copy()
-        coords[var] += shift
-        out = f(ChartPoint(coords[:n], coords[n:]))
-        if not np.all(np.isfinite(out)):
-            raise EvaluationDomainError(
-                f"non-finite evaluation at step {shift:+.3e} along chart variable {var}"
-            )
-        return out
-
-    return _richardson([(value(hh) - value(-hh)) / (2.0 * hh) for hh in scaled], steps)
+    f: Callable, at: ChartPoint, vars: Sequence[int], steps: Sequence[float] = DEFAULT_FD_STEPS
+) -> np.ndarray:
+    """The partials of an array-valued ``f(ChartPoint)`` along the chart
+    variables ``vars`` (0..n-1 base, n..2n-1 momentum), at [v, ...]: ``f``
+    is called one point at a time at the points of ``fd_stencil(at, vars,
+    steps)``, in their order, and `fd_combine` turns the values into the
+    partials.  Raises EvaluationDomainError if any value is not finite."""
+    stencil = fd_stencil(at, vars, steps)
+    values = np.array([f(pt) for pt in stencil.points()])
+    return fd_combine(values.reshape(stencil.batch_shape + values.shape[1:]), at, vars, steps)
 
 
 # ---------------------------------------------------------------------------

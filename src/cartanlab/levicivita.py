@@ -23,17 +23,16 @@ Routes kept deliberately separate:
   closed forms.  The ingredients: the G-pairings of the basis bracket table
   [F_a, F_b] (``PointGeometry.basis_brackets``, one ``geometry.lie_brackets``
   build through the coordinate frame, never quoted from B or R_vv); the
-  frame derivatives F_a(G(F_b, F_c)), from one ``jets.fd_partial`` (a
-  Richardson-extrapolated central difference) of the whole 2n x 2n metric
-  per chart variable; and the inverse of the Gram matrix
-  ``BundleMetric.gram``.
+  frame derivatives F_a(G(F_b, F_c)), from Richardson-extrapolated
+  central differences of the whole 2n x 2n metric; and the inverse of the
+  Gram matrix ``BundleMetric.gram``.
 * The Koszul oracle and the definition route below difference the same
   neighborhood with the same steps, so they share one evaluation per
-  shifted point (``_StencilPartials``, kept on the center metric as
-  arrays): along a base variable one order-4 metric gives the Gram matrix
-  and the connection table (``_connection_values``, the closed blocks
-  assembled from point values), along a momentum one an order-2 metric
-  gives the Gram matrix.
+  shifted point, kept on the center metric as two read-only arrays of one
+  ``jets.fd_partial`` call each: along x (``_x_partials``) an order-4
+  metric per point gives the Gram matrix and the connection table
+  (``_connection_values``, the closed blocks from point values), along p
+  (``_p_partials``) an order-2 metric per point the Gram matrix.
 * ``connection_defects`` measures the torsion and the metric compatibility
   of the closed connection as whole-array expressions of its table, the
   same basis bracket table and ``BundleMetric.gram``.
@@ -43,9 +42,9 @@ Routes kept deliberately separate:
   of C and L; the (v, h, .) blocks follow by antisymmetry in the first
   pair.
 * ``curvature_defn`` guards it.  It differentiates the connection field
-  (``jets.fd_partial`` of the whole value table along x, exact jets of the
-  center's connection jet along p) and composes the whole table per the
-  curvature definition
+  (finite differences of the whole value table along x from
+  ``_x_partials``, exact jets of the center's connection jet along p) and
+  composes the whole table per the curvature definition
   K(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z, with
   the brackets from ``basis_brackets``.  It never reads the closed
   curvature algebra.
@@ -200,55 +199,37 @@ class MetricStencil:
         return BundleMetric(PointGeometry(self.s, pt, order), self.params)
 
 
-class _StencilPartials:
-    """Finite-difference partials about one chart point of the Gram matrix
-    G(F_a, F_b), along every chart variable, and of the connection table,
-    along the base variables, from one evaluation per shifted point: the
-    Koszul oracle and the curvature-definition context share them.  Along a
-    base variable each shifted point builds one order-4 metric and reads
-    both tables as values; along a momentum one, an order-2 metric for the
-    Gram matrix.  Kept on the center point's metric, it holds the stencil
-    and the point, not the metric."""
+def _x_partials(geom: PointGeometry, metric: BundleMetric) -> tuple:
+    """d/dx^i of the Gram matrix G(F_a, F_b), at [i, a, b], and of the
+    connection table, at [i, a, b, :]: views of one read-only array on the
+    metric, both tables flattened at [i, :], from one `jets.fd_partial` over
+    the base variables that reads them as values of one order-4 metric per
+    shifted point.  Built once per metric and shared by the Koszul oracle
+    and the definition route."""
 
-    def __init__(self, stencil: MetricStencil, at: ChartPoint):
-        self.stencil = stencil
-        self.at = at
-        self._gram: dict[int, np.ndarray] = {}
-        self._connection: dict[int, np.ndarray] = {}
-
-    def _evaluate(self, var: int) -> None:
-        if var >= self.at.n:
-            self._gram[var] = fd_partial(lambda pt: self.stencil.metric_at(pt).gram, self.at, var)
-            return
-        dim = 2 * self.at.n
+    def build():
+        stencil = MetricStencil(geom.structure, metric.params)
 
         def both(pt: ChartPoint) -> np.ndarray:
-            m = self.stencil.metric_at(pt, order=4)
+            m = stencil.metric_at(pt, order=4)
             return np.concatenate([m.gram.ravel(), _connection_values(m).ravel()])
 
-        flat = fd_partial(both, self.at, var)
-        self._gram[var] = flat[: dim * dim].reshape(dim, dim)
-        self._connection[var] = flat[dim * dim :].reshape(dim, dim, dim)
+        return _read_only(fd_partial(both, geom.at, geom.xvars))
 
-    def gram(self, var: int) -> np.ndarray:
-        """d/d(chart variable var) of the Gram matrix, at [a, b]."""
-        if var not in self._gram:
-            self._evaluate(var)
-        return self._gram[var]
-
-    def connection(self, var: int) -> np.ndarray:
-        """d/dx^var of the connection table, at [a, b, :]."""
-        if var not in self._connection:
-            self._evaluate(var)
-        return self._connection[var]
+    flat, n, dim = metric.derive("x_partials", build), geom.n, 2 * geom.n
+    return flat[:, : dim * dim].reshape(n, dim, dim), flat[:, dim * dim :].reshape(n, dim, dim, dim)
 
 
-def _stencil_partials(geom: PointGeometry, metric: BundleMetric, stencil: MetricStencil = None):
-    """The shared stencil partials about the metric's point, built once per
-    metric."""
-    if stencil is None:
+def _p_partials(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
+    """d/dp_i of the Gram matrix, at [i, a, b]: one `jets.fd_partial` over
+    the momenta with one order-2 metric per shifted point.  Read-only, built
+    once per metric."""
+
+    def build():
         stencil = MetricStencil(geom.structure, metric.params)
-    return metric.derive("stencil", lambda: _StencilPartials(stencil, geom.at))
+        return _read_only(fd_partial(lambda pt: stencil.metric_at(pt).gram, geom.at, geom.pvars))
+
+    return metric.derive("p_partials", build)
 
 
 def _frame_derivative_fd(partials: np.ndarray, geom: PointGeometry) -> np.ndarray:
@@ -260,18 +241,17 @@ def _frame_derivative_fd(partials: np.ndarray, geom: PointGeometry) -> np.ndarra
     return np.concatenate([p_x + np.tensordot(geom.N, p_p, 1), p_p])
 
 
-def _koszul_table(geom: PointGeometry, metric: BundleMetric, stencil: MetricStencil):
+def _koszul_table(geom: PointGeometry, metric: BundleMetric):
     """nabla_{F_x} F_y over the adapted basis, adapted components at
     [x, y, :], solved from the six Koszul terms for all slot pairs at once.
 
     ``dG[a, b, c] = F_a(G(F_b, F_c))`` comes from finite differences of the
-    metric over the stencil (the shared `_StencilPartials`),
+    metric (the shared `_x_partials` and `_p_partials`),
     ``bG[a, b, c] = G([F_a, F_b], F_c)`` from the basis bracket table
     ``PointGeometry.basis_brackets``.  The array is read-only.
     """
-    shared = _stencil_partials(geom, metric, stencil)
-    partials = np.array([shared.gram(var) for var in range(2 * geom.n)])
-    dG = _frame_derivative_fd(partials, geom)
+    gram_x, _ = _x_partials(geom, metric)
+    dG = _frame_derivative_fd(np.concatenate([gram_x, _p_partials(geom, metric)]), geom)
     gram = metric.gram
     bG = geom.basis_brackets @ gram
     # 2 G(nabla_{F_x} F_y, F_z) at [x, y, z]
@@ -287,7 +267,6 @@ def koszul_oracle(
     params: DeformationParams,
     geom: PointGeometry = None,
     metric: BundleMetric = None,
-    stencil: MetricStencil = None,
 ) -> np.ndarray:
     """nabla_{F_x} F_y from the six-term Koszul formula over the adapted
     basis: the read-only table of adapted components at [x, y, :], laid out
@@ -302,9 +281,7 @@ def koszul_oracle(
     singular.
     """
     geom, metric = point_state(s, at, params, geom, metric)
-    if stencil is None:
-        stencil = MetricStencil(s, params)
-    return metric.derive("koszul", lambda: _koszul_table(geom, metric, stencil))
+    return metric.derive("koszul", lambda: _koszul_table(geom, metric))
 
 
 # ---------------------------------------------------------------------------
@@ -493,20 +470,19 @@ def curvature_closed(
 class _DefnContext:
     """The connection field around a point: its jet at the center (values
     and exact momentum derivatives), finite-difference x-partials of its
-    value table (the shared `_StencilPartials`), and the curvature table
-    composed from them."""
+    value table (read from the shared `_x_partials`), and the curvature
+    table composed from them."""
 
     def __init__(self, geom: PointGeometry, metric: BundleMetric):
         # kept on the metric, so it holds what it reads of the metric and
         # not the metric itself: a reference cycle would outlive the scope
         self.geom = geom
         self.jet = _connection(geom, metric)
-        self._stencil = _stencil_partials(geom, metric)
+        _, self._x_partials = _x_partials(geom, metric)
 
     def x_partial(self, var: int) -> np.ndarray:
-        """d/dx^var of the whole connection table (``jets.fd_partial``), at
-        [a, b, :]."""
-        return self._stencil.connection(var)
+        """d/dx^var of the whole connection table, at [a, b, :]."""
+        return self._x_partials[var]
 
     @cached_property
     def curvature(self) -> np.ndarray:

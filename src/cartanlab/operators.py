@@ -22,8 +22,8 @@ first user and kept read-only in its ``derived``.
 A vector field is its (2n,) float array of adapted components (X^i, Xbar_i),
 h first: `gradient`, `geodesic_spray` and `liouville_field` return one, and
 `divergence` and `directional_derivative` take one.  The chart partials of a
-scalar field are exact for a jet and one `jets.fd_partial` per chart
-variable for a callable of a chart point.
+scalar field are exact for a jet and one `jets.fd_partial` over all chart
+variables for a callable of a chart point.
 """
 from __future__ import annotations
 
@@ -94,9 +94,7 @@ def _dln_sqrtg_h_fd(m: BundleMetric) -> np.ndarray:
             g = PointGeometry(s, pt, order=2)
             return 0.5 * float(np.log(np.linalg.det(g.g_down)))
 
-        out = np.array([fd_partial(field, m.at, i) for i in range(geom.n)])
-        out += geom.N @ geom.dln_sqrtg_v
-        return _read_only(out)
+        return _read_only(fd_partial(field, m.at, geom.xvars) + geom.N @ geom.dln_sqrtg_v)
 
     return m.derive("dln_sqrtg_h_fd", build)
 
@@ -111,11 +109,8 @@ def divergence(m: BundleMetric, x: np.ndarray) -> float:
 def _scalar_partials(m: BundleMetric, f):
     """All 2n chart partials of a scalar; jet-exact for Jet inputs, finite
     differences (``jets.fd_partial``) for callables of a chart point."""
-    n = m.n
-    if isinstance(f, Jet):
-        grad = f.derivs(range(2 * n)).value
-    else:
-        grad = np.array([fd_partial(f, m.at, var) for var in range(2 * n)])
+    n, chart = m.n, range(2 * m.n)
+    grad = f.derivs(chart).value if isinstance(f, Jet) else fd_partial(f, m.at, chart)
     return grad[:n], grad[n:]
 
 

@@ -47,7 +47,6 @@ from cartanlab.kahler import (
 )
 from cartanlab.levicivita import (
     CURVATURE_BLOCKS,
-    MetricStencil,
     connection_defects,
     curvature_closed,
     curvature_context,
@@ -261,13 +260,12 @@ def test_criterion_4_connection_vs_koszul():
     total_pts = 0
     # n = 2 cases only: 13 points x 4 cases = 52 >= 50
     for s, params in _matched_cases()[:4]:
-        stencil = MetricStencil(s, params)
         for at in _points(s, params, 13, seed=17):
             total_pts += 1
             geom = PointGeometry(s, at)
             metric = BundleMetric(geom, params)
             conn = lc_closed_form(s, at, params, geom, metric)
-            oracle = koszul_oracle(s, at, params, geom=geom, metric=metric, stencil=stencil)
+            oracle = koszul_oracle(s, at, params, geom=geom, metric=metric)
             worst_koszul = max(worst_koszul, float(np.abs(oracle - conn).max()))
             t, c = connection_defects(s, at, params, geom=geom, metric=metric)
             worst_torsion = max(worst_torsion, t)

@@ -99,10 +99,7 @@ def _n_fd_without_momentum_term(s, at, geom=None):
     -0.5 gamma00^h pdot^h g_ij dropped: a planted defect (it takes the
     oracle's ``geom`` argument and builds its own center instead)."""
     n = at.n
-    dg = np.array([
-        fd_partial(lambda q: PointGeometry(s, q, order=2).g_down, at, k, steps=(1e-4,))
-        for k in range(2 * n)
-    ])
+    dg = fd_partial(lambda q: PointGeometry(s, q, order=2).g_down, at, range(2 * n), steps=(1e-4,))
     dg_x = dg[:n]
     gu = PointGeometry(s, at, order=2).g_up
     first = np.einsum("kjm->jkm", dg_x) + np.einsum("jmk->jkm", dg_x) - np.einsum("mjk->jkm", dg_x)
@@ -191,10 +188,7 @@ def test_batched_stencil_values_match_per_point_geometries(family, n):
     geom = PointGeometry(s, at)
 
     def per_point(attr, order, steps):
-        return np.array([
-            fd_partial(lambda q: getattr(PointGeometry(s, q, order), attr), at, k, steps)
-            for k in chart
-        ])
+        return fd_partial(lambda q: getattr(PointGeometry(s, q, order), attr), at, chart, steps)
 
     db, dg = per_point("B", 4, (1e-3, 5e-4)), per_point("g_down", 2, (1e-4,))
     nval, b0, gu = geom.N, geom.B, geom.g_up

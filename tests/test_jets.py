@@ -16,8 +16,10 @@ from cartanlab.jets import (
     ChartPoint,
     Jet,
     exp,
+    fd_combine,
     fd_derivative,
     fd_partial,
+    fd_stencil,
     invert,
     jet_eval,
     log,
@@ -137,19 +139,88 @@ def test_fd_partial_on_array_quartic(var):
     pt = _pt([0.4, -0.7], [1.6, 0.3])
     first, third = _quartic_derivs(pt.coords, var)
     # two steps: the h^2 terms cancel, and a quartic has no h^4 term
-    np.testing.assert_allclose(fd_partial(_quartic, pt, var), first, rtol=0, atol=1e-9)
+    (got,) = fd_partial(_quartic, pt, (var,))
+    np.testing.assert_allclose(got, first, rtol=0, atol=1e-9)
     # one step: the error is h^2 f'''/6 with h the scaled step
     h = 1e-3 * max(1.0, abs(pt.coords[var]))
-    err = fd_partial(_quartic, pt, var, steps=(1e-3,)) - first
+    (err,) = fd_partial(_quartic, pt, (var,), steps=(1e-3,)) - first
     np.testing.assert_allclose(err, h * h * third / 6.0, rtol=1e-4, atol=1e-9)
     assert np.max(np.abs(err)) > 1e-6  # non-vacuous
+
+
+def _cubic(q):
+    """An array field of one chart point or of a batch of them, in products
+    only, so both evaluate it with the same floating-point operations."""
+    x, p = q.x, q.p
+    return np.stack(
+        [
+            x[..., 0] * x[..., 0] * p[..., 0],
+            x[..., 0] * x[..., 1] * x[..., 1] - 2 * p[..., 0] * p[..., 1] * p[..., 1],
+            x[..., 1] * p[..., 0] * p[..., 0] * x[..., 0],
+        ],
+        axis=-1,
+    )
+
+
+@pytest.mark.parametrize("steps", [(1e-3,), (1e-3, 5e-4)], ids=["one-step", "richardson"])
+def test_fd_partial_is_the_stacked_one_variable_partials_and_the_batched_route(steps):
+    # one call over several variables returns, bit for bit, the one-variable
+    # results stacked, and fd_combine over the values of the whole stencil
+    # evaluated as one batch
+    pt = _pt([0.4, -0.7], [1.6, 0.3])
+    chart = (3, 0, 2, 1)
+    got = fd_partial(_cubic, pt, chart, steps)
+    assert got.shape == (4, 3)
+    stacked = np.concatenate([fd_partial(_cubic, pt, (var,), steps) for var in chart])
+    assert np.array_equal(got, stacked)
+    batched = fd_combine(_cubic(fd_stencil(pt, chart, steps)), pt, chart, steps)
+    assert np.array_equal(got, batched)
+    (x0, x1), (p0, p1) = pt.x, pt.p
+    exact = {
+        0: [2 * x0 * p0, x1 * x1, x1 * p0 * p0],
+        1: [0.0, 2 * x0 * x1, p0 * p0 * x0],
+        2: [x0 * x0, -2 * p1 * p1, 2 * x1 * p0 * x0],
+        3: [0.0, -4 * p0 * p1, 0.0],
+    }
+    np.testing.assert_allclose(got, [exact[var] for var in chart], rtol=0, atol=1e-9)
 
 
 def test_fd_partial_rejects_variables_outside_chart():
     pt = _pt([0.0, 0.0], [1.0, 0.0])
     for var in (-1, 4):
         with pytest.raises(ValueError):
-            fd_partial(_quartic, pt, var)
+            fd_partial(_quartic, pt, (var,))
+        with pytest.raises(ValueError):
+            fd_partial(_quartic, pt, (0, var))
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [(1e-3, 1e-3), (5e-4, 1e-3), (0.0,), (-1e-3,), (1e-3, 0.0), (math.nan,), (), (1e-3, 5e-4, 2.5e-4)],
+)
+def test_degenerate_fd_steps_are_rejected(steps):
+    # equal, inverted, zero, negative and NaN steps would return NaN or a
+    # wrong difference; every FD route refuses them before evaluating
+    pt = _pt([0.4, -0.7], [1.6, 0.3])
+    with pytest.raises(ValueError, match="steps"):
+        fd_partial(_quartic, pt, (0, 2), steps)
+    with pytest.raises(ValueError, match="steps"):
+        fd_stencil(pt, (0, 2), steps)
+    with pytest.raises(ValueError, match="steps"):
+        fd_combine(np.zeros((2, max(len(steps), 1), 2, 3)), pt, (0, 2), steps)
+
+
+def test_fd_step_lost_to_rounding_is_a_domain_error():
+    # a step below the coordinate's resolution would difference a point
+    # with itself and return 0 quietly
+    pt = _pt([0.4, -0.7], [1.6, 0.3])
+    for steps in ((1e-20,), (1e-3, 1e-20)):
+        with pytest.raises(EvaluationDomainError, match="FD step underflow along chart variable 2"):
+            fd_partial(_quartic, pt, (2,), steps)
+        with pytest.raises(EvaluationDomainError, match="FD step underflow along chart variable 0"):
+            fd_stencil(pt, (0, 2), steps)
+        with pytest.raises(EvaluationDomainError, match="FD step underflow"):
+            fd_combine(np.zeros((2, len(steps), 2, 3)), pt, (0, 2), steps)
 
 
 @pytest.mark.parametrize("steps", [(1e-3,), (1e-3, 5e-4)], ids=["one-step", "richardson"])
@@ -165,10 +236,32 @@ def test_fd_partial_rejects_non_finite_stencil_values(steps):
             out[1] = np.nan
         return out
 
-    with pytest.raises(EvaluationDomainError, match="non-finite"):
-        fd_partial(f, pt, 2, steps=steps)
-    # the same field is fine along a variable whose stencil misses that point
-    assert np.isfinite(fd_partial(f, pt, 0, steps=steps)).all()
+    want = f"non-finite evaluation at step {-steps[-1] * 1.6:+.3e} along chart variable 2"
+    with pytest.raises(EvaluationDomainError, match=want):
+        fd_partial(f, pt, (2,), steps=steps)
+    with pytest.raises(EvaluationDomainError, match=want):
+        fd_partial(f, pt, (0, 2, 1), steps=steps)
+    # the same field is fine along variables whose stencil misses that point
+    assert np.isfinite(fd_partial(f, pt, (0, 1, 3), steps=steps)).all()
+
+
+def test_fd_partial_names_the_first_non_finite_point_in_stencil_order():
+    # two bad points: +h1 along var 3 and -h2 along var 0; listed as
+    # (0, 3) the one along var 0 comes first, listed as (3, 0) the other
+    pt = _pt([0.4, -0.7], [1.6, 0.3])
+    high3 = pt.coords[3] + 1e-3
+    low0 = pt.coords[0] - 5e-4
+
+    def f(q):
+        out = _quartic(q)
+        if q.coords[3] == high3 or q.coords[0] == low0:
+            out[0] = np.inf
+        return out
+
+    with pytest.raises(EvaluationDomainError, match=r"step -5\.000e-04 along chart variable 0"):
+        fd_partial(f, pt, (0, 3))
+    with pytest.raises(EvaluationDomainError, match=r"step \+1\.000e-03 along chart variable 3"):
+        fd_partial(f, pt, (3, 0))
 
 
 def test_fd_jet_contract_on_smooth_field():

@@ -15,7 +15,6 @@ from cartanlab.jets import Jet
 from cartanlab.kahler import BundleMetric, DeformationParams, tube_predicate
 from cartanlab.levicivita import (
     CURVATURE_BLOCKS,
-    MetricStencil,
     connection_defects,
     curvature_closed,
     curvature_context,
@@ -103,12 +102,11 @@ def test_riemannian_vertical_vertical_connection():
 
 def test_closed_form_matches_koszul():
     for s, params in _matching_cases(2):
-        stencil = MetricStencil(s, params)
         for at in _sample_points(s, params, 2, 2):
             geom = PointGeometry(s, at)
             metric = BundleMetric(geom, params)
             conn = lc_closed_form(s, at, params, geom, metric)
-            got = koszul_oracle(s, at, params, geom=geom, metric=metric, stencil=stencil)
+            got = koszul_oracle(s, at, params, geom=geom, metric=metric)
             worst = np.abs(got - conn).max()
             assert worst <= 1e-4, f"{s.label}: koszul mismatch {worst}"
 
@@ -351,10 +349,9 @@ def test_koszul_tables_reused_match_fresh(n):
     at = _sample_points(s, params, n, 1, seed=6)[0]
     geom = PointGeometry(s, at)
     shared = BundleMetric(geom, params)
-    stencil = MetricStencil(s, params)
-    reused = koszul_oracle(s, at, params, geom=geom, metric=shared, stencil=stencil)
+    reused = koszul_oracle(s, at, params, geom=geom, metric=shared)
     assert not reused.flags.writeable
-    assert koszul_oracle(s, at, params, geom=geom, metric=shared, stencil=stencil) is reused
+    assert koszul_oracle(s, at, params, geom=geom, metric=shared) is reused
     fresh = koszul_oracle(s, at, params, geom=geom, metric=BundleMetric(geom, params))
     assert np.array_equal(reused, fresh)
 
@@ -395,9 +392,14 @@ def test_koszul_and_definition_share_one_evaluation_per_shifted_point(n, first, 
     shared = tables(metric)
     assert built == {2: 4 * n, 4: 4 * n, 5: 0}
     assert all(np.array_equal(got, want) for got, want in zip(shared, alone))
-    kept = metric.derived["stencil"]
-    values = [*kept._gram.values(), *kept._connection.values()]
-    assert len(values) == 3 * n and all(isinstance(v, np.ndarray) for v in values)
+    # the shared partials are two read-only arrays on the metric: along x
+    # the Gram matrix and the connection table flattened, along p the Gram
+    # matrix
+    dim = 2 * n
+    along_x, along_p = metric.derived["x_partials"], metric.derived["p_partials"]
+    assert type(along_x) is np.ndarray and along_x.shape == (n, dim * dim + dim**3)
+    assert type(along_p) is np.ndarray and along_p.shape == (n, dim, dim)
+    assert not along_x.flags.writeable and not along_p.flags.writeable
 
 
 def test_curvature_ingredients_shared_match_fresh():
@@ -496,14 +498,12 @@ def test_planted_connection_defect_seen_for_every_slot_pair(n, monkeypatch):
     params = DeformationParams(c=-1.0)
     at = _sample_points(s, params, n, 1, seed=5)[0]
     geom = PointGeometry(s, at)
-    stencil = MetricStencil(s, params)
     state = {}
     ctx = SimpleNamespace(
         structure=s,
         params=params,
         geometry=lambda idx: geom,
         metric=lambda idx: state["metric"],
-        stencil=lambda: stencil,
     )
     clean = levicivita._connection_jet
 

@@ -253,9 +253,9 @@ def test_operator_stencils_built_once_per_context(monkeypatch):
     # laplacian_routes takes five callable fields, k2_harmonic one
     assert counts["stencils"] == points and counts["laplacians"] == 6 * points
     assert counts["order2"] == 4 * n * counts["stencils"]
-    # one stencil per chart variable for each Laplacian's field, and one per
-    # base variable for each point's log-volume derivative
-    assert counts["fd"] == 2 * n * counts["laplacians"] + n * counts["stencils"]
+    # one fd_partial over the chart variables for each Laplacian's field,
+    # and one over the base variables for each point's log-volume derivative
+    assert counts["fd"] == counts["laplacians"] + counts["stencils"]
 
 
 @pytest.mark.parametrize(
@@ -301,15 +301,12 @@ def test_derived_state_does_not_keep_the_metric_alive():
         landsberg_characterizations(operator_context(s, at, params, metric=metric))
         assert {"koszul", "defects", "defn", "ricci", "nijenhuis", "divergences"} <= set(metric.derived)
         # the shifted-point values the Koszul and definition oracles share
-        # are kept as arrays, with no geometry or metric of a shifted point
-        shared = metric.derived["stencil"]
-        assert shared.stencil.params is params and shared.at is at
-        assert all(
-            type(v) is np.ndarray for v in (*shared._gram.values(), *shared._connection.values())
-        )
-        shifted = weakref.ref(shared)
+        # are kept as two arrays, with no geometry or metric of a shifted point
+        shared = [metric.derived[key] for key in ("x_partials", "p_partials")]
+        assert all(type(v) is np.ndarray and not v.flags.writeable for v in shared)
+        shifted = [weakref.ref(v) for v in shared]
         kept = weakref.ref(metric)
         del metric, shared
-        assert kept() is None and shifted() is None
+        assert kept() is None and all(ref() is None for ref in shifted)
     finally:
         gc.enable()
