@@ -538,15 +538,15 @@ REGISTRY = (
     CheckSpec("kahler.hermitian", "almost-complex", "jet_exact", "pair", _r_hermitian),
     CheckSpec("kahler.theta_canonical", "canonical-form", "jet_exact", "pair", _r_theta_canonical),
     CheckSpec("kahler.positive_definite", "bundle-metric", "jet_exact", "pair", _r_positive_definite),
-    CheckSpec("kahler.nijenhuis_integrable", "nijenhuis", "fd_single", "pair", _r_nijenhuis_integrable, cap=6, applies=_matching),
+    CheckSpec("kahler.nijenhuis_integrable", "nijenhuis", "jet_exact", "pair", _r_nijenhuis_integrable, cap=6, applies=_matching),
     CheckSpec("kahler.nijenhuis_detects_mismatch", "nijenhuis", "fd_single", "pair", _r_nijenhuis_detects, cap=4, mode="exceeds", floor=1e-2, applies=_matching),
     # ---- pair scope: Levi-Civita
     CheckSpec("levicivita.koszul_agreement", "koszul", "fd_single", "pair", _r_koszul, tol_factor=10.0, cap=4, applies=_matching),
-    CheckSpec("levicivita.torsion_free", "connection-blocks", "fd_single", "pair", _r_torsion, tol_factor=10.0, cap=8, applies=_matching),
-    CheckSpec("levicivita.metric_compatible", "connection-blocks", "fd_single", "pair", _r_metric_compat, tol_factor=10.0, cap=8),
+    CheckSpec("levicivita.torsion_free", "connection-blocks", "jet_exact", "pair", _r_torsion, tol_factor=10.0, cap=8, applies=_matching),
+    CheckSpec("levicivita.metric_compatible", "connection-blocks", "jet_exact", "pair", _r_metric_compat, tol_factor=10.0, cap=8),
     CheckSpec("levicivita.curvature_blocks_universal", "curvature-blocks", "fd_double", "pair", _r_blocks_universal, cap=3),
     CheckSpec("levicivita.curvature_blocks_paired", "curvature-blocks", "fd_double", "pair", _r_blocks_paired, cap=3, applies=_matching),
-    CheckSpec("levicivita.einstein_forward", "einstein-forward", "fd_double", "pair", _r_einstein_forward, cap=5, applies=_matching_riemannian),
+    CheckSpec("levicivita.einstein_forward", "einstein-forward", "jet_exact", "pair", _r_einstein_forward, cap=5, applies=_matching_riemannian),
     CheckSpec("levicivita.einstein_defect_nonriemannian", "einstein-obstruction", "fd_double", "pair", _r_einstein_defect, cap=4, mode="exceeds", floor=1e-2, applies=_matching_nonriemannian),
     CheckSpec("levicivita.einstein_obstruction_identity", "einstein-obstruction", "jet_exact", "pair", _r_obstruction_identity, tol_factor=10.0, cap=5),
     CheckSpec("levicivita.ricci_mixed_symmetry", "ricci-traces", "jet_exact", "pair", _r_ricci_symmetry, tol_factor=10.0, cap=5),

@@ -222,10 +222,16 @@ INDEX: Mapping[str, FormulaEntry] = {
         "Six closed-form curvature blocks, named by the frame kinds of "
         "(X, Y, Z): vv_v, hv_v, hh_h, hh_v, vv_h, hv_h, assembled into one "
         "table K[x, y, z, :] with the (v, h, .) kinds by antisymmetry in "
-        "the first pair.  Blocks vv_v, hv_v, vv_h, hv_h are identities of "
-        "the coefficient field for any structure; hh_h and hh_v "
-        "additionally presuppose the constant-curvature shape of the "
-        "vv-curvature.",
+        "the first pair.  Blocks hv_v and hv_h are identities of the "
+        "coefficient field for any structure; vv_v and vv_h only where the "
+        "Cartan x Landsberg products beta^2 anti_ij(C^{ih}_s L^{jks} - "
+        "C^{jk}_s L^{ish}) (h-part of vv_v) and anti_ij(C^{is}_h L^j_{ks} - "
+        "C^{js}_k L^i_{sh}) (v-part of vv_h) vanish, as at n = 2 and where "
+        "L = 0: expanding nabla_{pdot^i} nabla_{pdot^j} with the vvh, vvv, "
+        "vhh and vhv connection blocks yields them, and the blocks here "
+        "omit them (with only the paper's abstract at hand, whether the "
+        "paper prints them is open).  hh_h and hh_v additionally presuppose "
+        "the constant-curvature shape of the vv-curvature.",
         "levicivita.curvature_closed / levicivita.CURVATURE_BLOCKS / "
         "geometry.frame_block",
     ),

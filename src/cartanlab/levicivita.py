@@ -38,9 +38,10 @@ Routes kept deliberately separate:
   same basis bracket table and ``BundleMetric.gram``.
 * ``curvature_closed`` returns the curvature table assembled from the six
   closed blocks (``CURVATURE_BLOCKS``), each an ``np.einsum`` expression
-  over the point values of C, L, B, R, P, G and the covariant derivatives
-  of C and L; the (v, h, .) blocks follow by antisymmetry in the first
-  pair.
+  read straight off the point's ``PointGeometry`` and ``BundleMetric``:
+  the point values of C, L, R, P and G, and the covariant derivatives of C
+  and L (``PointGeometry.h_cov`` and the momentum derivatives of their
+  jets); the (v, h, .) blocks follow by antisymmetry in the first pair.
 * ``curvature_defn`` guards it.  It differentiates the connection field
   (finite differences of the whole value table along x from
   ``_x_partials``, exact jets of the center's connection jet along p) and
@@ -63,7 +64,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .berwald import DTensor
 from .geometry import PointGeometry, frame_block
 from .jets import ChartPoint, Jet, contract, fd_partial, invert
 from .kahler import BundleMetric, DeformationParams, point_state
@@ -331,41 +331,6 @@ def connection_defects(
 # curvature: closed blocks
 
 
-class _Ingredients:
-    """Point-value tensors feeding the closed curvature blocks."""
-
-    def __init__(self, geom: PointGeometry, metric: BundleMetric):
-        n = geom.n
-        self.n = n
-        self.beta = metric.params.beta
-        self.c = metric.params.c_at(geom.tau)
-        self.p = geom.at.p
-        self.C_uud = geom.C_uud_jets.value
-        self.C_ddd = geom.C_ddd
-        self.C_mixed = geom.C_mixed
-        self.L_uuu = geom.L_uuu
-        self.L_udd = geom.L_udd
-        self.L_uud = geom.L_uud
-        self.B = geom.B
-        self.P = geom.P_curv
-        self.R_curv = geom.R_curv
-        self.R_vv = geom.R_vv
-        self.Gd = metric.G_down
-        self.Gu = metric.G_up
-        t_C_uud = DTensor(geom, geom.C_uud_jets, "uud")
-        t_C_ddd = DTensor(geom, geom.C_ddd_jets, "ddd")
-        t_L_uuu = DTensor(geom, geom.L_uuu_jets, "uuu")
-        t_L_udd = DTensor(geom, geom.L_udd_jets, "udd")
-        self.dC_uud = t_C_uud.v_cov().values
-        self.hC_uud = t_C_uud.h_cov().values
-        self.dC_ddd = t_C_ddd.v_cov().values
-        self.hC_ddd = t_C_ddd.h_cov().values
-        self.dL_uuu = t_L_uuu.v_cov().values
-        self.hL_uuu = t_L_uuu.h_cov().values
-        self.dL_udd = t_L_udd.v_cov().values
-        self.hL_udd = t_L_udd.h_cov().values
-
-
 def _e(spec: str, *operands) -> np.ndarray:
     """einsum onto the block layout [i, j, k, h]; ``spec`` names the inputs."""
     return np.einsum(spec + "->ijkh", *operands)
@@ -376,73 +341,80 @@ def _anti(t: np.ndarray) -> np.ndarray:
     return t - t.transpose(1, 0, 2, 3)
 
 
-def _closed_blocks(w: _Ingredients) -> dict:
+def _closed_blocks(geom: PointGeometry, metric: BundleMetric) -> dict:
     """The six closed blocks by name (``CURVATURE_BLOCKS``): the (h, v) parts
-    of K(F_i, F_j) F_k at [i, j, k, h]."""
-    c, b, p, eye = w.c, w.beta, w.p, np.eye(w.n)
+    of K(F_i, F_j) F_k at [i, j, k, h].  The h- (``h*``) and v-covariant
+    (``d*``) derivatives of C and L append their index last."""
+    params = metric.params
+    c, b, p, eye = params.c_at(geom.tau), params.beta, geom.at.p, np.eye(geom.n)
     b2, inv_b2 = b * b, 1.0 / (b * b)
-    C, Cd, Cm, L, Lu, Ld = w.C_uud, w.C_ddd, w.C_mixed, w.L_uuu, w.L_uud, w.L_udd
+    C, Cd, Cm = geom.C_uud_jets.value, geom.C_ddd, geom.C_mixed
+    L, Lu, Ld = geom.L_uuu, geom.L_uud, geom.L_udd
+    R, Rvv, P, Gu, Gd = geom.R_curv, geom.R_vv, geom.P_curv, metric.G_up, metric.G_down
+    jets = ((geom.C_uud_jets, "uud"), (geom.C_ddd_jets, "ddd"), (geom.L_uuu_jets, "uuu"), (geom.L_udd_jets, "udd"))
+    hC, hCd, hL, hLd = (geom.h_cov(t, valence).value for t, valence in jets)
+    dC, dCd, dL, dLd = (t.derivs(geom.pvars).value for t, _ in jets)
     return {
         "vv_v": (
-            b2 * _anti(_e("jkhi", w.dL_uuu)),
+            b2 * _anti(_e("jkhi", dL)),
             _anti(
-                _e("ikhj", w.dC_uud) + c * b * _e("jk,ih", w.Gu, eye)
+                _e("ikhj", dC) + c * b * _e("jk,ih", Gu, eye)
                 + _e("jks,ish", C, C) + b2 * _e("jsh,sik", Ld, L)
             ),
         ),
         "hv_v": (
-            c * b * _e("kh,ji", w.Gu, eye) - _e("khij", w.dC_uud) + b2 * _e("hjki", w.hL_uuu)
+            c * b * _e("kh,ji", Gu, eye) - _e("khij", dC) + b2 * _e("hjki", hL)
             - _e("jhs,ksi", C, C) - _e("jks,hsi", C, C)
             + b2 * (_e("sjk,his", L, Ld) + _e("ksi,hjs", Ld, L)),
-            _e("kjih", w.P) - _e("jkhi", w.hC_uud) - c * b2 * _e("jki,h", Lu, p)
-            + _e("khij", w.dL_udd) - _e("ish,jsk", Cd, L) + _e("jks,sih", C, Ld)
+            _e("kjih", P) - _e("jkhi", hC) - c * b2 * _e("jki,h", Lu, p)
+            + _e("khij", dLd) - _e("ish,jsk", Cd, L) + _e("jks,sih", C, Ld)
             + _e("ski,jsh", C, Ld) - _e("jsh,kis", C, Ld),
         ),
         "hh_h": (
-            _e("hkji", w.R_curv) + _anti(
-                c * c * b2 * _e("i,hj,k", p, eye, p) + _e("hkji", w.hL_udd)
+            _e("hkji", R) + _anti(
+                c * c * b2 * _e("i,hj,k", p, eye, p) + _e("hkji", hLd)
                 + inv_b2 * _e("iks,hsj", Cd, C) + _e("skj,his", Ld, Ld)
             ),
-            inv_b2 * _anti(_e("ikhj", w.hC_ddd)) + 2.0 * _e("sij,shk", w.R_vv, Ld)
+            inv_b2 * _anti(_e("ikhj", hCd)) + 2.0 * _e("sij,shk", Rvv, Ld)
             + inv_b2 * (
                 _anti(_e("jks,sih", Cd, Ld)) + _e("jhs,ski", Cd, Ld) - _e("ihs,sjk", Cd, Ld)
             ),
         ),
         "hh_v": (
             _anti(
-                _e("khji", w.hC_uud) + c * b2 * _e("j,khi", p, Lu)
+                _e("khji", hC) + c * b2 * _e("j,khi", p, Lu)
                 + _e("ksj,hsi", C, Ld) + _e("shj,ksi", C, Ld)
             ),
-            -_e("khji", w.R_curv) + _anti(
-                c * c * b2 * _e("h,j,ki", p, p, eye) + _e("khij", w.hL_udd)
+            -_e("khji", R) + _anti(
+                c * c * b2 * _e("h,j,ki", p, p, eye) + _e("khij", hLd)
                 + inv_b2 * _e("ksi,jhs", C, Cd) + _e("ksj,shi", Ld, Ld)
             ),
         ),
         "vv_h": (
             _anti(
-                _e("jhki", w.dC_uud) + c * b * _e("ih,jk", w.Gu, eye)
+                _e("jhki", dC) + c * b * _e("ih,jk", Gu, eye)
                 + _e("jsk,ihs", C, C) + b2 * _e("jsh,isk", L, Ld)
             ),
-            _anti(_e("ikhj", w.dL_udd)),
+            _anti(_e("ikhj", dLd)),
         ),
         "hv_h": (
-            _e("jhki", w.hC_uud) + c * b2 * _e("jhi,k", Lu, p) - _e("hkij", w.dL_udd)
-            - _e("hjik", w.P) + _e("jsk,hsi", C, Ld) - _e("jhs,ski", C, Ld)
+            _e("jhki", hC) + c * b2 * _e("jhi,k", Lu, p) - _e("hkij", dLd)
+            - _e("hjik", P) + _e("jsk,hsi", C, Ld) - _e("jhs,ski", C, Ld)
             - _e("shi,jsk", C, Ld) + _e("iks,hjs", Cd, L),
-            inv_b2 * _e("ikhj", w.dC_ddd) + c * _e("h,jik", p, Cm) + c * _e("k,jih", p, Cm)
-            - c * b * _e("kh,ji", w.Gd, eye) - _e("jhki", w.hL_udd)
+            inv_b2 * _e("ikhj", dCd) + c * _e("h,jik", p, Cm) + c * _e("k,jih", p, Cm)
+            - c * b * _e("kh,ji", Gd, eye) - _e("jhki", hLd)
             - inv_b2 * (_e("ish,jsk", Cd, C) + _e("iks,jsh", Cd, C))
             + _e("jsk,shi", Ld, Ld) + _e("jsh,ski", Ld, Ld),
         ),
     }
 
 
-def _closed_curvature(w: _Ingredients) -> np.ndarray:
+def _closed_curvature(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
     """The read-only curvature table K[x, y, z, :] from the six closed
     blocks; the (v, h, .) kinds follow by antisymmetry in the first pair."""
-    dim = 2 * w.n
+    dim = 2 * geom.n
     k = np.zeros((dim,) * 4)
-    for which, (H, V) in _closed_blocks(w).items():
+    for which, (H, V) in _closed_blocks(geom, metric).items():
         frame_block(k, which + "h")[...] = H
         frame_block(k, which + "v")[...] = V
     frame_block(k, "vh")[...] = -frame_block(k, "hv").transpose(1, 0, 2, 3)
@@ -460,7 +432,7 @@ def curvature_closed(
     of K(F_x, F_y) F_z at [x, y, z, :], built once per metric.  Its blocks
     are ``frame_block(K, which)`` for ``which`` in ``CURVATURE_BLOCKS``."""
     geom, metric = point_state(s, at, params, geom, metric)
-    return metric.derive("curvature", lambda: _closed_curvature(_Ingredients(geom, metric)))
+    return metric.derive("curvature", lambda: _closed_curvature(geom, metric))
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +489,13 @@ def curvature_defn(
     params: DeformationParams,
     geom: PointGeometry = None,
     metric: BundleMetric = None,
-    ctx: _DefnContext = None,
 ) -> np.ndarray:
     """Curvature by definition, K(X, Y) Z = nabla_X nabla_Y Z -
     nabla_Y nabla_X Z - nabla_{[X,Y]} Z over every slot triple,
     differentiating the closed-form connection field (finite differences
     along x, exact jets along p).  Laid out as ``curvature_closed``; the
     table is read-only."""
-    if ctx is None:
-        ctx = curvature_context(s, at, params, geom, metric)
-    return ctx.curvature
+    return curvature_context(s, at, params, geom, metric).curvature
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from cartanlab.levicivita import (
     CURVATURE_BLOCKS,
     connection_defects,
     curvature_closed,
-    curvature_context,
     curvature_defn,
     koszul_oracle,
     lc_closed_form,
@@ -291,9 +290,9 @@ def test_criterion_5_curvature_blocks_vs_definition():
     worst_rel = 0.0
     for s, params in _matched_cases():
         for at in _points(s, params, 2, seed=23):
-            ctx = curvature_context(s, at, params)
-            closed = curvature_closed(s, at, params, geom=ctx.geom)
-            defn = curvature_defn(s, at, params, ctx=ctx)
+            metric = BundleMetric(PointGeometry(s, at), params)
+            closed = curvature_closed(s, at, params, metric=metric)
+            defn = curvature_defn(s, at, params, metric=metric)
             for which in CURVATURE_BLOCKS:
                 blk, got = frame_block(closed, which), frame_block(defn, which)
                 scale = max(float(np.abs(blk).max()), 1.0)

@@ -137,10 +137,10 @@ def test_torsion_free_and_metric_compatible():
 # curvature blocks vs the definition oracle
 
 
-def _block_residuals(s, at, params, ctx, names=CURVATURE_BLOCKS) -> dict:
+def _block_residuals(s, at, params, metric, names=CURVATURE_BLOCKS) -> dict:
     """Per named block: max |defn - closed| / max(1, max |closed block|)."""
-    closed = curvature_closed(s, at, params, geom=ctx.geom)
-    defn = curvature_defn(s, at, params, ctx=ctx)
+    closed = curvature_closed(s, at, params, metric=metric)
+    defn = curvature_defn(s, at, params, metric=metric)
     out = {}
     for which in names:
         blk = frame_block(closed, which)
@@ -151,8 +151,8 @@ def _block_residuals(s, at, params, ctx, names=CURVATURE_BLOCKS) -> dict:
 def test_curvature_blocks_match_definition():
     for s, params in _matching_cases(2):
         for at in _sample_points(s, params, 2, 2, seed=2):
-            ctx = curvature_context(s, at, params)
-            for which, rel in _block_residuals(s, at, params, ctx).items():
+            metric = BundleMetric(PointGeometry(s, at), params)
+            for which, rel in _block_residuals(s, at, params, metric).items():
                 assert rel <= 1e-3, f"{s.label} {which}: {rel}"
 
 
@@ -160,8 +160,8 @@ def test_curvature_blocks_match_definition_3d():
     s = conformal_structure(3, -1.0)
     params = DeformationParams(c=-1.0)
     at = pt([0.2, -0.1, 0.15], [0.8, 0.5, -0.3])
-    ctx = curvature_context(s, at, params)
-    for which, rel in _block_residuals(s, at, params, ctx).items():
+    metric = BundleMetric(PointGeometry(s, at), params)
+    for which, rel in _block_residuals(s, at, params, metric).items():
         assert rel <= 1e-3, which
 
 
@@ -175,9 +175,9 @@ def test_universal_blocks_on_curved_randers():
         for at in _sample_points(s, params, 2, 2, seed=3):
             geom = PointGeometry(s, at)
             assert np.abs(geom.L_uuu).max() > 1e-4  # Landsberg really active
-            ctx = curvature_context(s, at, params, geom=geom)
+            metric = BundleMetric(geom, params)
             universal = ("vv_v", "hv_v", "vv_h", "hv_h")
-            for which, rel in _block_residuals(s, at, params, ctx, universal).items():
+            for which, rel in _block_residuals(s, at, params, metric, universal).items():
                 assert rel <= 1e-3, f"{which}: {rel}"
 
 
@@ -188,10 +188,9 @@ def test_curvature_defn_riemannian_reductions():
     at = pt([0.2, 0.1], [0.35, 0.2])
     geom = PointGeometry(s, at)
     metric = BundleMetric(geom, params)
-    ctx = curvature_context(s, at, params, geom=geom, metric=metric)
     c = params.c_at(geom.tau)
     eye = np.eye(2)
-    defn = curvature_defn(s, at, params, ctx=ctx)
+    defn = curvature_defn(s, at, params, geom=geom, metric=metric)
     want = c * params.beta * (
         np.einsum("kj,si->ijks", metric.G_down, eye) - np.einsum("ki,sj->ijks", metric.G_down, eye)
     )
@@ -204,9 +203,8 @@ def test_curvature_defn_riemannian_reductions():
     at = pt([0.25, -0.1], [0.9, 0.55])
     geom = PointGeometry(s, at)
     metric = BundleMetric(geom, params)
-    ctx = curvature_context(s, at, params, geom=geom, metric=metric)
     c = params.c_at(geom.tau)
-    defn = curvature_defn(s, at, params, ctx=ctx)
+    defn = curvature_defn(s, at, params, geom=geom, metric=metric)
     want = -c * params.beta * np.einsum("sk,ij->ijks", metric.G_down, np.eye(2))
     assert np.abs(frame_block(defn, "hv_hv") - want).max() <= 1e-4
     assert np.abs(frame_block(defn, "hv_hh")).max() <= 1e-4
@@ -423,8 +421,7 @@ def test_curvature_ingredients_shared_match_fresh():
 
 
 def test_each_ingredient_built_once_per_point(monkeypatch):
-    counts = {"ingredients": 0, "bracket_tables": 0, "blocks": 0, "ricci": 0}
-    ingredients_init = levicivita._Ingredients.__init__
+    counts = {"bracket_tables": 0, "blocks": 0, "ricci": 0}
     brackets = geometry.lie_brackets
     for name, key in (("_closed_blocks", "blocks"), ("_ricci_data", "ricci")):
         def counted(*args, _build=getattr(levicivita, name), _key=key):
@@ -433,15 +430,10 @@ def test_each_ingredient_built_once_per_point(monkeypatch):
 
         monkeypatch.setattr(levicivita, name, counted)
 
-    def counted_ingredients(self, *args):
-        counts["ingredients"] += 1
-        ingredients_init(self, *args)
-
     def counted_brackets(*args):
         counts["bracket_tables"] += 1
         return brackets(*args)
 
-    monkeypatch.setattr(levicivita._Ingredients, "__init__", counted_ingredients)
     monkeypatch.setattr(geometry, "lie_brackets", counted_brackets)
     n, points = 2, 2
     manifest = parse_manifest(json.dumps({
@@ -461,7 +453,6 @@ def test_each_ingredient_built_once_per_point(monkeypatch):
     assert set(report["summary"].pop("by_check")) == set(only)
     assert report["summary"] == {"total": len(only) * points, "passed": len(only) * points, "failed": 0}
     assert counts == {
-        "ingredients": points,
         "bracket_tables": points,
         "blocks": points,
         "ricci": points,
@@ -547,8 +538,8 @@ def test_planted_curvature_defect_seen_for_every_slot_triple(monkeypatch):
     assert clean < 1e-9
     closed = levicivita._closed_curvature
 
-    def plant(w):
-        k = closed(w).copy()
+    def plant(g, m):
+        k = closed(g, m).copy()
         k[state["triple"] + (state["triple"][2],)] += 1e-6
         return k
 
@@ -570,6 +561,36 @@ def test_planted_curvature_defect_seen_for_every_slot_triple(monkeypatch):
 # test-only references: the five-deep float loops the einsum blocks replaced,
 # and the per-slot composition the whole-block definition oracle replaced,
 # both kept as they stood before the rewrite
+
+
+def _loop_inputs(geom, metric):
+    """The point values and covariant derivatives the loop blocks read, under
+    the names they read them by, taken off the geometry and the metric."""
+    jets = {
+        "C_uud": (geom.C_uud_jets, "uud"),
+        "C_ddd": (geom.C_ddd_jets, "ddd"),
+        "L_uuu": (geom.L_uuu_jets, "uuu"),
+        "L_udd": (geom.L_udd_jets, "udd"),
+    }
+    return SimpleNamespace(
+        n=geom.n,
+        beta=metric.params.beta,
+        c=metric.params.c_at(geom.tau),
+        p=geom.at.p,
+        C_uud=geom.C_uud_jets.value,
+        C_ddd=geom.C_ddd,
+        C_mixed=geom.C_mixed,
+        L_uuu=geom.L_uuu,
+        L_udd=geom.L_udd,
+        L_uud=geom.L_uud,
+        P=geom.P_curv,
+        R_curv=geom.R_curv,
+        R_vv=geom.R_vv,
+        Gd=metric.G_down,
+        Gu=metric.G_up,
+        **{f"h{name}": geom.h_cov(t, valence).value for name, (t, valence) in jets.items()},
+        **{f"d{name}": t.derivs(geom.pvars).value for name, (t, _) in jets.items()},
+    )
 
 
 def _block_vv_v(w):
@@ -903,7 +924,7 @@ def test_einsum_blocks_match_loop_reference(n):
             at = _sample_points(s, params, n, 1, seed=10 + n)[0]
             geom = PointGeometry(s, at)
             metric = BundleMetric(geom, params)
-            w = levicivita._Ingredients(geom, metric)
+            w = _loop_inputs(geom, metric)
             k = curvature_closed(s, at, params, geom=geom, metric=metric)
             for which in CURVATURE_BLOCKS:
                 H, V = _LOOP_BLOCKS[which](w)
@@ -923,9 +944,8 @@ def test_whole_block_definition_matches_per_slot_reference(n):
     ):
         at = _sample_points(s, params, n, 1, seed=20 + n)[0]
         metric = BundleMetric(PointGeometry(s, at), params)
-        ctx = curvature_context(s, at, params, metric=metric)
-        ref = _PerSlotDefn(ctx.geom, metric)
-        defn = curvature_defn(s, at, params, ctx=ctx)
+        ref = _PerSlotDefn(metric.geom, metric)
+        defn = curvature_defn(s, at, params, metric=metric)
         assert defn.shape == (2 * n,) * 4
         # all eight kind patterns, (v, h, .) included
         for kx, ky, kz in itertools.product("hv", repeat=3):
@@ -934,8 +954,9 @@ def test_whole_block_definition_matches_per_slot_reference(n):
                 want = np.concatenate(_defn_per_slot(ref, (kx, i), (ky, j), (kz, k)))
                 scale = max(1.0, np.abs(want).max())
                 assert np.abs(blk[i, j, k] - want).max() / scale <= 1e-13, (kx, ky, kz, i, j, k)
-        # the context composes the table once and hands it out as it is
-        assert curvature_defn(s, at, params, ctx=ctx) is defn
+        # the context kept on the metric composes the table once and hands
+        # it out as it is
+        assert curvature_defn(s, at, params, metric=metric) is defn
     with pytest.raises(ValenceError):
         frame_block(defn, "hx_v")
 
