@@ -32,7 +32,7 @@ oracle table with the closed connection table, the curvature-block checks
 ``geometry.frame_block`` slices of the closed and the definition curvature
 tables, and the Ricci checks the one Ricci table and its blocks.  All
 pair-scope state of a point (the tables, the connection defects, the
-curvature-definition context and the operators' tables) is kept on the
+shared finite-difference partials and the operators' tables) is kept on the
 point's ``BundleMetric``, so a scope memoizes only each point's geometry
 and metric and the Randers limit structures.
 
@@ -55,7 +55,6 @@ import numpy as np
 
 from . import __version__
 from .berwald import (
-    DTensor,
     berwald_curvature_fd,
     delta_apply,
     metric_delta_identity,
@@ -65,7 +64,7 @@ from .cartan import sample_points
 from .errors import CartanLabError
 from .formulas import INDEX
 from .geometry import PointGeometry, frame_block
-from .jets import ChartPoint, fd_derivative, jet_eval
+from .jets import ChartPoint, fd_partial, jet_eval
 from .kahler import (
     BundleMetric,
     DeformationParams,
@@ -214,13 +213,10 @@ def _randers_family(ctx) -> bool:
 
 
 def _r_jet_vs_fd(ctx, idx, pt):
-    s = ctx.structure
-    jet = jet_eval(s.k2, pt, 2)
-    worst = 0.0
-    for d in range(2 * pt.n):
-        fd, _err = fd_derivative(s.k2_values, pt, [d])
-        worst = max(worst, abs(jet.deriv(d).value - fd) / max(1.0, abs(fd)))
-    return worst
+    s, chart = ctx.structure, range(2 * pt.n)
+    exact = jet_eval(s.k2, pt, 2).derivs(chart).value
+    fd = fd_partial(lambda q: s.k2_values(q.x, q.p), pt, chart)
+    return float((np.abs(exact - fd) / np.maximum(1.0, np.abs(fd))).max())
 
 
 def _r_euler(ctx, idx, pt):
@@ -274,8 +270,7 @@ def _r_randers_degeneration(ctx, idx, pt):
 
 def _r_momentum_parallel(ctx, idx, pt):
     g = ctx.geometry(idx)
-    pd = DTensor(g, g.p_coord(3), "d")
-    return float(np.abs(pd.h_cov().values).max())
+    return float(np.abs(g.h_cov(g.p_coord(3), "d").value).max())
 
 
 def _r_delta_k2(ctx, idx, pt):
@@ -296,8 +291,7 @@ def _r_metric_delta(ctx, idx, pt):
 
 def _r_landsberg_h_derivative(ctx, idx, pt):
     g = ctx.geometry(idx)
-    gupt = DTensor(g, g.g_up_jets, "uu")
-    return float(np.abs(gupt.h_cov().values + 2.0 * g.L_uud).max())
+    return float(np.abs(g.h_cov(g.g_up_jets, "uu").value + 2.0 * g.L_uud).max())
 
 
 def _r_connection_homogeneity(ctx, idx, pt):
@@ -544,8 +538,8 @@ REGISTRY = (
     CheckSpec("levicivita.koszul_agreement", "koszul", "fd_single", "pair", _r_koszul, tol_factor=10.0, cap=4, applies=_matching),
     CheckSpec("levicivita.torsion_free", "connection-blocks", "jet_exact", "pair", _r_torsion, tol_factor=10.0, cap=8, applies=_matching),
     CheckSpec("levicivita.metric_compatible", "connection-blocks", "jet_exact", "pair", _r_metric_compat, tol_factor=10.0, cap=8),
-    CheckSpec("levicivita.curvature_blocks_universal", "curvature-blocks", "fd_double", "pair", _r_blocks_universal, cap=3),
-    CheckSpec("levicivita.curvature_blocks_paired", "curvature-blocks", "fd_double", "pair", _r_blocks_paired, cap=3, applies=_matching),
+    CheckSpec("levicivita.curvature_blocks_universal", "curvature-blocks", "fd_single", "pair", _r_blocks_universal, cap=3),
+    CheckSpec("levicivita.curvature_blocks_paired", "curvature-blocks", "fd_single", "pair", _r_blocks_paired, cap=3, applies=_matching),
     CheckSpec("levicivita.einstein_forward", "einstein-forward", "jet_exact", "pair", _r_einstein_forward, cap=5, applies=_matching_riemannian),
     CheckSpec("levicivita.einstein_defect_nonriemannian", "einstein-obstruction", "fd_double", "pair", _r_einstein_defect, cap=4, mode="exceeds", floor=1e-2, applies=_matching_nonriemannian),
     CheckSpec("levicivita.einstein_obstruction_identity", "einstein-obstruction", "jet_exact", "pair", _r_obstruction_identity, tol_factor=10.0, cap=5),

@@ -56,17 +56,17 @@ INDEX: Mapping[str, FormulaEntry] = {
         "Truncated multivariate Taylor arithmetic: jet composition of the "
         "smooth primitives reproduces mixed partial derivatives exactly; "
         "cross-checked against Richardson-extrapolated finite differences.",
-        "jets.Jet / jets.jet_eval / jets.fd_derivative",
+        "jets.Jet / jets.jet_eval / jets.fd_partial",
     ),
     "fd-oracles": FormulaEntry(
         "Independent finite-difference oracles, used to arbitrate every "
         "closed-form table: central differences with steps scaled by "
         "max(1, |coordinate|), Richardson-extrapolated over two step sizes, "
         "except the nonlinear-connection oracle, which takes one plain step "
-        "of 1e-4.  First derivatives of point values all go through "
-        "jets.fd_stencil and jets.fd_combine (or jets.fd_partial); iterated "
-        "mixed partials of a scalar through jets.fd_derivative.",
-        "jets.fd_partial / jets.fd_combine / jets.fd_derivative / "
+        "of 1e-4.  Every oracle takes first derivatives of point values "
+        "only, all through jets.fd_stencil and jets.fd_combine (or "
+        "jets.fd_partial).",
+        "jets.fd_partial / jets.fd_combine / "
         "berwald.nonlinear_connection_fd / berwald.berwald_curvature_fd / "
         "levicivita.koszul_oracle / levicivita.curvature_defn / "
         "operators.fd_dln_sqrtg_h",
@@ -123,7 +123,7 @@ INDEX: Mapping[str, FormulaEntry] = {
         "horizontal covariant rule T^i|k = delta_k T^i + T^s B^i_sk - ..., "
         "vertical rule T^i|^k = dot^k T^i.",
         "geometry.PointGeometry.B / geometry.PointGeometry.h_cov / "
-        "berwald.DTensor.h_cov / berwald.DTensor.v_cov",
+        "jets.Jet.derivs (the vertical rule, along geometry.PointGeometry.pvars)",
     ),
     "metric-delta": FormulaEntry(
         "delta_i g_jk = B^s_ji g_sk + B^s_ki g_js, equivalently the "
@@ -233,7 +233,8 @@ INDEX: Mapping[str, FormulaEntry] = {
         "paper prints them is open).  hh_h and hh_v additionally presuppose "
         "the constant-curvature shape of the vv-curvature.",
         "levicivita.curvature_closed / levicivita.CURVATURE_BLOCKS / "
-        "geometry.frame_block",
+        "geometry.frame_block / geometry.PointGeometry.h_cov (the covariant "
+        "derivatives of C and L)",
     ),
     "ricci-traces": FormulaEntry(
         "Ricci tensor as one trace of the curvature table over the adapted "

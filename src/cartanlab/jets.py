@@ -39,12 +39,10 @@ cap is a gather).  Every operation acts on all components at once:
 * `deriv` and `derivs` are gathers on the last axis; indexing selects
   leading axes; `stack` builds a tensor from scalar jets and numbers.
 
-`fd_derivative` provides the independent oracle: iterated central differences
-at two step sizes with Richardson extrapolation and an honest error estimate
-(two-step disagreement plus a roundoff floor).  The first-order partials every
-FD oracle of the package differentiates with have one path: `fd_stencil`
-lays the shifted points about a chart point out as one batch, for a list of
-chart variables, and `fd_combine` turns the values of an array-valued
+Every finite difference the package takes, the FD oracles' and the jet
+cross-check's, is a first partial with one path: `fd_stencil` lays the
+shifted points about a chart point out as one batch, for a list of chart
+variables, and `fd_combine` turns the values of an array-valued
 function there into central differences, Richardson extrapolated over two
 steps (or the plain difference for one step).  `fd_partial` evaluates a
 function of a chart point at those points one at a time, for callers that
@@ -716,6 +714,9 @@ def fd_derivative(
     steps: tuple[float, float] = DEFAULT_FD_STEPS,
 ) -> tuple[float, float]:
     """Iterated central-difference mixed partial with Richardson extrapolation.
+
+    No package code calls it (first partials go through `fd_partial`); it
+    stays only while `benchmarks/tracing.py` patches it by name.
 
     dirs lists chart-variable indices (0..n-1 base, n..2n-1 momentum), one
     entry per derivative, repeats allowed.  Steps are taken relative to the

@@ -201,13 +201,13 @@ class BundleMetric:
     def complex_jets(self) -> Jet:
         """J on the adapted basis: row a holds the adapted components of J(F_a),
         [[0, G_ij], [-G^ij, 0]] in blocks."""
-        n = self.n
-        order = min(self.G_down_jets.order, self.G_up_jets.order)
-        down, up = self.G_down_jets.truncate(order), self.G_up_jets.truncate(order)
+        n, jets = self.n, (self.G_down_jets, self.G_up_jets)
+        order, xcap = min(t.order for t in jets), min(t.xcap for t in jets)
+        down, up = (t.truncate(order, xcap) for t in jets)
         c = np.zeros((2 * n, 2 * n) + down.c.shape[-1:])
         frame_block(c, "hv")[...] = down.c
         frame_block(c, "vh")[...] = -up.c
-        return Jet(2 * n, order, c)
+        return Jet(2 * n, order, c, xcap)
 
 
 def point_state(s, at: ChartPoint, params: DeformationParams = None, geom=None, metric=None):

@@ -7,9 +7,9 @@ nabla_{F_a} F_b.  The curvature is one table K[x, y, z, :] holding the
 adapted components of K(F_x, F_y) F_z.  A block of either, named by the
 frame kinds of its leading axes (``"h"`` for delta_i, ``"v"`` for pdot^i),
 is the slice ``geometry.frame_block(table, kinds)``: the curvature block
-``"hv_h"`` is K[:n, n:, :n].  Each table, the connection defects and
-the curvature-definition context are built once per ``BundleMetric`` and
-kept on it; the tables are read-only.
+``"hv_h"`` is K[:n, n:, :n].  Each table and the connection defects
+are built once per ``BundleMetric`` and kept on it; the tables are
+read-only.
 
 Routes kept deliberately separate:
 
@@ -42,13 +42,14 @@ Routes kept deliberately separate:
   the point values of C, L, R, P and G, and the covariant derivatives of C
   and L (``PointGeometry.h_cov`` and the momentum derivatives of their
   jets); the (v, h, .) blocks follow by antisymmetry in the first pair.
-* ``curvature_defn`` guards it.  It differentiates the connection field
-  (finite differences of the whole value table along x from
-  ``_x_partials``, exact jets of the center's connection jet along p) and
-  composes the whole table per the curvature definition
-  K(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z, with
-  the brackets from ``basis_brackets``.  It never reads the closed
-  curvature algebra.
+* ``curvature_defn`` guards it.  One function (``_defn_curvature``)
+  differentiates the connection field (finite differences of the whole
+  value table along x from ``_x_partials``, exact jets of the center's
+  connection jet along p) and composes the whole table per the curvature
+  definition K(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
+  nabla_{[X,Y]} Z, with the brackets from ``basis_brackets``.  It never
+  reads the closed curvature algebra.  It takes first FD partials only,
+  so the two checks of the closed blocks against it are ``fd_single``.
 * ``ricci`` traces the closed curvature table, Ric(F_y, F_z) =
   sum_x K[x, y, z, x], and reports the least-squares Einstein factor and
   defect; ``vertical_ricci_obstruction`` reuses it.
@@ -60,7 +61,6 @@ whole arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -439,48 +439,30 @@ def curvature_closed(
 # curvature: definition oracle
 
 
-class _DefnContext:
-    """The connection field around a point: its jet at the center (values
-    and exact momentum derivatives), finite-difference x-partials of its
-    value table (read from the shared `_x_partials`), and the curvature
-    table composed from them."""
-
-    def __init__(self, geom: PointGeometry, metric: BundleMetric):
-        # kept on the metric, so it holds what it reads of the metric and
-        # not the metric itself: a reference cycle would outlive the scope
-        self.geom = geom
-        self.jet = _connection(geom, metric)
-        _, self._x_partials = _x_partials(geom, metric)
-
-    def x_partial(self, var: int) -> np.ndarray:
-        """d/dx^var of the whole connection table, at [a, b, :]."""
-        return self._x_partials[var]
-
-    @cached_property
-    def curvature(self) -> np.ndarray:
-        """K(F_x, F_y) F_z = nabla_{F_x} nabla_{F_y} F_z - nabla_{F_y}
-        nabla_{F_x} F_z - nabla_{[F_x, F_y]} F_z for every slot triple: the
-        read-only table of adapted components at [x, y, z, :]."""
-        geom, jet = self.geom, self.jet
-        gamma = jet.value
-        partials = np.concatenate([
-            [self.x_partial(var) for var in geom.xvars],
-            np.moveaxis(jet.derivs(geom.pvars).value, -1, 0),
-        ])
-        # nabla_{F_x} (nabla_{F_y} F_z), with nabla_{F_y} F_z a coefficient field
-        cov = _frame_derivative_fd(partials, geom) + np.einsum("yzm,xms->xyzs", gamma, gamma)
-        k = cov - cov.transpose(1, 0, 2, 3)
-        return _read_only(k - np.einsum("xym,mzs->xyzs", geom.basis_brackets, gamma))
+def _defn_curvature(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
+    """K(F_x, F_y) F_z = nabla_{F_x} nabla_{F_y} F_z - nabla_{F_y}
+    nabla_{F_x} F_z - nabla_{[F_x, F_y]} F_z for every slot triple: the
+    read-only table of adapted components at [x, y, z, :], from the
+    connection jet at the center (values and exact momentum derivatives) and
+    the finite-difference x-partials of its value table (the shared
+    `_x_partials`)."""
+    jet = _connection(geom, metric)
+    _, conn_x = _x_partials(geom, metric)
+    gamma = jet.value
+    partials = np.concatenate([conn_x, np.moveaxis(jet.derivs(geom.pvars).value, -1, 0)])
+    # nabla_{F_x} (nabla_{F_y} F_z), with nabla_{F_y} F_z a coefficient field
+    cov = _frame_derivative_fd(partials, geom) + np.einsum("yzm,xms->xyzs", gamma, gamma)
+    k = cov - cov.transpose(1, 0, 2, 3)
+    return _read_only(k - np.einsum("xym,mzs->xyzs", geom.basis_brackets, gamma))
 
 
 def curvature_context(
     s, at: ChartPoint, params: DeformationParams, geom=None, metric=None
-) -> _DefnContext:
-    """The definition-route curvature context at one point, built once per
-    metric (it caches the finite-difference partials and the composed
-    table)."""
+) -> np.ndarray:
+    """The definition-route curvature table at one point, built once per
+    metric and kept on it under ``"defn"``."""
     geom, metric = point_state(s, at, params, geom, metric)
-    return metric.derive("defn", lambda: _DefnContext(geom, metric))
+    return metric.derive("defn", lambda: _defn_curvature(geom, metric))
 
 
 def curvature_defn(
@@ -495,7 +477,7 @@ def curvature_defn(
     differentiating the closed-form connection field (finite differences
     along x, exact jets along p).  Laid out as ``curvature_closed``; the
     table is read-only."""
-    return curvature_context(s, at, params, geom, metric).curvature
+    return curvature_context(s, at, params, geom, metric)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from conftest import builtin_structures, general_randers, pt
 from cartanlab import checks
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual, sample_points
 from cartanlab.errors import EvaluationDomainError, ValenceError
-from cartanlab.geometry import PointGeometry, lie_brackets, slot_index
+from cartanlab.geometry import PointGeometry, frame_block, lie_brackets, slot_index
 from cartanlab.jets import invert
 from cartanlab.kahler import (
     BundleMetric,
@@ -198,6 +198,25 @@ def test_j_on_basis_fields():
     jv2 = j[3]
     np.testing.assert_allclose(jv2[2:], 0.0, atol=1e-14)
     np.testing.assert_allclose(jv2[:2], -m.G_up[1], atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_j_keeps_the_x_cap_of_the_metric_jets(n):
+    # an order-4 geometry gives x-capped G jets: J must declare the same
+    # capped table, and its derivatives must be those of its two blocks
+    s = conformal_structure(n, -1.0)
+    at = pt(np.linspace(0.1, -0.2, n), np.linspace(0.7, 0.4, n))
+    geom = PointGeometry(s, at, order=4)
+    m = BundleMetric(geom, DeformationParams(c=-1.0))
+    j = m.complex_jets
+    assert j.xcap < j.order  # non-vacuous: the metric jets are capped
+    assert j.c.shape[-1] == j._table.size
+    for chart in (geom.pvars, geom.xvars):
+        d = j.derivs(chart).value
+        np.testing.assert_array_equal(frame_block(d, "hv"), m.G_down_jets.derivs(chart).value)
+        np.testing.assert_array_equal(frame_block(d, "vh"), -m.G_up_jets.derivs(chart).value)
+        np.testing.assert_array_equal(frame_block(d, "hh"), 0.0)
+        np.testing.assert_array_equal(frame_block(d, "vv"), 0.0)
 
 
 @pytest.mark.parametrize("params", PARAM_SETS[:3], ids=lambda p: p.describe())

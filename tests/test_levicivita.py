@@ -370,13 +370,13 @@ def test_koszul_and_definition_share_one_evaluation_per_shifted_point(n, first, 
     def tables(metric):
         if first == "koszul":
             k = koszul_oracle(s, at, params, geom=geom, metric=metric)
-            return k, curvature_context(s, at, params, geom=geom, metric=metric).curvature
-        d = curvature_context(s, at, params, geom=geom, metric=metric).curvature
+            return k, curvature_context(s, at, params, geom=geom, metric=metric)
+        d = curvature_context(s, at, params, geom=geom, metric=metric)
         return koszul_oracle(s, at, params, geom=geom, metric=metric), d
 
     alone = (
         koszul_oracle(s, at, params, geom=geom, metric=BundleMetric(geom, params)),
-        curvature_context(s, at, params, geom=geom, metric=BundleMetric(geom, params)).curvature,
+        curvature_context(s, at, params, geom=geom, metric=BundleMetric(geom, params)),
     )
     built = {2: 0, 4: 0, 5: 0}
     geom_init = geometry.PointGeometry.__init__
@@ -827,9 +827,15 @@ def _connection_blocks(table) -> dict:
     }
 
 
-class _PerSlotDefn(levicivita._DefnContext):
+class _PerSlotDefn:
     """The per-slot definition composition; its block inputs (values,
-    momentum derivatives, x-partials) are sliced out of the whole tables."""
+    momentum derivatives, x-partials) are sliced out of the connection jet
+    and the shared x-partials of the connection table."""
+
+    def __init__(self, geom, metric):
+        self.geom = geom
+        self.jet = levicivita._connection(geom, metric)
+        _, self.conn_x = levicivita._x_partials(geom, metric)
 
     @property
     def values(self):
@@ -852,7 +858,7 @@ class _PerSlotDefn(levicivita._DefnContext):
         dh_p, dv_p = self.vderivs[key]
         if kx == "v":
             return dh_p[iy, iz, :, ix].copy(), dv_p[iy, iz, :, ix].copy()
-        part = _connection_blocks(self.x_partial(ix))
+        part = _connection_blocks(self.conn_x[ix])
         dh = part[key][0][iy, iz, :].copy()
         dv = part[key][1][iy, iz, :].copy()
         for l in range(self.geom.n):
@@ -954,8 +960,8 @@ def test_whole_block_definition_matches_per_slot_reference(n):
                 want = np.concatenate(_defn_per_slot(ref, (kx, i), (ky, j), (kz, k)))
                 scale = max(1.0, np.abs(want).max())
                 assert np.abs(blk[i, j, k] - want).max() / scale <= 1e-13, (kx, ky, kz, i, j, k)
-        # the context kept on the metric composes the table once and hands
-        # it out as it is
+        # the table is composed once, kept on the metric and handed out as
+        # it is
         assert curvature_defn(s, at, params, metric=metric) is defn
     with pytest.raises(ValenceError):
         frame_block(defn, "hx_v")
@@ -1022,3 +1028,33 @@ def test_cached_blocks_and_ricci_are_read_only():
     with pytest.raises(ValueError):
         rd.ric[0, 0] = 1.0
     assert ricci(s, at, params, geom=geom, metric=metric) is rd
+
+
+def test_planted_hv_h_defect_fails_every_universal_block_record(monkeypatch):
+    # the definition route takes first FD partials only, so the block checks
+    # are fd_single: a +1e-4 plant in the hv_h h-part, which fd_double's 1e-3
+    # would pass, fails every record while the clean blocks pass
+    manifest = parse_manifest(json.dumps({
+        "structures": [
+            {"family": "riemannian_conformal", "n": 2, "c": -1.0},
+            {"family": "randers", "n": 2, "c": 0.0, "drift": [0.3, 0.0]},
+        ],
+        "params": [{"label": "hyperbolic", "alpha": 1.0, "beta": 1.0, "c": -1.0}],
+        "sampling": {"seed": 0, "count": 3, "p_norm": [0.5, 1.5]},
+    }))
+    only = ["levicivita.curvature_blocks_universal"]
+    clean = run_suite(manifest, only=only)
+    assert clean["summary"]["total"] == 6 and clean["summary"]["failed"] == 0
+    assert {r["tolerance"] for r in clean["checks"]} == {manifest.tolerances["fd_single"]}
+    closed_blocks = levicivita._closed_blocks
+
+    def planted(geom, metric):
+        blocks = dict(closed_blocks(geom, metric))
+        H, V = blocks["hv_h"]
+        blocks["hv_h"] = (H + 1e-4, V)
+        return blocks
+
+    monkeypatch.setattr(levicivita, "_closed_blocks", planted)
+    report = run_suite(manifest, only=only)
+    assert report["summary"]["failed"] == report["summary"]["total"] == 6
+    assert max(r["residual"] for r in report["checks"]) < manifest.tolerances["fd_double"]

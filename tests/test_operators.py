@@ -262,7 +262,7 @@ def test_operator_stencils_built_once_per_context(monkeypatch):
     "entry, use",
     [
         (connection_defects, lambda got: got),
-        (curvature_context, lambda got: got.curvature),
+        (curvature_context, lambda got: got),
         (operator_context, lambda got: laplacian(got, lambda q: float(q.x @ q.p))),
     ],
     ids=["connection_defects", "curvature_context", "operator_context"],
@@ -295,7 +295,7 @@ def test_derived_state_does_not_keep_the_metric_alive():
         metric = BundleMetric(PointGeometry(s, at), params)
         koszul_oracle(s, at, params, metric=metric)
         connection_defects(s, at, params, metric=metric)
-        curvature_context(s, at, params, metric=metric).curvature
+        curvature_context(s, at, params, metric=metric)
         ricci(s, at, params, metric=metric)
         nijenhuis_table(metric)
         landsberg_characterizations(operator_context(s, at, params, metric=metric))
