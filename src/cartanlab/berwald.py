@@ -6,8 +6,10 @@ The closed route is the exact jet pipeline in `geometry.PointGeometry`,
 whose attributes (`N`, `B`, `L_*`, `J_*`, `R_vv`, `R_curv`, `P_curv`) hold
 the point values; its one covariant derivative is `PointGeometry.h_cov`
 (horizontal) and `Jet.derivs` along the momenta (vertical).  This module
-adds the adapted-frame derivative of a scalar field, the metric-delta
-identity, and the FD oracles: they recompute the nonlinear
+adds distinguished tensors (`DTensor`, a valence-checked wrapper whose
+`h_cov` and `v_cov` are those two), the adapted-frame derivative of a
+scalar field, the metric-delta identity, and the FD oracles: they
+recompute the nonlinear
 connection and the h-curvature from central differences of point values
 (`jets.fd_stencil` and `jets.fd_combine`, the one FD path of the package),
 so the two routes share no derivative mechanism.  Each
@@ -37,9 +39,10 @@ class DTensor:
     """Distinguished tensor at a point: one tensor jet of components plus a
     valence string ('u'/'d' per axis, e.g. 'uud' for T^{ij}_k).
 
-    No package code builds one (the covariant derivative is
-    `PointGeometry.h_cov`); it stays only while `benchmarks/tracing.py`
-    patches `h_cov` and `v_cov` by name."""
+    Its covariant derivatives are `PointGeometry.h_cov` and `Jet.derivs`
+    along the momenta, with the valence checked and extended.  The
+    `berwald.momentum_parallel` and `landsberg_h_derivative` checks take
+    theirs through it, so `benchmarks/tracing.py` counts them."""
 
     __slots__ = ("geom", "comp", "valence")
 

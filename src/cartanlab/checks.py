@@ -55,6 +55,7 @@ import numpy as np
 
 from . import __version__
 from .berwald import (
+    DTensor,
     berwald_curvature_fd,
     delta_apply,
     metric_delta_identity,
@@ -270,7 +271,8 @@ def _r_randers_degeneration(ctx, idx, pt):
 
 def _r_momentum_parallel(ctx, idx, pt):
     g = ctx.geometry(idx)
-    return float(np.abs(g.h_cov(g.p_coord(3), "d").value).max())
+    pd = DTensor(g, g.p_coord(3), "d")
+    return float(np.abs(pd.h_cov().values).max())
 
 
 def _r_delta_k2(ctx, idx, pt):
@@ -291,7 +293,8 @@ def _r_metric_delta(ctx, idx, pt):
 
 def _r_landsberg_h_derivative(ctx, idx, pt):
     g = ctx.geometry(idx)
-    return float(np.abs(g.h_cov(g.g_up_jets, "uu").value + 2.0 * g.L_uud).max())
+    gupt = DTensor(g, g.g_up_jets, "uu")
+    return float(np.abs(gupt.h_cov().values + 2.0 * g.L_uud).max())
 
 
 def _r_connection_homogeneity(ctx, idx, pt):

@@ -123,7 +123,8 @@ INDEX: Mapping[str, FormulaEntry] = {
         "horizontal covariant rule T^i|k = delta_k T^i + T^s B^i_sk - ..., "
         "vertical rule T^i|^k = dot^k T^i.",
         "geometry.PointGeometry.B / geometry.PointGeometry.h_cov / "
-        "jets.Jet.derivs (the vertical rule, along geometry.PointGeometry.pvars)",
+        "jets.Jet.derivs (the vertical rule, along geometry.PointGeometry.pvars) / "
+        "berwald.DTensor.h_cov / berwald.DTensor.v_cov (their valence-checked wrappers)",
     ),
     "metric-delta": FormulaEntry(
         "delta_i g_jk = B^s_ji g_sk + B^s_ki g_js, equivalently the "
@@ -216,7 +217,8 @@ INDEX: Mapping[str, FormulaEntry] = {
         "evaluated with finite-difference frame derivatives of the closed "
         "connection table and the basis brackets.",
         "levicivita.curvature_defn (the whole table, as "
-        "levicivita.curvature_closed) / levicivita.curvature_context",
+        "levicivita.curvature_closed; curvature_context is the same "
+        "function)",
     ),
     "curvature-blocks": FormulaEntry(
         "Six closed-form curvature blocks, named by the frame kinds of "

@@ -456,15 +456,6 @@ def _defn_curvature(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
     return _read_only(k - np.einsum("xym,mzs->xyzs", geom.basis_brackets, gamma))
 
 
-def curvature_context(
-    s, at: ChartPoint, params: DeformationParams, geom=None, metric=None
-) -> np.ndarray:
-    """The definition-route curvature table at one point, built once per
-    metric and kept on it under ``"defn"``."""
-    geom, metric = point_state(s, at, params, geom, metric)
-    return metric.derive("defn", lambda: _defn_curvature(geom, metric))
-
-
 def curvature_defn(
     s,
     at: ChartPoint,
@@ -476,8 +467,14 @@ def curvature_defn(
     nabla_Y nabla_X Z - nabla_{[X,Y]} Z over every slot triple,
     differentiating the closed-form connection field (finite differences
     along x, exact jets along p).  Laid out as ``curvature_closed``; the
-    table is read-only."""
-    return curvature_context(s, at, params, geom, metric)
+    table is read-only, built once per metric and kept on it under
+    ``"defn"``."""
+    geom, metric = point_state(s, at, params, geom, metric)
+    return metric.derive("defn", lambda: _defn_curvature(geom, metric))
+
+
+# the same function: `benchmarks/tracing.py` spans both names
+curvature_context = curvature_defn
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,18 @@
-"""Design rules of the package, checked by what the code calls.
-
-* Independence: an oracle never runs the algebra it is meant to check.
-  Each oracle runs on a fresh geometry and metric under `sys.setprofile`,
-  which collects every package function it enters.
-* One derivative path: the check registry needs no second covariant
-  derivative (`berwald.DTensor`) and no second finite-difference routine
-  (`jets.fd_derivative`); both raise here, and the full registry still
-  passes on a small manifest.
+"""Independence, a design rule of the package checked by what the code
+calls: an oracle never runs the algebra it is meant to check.  Each oracle
+runs on a fresh geometry and metric under `sys.setprofile`, which collects
+every package function it enters.
 """
-import json
 import os
 import sys
 
 import pytest
 
 import cartanlab
-from cartanlab import berwald, levicivita
+from cartanlab import levicivita
 from cartanlab.cartan import conformal_structure
-from cartanlab.checks import run_suite
 from cartanlab.geometry import PointGeometry
 from cartanlab.kahler import BundleMetric, DeformationParams
-from cartanlab.manifest import parse_manifest
 
 from conftest import general_randers, pt
 
@@ -86,31 +78,3 @@ def test_an_oracle_that_reads_the_closed_form_fails_the_rule(monkeypatch):
     with pytest.raises(AssertionError, match="lc_closed_form"):
         _assert_independent("koszul_oracle", *CASES[0])
 
-
-def test_the_registry_needs_neither_second_derivative_path(monkeypatch):
-    def second_path(*args, **kwargs):
-        raise AssertionError("a second derivative path was called")
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cartanlab") and hasattr(module, "fd_derivative"):
-            monkeypatch.setattr(module, "fd_derivative", second_path)
-    monkeypatch.setattr(berwald.DTensor, "h_cov", second_path)
-    monkeypatch.setattr(berwald.DTensor, "v_cov", second_path)
-    manifest = parse_manifest(json.dumps({
-        "structures": [
-            {"family": "randers", "n": 2, "c": 0.0, "drift": [0.3, 0.0]},
-            {"family": "riemannian_conformal", "n": 3, "c": -1.0},
-        ],
-        "params": [
-            {"label": "flat-gauge", "alpha": 1.0, "beta": 1.0, "c": 0.0},
-            {"label": "hyperbolic", "alpha": 1.0, "beta": 1.0, "c": -1.0},
-        ],
-        "sampling": {"seed": 0, "count": 2, "p_norm": [0.5, 1.5]},
-    }))
-    report = run_suite(manifest)
-    by_check = report["summary"]["by_check"]
-    assert report["summary"]["failed"] == 0
-    assert [r for r in report["checks"] if r["residual"] is None] == []
-    # non-vacuous: the checks that used the second paths ran
-    for cid in ("jets.jet_vs_fd", "berwald.momentum_parallel", "berwald.landsberg_h_derivative"):
-        assert by_check[cid]["records"] > 0

@@ -519,7 +519,7 @@ def test_planted_curvature_defect_seen_for_every_slot_triple(monkeypatch):
     # block residual of the one block that holds it, and of the check that
     # reads that block, for every slot triple of the six blocks: a kind or
     # slicing slip that drops a triple would leave it at the clean value.
-    # The definition context stays on the metric; each plant drops the
+    # The definition table stays on the metric; each plant drops the
     # closed table kept there.
     n = 2
     s = conformal_structure(n, -1.0)
