@@ -35,6 +35,7 @@ __all__ = [
     "expression_structure",
     "parse_scalar_expression",
     "sample_points",
+    "chart_box_probes",
     "DEFAULT_P_NORM",
 ]
 
@@ -71,6 +72,13 @@ class CartanStructure:
 
     def __repr__(self):
         return f"CartanStructure({self.label!r}, dim={self.dim})"
+
+
+def chart_box_probes(n: int, x_box: float) -> list:
+    """The probe grid of the chart box [-x_box, x_box]^n: the origin, the
+    2n face centres and the interior point 0.6 x_box (1, ..., 1)."""
+    faces = [np.where(np.arange(n) == i, s, 0.0) for s in (-x_box, x_box) for i in range(n)]
+    return [np.zeros(n), *faces, np.full(n, 0.6 * x_box)]
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +216,7 @@ def randers_dual(
     b_fn = _as_vector_fn(b_up, n)
 
     # regularity probe: |b|_a < 1 on a grid of the chart box
-    probes = [np.zeros(n)]
-    for s in (-x_box, x_box):
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = s
-            probes.append(e)
-    probes.append(np.full(n, 0.6 * x_box))
-    for x in probes:
+    for x in chart_box_probes(n, x_box):
         a = np.asarray(a_fn(list(x)), dtype=float)
         b = np.asarray(b_fn(list(x)), dtype=float)
         norm2 = float(b @ a @ b)

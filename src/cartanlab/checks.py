@@ -11,9 +11,9 @@ point.  Checks come in two scopes:
 
 Points are rejection-sampled per scope from a deterministic seed stream
 derived from the manifest seed, so two runs of the same manifest emit
-identical reports.  Per-point evaluation errors are recorded as failing
-records with ``residual: null`` and an ``error`` naming the exception; they
-never abort the suite.  The report (``cartanlab-report-v2``) keeps each
+identical reports.  Per-point evaluation errors, a non-finite residual
+among them, are recorded as failing records with ``residual: null`` and an
+``error`` naming the exception; they never abort the suite.  The report (``cartanlab-report-v2``) keeps each
 scope's points once, in ``points[tag]``; records refer to them by index.
 
 Applicability gating (resolved empirically; see the formula index):
@@ -62,7 +62,7 @@ from .berwald import (
     nonlinear_connection_fd,
 )
 from .cartan import sample_points
-from .errors import CartanLabError
+from .errors import CartanLabError, EvaluationDomainError
 from .formulas import INDEX
 from .geometry import PointGeometry, frame_block
 from .jets import ChartPoint, fd_partial, jet_eval
@@ -82,7 +82,7 @@ from .levicivita import (
     ricci,
     vertical_ricci_obstruction,
 )
-from .manifest import Manifest, build_structure
+from .manifest import Manifest, build_structure, drift_vector
 from .operators import (
     directional_derivative,
     divergence,
@@ -259,9 +259,8 @@ def _r_vertical_metric_derivative(ctx, idx, pt):
 
 def _r_randers_degeneration(ctx, idx, pt):
     def build():
-        eps = build_structure(ctx.config, drift_scale=1e-7)
-        zero = build_structure(ctx.config, drift_scale=0.0)
-        return eps, zero
+        drift = drift_vector(ctx.config)
+        return [build_structure(dict(ctx.config, drift=list(drift * s))) for s in (1e-7, 0.0)]
 
     eps, zero = ctx._memo(("randers-limit",), build)
     a = eps.k2_values(pt.x, pt.p)
@@ -572,6 +571,8 @@ def _run_check(spec: CheckSpec, ctx: CheckContext) -> list:
     for idx, pt in enumerate(points):
         try:
             residual = float(spec.run(ctx, idx, pt))
+            if not math.isfinite(residual):
+                raise EvaluationDomainError(f"non-finite residual {residual}")
         except SkipPoint:
             continue
         except CartanLabError as exc:
@@ -594,13 +595,13 @@ def _margin(spec: CheckSpec, record: CheckRecord) -> float:
 def _by_check(selected, records) -> dict:
     """Per check id of the sorted ``records``: anchor, record counts, and
     the residual and margin of the record closest to failing (or furthest
-    past it); a NaN margin counts as the worst."""
+    past it)."""
     specs = {spec.check_id: spec for spec in selected}
     out = {}
     for cid, group in groupby(records, key=attrgetter("check_id")):
         mine = list(group)
         scored = [(_margin(specs[cid], r), r.residual) for r in mine if r.residual is not None]
-        worst = max(scored, key=lambda mr: (math.isnan(mr[0]), mr[0]), default=(None, None))
+        worst = max(scored, key=lambda mr: mr[0], default=(None, None))
         out[cid] = {
             "anchor": specs[cid].anchor,
             "records": len(mine),

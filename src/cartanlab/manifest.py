@@ -21,11 +21,14 @@ required; everything else gets documented defaults.  Schema::
                      "fd_double": 1e-3}
     }
 
-Validation rejects unknown keys (with the offending path), duplicate
-structure or params labels, non-positive sampling ranges, tolerances
-below machine epsilon, and structure/params pairings whose sampling
-region cannot stay inside the positivity tube ``2 tau < 1/(c beta^2)``
-(anchor ``positivity-tube`` in :mod:`cartanlab.formulas`).
+Each structure family (its own keys with their parsers, its required keys,
+its default chart box and its builder) is declared once, in ``_FAMILIES``.
+Every numeric value must be finite.  Validation rejects unknown keys (with
+the offending path), duplicate structure or params labels, non-positive
+sampling ranges, tolerances below machine epsilon, and structure/params
+pairings whose sampling region cannot stay inside the positivity tube
+``2 tau < 1/(c beta^2)`` (anchor ``positivity-tube`` in
+:mod:`cartanlab.formulas`).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import numpy as np
 
 from .cartan import (
     CartanStructure,
+    chart_box_probes,
     conformal_structure,
     expression_structure,
     flat_structure,
@@ -55,6 +59,7 @@ __all__ = [
     "SamplingSpec",
     "TOLERANCE_CATEGORIES",
     "build_structure",
+    "drift_vector",
     "load_manifest",
     "parse_manifest",
     "with_overrides",
@@ -65,7 +70,6 @@ DEFAULT_TOLERANCES = {"jet_exact": 1e-9, "fd_single": 1e-5, "fd_double": 1e-3}
 DEFAULT_SAMPLING = {"seed": 0, "count": 100, "p_norm": (0.5, 2.0)}
 
 _EPS = float(np.finfo(float).eps)
-_FAMILIES = ("flat", "riemannian_conformal", "randers", "expression")
 # margin used by kahler.tube_predicate: alpha + 2 tau v >= 0.2 alpha
 _GAUGE_MARGIN = 0.2
 
@@ -157,81 +161,106 @@ def _conformal_matrix_fn(n: int, c: float) -> Callable:
     return a_fn
 
 
-def _drift_vector(drift, n: int, path: str) -> np.ndarray:
-    if isinstance(drift, (int, float)) and not isinstance(drift, bool):
-        vec = np.zeros(n)
-        vec[0] = float(drift)
-        return vec
-    if isinstance(drift, list):
-        if len(drift) != n:
-            _fail(path, f"drift list must have length n={n}, got {len(drift)}")
-        return np.array([_as_number(d, f"{path}[{i}]") for i, d in enumerate(drift)])
-    _fail(path, f"expected a number or list of {n} numbers, got {drift!r}")
+def _as_drift(value, path: str, n: int):
+    """A Randers drift: a finite number or a list of n finite numbers."""
+    if isinstance(value, list):
+        if len(value) != n:
+            _fail(path, f"drift list must have length n={n}, got {len(value)}")
+        return [_as_number(d, f"{path}[{i}]") for i, d in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, f"expected a number or list of {n} numbers, got {value!r}")
+    return _as_number(value, path)
 
 
-def build_structure(config: Mapping, path: str = "structure", drift_scale: float = 1.0) -> CartanStructure:
-    """Instantiate the structure described by a normalized config dict.
+def drift_vector(config: Mapping) -> np.ndarray:
+    """The drift b^i of a Randers config (0.3 if absent); a number is along x1."""
+    drift = config.get("drift", 0.3)
+    b = np.zeros(config.get("n", 2))
+    b[: np.size(drift)] = drift
+    return b
 
-    ``drift_scale`` rescales the drift of a Randers-family entry (used by
-    the zero-drift degeneration check); it is ignored by other families.
-    """
-    family = config["family"]
-    n = config.get("n", 2)
-    label = config.get("label")
-    x_box = config.get("x_box")
+
+def _randers(config: Mapping, n: int, x_box: float) -> CartanStructure:
+    c = config.get("c", 0.0)
+    return randers_dual(
+        a_down=_conformal_matrix_fn(n, c) if c else None,
+        b_up=drift_vector(config),
+        n=n,
+        x_box=x_box,
+        label=f"randers-curved-{n}d-c{c:+g}" if c else None,
+    )
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A structure family: ``build(config, n, x_box)`` makes and names the
+    structure (a config ``label`` overrides the name), ``x_box(config)`` is
+    the default chart box, ``keys`` maps each key of the family's own to its
+    ``parse(value, path, n)`` (a parsed None leaves the key out), and
+    ``required`` maps each required key to the hint its error names."""
+
+    build: Callable
+    x_box: Callable = lambda config: 1.0
+    keys: Mapping = dataclasses.field(default_factory=dict)
+    required: Mapping = dataclasses.field(default_factory=dict)
+
+
+def _number(value, path: str, n: int) -> float:
+    return _as_number(value, path)
+
+
+def _string(value, path: str, n: int) -> str:
+    return _as_str(value, path)
+
+
+def _optional_number(value, path: str, n: int) -> Optional[float]:
+    return None if value is None else _as_number(value, path)
+
+
+_COMMON_KEYS = ("family", "label", "n", "x_box")
+_FAMILIES = {
+    "flat": _Family(lambda config, n, x_box: flat_structure(n)),
+    "riemannian_conformal": _Family(
+        lambda config, n, x_box: conformal_structure(n, config["c"]),
+        x_box=lambda config: 0.9,
+        keys={"c": _number},
+        required={"c": "base sectional curvature"},
+    ),
+    "randers": _Family(
+        _randers,
+        x_box=lambda config: 0.9 if config.get("c", 0.0) else 1.0,
+        keys={"c": _number, "drift": _as_drift},
+    ),
+    "expression": _Family(
+        lambda config, n, x_box: expression_structure(
+            n, config["k2"], x_box=x_box, constant_curvature=config.get("constant_curvature")
+        ),
+        keys={"k2": _string, "constant_curvature": _optional_number},
+        required={"k2": "formula over x1..xn, p1..pn"},
+    ),
+}
+
+
+def build_structure(config: Mapping, path: str = "structure") -> CartanStructure:
+    """Instantiate the structure described by a normalized config dict."""
+    family = _FAMILIES[config["family"]]
+    x_box = float(config.get("x_box") or family.x_box(config))
     try:
-        if family == "flat":
-            s = flat_structure(n)
-        elif family == "riemannian_conformal":
-            s = conformal_structure(n, config["c"])
-        elif family == "randers":
-            c = config.get("c", 0.0)
-            drift = _drift_vector(config.get("drift", 0.3), n, f"{path}.drift") * drift_scale
-            if c == 0.0:
-                s = randers_dual(b_up=drift, n=n, x_box=x_box or 1.0)
-                s = dataclasses.replace(s, label=f"randers-{n}d")
-            else:
-                s = randers_dual(
-                    a_down=_conformal_matrix_fn(n, c),
-                    b_up=drift,
-                    n=n,
-                    x_box=x_box or 0.9,
-                    label=f"randers-curved-{n}d-c{c:+g}",
-                )
-        elif family == "expression":
-            s = expression_structure(
-                n,
-                config["k2"],
-                x_box=x_box or 1.0,
-                constant_curvature=config.get("constant_curvature"),
-            )
-        else:  # pragma: no cover - guarded by _check_keys caller
-            _fail(path, f"unknown family {family!r}")
-    except ManifestError:
-        raise
+        s = family.build(config, config.get("n", 2), x_box)
     except (CartanLabError, ValueError) as exc:
-        _fail(path, f"cannot build {family} structure: {exc}")
-    if label is not None:
-        s = dataclasses.replace(s, label=label)
-    if x_box is not None and family in ("flat", "riemannian_conformal"):
-        s = dataclasses.replace(s, x_box=float(x_box))
-    return s
+        _fail(path, f"cannot build {config['family']} structure: {exc}")
+    return dataclasses.replace(s, label=config.get("label") or s.label, x_box=x_box)
 
 
 def _parse_structure(entry, index: int):
     path = f"structures[{index}]"
-    _check_keys(
-        entry,
-        path,
-        allowed=("family", "label", "n", "x_box", "c", "drift", "k2", "constant_curvature"),
-        required=("family",),
-    )
-    family = _as_str(entry["family"], f"{path}.family")
-    if family not in _FAMILIES:
-        _fail(f"{path}.family", f"unknown family {family!r}; choose one of {list(_FAMILIES)}")
-    config = {"family": family}
-    if "n" in entry:
-        config["n"] = _as_int(entry["n"], f"{path}.n", minimum=2)
+    own_keys = list(dict.fromkeys(key for family in _FAMILIES.values() for key in family.keys))
+    _check_keys(entry, path, allowed=(*_COMMON_KEYS, *own_keys), required=("family",))
+    name = _as_str(entry["family"], f"{path}.family")
+    if name not in _FAMILIES:
+        _fail(f"{path}.family", f"unknown family {name!r}; choose one of {list(_FAMILIES)}")
+    family = _FAMILIES[name]
+    config = {"family": name, "n": _as_int(entry.get("n", 2), f"{path}.n", minimum=2)}
     if "label" in entry:
         config["label"] = _as_str(entry["label"], f"{path}.label")
     if "x_box" in entry:
@@ -239,37 +268,19 @@ def _parse_structure(entry, index: int):
         if box <= 0:
             _fail(f"{path}.x_box", f"chart box must be positive, got {box}")
         config["x_box"] = box
-    for key in ("c", "drift", "k2", "constant_curvature"):
+    for key in own_keys:
+        if key in entry and key not in family.keys:
+            owners = [other for other, f in _FAMILIES.items() if key in f.keys]
+            _fail(f"{path}.{key}", f"key {key!r} only applies to families {owners}")
+    for key, hint in family.required.items():
         if key not in entry:
-            continue
-        owners = {
-            "c": ("riemannian_conformal", "randers"),
-            "drift": ("randers",),
-            "k2": ("expression",),
-            "constant_curvature": ("expression",),
-        }[key]
-        if family not in owners:
-            _fail(f"{path}.{key}", f"key {key!r} only applies to families {list(owners)}")
-    if family == "riemannian_conformal":
-        if "c" not in entry:
-            _fail(path, "riemannian_conformal requires key 'c' (base sectional curvature)")
-        config["c"] = _as_number(entry["c"], f"{path}.c")
-    if family == "randers":
-        if "c" in entry:
-            config["c"] = _as_number(entry["c"], f"{path}.c")
-        if "drift" in entry:
-            config["drift"] = entry["drift"]
-    if family == "expression":
-        if "k2" not in entry:
-            _fail(path, "expression requires key 'k2' (formula over x1..xn, p1..pn)")
-        config["k2"] = _as_str(entry["k2"], f"{path}.k2")
-        if "constant_curvature" in entry and entry["constant_curvature"] is not None:
-            config["constant_curvature"] = _as_number(
-                entry["constant_curvature"], f"{path}.constant_curvature"
-            )
+            _fail(path, f"{name} requires key {key!r} ({hint})")
+    for key, parse in family.keys.items():
+        value = parse(entry[key], f"{path}.{key}", config["n"]) if key in entry else None
+        if value is not None:
+            config[key] = value
     structure = build_structure(config, path)
     config["label"] = structure.label
-    config.setdefault("n", structure.dim)
     config.setdefault("x_box", structure.x_box)
     return structure, config
 
@@ -277,18 +288,12 @@ def _parse_structure(entry, index: int):
 def _parse_params(entry, index: int):
     path = f"params[{index}]"
     _check_keys(entry, path, allowed=("label", "alpha", "beta", "c", "v"))
-    kwargs = {}
-    if "alpha" in entry:
-        kwargs["alpha"] = _as_number(entry["alpha"], f"{path}.alpha")
-    if "beta" in entry:
-        kwargs["beta"] = _as_number(entry["beta"], f"{path}.beta")
-    if "c" in entry:
-        kwargs["c"] = _as_number(entry["c"], f"{path}.c")
+    kwargs = {key: _as_number(entry[key], f"{path}.{key}") for key in ("alpha", "beta", "c") if key in entry}
     if "v" in entry:
         v = entry["v"]
         if isinstance(v, bool) or not isinstance(v, (int, float, str)):
             _fail(f"{path}.v", f"expected a number or expression string, got {v!r}")
-        kwargs["v"] = v
+        kwargs["v"] = v if isinstance(v, str) else _as_number(v, f"{path}.v")
     try:
         params = DeformationParams(**kwargs)
     except (ValueError, CartanLabError) as exc:
@@ -339,20 +344,9 @@ def _parse_tolerances(entry) -> dict:
 # tube feasibility
 
 
-def _probe_points(s: CartanStructure, p_low: float):
-    n = s.dim
-    xs = [np.zeros(n)]
-    for i in range(n):
-        for sign in (-1.0, 1.0):
-            e = np.zeros(n)
-            e[i] = sign * s.x_box
-            xs.append(e)
-    xs.append(np.full(n, 0.6 * s.x_box))
-    ps = [np.eye(n)[i] for i in range(n)]
-    ps.append(np.full(n, 1.0 / np.sqrt(n)))
-    for x in xs:
-        for phat in ps:
-            yield ChartPoint(x, p_low * phat)
+def _probe_points(s: CartanStructure, p_low: float) -> list:
+    directions = [*np.eye(s.dim), np.full(s.dim, 1.0 / np.sqrt(s.dim))]
+    return [ChartPoint(x, p_low * d) for x in chart_box_probes(s.dim, s.x_box) for d in directions]
 
 
 def _check_tube_feasibility(s: CartanStructure, params: DeformationParams, label: str, sampling: SamplingSpec) -> None:

@@ -129,6 +129,80 @@ def test_params_reject_c_and_v_together():
         parse_manifest(json.dumps(doc))
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_params_v_must_be_finite(tmp_path, capsys, value):
+    text = json.dumps(_manifest_dict(params=[{"label": "bad", "v": 0.0}]))
+    text = text.replace('"v": 0.0', f'"v": {value}')
+    with pytest.raises(ManifestError, match=r"params\[0\]\.v: expected a finite number"):
+        parse_manifest(text)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--manifest", str(path), "--points", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "params[0].v" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_scalar_drift_must_be_finite(value):
+    text = json.dumps(_manifest_dict(structures=[{"family": "randers", "n": 2, "drift": 0.0}]))
+    text = text.replace('"drift": 0.0', f'"drift": {value}')
+    with pytest.raises(ManifestError, match=r"structures\[0\]\.drift: expected a finite number"):
+        parse_manifest(text)
+
+
+def test_normalised_manifest_is_pinned():
+    doc = {
+        "structures": [
+            {"family": "flat"},
+            {"family": "riemannian_conformal", "n": 3, "c": -1.0, "x_box": 0.5, "label": "hyperbolic-3d"},
+            {"family": "randers", "drift": 0.2},
+            {"family": "randers", "n": 3, "c": -1.0, "drift": [0.1, -0.2, 0.0]},
+            {"family": "expression", "k2": "(1 + 0.5*x1*x1) * p2*p2 + p1*p1",
+             "constant_curvature": None, "x_box": 0.8},
+            {"family": "expression", "label": "euclid", "k2": "p1*p1 + p2*p2", "constant_curvature": 0.0},
+        ],
+        "params": [
+            {"label": "hyperbolic", "alpha": 1.0, "beta": 1.0, "c": -1.0},
+            {"alpha": 1.5, "beta": 0.7, "v": 0.25},
+            {"label": "profiled", "v": "0.1*tau"},
+            {},
+        ],
+        "sampling": {"seed": 4, "p_norm": [0.5, 1.5]},
+    }
+    m = parse_manifest(json.dumps(doc))
+    assert m.echo == {
+        "structures": [
+            {"family": "flat", "n": 2, "label": "flat-2d", "x_box": 1.0},
+            {"family": "riemannian_conformal", "n": 3, "c": -1.0, "label": "hyperbolic-3d", "x_box": 0.5},
+            {"family": "randers", "n": 2, "drift": 0.2, "label": "randers-2d", "x_box": 1.0},
+            {"family": "randers", "n": 3, "c": -1.0, "drift": [0.1, -0.2, 0.0],
+             "label": "randers-curved-3d-c-1", "x_box": 0.9},
+            {"family": "expression", "n": 2, "k2": "(1 + 0.5*x1*x1) * p2*p2 + p1*p1",
+             "label": "expr-2d", "x_box": 0.8},
+            {"family": "expression", "n": 2, "k2": "p1*p1 + p2*p2", "constant_curvature": 0.0,
+             "label": "euclid", "x_box": 1.0},
+        ],
+        "params": [
+            {"label": "hyperbolic", "alpha": 1.0, "beta": 1.0, "c": -1.0},
+            {"label": "alpha=1.5,beta=0.7,v=0.25", "alpha": 1.5, "beta": 0.7, "v": 0.25},
+            {"label": "profiled", "alpha": 1.0, "beta": 1.0, "v": "0.1*tau"},
+            {"label": "alpha=1,beta=1,c=0", "alpha": 1.0, "beta": 1.0, "c": 0.0},
+        ],
+        "sampling": {"seed": 4, "count": 100, "p_norm": [0.5, 1.5]},
+        "tolerances": dict(DEFAULT_TOLERANCES),
+    }
+    assert list(m.structure_configs) == m.echo["structures"]
+    assert [(s.label, s.dim, s.x_box) for s in m.structures] == [
+        ("flat-2d", 2, 1.0),
+        ("hyperbolic-3d", 3, 0.5),
+        ("randers-2d", 2, 1.0),
+        ("randers-curved-3d-c-1", 3, 0.9),
+        ("expr-2d", 2, 0.8),
+        ("euclid", 2, 1.0),
+    ]
+
+
 def test_expression_family_and_overrides():
     doc = _manifest_dict(
         structures=[
@@ -268,14 +342,17 @@ def test_verify_bad_overrides_exit_two_without_report(tmp_path, capsys, flag, va
     assert err.startswith("manifest error: ") and flag in err
 
 
-def _single_check_registry(monkeypatch, error):
-    """Swap the registry for one structure-scope check whose runner raises."""
+def _single_check_registry(monkeypatch, outcome):
+    """Swap the registry for one structure-scope check whose runner raises
+    ``outcome`` if it is an exception and returns it otherwise."""
     from dataclasses import replace
 
     from cartanlab import checks
 
     def runner(ctx, idx, pt):
-        raise error
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     spec = next(s for s in checks.REGISTRY if s.scope == "structure")
     monkeypatch.setattr(checks, "REGISTRY", (replace(spec, run=runner),))
@@ -316,6 +393,23 @@ def test_verify_error_record_names_its_exception(tmp_path, capsys, monkeypatch):
     entry = report["summary"]["by_check"][check_id]
     assert (entry["records"], entry["failed"], entry["errored"]) == (2, 2, 2)
     assert entry["worst_residual"] is None and entry["worst_margin"] is None
+
+
+@pytest.mark.parametrize("residual", [float("nan"), float("inf")])
+def test_non_finite_residual_is_an_error_record(monkeypatch, residual):
+    from cartanlab.checks import run_suite
+
+    check_id = _single_check_registry(monkeypatch, residual)
+    m = parse_manifest(json.dumps(_manifest_dict(structures=[{"family": "flat", "n": 2}])))
+    report = run_suite(with_overrides(m, count=2), only=[check_id])
+    records = report["checks"]
+    assert len(records) == 2
+    for r in records:
+        assert r["residual"] is None and r["pass"] is False
+        assert r["error"] == f"EvaluationDomainError: non-finite residual {residual}"
+    entry = report["summary"]["by_check"][check_id]
+    assert (entry["errored"], entry["worst_residual"], entry["worst_margin"]) == (2, None, None)
+    json.dumps(report, allow_nan=False)  # standard JSON: no NaN or Infinity
 
 
 def test_verify_margins_say_which_records_pass(tmp_path, capsys):
