@@ -586,7 +586,9 @@ def _run_check(spec: CheckSpec, ctx: CheckContext) -> list:
 
 def _margin(spec: CheckSpec, record: CheckRecord) -> float:
     """residual / tolerance (bound) or floor / residual (detection): a
-    record passes exactly when its margin is at most 1."""
+    record passes exactly when its margin is at most 1.  A detection record
+    with residual 0 has an unbounded margin, which `_by_check` writes as
+    null."""
     if spec.mode == "bound":
         return record.residual / record.tolerance
     return record.tolerance / record.residual if record.residual > 0.0 else math.inf
@@ -595,7 +597,7 @@ def _margin(spec: CheckSpec, record: CheckRecord) -> float:
 def _by_check(selected, records) -> dict:
     """Per check id of the sorted ``records``: anchor, record counts, and
     the residual and margin of the record closest to failing (or furthest
-    past it)."""
+    past it); an unbounded margin is null beside its residual of 0."""
     specs = {spec.check_id: spec for spec in selected}
     out = {}
     for cid, group in groupby(records, key=attrgetter("check_id")):
@@ -608,7 +610,7 @@ def _by_check(selected, records) -> dict:
             "failed": sum(1 for r in mine if not r.passed),
             "errored": len(mine) - len(scored),
             "worst_residual": worst[1],
-            "worst_margin": worst[0],
+            "worst_margin": None if worst[0] == math.inf else worst[0],
         }
     return out
 

@@ -21,11 +21,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__
-from .errors import CartanLabError, ManifestError
+from .errors import CartanLabError, EvaluationDomainError, ManifestError
 from .geometry import PointGeometry, frame_block
 from .jets import ChartPoint
 from .kahler import BundleMetric, theta_matrix
@@ -41,22 +42,6 @@ from .operators import (
 )
 
 __all__ = ["main"]
-
-TENSOR_OBJECTS = (
-    "g",
-    "C",
-    "N",
-    "B",
-    "L",
-    "G",
-    "J",
-    "theta",
-    "connection",
-    "curvature",
-    "ricci",
-    "operators",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -82,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tensor.add_argument(
         "--objects",
         required=True,
-        help=f"comma-separated object names from {','.join(TENSOR_OBJECTS)}",
+        help=f"comma-separated object names from {','.join(TENSORS)}",
     )
     tensor.add_argument("--structure", default=None, help="structure label (default: first)")
     tensor.add_argument("--params", default=None, help="params label (default: first)")
@@ -92,12 +77,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _write_report(report: dict, fh) -> None:
     """The verify report as one JSON document with sorted keys, streamed one
     check record per line ("checks" sorts first).  Each line is one
-    ``json.dumps`` call, which runs the C encoder (``indent`` does not)."""
+    ``json.dumps`` call, which runs the C encoder (``indent`` does not).
+    NaN and infinity raise ValueError: the report is standard JSON."""
     fh.write('{\n"checks": [')
     for i, record in enumerate(report["checks"]):
-        fh.write((",\n" if i else "\n") + json.dumps(record, sort_keys=True))
+        fh.write((",\n" if i else "\n") + json.dumps(record, sort_keys=True, allow_nan=False))
     rest = ",\n".join(
-        f"{json.dumps(k)}: {json.dumps(report[k], sort_keys=True)}" for k in sorted(report) if k != "checks"
+        f"{json.dumps(k)}: {json.dumps(report[k], sort_keys=True, allow_nan=False)}"
+        for k in sorted(report)
+        if k != "checks"
     )
     fh.write(f"\n],\n{rest}\n}}\n")
 
@@ -157,98 +145,89 @@ def _select(labels, wanted, what):
     raise ManifestError(f"unknown {what} label {wanted!r}; manifest has {list(labels)}")
 
 
-def _arr(a) -> list:
-    return np.asarray(a, dtype=float).tolist()
+class _Query:
+    """The query point: its geometry, and the bundle metric built on first
+    use, so that g, C, N, B and L need no positive deformed metric."""
+
+    def __init__(self, structure, params, at: ChartPoint):
+        self.structure, self.params, self.at = structure, params, at
+        self.geom = PointGeometry(structure, at)
+
+    @cached_property
+    def metric(self) -> BundleMetric:
+        return BundleMetric(self.geom, self.params)
 
 
-def _tensor_objects(structure, params, at, names):
-    geom = PointGeometry(structure, at)
+def _connection(q: _Query) -> dict:
+    conn = lc_closed_form(q.structure, q.at, q.params, geom=q.geom, metric=q.metric)
+    doc = {key: {t: frame_block(conn, key + t) for t in "hv"} for key in ("v_v", "h_v", "v_h", "h_h")}
+    return {"c_effective": q.params.c_at(q.geom.tau), **doc}
+
+
+def _curvature(q: _Query) -> dict:
+    k = curvature_closed(q.structure, q.at, q.params, geom=q.geom, metric=q.metric)
+    return {which: {t: frame_block(k, which + t) for t in "hv"} for which in CURVATURE_BLOCKS}
+
+
+def _ricci(q: _Query) -> dict:
+    rd = ricci(q.structure, q.at, q.params, geom=q.geom, metric=q.metric)
+    ric = {f"Ric_{kinds}": frame_block(rd.ric, kinds) for kinds in ("hh", "vv", "hv", "vh")}
+    return {**ric, "lambda_hat": rd.lambda_hat, "defect": rd.defect}
+
+
+def _operators(q: _Query) -> dict:
+    m = operator_context(q.structure, q.at, q.params, geom=q.geom, metric=q.metric)
+    lap = laplacian(m, lambda pt: q.structure.k2_values(pt.x, pt.p))
+    return {
+        "div_spray": divergence(m, geodesic_spray(m)),
+        "div_liouville": divergence(m, liouville_field(m)),
+        "laplacian_k2_direct": lap.direct,
+        "laplacian_k2_closed": lap.closed,
+    }
+
+
+#: each object of ``cartanlab tensor``: name -> (formula anchor, builder of
+#: its arrays and numbers from the `_Query`)
+TENSORS = {
+    "g": ("fundamental-tensor", lambda q: {
+        "g_up": q.geom.g_up, "g_down": q.geom.g_down, "p_up": q.geom.p_up, "tau": q.geom.tau,
+    }),
+    "C": ("cartan-tensor", lambda q: {"C_upupup": q.geom.C_uuu, "mean_cartan": q.geom.I_up}),
+    "N": ("nonlinear-connection", lambda q: {"N": q.geom.N}),
+    "B": ("berwald-coefficients", lambda q: {"B": q.geom.B}),
+    "L": ("landsberg", lambda q: {"L_uud": q.geom.L_uud, "mean_landsberg": q.geom.J_down}),
+    "G": ("bundle-metric", lambda q: {"G_down": q.metric.G_down, "G_up": q.metric.G_up}),
+    # column b holds the adapted components of J(F_b)
+    "J": ("almost-complex", lambda q: {"matrix": q.metric.complex_jets.value.T}),
+    "theta": ("canonical-form", lambda q: {"matrix": theta_matrix(q.metric)}),
+    "connection": ("connection-blocks", _connection),
+    "curvature": ("curvature-blocks", _curvature),
+    "ricci": ("ricci-traces", _ricci),
+    "operators": ("frame-divergence", _operators),
+}
+
+
+def _as_lists(value, name: str):
+    """``value`` with every array or number as (nested lists of) floats,
+    recursing into dicts; a non-finite number raises EvaluationDomainError
+    naming the object."""
+    if isinstance(value, dict):
+        return {key: _as_lists(v, name) for key, v in value.items()}
+    a = np.asarray(value, dtype=float)
+    if not np.isfinite(a).all():
+        raise EvaluationDomainError(f"object {name!r} has a non-finite value")
+    return a.tolist()
+
+
+def _tensor_objects(structure, params, at, names) -> dict:
+    unknown = [name for name in names if name not in TENSORS]
+    if unknown:
+        raise ManifestError(f"unknown object {unknown[0]!r}; choose from {', '.join(TENSORS)}")
+    q = _Query(structure, params, at)
     out = {}
-    metric = None
-
-    def need_metric():
-        nonlocal metric
-        if metric is None:
-            metric = BundleMetric(geom, params)
-        return metric
-
     for name in names:
-        if name == "g":
-            out[name] = {
-                "anchor": "fundamental-tensor",
-                "g_up": _arr(geom.g_up),
-                "g_down": _arr(geom.g_down),
-                "p_up": _arr(geom.p_up),
-                "tau": float(geom.tau),
-            }
-        elif name == "C":
-            out[name] = {
-                "anchor": "cartan-tensor",
-                "C_upupup": _arr(geom.C_uuu),
-                "mean_cartan": _arr(geom.I_up),
-            }
-        elif name == "N":
-            out[name] = {"anchor": "nonlinear-connection", "N": _arr(geom.N)}
-        elif name == "B":
-            out[name] = {"anchor": "berwald-coefficients", "B": _arr(geom.B)}
-        elif name == "L":
-            out[name] = {
-                "anchor": "landsberg",
-                "L_uud": _arr(geom.L_uud),
-                "mean_landsberg": _arr(geom.J_down),
-            }
-        elif name == "G":
-            m = need_metric()
-            out[name] = {
-                "anchor": "bundle-metric",
-                "G_down": _arr(m.G_down),
-                "G_up": _arr(m.G_up),
-            }
-        elif name == "J":
-            # column b holds the adapted components of J(F_b)
-            out[name] = {
-                "anchor": "almost-complex",
-                "matrix": _arr(need_metric().complex_jets.value.T),
-            }
-        elif name == "theta":
-            out[name] = {
-                "anchor": "canonical-form",
-                "matrix": _arr(theta_matrix(need_metric())),
-            }
-        elif name == "connection":
-            conn = lc_closed_form(structure, at, params, geom=geom, metric=need_metric())
-            doc = {"anchor": "connection-blocks", "c_effective": float(params.c_at(geom.tau))}
-            for key in ("v_v", "h_v", "v_h", "h_h"):
-                doc[key] = {t: _arr(frame_block(conn, key + t)) for t in "hv"}
-            out[name] = doc
-        elif name == "curvature":
-            k = curvature_closed(structure, at, params, geom=geom, metric=need_metric())
-            doc = {"anchor": "curvature-blocks"}
-            for which in CURVATURE_BLOCKS:
-                doc[which] = {t: _arr(frame_block(k, which + t)) for t in "hv"}
-            out[name] = doc
-        elif name == "ricci":
-            rd = ricci(structure, at, params, geom=geom, metric=need_metric())
-            out[name] = {
-                "anchor": "ricci-traces",
-                **{f"Ric_{kinds}": _arr(frame_block(rd.ric, kinds)) for kinds in ("hh", "vv", "hv", "vh")},
-                "lambda_hat": float(rd.lambda_hat),
-                "defect": float(rd.defect),
-            }
-        elif name == "operators":
-            m = operator_context(structure, at, params, geom=geom, metric=need_metric())
-            lap = laplacian(m, lambda q: structure.k2_values(q.x, q.p))
-            out[name] = {
-                "anchor": "frame-divergence",
-                "div_spray": float(divergence(m, geodesic_spray(m))),
-                "div_liouville": float(divergence(m, liouville_field(m))),
-                "laplacian_k2_direct": float(lap.direct),
-                "laplacian_k2_closed": float(lap.closed),
-            }
-        else:
-            raise ManifestError(
-                f"unknown object {name!r}; choose from {', '.join(TENSOR_OBJECTS)}"
-            )
+        anchor, build = TENSORS[name]
+        out[name] = {"anchor": anchor, **_as_lists(build(q), name)}
     return out
 
 
@@ -277,7 +256,7 @@ def _cmd_tensor(args) -> int:
         },
         "objects": objects,
     }
-    _emit(lambda fh: fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n"), args.out)
+    _emit(lambda fh: fh.write(json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"), args.out)
     return 0
 
 

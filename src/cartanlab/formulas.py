@@ -171,6 +171,7 @@ INDEX: Mapping[str, FormulaEntry] = {
         "For c > 0 the bundle metric stays positive definite only on the "
         "tube 2 tau < 1 / (c beta^2); samplers and manifests must keep "
         "points inside (with margin alpha + 2 tau v >= 0.2 alpha).",
+        "kahler.DeformationParams.gauge (alpha + 2 tau v) / kahler.TUBE_MARGIN / "
         "kahler.tube_predicate / manifest (feasibility validation)",
     ),
     "almost-complex": FormulaEntry(

@@ -875,7 +875,7 @@ def _first(bad: np.ndarray):
     return np.unravel_index(hits[0], bad.shape) if hits.size else None
 
 
-def invert(m: np.ndarray, cond_bound: float = CONDITION_BOUND) -> np.ndarray:
+def invert(m: np.ndarray) -> np.ndarray:
     """Invert a symmetric matrix with symmetry and conditioning guards.
 
     A stack of matrices (leading batch axes) is inverted matrix by matrix,
@@ -894,11 +894,11 @@ def invert(m: np.ndarray, cond_bound: float = CONDITION_BOUND) -> np.ndarray:
     if bad is not None:
         raise ValueError("matrix is not symmetric within 1e-10 relative" + where(bad))
     cond = np.linalg.cond(m)
-    bad = _first(~np.isfinite(cond) | (cond > cond_bound))
+    bad = _first(~np.isfinite(cond) | (cond > CONDITION_BOUND))
     if bad is not None:
         piv, idx = _worst_pivot(m[bad])
         raise ConditioningError(
-            f"condition estimate {float(cond[bad]):.3e} exceeds bound {cond_bound:.1e} "
+            f"condition estimate {float(cond[bad]):.3e} exceeds bound {CONDITION_BOUND:.1e} "
             f"(worst pivot {piv:.3e} at elimination step {idx})" + where(bad)
         )
     inv = np.linalg.inv(m)

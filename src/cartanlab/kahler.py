@@ -19,6 +19,10 @@ J maps delta_i -> G_ik pdot^k and pdot^i -> -G^ik delta_k; the fundamental
 form G(X, JY) is the canonical symplectic pairing of the chart regardless of
 the deformation parameters.
 
+The profile v(tau) is a number or an expression string in tau
+(`DeformationParams`); the sampled points keep the gauge alpha + 2 tau v
+at least ``TUBE_MARGIN`` alpha (`tube_predicate`).
+
 A frame field is its (2n,) array of adapted components (see `geometry`).
 ``BundleMetric.gram`` is the Gram matrix G(F_a, F_b) = block-diag(G_ij, G^ij)
 of the adapted basis, so G(X, Y) is ``x @ gram @ y``; row a of
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .geometry import PointGeometry, frame_block, lie_brackets
 from .jets import ChartPoint, Jet, contract
 
 __all__ = [
+    "TUBE_MARGIN",
     "DeformationParams",
     "BundleMetric",
     "IntegrabilityDefect",
@@ -49,20 +54,23 @@ __all__ = [
     "point_state",
 ]
 
+#: share of alpha that the gauge alpha + 2 tau v(tau) keeps at every sampled
+#: point (`tube_predicate`, and the manifest's feasibility check)
+TUBE_MARGIN = 0.2
+
 
 @dataclass(frozen=True, eq=False)
 class DeformationParams:
     """Scaling constants alpha, beta > 0 and the deformation profile.
 
-    Give either c (profile v = -c alpha beta^2, constant) or v (a constant,
-    a callable of tau, or an expression string over 'tau').  Omitting both
-    means v = 0.
+    Give either c (profile v = -c alpha beta^2, constant) or v (a number
+    or an expression string in 'tau').  Omitting both means v = 0.
     """
 
     alpha: float = 1.0
     beta: float = 1.0
     c: Optional[float] = None
-    v: Union[None, float, str, Callable] = None
+    v: Union[None, float, str] = None
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
@@ -89,9 +97,6 @@ class DeformationParams:
             compiled = parse_scalar_expression(v, ["tau"])
             fn = lambda tau: compiled({"tau": tau})
             desc = f"v={v}"
-        elif callable(v):
-            fn = v
-            desc = "v=<callable>"
         else:
             raise ValueError(f"unsupported deformation profile {v!r}")
         object.__setattr__(self, "_v_fn", fn)
@@ -103,9 +108,11 @@ class DeformationParams:
 
     def c_at(self, tau: float) -> float:
         """Effective curvature constant -v(tau)/(alpha beta^2) at this energy."""
-        out = self.v_at(tau)
-        val = out.value if isinstance(out, Jet) else float(out)
-        return -val / (self.alpha * self.beta**2)
+        return -float(self.v_at(tau)) / (self.alpha * self.beta**2)
+
+    def gauge(self, tau: float) -> float:
+        """alpha + 2 tau v(tau), positive exactly where the bundle metric is."""
+        return self.alpha + 2.0 * tau * float(self.v_at(tau))
 
     def describe(self) -> str:
         return f"alpha={self.alpha:g},beta={self.beta:g},{self._desc}"
@@ -140,8 +147,7 @@ class BundleMetric:
         self.geom = geom
         self.at = geom.at
         self.params = params
-        v_val = params.v_at(geom.tau)
-        v_val = v_val.value if isinstance(v_val, Jet) else float(v_val)
+        v_val = float(params.v_at(geom.tau))
         gauge = params.alpha + 2.0 * geom.tau * v_val
         if gauge <= 0.0:
             raise EvaluationDomainError(
@@ -229,15 +235,12 @@ class IntegrabilityDefect(NamedTuple):
 
 def tube_predicate(s, params: DeformationParams):
     """Point filter keeping a safety margin inside the positivity domain:
-    accepts points with alpha + 2 tau v(tau) >= 0.2 alpha (for the constant
-    specialization this is 2 tau <= 0.8/(c beta^2) when c > 0, and no
-    constraint when c <= 0)."""
+    accepts points with alpha + 2 tau v(tau) >= TUBE_MARGIN alpha (for the
+    constant specialization this is 2 tau <= 0.8/(c beta^2) when c > 0, and
+    no constraint when c <= 0)."""
 
     def accept(pt) -> bool:
-        tau = 0.5 * s.k2_values(pt.x, pt.p)
-        v = params.v_at(tau)
-        v = v.value if isinstance(v, Jet) else float(v)
-        return params.alpha + 2.0 * tau * v >= 0.2 * params.alpha
+        return params.gauge(0.5 * s.k2_values(pt.x, pt.p)) >= TUBE_MARGIN * params.alpha
 
     return accept
 

@@ -50,7 +50,7 @@ from .cartan import (
 )
 from .errors import CartanLabError, ManifestError
 from .jets import ChartPoint
-from .kahler import DeformationParams
+from .kahler import TUBE_MARGIN, DeformationParams
 
 __all__ = [
     "DEFAULT_SAMPLING",
@@ -70,8 +70,6 @@ DEFAULT_TOLERANCES = {"jet_exact": 1e-9, "fd_single": 1e-5, "fd_double": 1e-3}
 DEFAULT_SAMPLING = {"seed": 0, "count": 100, "p_norm": (0.5, 2.0)}
 
 _EPS = float(np.finfo(float).eps)
-# margin used by kahler.tube_predicate: alpha + 2 tau v >= 0.2 alpha
-_GAUGE_MARGIN = 0.2
 
 
 @dataclass(frozen=True)
@@ -307,7 +305,7 @@ def _parse_params(entry, index: int):
     if params.c is not None or params.v is None:
         echo["c"] = params.c if params.c is not None else 0.0
     else:
-        echo["v"] = params.v if isinstance(params.v, (int, float, str)) else "<callable>"
+        echo["v"] = params.v
     return params, label, echo
 
 
@@ -367,10 +365,9 @@ def _check_tube_feasibility(s: CartanStructure, params: DeformationParams, label
         tau = 0.5 * k2
         least_2tau = k2 if least_2tau is None else min(least_2tau, k2)
         try:
-            v = float(params.v_at(tau))
+            margin = params.gauge(tau) - TUBE_MARGIN * params.alpha
         except Exception:
             continue
-        margin = (params.alpha + 2.0 * tau * v) - _GAUGE_MARGIN * params.alpha
         best_margin = margin if best_margin is None else max(best_margin, margin)
     if best_margin is None:
         _fail(
@@ -394,7 +391,7 @@ def _check_tube_feasibility(s: CartanStructure, params: DeformationParams, label
             "sampling",
             f"structure '{s.label}' with params '{label}': no probe point "
             f"satisfies the positivity gauge alpha + 2*tau*v(tau) > "
-            f"{_GAUGE_MARGIN:g}*alpha; the deformation profile makes the "
+            f"{TUBE_MARGIN:g}*alpha; the deformation profile makes the "
             f"bundle metric indefinite on the whole sampling region",
         )
 

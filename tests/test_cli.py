@@ -342,9 +342,10 @@ def test_verify_bad_overrides_exit_two_without_report(tmp_path, capsys, flag, va
     assert err.startswith("manifest error: ") and flag in err
 
 
-def _single_check_registry(monkeypatch, outcome):
-    """Swap the registry for one structure-scope check whose runner raises
-    ``outcome`` if it is an exception and returns it otherwise."""
+def _single_check_registry(monkeypatch, outcome, check_id=None):
+    """Swap the registry for one check, ``check_id`` or else the first
+    structure-scope one, whose runner raises ``outcome`` if it is an
+    exception and returns it otherwise."""
     from dataclasses import replace
 
     from cartanlab import checks
@@ -354,7 +355,9 @@ def _single_check_registry(monkeypatch, outcome):
             raise outcome
         return outcome
 
-    spec = next(s for s in checks.REGISTRY if s.scope == "structure")
+    spec = next(
+        s for s in checks.REGISTRY if s.check_id == check_id or (check_id is None and s.scope == "structure")
+    )
     monkeypatch.setattr(checks, "REGISTRY", (replace(spec, run=runner),))
     return spec.check_id
 
@@ -409,6 +412,22 @@ def test_non_finite_residual_is_an_error_record(monkeypatch, residual):
         assert r["error"] == f"EvaluationDomainError: non-finite residual {residual}"
     entry = report["summary"]["by_check"][check_id]
     assert (entry["errored"], entry["worst_residual"], entry["worst_margin"]) == (2, None, None)
+    json.dumps(report, allow_nan=False)  # standard JSON: no NaN or Infinity
+
+
+def test_zero_residual_detection_record_fails_with_a_null_margin(monkeypatch):
+    # floor / 0 is an unbounded margin: the record fails, and the summary
+    # stays standard JSON with a null margin beside the residual 0
+    from cartanlab.checks import run_suite
+
+    check_id = _single_check_registry(monkeypatch, 0.0, "kahler.nijenhuis_detects_mismatch")
+    m = parse_manifest(json.dumps(_manifest_dict()))
+    report = run_suite(with_overrides(m, count=2), only=[check_id])
+    records = report["checks"]
+    assert records and all(r["residual"] == 0.0 and r["pass"] is False for r in records)
+    entry = report["summary"]["by_check"][check_id]
+    assert entry["failed"] == len(records)
+    assert (entry["worst_residual"], entry["worst_margin"]) == (0.0, None)
     json.dumps(report, allow_nan=False)  # standard JSON: no NaN or Infinity
 
 
@@ -504,6 +523,49 @@ def test_tensor_rejects_bad_requests(tmp_path, capsys):
                  "--params", "flat-gauge", "--point", "0;1,1",
                  "--objects", "g"]) == 2
     capsys.readouterr()
+
+
+def test_tensor_objects_carry_their_table_anchor(tmp_path, capsys):
+    from cartanlab.cli import TENSORS
+    from cartanlab.formulas import INDEX
+
+    path = _write(tmp_path, _manifest_dict())
+    code, out = _run(capsys, ["tensor", "--manifest", path, "--structure", "conformal-2d-c-1",
+                              "--params", "hyperbolic", "--point", "0.1,0.2;0.7,0.4",
+                              "--objects", ",".join(TENSORS)])
+    assert code == 0
+    objects = json.loads(out)["objects"]
+    assert {name: obj["anchor"] for name, obj in objects.items()} == {
+        name: anchor for name, (anchor, _build) in TENSORS.items()
+    }
+    assert all(anchor in INDEX for anchor, _build in TENSORS.values())
+
+
+def test_tensor_base_objects_need_no_positive_bundle_metric(tmp_path, capsys):
+    # spherical gauge alpha + 2 tau v = 1 - 2 tau < 0 at tau = 4: the base
+    # tensors are still defined, the deformed metric is not
+    doc = _manifest_dict()
+    doc["params"].append({"label": "spherical", "alpha": 1.0, "beta": 1.0, "c": 1.0})
+    path = _write(tmp_path, doc)
+    base = ["tensor", "--manifest", path, "--structure", "flat-2d", "--params", "spherical",
+            "--point", "0.1,0.2;2,2", "--objects"]
+    code, out = _run(capsys, base + ["g,C,N,B,L"])
+    assert code == 0 and sorted(json.loads(out)["objects"]) == ["B", "C", "L", "N", "g"]
+    assert main(base + ["g,G"]) == 3
+    assert "loses positivity" in capsys.readouterr().err
+
+
+def test_tensor_non_finite_value_exits_three_without_document(tmp_path, capsys):
+    # at |p| ~ 1e100 the Gram norm in Ricci's lambda_hat overflows to NaN
+    path = _write(tmp_path, _manifest_dict())
+    out = tmp_path / "t.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["tensor", "--manifest", path, "--structure", "conformal-2d-c-1",
+                     "--params", "hyperbolic", "--point=0.1,0.2;1e100,1e100",
+                     "--objects", "g,ricci", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and not out.exists()
+    assert err.startswith("evaluation error: object 'ricci' has a non-finite value")
 
 
 @pytest.mark.parametrize("point", ["nan,0.1;0.5,0.5", "0.1,0.1;inf,0.5", "0.1,0.1;0,0"])

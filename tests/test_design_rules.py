@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import cartanlab
-from cartanlab import levicivita
+from cartanlab import berwald, levicivita, operators
 from cartanlab.cartan import conformal_structure
 from cartanlab.geometry import PointGeometry
 from cartanlab.kahler import BundleMetric, DeformationParams
@@ -23,15 +23,43 @@ CASES = [
     (general_randers(3), DeformationParams(alpha=1.3, beta=0.8, c=0.0), pt([0.2, -0.3, 0.1], [1.0, 0.6, -0.4])),
 ]
 
-# oracle name -> (functions it must never enter, functions it must enter)
+# how the oracles of each module run on a fresh geometry and metric
+CALLS = {
+    levicivita: lambda oracle, s, at, params, metric: oracle(s, at, params, metric=metric),
+    berwald: lambda oracle, s, at, params, metric: oracle(s, at, geom=metric.geom),
+    operators: lambda oracle, s, at, params, metric: oracle(metric),
+}
+
+# oracle name -> (its module, functions it must never enter, functions it must enter)
 RULES = {
     "koszul_oracle": (
+        levicivita,
         {"lc_closed_form", "_connection", "_connection_jet", "_closed_blocks", "_closed_curvature"},
         {"_koszul_table", "_x_partials", "_p_partials"},
     ),
     "curvature_defn": (
+        levicivita,
         {"_closed_blocks", "_closed_curvature", "curvature_closed", "ricci"},
         {"_defn_curvature", "_connection_jet", "_x_partials"},
+    ),
+    # N from finite differences of g, never from the jet route of N or B
+    "nonlinear_connection_fd": (
+        berwald,
+        {"gamma_jets", "N_jets", "N", "B_jets", "B"},
+        {"fd_stencil", "fd_combine", "g_down"},
+    ),
+    # the curvature R from finite differences of B, never from its jets
+    "berwald_curvature_fd": (
+        berwald,
+        {"R_curv", "R_vv_jets", "R_vv", "P_curv", "delta", "h_cov"},
+        {"fd_stencil", "fd_combine", "B"},
+    ),
+    # delta_i ln sqrt det g from finite differences, never from the
+    # connection trace or the exact jet
+    "fd_dln_sqrtg_h": (
+        operators,
+        {"dln_sqrtg_h", "lc_closed_form", "_connection_jet", "_frame_divergences", "_landsberg_trace"},
+        {"_dln_sqrtg_h_fd", "fd_partial", "dln_sqrtg_v"},
     ),
 }
 
@@ -53,10 +81,10 @@ def _entered(run) -> set:
 
 
 def _assert_independent(name, s, params, at):
-    forbidden, required = RULES[name]
-    oracle = getattr(levicivita, name)
+    module, forbidden, required = RULES[name]
+    oracle = getattr(module, name)
     metric = BundleMetric(PointGeometry(s, at), params)
-    entered = _entered(lambda: oracle(s, at, params, metric=metric))
+    entered = _entered(lambda: CALLS[module](oracle, s, at, params, metric))
     assert required <= entered, f"{name} entered {sorted(entered)}"
     assert not entered & forbidden, f"{name} entered {sorted(entered & forbidden)}"
 
@@ -78,3 +106,14 @@ def test_an_oracle_that_reads_the_closed_form_fails_the_rule(monkeypatch):
     with pytest.raises(AssertionError, match="lc_closed_form"):
         _assert_independent("koszul_oracle", *CASES[0])
 
+
+def test_an_fd_oracle_that_reads_the_exact_connection_fails_the_rule(monkeypatch):
+    fd = berwald.nonlinear_connection_fd
+
+    def leaky(s, at, geom=None):
+        geom.N  # the jet-route connection the oracle is meant to check
+        return fd(s, at, geom=geom)
+
+    monkeypatch.setattr(berwald, "nonlinear_connection_fd", leaky)
+    with pytest.raises(AssertionError, match="'N'"):
+        _assert_independent("nonlinear_connection_fd", *CASES[0])

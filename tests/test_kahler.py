@@ -75,11 +75,14 @@ def test_params_validation():
         DeformationParams(beta=-1.0)
     with pytest.raises(ValueError):
         DeformationParams(c=1.0, v=0.5)
+    with pytest.raises(ValueError, match="unsupported deformation profile"):
+        DeformationParams(v=lambda tau: 0.5)  # a profile is a number or a string in tau
     p = DeformationParams(alpha=2.0, beta=0.5, c=3.0)
     assert p.v_at(0.7) == pytest.approx(-3.0 * 2.0 * 0.25)
     assert p.c_at(0.7) == pytest.approx(3.0)
     q = DeformationParams(v="-2*tau")
     assert q.v_at(0.5) == pytest.approx(-1.0)
+    assert q.gauge(0.5) == pytest.approx(1.0 + 2.0 * 0.5 * -1.0)
     assert "alpha=2" in p.describe()
     assert "alpha=1" in q.describe()
 
