@@ -31,10 +31,13 @@ Runners compare whole tables over the adapted basis: the Koszul check the
 oracle table with the closed connection table, the curvature-block checks
 ``geometry.frame_block`` slices of the closed and the definition curvature
 tables, and the Ricci checks the one Ricci table and its blocks.  All
-pair-scope state of a point (the tables, the connection defects, the
-shared finite-difference partials and the operators' tables) is kept on the
-point's ``BundleMetric``, so a scope memoizes only each point's geometry
-and metric and the Randers limit structures.
+pair-scope state of a point (the tables, the connection defects and the
+operators' tables) is kept on the point's ``BundleMetric``, so a scope
+memoizes only each point's geometry and metric and the Randers limit
+structures.  A scope runs point by point: every applicable check whose
+cap admits the point runs there, then the point's geometry and metric are
+dropped, so one point's state is alive at a time.  Records are sorted
+when the suite ends.
 
 Two checks run in *detection* mode: instead of requiring a residual
 below tolerance they require it **above** a floor (a deliberately broken
@@ -141,7 +144,8 @@ class CheckSpec:
 
 
 class CheckContext:
-    """Sampled points plus memoized per-point geometry for one scope."""
+    """Sampled points plus the memoized geometry and metric of the point
+    being checked, for one scope."""
 
     def __init__(self, manifest, structure, config, s_index, params=None, param_label=None, p_index=None):
         self.manifest = manifest
@@ -537,11 +541,11 @@ REGISTRY = (
     CheckSpec("kahler.nijenhuis_integrable", "nijenhuis", "jet_exact", "pair", _r_nijenhuis_integrable, cap=6, applies=_matching),
     CheckSpec("kahler.nijenhuis_detects_mismatch", "nijenhuis", "fd_single", "pair", _r_nijenhuis_detects, cap=4, mode="exceeds", floor=1e-2, applies=_matching),
     # ---- pair scope: Levi-Civita
-    CheckSpec("levicivita.koszul_agreement", "koszul", "fd_single", "pair", _r_koszul, tol_factor=10.0, cap=4, applies=_matching),
+    CheckSpec("levicivita.koszul_agreement", "koszul", "jet_exact", "pair", _r_koszul, tol_factor=10.0, cap=4, applies=_matching),
     CheckSpec("levicivita.torsion_free", "connection-blocks", "jet_exact", "pair", _r_torsion, tol_factor=10.0, cap=8, applies=_matching),
     CheckSpec("levicivita.metric_compatible", "connection-blocks", "jet_exact", "pair", _r_metric_compat, tol_factor=10.0, cap=8),
-    CheckSpec("levicivita.curvature_blocks_universal", "curvature-blocks", "fd_single", "pair", _r_blocks_universal, cap=3),
-    CheckSpec("levicivita.curvature_blocks_paired", "curvature-blocks", "fd_single", "pair", _r_blocks_paired, cap=3, applies=_matching),
+    CheckSpec("levicivita.curvature_blocks_universal", "curvature-blocks", "jet_exact", "pair", _r_blocks_universal, cap=3),
+    CheckSpec("levicivita.curvature_blocks_paired", "curvature-blocks", "jet_exact", "pair", _r_blocks_paired, cap=3, applies=_matching),
     CheckSpec("levicivita.einstein_forward", "einstein-forward", "jet_exact", "pair", _r_einstein_forward, cap=5, applies=_matching_riemannian),
     CheckSpec("levicivita.einstein_defect_nonriemannian", "einstein-obstruction", "fd_double", "pair", _r_einstein_defect, cap=4, mode="exceeds", floor=1e-2, applies=_matching_nonriemannian),
     CheckSpec("levicivita.einstein_obstruction_identity", "einstein-obstruction", "jet_exact", "pair", _r_obstruction_identity, tol_factor=10.0, cap=5),
@@ -560,28 +564,23 @@ def _point_payload(pt: ChartPoint) -> dict:
     return {"x": [float(v) for v in pt.x], "p": [float(v) for v in pt.p]}
 
 
-def _run_check(spec: CheckSpec, ctx: CheckContext) -> list:
-    tolerances = ctx.manifest.tolerances
+def _record(spec: CheckSpec, ctx: CheckContext, idx: int, pt: ChartPoint) -> Optional[CheckRecord]:
+    """The record of one check at one sampled point, or None if the runner
+    skips the point."""
     if spec.mode == "bound":
-        tol = tolerances[spec.category] * spec.tol_factor
+        tol = ctx.manifest.tolerances[spec.category] * spec.tol_factor
     else:
         tol = spec.floor
-    points = ctx.points if spec.cap is None else ctx.points[: spec.cap]
-    records = []
-    for idx, pt in enumerate(points):
-        try:
-            residual = float(spec.run(ctx, idx, pt))
-            if not math.isfinite(residual):
-                raise EvaluationDomainError(f"non-finite residual {residual}")
-        except SkipPoint:
-            continue
-        except CartanLabError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            records.append(CheckRecord(spec.check_id, ctx.tag, idx, None, tol, False, error))
-            continue
-        ok = residual <= tol if spec.mode == "bound" else residual >= tol
-        records.append(CheckRecord(spec.check_id, ctx.tag, idx, residual, tol, bool(ok)))
-    return records
+    try:
+        residual = float(spec.run(ctx, idx, pt))
+        if not math.isfinite(residual):
+            raise EvaluationDomainError(f"non-finite residual {residual}")
+    except SkipPoint:
+        return None
+    except CartanLabError as exc:
+        return CheckRecord(spec.check_id, ctx.tag, idx, None, tol, False, f"{type(exc).__name__}: {exc}")
+    ok = residual <= tol if spec.mode == "bound" else residual >= tol
+    return CheckRecord(spec.check_id, ctx.tag, idx, residual, tol, bool(ok))
 
 
 def _margin(spec: CheckSpec, record: CheckRecord) -> float:
@@ -633,12 +632,17 @@ def run_suite(manifest: Manifest, only=None) -> dict:
     records, points = [], {}
 
     def run_scope(ctx, scope):
-        got = [
-            rec
-            for spec in selected
-            if spec.scope == scope and spec.applies(ctx)
-            for rec in _run_check(spec, ctx)
-        ]
+        # point by point, so only one point's geometry and metric are alive
+        specs = [spec for spec in selected if spec.scope == scope and spec.applies(ctx)]
+        got = []
+        for idx, pt in enumerate(ctx.points):
+            for spec in specs:
+                if spec.cap is None or idx < spec.cap:
+                    rec = _record(spec, ctx, idx, pt)
+                    if rec is not None:
+                        got.append(rec)
+            ctx.memo.pop(("geom", idx), None)
+            ctx.memo.pop(("metric", idx), None)
         if got:
             points[ctx.tag] = [_point_payload(pt) for pt in ctx.points]
             records.extend(got)
@@ -652,10 +656,12 @@ def run_suite(manifest: Manifest, only=None) -> dict:
         for pi, (params, plabel) in enumerate(
             zip(manifest.params, manifest.param_labels)
         ):
-            pctx = CheckContext(
-                manifest, structure, config, si, params=params, param_label=plabel, p_index=pi
+            run_scope(
+                CheckContext(
+                    manifest, structure, config, si, params=params, param_label=plabel, p_index=pi
+                ),
+                "pair",
             )
-            run_scope(pctx, "pair")
     records.sort(key=lambda r: (r.check_id, r.structure, r.index))
     passed = sum(1 for r in records if r.passed)
     report = {

@@ -59,8 +59,8 @@ INDEX: Mapping[str, FormulaEntry] = {
         "jets.Jet / jets.jet_eval / jets.fd_partial",
     ),
     "fd-oracles": FormulaEntry(
-        "Independent finite-difference oracles, used to arbitrate every "
-        "closed-form table: central differences with steps scaled by "
+        "Independent finite-difference oracles of N, of the curvature R and "
+        "of the log-volume derivative: central differences with steps scaled by "
         "max(1, |coordinate|), Richardson-extrapolated over two step sizes, "
         "except the nonlinear-connection oracle, which takes one plain step "
         "of 1e-4.  Every oracle takes first derivatives of point values "
@@ -68,7 +68,6 @@ INDEX: Mapping[str, FormulaEntry] = {
         "jets.fd_partial).",
         "jets.fd_partial / jets.fd_combine / "
         "berwald.nonlinear_connection_fd / berwald.berwald_curvature_fd / "
-        "levicivita.koszul_oracle / levicivita.curvature_defn / "
         "operators.fd_dln_sqrtg_h",
     ),
     "harness": FormulaEntry(
@@ -198,7 +197,9 @@ INDEX: Mapping[str, FormulaEntry] = {
     "koszul": FormulaEntry(
         "Koszul formula 2 G(nabla_X Y, Z) = X G(Y,Z) + Y G(X,Z) - Z G(X,Y) "
         "+ G([X,Y], Z) - G([X,Z], Y) - G([Y,Z], X) on adapted frame "
-        "fields; the independent oracle for the closed connection table.",
+        "fields; the independent oracle for the closed connection table, "
+        "with the frame derivatives X G(Y, Z) read exactly off the first "
+        "chart partials of the jets of G_ij and G^ij.",
         "levicivita.koszul_oracle (the whole table, brackets from "
         "geometry.PointGeometry.basis_brackets) / geometry.lie_brackets / "
         "levicivita.lc_closed_form",
@@ -215,8 +216,8 @@ INDEX: Mapping[str, FormulaEntry] = {
     "curvature-defn": FormulaEntry(
         "Curvature by definition: K(X, Y)Z = nabla_X nabla_Y Z - nabla_Y "
         "nabla_X Z - nabla_[X,Y] Z over every slot triple at once, "
-        "evaluated with finite-difference frame derivatives of the closed "
-        "connection table and the basis brackets.",
+        "evaluated with exact frame derivatives of the closed connection "
+        "table (the first chart partials of its jet) and the basis brackets.",
         "levicivita.curvature_defn (the whole table, as "
         "levicivita.curvature_closed; curvature_context is the same "
         "function)",

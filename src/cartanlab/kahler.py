@@ -159,10 +159,9 @@ class BundleMetric:
         )
         #: all per-point state derived from this metric, built on first use:
         #: the Nijenhuis table, the Koszul table, the connection jet and its
-        #: defects, the curvature table, the curvature-definition context and
-        #: the FD partials it shares with the Koszul table, Ricci, and
-        #: the operators' frame divergences, mean Landsberg trace and
-        #: finite-difference log-volume partials
+        #: defects, the curvature table, the curvature-definition table,
+        #: Ricci, and the operators' frame divergences, mean Landsberg trace
+        #: and finite-difference log-volume partials
         self.derived: dict = {}
 
     def derive(self, key: str, build):

@@ -18,24 +18,19 @@ Routes kept deliberately separate:
   bundle metric.  The table is the value of one (2n, 2n, 2n) jet
   (``_connection_jet``), which the definition route differentiates.
 * ``koszul_oracle`` re-derives the whole connection table from the six-term
-  Koszul formula using finite-difference frame derivatives of the metric
-  components and measured frame brackets; it shares no algebra with the
-  closed forms.  The ingredients: the G-pairings of the basis bracket table
-  [F_a, F_b] (``PointGeometry.basis_brackets``, one ``geometry.lie_brackets``
-  build through the coordinate frame, never quoted from B or R_vv); the
-  frame derivatives F_a(G(F_b, F_c)), from Richardson-extrapolated
-  central differences of the whole 2n x 2n metric; and the inverse of the
-  Gram matrix ``BundleMetric.gram``.
-* The Koszul oracle and the definition route below difference the same
-  neighborhood with the same steps, so they share one evaluation per
-  shifted point, kept on the center metric as two read-only arrays of one
-  ``jets.fd_partial`` call each: along x (``_x_partials``) an order-4
-  metric per point gives the Gram matrix and the connection table
-  (``_connection_values``, the closed blocks from point values), along p
-  (``_p_partials``) an order-2 metric per point the Gram matrix.
+  Koszul formula using exact frame derivatives of the metric components
+  and measured frame brackets; it shares no algebra with the closed forms.
+  The ingredients: the G-pairings of the basis bracket table [F_a, F_b]
+  (``PointGeometry.basis_brackets``, one ``geometry.lie_brackets`` build
+  through the coordinate frame, never quoted from B or R_vv); the frame
+  derivatives F_a(G(F_b, F_c)), read off the first chart partials of the
+  jets of the two metric blocks (``BundleMetric.G_down_jets`` and
+  ``G_up_jets``) and combined with N; and the inverse of the Gram matrix
+  ``BundleMetric.gram``.
 * ``connection_defects`` measures the torsion and the metric compatibility
   of the closed connection as whole-array expressions of its table, the
-  same basis bracket table and ``BundleMetric.gram``.
+  same basis bracket table, the same frame derivatives of the metric and
+  ``BundleMetric.gram``.
 * ``curvature_closed`` returns the curvature table assembled from the six
   closed blocks (``CURVATURE_BLOCKS``), each an ``np.einsum`` expression
   read straight off the point's ``PointGeometry`` and ``BundleMetric``:
@@ -43,16 +38,19 @@ Routes kept deliberately separate:
   and L (``PointGeometry.h_cov`` and the momentum derivatives of their
   jets); the (v, h, .) blocks follow by antisymmetry in the first pair.
 * ``curvature_defn`` guards it.  One function (``_defn_curvature``)
-  differentiates the connection field (finite differences of the whole
-  value table along x from ``_x_partials``, exact jets of the center's
-  connection jet along p) and composes the whole table per the curvature
+  differentiates the connection field (the exact first chart partials of
+  the center's connection jet, which has order 1 and x-cap 1 from an
+  order-5 geometry) and composes the whole table per the curvature
   definition K(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
   nabla_{[X,Y]} Z, with the brackets from ``basis_brackets``.  It never
-  reads the closed curvature algebra.  It takes first FD partials only,
-  so the two checks of the closed blocks against it are ``fd_single``.
+  reads the closed curvature algebra.
 * ``ricci`` traces the closed curvature table, Ric(F_y, F_z) =
   sum_x K[x, y, z, x], and reports the least-squares Einstein factor and
   defect; ``vertical_ricci_obstruction`` reuses it.
+
+Neither oracle evaluates anything at a shifted point: every partial they
+take is read off a jet the point already holds, so the checks of the
+closed forms against them are ``jet_exact``.
 
 All component arrays are indexed with inputs first and the output frame
 index last, so an oracle table and its closed-form counterpart compare as
@@ -65,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PointGeometry, frame_block
-from .jets import ChartPoint, Jet, contract, fd_partial, invert
+from .jets import ChartPoint, Jet, contract, invert
 from .kahler import BundleMetric, DeformationParams, point_state
 
 __all__ = [
@@ -142,21 +140,6 @@ def _connection_jet(geom: PointGeometry, metric: BundleMetric) -> Jet:
     return out
 
 
-def _connection_values(metric: BundleMetric) -> np.ndarray:
-    """The connection table at the metric's point from point values only:
-    the blocks of `_connection_jet` at order 0."""
-    geom, params = metric.geom, metric.params
-    blocks = _connection_blocks(
-        geom.C_uud_jets.value, geom.C_ddd, geom.L_uuu, geom.L_udd, geom.B,
-        metric.G_up, metric.G_down, geom.at.p, params.beta, params.c_at(geom.tau),
-    )
-    dim = 2 * geom.n
-    out = np.zeros((dim, dim, dim))
-    for kinds, t in blocks.items():
-        frame_block(out, kinds)[...] = t
-    return out
-
-
 def _connection(geom: PointGeometry, metric: BundleMetric) -> Jet:
     """The connection jet at the metric's point, built once per metric."""
     return metric.derive("connection", lambda: _connection_jet(geom, metric))
@@ -187,7 +170,9 @@ def lc_closed_form(
 
 class MetricStencil:
     """Bundle metrics of one structure and parameter set at the shifted
-    chart points of a stencil; nothing is kept between points."""
+    chart points of a stencil; nothing is kept between points.  The oracles
+    read exact jets and build none; a finite-difference cross-check of
+    their partials does."""
 
     def __init__(self, s, params):
         self.s = s
@@ -199,59 +184,37 @@ class MetricStencil:
         return BundleMetric(PointGeometry(self.s, pt, order), self.params)
 
 
-def _x_partials(geom: PointGeometry, metric: BundleMetric) -> tuple:
-    """d/dx^i of the Gram matrix G(F_a, F_b), at [i, a, b], and of the
-    connection table, at [i, a, b, :]: views of one read-only array on the
-    metric, both tables flattened at [i, :], from one `jets.fd_partial` over
-    the base variables that reads them as values of one order-4 metric per
-    shifted point.  Built once per metric and shared by the Koszul oracle
-    and the definition route."""
-
-    def build():
-        stencil = MetricStencil(geom.structure, metric.params)
-
-        def both(pt: ChartPoint) -> np.ndarray:
-            m = stencil.metric_at(pt, order=4)
-            return np.concatenate([m.gram.ravel(), _connection_values(m).ravel()])
-
-        return _read_only(fd_partial(both, geom.at, geom.xvars))
-
-    flat, n, dim = metric.derive("x_partials", build), geom.n, 2 * geom.n
-    return flat[:, : dim * dim].reshape(n, dim, dim), flat[:, dim * dim :].reshape(n, dim, dim, dim)
-
-
-def _p_partials(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
-    """d/dp_i of the Gram matrix, at [i, a, b]: one `jets.fd_partial` over
-    the momenta with one order-2 metric per shifted point.  Read-only, built
-    once per metric."""
-
-    def build():
-        stencil = MetricStencil(geom.structure, metric.params)
-        return _read_only(fd_partial(lambda pt: stencil.metric_at(pt).gram, geom.at, geom.pvars))
-
-    return metric.derive("p_partials", build)
-
-
-def _frame_derivative_fd(partials: np.ndarray, geom: PointGeometry) -> np.ndarray:
-    """F_a(f) at [a, ...] for every adapted basis field F_a, given the
-    finite-difference partials of f along the 2n chart variables at
-    [var, ...]: delta_a = d/dx^a + N_al d/dp_l and pdot^a = d/dp_a."""
+def _frame_derivative(f: Jet, geom: PointGeometry) -> np.ndarray:
+    """F_a(f) at [a, ...] for every adapted basis field F_a and every
+    component of the jet f, from its exact first chart partials:
+    delta_a = d/dx^a + N_al d/dp_l and pdot^a = d/dp_a."""
     n = geom.n
+    partials = np.moveaxis(f.derivs(range(2 * n)).value, -1, 0)
     p_x, p_p = partials[:n], partials[n:]
     return np.concatenate([p_x + np.tensordot(geom.N, p_p, 1), p_p])
+
+
+def _gram_jet(metric: BundleMetric) -> Jet:
+    """The Gram matrix G(F_a, F_b) as one (2n, 2n) jet at order 1:
+    block-diag(G_ij, G^ij) from the jets of the two blocks."""
+    down, up = (t.truncate(1) for t in (metric.G_down_jets, metric.G_up_jets))
+    dim = 2 * metric.n
+    c = np.zeros((dim, dim) + down.c.shape[-1:])
+    frame_block(c, "hh")[...] = down.c
+    frame_block(c, "vv")[...] = up.c
+    return Jet(dim, 1, c, down.xcap)
 
 
 def _koszul_table(geom: PointGeometry, metric: BundleMetric):
     """nabla_{F_x} F_y over the adapted basis, adapted components at
     [x, y, :], solved from the six Koszul terms for all slot pairs at once.
 
-    ``dG[a, b, c] = F_a(G(F_b, F_c))`` comes from finite differences of the
-    metric (the shared `_x_partials` and `_p_partials`),
-    ``bG[a, b, c] = G([F_a, F_b], F_c)`` from the basis bracket table
-    ``PointGeometry.basis_brackets``.  The array is read-only.
+    ``dG[a, b, c] = F_a(G(F_b, F_c))`` comes from the exact first partials
+    of the Gram jet (`_gram_jet`), ``bG[a, b, c] = G([F_a, F_b], F_c)`` from
+    the basis bracket table ``PointGeometry.basis_brackets``.  The array is
+    read-only.
     """
-    gram_x, _ = _x_partials(geom, metric)
-    dG = _frame_derivative_fd(np.concatenate([gram_x, _p_partials(geom, metric)]), geom)
+    dG = _frame_derivative(_gram_jet(metric), geom)
     gram = metric.gram
     bG = geom.basis_brackets @ gram
     # 2 G(nabla_{F_x} F_y, F_z) at [x, y, z]
@@ -272,8 +235,8 @@ def koszul_oracle(
     basis: the read-only table of adapted components at [x, y, :], laid out
     as ``lc_closed_form``.
 
-    Frame derivatives of the metric components are plain central differences
-    (Richardson extrapolated); brackets come from the basis bracket table
+    Frame derivatives of the metric components are exact, read off the
+    jets of its two blocks; brackets come from the basis bracket table
     (``geometry.lie_brackets``), not quoted from B or R_vv.  The first call
     at a point solves the Koszul formula for every slot pair at once and
     keeps the table on ``metric``; later calls with the same metric return
@@ -312,13 +275,7 @@ def connection_defects(
         nabla = lc_closed_form(s, at, params, geom, metric)
         a, b = np.triu_indices(dim, 1)
         torsion = nabla[a, b] - nabla[b, a] - geom.basis_brackets[a, b]
-        # exact F_a(G(F_b, F_c)) at [a, b, c]; the mixed h-v blocks of G vanish
-        dmetric = np.zeros((dim, dim, dim))
-        for kind, jets in (("h", metric.G_down_jets), ("v", metric.G_up_jets)):
-            frame_block(dmetric, "h" + kind + kind)[...] = np.einsum("bca->abc", geom.delta(jets).value)
-            frame_block(dmetric, "v" + kind + kind)[...] = np.einsum(
-                "bca->abc", jets.derivs(geom.pvars).value
-            )
+        dmetric = _frame_derivative(_gram_jet(metric), geom)  # F_a(G(F_b, F_c)) at [a, b, c]
         paired = nabla @ metric.gram  # G(nabla_{F_x} F_b, F_c) at [x, b, c]
         b, c = np.triu_indices(dim)
         compat = dmetric[:, b, c] - paired[:, b, c] - paired[:, c, b]
@@ -443,15 +400,12 @@ def _defn_curvature(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
     """K(F_x, F_y) F_z = nabla_{F_x} nabla_{F_y} F_z - nabla_{F_y}
     nabla_{F_x} F_z - nabla_{[F_x, F_y]} F_z for every slot triple: the
     read-only table of adapted components at [x, y, z, :], from the
-    connection jet at the center (values and exact momentum derivatives) and
-    the finite-difference x-partials of its value table (the shared
-    `_x_partials`)."""
+    connection jet at the center (its values and its exact first chart
+    partials)."""
     jet = _connection(geom, metric)
-    _, conn_x = _x_partials(geom, metric)
     gamma = jet.value
-    partials = np.concatenate([conn_x, np.moveaxis(jet.derivs(geom.pvars).value, -1, 0)])
     # nabla_{F_x} (nabla_{F_y} F_z), with nabla_{F_y} F_z a coefficient field
-    cov = _frame_derivative_fd(partials, geom) + np.einsum("yzm,xms->xyzs", gamma, gamma)
+    cov = _frame_derivative(jet, geom) + np.einsum("yzm,xms->xyzs", gamma, gamma)
     k = cov - cov.transpose(1, 0, 2, 3)
     return _read_only(k - np.einsum("xym,mzs->xyzs", geom.basis_brackets, gamma))
 
@@ -465,8 +419,8 @@ def curvature_defn(
 ) -> np.ndarray:
     """Curvature by definition, K(X, Y) Z = nabla_X nabla_Y Z -
     nabla_Y nabla_X Z - nabla_{[X,Y]} Z over every slot triple,
-    differentiating the closed-form connection field (finite differences
-    along x, exact jets along p).  Laid out as ``curvature_closed``; the
+    differentiating the closed-form connection field by the exact first
+    partials of its jet.  Laid out as ``curvature_closed``; the
     table is read-only, built once per metric and kept on it under
     ``"defn"``."""
     geom, metric = point_state(s, at, params, geom, metric)
@@ -496,7 +450,10 @@ def _ricci_data(metric: BundleMetric, k: np.ndarray) -> RicciData:
     # trace of X -> K(X, F_y) F_z
     ric = _read_only(np.einsum("abca->bc", k))
     gram = metric.gram
-    lam = float(np.sum(ric * gram)) / float(np.sum(gram * gram))
+    # Ric and G divided by max|G| first, so neither sum overflows at large |p|
+    scale = float(np.abs(gram).max())
+    unit = gram / scale
+    lam = float(np.sum((ric / scale) * unit)) / float(np.sum(unit * unit))
     return RicciData(ric=ric, lambda_hat=lam, defect=float(np.abs(ric - lam * gram).max()))
 
 

@@ -234,10 +234,10 @@ def test_a_bad_stencil_point_is_its_records_typed_error(kind, error):
         geom.B  # the center point itself is fine
         spec = next(spec for spec in checks.REGISTRY if spec.check_id == check_id)
         ctx = SimpleNamespace(
-            structure=s, geometry=lambda idx: geom, points=[at], tag=s.label,
+            structure=s, geometry=lambda idx: geom, tag=s.label,
             manifest=SimpleNamespace(tolerances=DEFAULT_TOLERANCES),
         )
-        (record,) = checks._run_check(spec, ctx)
+        record = checks._record(spec, ctx, 0, at)
         assert record.residual is None and not record.passed
         assert record.error.startswith(error.__name__ + ":"), record.error
 

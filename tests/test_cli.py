@@ -1,9 +1,12 @@
 """Manifest parsing, report format, determinism, and CLI exit codes."""
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from cartanlab import levicivita
 from cartanlab.cli import main
 from cartanlab.errors import ManifestError
 from cartanlab.manifest import (
@@ -555,17 +558,37 @@ def test_tensor_base_objects_need_no_positive_bundle_metric(tmp_path, capsys):
     assert "loses positivity" in capsys.readouterr().err
 
 
-def test_tensor_non_finite_value_exits_three_without_document(tmp_path, capsys):
-    # at |p| ~ 1e100 the Gram norm in Ricci's lambda_hat overflows to NaN
+def test_tensor_non_finite_value_exits_three_without_document(tmp_path, capsys, monkeypatch):
+    # a NaN planted in Ricci's lambda_hat: the document is refused, not
+    # written with a NaN in it
+    ricci_data = levicivita._ricci_data
+    monkeypatch.setattr(
+        levicivita, "_ricci_data",
+        lambda *a: dataclasses.replace(ricci_data(*a), lambda_hat=math.nan),
+    )
     path = _write(tmp_path, _manifest_dict())
     out = tmp_path / "t.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["tensor", "--manifest", path, "--structure", "conformal-2d-c-1",
-                     "--params", "hyperbolic", "--point=0.1,0.2;1e100,1e100",
-                     "--objects", "g,ricci", "--out", str(out)])
+    code = main(["tensor", "--manifest", path, "--structure", "conformal-2d-c-1",
+                 "--params", "hyperbolic", "--point=0.1,0.2;0.5,0.5",
+                 "--objects", "g,ricci", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3 and not out.exists()
     assert err.startswith("evaluation error: object 'ricci' has a non-finite value")
+
+
+@pytest.mark.parametrize("p", ["1", "1e76", "1e78", "1e150"])
+def test_tensor_einstein_factor_stays_finite_at_large_momenta(tmp_path, capsys, p):
+    # lambda_hat = sum(Ric G) / sum(G G) with both sums scaled by max|G|:
+    # unscaled, sum(G G) overflowed from |p| ~ 1e78 on
+    path = _write(tmp_path, _manifest_dict())
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        code, out = _run(capsys, ["tensor", "--manifest", path, "--structure", "conformal-2d-c-1",
+                                  "--params", "hyperbolic", f"--point=0.1,0.2;{p},{p}",
+                                  "--objects", "ricci"])
+    assert code == 0
+    got = json.loads(out)["objects"]["ricci"]
+    assert got["lambda_hat"] == pytest.approx(-2.0, abs=1e-12)  # c n beta
+    assert got["defect"] <= 1e-12 * max(1.0, float(p) ** 2)
 
 
 @pytest.mark.parametrize("point", ["nan,0.1;0.5,0.5", "0.1,0.1;inf,0.5", "0.1,0.1;0,0"])

@@ -30,17 +30,25 @@ CALLS = {
     operators: lambda oracle, s, at, params, metric: oracle(metric),
 }
 
+# the Cartan and Landsberg tensors of a geometry, in every index placement
+CARTAN_LANDSBERG = {name for name in vars(PointGeometry) if name.startswith(("C_", "L_"))}
+
 # oracle name -> (its module, functions it must never enter, functions it must enter)
 RULES = {
+    # the Koszul table from the metric jets, N and the brackets alone, read
+    # exactly at the point: never the closed connection, the Cartan,
+    # Landsberg or Berwald algebra, nor a metric at a shifted point
     "koszul_oracle": (
         levicivita,
-        {"lc_closed_form", "_connection", "_connection_jet", "_closed_blocks", "_closed_curvature"},
-        {"_koszul_table", "_x_partials", "_p_partials"},
+        {"lc_closed_form", "_connection", "_connection_jet", "_closed_blocks", "_closed_curvature"}
+        | CARTAN_LANDSBERG
+        | {"B_jets", "B", "R_vv_jets", "R_vv", "R_curv", "P_curv", "h_cov", "fd_partial", "metric_at"},
+        {"_koszul_table", "G_down_jets", "G_up_jets"},
     ),
     "curvature_defn": (
         levicivita,
-        {"_closed_blocks", "_closed_curvature", "curvature_closed", "ricci"},
-        {"_defn_curvature", "_connection_jet", "_x_partials"},
+        {"_closed_blocks", "_closed_curvature", "curvature_closed", "ricci", "fd_partial", "metric_at"},
+        {"_defn_curvature", "_connection_jet"},
     ),
     # N from finite differences of g, never from the jet route of N or B
     "nonlinear_connection_fd": (
@@ -117,3 +125,23 @@ def test_an_fd_oracle_that_reads_the_exact_connection_fails_the_rule(monkeypatch
     monkeypatch.setattr(berwald, "nonlinear_connection_fd", leaky)
     with pytest.raises(AssertionError, match="'N'"):
         _assert_independent("nonlinear_connection_fd", *CASES[0])
+
+
+@pytest.mark.parametrize(
+    "leak, read",
+    [
+        ("C_ddd", lambda s, params, metric: metric.geom.C_ddd),
+        ("metric_at", lambda s, params, metric: levicivita.MetricStencil(s, params).metric_at(metric.at)),
+    ],
+    ids=["cartan", "shifted-metric"],
+)
+def test_a_koszul_oracle_that_reads_cartan_or_a_shifted_metric_fails_the_rule(leak, read, monkeypatch):
+    koszul = levicivita.koszul_oracle
+
+    def leaky(s, at, params, geom=None, metric=None):
+        read(s, params, metric)
+        return koszul(s, at, params, geom=geom, metric=metric)
+
+    monkeypatch.setattr(levicivita, "koszul_oracle", leaky)
+    with pytest.raises(AssertionError, match=f"'{leak}'"):
+        _assert_independent("koszul_oracle", *CASES[0])

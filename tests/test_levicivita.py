@@ -11,7 +11,7 @@ from cartanlab.cartan import conformal_structure, flat_structure, randers_dual
 from cartanlab.checks import run_suite
 from cartanlab.errors import ValenceError
 from cartanlab.geometry import PointGeometry, frame_block, slot_index
-from cartanlab.jets import Jet
+from cartanlab.jets import Jet, fd_partial
 from cartanlab.kahler import BundleMetric, DeformationParams, tube_predicate
 from cartanlab.levicivita import (
     CURVATURE_BLOCKS,
@@ -357,11 +357,10 @@ def test_koszul_tables_reused_match_fresh(n):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("first", ["koszul", "definition"])
 def test_koszul_and_definition_share_one_evaluation_per_shifted_point(n, first, monkeypatch):
-    # both oracles difference the metric's neighborhood with the same steps:
-    # along a base variable one order-4 metric per shifted point serves the
-    # Gram matrix and the connection table, along a momentum one an order-2
-    # metric serves the Gram matrix; whichever oracle asks first, the tables
-    # equal those each oracle gets alone
+    # both oracles read their partials off jets the point already holds, so
+    # neither builds a geometry at a shifted point (none at all on a given
+    # geometry), and whichever asks first, the tables equal those each
+    # oracle gets alone
     s = conformal_structure(n, -1.0)
     params = DeformationParams(c=-1.0)
     at = _sample_points(s, params, n, 1, seed=8)[0]
@@ -378,26 +377,65 @@ def test_koszul_and_definition_share_one_evaluation_per_shifted_point(n, first, 
         koszul_oracle(s, at, params, geom=geom, metric=BundleMetric(geom, params)),
         curvature_context(s, at, params, geom=geom, metric=BundleMetric(geom, params)),
     )
-    built = {2: 0, 4: 0, 5: 0}
+    built = []
     geom_init = geometry.PointGeometry.__init__
 
     def counted_geom(self, structure, at, order=5):
-        built[order] += 1
+        built.append(order)
         geom_init(self, structure, at, order)
 
     monkeypatch.setattr(geometry.PointGeometry, "__init__", counted_geom)
     metric = BundleMetric(geom, params)
     shared = tables(metric)
-    assert built == {2: 4 * n, 4: 4 * n, 5: 0}
+    assert built == []
     assert all(np.array_equal(got, want) for got, want in zip(shared, alone))
-    # the shared partials are two read-only arrays on the metric: along x
-    # the Gram matrix and the connection table flattened, along p the Gram
-    # matrix
-    dim = 2 * n
-    along_x, along_p = metric.derived["x_partials"], metric.derived["p_partials"]
-    assert type(along_x) is np.ndarray and along_x.shape == (n, dim * dim + dim**3)
-    assert type(along_p) is np.ndarray and along_p.shape == (n, dim, dim)
-    assert not along_x.flags.writeable and not along_p.flags.writeable
+    assert set(metric.derived) == {"koszul", "connection", "defn"}
+
+
+# ---------------------------------------------------------------------------
+# the exact partials against finite-difference partials built here from
+# metrics at the shifted points
+
+
+_FD_CASES = [(conformal_structure(n, -1.0), DeformationParams(c=-1.0)) for n in (2, 3, 4)] + [
+    (general_randers(3), DeformationParams(alpha=1.3, beta=0.8, c=0.0))
+]
+_FD_IDS = [s.label for s, _ in _FD_CASES]
+
+
+@pytest.mark.parametrize("s, params", _FD_CASES, ids=_FD_IDS)
+def test_connection_x_partials_match_finite_differences(s, params):
+    n = s.dim
+    at = _sample_points(s, params, n, 1, seed=40 + n)[0]
+    geom = PointGeometry(s, at)
+    metric = BundleMetric(geom, params)
+    exact = np.moveaxis(levicivita._connection(geom, metric).derivs(geom.xvars).value, -1, 0)
+    # an order-4 geometry keeps the values of the connection table
+    stencil = levicivita.MetricStencil(s, params)
+    fd = fd_partial(
+        lambda q: lc_closed_form(s, q, params, metric=stencil.metric_at(q, order=4)), at, geom.xvars
+    )
+    assert exact.shape == fd.shape == (n,) + (2 * n,) * 3
+    assert np.abs(exact - fd).max() <= 1e-9
+
+
+@pytest.mark.parametrize("s, params", _FD_CASES, ids=_FD_IDS)
+def test_koszul_table_matches_finite_difference_koszul(s, params):
+    n = s.dim
+    at = _sample_points(s, params, n, 1, seed=50 + n)[0]
+    geom = PointGeometry(s, at)
+    metric = BundleMetric(geom, params)
+    stencil = levicivita.MetricStencil(s, params)
+    # F_a(G(F_b, F_c)) from central differences of the Gram matrix
+    part = fd_partial(lambda q: stencil.metric_at(q).gram, at, range(2 * n))
+    dG = np.concatenate([part[:n] + np.tensordot(geom.N, part[n:], 1), part[n:]])
+    gram = metric.gram
+    bG = geom.basis_brackets @ gram
+    rhs = dG + np.einsum("yxz->xyz", dG) - np.einsum("zxy->xyz", dG)
+    rhs += bG - np.einsum("xzy->xyz", bG) - np.einsum("yzx->xyz", bG)
+    fd = np.einsum("ab,xyb->xya", np.linalg.inv(gram), 0.5 * rhs)
+    exact = koszul_oracle(s, at, params, metric=metric)
+    assert np.abs(exact - fd).max() <= 1e-9
 
 
 def test_curvature_ingredients_shared_match_fresh():
@@ -829,13 +867,13 @@ def _connection_blocks(table) -> dict:
 
 class _PerSlotDefn:
     """The per-slot definition composition; its block inputs (values,
-    momentum derivatives, x-partials) are sliced out of the connection jet
-    and the shared x-partials of the connection table."""
+    momentum derivatives, x-partials) are sliced out of the connection
+    jet."""
 
     def __init__(self, geom, metric):
         self.geom = geom
         self.jet = levicivita._connection(geom, metric)
-        _, self.conn_x = levicivita._x_partials(geom, metric)
+        self.conn_x = np.moveaxis(self.jet.derivs(geom.xvars).value, -1, 0)
 
     @property
     def values(self):
@@ -1031,9 +1069,10 @@ def test_cached_blocks_and_ricci_are_read_only():
 
 
 def test_planted_hv_h_defect_fails_every_universal_block_record(monkeypatch):
-    # the definition route takes first FD partials only, so the block checks
-    # are fd_single: a +1e-4 plant in the hv_h h-part, which fd_double's 1e-3
-    # would pass, fails every record while the clean blocks pass
+    # the definition route differentiates the connection jet exactly, so the
+    # block checks are jet_exact: a +1e-7 plant in the hv_h h-part, which
+    # fd_single's 1e-5 would pass, fails every record while the clean blocks
+    # pass
     manifest = parse_manifest(json.dumps({
         "structures": [
             {"family": "riemannian_conformal", "n": 2, "c": -1.0},
@@ -1045,16 +1084,44 @@ def test_planted_hv_h_defect_fails_every_universal_block_record(monkeypatch):
     only = ["levicivita.curvature_blocks_universal"]
     clean = run_suite(manifest, only=only)
     assert clean["summary"]["total"] == 6 and clean["summary"]["failed"] == 0
-    assert {r["tolerance"] for r in clean["checks"]} == {manifest.tolerances["fd_single"]}
+    assert {r["tolerance"] for r in clean["checks"]} == {manifest.tolerances["jet_exact"]}
     closed_blocks = levicivita._closed_blocks
 
     def planted(geom, metric):
         blocks = dict(closed_blocks(geom, metric))
         H, V = blocks["hv_h"]
-        blocks["hv_h"] = (H + 1e-4, V)
+        blocks["hv_h"] = (H + 1e-7, V)
         return blocks
 
     monkeypatch.setattr(levicivita, "_closed_blocks", planted)
     report = run_suite(manifest, only=only)
     assert report["summary"]["failed"] == report["summary"]["total"] == 6
-    assert max(r["residual"] for r in report["checks"]) < manifest.tolerances["fd_double"]
+    assert max(r["residual"] for r in report["checks"]) < manifest.tolerances["fd_single"]
+
+
+def test_planted_connection_defect_fails_every_koszul_record(monkeypatch):
+    # the Koszul oracle reads exact metric partials, so koszul_agreement is
+    # jet_exact: +1e-7 in every entry of the closed connection table, which
+    # the fd_single bound 1e-4 would pass, fails every record while the
+    # clean tables pass
+    manifest = parse_manifest(json.dumps({
+        "structures": [
+            {"family": "riemannian_conformal", "n": 2, "c": -1.0},
+            {"family": "riemannian_conformal", "n": 3, "c": -1.0},
+        ],
+        "params": [{"label": "hyperbolic", "alpha": 1.0, "beta": 1.0, "c": -1.0}],
+        "sampling": {"seed": 0, "count": 3, "p_norm": [0.5, 1.5]},
+    }))
+    only = ["levicivita.koszul_agreement"]
+    clean = run_suite(manifest, only=only)
+    assert clean["summary"]["total"] == 6 and clean["summary"]["failed"] == 0
+    tol = manifest.tolerances["jet_exact"] * 10.0
+    assert {r["tolerance"] for r in clean["checks"]} == {tol}
+    blocks = levicivita._connection_blocks
+    monkeypatch.setattr(
+        levicivita, "_connection_blocks",
+        lambda *a: {kinds: t + 1e-7 for kinds, t in blocks(*a).items()},
+    )
+    report = run_suite(manifest, only=only)
+    assert report["summary"]["failed"] == report["summary"]["total"] == 6
+    assert max(r["residual"] for r in report["checks"]) < manifest.tolerances["fd_single"] * 10.0

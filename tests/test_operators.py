@@ -300,13 +300,12 @@ def test_derived_state_does_not_keep_the_metric_alive():
         nijenhuis_table(metric)
         landsberg_characterizations(operator_context(s, at, params, metric=metric))
         assert {"koszul", "defects", "defn", "ricci", "nijenhuis", "divergences"} <= set(metric.derived)
-        # the shifted-point values the Koszul and definition oracles share
-        # are kept as two arrays, with no geometry or metric of a shifted point
-        shared = [metric.derived[key] for key in ("x_partials", "p_partials")]
-        assert all(type(v) is np.ndarray and not v.flags.writeable for v in shared)
-        shifted = [weakref.ref(v) for v in shared]
+        # the oracle tables are kept as read-only arrays and go with the metric
+        tables = [metric.derived[key] for key in ("koszul", "defn")]
+        assert all(type(v) is np.ndarray and not v.flags.writeable for v in tables)
+        gone = [weakref.ref(v) for v in tables]
         kept = weakref.ref(metric)
-        del metric, shared
-        assert kept() is None and all(ref() is None for ref in shifted)
+        del metric, tables
+        assert kept() is None and all(ref() is None for ref in gone)
     finally:
         gc.enable()
