@@ -32,12 +32,10 @@ oracle table with the closed connection table, the curvature-block checks
 ``geometry.frame_block`` slices of the closed and the definition curvature
 tables, and the Ricci checks the one Ricci table and its blocks.  All
 pair-scope state of a point (the tables, the connection defects and the
-operators' tables) is kept on the point's ``BundleMetric``, so a scope
-memoizes only each point's geometry and metric and the Randers limit
-structures.  A scope runs point by point: every applicable check whose
-cap admits the point runs there, then the point's geometry and metric are
-dropped, so one point's state is alive at a time.  Records are sorted
-when the suite ends.
+operators' tables) is kept on the point's ``BundleMetric``.  A scope runs
+point by point, every applicable check whose cap admits the point there,
+so its context holds one point's geometry and metric (and the Randers
+limit structures).  Records are sorted when the suite ends.
 
 Two checks run in *detection* mode: instead of requiring a residual
 below tolerance they require it **above** a floor (a deliberately broken
@@ -162,7 +160,9 @@ class CheckContext:
         self.points = sample_points(
             structure, sampling.count, rng, sampling.p_norm, accept=accept
         )
-        self.memo = {}
+        self.memo = {}  # scope-wide state: the Randers limit structures
+        # the point being checked, with its geometry and metric
+        self._idx, self._geom, self._metric = None, None, None
 
     @property
     def tag(self) -> str:
@@ -182,10 +182,17 @@ class CheckContext:
         return self.memo[key]
 
     def geometry(self, idx) -> PointGeometry:
-        return self._memo(("geom", idx), lambda: PointGeometry(self.structure, self.points[idx]))
+        if idx != self._idx:
+            self._idx, self._geom, self._metric = idx, None, None
+        if self._geom is None:
+            self._geom = PointGeometry(self.structure, self.points[idx])
+        return self._geom
 
     def metric(self, idx) -> BundleMetric:
-        return self._memo(("metric", idx), lambda: BundleMetric(self.geometry(idx), self.params))
+        geom = self.geometry(idx)
+        if self._metric is None:
+            self._metric = BundleMetric(geom, self.params)
+        return self._metric
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +548,7 @@ REGISTRY = (
     CheckSpec("kahler.nijenhuis_integrable", "nijenhuis", "jet_exact", "pair", _r_nijenhuis_integrable, cap=6, applies=_matching),
     CheckSpec("kahler.nijenhuis_detects_mismatch", "nijenhuis", "fd_single", "pair", _r_nijenhuis_detects, cap=4, mode="exceeds", floor=1e-2, applies=_matching),
     # ---- pair scope: Levi-Civita
-    CheckSpec("levicivita.koszul_agreement", "koszul", "jet_exact", "pair", _r_koszul, tol_factor=10.0, cap=4, applies=_matching),
+    CheckSpec("levicivita.koszul_agreement", "koszul", "fd_single", "pair", _r_koszul, tol_factor=10.0, cap=4, applies=_matching),
     CheckSpec("levicivita.torsion_free", "connection-blocks", "jet_exact", "pair", _r_torsion, tol_factor=10.0, cap=8, applies=_matching),
     CheckSpec("levicivita.metric_compatible", "connection-blocks", "jet_exact", "pair", _r_metric_compat, tol_factor=10.0, cap=8),
     CheckSpec("levicivita.curvature_blocks_universal", "curvature-blocks", "jet_exact", "pair", _r_blocks_universal, cap=3),
@@ -632,7 +639,7 @@ def run_suite(manifest: Manifest, only=None) -> dict:
     records, points = [], {}
 
     def run_scope(ctx, scope):
-        # point by point, so only one point's geometry and metric are alive
+        # point by point, so the context holds one point's geometry and metric
         specs = [spec for spec in selected if spec.scope == scope and spec.applies(ctx)]
         got = []
         for idx, pt in enumerate(ctx.points):
@@ -641,8 +648,6 @@ def run_suite(manifest: Manifest, only=None) -> dict:
                     rec = _record(spec, ctx, idx, pt)
                     if rec is not None:
                         got.append(rec)
-            ctx.memo.pop(("geom", idx), None)
-            ctx.memo.pop(("metric", idx), None)
         if got:
             points[ctx.tag] = [_point_payload(pt) for pt in ctx.points]
             records.extend(got)
@@ -656,12 +661,7 @@ def run_suite(manifest: Manifest, only=None) -> dict:
         for pi, (params, plabel) in enumerate(
             zip(manifest.params, manifest.param_labels)
         ):
-            run_scope(
-                CheckContext(
-                    manifest, structure, config, si, params=params, param_label=plabel, p_index=pi
-                ),
-                "pair",
-            )
+            run_scope(CheckContext(manifest, structure, config, si, params, plabel, pi), "pair")
     records.sort(key=lambda r: (r.check_id, r.structure, r.index))
     passed = sum(1 for r in records if r.passed)
     report = {

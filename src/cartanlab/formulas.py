@@ -59,8 +59,9 @@ INDEX: Mapping[str, FormulaEntry] = {
         "jets.Jet / jets.jet_eval / jets.fd_partial",
     ),
     "fd-oracles": FormulaEntry(
-        "Independent finite-difference oracles of N, of the curvature R and "
-        "of the log-volume derivative: central differences with steps scaled by "
+        "Independent finite-difference oracles of N, of the curvature R, of "
+        "the Levi-Civita connection (the Koszul oracle) and of the "
+        "log-volume derivative: central differences with steps scaled by "
         "max(1, |coordinate|), Richardson-extrapolated over two step sizes, "
         "except the nonlinear-connection oracle, which takes one plain step "
         "of 1e-4.  Every oracle takes first derivatives of point values "
@@ -68,7 +69,7 @@ INDEX: Mapping[str, FormulaEntry] = {
         "jets.fd_partial).",
         "jets.fd_partial / jets.fd_combine / "
         "berwald.nonlinear_connection_fd / berwald.berwald_curvature_fd / "
-        "operators.fd_dln_sqrtg_h",
+        "levicivita.koszul_oracle / operators.fd_dln_sqrtg_h",
     ),
     "harness": FormulaEntry(
         "Batch verification plumbing: manifest schema, seeded sampling, "
@@ -197,9 +198,7 @@ INDEX: Mapping[str, FormulaEntry] = {
     "koszul": FormulaEntry(
         "Koszul formula 2 G(nabla_X Y, Z) = X G(Y,Z) + Y G(X,Z) - Z G(X,Y) "
         "+ G([X,Y], Z) - G([X,Z], Y) - G([Y,Z], X) on adapted frame "
-        "fields; the independent oracle for the closed connection table, "
-        "with the frame derivatives X G(Y, Z) read exactly off the first "
-        "chart partials of the jets of G_ij and G^ij.",
+        "fields; the independent oracle for the closed connection table.",
         "levicivita.koszul_oracle (the whole table, brackets from "
         "geometry.PointGeometry.basis_brackets) / geometry.lie_brackets / "
         "levicivita.lc_closed_form",

@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .geometry import PointGeometry, frame_block, lie_brackets
+from .geometry import PointGeometry, _point_guard, frame_block, lie_brackets
 from .jets import ChartPoint, Jet, contract
 
 __all__ = [
@@ -106,9 +106,10 @@ class DeformationParams:
         """Deformation profile value; accepts floats or jets."""
         return self._v_fn(tau)
 
-    def c_at(self, tau: float) -> float:
-        """Effective curvature constant -v(tau)/(alpha beta^2) at this energy."""
-        return -float(self.v_at(tau)) / (self.alpha * self.beta**2)
+    def c_at(self, tau):
+        """Effective curvature constant -v(tau)/(alpha beta^2) at this energy;
+        accepts floats or jets."""
+        return -self.v_at(tau) / (self.alpha * self.beta**2)
 
     def gauge(self, tau: float) -> float:
         """alpha + 2 tau v(tau), positive exactly where the bundle metric is."""
@@ -126,7 +127,7 @@ def _blocks(g_down, g_up, p, p_up, tau, v, alpha: float, beta: float):
     value v, from jets or from point values alike."""
     down = g_down * (1.0 / beta)
     up = g_up * beta
-    if not isinstance(v, Jet) and v == 0.0:
+    if not isinstance(v, Jet) and not np.any(v):
         return down, up
     gauge = (tau * v) * 2.0 + alpha
     down = down + contract("i,j->ij", p, p) * (v * (1.0 / (alpha * beta)))
@@ -138,30 +139,37 @@ class BundleMetric:
     """Block-diagonal metric on the slit bundle in the adapted frame.
 
     The point values G_ij and G^ij (``G_down``, ``G_up``) and the Gram
-    matrix are built from the geometry's values; the jets of the blocks
-    (``G_down_jets``, ``G_up_jets``), which the connection, its defects and
-    J differentiate or read, are built when one of them is first asked for.
+    matrix are built from the geometry's values, on a geometry of one point
+    or of a batch (then with the batch axes in front); the jets of the
+    blocks (``G_down_jets``, ``G_up_jets``), which the connection, its
+    defects and J differentiate or read, are built for one point when one
+    of them is first asked for.
     """
 
     def __init__(self, geom: PointGeometry, params: DeformationParams):
         self.geom = geom
         self.at = geom.at
         self.params = params
-        v_val = float(params.v_at(geom.tau))
-        gauge = params.alpha + 2.0 * geom.tau * v_val
-        if gauge <= 0.0:
+        tau = np.asarray(geom.tau)
+        v_val = np.array([params.v_at(t) for t in tau.flat], dtype=float).reshape(tau.shape)
+        gauge = params.alpha + 2.0 * tau * v_val
+        bad = _point_guard(gauge <= 0.0, self.at)
+        if bad is not None:
+            k = bad[0]
             raise EvaluationDomainError(
-                f"deformed metric loses positivity: alpha + 2 tau v = {gauge:.6e} "
-                f"<= 0 at {self.at!r} (tau={geom.tau:.6f}, v={v_val:.6f})"
+                f"deformed metric loses positivity: alpha + 2 tau v = {gauge.flat[k]:.6e} "
+                f"<= 0 at {bad[1]!r} (tau={tau.flat[k]:.6f}, v={v_val.flat[k]:.6f})"
             )
         self.G_down, self.G_up = _blocks(
-            geom.g_down, geom.g_up, self.at.p, geom.p_up, geom.tau, v_val, params.alpha, params.beta
+            geom.g_down, geom.g_up, self.at.p, geom.p_up, tau[..., None, None],
+            v_val[..., None, None], params.alpha, params.beta,
         )
         #: all per-point state derived from this metric, built on first use:
-        #: the Nijenhuis table, the Koszul table, the connection jet and its
-        #: defects, the curvature table, the curvature-definition table,
-        #: Ricci, and the operators' frame divergences, mean Landsberg trace
-        #: and finite-difference log-volume partials
+        #: the Nijenhuis table, the Koszul table and the finite-difference
+        #: Gram partials it reads, the connection jet and its defects, the
+        #: curvature table, the curvature-definition table, Ricci, and the
+        #: operators' frame divergences, mean Landsberg trace and
+        #: finite-difference log-volume partials
         self.derived: dict = {}
 
     def derive(self, key: str, build):
@@ -196,9 +204,10 @@ class BundleMetric:
     def gram(self) -> np.ndarray:
         """G(F_a, F_b) over the adapted basis: the block-diagonal 2n x 2n
         matrix of G_ij and G^ij.  Read-only."""
-        out = np.zeros((2 * self.n, 2 * self.n))
-        frame_block(out, "hh")[...] = self.G_down
-        frame_block(out, "vv")[...] = self.G_up
+        n = self.n
+        out = np.zeros(self.G_down.shape[:-2] + (2 * n, 2 * n))
+        out[..., :n, :n] = self.G_down
+        out[..., n:, n:] = self.G_up
         out.setflags(write=False)
         return out
 

@@ -18,19 +18,19 @@ Routes kept deliberately separate:
   bundle metric.  The table is the value of one (2n, 2n, 2n) jet
   (``_connection_jet``), which the definition route differentiates.
 * ``koszul_oracle`` re-derives the whole connection table from the six-term
-  Koszul formula using exact frame derivatives of the metric components
-  and measured frame brackets; it shares no algebra with the closed forms.
-  The ingredients: the G-pairings of the basis bracket table [F_a, F_b]
-  (``PointGeometry.basis_brackets``, one ``geometry.lie_brackets`` build
-  through the coordinate frame, never quoted from B or R_vv); the frame
-  derivatives F_a(G(F_b, F_c)), read off the first chart partials of the
-  jets of the two metric blocks (``BundleMetric.G_down_jets`` and
-  ``G_up_jets``) and combined with N; and the inverse of the Gram matrix
-  ``BundleMetric.gram``.
+  Koszul formula using finite-difference frame derivatives of the metric
+  components and measured frame brackets; it shares no algebra with the
+  closed forms.  The ingredients: the G-pairings of the basis bracket table
+  [F_a, F_b] (``PointGeometry.basis_brackets``, one ``geometry.lie_brackets``
+  build through the coordinate frame, never quoted from B or R_vv); the
+  frame derivatives F_a(G(F_b, F_c)), from Richardson-extrapolated
+  central differences of the whole 2n x 2n metric (``_gram_partials``: one
+  order-2 metric over the whole stencil along all 2n chart variables, as
+  one batch); and the inverse of the Gram matrix ``BundleMetric.gram``.
 * ``connection_defects`` measures the torsion and the metric compatibility
   of the closed connection as whole-array expressions of its table, the
-  same basis bracket table, the same frame derivatives of the metric and
-  ``BundleMetric.gram``.
+  same basis bracket table, the exact frame derivatives of the metric
+  (read off the jets of its two blocks) and ``BundleMetric.gram``.
 * ``curvature_closed`` returns the curvature table assembled from the six
   closed blocks (``CURVATURE_BLOCKS``), each an ``np.einsum`` expression
   read straight off the point's ``PointGeometry`` and ``BundleMetric``:
@@ -48,9 +48,10 @@ Routes kept deliberately separate:
   sum_x K[x, y, z, x], and reports the least-squares Einstein factor and
   defect; ``vertical_ricci_obstruction`` reuses it.
 
-Neither oracle evaluates anything at a shifted point: every partial they
-take is read off a jet the point already holds, so the checks of the
-closed forms against them are ``jet_exact``.
+The definition route evaluates nothing at a shifted point: every partial
+it takes is read off a jet the point already holds, so the two checks of
+the closed blocks against it are ``jet_exact``.  The Koszul oracle takes
+first finite-difference partials, so its check is ``fd_single``.
 
 All component arrays are indexed with inputs first and the output frame
 index last, so an oracle table and its closed-form counterpart compare as
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PointGeometry, frame_block
-from .jets import ChartPoint, Jet, contract, invert
+from .jets import ChartPoint, Jet, contract, fd_combine, fd_stencil, invert
 from .kahler import BundleMetric, DeformationParams, point_state
 
 __all__ = [
@@ -124,11 +125,13 @@ def _connection_blocks(C_uud, C_ddd, L_uuu, L_udd, B, G_up, G_down, p, beta: flo
 def _connection_jet(geom: PointGeometry, metric: BundleMetric) -> Jet:
     """nabla_{F_a} F_b as one (2n, 2n, 2n) jet: adapted components at
     [a, b, :], at the common order of its eight blocks (1 from an order-5
-    geometry).  The coefficient array is read-only."""
+    geometry).  The constant c is the jet of c(tau), so a profile that
+    varies with tau enters the partials.  The coefficient array is
+    read-only."""
     params = metric.params
     blocks = _connection_blocks(
         geom.C_uud_jets, geom.C_ddd_jets, geom.L_uuu_jets, geom.L_udd_jets, geom.B_jets,
-        metric.G_up_jets, metric.G_down_jets, geom.p_coord(3), params.beta, params.c_at(geom.tau),
+        metric.G_up_jets, metric.G_down_jets, geom.p_coord(3), params.beta, params.c_at(geom.k2 * 0.5),
     )
     order = min(t.order for t in blocks.values())
     xcap = min(t.xcap for t in blocks.values())
@@ -170,26 +173,30 @@ def lc_closed_form(
 
 class MetricStencil:
     """Bundle metrics of one structure and parameter set at the shifted
-    chart points of a stencil; nothing is kept between points.  The oracles
-    read exact jets and build none; a finite-difference cross-check of
-    their partials does."""
+    chart points of a stencil; nothing is kept between calls."""
 
     def __init__(self, s, params):
         self.s = s
         self.params = params
 
     def metric_at(self, pt: ChartPoint, order: int = 2) -> BundleMetric:
-        """The metric at ``pt`` on a geometry of ``order``: 2 keeps the
-        values of G, 4 those of the connection table too."""
+        """The metric at ``pt`` (a point or a batch) on a geometry of
+        ``order``: 2 keeps the values of G, 4 those of the connection table
+        too."""
         return BundleMetric(PointGeometry(self.s, pt, order), self.params)
 
 
-def _frame_derivative(f: Jet, geom: PointGeometry) -> np.ndarray:
-    """F_a(f) at [a, ...] for every adapted basis field F_a and every
-    component of the jet f, from its exact first chart partials:
+def _chart_partials(f: Jet) -> np.ndarray:
+    """The exact first partials of the jet f along every chart variable, at
+    [var, ...]."""
+    return np.moveaxis(f.derivs(range(f.nvars)).value, -1, 0)
+
+
+def _frame_derivative(partials: np.ndarray, geom: PointGeometry) -> np.ndarray:
+    """F_a(f) at [a, ...] for every adapted basis field F_a, given the
+    partials of f along the 2n chart variables at [var, ...]:
     delta_a = d/dx^a + N_al d/dp_l and pdot^a = d/dp_a."""
     n = geom.n
-    partials = np.moveaxis(f.derivs(range(2 * n)).value, -1, 0)
     p_x, p_p = partials[:n], partials[n:]
     return np.concatenate([p_x + np.tensordot(geom.N, p_p, 1), p_p])
 
@@ -205,16 +212,31 @@ def _gram_jet(metric: BundleMetric) -> Jet:
     return Jet(dim, 1, c, down.xcap)
 
 
+def _gram_partials(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
+    """The partials of the Gram matrix G(F_a, F_b) along the 2n chart
+    variables, at [var, a, b]: `jets.fd_combine` of the Gram matrices of
+    one order-2 metric over the whole `jets.fd_stencil`.  Read-only, built
+    once per metric."""
+
+    def build():
+        chart = range(2 * geom.n)
+        stencil = MetricStencil(geom.structure, metric.params)
+        grams = stencil.metric_at(fd_stencil(geom.at, chart)).gram
+        return _read_only(fd_combine(grams, geom.at, chart))
+
+    return metric.derive("gram_partials", build)
+
+
 def _koszul_table(geom: PointGeometry, metric: BundleMetric):
     """nabla_{F_x} F_y over the adapted basis, adapted components at
     [x, y, :], solved from the six Koszul terms for all slot pairs at once.
 
-    ``dG[a, b, c] = F_a(G(F_b, F_c))`` comes from the exact first partials
-    of the Gram jet (`_gram_jet`), ``bG[a, b, c] = G([F_a, F_b], F_c)`` from
-    the basis bracket table ``PointGeometry.basis_brackets``.  The array is
+    ``dG[a, b, c] = F_a(G(F_b, F_c))`` comes from finite differences of the
+    metric (`_gram_partials`), ``bG[a, b, c] = G([F_a, F_b], F_c)`` from the
+    basis bracket table ``PointGeometry.basis_brackets``.  The array is
     read-only.
     """
-    dG = _frame_derivative(_gram_jet(metric), geom)
+    dG = _frame_derivative(_gram_partials(geom, metric), geom)
     gram = metric.gram
     bG = geom.basis_brackets @ gram
     # 2 G(nabla_{F_x} F_y, F_z) at [x, y, z]
@@ -235,8 +257,8 @@ def koszul_oracle(
     basis: the read-only table of adapted components at [x, y, :], laid out
     as ``lc_closed_form``.
 
-    Frame derivatives of the metric components are exact, read off the
-    jets of its two blocks; brackets come from the basis bracket table
+    Frame derivatives of the metric components are plain central differences
+    (Richardson extrapolated); brackets come from the basis bracket table
     (``geometry.lie_brackets``), not quoted from B or R_vv.  The first call
     at a point solves the Koszul formula for every slot pair at once and
     keeps the table on ``metric``; later calls with the same metric return
@@ -275,7 +297,8 @@ def connection_defects(
         nabla = lc_closed_form(s, at, params, geom, metric)
         a, b = np.triu_indices(dim, 1)
         torsion = nabla[a, b] - nabla[b, a] - geom.basis_brackets[a, b]
-        dmetric = _frame_derivative(_gram_jet(metric), geom)  # F_a(G(F_b, F_c)) at [a, b, c]
+        # exact F_a(G(F_b, F_c)) at [a, b, c]
+        dmetric = _frame_derivative(_chart_partials(_gram_jet(metric)), geom)
         paired = nabla @ metric.gram  # G(nabla_{F_x} F_b, F_c) at [x, b, c]
         b, c = np.triu_indices(dim)
         compat = dmetric[:, b, c] - paired[:, b, c] - paired[:, c, b]
@@ -405,7 +428,7 @@ def _defn_curvature(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
     jet = _connection(geom, metric)
     gamma = jet.value
     # nabla_{F_x} (nabla_{F_y} F_z), with nabla_{F_y} F_z a coefficient field
-    cov = _frame_derivative(jet, geom) + np.einsum("yzm,xms->xyzs", gamma, gamma)
+    cov = _frame_derivative(_chart_partials(jet), geom) + np.einsum("yzm,xms->xyzs", gamma, gamma)
     k = cov - cov.transpose(1, 0, 2, 3)
     return _read_only(k - np.einsum("xym,mzs->xyzs", geom.basis_brackets, gamma))
 

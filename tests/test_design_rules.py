@@ -35,15 +35,15 @@ CARTAN_LANDSBERG = {name for name in vars(PointGeometry) if name.startswith(("C_
 
 # oracle name -> (its module, functions it must never enter, functions it must enter)
 RULES = {
-    # the Koszul table from the metric jets, N and the brackets alone, read
-    # exactly at the point: never the closed connection, the Cartan,
-    # Landsberg or Berwald algebra, nor a metric at a shifted point
+    # the Koszul table from finite differences of the metric, N and the
+    # brackets alone: never the closed connection, the Cartan, Landsberg or
+    # Berwald algebra, nor the exact partials of the metric's jets
     "koszul_oracle": (
         levicivita,
         {"lc_closed_form", "_connection", "_connection_jet", "_closed_blocks", "_closed_curvature"}
         | CARTAN_LANDSBERG
-        | {"B_jets", "B", "R_vv_jets", "R_vv", "R_curv", "P_curv", "h_cov", "fd_partial", "metric_at"},
-        {"_koszul_table", "G_down_jets", "G_up_jets"},
+        | {"B_jets", "B", "R_vv_jets", "R_vv", "R_curv", "P_curv", "h_cov", "_gram_jet", "_chart_partials"},
+        {"_koszul_table", "_gram_partials", "fd_stencil", "fd_combine", "metric_at"},
     ),
     "curvature_defn": (
         levicivita,
@@ -130,16 +130,16 @@ def test_an_fd_oracle_that_reads_the_exact_connection_fails_the_rule(monkeypatch
 @pytest.mark.parametrize(
     "leak, read",
     [
-        ("C_ddd", lambda s, params, metric: metric.geom.C_ddd),
-        ("metric_at", lambda s, params, metric: levicivita.MetricStencil(s, params).metric_at(metric.at)),
+        ("C_ddd", lambda metric: metric.geom.C_ddd),
+        ("_gram_jet", lambda metric: levicivita._gram_jet(metric)),
     ],
-    ids=["cartan", "shifted-metric"],
+    ids=["cartan", "metric-jets"],
 )
-def test_a_koszul_oracle_that_reads_cartan_or_a_shifted_metric_fails_the_rule(leak, read, monkeypatch):
+def test_a_koszul_oracle_that_reads_cartan_or_the_metric_jets_fails_the_rule(leak, read, monkeypatch):
     koszul = levicivita.koszul_oracle
 
     def leaky(s, at, params, geom=None, metric=None):
-        read(s, params, metric)
+        read(metric)
         return koszul(s, at, params, geom=geom, metric=metric)
 
     monkeypatch.setattr(levicivita, "koszul_oracle", leaky)

@@ -357,9 +357,10 @@ def test_koszul_tables_reused_match_fresh(n):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("first", ["koszul", "definition"])
 def test_koszul_and_definition_share_one_evaluation_per_shifted_point(n, first, monkeypatch):
-    # both oracles read their partials off jets the point already holds, so
-    # neither builds a geometry at a shifted point (none at all on a given
-    # geometry), and whichever asks first, the tables equal those each
+    # the Koszul oracle evaluates its stencil over all 2n chart variables
+    # as one batched order-2 geometry, one evaluation per shifted point; the
+    # definition route reads the connection jet the point already holds and
+    # evaluates none; and whichever asks first, the tables equal those each
     # oracle gets alone
     s = conformal_structure(n, -1.0)
     params = DeformationParams(c=-1.0)
@@ -387,54 +388,59 @@ def test_koszul_and_definition_share_one_evaluation_per_shifted_point(n, first, 
     monkeypatch.setattr(geometry.PointGeometry, "__init__", counted_geom)
     metric = BundleMetric(geom, params)
     shared = tables(metric)
-    assert built == []
+    assert built == [2]
     assert all(np.array_equal(got, want) for got, want in zip(shared, alone))
-    assert set(metric.derived) == {"koszul", "connection", "defn"}
+    assert set(metric.derived) == {"gram_partials", "koszul", "connection", "defn"}
+    # the Gram partials are one read-only array on the metric
+    partials = metric.derived["gram_partials"]
+    assert type(partials) is np.ndarray and partials.shape == (2 * n, 2 * n, 2 * n)
+    assert not partials.flags.writeable
 
 
 # ---------------------------------------------------------------------------
-# the exact partials against finite-difference partials built here from
-# metrics at the shifted points
+# exact partials against finite-difference partials: the connection's
+# partials of the definition route, and the Koszul oracle's metric partials
 
 
 _FD_CASES = [(conformal_structure(n, -1.0), DeformationParams(c=-1.0)) for n in (2, 3, 4)] + [
-    (general_randers(3), DeformationParams(alpha=1.3, beta=0.8, c=0.0))
+    (general_randers(3), DeformationParams(alpha=1.3, beta=0.8, c=0.0)),
+    # a profile that varies with tau, so each stencil point has its own v
+    (conformal_structure(3, -1.0), DeformationParams(v="0.4 + 0.3*tau")),
 ]
-_FD_IDS = [s.label for s, _ in _FD_CASES]
+_FD_IDS = [f"{s.label}|{params.describe()}" for s, params in _FD_CASES]
 
 
 @pytest.mark.parametrize("s, params", _FD_CASES, ids=_FD_IDS)
-def test_connection_x_partials_match_finite_differences(s, params):
+def test_connection_partials_match_finite_differences(s, params):
     n = s.dim
     at = _sample_points(s, params, n, 1, seed=40 + n)[0]
     geom = PointGeometry(s, at)
     metric = BundleMetric(geom, params)
-    exact = np.moveaxis(levicivita._connection(geom, metric).derivs(geom.xvars).value, -1, 0)
+    exact = levicivita._chart_partials(levicivita._connection(geom, metric))
     # an order-4 geometry keeps the values of the connection table
     stencil = levicivita.MetricStencil(s, params)
     fd = fd_partial(
-        lambda q: lc_closed_form(s, q, params, metric=stencil.metric_at(q, order=4)), at, geom.xvars
+        lambda q: lc_closed_form(s, q, params, metric=stencil.metric_at(q, order=4)), at, range(2 * n)
     )
-    assert exact.shape == fd.shape == (n,) + (2 * n,) * 3
+    assert exact.shape == fd.shape == (2 * n,) + (2 * n,) * 3
     assert np.abs(exact - fd).max() <= 1e-9
 
 
 @pytest.mark.parametrize("s, params", _FD_CASES, ids=_FD_IDS)
-def test_koszul_table_matches_finite_difference_koszul(s, params):
+def test_koszul_oracle_matches_the_koszul_table_from_metric_jets(s, params):
     n = s.dim
     at = _sample_points(s, params, n, 1, seed=50 + n)[0]
     geom = PointGeometry(s, at)
     metric = BundleMetric(geom, params)
-    stencil = levicivita.MetricStencil(s, params)
-    # F_a(G(F_b, F_c)) from central differences of the Gram matrix
-    part = fd_partial(lambda q: stencil.metric_at(q).gram, at, range(2 * n))
-    dG = np.concatenate([part[:n] + np.tensordot(geom.N, part[n:], 1), part[n:]])
+    # exact F_a(G(F_b, F_c)) from the first partials of the metric's jets
+    jet = levicivita._gram_jet(metric)
+    dG = levicivita._frame_derivative(levicivita._chart_partials(jet), geom)
     gram = metric.gram
     bG = geom.basis_brackets @ gram
     rhs = dG + np.einsum("yxz->xyz", dG) - np.einsum("zxy->xyz", dG)
     rhs += bG - np.einsum("xzy->xyz", bG) - np.einsum("yzx->xyz", bG)
-    fd = np.einsum("ab,xyb->xya", np.linalg.inv(gram), 0.5 * rhs)
-    exact = koszul_oracle(s, at, params, metric=metric)
+    exact = np.einsum("ab,xyb->xya", np.linalg.inv(gram), 0.5 * rhs)
+    fd = koszul_oracle(s, at, params, metric=metric)
     assert np.abs(exact - fd).max() <= 1e-9
 
 
@@ -1097,31 +1103,3 @@ def test_planted_hv_h_defect_fails_every_universal_block_record(monkeypatch):
     report = run_suite(manifest, only=only)
     assert report["summary"]["failed"] == report["summary"]["total"] == 6
     assert max(r["residual"] for r in report["checks"]) < manifest.tolerances["fd_single"]
-
-
-def test_planted_connection_defect_fails_every_koszul_record(monkeypatch):
-    # the Koszul oracle reads exact metric partials, so koszul_agreement is
-    # jet_exact: +1e-7 in every entry of the closed connection table, which
-    # the fd_single bound 1e-4 would pass, fails every record while the
-    # clean tables pass
-    manifest = parse_manifest(json.dumps({
-        "structures": [
-            {"family": "riemannian_conformal", "n": 2, "c": -1.0},
-            {"family": "riemannian_conformal", "n": 3, "c": -1.0},
-        ],
-        "params": [{"label": "hyperbolic", "alpha": 1.0, "beta": 1.0, "c": -1.0}],
-        "sampling": {"seed": 0, "count": 3, "p_norm": [0.5, 1.5]},
-    }))
-    only = ["levicivita.koszul_agreement"]
-    clean = run_suite(manifest, only=only)
-    assert clean["summary"]["total"] == 6 and clean["summary"]["failed"] == 0
-    tol = manifest.tolerances["jet_exact"] * 10.0
-    assert {r["tolerance"] for r in clean["checks"]} == {tol}
-    blocks = levicivita._connection_blocks
-    monkeypatch.setattr(
-        levicivita, "_connection_blocks",
-        lambda *a: {kinds: t + 1e-7 for kinds, t in blocks(*a).items()},
-    )
-    report = run_suite(manifest, only=only)
-    assert report["summary"]["failed"] == report["summary"]["total"] == 6
-    assert max(r["residual"] for r in report["checks"]) < manifest.tolerances["fd_single"] * 10.0

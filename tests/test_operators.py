@@ -300,8 +300,10 @@ def test_derived_state_does_not_keep_the_metric_alive():
         nijenhuis_table(metric)
         landsberg_characterizations(operator_context(s, at, params, metric=metric))
         assert {"koszul", "defects", "defn", "ricci", "nijenhuis", "divergences"} <= set(metric.derived)
-        # the oracle tables are kept as read-only arrays and go with the metric
-        tables = [metric.derived[key] for key in ("koszul", "defn")]
+        # the oracle tables and the Koszul oracle's shifted-point values are
+        # kept as read-only arrays, with no geometry or metric of a shifted
+        # point, and go with the metric
+        tables = [metric.derived[key] for key in ("koszul", "gram_partials", "defn")]
         assert all(type(v) is np.ndarray and not v.flags.writeable for v in tables)
         gone = [weakref.ref(v) for v in tables]
         kept = weakref.ref(metric)
