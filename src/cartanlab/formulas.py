@@ -65,9 +65,10 @@ INDEX: Mapping[str, FormulaEntry] = {
         "max(1, |coordinate|), Richardson-extrapolated over two step sizes, "
         "except the nonlinear-connection oracle, which takes one plain step "
         "of 1e-4.  Every oracle takes first derivatives of point values "
-        "only, all through jets.fd_stencil and jets.fd_combine (or "
-        "jets.fd_partial).",
-        "jets.fd_partial / jets.fd_combine / "
+        "only, through jets.fd_stencil and jets.fd_combine over one "
+        "batched geometry of its whole stencil (1/2 ln det g at order 2 for "
+        "the log-volume derivative).",
+        "jets.fd_stencil / jets.fd_combine / "
         "berwald.nonlinear_connection_fd / berwald.berwald_curvature_fd / "
         "levicivita.koszul_oracle / operators.fd_dln_sqrtg_h",
     ),

@@ -25,9 +25,9 @@ R_curv, which need a second x-derivative of N, raise.
 
 The chart point may be a batch of points (`jets.ChartPoint` with batch
 axes): every jet then carries the batch axes in front of its tensor axes,
-K^2 is evaluated point by point and stacked, and the guards (K^2 > 0,
-positive g, the conditioning of its inverse) run per point, so a bad point
-raises its own error.
+K^2 is evaluated once over the whole batch (`jets.jet_eval`), and the
+guards (K^2 > 0, positive g, the conditioning of its inverse) run per
+point, so a bad point raises its own error.
 
 A vector field on the slit bundle in the adapted frame,
 h^i delta_i + v_i pdot^i, is its (2n,) array of adapted components, h

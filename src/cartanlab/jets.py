@@ -25,9 +25,11 @@ Layout: the coefficients of a jet are one float array `c` of shape
 scalar), optionally preceded by batch axes over a stack of chart points; the
 last axis runs over the multi-indices in graded order, so `c[..., 0]` is the
 value and lowering the total order at a fixed x-cap is a slice (lowering the
-cap is a gather).  Every operation acts on all components at once:
+cap is a gather).  `jet_eval` evaluates a field once over a whole batch.
+Every operation acts on all components at once:
 
-* `+`, `-` and `*` broadcast over the leading axes.  A product gathers both
+* `+`, `-` and `*` (by a jet, a number or an array over the leading axes)
+  broadcast over the leading axes.  A product gathers both
   coefficient axes through the product table of `_Tables.mul`, multiplies,
   and sums each output coefficient with one `np.add.reduceat`; the table is
   sorted by output index when it is built, so the sums are contiguous runs.
@@ -37,7 +39,8 @@ cap is a gather).  Every operation acts on all components at once:
   contraction of two jet tensors costs one gather, one einsum and one
   reduction.
 * `deriv` and `derivs` are gathers on the last axis; indexing selects
-  leading axes; `stack` builds a tensor from scalar jets and numbers.
+  leading axes; `stack` builds a tensor from scalar jets and numbers,
+  after their batch axes.
 
 Every finite difference the package takes, the FD oracles' and the jet
 cross-check's, is a first partial with one path: `fd_stencil` lays the
@@ -45,8 +48,8 @@ shifted points about a chart point out as one batch, for a list of chart
 variables, and `fd_combine` turns the values of an array-valued
 function there into central differences, Richardson extrapolated over two
 steps (or the plain difference for one step).  `fd_partial` evaluates a
-function of a chart point at those points one at a time, for callers that
-cannot evaluate the batch together, and combines the values the same way.
+function of a chart point at those points one at a time, for callables
+that cannot take a batch, and combines the values the same way.
 """
 from __future__ import annotations
 
@@ -420,27 +423,29 @@ class Jet:
             return Jet(self.nvars, tab.order, np.add.reduceat(prod, starts, axis=-1), tab.xcap)
         if _is_number(other):
             return Jet(self.nvars, self.order, self.c * other, self.xcap)
+        if isinstance(other, np.ndarray):
+            return Jet(self.nvars, self.order, self.c * other[..., None], self.xcap)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            return self * other._reciprocal()
+            return self * other._analytic(_reciprocal_terms)
         if _is_number(other):
             return Jet(self.nvars, self.order, self.c / other, self.xcap)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if _is_number(other):
-            return self._reciprocal() * other
+            return self._analytic(_reciprocal_terms) * other
         return NotImplemented
 
     def __pow__(self, expo):
         if isinstance(expo, (int, np.integer)):
             e = int(expo)
             if e < 0:
-                return (self ** (-e))._reciprocal()
+                return (self ** (-e))._analytic(_reciprocal_terms)
             out = Jet.constant(1.0, self.nvars, self.order, self.xcap)
             base = self
             while e:
@@ -453,8 +458,13 @@ class Jet:
             return power(self, float(expo))
         return NotImplemented
 
-    def _analytic(self, series: Sequence[float]) -> "Jet":
-        """Compose a power series sum a_k u^k with u = self - self.value (Horner)."""
+    def _analytic(self, terms: Callable) -> "Jet":
+        """Compose sum a_k u^k, u = self - self.value (Horner), with [a_k] =
+        terms(value, order) taken point by point in C order by float
+        arithmetic: a batch agrees bit for bit with its points one by one."""
+        f0 = self.c[..., 0]
+        rows = np.array([terms(v, self.order) for v in f0.ravel().tolist()])
+        series = list(rows.T.reshape((self.order + 1,) + f0.shape))
         u = Jet(self.nvars, self.order, self.c.copy(), self.xcap)
         u.c[..., 0] = 0.0
         out = series[-1]
@@ -463,13 +473,6 @@ class Jet:
         if not isinstance(out, Jet):  # order 0 operand
             out = Jet.constant(out, self.nvars, self.order, self.xcap)
         return out
-
-    def _reciprocal(self) -> "Jet":
-        f0 = self.value
-        if f0 == 0.0:
-            raise EvaluationDomainError("division by a jet with zero value")
-        series = [(-1.0) ** k * f0 ** (-1 - k) for k in range(self.order + 1)]
-        return self._analytic(series)
 
     def __repr__(self):
         shape = f", shape={self.shape}" if self.shape else ""
@@ -536,12 +539,13 @@ def _leaves(items) -> tuple[list, tuple]:
 def stack(items, nvars: int = None, order: int = None, xcap: int = None) -> Jet:
     """One tensor jet from a nested sequence of scalar jets and numbers.
 
-    Numbers become constants.  The result has the lowest order and x-cap
-    among the jets; ``nvars``, ``order`` and ``xcap`` are read only when no
-    leaf is a jet.
+    Numbers become constants; the jets share one batch shape, whose axes
+    lead the result's.  The result has the lowest order and x-cap among the
+    jets; ``nvars``, ``order`` and ``xcap`` are read only when no leaf is a jet.
     """
     flat, shape = _leaves(items)
     jets = [x for x in flat if isinstance(x, Jet)]
+    batch = jets[0].shape if jets else ()
     if jets:
         nvars, order = jets[0].nvars, min(x.order for x in jets)
         xcap = min(x.xcap for x in jets)
@@ -549,19 +553,43 @@ def stack(items, nvars: int = None, order: int = None, xcap: int = None) -> Jet:
         raise ValueError("stack needs nvars and order when no leaf is a jet")
     tab = _tables(nvars, order, xcap)
     size = tab.size
-    c = np.zeros((len(flat), size))
+    c = np.zeros(batch + (len(flat), size))
     for r, x in enumerate(flat):
         if isinstance(x, Jet):
-            if x.nvars != nvars or x.shape:
-                raise ValueError("stack takes scalar jets over one variable set")
-            c[r] = _on(x, tab, True)
+            if x.nvars != nvars or x.shape != batch:
+                raise ValueError("stack takes scalar jets over one variable set and one batch")
+            c[..., r, :] = _on(x, tab, True)
         else:
-            c[r, 0] = x
-    return Jet(nvars, order, c.reshape(shape + (size,)), tab.xcap)
+            c[..., r, 0] = x
+    return Jet(nvars, order, c.reshape(batch + shape + (size,)), tab.xcap)
 
 
 # ---------------------------------------------------------------------------
-# smooth primitives that accept floats or jets
+# smooth primitives that accept floats or jets; the Taylor coefficients of
+# each at one point's value, for `Jet._analytic`
+
+
+def _reciprocal_terms(f0: float, order: int) -> list:
+    if f0 == 0.0:
+        raise EvaluationDomainError("division by a jet with zero value")
+    return [(-1.0) ** k * f0 ** (-1 - k) for k in range(order + 1)]
+
+
+def _log_terms(f0: float, order: int) -> list:
+    if f0 <= 0:
+        raise EvaluationDomainError(f"log of nonpositive value {f0!r}")
+    return [math.log(f0)] + [(-1.0) ** (k + 1) / (k * f0**k) for k in range(1, order + 1)]
+
+
+def _power_terms(f0: float, order: int, r: float) -> list:
+    if f0 <= 0:
+        raise EvaluationDomainError(f"power {r} of nonpositive value {f0!r}")
+    series = []
+    a = f0**r
+    for k in range(order + 1):
+        series.append(a)
+        a *= (r - k) / (k + 1) / f0
+    return series
 
 
 def sqrt(z):
@@ -574,23 +602,14 @@ def sqrt(z):
 
 def exp(z):
     if isinstance(z, Jet):
-        e0 = math.exp(z.value)
-        series = [e0 / math.factorial(k) for k in range(z.order + 1)]
-        return z._analytic(series)
+        return z._analytic(lambda f0, order: [math.exp(f0) / math.factorial(k) for k in range(order + 1)])
     return math.exp(z)
 
 
 def log(z):
     if isinstance(z, Jet):
-        f0 = z.value
-        if f0 <= 0:
-            raise EvaluationDomainError(f"log of nonpositive value {f0!r}")
-        series = [math.log(f0)]
-        series += [(-1.0) ** (k + 1) / (k * f0**k) for k in range(1, z.order + 1)]
-        return z._analytic(series)
-    if z <= 0:
-        raise EvaluationDomainError(f"log of nonpositive value {z!r}")
-    return math.log(z)
+        return z._analytic(_log_terms)
+    return _log_terms(z, 0)[0]
 
 
 def power(z, r: float):
@@ -601,15 +620,7 @@ def power(z, r: float):
         return z**r
     if float(r).is_integer():
         return z ** int(r)
-    f0 = z.value
-    if f0 <= 0:
-        raise EvaluationDomainError(f"power {r} of nonpositive value {f0!r}")
-    series = []
-    a = f0**r
-    for k in range(z.order + 1):
-        series.append(a)
-        a *= (r - k) / (k + 1) / f0
-    return z._analytic(series)
+    return z._analytic(lambda f0, order: _power_terms(f0, order, r))
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +648,7 @@ class ChartPoint:
             raise ValueError("chart dimension must be at least 2")
         if not (np.isfinite(x).all() and np.isfinite(p).all()):
             raise ValueError("non-finite chart coordinates")
-        if (float(np.linalg.norm(p)) if p.ndim == 1 else np.linalg.norm(p, axis=-1).min()) == 0.0:
+        if not p.any(axis=-1).all():
             raise EvaluationDomainError("momentum p = 0 is outside the slit bundle")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
@@ -679,27 +690,25 @@ def jet_eval(f: Callable, at: ChartPoint, order: int, xcap: int = None) -> Jet:
 
     f receives two lists of jets (x variables first, then p) and must be
     built from arithmetic and the smooth primitives of this module.  For a
-    batch of points f is evaluated point by point, and the tables stack
-    along the batch axes.
+    batch of points f is evaluated once, on jets with the batch axes, and a
+    constant result is broadcast to the batch.  Overflow in f raises
+    EvaluationDomainError, naming the first point (in C order) it hit.
     """
-    if at.batch_shape:
-        tables = [jet_eval(f, pt, order, xcap).c for pt in at.points()]
-        c = np.stack(tables).reshape(at.batch_shape + tables[0].shape)
-        return Jet(2 * at.n, order, c, xcap)
-    n = at.n
-    nv = 2 * n
-    xs = [Jet.variable(i, at.x[i], nv, order, xcap) for i in range(n)]
-    ps = [Jet.variable(n + i, at.p[i], nv, order, xcap) for i in range(n)]
-    out = f(xs, ps)
+    n, nv, batch = at.n, 2 * at.n, at.batch_shape
+    xs = [Jet.variable(i, at.x[..., i], nv, order, xcap) for i in range(n)]
+    ps = [Jet.variable(n + i, at.p[..., i], nv, order, xcap) for i in range(n)]
+    with np.errstate(all="ignore"):
+        out = f(xs, ps)
     if _is_number(out):
-        out = Jet.constant(float(out), nv, order, xcap)
+        out = Jet.constant(np.full(batch, float(out)), nv, order, xcap)
     if not isinstance(out, Jet):
         raise TypeError("field did not evaluate to a jet or number")
     want = order if xcap is None else min(xcap, order)
     if out.xcap > want:  # a field that never read a base variable
         out = out.truncate(out.order, want)
-    if not np.isfinite(out.c).all():
-        raise EvaluationDomainError("non-finite jet coefficients at " + repr(at))
+    bad = _first(~np.isfinite(out.c.reshape(batch + (-1,))).all(axis=-1))
+    if bad is not None:
+        raise EvaluationDomainError(f"non-finite jet coefficients at {ChartPoint(at.x[bad], at.p[bad])!r}")
     return out
 
 

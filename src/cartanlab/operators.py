@@ -16,8 +16,9 @@ the closed first-order form checked below.
 Every operator takes the point's `BundleMetric` (``operator_context`` checks
 det(g_ij) and returns it).  The per-point tables the operators read, the
 frame divergences, the mean Landsberg trace J_i = L^s_{si} and the
-finite-difference log-volume partials, are derived on that metric by their
-first user and kept read-only in its ``derived``.
+finite-difference log-volume partials (one batched order-2 geometry over
+the stencil), are derived on that metric by their first user and kept
+read-only in its ``derived``.
 
 A vector field is its (2n,) float array of adapted components (X^i, Xbar_i),
 h first: `gradient`, `geodesic_spray` and `liouville_field` return one, and
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import EvaluationDomainError
 from .geometry import PointGeometry
-from .jets import ChartPoint, Jet, fd_partial
+from .jets import ChartPoint, Jet, fd_combine, fd_partial, fd_stencil
 from .kahler import BundleMetric, DeformationParams, point_state
 from .levicivita import _read_only, lc_closed_form
 
@@ -85,16 +86,14 @@ def _landsberg_trace(m: BundleMetric) -> np.ndarray:
 
 def _dln_sqrtg_h_fd(m: BundleMetric) -> np.ndarray:
     """delta_i(ln sqrt det g) by the finite-difference route (see
-    fd_dln_sqrtg_h), built on first use; read-only."""
+    fd_dln_sqrtg_h): `jets.fd_combine` of 1/2 ln det g over one order-2
+    geometry of the whole x-stencil, built on first use; read-only."""
 
     def build():
-        s, geom = m.geom.structure, m.geom
-
-        def field(pt: ChartPoint) -> float:
-            g = PointGeometry(s, pt, order=2)
-            return 0.5 * float(np.log(np.linalg.det(g.g_down)))
-
-        return _read_only(fd_partial(field, m.at, geom.xvars) + geom.N @ geom.dln_sqrtg_v)
+        geom = m.geom
+        g = PointGeometry(geom.structure, fd_stencil(m.at, geom.xvars), order=2).g_down
+        dx = fd_combine(0.5 * np.log(np.linalg.det(g)), m.at, geom.xvars)
+        return _read_only(dx + geom.N @ geom.dln_sqrtg_v)
 
     return m.derive("dln_sqrtg_h_fd", build)
 
@@ -144,9 +143,10 @@ def directional_derivative(m: BundleMetric, f, x: np.ndarray) -> float:
 
 def fd_dln_sqrtg_h(m: BundleMetric) -> np.ndarray:
     """delta_i(ln sqrt det g) with the x-partials by Richardson-extrapolated
-    finite differences of fresh low-order geometries and the p-partials by
-    jets; independent of the connection-trace route.  The stencil runs once
-    per metric; each call returns a fresh copy."""
+    finite differences of g over one batched order-2 geometry at the
+    shifted points and the p-partials by jets; independent of the
+    connection-trace route.  The stencil runs once per metric; each call
+    returns a fresh copy."""
     return _dln_sqrtg_h_fd(m).copy()
 
 

@@ -4,6 +4,8 @@ The conformal family is checked against an FD Riemann-tensor oracle built
 directly from the base metric components; nothing of the jet pipeline enters
 that oracle.
 """
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,11 @@ from cartanlab.cartan import (
     sample_points,
 )
 from cartanlab import cartan
-from cartanlab.errors import ConditioningError, RegularityError
+from cartanlab.errors import ConditioningError, EvaluationDomainError, RegularityError
 from cartanlab.geometry import PointGeometry
-from cartanlab.jets import ChartPoint
+from cartanlab.jets import ChartPoint, fd_stencil, jet_eval
+
+from conftest import general_randers
 
 
 def _pt(x, p):
@@ -266,6 +270,67 @@ def test_indefinite_hamiltonian_is_rejected():
     with pytest.raises(RegularityError) as ei:
         PointGeometry(s, _pt([0.0, 0.0], [1.0, 0.5])).g_up
     assert "eigenvalue" in str(ei.value)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation: one K^2 evaluation over a whole stencil
+
+_BATCH_FAMILIES = {
+    "flat": lambda: flat_structure(3),
+    "conformal": lambda: conformal_structure(3, -1.0),
+    "randers": lambda: randers_dual(n=3),
+    "riemannian-callable": lambda: riemannian_dual(
+        lambda xs: [[2.0 + xs[0] * xs[0], 0.3, 0.0], [0.3, 1.0 + xs[1] * xs[1], 0.0], [0.0, 0.0, 1.5]], n=3
+    ),
+    "randers-curved": lambda: general_randers(3),
+    "expression": lambda: expression_structure(
+        3,
+        "exp(0.2*x1) * (p1*p1 + p2*p2) + sqrt(1 + x2*x2) * pow(p1*p1 + p3*p3, 0.75)"
+        " / (2 + log(2 + x3*x3 + p2*p2))",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_BATCH_FAMILIES))
+def test_batched_k2_equals_the_stacked_per_point_tables(family):
+    # the orders and x-caps of the geometries: order 5 whole, order 4
+    # x-linear and order 2 free of x, as the stencil geometries take them
+    s = _BATCH_FAMILIES[family]()
+    at = sample_points(s, 1, 17)[0]
+    stencil = fd_stencil(at, range(6))
+    for order, xcap in ((5, 5), (4, 1), (2, 0)):
+        batched = jet_eval(s.k2, stencil, order, xcap)
+        single = np.stack([jet_eval(s.k2, q, order, xcap).c for q in stencil.points()])
+        single = single.reshape(batched.c.shape)
+        assert batched.shape == stencil.batch_shape and batched.xcap == xcap
+        assert float(np.abs(batched.c - single).max()) <= 1e-15 * float(np.abs(single).max())
+
+
+def test_a_stencil_geometry_evaluates_k2_once_for_the_whole_batch():
+    s = general_randers(3)
+    stencil = fd_stencil(sample_points(s, 1, 3)[0], range(6))
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in ("jet_eval", "points"):
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        PointGeometry(s, stencil, 4).k2
+    finally:
+        sys.setprofile(None)
+    assert entered == ["jet_eval"]
+
+
+def test_a_batch_with_one_nonpositive_k2_names_that_point():
+    s = CartanStructure(dim=2, k2=lambda xs, ps: (xs[0] - 0.25) * (ps[0] * ps[0] + ps[1] * ps[1]), label="edge")
+    x = np.array([[[0.5, 0.1], [0.3, 0.1]], [[0.2, 0.1], [0.1, 0.1]]])
+    at = ChartPoint(x, np.full((2, 2, 2), 0.5))
+    with pytest.raises(EvaluationDomainError) as ei:
+        PointGeometry(s, at, order=2).k2
+    value = (0.2 - 0.25) * 0.5
+    assert str(ei.value) == f"K^2 = {value!r} is not positive at ChartPoint(x=[0.2, 0.1], p=[0.5, 0.5])"
 
 
 # ---------------------------------------------------------------------------

@@ -591,6 +591,23 @@ def test_tensor_einstein_factor_stays_finite_at_large_momenta(tmp_path, capsys, 
     assert got["defect"] <= 1e-12 * max(1.0, float(p) ** 2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tensor_overflowing_point_is_one_typed_error_without_warnings(tmp_path, capsys):
+    # K^2 overflows at |p| ~ 1e155: the typed error is the whole output,
+    # with no numpy warning from the jet products or the point's guards
+    path = _write(tmp_path, _manifest_dict())
+    out = tmp_path / "t.json"
+    code = main(["tensor", "--manifest", path, "--structure", "conformal-2d-c-1",
+                 "--params", "hyperbolic", "--point=0.1,0.2;1e155,1e155",
+                 "--objects", "g,ricci", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3 and not out.exists() and captured.out == ""
+    assert captured.err == (
+        "evaluation error: non-finite jet coefficients at "
+        "ChartPoint(x=[0.1, 0.2], p=[1e+155, 1e+155])\n"
+    )
+
+
 @pytest.mark.parametrize("point", ["nan,0.1;0.5,0.5", "0.1,0.1;inf,0.5", "0.1,0.1;0,0"])
 def test_tensor_rejects_non_finite_or_zero_momentum_point(tmp_path, capsys, point):
     path = _write(tmp_path, _manifest_dict())

@@ -67,7 +67,7 @@ RULES = {
     "fd_dln_sqrtg_h": (
         operators,
         {"dln_sqrtg_h", "lc_closed_form", "_connection_jet", "_frame_divergences", "_landsberg_trace"},
-        {"_dln_sqrtg_h_fd", "fd_partial", "dln_sqrtg_v"},
+        {"_dln_sqrtg_h_fd", "fd_stencil", "fd_combine", "dln_sqrtg_v"},
     ),
 }
 

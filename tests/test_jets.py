@@ -5,6 +5,7 @@ hand, transcendental derivatives come from the classical closed forms, and
 every jet coefficient is additionally held to the independent FD oracle.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,41 @@ def test_primitive_domain_errors():
         sqrt(-2.0)
     with pytest.raises(EvaluationDomainError):
         log(0.0)
+
+
+def _batch(x0s):
+    """A (2, 2) batch of n = 2 points whose first base coordinates are x0s."""
+    x = np.stack([np.asarray(x0s, dtype=float), np.full(4, 0.1)], axis=-1)
+    p = np.tile([0.8, 0.6], (4, 1))
+    return ChartPoint(x.reshape(2, 2, 2), p.reshape(2, 2, 2))
+
+
+def test_a_batch_names_its_first_bad_point():
+    # one evaluation over the batch; a domain error names the value at the
+    # first bad point in C order, as that point alone would
+    at = _batch([0.5, -0.25, 0.3, -1.0])
+    with pytest.raises(EvaluationDomainError, match=r"^log of nonpositive value -0\.25$"):
+        jet_eval(lambda xs, ps: log(xs[0]) + ps[0] * ps[0], at, 3)
+    with pytest.raises(EvaluationDomainError, match=r"^power 0\.5 of nonpositive value -0\.25$"):
+        jet_eval(lambda xs, ps: sqrt(xs[0]), at, 2)
+    with pytest.raises(EvaluationDomainError, match="zero value"):
+        jet_eval(lambda xs, ps: 1.0 / (xs[0] - 0.3), at, 2)
+
+
+def test_a_batch_overflow_names_its_point_without_a_warning():
+    at = _batch([1e-200, 1e-200, 1e200, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EvaluationDomainError) as ei:
+            jet_eval(lambda xs, ps: xs[0] * xs[0] * ps[0], at, 2)
+    assert str(ei.value) == "non-finite jet coefficients at ChartPoint(x=[1e+200, 0.1], p=[0.8, 0.6])"
+
+
+def test_a_constant_field_is_broadcast_to_the_batch():
+    at = _batch([0.1, 0.2, 0.3, 0.4])
+    got = jet_eval(lambda xs, ps: 2.5, at, 3, xcap=1)
+    assert got.shape == (2, 2) and got.xcap == 1
+    np.testing.assert_array_equal(got.c, Jet.constant(np.full((2, 2), 2.5), 4, 3, 1).c)
 
 
 # ---------------------------------------------------------------------------

@@ -358,10 +358,10 @@ def test_koszul_tables_reused_match_fresh(n):
 @pytest.mark.parametrize("first", ["koszul", "definition"])
 def test_koszul_and_definition_share_one_evaluation_per_shifted_point(n, first, monkeypatch):
     # the Koszul oracle evaluates its stencil over all 2n chart variables
-    # as one batched order-2 geometry, one evaluation per shifted point; the
-    # definition route reads the connection jet the point already holds and
-    # evaluates none; and whichever asks first, the tables equal those each
-    # oracle gets alone
+    # as one batched order-2 geometry, one K^2 evaluation for the whole
+    # stencil; the definition route reads the connection jet the point
+    # already holds and evaluates none; and whichever asks first, the
+    # tables equal those each oracle gets alone
     s = conformal_structure(n, -1.0)
     params = DeformationParams(c=-1.0)
     at = _sample_points(s, params, n, 1, seed=8)[0]

@@ -252,10 +252,11 @@ def test_operator_stencils_built_once_per_context(monkeypatch):
     assert report["summary"] == {"total": len(only) * points, "passed": len(only) * points, "failed": 0}
     # laplacian_routes takes five callable fields, k2_harmonic one
     assert counts["stencils"] == points and counts["laplacians"] == 6 * points
-    assert counts["order2"] == 4 * n * counts["stencils"]
-    # one fd_partial over the chart variables for each Laplacian's field,
-    # and one over the base variables for each point's log-volume derivative
-    assert counts["fd"] == counts["laplacians"] + counts["stencils"]
+    # one batched order-2 geometry over each point's log-volume stencil
+    assert counts["order2"] == counts["stencils"]
+    # one fd_partial over the chart variables for each Laplacian's field;
+    # the log-volume stencil takes none
+    assert counts["fd"] == counts["laplacians"]
 
 
 @pytest.mark.parametrize(
