@@ -1,21 +1,19 @@
-"""Distinguished tensors, the adapted-frame derivative and the FD oracles of
-the base geometry (nonlinear connection, Berwald coefficients, Landsberg
-tensors, curvature tensors).
+"""Distinguished tensors and the FD oracles of the base geometry (nonlinear
+connection, Berwald coefficients, Landsberg tensors, curvature tensors).
 
 The closed route is the exact jet pipeline in `geometry.PointGeometry`,
 whose attributes (`N`, `B`, `L_*`, `J_*`, `R_vv`, `R_curv`, `P_curv`) hold
-the point values; its one covariant derivative is `PointGeometry.h_cov`
-(horizontal) and `Jet.derivs` along the momenta (vertical).  This module
-adds distinguished tensors (`DTensor`, a valence-checked wrapper whose
-`h_cov` and `v_cov` are those two), the adapted-frame derivative of a
-scalar field, the metric-delta identity, and the FD oracles: they
-recompute the nonlinear
-connection and the h-curvature from central differences of point values
-(`jets.fd_stencil` and `jets.fd_combine`, the one FD path of the package),
-so the two routes share no derivative mechanism.  Each
-oracle reads only base-geometry values at its shifted points, so its whole
-stencil, every chart variable and step and sign, is one batched
-`PointGeometry` of the low order those values need.
+the point values; its adapted-frame derivative is `PointGeometry.delta`,
+its one covariant derivative `PointGeometry.h_cov` (horizontal) and
+`Jet.derivs` along the momenta (vertical).  This module adds distinguished
+tensors (`DTensor`, a valence-checked wrapper whose `h_cov` and `v_cov` are
+those two) and the FD oracles: they recompute the nonlinear connection and
+the h-curvature from central differences of point values (`jets.fd_stencil`
+and `jets.fd_combine`, the one FD path of the package), so the two routes
+share no derivative mechanism.  Each oracle reads only base-geometry
+values at its shifted points, so its whole stencil, every chart variable
+and step and sign, is one batched `PointGeometry` of the low order those
+values need.
 """
 from __future__ import annotations
 
@@ -23,15 +21,13 @@ import numpy as np
 
 from .errors import ValenceError
 from .geometry import PointGeometry
-from .jets import ChartPoint, Jet, fd_combine, fd_stencil, jet_eval
+from .jets import ChartPoint, Jet, fd_combine, fd_stencil
 from .kahler import point_state
 
 __all__ = [
     "DTensor",
     "nonlinear_connection_fd",
-    "delta_apply",
     "berwald_curvature_fd",
-    "metric_delta_identity",
 ]
 
 
@@ -69,33 +65,6 @@ class DTensor:
     def v_cov(self) -> "DTensor":
         """Vertical covariant derivative T -> T|^k (index appended, up)."""
         return DTensor(self.geom, self.comp.derivs(self.geom.pvars), self.valence + "u")
-
-
-# ---------------------------------------------------------------------------
-# closed-route operations
-
-
-def delta_apply(s, at: ChartPoint, f, geom: PointGeometry = None) -> np.ndarray:
-    """delta_i f for a scalar field f(xs, ps) built from smooth primitives."""
-    geom, _ = point_state(s, at, geom=geom)
-    n = at.n
-    fj = jet_eval(f, at, 1)
-    grad = fj.derivs(range(2 * n)).value
-    return grad[:n] + geom.N @ grad[n:]
-
-
-def metric_delta_identity(s, at: ChartPoint, geom: PointGeometry = None) -> float:
-    """Residual of delta_i g_jk = B^s_ji g_sk + B^s_ki g_js.
-
-    Zero exactly when the Landsberg tensor vanishes; in general the residual
-    equals the Landsberg defect of the structure at the point.
-    """
-    geom, _ = point_state(s, at, geom=geom)
-    bv = geom.B
-    gv = geom.g_down
-    lhs = geom.delta(geom.g_down_jets).value  # delta_i g_jk at [j, k, i]
-    rhs = np.einsum("mji,mk->jki", bv, gv) + np.einsum("mki,jm->jki", bv, gv)
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ _ALLOWED_BINOPS = {
     ast.Sub: lambda a, b: a - b,
     ast.Mult: lambda a, b: a * b,
     ast.Div: lambda a, b: a / b,
-    ast.Pow: lambda a, b: a**b if isinstance(b, (int, float)) else power(a, b),
+    ast.Pow: power,
 }
 
 

@@ -116,7 +116,7 @@ INDEX: Mapping[str, FormulaEntry] = {
     "adapted-frame": FormulaEntry(
         "Horizontal derivative delta_i = d_i + N_ij dot^j; the frame "
         "(delta_i, dot^i) splits the bundle tangent space.",
-        "berwald.delta_apply / geometry.PointGeometry.frame_jets / "
+        "geometry.PointGeometry.delta / geometry.PointGeometry.frame_jets / "
         "geometry.PointGeometry.basis_jets / geometry.slot_index",
     ),
     "berwald-coefficients": FormulaEntry(
@@ -132,7 +132,7 @@ INDEX: Mapping[str, FormulaEntry] = {
         "antisymmetrized defect A_kij = g_jk|i - g_ik|j vanishes; "
         "consequences: momentum is horizontally parallel (p_i|j = 0) and "
         "delta_i K^2 = 0.",
-        "berwald.metric_delta_identity",
+        "geometry.PointGeometry.h_cov (of the metric, valence dd)",
     ),
     "landsberg": FormulaEntry(
         "Landsberg tensor L^ij_k = C^ij_k|h p^h; the horizontal metric "

@@ -569,10 +569,18 @@ def stack(items, nvars: int = None, order: int = None, xcap: int = None) -> Jet:
 # each at one point's value, for `Jet._analytic`
 
 
+def _raised(f0: float, r) -> float:
+    """f0**r, an overflow raised as EvaluationDomainError naming f0."""
+    try:
+        return f0**r
+    except OverflowError:
+        raise EvaluationDomainError(f"power {r} of {f0!r} overflows") from None
+
+
 def _reciprocal_terms(f0: float, order: int) -> list:
     if f0 == 0.0:
         raise EvaluationDomainError("division by a jet with zero value")
-    return [(-1.0) ** k * f0 ** (-1 - k) for k in range(order + 1)]
+    return [(-1.0) ** k * _raised(f0, -1 - k) for k in range(order + 1)]
 
 
 def _log_terms(f0: float, order: int) -> list:
@@ -585,7 +593,7 @@ def _power_terms(f0: float, order: int, r: float) -> list:
     if f0 <= 0:
         raise EvaluationDomainError(f"power {r} of nonpositive value {f0!r}")
     series = []
-    a = f0**r
+    a = _raised(f0, r)
     for k in range(order + 1):
         series.append(a)
         a *= (r - k) / (k + 1) / f0
@@ -602,8 +610,11 @@ def sqrt(z):
 
 def exp(z):
     if isinstance(z, Jet):
-        return z._analytic(lambda f0, order: [math.exp(f0) / math.factorial(k) for k in range(order + 1)])
-    return math.exp(z)
+        return z._analytic(lambda f0, order: [exp(f0) / math.factorial(k) for k in range(order + 1)])
+    try:
+        return math.exp(z)
+    except OverflowError:
+        raise EvaluationDomainError(f"exp of {z!r} overflows") from None
 
 
 def log(z):
@@ -617,7 +628,7 @@ def power(z, r: float):
     if not isinstance(z, Jet):
         if z <= 0 and not float(r).is_integer():
             raise EvaluationDomainError(f"power {r} of nonpositive value {z!r}")
-        return z**r
+        return _raised(z, r)
     if float(r).is_integer():
         return z ** int(r)
     return z._analytic(lambda f0, order: _power_terms(f0, order, r))
@@ -692,7 +703,8 @@ def jet_eval(f: Callable, at: ChartPoint, order: int, xcap: int = None) -> Jet:
     built from arithmetic and the smooth primitives of this module.  For a
     batch of points f is evaluated once, on jets with the batch axes, and a
     constant result is broadcast to the batch.  Overflow in f raises
-    EvaluationDomainError, naming the first point (in C order) it hit.
+    EvaluationDomainError: an exp or a power names the value it overflows
+    at, any other the first point (in C order) it hit.
     """
     n, nv, batch = at.n, 2 * at.n, at.batch_shape
     xs = [Jet.variable(i, at.x[..., i], nv, order, xcap) for i in range(n)]

@@ -168,8 +168,8 @@ class BundleMetric:
         #: the Nijenhuis table, the Koszul table and the finite-difference
         #: Gram partials it reads, the connection jet and its defects, the
         #: curvature table, the curvature-definition table, Ricci, and the
-        #: operators' frame divergences, mean Landsberg trace and
-        #: finite-difference log-volume partials
+        #: operators' frame divergences and finite-difference log-volume
+        #: partials
         self.derived: dict = {}
 
     def derive(self, key: str, build):

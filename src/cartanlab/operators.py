@@ -15,16 +15,17 @@ the closed first-order form checked below.
 
 Every operator takes the point's `BundleMetric` (``operator_context`` checks
 det(g_ij) and returns it).  The per-point tables the operators read, the
-frame divergences, the mean Landsberg trace J_i = L^s_{si} and the
-finite-difference log-volume partials (one batched order-2 geometry over
-the stencil), are derived on that metric by their first user and kept
-read-only in its ``derived``.
+frame divergences and the finite-difference log-volume partials (one
+batched order-2 geometry over the stencil), are derived on that metric by
+their first user and kept read-only in its ``derived``; the mean Landsberg
+trace J_i = L^s_{si} is the geometry's ``J_down``.
 
 A vector field is its (2n,) float array of adapted components (X^i, Xbar_i),
 h first: `gradient`, `geodesic_spray` and `liouville_field` return one, and
 `divergence` and `directional_derivative` take one.  The chart partials of a
 scalar field are exact for a jet and one `jets.fd_partial` over all chart
-variables for a callable of a chart point.
+variables for a callable of a chart point; both go to frame derivatives
+through `levicivita._frame_derivative`, as the connection oracles' do.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .errors import EvaluationDomainError
 from .geometry import PointGeometry
 from .jets import ChartPoint, Jet, fd_combine, fd_partial, fd_stencil
 from .kahler import BundleMetric, DeformationParams, point_state
-from .levicivita import _read_only, lc_closed_form
+from .levicivita import _chart_partials, _frame_derivative, _read_only, lc_closed_form
 
 __all__ = [
     "operator_context",
@@ -79,11 +80,6 @@ def _frame_divergences(m: BundleMetric) -> np.ndarray:
     return m.derive("divergences", build)
 
 
-def _landsberg_trace(m: BundleMetric) -> np.ndarray:
-    """The mean Landsberg trace J_i = L^s_{si}."""
-    return m.derive("landsberg_trace", lambda: _read_only(np.einsum("ssi->i", m.geom.L_udd)))
-
-
 def _dln_sqrtg_h_fd(m: BundleMetric) -> np.ndarray:
     """delta_i(ln sqrt det g) by the finite-difference route (see
     fd_dln_sqrtg_h): `jets.fd_combine` of 1/2 ln det g over one order-2
@@ -105,18 +101,13 @@ def divergence(m: BundleMetric, x: np.ndarray) -> float:
     return float(x[:n] @ div[:n] + x[n:] @ div[n:])
 
 
-def _scalar_partials(m: BundleMetric, f):
-    """All 2n chart partials of a scalar; jet-exact for Jet inputs, finite
-    differences (``jets.fd_partial``) for callables of a chart point."""
-    n, chart = m.n, range(2 * m.n)
-    grad = f.derivs(chart).value if isinstance(f, Jet) else fd_partial(f, m.at, chart)
-    return grad[:n], grad[n:]
-
-
 def _frame_partials(m: BundleMetric, f):
-    """(delta_i f, pdot^i f) from the chart partials."""
-    dx, dp = _scalar_partials(m, f)
-    return dx + m.geom.N @ dp, dp
+    """(delta_i f, pdot^i f) from the 2n chart partials of a scalar: exact
+    for a jet, finite differences (``jets.fd_partial``) for a callable of a
+    chart point."""
+    partials = _chart_partials(f) if isinstance(f, Jet) else fd_partial(f, m.at, range(2 * m.n))
+    frame = _frame_derivative(partials, m.geom)
+    return frame[: m.n], frame[m.n :]
 
 
 def gradient(m: BundleMetric, f) -> np.ndarray:
@@ -167,7 +158,7 @@ class LaplacianResult:
 def laplacian(m: BundleMetric, f) -> LaplacianResult:
     df_h, df_v = _frame_partials(m, f)
     direct = divergence(m, _gradient(m, df_h, df_v))
-    weight = _dln_sqrtg_h_fd(m) - _landsberg_trace(m)
+    weight = _dln_sqrtg_h_fd(m) - m.geom.J_down
     closed = float(df_h @ m.G_up @ weight)
     return LaplacianResult(direct=direct, closed=closed)
 
@@ -193,7 +184,7 @@ def landsberg_characterizations(m: BundleMetric, tol: float = 1e-6) -> dict:
     condition holds then div S = 0).
     """
     dln = fd_dln_sqrtg_h(m)
-    J = _landsberg_trace(m)
+    J = m.geom.J_down
     p_up = m.geom.p_up
     div_s = divergence(m, geodesic_spray(m))
     identity = float(p_up @ dln - p_up @ J)

@@ -12,13 +12,7 @@ from conftest import builtin_structures, christoffel_fd, general_randers, pt
 
 from cartanlab import checks, geometry
 from cartanlab.checks import run_suite
-from cartanlab.berwald import (
-    DTensor,
-    berwald_curvature_fd,
-    delta_apply,
-    metric_delta_identity,
-    nonlinear_connection_fd,
-)
+from cartanlab.berwald import DTensor, berwald_curvature_fd, nonlinear_connection_fd
 from cartanlab.cartan import (
     CartanStructure,
     conformal_structure,
@@ -33,7 +27,7 @@ from cartanlab.errors import (
     ValenceError,
 )
 from cartanlab.geometry import PointGeometry
-from cartanlab.jets import ChartPoint, fd_partial, fd_stencil
+from cartanlab.jets import ChartPoint, fd_partial, fd_stencil, jet_eval
 from cartanlab.manifest import DEFAULT_TOLERANCES, build_structure, parse_manifest
 
 
@@ -61,7 +55,7 @@ def test_locally_minkowski_randers():
     np.testing.assert_allclose(geom.B, 0.0, atol=1e-10)
     np.testing.assert_allclose(geom.L_uud, 0.0, atol=1e-10)
     np.testing.assert_allclose(geom.R_vv, 0.0, atol=1e-10)
-    assert metric_delta_identity(s, at) <= 1e-8
+    assert np.max(np.abs(geom.h_cov(geom.g_down_jets, "dd").value)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +256,15 @@ def test_an_order4_stencil_geometry_keeps_values_and_refuses_second_x_derivative
 def test_delta_of_k2_vanishes():
     for s in [conformal_structure(2, -1.0), general_randers(2)]:
         for at in sample_points(s, 5, 11):
-            d = delta_apply(s, at, s.k2)
+            geom = PointGeometry(s, at)
+            d = geom.delta(geom.k2).value
             assert np.max(np.abs(d)) <= 1e-8 * max(1.0, s.k2_values(at.x, at.p))
 
 
 def test_delta_reduces_to_base_derivative_off_momentum():
     s = conformal_structure(2, 1.0)
     at = pt([0.2, -0.1], [0.9, 0.3])
-    d = delta_apply(s, at, lambda xs, ps: xs[0] * xs[0] * xs[1])
+    d = PointGeometry(s, at).delta(jet_eval(lambda xs, ps: xs[0] * xs[0] * xs[1], at, 1)).value
     np.testing.assert_allclose(d, [2 * 0.2 * (-0.1), 0.2**2], rtol=1e-12)
 
 
@@ -278,7 +273,7 @@ def test_delta_of_momentum_coordinate_is_connection():
     at = pt([0.4, 0.1], [1.2, -0.5])
     geom = PointGeometry(s, at)
     for k in range(2):
-        d = delta_apply(s, at, lambda xs, ps, k=k: ps[k])
+        d = geom.delta(jet_eval(lambda xs, ps, k=k: ps[k], at, 1)).value
         np.testing.assert_allclose(d, geom.N[:, k], rtol=0, atol=1e-12)
 
 
@@ -406,7 +401,7 @@ def test_metric_delta_residual_equals_twice_landsberg():
     s = general_randers(2)
     at = pt([0.25, -0.15], [1.0, 0.55])
     geom = PointGeometry(s, at)
-    res = metric_delta_identity(s, at, geom)
+    res = float(np.max(np.abs(geom.h_cov(geom.g_down_jets, "dd").value)))
     assert res == pytest.approx(2.0 * np.max(np.abs(geom.L_ddd)), rel=1e-6)
     assert res > 1e-4
     # and elementwise: g_jk|i = 2 L_jki

@@ -608,6 +608,28 @@ def test_tensor_overflowing_point_is_one_typed_error_without_warnings(tmp_path, 
     )
 
 
+@pytest.mark.parametrize(
+    "expr, point, message",
+    [
+        ("exp(x1*p1*p1) * (p1*p1 + p2*p2)", "0.9,0.1;30,0.5", "exp of 810.0 overflows"),
+        ("pow(p1*p1 + p2*p2, 1.5) / sqrt(p1*p1 + p2*p2)", "0.9,0.1;1e120,0.5",
+         "power 1.5 of 1e+240 overflows"),
+    ],
+    ids=["exp", "power"],
+)
+def test_tensor_overflowing_primitive_is_one_typed_error(tmp_path, capsys, expr, point, message):
+    # an exp or real power past the float range is an evaluation error, not
+    # an internal fault
+    doc = _manifest_dict(structures=[{"family": "expression", "n": 2, "label": "big", "k2": expr}])
+    path = _write(tmp_path, doc)
+    out = tmp_path / "t.json"
+    code = main(["tensor", "--manifest", path, "--structure", "big", "--params", "flat-gauge",
+                 f"--point={point}", "--objects", "g", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3 and not out.exists() and captured.out == ""
+    assert captured.err == f"evaluation error: {message}\n"
+
+
 @pytest.mark.parametrize("point", ["nan,0.1;0.5,0.5", "0.1,0.1;inf,0.5", "0.1,0.1;0,0"])
 def test_tensor_rejects_non_finite_or_zero_momentum_point(tmp_path, capsys, point):
     path = _write(tmp_path, _manifest_dict())

@@ -66,7 +66,7 @@ RULES = {
     # connection trace or the exact jet
     "fd_dln_sqrtg_h": (
         operators,
-        {"dln_sqrtg_h", "lc_closed_form", "_connection_jet", "_frame_divergences", "_landsberg_trace"},
+        {"dln_sqrtg_h", "lc_closed_form", "_connection_jet", "_frame_divergences", "J_down", "J_up", "J_up_jets"},
         {"_dln_sqrtg_h_fd", "fd_stencil", "fd_combine", "dln_sqrtg_v"},
     ),
 }

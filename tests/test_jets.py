@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartanlab.cartan import expression_structure
 from cartanlab.errors import ConditioningError, EvaluationDomainError
 from cartanlab.jets import (
     ChartPoint,
@@ -415,6 +416,28 @@ def test_a_batch_overflow_names_its_point_without_a_warning():
         with pytest.raises(EvaluationDomainError) as ei:
             jet_eval(lambda xs, ps: xs[0] * xs[0] * ps[0], at, 2)
     assert str(ei.value) == "non-finite jet coefficients at ChartPoint(x=[1e+200, 0.1], p=[0.8, 0.6])"
+
+
+# an exp and a real power whose value overflows a float at the given point
+OVERFLOWS = [
+    ("exp(x1*p1*p1) * (p1*p1 + p2*p2)", [30.0, 0.5], r"^exp of 810\.0 overflows$"),
+    ("pow(p1*p1 + p2*p2, 1.5) / sqrt(p1*p1 + p2*p2)", [1e120, 0.5], r"^power 1\.5 of 1e\+240 overflows$"),
+    ("(p1*p1 + p2*p2)**1.5 / sqrt(p1*p1 + p2*p2)", [1e120, 0.5], r"^power 1\.5 of 1e\+240 overflows$"),
+]
+
+
+@pytest.mark.parametrize("expr, p, message", OVERFLOWS, ids=["exp", "power", "power-operator"])
+def test_an_overflowing_primitive_is_a_domain_error_naming_its_value(expr, p, message):
+    s = expression_structure(2, expr)
+    at = ChartPoint(np.array([0.9, 0.1]), np.array(p))
+    with pytest.raises(EvaluationDomainError, match=message):
+        jet_eval(s.k2, at, 2)
+    with pytest.raises(EvaluationDomainError, match=message):
+        s.k2_values(at.x, at.p)
+    # in a batch, the overflowing point is the second
+    batch = ChartPoint(np.array([[0.9, 0.1]] * 2), np.array([[1.0, 0.5], p]))
+    with pytest.raises(EvaluationDomainError, match=message):
+        jet_eval(s.k2, batch, 5)
 
 
 def test_a_constant_field_is_broadcast_to_the_batch():

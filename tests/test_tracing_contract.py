@@ -51,3 +51,30 @@ def test_traced_run_of_the_batched_fd_oracles(monkeypatch):
     assert [counts[f"geometry.built.order{k}"] for k in (5, 4, 2)] == [points, points, points]
     geometry_spans = [row for row in tracer.spans if row[0].startswith("geometry.")]
     assert geometry_spans and all(row[4] == n and row[5] is not None for row in geometry_spans)
+
+
+def test_structure_checks_evaluate_k2_once_per_point(monkeypatch):
+    # the jet-vs-FD, delta K^2 and metric-delta checks read K^2 and its
+    # derivatives off the point's geometry: one jet evaluation per point
+    import json
+
+    from cartanlab.manifest import parse_manifest
+
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    points = 2
+    manifest = parse_manifest(json.dumps({
+        "structures": [{"family": "riemannian_conformal", "n": 2, "c": -1.0}],
+        "params": [{"label": "hyperbolic", "alpha": 1.0, "beta": 1.0, "c": -1.0}],
+        "sampling": {"seed": 0, "count": points, "p_norm": [0.5, 1.5]},
+    }))
+    only = ["jets.jet_vs_fd", "berwald.delta_k2", "berwald.metric_delta"]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        report = checks.run_suite(manifest, only=only)
+    finally:
+        tracer.uninstall()
+    assert report["summary"]["total"] == len(only) * points and report["summary"]["failed"] == 0
+    assert tracer.counts["jets.jet_eval_calls"] == points
