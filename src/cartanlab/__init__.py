@@ -48,7 +48,6 @@ from .geometry import PointGeometry, frame_block, lie_brackets
 from .kahler import (
     BundleMetric,
     DeformationParams,
-    integrability_defect,
     nijenhuis_table,
     theta_matrix,
     tube_predicate,
@@ -95,7 +94,6 @@ __all__ = [
     "lie_brackets",
     "BundleMetric",
     "DeformationParams",
-    "integrability_defect",
     "nijenhuis_table",
     "theta_matrix",
     "tube_predicate",

@@ -17,6 +17,7 @@ Built-in families:
 from __future__ import annotations
 
 import ast
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -251,22 +252,29 @@ def randers_dual(
 # ---------------------------------------------------------------------------
 # expression-defined structures
 
-_ALLOWED_CALLS = {"sqrt": sqrt, "exp": exp, "log": log, "pow": power}
-_ALLOWED_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
-    ast.Pow: power,
-}
+def _divide(a, b):
+    """a / b; division by the number 0 raises EvaluationDomainError, as
+    division by a jet whose value is 0 does."""
+    if isinstance(b, (int, float)) and b == 0:
+        raise EvaluationDomainError("division by zero")
+    return a / b
+
+
+_CALLS = {"sqrt": (sqrt, 1), "exp": (exp, 1), "log": (log, 1), "pow": (power, 2)}
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: _divide, ast.Pow: power}
 
 
 def parse_scalar_expression(expr: str, names: Sequence[str]) -> Callable:
     """Compile a whitelisted arithmetic expression to env -> value.
 
-    Allowed: +, -, *, /, **, unary -, numeric literals, the listed variable
-    names, and calls to sqrt/exp/log/pow.  Anything else raises ValueError
-    naming the offending construct.
+    Allowed: +, -, *, /, **, unary + and -, numeric literals (taken as
+    floats), the listed variable names, and the calls sqrt(a), exp(a),
+    log(a) and pow(a, b).  The exponent of ** and of pow must not read a
+    variable.  Anything else raises ValueError naming the offending
+    construct.  Each node is checked where its evaluator is built, in one
+    walk of the tree.  A value outside the domain of an operation (division
+    by 0, a real power or log of a nonpositive number, an overflow) raises
+    EvaluationDomainError when the expression is evaluated.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -274,56 +282,51 @@ def parse_scalar_expression(expr: str, names: Sequence[str]) -> Callable:
         raise ValueError(f"invalid expression {expr!r}: {e}") from None
     allowed_names = set(names)
 
-    def check(node):
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp):
-            if type(node.op) not in _ALLOWED_BINOPS:
-                raise ValueError(f"operator {type(node.op).__name__} not allowed")
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp):
+    def build(node) -> tuple:
+        """(env -> value, whether the value reads a variable) of an allowed node."""
+        if isinstance(node, ast.Name):
+            if node.id not in allowed_names:
+                raise ValueError(f"unknown name {node.id!r}; allowed: {sorted(allowed_names)}")
+            name = node.id
+            return (lambda env: env[name]), True
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
+                raise ValueError(f"literal {node.value!r} not allowed")
+            try:
+                value = float(node.value)
+            except OverflowError:
+                raise ValueError("an integer literal exceeds the float range") from None
+            return (lambda env: value), False
+        if isinstance(node, ast.UnaryOp):
             if not isinstance(node.op, (ast.USub, ast.UAdd)):
                 raise ValueError(f"operator {type(node.op).__name__} not allowed")
-            check(node.operand)
+            operand, reads = build(node.operand)
+            return ((lambda env: -operand(env)) if isinstance(node.op, ast.USub) else operand), reads
+        if isinstance(node, ast.BinOp):
+            if type(node.op) not in _BINOPS:
+                raise ValueError(f"operator {type(node.op).__name__} not allowed")
+            what, fn, args = "**", _BINOPS[type(node.op)], (node.left, node.right)
         elif isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_CALLS:
+            if not isinstance(node.func, ast.Name) or node.func.id not in _CALLS:
                 raise ValueError("only sqrt/exp/log/pow calls are allowed")
             if node.keywords:
                 raise ValueError("keyword arguments not allowed")
-            for a in node.args:
-                check(a)
-        elif isinstance(node, ast.Name):
-            if node.id not in allowed_names:
-                raise ValueError(f"unknown name {node.id!r}; allowed: {sorted(allowed_names)}")
-        elif isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
-                raise ValueError(f"literal {node.value!r} not allowed")
+            what, (fn, arity), args = node.func.id, _CALLS[node.func.id], node.args
+            if len(args) != arity:
+                raise ValueError(f"{what} takes {arity} argument(s), got {len(args)}")
         else:
             raise ValueError(f"syntax {type(node).__name__} not allowed")
+        built = list(map(build, args))
+        if fn is power and built[1][1]:
+            raise ValueError(f"the exponent of {what} must not read a variable")
+        reads = any(r for _, r in built)
+        if len(built) == 1:
+            (a, _), = built
+            return (lambda env: fn(a(env))), reads
+        (a, _), (b, _) = built
+        return (lambda env: fn(a(env), b(env))), reads
 
-    check(tree)
-
-    def evaluate(node, env):
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body, env)
-        if isinstance(node, ast.BinOp):
-            return _ALLOWED_BINOPS[type(node.op)](
-                evaluate(node.left, env), evaluate(node.right, env)
-            )
-        if isinstance(node, ast.UnaryOp):
-            val = evaluate(node.operand, env)
-            return -val if isinstance(node.op, ast.USub) else val
-        if isinstance(node, ast.Call):
-            fn = _ALLOWED_CALLS[node.func.id]
-            return fn(*[evaluate(a, env) for a in node.args])
-        if isinstance(node, ast.Name):
-            return env[node.id]
-        if isinstance(node, ast.Constant):
-            return node.value
-        raise AssertionError("unreachable after check()")
-
-    return lambda env: evaluate(tree, env)
+    return build(tree.body)[0]
 
 
 def expression_structure(

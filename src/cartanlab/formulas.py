@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-__all__ = ["FormulaEntry", "INDEX", "describe"]
+__all__ = ["FormulaEntry", "INDEX"]
 
 
 class FormulaEntry(NamedTuple):
@@ -192,8 +192,7 @@ INDEX: Mapping[str, FormulaEntry] = {
         "- [X, Y]; vanishes (integrability) iff v = -c alpha beta^2 with c "
         "the constant of the vv-curvature shape; any other profile leaves "
         "a detectable defect.",
-        "kahler.nijenhuis_table (four geometry.lie_brackets tables) / "
-        "kahler.integrability_defect",
+        "kahler.nijenhuis_table (four geometry.lie_brackets tables)",
     ),
     # --------------------------------------------------------- Levi-Civita
     "koszul": FormulaEntry(
@@ -295,12 +294,7 @@ INDEX: Mapping[str, FormulaEntry] = {
         "Geodesic spray S = p^i delta_i has div(S) = p^i delta_i ln "
         "sqrt(g) (the mean-Landsberg term drops since p^i J_i = 0); the "
         "volume is spray-invariant iff J_i = delta_i ln sqrt(g).",
-        "operators.geodesic_spray / operators.landsberg_characterizations",
+        "operators.geodesic_spray / operators.divergence / "
+        "operators.fd_dln_sqrtg_h (the finite-difference p^i delta_i ln sqrt(g))",
     ),
 }
-
-
-def describe(anchor: str) -> str:
-    """Human-readable one-liner ``anchor: statement  [where]``."""
-    entry = INDEX[anchor]
-    return f"{anchor}: {entry.statement}  [{entry.where}]"

@@ -570,11 +570,14 @@ def stack(items, nvars: int = None, order: int = None, xcap: int = None) -> Jet:
 
 
 def _raised(f0: float, r) -> float:
-    """f0**r, an overflow raised as EvaluationDomainError naming f0."""
+    """f0**r; an overflow, or a negative power of 0, raised as
+    EvaluationDomainError naming f0."""
     try:
         return f0**r
     except OverflowError:
         raise EvaluationDomainError(f"power {r} of {f0!r} overflows") from None
+    except ZeroDivisionError:
+        raise EvaluationDomainError(f"power {r} of {f0!r} divides by zero") from None
 
 
 def _reciprocal_terms(f0: float, order: int) -> list:
@@ -586,7 +589,17 @@ def _reciprocal_terms(f0: float, order: int) -> list:
 def _log_terms(f0: float, order: int) -> list:
     if f0 <= 0:
         raise EvaluationDomainError(f"log of nonpositive value {f0!r}")
-    return [math.log(f0)] + [(-1.0) ** (k + 1) / (k * f0**k) for k in range(1, order + 1)]
+    series = [math.log(f0)]
+    for k in range(1, order + 1):
+        try:
+            fk = f0**k
+        except OverflowError:  # the term itself is finite: take it from 1/f0
+            series.append((-1.0) ** (k + 1) * (1.0 / f0) ** k / k)
+            continue
+        if fk == 0.0:
+            raise EvaluationDomainError(f"log of {f0!r}: its Taylor terms overflow")
+        series.append((-1.0) ** (k + 1) / (k * fk))
+    return series
 
 
 def _power_terms(f0: float, order: int, r: float) -> list:

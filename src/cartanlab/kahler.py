@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -46,10 +46,8 @@ __all__ = [
     "TUBE_MARGIN",
     "DeformationParams",
     "BundleMetric",
-    "IntegrabilityDefect",
     "theta_matrix",
     "nijenhuis_table",
-    "integrability_defect",
     "tube_predicate",
     "point_state",
 ]
@@ -235,12 +233,6 @@ def point_state(s, at: ChartPoint, params: DeformationParams = None, geom=None, 
     return geom, metric
 
 
-class IntegrabilityDefect(NamedTuple):
-    A_res: float    # antisymmetrized frame derivative of G (h-h block)
-    R_res: float    # distance of R_kij from the constant-curvature form
-    A_res_g: float  # same antisymmetrization built with g instead of G
-
-
 def tube_predicate(s, params: DeformationParams):
     """Point filter keeping a safety margin inside the positivity domain:
     accepts points with alpha + 2 tau v(tau) >= TUBE_MARGIN alpha (for the
@@ -283,36 +275,3 @@ def nijenhuis_table(m: BundleMetric) -> np.ndarray:
         return out
 
     return m.derive("nijenhuis", build)
-
-
-def integrability_defect(
-    s,
-    at: ChartPoint,
-    params: DeformationParams,
-    geom: PointGeometry = None,
-) -> IntegrabilityDefect:
-    """Residuals of the two closed-form integrability conditions.
-
-    A_res antisymmetrizes the frame derivative of the h-h metric block
-    against the connection correction (vanishes identically, any profile);
-    R_res measures how far R_kij is from c (g_jk p_i - g_ik p_j) with the
-    effective constant c = -v(tau)/(alpha beta^2); A_res_g is the same
-    antisymmetrization with the undeformed g.
-    """
-    geom, m = point_state(s, at, params, geom)
-
-    def anti_res(metric: Jet) -> float:
-        # delta_i M_jk + M_ir B^r_jk at [i, j, k], antisymmetrized over i < j
-        t = np.einsum("jki->ijk", geom.delta(metric).value)
-        t += np.einsum("ir,rjk->ijk", metric.value, geom.B)
-        i, j = np.triu_indices(geom.n, 1)
-        return float(np.abs(t[i, j] - t[j, i]).max(initial=0.0))
-
-    gd, p = geom.g_down, at.p
-    c = params.c_at(geom.tau)
-    want = c * (np.einsum("jk,i->kij", gd, p) - np.einsum("ik,j->kij", gd, p))
-    return IntegrabilityDefect(
-        A_res=anti_res(m.G_down_jets),
-        R_res=float(np.abs(geom.R_vv - want).max()),
-        A_res_g=anti_res(geom.g_down_jets),
-    )

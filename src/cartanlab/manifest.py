@@ -50,7 +50,7 @@ from .cartan import (
 )
 from .errors import CartanLabError, ManifestError
 from .jets import ChartPoint
-from .kahler import TUBE_MARGIN, DeformationParams
+from .kahler import TUBE_MARGIN, DeformationParams, tube_predicate
 
 __all__ = [
     "DEFAULT_SAMPLING",
@@ -350,50 +350,47 @@ def _probe_points(s: CartanStructure, p_low: float) -> list:
 def _check_tube_feasibility(s: CartanStructure, params: DeformationParams, label: str, sampling: SamplingSpec) -> None:
     """Reject pairings whose whole sampling region violates the
     positive-definiteness gauge alpha + 2 tau v(tau) > 0 (for constant
-    c > 0 this is the tube 2 tau < 1/(c beta^2))."""
-    best_margin = None
+    c > 0 this is the tube 2 tau < 1/(c beta^2)): accept one probe point
+    where K^2 is positive and finite and `kahler.tube_predicate` holds.  A
+    typed error at a probe point skips it."""
+    accept = tube_predicate(s, params)
     least_2tau = None
     for pt in _probe_points(s, sampling.p_norm[0]):
         if not s.admissible(pt):
             continue
         try:
             k2 = s.k2_values(pt.x, pt.p)
-        except Exception:
+            if not (k2 > 0 and np.isfinite(k2)):
+                continue
+            least_2tau = k2 if least_2tau is None else min(least_2tau, k2)
+            if accept(pt):
+                return
+        except CartanLabError:
             continue
-        if not (k2 > 0 and np.isfinite(k2)):
-            continue
-        tau = 0.5 * k2
-        least_2tau = k2 if least_2tau is None else min(least_2tau, k2)
-        try:
-            margin = params.gauge(tau) - TUBE_MARGIN * params.alpha
-        except Exception:
-            continue
-        best_margin = margin if best_margin is None else max(best_margin, margin)
-    if best_margin is None:
+    if least_2tau is None:
         _fail(
             "structures",
             f"structure '{s.label}' has no evaluable probe point (K^2 must be "
             f"positive and finite somewhere in the chart box)",
         )
-    if best_margin < 0:
-        c = params.c
-        if c is not None and c > 0:
-            bound = 1.0 / (c * params.beta**2)
-            _fail(
-                "sampling",
-                f"structure '{s.label}' with params '{label}': the sampling "
-                f"region exits the positivity tube 2*tau < 1/(c*beta^2): the "
-                f"smallest reachable 2*tau ~ {least_2tau:.4g} already exceeds "
-                f"the tube bound {bound:.4g} (with margin); lower beta or c, "
-                f"shrink p_norm, or drop this pairing",
-            )
+    c = params.c
+    if c is not None and c > 0:
+        bound = 1.0 / (c * params.beta**2)
         _fail(
             "sampling",
-            f"structure '{s.label}' with params '{label}': no probe point "
-            f"satisfies the positivity gauge alpha + 2*tau*v(tau) > "
-            f"{TUBE_MARGIN:g}*alpha; the deformation profile makes the "
-            f"bundle metric indefinite on the whole sampling region",
+            f"structure '{s.label}' with params '{label}': the sampling "
+            f"region exits the positivity tube 2*tau < 1/(c*beta^2): the "
+            f"smallest reachable 2*tau ~ {least_2tau:.4g} already exceeds "
+            f"the tube bound {bound:.4g} (with margin); lower beta or c, "
+            f"shrink p_norm, or drop this pairing",
         )
+    _fail(
+        "sampling",
+        f"structure '{s.label}' with params '{label}': no probe point "
+        f"satisfies the positivity gauge alpha + 2*tau*v(tau) > "
+        f"{TUBE_MARGIN:g}*alpha; the deformation profile makes the "
+        f"bundle metric indefinite on the whole sampling region",
+    )
 
 
 # ---------------------------------------------------------------------------

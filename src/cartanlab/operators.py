@@ -1,5 +1,5 @@
 """Divergence, gradient, and Laplace operators in the adapted frame, plus the
-geodesic spray / Liouville field and the mean-Landsberg characterizations.
+geodesic spray and the Liouville field.
 
 The divergence is the frame-trace divergence used throughout: the components
 of X in the adapted frame are frozen at the evaluation point and multiplied
@@ -48,7 +48,6 @@ __all__ = [
     "laplacian",
     "geodesic_spray",
     "liouville_field",
-    "landsberg_characterizations",
     "fd_dln_sqrtg_h",
 ]
 
@@ -171,33 +170,3 @@ def geodesic_spray(m: BundleMetric) -> np.ndarray:
 def liouville_field(m: BundleMetric) -> np.ndarray:
     """C* = p_i pdot^i, as (2n,) adapted components."""
     return np.concatenate([np.zeros(m.n), m.at.p])
-
-
-def landsberg_characterizations(m: BundleMetric, tol: float = 1e-6) -> dict:
-    """Pointwise report of the mean-Landsberg equivalences.
-
-    Reports the mean Landsberg trace J_i, the log-volume frame derivative
-    delta_i(ln sqrt g) (finite-difference route), their difference, div(S),
-    and booleans: `mean_landsberg` (J = 0), `balanced` (J_i = delta_i ln
-    sqrt g), `divergence_consistent` (div S equals its trace identity
-    p^i delta_i ln sqrt g - p^i J_i), and `chain_consistent` (if the balanced
-    condition holds then div S = 0).
-    """
-    dln = fd_dln_sqrtg_h(m)
-    J = m.geom.J_down
-    p_up = m.geom.p_up
-    div_s = divergence(m, geodesic_spray(m))
-    identity = float(p_up @ dln - p_up @ J)
-    balanced = bool(np.abs(J - dln).max() <= tol)
-    report = {
-        "J": J.copy(),
-        "dln_sqrtg_h": dln,
-        "difference": J - dln,
-        "div_S": div_s,
-        "p_contracted_J": float(p_up @ J),
-        "mean_landsberg": bool(np.abs(J).max() <= tol),
-        "balanced": balanced,
-        "divergence_consistent": bool(abs(div_s - identity) <= max(tol, 1e-5)),
-        "chain_consistent": (not balanced) or abs(div_s) <= max(tol, 1e-5),
-    }
-    return report

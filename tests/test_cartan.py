@@ -371,6 +371,42 @@ def test_expression_parser_rejects(expr):
         parse_scalar_expression(expr, ["p1", "p2"])
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("pow(p1*p1 + p2*p2)", "pow takes 2"),
+        ("sqrt(p1, p2)", "sqrt takes 1"),
+        ("exp()", "exp takes 1"),
+        ("(p1*p1 + p2*p2) ** (1 + 0*x1)", "exponent of \\*\\*"),
+        ("pow(p1*p1, x1)", "exponent of pow"),
+        ("p1*p1 + True", "literal True"),
+        pytest.param("p1*p1 + 1" + "0" * 400, "float range", id="huge-integer-literal"),
+    ],
+)
+def test_expression_parser_rejects_call_arity_variable_exponents_and_non_float_literals(expr, message):
+    # each rule holds where the node is built, so such an expression never
+    # reaches evaluation
+    with pytest.raises(ValueError, match=message):
+        parse_scalar_expression(expr, ["x1", "x2", "p1", "p2"])
+
+
+def test_deformation_profile_rejects_a_variable_exponent():
+    from cartanlab.kahler import DeformationParams
+
+    with pytest.raises(ValueError, match="exponent"):
+        DeformationParams(v="tau ** tau")
+
+
+@pytest.mark.parametrize("expr", ["p1*p1 + p2*p2 + x1/x1", "p1*p1 + p2*p2 + x1**-1", "p1*p1 + p2*p2 + pow(x1, -2)"])
+def test_float_division_by_zero_is_a_domain_error(expr):
+    # the float path raises the typed error the jet path raises at the same point
+    s = expression_structure(2, expr)
+    with pytest.raises(EvaluationDomainError):
+        s.k2_values([0.0, 0.2], [0.5, 0.5])
+    with pytest.raises(EvaluationDomainError):
+        jet_eval(s.k2, _pt([0.0, 0.2], [0.5, 0.5]), 2)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

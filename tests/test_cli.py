@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cartanlab import levicivita
+from cartanlab.cartan import CartanStructure
 from cartanlab.cli import main
 from cartanlab.errors import ManifestError
 from cartanlab.manifest import (
@@ -614,8 +615,10 @@ def test_tensor_overflowing_point_is_one_typed_error_without_warnings(tmp_path, 
         ("exp(x1*p1*p1) * (p1*p1 + p2*p2)", "0.9,0.1;30,0.5", "exp of 810.0 overflows"),
         ("pow(p1*p1 + p2*p2, 1.5) / sqrt(p1*p1 + p2*p2)", "0.9,0.1;1e120,0.5",
          "power 1.5 of 1e+240 overflows"),
+        ("p1*p1 + p2*p2 + 0.001*log(x2*x2 + 1e-300)", "0.1,1e-170;0.5,0.5",
+         "log of 1e-300: its Taylor terms overflow"),
     ],
-    ids=["exp", "power"],
+    ids=["exp", "power", "log-underflow"],
 )
 def test_tensor_overflowing_primitive_is_one_typed_error(tmp_path, capsys, expr, point, message):
     # an exp or real power past the float range is an evaluation error, not
@@ -628,6 +631,53 @@ def test_tensor_overflowing_primitive_is_one_typed_error(tmp_path, capsys, expr,
     captured = capsys.readouterr()
     assert code == 3 and not out.exists() and captured.out == ""
     assert captured.err == f"evaluation error: {message}\n"
+
+
+def test_an_untyped_fault_at_a_tube_probe_point_exits_three(tmp_path, capsys, monkeypatch):
+    # only a typed error skips a probe point of the feasibility check; any
+    # other exception is an internal fault, not an infeasible manifest
+    def fault(self, x, p):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(CartanStructure, "k2_values", fault)
+    code = main(["verify", "--manifest", _write(tmp_path, _manifest_dict())])
+    err = capsys.readouterr().err
+    assert code == 3 and err == "internal error: RuntimeError: planted\n"
+
+
+def test_tensor_log_past_the_float_range_of_its_taylor_powers_is_finite(tmp_path, capsys):
+    # f0**k of the log's Taylor terms overflows at |p| ~ 1e31 while the terms
+    # themselves are finite
+    doc = _manifest_dict(structures=[{"family": "expression", "n": 2, "label": "log-k2",
+                                      "k2": "log(1 + p1*p1 + p2*p2) + p1*p1 + p2*p2"}])
+    path = _write(tmp_path, doc)
+    out = tmp_path / "t.json"
+    code = main(["tensor", "--manifest", path, "--structure", "log-k2", "--params", "flat-gauge",
+                 "--point=0.9,0.1;1e31,0.5", "--objects", "g", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    g = json.loads(out.read_text())["objects"]["g"]
+    assert all(np.isfinite(np.asarray(g[key])).all() for key in ("g_down", "g_up"))
+
+
+@pytest.mark.parametrize(
+    "k2, message",
+    [
+        ("(p1*p1 + p2*p2) ** (1 + 0*x1)", "the exponent of ** must not read a variable"),
+        ("pow(p1*p1 + p2*p2)", "pow takes 2 argument(s), got 1"),
+    ],
+    ids=["variable-exponent", "pow-arity"],
+)
+def test_tensor_grammar_violation_is_one_manifest_error(tmp_path, capsys, k2, message):
+    doc = _manifest_dict(structures=[{"family": "expression", "n": 2, "label": "bad", "k2": k2}])
+    path = _write(tmp_path, doc)
+    out = tmp_path / "t.json"
+    code = main(["tensor", "--manifest", path, "--structure", "bad", "--params", "flat-gauge",
+                 "--point=0.1,0.1;0.5,0.5", "--objects", "g", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and not out.exists() and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("manifest error: ")
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("point", ["nan,0.1;0.5,0.5", "0.1,0.1;inf,0.5", "0.1,0.1;0,0"])
