@@ -263,23 +263,46 @@ def _divide(a, b):
 _CALLS = {"sqrt": (sqrt, 1), "exp": (exp, 1), "log": (log, 1), "pow": (power, 2)}
 _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: _divide, ast.Pow: power}
 
+#: the deepest node an expression may hold (the root is at depth 1).  Its
+#: evaluator recurses once per level, so with Python's default recursion
+#: limit of 1000 this leaves room for the frames of `cartanlab verify` above
+#: a K^2 evaluation; a chain of 950 terms a*b + c*d + ... is depth 951.
+MAX_EXPRESSION_DEPTH = 955
 
-def parse_scalar_expression(expr: str, names: Sequence[str]) -> Callable:
-    """Compile a whitelisted arithmetic expression to env -> value.
+
+def _check_depth(tree: ast.Expression) -> None:
+    """Raise ValueError if a node lies deeper than MAX_EXPRESSION_DEPTH,
+    counting level by level without recursion."""
+    level, depth = [tree.body], 1
+    while level:
+        if depth > MAX_EXPRESSION_DEPTH:
+            raise ValueError(f"expression nests deeper than {MAX_EXPRESSION_DEPTH} levels")
+        level = [child for node in level for child in ast.iter_child_nodes(node) if isinstance(child, ast.expr)]
+        depth += 1
+
+
+def parse_scalar_expression(expr: str, names: Sequence[str]) -> tuple:
+    """Compile a whitelisted arithmetic expression to (env -> value,
+    whether the value reads a variable).
 
     Allowed: +, -, *, /, **, unary + and -, numeric literals (taken as
     floats), the listed variable names, and the calls sqrt(a), exp(a),
-    log(a) and pow(a, b).  The exponent of ** and of pow must not read a
-    variable.  Anything else raises ValueError naming the offending
-    construct.  Each node is checked where its evaluator is built, in one
-    walk of the tree.  A value outside the domain of an operation (division
-    by 0, a real power or log of a nonpositive number, an overflow) raises
-    EvaluationDomainError when the expression is evaluated.
+    log(a) and pow(a, b), nested at most `MAX_EXPRESSION_DEPTH` deep.  The
+    exponent of ** and of pow must not read a variable.  Anything else
+    raises ValueError naming the offending construct.  Each node is checked
+    where its evaluator is built, in one walk of the tree, once a count of
+    its levels has bounded the walk's recursion.  A value outside
+    the domain of an operation (division by 0, a real power or log of a
+    nonpositive number, an overflow) raises EvaluationDomainError when the
+    expression is evaluated.
     """
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as e:
         raise ValueError(f"invalid expression {expr!r}: {e}") from None
+    except RecursionError:  # the parser's own limit, some 4,000 levels
+        raise ValueError(f"expression nests deeper than {MAX_EXPRESSION_DEPTH} levels") from None
+    _check_depth(tree)
     allowed_names = set(names)
 
     def build(node) -> tuple:
@@ -326,7 +349,7 @@ def parse_scalar_expression(expr: str, names: Sequence[str]) -> Callable:
         (a, _), (b, _) = built
         return (lambda env: fn(a(env), b(env))), reads
 
-    return build(tree.body)[0]
+    return build(tree.body)
 
 
 def expression_structure(
@@ -338,7 +361,7 @@ def expression_structure(
 ) -> CartanStructure:
     """Structure whose K^2 is given by an expression over x1..xn, p1..pn."""
     names = [f"x{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
-    compiled = parse_scalar_expression(expr, names)
+    compiled, _ = parse_scalar_expression(expr, names)
 
     def k2(xs, ps):
         env = {f"x{i + 1}": xs[i] for i in range(n)}

@@ -37,10 +37,12 @@ point by point, every applicable check whose cap admits the point there,
 so its context holds one point's geometry and metric (and the Randers
 limit structures).  Records are sorted when the suite ends.
 
-Two checks run in *detection* mode: instead of requiring a residual
-below tolerance they require it **above** a floor (a deliberately broken
-input must be seen to fail).  Their ``tolerance`` field records the
-floor and is not rescaled by ``--tol-scale``.
+A bound check's tolerance is its category's entry of ``TOLERANCES``
+times its spec's ``tol_factor``; no manifest key or command-line option
+changes it.  Two checks run in *detection* mode: instead of requiring a
+residual below tolerance they require it **above** a floor (a deliberately
+broken input must be seen to fail).  Their ``tolerance`` field records the
+floor.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ from .operators import (
     operator_context,
 )
 
-__all__ = ["CheckRecord", "CheckSpec", "REGISTRY", "run_suite"]
+__all__ = ["CheckRecord", "CheckSpec", "REGISTRY", "TOLERANCES", "run_suite"]
 
 
 class SkipPoint(Exception):
@@ -125,7 +127,7 @@ class CheckRecord:
 class CheckSpec:
     check_id: str
     anchor: str
-    category: str  # tolerance category: jet_exact | fd_single | fd_double
+    category: str  # tolerance category: a key of TOLERANCES
     scope: str  # "structure" | "pair"
     run: Callable  # (ctx, idx, pt) -> float residual
     tol_factor: float = 1.0
@@ -515,6 +517,10 @@ def _r_k2_harmonic(ctx, idx, pt):
 # the registry
 
 
+#: the tolerance of each category: identities on jets alone, one
+#: finite-difference layer, two stacked layers
+TOLERANCES = {"jet_exact": 1e-9, "fd_single": 1e-5, "fd_double": 1e-3}
+
 REGISTRY = (
     # ---- structure scope
     CheckSpec("jets.jet_vs_fd", "ad-jets", "fd_single", "structure", _r_jet_vs_fd, cap=10),
@@ -569,7 +575,7 @@ def _record(spec: CheckSpec, ctx: CheckContext, idx: int, pt: ChartPoint) -> Opt
     """The record of one check at one sampled point, or None if the runner
     skips the point."""
     if spec.mode == "bound":
-        tol = ctx.manifest.tolerances[spec.category] * spec.tol_factor
+        tol = TOLERANCES[spec.category] * spec.tol_factor
     else:
         tol = spec.floor
     try:

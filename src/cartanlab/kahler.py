@@ -63,6 +63,7 @@ class DeformationParams:
 
     Give either c (profile v = -c alpha beta^2, constant) or v (a number
     or an expression string in 'tau').  Omitting both means v = 0.
+    ``reads_tau`` says whether the profile's expression reads tau.
     """
 
     alpha: float = 1.0
@@ -79,6 +80,7 @@ class DeformationParams:
             raise ValueError("give either c or v, not both")
         c = self.c
         v = self.v
+        reads_tau = False
         if c is None and v is None:
             c = 0.0
         if c is not None:
@@ -92,11 +94,12 @@ class DeformationParams:
         elif isinstance(v, str):
             from .cartan import parse_scalar_expression
 
-            compiled = parse_scalar_expression(v, ["tau"])
+            compiled, reads_tau = parse_scalar_expression(v, ["tau"])
             fn = lambda tau: compiled({"tau": tau})
             desc = f"v={v}"
         else:
             raise ValueError(f"unsupported deformation profile {v!r}")
+        object.__setattr__(self, "reads_tau", reads_tau)
         object.__setattr__(self, "_v_fn", fn)
         object.__setattr__(self, "_desc", desc)
 

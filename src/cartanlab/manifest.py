@@ -1,8 +1,8 @@
 """Manifest parsing and validation for the batch verification front end.
 
 A manifest is a UTF-8 JSON document with top-level keys ``structures``,
-``params``, ``sampling``, ``tolerances``.  Only ``structures`` is
-required; everything else gets documented defaults.  Schema::
+``params`` and ``sampling``.  Only ``structures`` is required; everything
+else gets documented defaults.  Schema::
 
     {
       "structures": [           # one entry per Hamiltonian structure
@@ -14,21 +14,21 @@ required; everything else gets documented defaults.  Schema::
       ],                        # each also accepts "label" and "x_box"
       "params": [               # deformation constants; default one entry
         {"alpha": 1.0, "beta": 1.0, "c": -1.0},      # v = -c alpha beta^2
-        {"alpha": 1.0, "beta": 1.0, "v": "0.5*tau"}  # or a profile in tau
+        {"alpha": 1.0, "beta": 1.0, "v": "0.25"}     # or a constant expression
       ],                        # each also accepts "label"
-      "sampling":   {"seed": 0, "count": 100, "p_norm": [0.5, 2.0]},
-      "tolerances": {"jet_exact": 1e-9, "fd_single": 1e-5,
-                     "fd_double": 1e-3}
+      "sampling": {"seed": 0, "count": 100, "p_norm": [0.5, 2.0]}
     }
 
 Each structure family (its own keys with their parsers, its required keys,
 its default chart box and its builder) is declared once, in ``_FAMILIES``.
 Every numeric value must be finite.  Validation rejects unknown keys (with
 the offending path), duplicate structure or params labels, non-positive
-sampling ranges, tolerances below machine epsilon, and structure/params
-pairings whose sampling region cannot stay inside the positivity tube
+sampling ranges, a profile ``v`` that reads ``tau`` (the closed connection
+and curvature take v constant), and structure/params pairings whose
+sampling region cannot stay inside the positivity tube
 ``2 tau < 1/(c beta^2)`` (anchor ``positivity-tube`` in
-:mod:`cartanlab.formulas`).
+:mod:`cartanlab.formulas`).  The tolerances are the check registry's
+(``checks.TOLERANCES``); no manifest key or option changes them.
 """
 
 from __future__ import annotations
@@ -54,22 +54,16 @@ from .kahler import TUBE_MARGIN, DeformationParams, tube_predicate
 
 __all__ = [
     "DEFAULT_SAMPLING",
-    "DEFAULT_TOLERANCES",
     "Manifest",
     "SamplingSpec",
-    "TOLERANCE_CATEGORIES",
     "build_structure",
     "drift_vector",
     "load_manifest",
     "parse_manifest",
-    "with_overrides",
+    "with_seed",
 ]
 
-TOLERANCE_CATEGORIES = ("jet_exact", "fd_single", "fd_double")
-DEFAULT_TOLERANCES = {"jet_exact": 1e-9, "fd_single": 1e-5, "fd_double": 1e-3}
 DEFAULT_SAMPLING = {"seed": 0, "count": 100, "p_norm": (0.5, 2.0)}
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,6 @@ class Manifest:
     params: tuple  # DeformationParams, parallel to param_labels
     param_labels: tuple
     sampling: SamplingSpec
-    tolerances: Mapping[str, float]
     echo: dict
 
 
@@ -296,6 +289,8 @@ def _parse_params(entry, index: int):
         params = DeformationParams(**kwargs)
     except (ValueError, CartanLabError) as exc:
         _fail(path, str(exc))
+    if params.reads_tau:
+        _fail(f"{path}.v", f"profile {params.v!r} reads tau; the closed route covers constant profiles only")
     label = entry.get("label")
     if label is not None:
         label = _as_str(label, f"{path}.label")
@@ -322,20 +317,6 @@ def _parse_sampling(entry) -> SamplingSpec:
     if not (0 < lo <= hi):
         _fail(f"{path}.p_norm", f"need 0 < low <= high, got [{lo}, {hi}]")
     return SamplingSpec(seed=seed, count=count, p_norm=(lo, hi))
-
-
-def _parse_tolerances(entry) -> dict:
-    path = "tolerances"
-    _check_keys(entry, path, allowed=TOLERANCE_CATEGORIES)
-    out = dict(DEFAULT_TOLERANCES)
-    for key in TOLERANCE_CATEGORIES:
-        if key not in entry:
-            continue
-        value = _as_number(entry[key], f"{path}.{key}")
-        if value < _EPS:
-            _fail(f"{path}.{key}", f"tolerance {value!r} is below machine epsilon {_EPS:.3e}")
-        out[key] = value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +390,7 @@ def parse_manifest(text: str) -> Manifest:
     _check_keys(
         doc,
         "top level",
-        allowed=("structures", "params", "sampling", "tolerances"),
+        allowed=("structures", "params", "sampling"),
         required=("structures",),
     )
 
@@ -440,7 +421,6 @@ def parse_manifest(text: str) -> Manifest:
         _fail("params", f"duplicate params label(s) {dupes}; give distinct 'label' keys")
 
     sampling = _parse_sampling(doc.get("sampling", {}))
-    tolerances = _parse_tolerances(doc.get("tolerances", {}))
 
     for s in structures:
         for p, label in zip(params, param_labels):
@@ -450,7 +430,6 @@ def parse_manifest(text: str) -> Manifest:
         "structures": configs,
         "params": param_echos,
         "sampling": sampling.as_dict(),
-        "tolerances": dict(tolerances),
     }
     return Manifest(
         structures=tuple(structures),
@@ -458,7 +437,6 @@ def parse_manifest(text: str) -> Manifest:
         params=tuple(params),
         param_labels=tuple(param_labels),
         sampling=sampling,
-        tolerances=tolerances,
         echo=echo,
     )
 
@@ -472,31 +450,8 @@ def load_manifest(path: str) -> Manifest:
     return parse_manifest(text)
 
 
-def with_overrides(
-    m: Manifest,
-    seed: Optional[int] = None,
-    count: Optional[int] = None,
-    tol_scale: Optional[float] = None,
-) -> Manifest:
-    """Apply command-line overrides, returning a new Manifest whose echo
-    reflects the effective configuration.  Each override is validated as its
-    manifest key is; a bad one raises ManifestError."""
-    sampling = m.sampling
-    if seed is not None or count is not None:
-        sampling = SamplingSpec(
-            seed=sampling.seed if seed is None else _as_int(seed, "--seed", minimum=0),
-            count=sampling.count if count is None else _as_int(count, "--points", minimum=1),
-            p_norm=sampling.p_norm,
-        )
-    tolerances = dict(m.tolerances)
-    if tol_scale is not None:
-        tol_scale = _as_number(tol_scale, "--tol-scale")
-        if tol_scale <= 0:
-            _fail("--tol-scale", f"must be positive, got {tol_scale}")
-        tolerances = {k: max(v * tol_scale, _EPS) for k, v in tolerances.items()}
-    echo = dict(m.echo)
-    echo["sampling"] = sampling.as_dict()
-    echo["tolerances"] = dict(tolerances)
-    return dataclasses.replace(
-        m, sampling=sampling, tolerances=tolerances, echo=echo
-    )
+def with_seed(m: Manifest, seed: int) -> Manifest:
+    """``m`` with its sampling seed replaced (``verify --seed``) and its echo
+    to match; a seed that is not an integer >= 0 raises ManifestError."""
+    sampling = dataclasses.replace(m.sampling, seed=_as_int(seed, "--seed", minimum=0))
+    return dataclasses.replace(m, sampling=sampling, echo={**m.echo, "sampling": sampling.as_dict()})

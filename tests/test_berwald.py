@@ -28,7 +28,7 @@ from cartanlab.errors import (
 )
 from cartanlab.geometry import PointGeometry
 from cartanlab.jets import ChartPoint, fd_partial, fd_stencil, jet_eval
-from cartanlab.manifest import DEFAULT_TOLERANCES, build_structure, parse_manifest
+from cartanlab.manifest import build_structure, parse_manifest
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_n_fd_oracle_covers_the_momentum_term_on_curved_randers(n, monkeypatch):
     # with |p_k| > 1 also exercise the step scaling
     s = build_structure({"family": "randers", "n": n, "c": -1.0, "drift": 0.3})
     pts = [q for q in sample_points(s, 40, 3 + n, p_norm=(1.2, 2.0)) if np.abs(q.p).max() > 1.0]
-    tol = DEFAULT_TOLERANCES["fd_single"]
+    tol = checks.TOLERANCES["fd_single"]
     clean = checks.nonlinear_connection_fd
     for at in pts[:2]:
         ctx = SimpleNamespace(structure=s, geometry=lambda idx, at=at: PointGeometry(s, at))
@@ -227,10 +227,7 @@ def test_a_bad_stencil_point_is_its_records_typed_error(kind, error):
         geom = PointGeometry(s, at)
         geom.B  # the center point itself is fine
         spec = next(spec for spec in checks.REGISTRY if spec.check_id == check_id)
-        ctx = SimpleNamespace(
-            structure=s, geometry=lambda idx: geom, tag=s.label,
-            manifest=SimpleNamespace(tolerances=DEFAULT_TOLERANCES),
-        )
+        ctx = SimpleNamespace(structure=s, geometry=lambda idx: geom, tag=s.label)
         record = checks._record(spec, ctx, 0, at)
         assert record.residual is None and not record.passed
         assert record.error.startswith(error.__name__ + ":"), record.error

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cartanlab.cartan import (
+    MAX_EXPRESSION_DEPTH,
     CartanStructure,
     conformal_structure,
     expression_structure,
@@ -349,7 +350,8 @@ def test_expression_structure_matches_builtin():
 
 
 def test_expression_parser_accepts_primitives():
-    f = parse_scalar_expression("sqrt(p1*p1) + exp(x1) - log(2 + p2*p2) + pow(p1, 2)", ["x1", "p1", "p2"])
+    f, reads = parse_scalar_expression("sqrt(p1*p1) + exp(x1) - log(2 + p2*p2) + pow(p1, 2)", ["x1", "p1", "p2"])
+    assert reads and parse_scalar_expression("pow(2, 3) - 1", ["x1"])[1] is False
     got = f({"x1": 0.0, "p1": 2.0, "p2": 1.0})
     assert got == pytest.approx(2.0 + 1.0 - np.log(3.0) + 4.0, rel=1e-12)
 
@@ -388,6 +390,16 @@ def test_expression_parser_rejects_call_arity_variable_exponents_and_non_float_l
     # reaches evaluation
     with pytest.raises(ValueError, match=message):
         parse_scalar_expression(expr, ["x1", "x2", "p1", "p2"])
+
+
+def test_expression_parser_bounds_the_nesting_depth():
+    # the levels are counted without recursion, so a refused expression
+    # never reaches the recursive build (test_cli runs the deepest accepted
+    # one); past some 4,000 levels the parser itself gives up
+    chain = "+".join(["p1*p1"] * (MAX_EXPRESSION_DEPTH - 1) + ["p2*p2"])  # names one level too deep
+    for expr in (chain, "-" * MAX_EXPRESSION_DEPTH + "p1", "+".join(["p1"] * 6000)):
+        with pytest.raises(ValueError, match=f"nests deeper than {MAX_EXPRESSION_DEPTH} levels"):
+            parse_scalar_expression(expr, ["p1", "p2"])
 
 
 def test_deformation_profile_rejects_a_variable_exponent():

@@ -2,23 +2,21 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from cartanlab import levicivita
-from cartanlab.cartan import CartanStructure
+from cartanlab.cartan import MAX_EXPRESSION_DEPTH, CartanStructure
 from cartanlab.cli import main
 from cartanlab.errors import ManifestError
-from cartanlab.manifest import (
-    DEFAULT_TOLERANCES,
-    load_manifest,
-    parse_manifest,
-    with_overrides,
-)
+from cartanlab.kahler import DeformationParams
+from cartanlab.manifest import load_manifest, parse_manifest
 
 
-def _manifest_dict(**over):
+def _manifest_dict(count=6, **over):
     doc = {
         "structures": [
             {"family": "flat", "n": 2},
@@ -28,7 +26,7 @@ def _manifest_dict(**over):
             {"label": "flat-gauge", "alpha": 1.0, "beta": 2.0, "c": 0.0},
             {"label": "hyperbolic", "alpha": 1.0, "beta": 1.0, "c": -1.0},
         ],
-        "sampling": {"seed": 3, "count": 6, "p_norm": [0.5, 1.5]},
+        "sampling": {"seed": 3, "count": count, "p_norm": [0.5, 1.5]},
     }
     doc.update(over)
     return doc
@@ -48,10 +46,9 @@ def test_parse_minimal_manifest_fills_defaults():
     assert [s.label for s in m.structures] == ["flat-2d", "conformal-2d-c-1"]
     assert list(m.param_labels) == ["flat-gauge", "hyperbolic"]
     assert m.sampling.count == 100 and m.sampling.p_norm == (0.5, 2.0)
-    assert m.tolerances == dict(DEFAULT_TOLERANCES)
     # echo reproduces the materialized configuration
     assert m.echo["sampling"]["seed"] == 1
-    assert set(m.echo["tolerances"]) == set(DEFAULT_TOLERANCES)
+    assert set(m.echo) == {"structures", "params", "sampling"}
 
 
 def test_parse_rejects_unknown_keys_with_path():
@@ -110,10 +107,60 @@ def test_parse_rejects_infeasible_tube():
         parse_manifest(json.dumps(doc))
 
 
-def test_parse_rejects_subeps_tolerance():
-    doc = _manifest_dict(tolerances={"jet_exact": 1e-20})
-    with pytest.raises(ManifestError, match="tolerances"):
-        parse_manifest(json.dumps(doc))
+def _one_manifest_error(tmp_path, capsys, doc) -> str:
+    """The stderr of `verify` on ``doc``, which must exit 2 with one
+    ``manifest error:`` line and write no report."""
+    out = tmp_path / "r.json"
+    assert main(["verify", "--manifest", _write(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert not out.exists() and err.count("\n") == 1 and err.startswith("manifest error: ")
+    return err
+
+
+def test_a_tolerances_section_is_an_unknown_key(tmp_path, capsys):
+    # the tolerances are the check registry's; no manifest changes them
+    err = _one_manifest_error(tmp_path, capsys, _manifest_dict(tolerances={"jet_exact": 1e-9}))
+    assert err.startswith("manifest error: top level: unknown key(s) ['tolerances']")
+
+
+def test_a_profile_that_reads_tau_is_refused(tmp_path, capsys):
+    # the closed connection and curvature take v constant: with
+    # v = 0.4 + 0.3 tau they fail metric_compatible and
+    # curvature_blocks_universal, which hold on every constant pairing
+    doc = {
+        "structures": [{"family": "riemannian_conformal", "n": 2, "c": -1.0}],
+        "params": [{"alpha": 1, "beta": 1, "v": "0.4 + 0.3*tau"}],
+        "sampling": {"count": 20},
+    }
+    err = _one_manifest_error(tmp_path, capsys, doc)
+    assert err.startswith("manifest error: params[0].v: ") and "constant profiles only" in err
+    # the API keeps such profiles; a string that never reads tau is constant
+    assert DeformationParams(v="0.4 + 0.3*tau").reads_tau
+    doc["params"][0]["v"] = "0.25"
+    assert not parse_manifest(json.dumps(doc)).params[0].reads_tau
+
+
+def test_an_expression_nested_past_the_depth_bound_is_a_manifest_error(tmp_path, capsys):
+    # 1,200 chained terms recursed past Python's limit: an internal error
+    k2 = "+".join(["p1*p1"] * 1199 + ["p2*p2"])
+    doc = _manifest_dict(structures=[{"family": "expression", "n": 2, "k2": k2}])
+    err = _one_manifest_error(tmp_path, capsys, doc)
+    assert f"expression nests deeper than {MAX_EXPRESSION_DEPTH} levels" in err
+
+
+def test_the_deepest_accepted_expression_verifies(tmp_path):
+    # a chain whose names sit at the depth bound evaluates inside run_suite;
+    # in a fresh process, as `cartanlab verify` runs (pytest's own frames
+    # would take part of the recursion limit)
+    k2 = "+".join(["p1*p1"] * (MAX_EXPRESSION_DEPTH - 2) + ["p2*p2"])
+    doc = _manifest_dict(count=2, structures=[{"family": "expression", "n": 2, "k2": k2}])
+    out = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cartanlab", "verify", "--manifest", _write(tmp_path, doc), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(out.read_text())["summary"]["failed"] == 0
 
 
 def test_parse_rejects_bad_p_norm_and_count():
@@ -142,7 +189,7 @@ def test_params_v_must_be_finite(tmp_path, capsys, value):
     path = tmp_path / "m.json"
     path.write_text(text)
     out = tmp_path / "r.json"
-    assert main(["verify", "--manifest", str(path), "--points", "2", "--out", str(out)]) == 2
+    assert main(["verify", "--manifest", str(path), "--out", str(out)]) == 2
     assert not out.exists()
     assert "params[0].v" in capsys.readouterr().err
 
@@ -169,7 +216,7 @@ def test_normalised_manifest_is_pinned():
         "params": [
             {"label": "hyperbolic", "alpha": 1.0, "beta": 1.0, "c": -1.0},
             {"alpha": 1.5, "beta": 0.7, "v": 0.25},
-            {"label": "profiled", "v": "0.1*tau"},
+            {"label": "profiled", "v": "0.1*0.5"},
             {},
         ],
         "sampling": {"seed": 4, "p_norm": [0.5, 1.5]},
@@ -190,11 +237,10 @@ def test_normalised_manifest_is_pinned():
         "params": [
             {"label": "hyperbolic", "alpha": 1.0, "beta": 1.0, "c": -1.0},
             {"label": "alpha=1.5,beta=0.7,v=0.25", "alpha": 1.5, "beta": 0.7, "v": 0.25},
-            {"label": "profiled", "alpha": 1.0, "beta": 1.0, "v": "0.1*tau"},
+            {"label": "profiled", "alpha": 1.0, "beta": 1.0, "v": "0.1*0.5"},
             {"label": "alpha=1,beta=1,c=0", "alpha": 1.0, "beta": 1.0, "c": 0.0},
         ],
         "sampling": {"seed": 4, "count": 100, "p_norm": [0.5, 1.5]},
-        "tolerances": dict(DEFAULT_TOLERANCES),
     }
     assert list(m.structure_configs) == m.echo["structures"]
     assert [(s.label, s.dim, s.x_box) for s in m.structures] == [
@@ -226,15 +272,6 @@ def test_expression_family_and_overrides():
     assert s.k2([0.0, 0.0], [1.0, 2.0]) == pytest.approx(5.0)
 
 
-def test_with_overrides_floors_tolerances():
-    m = parse_manifest(json.dumps(_manifest_dict()))
-    m2 = with_overrides(m, seed=9, count=3, tol_scale=1e-30)
-    assert m2.sampling.seed == 9 and m2.sampling.count == 3
-    eps = float(np.finfo(float).eps)
-    assert all(tol >= eps for tol in m2.tolerances.values())
-    assert m2.echo["sampling"]["seed"] == 9
-
-
 def test_shipped_default_manifest_parses():
     m = load_manifest("manifests/default.json")
     assert len(m.structures) == 6 and len(m.params) == 4
@@ -251,8 +288,8 @@ def _run(capsys, argv):
 
 
 def test_verify_report_schema_and_exit_zero(tmp_path, capsys):
-    path = _write(tmp_path, _manifest_dict())
-    code, out = _run(capsys, ["verify", "--manifest", path, "--points", "4"])
+    path = _write(tmp_path, _manifest_dict(count=4))
+    code, out = _run(capsys, ["verify", "--manifest", path])
     assert code == 0
     report = json.loads(out)
     assert set(report) == {"summary", "checks", "meta", "points"}
@@ -290,19 +327,19 @@ def test_verify_report_schema_and_exit_zero(tmp_path, capsys):
 
 
 def test_verify_is_deterministic_byte_for_byte(tmp_path, capsys):
-    path = _write(tmp_path, _manifest_dict())
+    path = _write(tmp_path, _manifest_dict(count=4))
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    assert main(["verify", "--manifest", path, "--points", "4", "--out", str(out1)]) == 0
-    assert main(["verify", "--manifest", path, "--points", "4", "--out", str(out2)]) == 0
+    assert main(["verify", "--manifest", path, "--out", str(out1)]) == 0
+    assert main(["verify", "--manifest", path, "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_verify_seed_override_changes_sample_points(tmp_path, capsys):
-    path = _write(tmp_path, _manifest_dict())
-    _, out_a = _run(capsys, ["verify", "--manifest", path, "--points", "3", "--seed", "1"])
-    _, out_b = _run(capsys, ["verify", "--manifest", path, "--points", "3", "--seed", "2"])
+    path = _write(tmp_path, _manifest_dict(count=3))
+    _, out_a = _run(capsys, ["verify", "--manifest", path, "--seed", "1"])
+    _, out_b = _run(capsys, ["verify", "--manifest", path, "--seed", "2"])
     pts_a = json.loads(out_a)["points"]
     pts_b = json.loads(out_b)["points"]
     assert set(pts_a) == set(pts_b)
@@ -310,13 +347,17 @@ def test_verify_seed_override_changes_sample_points(tmp_path, capsys):
     assert json.loads(out_a)["meta"]["manifest"]["sampling"]["seed"] == 1
 
 
-def test_verify_tol_scale_can_force_failures(tmp_path, capsys):
-    doc = _manifest_dict(structures=[{"family": "flat", "n": 2}])
+def _shrink_tolerances(monkeypatch, factor):
+    from cartanlab import checks
+
+    monkeypatch.setattr(checks, "TOLERANCES", {k: v * factor for k, v in checks.TOLERANCES.items()})
+
+
+def test_verify_shrunk_tolerances_force_failures(tmp_path, capsys, monkeypatch):
+    _shrink_tolerances(monkeypatch, 1e-12)
+    doc = _manifest_dict(count=3, structures=[{"family": "flat", "n": 2}])
     path = _write(tmp_path, doc)
-    code, out = _run(
-        capsys,
-        ["verify", "--manifest", path, "--points", "3", "--tol-scale", "1e-12"],
-    )
+    code, out = _run(capsys, ["verify", "--manifest", path])
     assert code == 1
     report = json.loads(out)
     assert report["summary"]["failed"] > 0
@@ -333,10 +374,7 @@ def test_verify_manifest_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--points", "0"), ("--points", "-2"), ("--seed", "-1"), ("--tol-scale", "inf"), ("--tol-scale", "nan")],
-)
+@pytest.mark.parametrize("flag, value", [("--seed", "-1")])
 def test_verify_bad_overrides_exit_two_without_report(tmp_path, capsys, flag, value):
     path = _write(tmp_path, _manifest_dict())
     out = tmp_path / "r.json"
@@ -344,6 +382,25 @@ def test_verify_bad_overrides_exit_two_without_report(tmp_path, capsys, flag, va
     err = capsys.readouterr().err
     assert code == 2 and not out.exists()
     assert err.startswith("manifest error: ") and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--tol-scale", "10"],
+        ["verify", "--points", "5"],
+        ["tensor", "--seed", "1", "--point", "0.1,0.2;0.7,0.4", "--objects", "g"],
+    ],
+    ids=["verify-tol-scale", "verify-points", "tensor-seed"],
+)
+def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
+    # the tolerances and the sample count have no run-time override, and
+    # tensor samples nothing
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--manifest", _write(tmp_path, _manifest_dict()), "--out", str(out)])
+    assert exit_.value.code == 2 and not out.exists()
+    assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
 
 
 def _single_check_registry(monkeypatch, outcome, check_id=None):
@@ -368,8 +425,8 @@ def _single_check_registry(monkeypatch, outcome, check_id=None):
 
 def test_verify_internal_fault_exits_three_without_report(tmp_path, capsys, monkeypatch):
     _single_check_registry(monkeypatch, TypeError("unsupported operand"))
-    path = _write(tmp_path, _manifest_dict(structures=[{"family": "flat", "n": 2}]))
-    code = main(["verify", "--manifest", path, "--points", "2"])
+    path = _write(tmp_path, _manifest_dict(count=2, structures=[{"family": "flat", "n": 2}]))
+    code = main(["verify", "--manifest", path])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -380,8 +437,8 @@ def test_verify_evaluation_error_is_a_failed_record(tmp_path, capsys, monkeypatc
     from cartanlab.errors import EvaluationDomainError
 
     check_id = _single_check_registry(monkeypatch, EvaluationDomainError("outside the domain"))
-    path = _write(tmp_path, _manifest_dict(structures=[{"family": "flat", "n": 2}]))
-    code, out = _run(capsys, ["verify", "--manifest", path, "--points", "2"])
+    path = _write(tmp_path, _manifest_dict(count=2, structures=[{"family": "flat", "n": 2}]))
+    code, out = _run(capsys, ["verify", "--manifest", path])
     assert code == 1
     records = json.loads(out)["checks"]
     assert [r["check_id"] for r in records] == [check_id, check_id]
@@ -392,8 +449,8 @@ def test_verify_error_record_names_its_exception(tmp_path, capsys, monkeypatch):
     from cartanlab.errors import ConditioningError
 
     check_id = _single_check_registry(monkeypatch, ConditioningError("pivot 1e-17"))
-    path = _write(tmp_path, _manifest_dict(structures=[{"family": "flat", "n": 2}]))
-    code, out = _run(capsys, ["verify", "--manifest", path, "--points", "2"])
+    path = _write(tmp_path, _manifest_dict(count=2, structures=[{"family": "flat", "n": 2}]))
+    code, out = _run(capsys, ["verify", "--manifest", path])
     assert code == 1
     report = json.loads(out)
     assert all(r["error"] == "ConditioningError: pivot 1e-17" for r in report["checks"])
@@ -407,8 +464,8 @@ def test_non_finite_residual_is_an_error_record(monkeypatch, residual):
     from cartanlab.checks import run_suite
 
     check_id = _single_check_registry(monkeypatch, residual)
-    m = parse_manifest(json.dumps(_manifest_dict(structures=[{"family": "flat", "n": 2}])))
-    report = run_suite(with_overrides(m, count=2), only=[check_id])
+    m = parse_manifest(json.dumps(_manifest_dict(count=2, structures=[{"family": "flat", "n": 2}])))
+    report = run_suite(m, only=[check_id])
     records = report["checks"]
     assert len(records) == 2
     for r in records:
@@ -425,8 +482,8 @@ def test_zero_residual_detection_record_fails_with_a_null_margin(monkeypatch):
     from cartanlab.checks import run_suite
 
     check_id = _single_check_registry(monkeypatch, 0.0, "kahler.nijenhuis_detects_mismatch")
-    m = parse_manifest(json.dumps(_manifest_dict()))
-    report = run_suite(with_overrides(m, count=2), only=[check_id])
+    m = parse_manifest(json.dumps(_manifest_dict(count=2)))
+    report = run_suite(m, only=[check_id])
     records = report["checks"]
     assert records and all(r["residual"] == 0.0 and r["pass"] is False for r in records)
     entry = report["summary"]["by_check"][check_id]
@@ -435,13 +492,15 @@ def test_zero_residual_detection_record_fails_with_a_null_margin(monkeypatch):
     json.dumps(report, allow_nan=False)  # standard JSON: no NaN or Infinity
 
 
-def test_verify_margins_say_which_records_pass(tmp_path, capsys):
-    # a tiny tolerance scale fails some bound checks; detection checks keep
-    # their floors.  A record passes exactly when its margin is at most 1.
+def test_verify_margins_say_which_records_pass(tmp_path, capsys, monkeypatch):
+    # tolerances shrunk a millionfold fail some bound checks; detection
+    # checks keep their floors.  A record passes exactly when its margin is
+    # at most 1.
     from cartanlab.checks import REGISTRY
 
-    path = _write(tmp_path, _manifest_dict())
-    code, out = _run(capsys, ["verify", "--manifest", path, "--points", "3", "--tol-scale", "1e-6"])
+    _shrink_tolerances(monkeypatch, 1e-6)
+    path = _write(tmp_path, _manifest_dict(count=3))
+    code, out = _run(capsys, ["verify", "--manifest", path])
     assert code == 1
     report = json.loads(out)
     modes = {spec.check_id: spec.mode for spec in REGISTRY}
@@ -463,9 +522,9 @@ def test_verify_margins_say_which_records_pass(tmp_path, capsys):
 
 
 def test_verify_report_has_one_record_per_line(tmp_path, capsys):
-    path = _write(tmp_path, _manifest_dict())
+    path = _write(tmp_path, _manifest_dict(count=2))
     out = tmp_path / "r.json"
-    assert main(["verify", "--manifest", path, "--points", "2", "--out", str(out)]) == 0
+    assert main(["verify", "--manifest", path, "--out", str(out)]) == 0
     capsys.readouterr()
     text = out.read_text()
     report = json.loads(text)

@@ -8,7 +8,7 @@ import pytest
 
 from cartanlab import checks, geometry, levicivita
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual
-from cartanlab.checks import run_suite
+from cartanlab.checks import TOLERANCES, run_suite
 from cartanlab.errors import ValenceError
 from cartanlab.geometry import PointGeometry, frame_block, slot_index
 from cartanlab.jets import Jet, fd_partial
@@ -1090,7 +1090,7 @@ def test_planted_hv_h_defect_fails_every_universal_block_record(monkeypatch):
     only = ["levicivita.curvature_blocks_universal"]
     clean = run_suite(manifest, only=only)
     assert clean["summary"]["total"] == 6 and clean["summary"]["failed"] == 0
-    assert {r["tolerance"] for r in clean["checks"]} == {manifest.tolerances["jet_exact"]}
+    assert {r["tolerance"] for r in clean["checks"]} == {TOLERANCES["jet_exact"]}
     closed_blocks = levicivita._closed_blocks
 
     def planted(geom, metric):
@@ -1102,4 +1102,4 @@ def test_planted_hv_h_defect_fails_every_universal_block_record(monkeypatch):
     monkeypatch.setattr(levicivita, "_closed_blocks", planted)
     report = run_suite(manifest, only=only)
     assert report["summary"]["failed"] == report["summary"]["total"] == 6
-    assert max(r["residual"] for r in report["checks"]) < manifest.tolerances["fd_single"]
+    assert max(r["residual"] for r in report["checks"]) < TOLERANCES["fd_single"]
