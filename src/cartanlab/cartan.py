@@ -263,22 +263,46 @@ def _divide(a, b):
 _CALLS = {"sqrt": (sqrt, 1), "exp": (exp, 1), "log": (log, 1), "pow": (power, 2)}
 _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: _divide, ast.Pow: power}
 
-#: the deepest node an expression may hold (the root is at depth 1).  Its
-#: evaluator recurses once per level, so with Python's default recursion
-#: limit of 1000 this leaves room for the frames of `cartanlab verify` above
-#: a K^2 evaluation; a chain of 950 terms a*b + c*d + ... is depth 951.
+#: the deepest node an expression may hold (the root is at depth 1; a chain
+#: of 950 terms a*b + c*d + ... is depth 951).  The tree is checked, built
+#: and evaluated with explicit stacks, so the bound does not depend on the
+#: caller's stack; it stops a chain well before Python's own parser does.
 MAX_EXPRESSION_DEPTH = 955
 
 
-def _check_depth(tree: ast.Expression) -> None:
-    """Raise ValueError if a node lies deeper than MAX_EXPRESSION_DEPTH,
-    counting level by level without recursion."""
-    level, depth = [tree.body], 1
-    while level:
-        if depth > MAX_EXPRESSION_DEPTH:
-            raise ValueError(f"expression nests deeper than {MAX_EXPRESSION_DEPTH} levels")
-        level = [child for node in level for child in ast.iter_child_nodes(node) if isinstance(child, ast.expr)]
-        depth += 1
+def _operation(node, allowed_names) -> tuple:
+    """(program step, operand nodes) of an allowed node.  A step is (-1, name)
+    for a variable, (0, value) for a literal and (arity, fn) for an operation
+    on the last ``arity`` values; unary + is (1, None) and emits nothing."""
+    if isinstance(node, ast.Name):
+        if node.id not in allowed_names:
+            raise ValueError(f"unknown name {node.id!r}; allowed: {sorted(allowed_names)}")
+        return (-1, node.id), ()
+    if isinstance(node, ast.Constant):
+        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
+            raise ValueError(f"literal {node.value!r} not allowed")
+        try:
+            return (0, float(node.value)), ()
+        except OverflowError:
+            raise ValueError("an integer literal exceeds the float range") from None
+    if isinstance(node, ast.UnaryOp):
+        if not isinstance(node.op, (ast.USub, ast.UAdd)):
+            raise ValueError(f"operator {type(node.op).__name__} not allowed")
+        return (1, operator.neg if isinstance(node.op, ast.USub) else None), (node.operand,)
+    if isinstance(node, ast.BinOp):
+        if type(node.op) not in _BINOPS:
+            raise ValueError(f"operator {type(node.op).__name__} not allowed")
+        return (2, _BINOPS[type(node.op)]), (node.left, node.right)
+    if isinstance(node, ast.Call):
+        if not isinstance(node.func, ast.Name) or node.func.id not in _CALLS:
+            raise ValueError("only sqrt/exp/log/pow calls are allowed")
+        if node.keywords:
+            raise ValueError("keyword arguments not allowed")
+        fn, arity = _CALLS[node.func.id]
+        if len(node.args) != arity:
+            raise ValueError(f"{node.func.id} takes {arity} argument(s), got {len(node.args)}")
+        return (arity, fn), tuple(node.args)
+    raise ValueError(f"syntax {type(node).__name__} not allowed")
 
 
 def parse_scalar_expression(expr: str, names: Sequence[str]) -> tuple:
@@ -289,12 +313,12 @@ def parse_scalar_expression(expr: str, names: Sequence[str]) -> tuple:
     floats), the listed variable names, and the calls sqrt(a), exp(a),
     log(a) and pow(a, b), nested at most `MAX_EXPRESSION_DEPTH` deep.  The
     exponent of ** and of pow must not read a variable.  Anything else
-    raises ValueError naming the offending construct.  Each node is checked
-    where its evaluator is built, in one walk of the tree, once a count of
-    its levels has bounded the walk's recursion.  A value outside
-    the domain of an operation (division by 0, a real power or log of a
-    nonpositive number, an overflow) raises EvaluationDomainError when the
-    expression is evaluated.
+    raises ValueError naming the offending construct.  One post-order walk
+    checks each node and emits the flat program that computes it; the
+    evaluator runs that program in one loop over a stack of values.  A
+    value outside the domain of an operation (division by 0, a real power
+    or log of a nonpositive number, an overflow) raises
+    EvaluationDomainError when the expression is evaluated.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -302,54 +326,38 @@ def parse_scalar_expression(expr: str, names: Sequence[str]) -> tuple:
         raise ValueError(f"invalid expression {expr!r}: {e}") from None
     except RecursionError:  # the parser's own limit, some 4,000 levels
         raise ValueError(f"expression nests deeper than {MAX_EXPRESSION_DEPTH} levels") from None
-    _check_depth(tree)
     allowed_names = set(names)
-
-    def build(node) -> tuple:
-        """(env -> value, whether the value reads a variable) of an allowed node."""
-        if isinstance(node, ast.Name):
-            if node.id not in allowed_names:
-                raise ValueError(f"unknown name {node.id!r}; allowed: {sorted(allowed_names)}")
-            name = node.id
-            return (lambda env: env[name]), True
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
-                raise ValueError(f"literal {node.value!r} not allowed")
-            try:
-                value = float(node.value)
-            except OverflowError:
-                raise ValueError("an integer literal exceeds the float range") from None
-            return (lambda env: value), False
-        if isinstance(node, ast.UnaryOp):
-            if not isinstance(node.op, (ast.USub, ast.UAdd)):
-                raise ValueError(f"operator {type(node.op).__name__} not allowed")
-            operand, reads = build(node.operand)
-            return ((lambda env: -operand(env)) if isinstance(node.op, ast.USub) else operand), reads
-        if isinstance(node, ast.BinOp):
-            if type(node.op) not in _BINOPS:
-                raise ValueError(f"operator {type(node.op).__name__} not allowed")
-            what, fn, args = "**", _BINOPS[type(node.op)], (node.left, node.right)
-        elif isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _CALLS:
-                raise ValueError("only sqrt/exp/log/pow calls are allowed")
-            if node.keywords:
-                raise ValueError("keyword arguments not allowed")
-            what, (fn, arity), args = node.func.id, _CALLS[node.func.id], node.args
-            if len(args) != arity:
-                raise ValueError(f"{what} takes {arity} argument(s), got {len(args)}")
-        else:
-            raise ValueError(f"syntax {type(node).__name__} not allowed")
-        built = list(map(build, args))
-        if fn is power and built[1][1]:
+    program, reads = [], []  # reads: whether each value of the program reads a variable
+    todo = [(tree.body, 1, None)]  # (node, depth, its step once its operands are emitted)
+    while todo:
+        node, depth, step = todo.pop()
+        if step is None:
+            if depth > MAX_EXPRESSION_DEPTH:
+                raise ValueError(f"expression nests deeper than {MAX_EXPRESSION_DEPTH} levels")
+            step, operands = _operation(node, allowed_names)
+            todo.append((node, depth, step))
+            todo.extend((child, depth + 1, None) for child in reversed(operands))
+        elif step[1] is power and reads[-1]:
+            what = "**" if isinstance(node, ast.BinOp) else "pow"
             raise ValueError(f"the exponent of {what} must not read a variable")
-        reads = any(r for _, r in built)
-        if len(built) == 1:
-            (a, _), = built
-            return (lambda env: fn(a(env))), reads
-        (a, _), (b, _) = built
-        return (lambda env: fn(a(env), b(env))), reads
+        elif step[1] is not None:
+            program.append(step)
+            k = len(reads) - max(step[0], 0)  # the operands' entries
+            reads[k:] = [step[0] < 0 or any(reads[k:])]
 
-    return build(tree.body)
+    def evaluate(env):
+        values = []
+        for arity, item in program:
+            if arity == 2:
+                right = values.pop()
+                values[-1] = item(values[-1], right)
+            elif arity == 1:
+                values[-1] = item(values[-1])
+            else:
+                values.append(env[item] if arity else item)
+        return values[0]
+
+    return evaluate, reads[0]
 
 
 def expression_structure(

@@ -178,8 +178,8 @@ INDEX: Mapping[str, FormulaEntry] = {
     "almost-complex": FormulaEntry(
         "Almost complex structure J(delta_i) = G_ik dot^k, J(dot^i) = "
         "-G^ik delta_k; satisfies J^2 = -Id and G(JX, JY) = G(X, Y).",
-        "kahler.BundleMetric.complex_jets (row a is J(F_a)) / "
-        "kahler.BundleMetric.gram (G(X, Y) is x @ gram @ y)",
+        "kahler.BundleMetric.complex_jets (row a is J(F_a)) / kahler.BundleMetric.gram_jets "
+        "(J = gram Omega) / kahler.BundleMetric.gram (G(X, Y) is x @ gram @ y)",
     ),
     "canonical-form": FormulaEntry(
         "Fundamental two-form theta(X, Y) = G(X, JY) equals the constant "
@@ -192,7 +192,8 @@ INDEX: Mapping[str, FormulaEntry] = {
         "- [X, Y]; vanishes (integrability) iff v = -c alpha beta^2 with c "
         "the constant of the vv-curvature shape; any other profile leaves "
         "a detectable defect.",
-        "kahler.nijenhuis_table (four geometry.lie_brackets tables)",
+        "kahler.nijenhuis_table (the Leibniz rule) / geometry.PointGeometry.basis_brackets / "
+        "kahler.BundleMetric.gram_derivatives",
     ),
     # --------------------------------------------------------- Levi-Civita
     "koszul": FormulaEntry(
@@ -209,8 +210,8 @@ INDEX: Mapping[str, FormulaEntry] = {
         "of nabla_{F_a} F_b built from C, L, B, G and the constant c; its "
         "blocks nabla_{F_i} F_j = H[i,j,s] delta_s + V[i,j,s] dot^s by "
         "frame kind are slices; torsion-free and metric-compatible.",
-        "levicivita.lc_closed_form / geometry.frame_block / "
-        "levicivita.connection_defects / geometry.PointGeometry.basis_brackets",
+        "levicivita.lc_closed_form / geometry.frame_block / levicivita.connection_defects / "
+        "geometry.PointGeometry.basis_brackets / kahler.BundleMetric.gram_derivatives",
     ),
     "curvature-defn": FormulaEntry(
         "Curvature by definition: K(X, Y)Z = nabla_X nabla_Y Z - nabla_Y "

@@ -41,7 +41,9 @@ one place that slices them.
 `lie_brackets` takes two stacks of such fields and returns every Lie
 bracket between them as one jet, passing through the coordinate frame;
 `PointGeometry` keeps the table [F_a, F_b] of the adapted basis
-(`basis_brackets`).
+(`basis_brackets`).  Every module takes frame derivatives the same way:
+`chart_partials` reads the exact chart partials off a jet, and
+`frame_derivative` turns chart partials into F_a derivatives.
 """
 from __future__ import annotations
 
@@ -59,6 +61,10 @@ __all__ = [
     "slot_index",
     "frame_block",
     "jet_mat_inv",
+    "point_guard",
+    "read_only",
+    "chart_partials",
+    "frame_derivative",
 ]
 
 # letters for the free axes of a tensor of any valence in `contract` specs
@@ -82,7 +88,7 @@ def jet_mat_inv(mat: Jet) -> Jet:
     return (x + contract("ij->ji", x)) * 0.5
 
 
-def _point_guard(bad: np.ndarray, at):
+def point_guard(bad: np.ndarray, at):
     """The first point of ``at`` (a point or a batch) where ``bad`` holds,
     with its batch position, or None."""
     if bad.ndim == 0:
@@ -91,6 +97,12 @@ def _point_guard(bad: np.ndarray, at):
     if not hits.size:
         return None
     return hits[0], at.points()[hits[0]]
+
+
+def read_only(table: np.ndarray) -> np.ndarray:
+    """``table``, marked read-only."""
+    table.setflags(write=False)
+    return table
 
 
 class PointGeometry:
@@ -116,7 +128,7 @@ class PointGeometry:
     def k2(self) -> Jet:
         j = jet_eval(self.structure.k2, self.at, self.order, self.xcap)
         vals = j.c[..., 0]
-        bad = _point_guard(vals <= 0.0, self.at)
+        bad = point_guard(vals <= 0.0, self.at)
         if bad is not None:
             raise EvaluationDomainError(
                 f"K^2 = {float(vals.flat[bad[0]])!r} is not positive at {bad[1]!r}"
@@ -149,7 +161,7 @@ class PointGeometry:
     def g_up(self):
         vals = self.g_up_jets.value
         low = np.linalg.eigvalsh(vals)[..., 0]
-        bad = _point_guard(low <= 0.0, self.at)
+        bad = point_guard(low <= 0.0, self.at)
         if bad is not None:
             raise RegularityError(
                 f"fundamental tensor not positive definite at {bad[1]!r}: "
@@ -273,7 +285,7 @@ class PointGeometry:
         """The adapted basis as constant fields: row a holds the adapted
         components of F_a.  Read-only."""
         out = Jet.constant(np.eye(2 * self.n), 2 * self.n, self.order - 2, self.xcap)
-        out.c.setflags(write=False)
+        read_only(out.c)
         return out
 
     @cached_property
@@ -407,6 +419,21 @@ def lie_brackets(geom: PointGeometry, xs: Jet, ys: Jet) -> Jet:
     b = contract("yu,uv->yv", ys, to_coords)
     z = contract("xu,yvu->xyv", a, b.derivs(chart)) - contract("yu,xvu->xyv", b, a.derivs(chart))
     return contract("xyv,va->xya", z, to_adapted)
+
+
+def chart_partials(f: Jet) -> np.ndarray:
+    """The exact first partials of the jet f along every chart variable, at
+    [var, ...]."""
+    return np.moveaxis(f.derivs(range(f.nvars)).value, -1, 0)
+
+
+def frame_derivative(partials: np.ndarray, geom: PointGeometry) -> np.ndarray:
+    """F_a(f) at [a, ...] for every adapted basis field F_a, given the
+    partials of f along the 2n chart variables at [var, ...]:
+    delta_a = d/dx^a + N_al d/dp_l and pdot^a = d/dp_a."""
+    n = geom.n
+    p_x, p_p = partials[:n], partials[n:]
+    return np.concatenate([p_x + np.tensordot(geom.N, p_p, 1), p_p])
 
 
 def slot_index(slot, n: int) -> int:

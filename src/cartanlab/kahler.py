@@ -25,21 +25,23 @@ at least ``TUBE_MARGIN`` alpha (`tube_predicate`).
 
 A frame field is its (2n,) array of adapted components (see `geometry`).
 ``BundleMetric.gram`` is the Gram matrix G(F_a, F_b) = block-diag(G_ij, G^ij)
-of the adapted basis, so G(X, Y) is ``x @ gram @ y``; row a of
-J = ``complex_jets.value`` is J(F_a), so J(X) is ``x @ J``.  The identities
-of J and theta are therefore matrix expressions (theta is ``gram @ J.T``),
-and the Nijenhuis tensor is one table over the basis (`nijenhuis_table`).
+of the adapted basis, so G(X, Y) is ``x @ gram @ y``.  J on the basis is
+``complex_jets`` = ``gram_jets`` Omega with Omega = [[0, I], [-I, 0]]: row a
+of J = ``complex_jets.value`` is J(F_a), so J(X) is ``x @ J``.  The
+identities of J and theta are therefore matrix expressions (theta is
+``gram @ J.T``), and the Nijenhuis tensor is one table over the basis, from
+its bracket table by the Leibniz rule (`nijenhuis_table`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .geometry import PointGeometry, _point_guard, frame_block, lie_brackets
+from .geometry import PointGeometry, chart_partials, frame_block, frame_derivative, point_guard, read_only
 from .jets import ChartPoint, Jet, contract
 
 __all__ = [
@@ -154,7 +156,7 @@ class BundleMetric:
         tau = np.asarray(geom.tau)
         v_val = np.array([params.v_at(t) for t in tau.flat], dtype=float).reshape(tau.shape)
         gauge = params.alpha + 2.0 * tau * v_val
-        bad = _point_guard(gauge <= 0.0, self.at)
+        bad = point_guard(gauge <= 0.0, self.at)
         if bad is not None:
             k = bad[0]
             raise EvaluationDomainError(
@@ -166,11 +168,9 @@ class BundleMetric:
             v_val[..., None, None], params.alpha, params.beta,
         )
         #: all per-point state derived from this metric, built on first use:
-        #: the Nijenhuis table, the Koszul table and the finite-difference
-        #: Gram partials it reads, the connection jet and its defects, the
-        #: curvature table, the curvature-definition table, Ricci, and the
-        #: operators' frame divergences and finite-difference log-volume
-        #: partials
+        #: the Gram derivatives, the Nijenhuis and Koszul tables, the
+        #: connection jet and its defects, the curvature tables, Ricci and
+        #: the operators' tables
         self.derived: dict = {}
 
     def derive(self, key: str, build):
@@ -209,20 +209,39 @@ class BundleMetric:
         out = np.zeros(self.G_down.shape[:-2] + (2 * n, 2 * n))
         out[..., :n, :n] = self.G_down
         out[..., n:, n:] = self.G_up
-        out.setflags(write=False)
-        return out
+        return read_only(out)
 
     @cached_property
-    def complex_jets(self) -> Jet:
-        """J on the adapted basis: row a holds the adapted components of J(F_a),
-        [[0, G_ij], [-G^ij, 0]] in blocks."""
+    def gram_jets(self) -> Jet:
+        """The Gram matrix block-diag(G_ij, G^ij) as one (2n, 2n) jet at the
+        common order and x-cap of the two block jets."""
         n, jets = self.n, (self.G_down_jets, self.G_up_jets)
         order, xcap = min(t.order for t in jets), min(t.xcap for t in jets)
         down, up = (t.truncate(order, xcap) for t in jets)
         c = np.zeros((2 * n, 2 * n) + down.c.shape[-1:])
-        frame_block(c, "hv")[...] = down.c
-        frame_block(c, "vh")[...] = -up.c
+        frame_block(c, "hh")[...] = down.c
+        frame_block(c, "vv")[...] = up.c
         return Jet(2 * n, order, c, xcap)
+
+    @property
+    def gram_derivatives(self) -> np.ndarray:
+        """F_e(G(F_b, F_c)) at [e, b, c], exact, read off `gram_jets`; read-only,
+        built once per metric."""
+        return self.derive(
+            "gram_derivatives", lambda: read_only(frame_derivative(chart_partials(self.gram_jets), self.geom))
+        )
+
+    @cached_property
+    def complex_jets(self) -> Jet:
+        """J on the adapted basis: row a holds the adapted components of J(F_a),
+        gram Omega = [[0, G_ij], [-G^ij, 0]] in blocks."""
+        return contract("ab,bc->ac", self.gram_jets, _omega(self.n))
+
+
+@lru_cache(maxsize=None)
+def _omega(n: int) -> np.ndarray:
+    """Omega = [[0, I], [-I, 0]], which takes the Gram matrix to J; read-only."""
+    return read_only(np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(n)))
 
 
 def point_state(s, at: ChartPoint, params: DeformationParams = None, geom=None, metric=None):
@@ -260,21 +279,20 @@ def theta_matrix(m: BundleMetric) -> np.ndarray:
 
 def nijenhuis_table(m: BundleMetric) -> np.ndarray:
     """N_J(F_a, F_b) = [JF_a, JF_b] - J[JF_a, F_b] - J[F_a, JF_b] - [F_a, F_b]
-    over the adapted basis, adapted components at [a, b, :]: four batched
-    `geometry.lie_brackets` of the basis and its J-image.  Built once per
-    metric; the array is read-only.
+    over the adapted basis, adapted components at [a, b, :].  The brackets
+    of JF_a = J_a^c F_c come from the basis brackets by the Leibniz rule
+    [X, Y] = x^c y^d [F_c, F_d] + X(y^d) F_d - Y(x^c) F_c, with
+    dJ[e, a, c] = F_e(J_a^c), that is dG Omega with dG = `gram_derivatives`.
+    Built once per metric; the array is read-only.
     """
 
     def build():
-        geom, jb = m.geom, m.complex_jets  # row a of jb: J(F_a)
-        j = jb.value
-        out = (
-            lie_brackets(geom, jb, jb).value
-            - lie_brackets(geom, jb, geom.basis_jets).value @ j
-            - lie_brackets(geom, geom.basis_jets, jb).value @ j
-            - geom.basis_brackets
-        )
-        out.setflags(write=False)
-        return out
+        br, j = m.geom.basis_brackets, m.complex_jets.value
+        dj = m.gram_derivatives @ _omega(m.n)
+        jbr = np.einsum("ac,cbs->abs", j, br)  # J_a^c [F_c, F_b]
+        jdj = np.einsum("ac,cbs->abs", j, dj)  # J_a^c dJ[c, b]
+        jf_jf = np.einsum("bd,ads->abs", j, jbr) + jdj - jdj.transpose(1, 0, 2)  # [JF_a, JF_b]
+        mixed = jbr + np.einsum("bd,ads->abs", j, br) + dj - dj.transpose(1, 0, 2)  # [JF_a, F_b] + [F_a, JF_b]
+        return read_only(jf_jf - mixed @ j - br)
 
     return m.derive("nijenhuis", build)

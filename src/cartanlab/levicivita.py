@@ -30,7 +30,8 @@ Routes kept deliberately separate:
 * ``connection_defects`` measures the torsion and the metric compatibility
   of the closed connection as whole-array expressions of its table, the
   same basis bracket table, the exact frame derivatives of the metric
-  (read off the jets of its two blocks) and ``BundleMetric.gram``.
+  (``BundleMetric.gram_derivatives``, read off ``gram_jets``) and
+  ``BundleMetric.gram``.
 * ``curvature_closed`` returns the curvature table assembled from the six
   closed blocks (``CURVATURE_BLOCKS``), each an ``np.einsum`` expression
   read straight off the point's ``PointGeometry`` and ``BundleMetric``:
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointGeometry, frame_block
+from .geometry import PointGeometry, chart_partials, frame_block, frame_derivative, read_only
 from .jets import ChartPoint, Jet, contract, fd_combine, fd_stencil, invert
 from .kahler import BundleMetric, DeformationParams, point_state
 
@@ -85,11 +86,6 @@ __all__ = [
 #: with the first two letters naming the kinds of the antisymmetric pair and
 #: the letter after the underscore naming the kind of the argument.
 CURVATURE_BLOCKS = ("vv_v", "hv_v", "hh_h", "hh_v", "vv_h", "hv_h")
-
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    table.setflags(write=False)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +135,7 @@ def _connection_jet(geom: PointGeometry, metric: BundleMetric) -> Jet:
     out = Jet.constant(np.zeros((dim, dim, dim)), dim, order, xcap)
     for kinds, t in blocks.items():
         frame_block(out.c, kinds)[...] = t.truncate(order, xcap).c
-    _read_only(out.c)
+    read_only(out.c)
     return out
 
 
@@ -186,32 +182,6 @@ class MetricStencil:
         return BundleMetric(PointGeometry(self.s, pt, order), self.params)
 
 
-def _chart_partials(f: Jet) -> np.ndarray:
-    """The exact first partials of the jet f along every chart variable, at
-    [var, ...]."""
-    return np.moveaxis(f.derivs(range(f.nvars)).value, -1, 0)
-
-
-def _frame_derivative(partials: np.ndarray, geom: PointGeometry) -> np.ndarray:
-    """F_a(f) at [a, ...] for every adapted basis field F_a, given the
-    partials of f along the 2n chart variables at [var, ...]:
-    delta_a = d/dx^a + N_al d/dp_l and pdot^a = d/dp_a."""
-    n = geom.n
-    p_x, p_p = partials[:n], partials[n:]
-    return np.concatenate([p_x + np.tensordot(geom.N, p_p, 1), p_p])
-
-
-def _gram_jet(metric: BundleMetric) -> Jet:
-    """The Gram matrix G(F_a, F_b) as one (2n, 2n) jet at order 1:
-    block-diag(G_ij, G^ij) from the jets of the two blocks."""
-    down, up = (t.truncate(1) for t in (metric.G_down_jets, metric.G_up_jets))
-    dim = 2 * metric.n
-    c = np.zeros((dim, dim) + down.c.shape[-1:])
-    frame_block(c, "hh")[...] = down.c
-    frame_block(c, "vv")[...] = up.c
-    return Jet(dim, 1, c, down.xcap)
-
-
 def _gram_partials(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
     """The partials of the Gram matrix G(F_a, F_b) along the 2n chart
     variables, at [var, a, b]: `jets.fd_combine` of the Gram matrices of
@@ -222,7 +192,7 @@ def _gram_partials(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
         chart = range(2 * geom.n)
         stencil = MetricStencil(geom.structure, metric.params)
         grams = stencil.metric_at(fd_stencil(geom.at, chart)).gram
-        return _read_only(fd_combine(grams, geom.at, chart))
+        return read_only(fd_combine(grams, geom.at, chart))
 
     return metric.derive("gram_partials", build)
 
@@ -236,14 +206,14 @@ def _koszul_table(geom: PointGeometry, metric: BundleMetric):
     basis bracket table ``PointGeometry.basis_brackets``.  The array is
     read-only.
     """
-    dG = _frame_derivative(_gram_partials(geom, metric), geom)
+    dG = frame_derivative(_gram_partials(geom, metric), geom)
     gram = metric.gram
     bG = geom.basis_brackets @ gram
     # 2 G(nabla_{F_x} F_y, F_z) at [x, y, z]
     rhs = dG + np.einsum("yxz->xyz", dG) - np.einsum("zxy->xyz", dG) + bG
     rhs -= np.einsum("xzy->xyz", bG)
     rhs -= np.einsum("yzx->xyz", bG)
-    return _read_only(np.einsum("ab,xyb->xya", invert(gram), 0.5 * rhs))
+    return read_only(np.einsum("ab,xyb->xya", invert(gram), 0.5 * rhs))
 
 
 def koszul_oracle(
@@ -297,11 +267,9 @@ def connection_defects(
         nabla = lc_closed_form(s, at, params, geom, metric)
         a, b = np.triu_indices(dim, 1)
         torsion = nabla[a, b] - nabla[b, a] - geom.basis_brackets[a, b]
-        # exact F_a(G(F_b, F_c)) at [a, b, c]
-        dmetric = _frame_derivative(_chart_partials(_gram_jet(metric)), geom)
         paired = nabla @ metric.gram  # G(nabla_{F_x} F_b, F_c) at [x, b, c]
         b, c = np.triu_indices(dim)
-        compat = dmetric[:, b, c] - paired[:, b, c] - paired[:, c, b]
+        compat = metric.gram_derivatives[:, b, c] - paired[:, b, c] - paired[:, c, b]
         return float(np.abs(torsion).max()), float(np.abs(compat).max())
 
     return metric.derive("defects", build)
@@ -398,7 +366,7 @@ def _closed_curvature(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
         frame_block(k, which + "h")[...] = H
         frame_block(k, which + "v")[...] = V
     frame_block(k, "vh")[...] = -frame_block(k, "hv").transpose(1, 0, 2, 3)
-    return _read_only(k)
+    return read_only(k)
 
 
 def curvature_closed(
@@ -428,9 +396,9 @@ def _defn_curvature(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
     jet = _connection(geom, metric)
     gamma = jet.value
     # nabla_{F_x} (nabla_{F_y} F_z), with nabla_{F_y} F_z a coefficient field
-    cov = _frame_derivative(_chart_partials(jet), geom) + np.einsum("yzm,xms->xyzs", gamma, gamma)
+    cov = frame_derivative(chart_partials(jet), geom) + np.einsum("yzm,xms->xyzs", gamma, gamma)
     k = cov - cov.transpose(1, 0, 2, 3)
-    return _read_only(k - np.einsum("xym,mzs->xyzs", geom.basis_brackets, gamma))
+    return read_only(k - np.einsum("xym,mzs->xyzs", geom.basis_brackets, gamma))
 
 
 def curvature_defn(
@@ -471,7 +439,7 @@ class RicciData:
 
 def _ricci_data(metric: BundleMetric, k: np.ndarray) -> RicciData:
     # trace of X -> K(X, F_y) F_z
-    ric = _read_only(np.einsum("abca->bc", k))
+    ric = read_only(np.einsum("abca->bc", k))
     gram = metric.gram
     # Ric and G divided by max|G| first, so neither sum overflows at large |p|
     scale = float(np.abs(gram).max())

@@ -25,7 +25,7 @@ h first: `gradient`, `geodesic_spray` and `liouville_field` return one, and
 `divergence` and `directional_derivative` take one.  The chart partials of a
 scalar field are exact for a jet and one `jets.fd_partial` over all chart
 variables for a callable of a chart point; both go to frame derivatives
-through `levicivita._frame_derivative`, as the connection oracles' do.
+through `geometry.frame_derivative`, as the connection oracles' do.
 """
 from __future__ import annotations
 
@@ -34,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .geometry import PointGeometry
+from .geometry import PointGeometry, chart_partials, frame_derivative, read_only
 from .jets import ChartPoint, Jet, fd_combine, fd_partial, fd_stencil
 from .kahler import BundleMetric, DeformationParams, point_state
-from .levicivita import _chart_partials, _frame_derivative, _read_only, lc_closed_form
+from .levicivita import lc_closed_form
 
 __all__ = [
     "operator_context",
@@ -74,7 +74,7 @@ def _frame_divergences(m: BundleMetric) -> np.ndarray:
 
     def build():
         conn = lc_closed_form(m.geom.structure, m.at, m.params, metric=m)
-        return _read_only(np.einsum("aba->b", conn))
+        return read_only(np.einsum("aba->b", conn))
 
     return m.derive("divergences", build)
 
@@ -88,7 +88,7 @@ def _dln_sqrtg_h_fd(m: BundleMetric) -> np.ndarray:
         geom = m.geom
         g = PointGeometry(geom.structure, fd_stencil(m.at, geom.xvars), order=2).g_down
         dx = fd_combine(0.5 * np.log(np.linalg.det(g)), m.at, geom.xvars)
-        return _read_only(dx + geom.N @ geom.dln_sqrtg_v)
+        return read_only(dx + geom.N @ geom.dln_sqrtg_v)
 
     return m.derive("dln_sqrtg_h_fd", build)
 
@@ -104,8 +104,8 @@ def _frame_partials(m: BundleMetric, f):
     """(delta_i f, pdot^i f) from the 2n chart partials of a scalar: exact
     for a jet, finite differences (``jets.fd_partial``) for a callable of a
     chart point."""
-    partials = _chart_partials(f) if isinstance(f, Jet) else fd_partial(f, m.at, range(2 * m.n))
-    frame = _frame_derivative(partials, m.geom)
+    partials = chart_partials(f) if isinstance(f, Jet) else fd_partial(f, m.at, range(2 * m.n))
+    frame = frame_derivative(partials, m.geom)
     return frame[: m.n], frame[m.n :]
 
 

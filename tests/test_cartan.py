@@ -393,9 +393,9 @@ def test_expression_parser_rejects_call_arity_variable_exponents_and_non_float_l
 
 
 def test_expression_parser_bounds_the_nesting_depth():
-    # the levels are counted without recursion, so a refused expression
-    # never reaches the recursive build (test_cli runs the deepest accepted
-    # one); past some 4,000 levels the parser itself gives up
+    # the levels are counted before the build, so a refused expression
+    # is never built (test_cli runs the deepest accepted one); past some
+    # 4,000 levels the parser itself gives up
     chain = "+".join(["p1*p1"] * (MAX_EXPRESSION_DEPTH - 1) + ["p2*p2"])  # names one level too deep
     for expr in (chain, "-" * MAX_EXPRESSION_DEPTH + "p1", "+".join(["p1"] * 6000)):
         with pytest.raises(ValueError, match=f"nests deeper than {MAX_EXPRESSION_DEPTH} levels"):

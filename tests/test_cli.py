@@ -148,18 +148,31 @@ def test_an_expression_nested_past_the_depth_bound_is_a_manifest_error(tmp_path,
     assert f"expression nests deeper than {MAX_EXPRESSION_DEPTH} levels" in err
 
 
-def test_the_deepest_accepted_expression_verifies(tmp_path):
-    # a chain whose names sit at the depth bound evaluates inside run_suite;
-    # in a fresh process, as `cartanlab verify` runs (pytest's own frames
-    # would take part of the recursion limit)
+def _deepest_chain_manifest():
+    """A manifest whose K^2 is a chain with its names at the depth bound."""
     k2 = "+".join(["p1*p1"] * (MAX_EXPRESSION_DEPTH - 2) + ["p2*p2"])
-    doc = _manifest_dict(count=2, structures=[{"family": "expression", "n": 2, "k2": k2}])
+    return _manifest_dict(count=2, structures=[{"family": "expression", "n": 2, "k2": k2}])
+
+
+def test_the_deepest_accepted_expression_verifies(tmp_path):
+    # a chain whose names sit at the depth bound evaluates inside run_suite,
+    # in a fresh process as `cartanlab verify` runs
+    doc = _deepest_chain_manifest()
     out = tmp_path / "r.json"
     proc = subprocess.run(
         [sys.executable, "-m", "cartanlab", "verify", "--manifest", _write(tmp_path, doc), "--out", str(out)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(out.read_text())["summary"]["failed"] == 0
+
+
+def test_the_deepest_accepted_expression_verifies_in_process(tmp_path, capsys):
+    # the parser builds and evaluates with its own stacks, so pytest's frames
+    # below `main` leave the bound intact
+    out = tmp_path / "r.json"
+    assert main(["verify", "--manifest", _write(tmp_path, _deepest_chain_manifest()), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
     assert json.loads(out.read_text())["summary"]["failed"] == 0
 
 

@@ -1,10 +1,17 @@
-"""Independence, a design rule of the package checked by what the code
-calls: an oracle never runs the algebra it is meant to check.  Each oracle
-runs on a fresh geometry and metric under `sys.setprofile`, which collects
-every package function it enters.
+"""Design rules of the package.
+
+Independence, checked by what the code calls: an oracle never runs the
+algebra it is meant to check.  Each oracle runs on a fresh geometry and
+metric under `sys.setprofile`, which collects every package function it
+enters.
+
+One owner per name, checked on the source: no module imports another
+module's private (single-underscore) name.
 """
+import ast
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +49,8 @@ RULES = {
         levicivita,
         {"lc_closed_form", "_connection", "_connection_jet", "_closed_blocks", "_closed_curvature"}
         | CARTAN_LANDSBERG
-        | {"B_jets", "B", "R_vv_jets", "R_vv", "R_curv", "P_curv", "h_cov", "_gram_jet", "_chart_partials"},
+        | {"B_jets", "B", "R_vv_jets", "R_vv", "R_curv", "P_curv", "h_cov"}
+        | {"gram_jets", "gram_derivatives", "chart_partials"},
         {"_koszul_table", "_gram_partials", "fd_stencil", "fd_combine", "metric_at"},
     ),
     "curvature_defn": (
@@ -131,7 +139,7 @@ def test_an_fd_oracle_that_reads_the_exact_connection_fails_the_rule(monkeypatch
     "leak, read",
     [
         ("C_ddd", lambda metric: metric.geom.C_ddd),
-        ("_gram_jet", lambda metric: levicivita._gram_jet(metric)),
+        ("gram_jets", lambda metric: metric.gram_jets),
     ],
     ids=["cartan", "metric-jets"],
 )
@@ -145,3 +153,27 @@ def test_a_koszul_oracle_that_reads_cartan_or_the_metric_jets_fails_the_rule(lea
     monkeypatch.setattr(levicivita, "koszul_oracle", leaky)
     with pytest.raises(AssertionError, match=f"'{leak}'"):
         _assert_independent("koszul_oracle", *CASES[0])
+
+
+def _private_imports(path) -> list:
+    """(module, name) of every ``from .module import _name`` in one source
+    file; dunder names such as ``__version__`` are public."""
+    tree = ast.parse(Path(path).read_text(), filename=str(path))
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = {path.name: leaks for path in sorted(Path(PACKAGE).glob("*.py")) if (leaks := _private_imports(path))}
+    assert not found, found
+
+
+def test_the_private_import_rule_sees_a_planted_import(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text("from .geometry import PointGeometry, _AXES\nfrom . import __version__\n")
+    assert _private_imports(planted) == [("geometry", "_AXES")]

@@ -5,13 +5,14 @@ Pinned values: the rank-one-update inverse is checked against guarded dense
 inversion; the flat beta=1, c=-1 case is worked out by hand; the canonical
 form of theta is asserted to near machine precision.
 """
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import builtin_structures, general_randers, pt
 
-from cartanlab import checks
+from cartanlab import checks, geometry
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual, sample_points
 from cartanlab.errors import EvaluationDomainError, ValenceError
 from cartanlab.geometry import PointGeometry, frame_block, lie_brackets, slot_index
@@ -248,6 +249,21 @@ def test_metric_is_hermitian_under_j():
         assert jx @ gram @ jy == pytest.approx(x @ gram @ y, rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.parametrize("s", [conformal_structure(3, -1.0), general_randers(3)], ids=lambda s: s.label)
+def test_j_is_the_gram_jet_times_omega_exactly(s):
+    # J = gram_jets Omega takes each entry as +-1 times one Gram coefficient,
+    # so J holds the coefficients of the two block jets bit for bit
+    params = DeformationParams(alpha=2.0, beta=0.5, v="-(1 + tau)/4")
+    m = BundleMetric(PointGeometry(s, _sample(s, params, 1, 61)[0]), params)
+    down, up, gram, j = m.G_down_jets.c, m.G_up_jets.c, m.gram_jets.c, m.complex_jets.c
+    assert np.array_equal(frame_block(gram, "hh"), down) and np.array_equal(frame_block(gram, "vv"), up)
+    assert np.array_equal(frame_block(j, "hv"), down) and np.array_equal(frame_block(j, "vh"), -up)
+    for zero in ("hv", "vh"):
+        assert not frame_block(gram, zero).any()
+    for zero in ("hh", "vv"):
+        assert not frame_block(j, zero).any()
+
+
 # ---------------------------------------------------------------------------
 # fundamental 2-form
 
@@ -338,14 +354,36 @@ def _nij_norm(s, at, params, pair, geom=None, metric=None):
     return float(np.abs(nijenhuis_table(metric)[a, b]).max())
 
 
-@pytest.mark.parametrize("c_params", [-1.0, 2.0], ids=["matching", "mismatched"])
-def test_nijenhuis_table_matches_single_brackets(c_params):
-    s = conformal_structure(3, -1.0)
+# the conformal n = 3 inputs keep their first ids
+NIJENHUIS_INPUTS = [
+    pytest.param(conformal_structure(3, -1.0), -1.0, id="matching"),
+    pytest.param(conformal_structure(3, -1.0), 2.0, id="mismatched"),
+    *(
+        pytest.param(s, c, id=f"{s.label}-{kind}")
+        for s in (conformal_structure(4, -1.0), general_randers(3))
+        for c, kind in ((-1.0, "matching"), (2.0, "mismatched"))
+    ),
+]
+
+
+@pytest.mark.parametrize("s, c_params", NIJENHUIS_INPUTS)
+def test_nijenhuis_table_matches_single_brackets(s, c_params, monkeypatch):
+    # the table takes the brackets of the J-images from the basis bracket
+    # table by the Leibniz rule, so it builds no bracket table of its own
     params = DeformationParams(alpha=1.3, beta=0.8, c=c_params)
     at = _sample(s, params, 1, 43)[0]
     m = BundleMetric(PointGeometry(s, at), params)
-    table = nijenhuis_table(m)
+    m.geom.basis_brackets
+    calls = []
+    brackets = geometry.lie_brackets
+    holders = [mod for name, mod in sys.modules.items() if name.startswith("cartanlab") and hasattr(mod, "lie_brackets")]
+    with monkeypatch.context() as patched:
+        for mod in holders:  # every module that holds the name, however it was imported
+            patched.setattr(mod, "lie_brackets", lambda *args: calls.append(args) or brackets(*args))
+        table = nijenhuis_table(m)
+    assert len(calls) == 0
     assert not table.flags.writeable
+    assert not m.gram_derivatives.flags.writeable
     geom, basis, jb = m.geom, m.geom.basis_jets, m.complex_jets  # row a: F_a, J(F_a)
     j = jb.value
     worst = 0.0
