@@ -41,6 +41,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .cartan import (
+    DEFAULT_P_NORM,
     CartanStructure,
     chart_box_probes,
     conformal_structure,
@@ -63,7 +64,7 @@ __all__ = [
     "with_seed",
 ]
 
-DEFAULT_SAMPLING = {"seed": 0, "count": 100, "p_norm": (0.5, 2.0)}
+DEFAULT_SAMPLING = {"seed": 0, "count": 100, "p_norm": DEFAULT_P_NORM}
 
 
 @dataclass(frozen=True)

@@ -79,20 +79,6 @@ def _frame_divergences(m: BundleMetric) -> np.ndarray:
     return m.derive("divergences", build)
 
 
-def _dln_sqrtg_h_fd(m: BundleMetric) -> np.ndarray:
-    """delta_i(ln sqrt det g) by the finite-difference route (see
-    fd_dln_sqrtg_h): `jets.fd_combine` of 1/2 ln det g over one order-2
-    geometry of the whole x-stencil, built on first use; read-only."""
-
-    def build():
-        geom = m.geom
-        g = PointGeometry(geom.structure, fd_stencil(m.at, geom.xvars), order=2).g_down
-        dx = fd_combine(0.5 * np.log(np.linalg.det(g)), m.at, geom.xvars)
-        return read_only(dx + geom.N @ geom.dln_sqrtg_v)
-
-    return m.derive("dln_sqrtg_h_fd", build)
-
-
 def divergence(m: BundleMetric, x: np.ndarray) -> float:
     """Frame-trace divergence of X = X^i delta_i + Xbar_i pdot^i, given its
     (2n,) adapted components frozen at the evaluation point."""
@@ -133,11 +119,18 @@ def directional_derivative(m: BundleMetric, f, x: np.ndarray) -> float:
 
 def fd_dln_sqrtg_h(m: BundleMetric) -> np.ndarray:
     """delta_i(ln sqrt det g) with the x-partials by Richardson-extrapolated
-    finite differences of g over one batched order-2 geometry at the
-    shifted points and the p-partials by jets; independent of the
-    connection-trace route.  The stencil runs once per metric; each call
-    returns a fresh copy."""
-    return _dln_sqrtg_h_fd(m).copy()
+    finite differences of g (`jets.fd_combine` of 1/2 ln det g over one
+    batched order-2 geometry of the whole x-stencil) and the p-partials by
+    jets; independent of the connection-trace route.  Derived once per
+    metric and returned read-only."""
+
+    def build():
+        geom = m.geom
+        g = PointGeometry(geom.structure, fd_stencil(m.at, geom.xvars), order=2).g_down
+        dx = fd_combine(0.5 * np.log(np.linalg.det(g)), m.at, geom.xvars)
+        return read_only(dx + geom.N @ geom.dln_sqrtg_v)
+
+    return m.derive("dln_sqrtg_h_fd", build)
 
 
 @dataclass(frozen=True)
@@ -157,7 +150,7 @@ class LaplacianResult:
 def laplacian(m: BundleMetric, f) -> LaplacianResult:
     df_h, df_v = _frame_partials(m, f)
     direct = divergence(m, _gradient(m, df_h, df_v))
-    weight = _dln_sqrtg_h_fd(m) - m.geom.J_down
+    weight = fd_dln_sqrtg_h(m) - m.geom.J_down
     closed = float(df_h @ m.G_up @ weight)
     return LaplacianResult(direct=direct, closed=closed)
 

@@ -7,9 +7,14 @@ enters.
 
 One owner per name, checked on the source: no module imports another
 module's private (single-underscore) name.
+
+Layering, checked in a fresh interpreter: importing a module loads the
+package root and the modules its module-level ``from .x import`` lines
+reach, and nothing else: the package root imports no module.
 """
 import ast
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,7 +80,7 @@ RULES = {
     "fd_dln_sqrtg_h": (
         operators,
         {"dln_sqrtg_h", "lc_closed_form", "_connection_jet", "_frame_divergences", "J_down", "J_up", "J_up_jets"},
-        {"_dln_sqrtg_h_fd", "fd_stencil", "fd_combine", "dln_sqrtg_v"},
+        {"fd_stencil", "fd_combine", "dln_sqrtg_v"},
     ),
 }
 
@@ -177,3 +182,27 @@ def test_the_private_import_rule_sees_a_planted_import(tmp_path):
     planted = tmp_path / "planted.py"
     planted.write_text("from .geometry import PointGeometry, _AXES\nfrom . import __version__\n")
     assert _private_imports(planted) == [("geometry", "_AXES")]
+
+
+def _reached(module) -> set:
+    """Package modules that importing ``module`` must load: itself and,
+    transitively, every module a module-level ``from .x import`` line of
+    one of them names."""
+    reached, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        tree = ast.parse(Path(PACKAGE, f"{name}.py").read_text())
+        todo += [node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level and node.module]
+    return reached
+
+
+@pytest.mark.parametrize("module", ["errors", "jets", "manifest"])
+def test_importing_a_module_loads_only_what_it_imports(module):
+    probe = "import sys, cartanlab.{0}; print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'cartanlab'))"
+    path = [os.path.dirname(os.path.dirname(PACKAGE)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", probe.format(module)], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == sorted({"cartanlab"} | {f"cartanlab.{name}" for name in _reached(module)})

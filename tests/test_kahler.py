@@ -5,6 +5,7 @@ Pinned values: the rank-one-update inverse is checked against guarded dense
 inversion; the flat beta=1, c=-1 case is worked out by hand; the canonical
 form of theta is asserted to near machine precision.
 """
+import json
 import sys
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from conftest import builtin_structures, general_randers, pt
 
-from cartanlab import checks, geometry
+from cartanlab import checks, geometry, kahler
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual, sample_points
 from cartanlab.errors import EvaluationDomainError, ValenceError
 from cartanlab.geometry import PointGeometry, frame_block, lie_brackets, slot_index
@@ -24,6 +25,7 @@ from cartanlab.kahler import (
     theta_matrix,
     tube_predicate,
 )
+from cartanlab.manifest import parse_manifest
 
 PARAM_SETS = [
     DeformationParams(alpha=1.0, beta=1.0, c=-1.0),
@@ -340,6 +342,43 @@ def test_matrix_kahler_checks_see_a_planted_metric_defect(n, params):
     ctx = SimpleNamespace(metric=lambda idx: m)
     for run in KAHLER_RUNNERS:
         assert run(ctx, 0, at) >= 5e-7, run.__name__
+
+
+# the check ids that fail at every point once every metric's G^ij is off by
+# 1e-6; `gradient_duality` checks only that G_up inverts G_down, so where it
+# fails the three others must fail too before it can be retired
+G_UP_KILLERS = ("kahler.hermitian", "kahler.theta_canonical", "levicivita.metric_compatible")
+G_UP_DUALITY = "operators.gradient_duality"
+
+
+def test_a_planted_g_up_defect_fails_every_record_of_its_killers(monkeypatch):
+    manifest = parse_manifest(json.dumps({
+        "structures": [
+            {"family": "riemannian_conformal", "n": 2, "c": -1.0},
+            {"family": "randers", "n": 2, "c": 0.0, "drift": 0.3},
+        ],
+        "params": [
+            {"label": "hyperbolic", "alpha": 1.0, "beta": 1.0, "c": -1.0},
+            {"label": "flat-gauge", "alpha": 1.0, "beta": 1.0, "c": 0.0},
+        ],
+        "sampling": {"seed": 0, "count": 4},
+    }))
+    assert checks.run_suite(manifest)["summary"]["failed"] == 0
+    init = kahler.BundleMetric.__init__
+
+    def planted(self, geom, params):
+        init(self, geom, params)
+        self.G_up = self.G_up * (1.0 + 1e-6)
+
+    monkeypatch.setattr(kahler.BundleMetric, "__init__", planted)
+    records = checks.run_suite(manifest)["checks"]
+    failed = {}
+    for cid in (*G_UP_KILLERS, G_UP_DUALITY):
+        mine = [r for r in records if r["check_id"] == cid]
+        assert mine and not any(r["pass"] for r in mine), cid
+        failed[cid] = {(r["structure"], r["point"]["index"]) for r in mine}
+    for cid in G_UP_KILLERS:
+        assert failed[G_UP_DUALITY] <= failed[cid], cid
 
 
 # ---------------------------------------------------------------------------

@@ -208,13 +208,14 @@ def test_independent_volume_derivative_route():
         assert np.abs(fd_dln_sqrtg_h(m) - m.geom.dln_sqrtg_h).max() <= 1e-6
 
 
-def test_fd_volume_derivative_is_returned_as_a_copy():
+def test_fd_volume_derivative_is_one_read_only_table():
     s, params, at = _cases()[2]
     m = operator_context(s, at, params)
     first = fd_dln_sqrtg_h(m)
-    kept = first.copy()
-    first[:] = 0.0
-    assert np.array_equal(fd_dln_sqrtg_h(m), kept)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[:] = 0.0
+    assert fd_dln_sqrtg_h(m) is first
 
 
 def test_operator_stencils_built_once_per_context(monkeypatch):
