@@ -11,10 +11,13 @@ point.  Checks come in two scopes:
 
 Points are rejection-sampled per scope from a deterministic seed stream
 derived from the manifest seed, so two runs of the same manifest emit
-identical reports.  Per-point evaluation errors, a non-finite residual
-among them, are recorded as failing records with ``residual: null`` and an
-``error`` naming the exception; they never abort the suite.  The report (``cartanlab-report-v2``) keeps each
-scope's points once, in ``points[tag]``; records refer to them by index.
+identical reports.  Each record is built once, as the JSON object the
+report lists (``check_id``, ``structure``, ``point: {index}``, ``residual``,
+``tolerance``, ``pass``).  A per-point evaluation error, a non-finite
+residual among them, gives a failing record with ``residual: null`` and an
+``error`` naming the exception; it never aborts the suite.  The report
+(``cartanlab-report-v2``) keeps each scope's points once, in
+``points[tag]``; records refer to them by index.
 
 Applicability gating (resolved empirically; see the formula index):
 
@@ -51,7 +54,7 @@ import math
 import zlib
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,7 +63,6 @@ from . import __version__
 from .berwald import DTensor, berwald_curvature_fd, nonlinear_connection_fd
 from .cartan import sample_points
 from .errors import CartanLabError, EvaluationDomainError
-from .formulas import INDEX
 from .geometry import PointGeometry, frame_block
 from .jets import ChartPoint, fd_partial
 from .kahler import (
@@ -91,36 +93,12 @@ from .operators import (
     operator_context,
 )
 
-__all__ = ["CheckRecord", "CheckSpec", "REGISTRY", "TOLERANCES", "run_suite"]
+__all__ = ["CheckSpec", "REGISTRY", "TOLERANCES", "run_suite"]
 
 
 class SkipPoint(Exception):
     """Raised by a runner to exclude one point without emitting a record
     (e.g. a perturbed parameter set loses positivity there)."""
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    check_id: str
-    structure: str
-    index: int  # into the scope's point table
-    residual: Optional[float]
-    tolerance: float
-    passed: bool
-    error: Optional[str] = None  # "<Class>: <message>" when residual is None
-
-    def as_dict(self) -> dict:
-        out = {
-            "check_id": self.check_id,
-            "structure": self.structure,
-            "point": {"index": self.index},
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-        if self.error is not None:
-            out["error"] = self.error
-        return out
 
 
 @dataclass(frozen=True)
@@ -567,17 +545,11 @@ REGISTRY = (
 )
 
 
-def _point_payload(pt: ChartPoint) -> dict:
-    return {"x": [float(v) for v in pt.x], "p": [float(v) for v in pt.p]}
-
-
-def _record(spec: CheckSpec, ctx: CheckContext, idx: int, pt: ChartPoint) -> Optional[CheckRecord]:
-    """The record of one check at one sampled point, or None if the runner
-    skips the point."""
-    if spec.mode == "bound":
-        tol = TOLERANCES[spec.category] * spec.tol_factor
-    else:
-        tol = spec.floor
+def _record(spec: CheckSpec, ctx: CheckContext, idx: int, pt: ChartPoint) -> Optional[dict]:
+    """The report's record of one check at one sampled point, or None if
+    the runner skips the point."""
+    tol = TOLERANCES[spec.category] * spec.tol_factor if spec.mode == "bound" else spec.floor
+    record = {"check_id": spec.check_id, "structure": ctx.tag, "point": {"index": idx}, "tolerance": tol}
     try:
         residual = float(spec.run(ctx, idx, pt))
         if not math.isfinite(residual):
@@ -585,19 +557,21 @@ def _record(spec: CheckSpec, ctx: CheckContext, idx: int, pt: ChartPoint) -> Opt
     except SkipPoint:
         return None
     except CartanLabError as exc:
-        return CheckRecord(spec.check_id, ctx.tag, idx, None, tol, False, f"{type(exc).__name__}: {exc}")
-    ok = residual <= tol if spec.mode == "bound" else residual >= tol
-    return CheckRecord(spec.check_id, ctx.tag, idx, residual, tol, bool(ok))
+        residual, record["error"] = None, f"{type(exc).__name__}: {exc}"
+    record["residual"] = residual
+    record["pass"] = residual is not None and (residual <= tol if spec.mode == "bound" else residual >= tol)
+    return record
 
 
-def _margin(spec: CheckSpec, record: CheckRecord) -> float:
+def _margin(spec: CheckSpec, record: dict) -> float:
     """residual / tolerance (bound) or floor / residual (detection): a
     record passes exactly when its margin is at most 1.  A detection record
     with residual 0 has an unbounded margin, which `_by_check` writes as
     null."""
+    residual, tolerance = record["residual"], record["tolerance"]
     if spec.mode == "bound":
-        return record.residual / record.tolerance
-    return record.tolerance / record.residual if record.residual > 0.0 else math.inf
+        return residual / tolerance
+    return tolerance / residual if residual > 0.0 else math.inf
 
 
 def _by_check(selected, records) -> dict:
@@ -606,14 +580,14 @@ def _by_check(selected, records) -> dict:
     past it); an unbounded margin is null beside its residual of 0."""
     specs = {spec.check_id: spec for spec in selected}
     out = {}
-    for cid, group in groupby(records, key=attrgetter("check_id")):
+    for cid, group in groupby(records, key=itemgetter("check_id")):
         mine = list(group)
-        scored = [(_margin(specs[cid], r), r.residual) for r in mine if r.residual is not None]
+        scored = [(_margin(specs[cid], r), r["residual"]) for r in mine if r["residual"] is not None]
         worst = max(scored, key=lambda mr: mr[0], default=(None, None))
         out[cid] = {
             "anchor": specs[cid].anchor,
             "records": len(mine),
-            "failed": sum(1 for r in mine if not r.passed),
+            "failed": sum(1 for r in mine if not r["pass"]),
             "errored": len(mine) - len(scored),
             "worst_residual": worst[1],
             "worst_margin": None if worst[0] == math.inf else worst[0],
@@ -628,14 +602,7 @@ def run_suite(manifest: Manifest, only=None) -> dict:
     ``only`` optionally restricts the run to an iterable of check ids
     (used by targeted harnesses; the CLI always runs the full registry).
     """
-    for spec in REGISTRY:
-        if spec.anchor not in INDEX:
-            raise CartanLabError(
-                f"check {spec.check_id} uses unindexed anchor {spec.anchor!r}"
-            )
-    selected = REGISTRY if only is None else tuple(
-        spec for spec in REGISTRY if spec.check_id in set(only)
-    )
+    selected = REGISTRY if only is None else tuple(spec for spec in REGISTRY if spec.check_id in set(only))
     records, points = [], {}
 
     def run_scope(ctx, scope):
@@ -649,29 +616,25 @@ def run_suite(manifest: Manifest, only=None) -> dict:
                     if rec is not None:
                         got.append(rec)
         if got:
-            points[ctx.tag] = [_point_payload(pt) for pt in ctx.points]
+            points[ctx.tag] = [{"x": pt.x.tolist(), "p": pt.p.tolist()} for pt in ctx.points]
             records.extend(got)
 
-    for si, (structure, config) in enumerate(
-        zip(manifest.structures, manifest.structure_configs)
-    ):
+    for si, (structure, config) in enumerate(zip(manifest.structures, manifest.structure_configs)):
         run_scope(CheckContext(manifest, structure, config, si), "structure")
         if not any(spec.scope == "pair" for spec in selected):
             continue
-        for pi, (params, plabel) in enumerate(
-            zip(manifest.params, manifest.param_labels)
-        ):
+        for pi, (params, plabel) in enumerate(zip(manifest.params, manifest.param_labels)):
             run_scope(CheckContext(manifest, structure, config, si, params, plabel, pi), "pair")
-    records.sort(key=lambda r: (r.check_id, r.structure, r.index))
-    passed = sum(1 for r in records if r.passed)
-    report = {
+    records.sort(key=lambda r: (r["check_id"], r["structure"], r["point"]["index"]))
+    passed = sum(1 for r in records if r["pass"])
+    return {
         "summary": {
             "total": len(records),
             "passed": passed,
             "failed": len(records) - passed,
             "by_check": _by_check(selected, records),
         },
-        "checks": [r.as_dict() for r in records],
+        "checks": records,
         "points": points,
         "meta": {
             "engine_version": __version__,
@@ -679,4 +642,3 @@ def run_suite(manifest: Manifest, only=None) -> dict:
             "manifest": manifest.echo,
         },
     }
-    return report

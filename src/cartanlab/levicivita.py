@@ -38,6 +38,7 @@ Routes kept deliberately separate:
   the point values of C, L, R, P and G, and the covariant derivatives of C
   and L (``PointGeometry.h_cov`` and the momentum derivatives of their
   jets); the (v, h, .) blocks follow by antisymmetry in the first pair.
+  It covers constant profiles only and refuses one that reads tau.
 * ``curvature_defn`` guards it.  One function (``_defn_curvature``)
   differentiates the connection field (the exact first chart partials of
   the center's connection jet, which has order 1 and x-cap 1 from an
@@ -64,6 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import EvaluationDomainError
 from .geometry import PointGeometry, chart_partials, frame_block, frame_derivative, read_only
 from .jets import ChartPoint, Jet, contract, fd_combine, fd_stencil, invert
 from .kahler import BundleMetric, DeformationParams, point_state
@@ -378,8 +380,12 @@ def curvature_closed(
 ) -> np.ndarray:
     """Closed-form curvature: the read-only table of the adapted components
     of K(F_x, F_y) F_z at [x, y, z, :], built once per metric.  Its blocks
-    are ``frame_block(K, which)`` for ``which`` in ``CURVATURE_BLOCKS``."""
+    are ``frame_block(K, which)`` for ``which`` in ``CURVATURE_BLOCKS``.
+    The blocks freeze c at the point's tau, so a profile that reads tau
+    raises EvaluationDomainError."""
     geom, metric = point_state(s, at, params, geom, metric)
+    if metric.params.reads_tau:
+        raise EvaluationDomainError(f"profile {metric.params.v!r} reads tau; the closed curvature covers constant profiles only")
     return metric.derive("curvature", lambda: _closed_curvature(geom, metric))
 
 

@@ -13,12 +13,13 @@ this definition the vertical frame divergences vanish identically, the
 Liouville field is divergence-free, and the Laplacian of a scalar reduces to
 the closed first-order form checked below.
 
-Every operator takes the point's `BundleMetric` (``operator_context`` checks
-det(g_ij) and returns it).  The per-point tables the operators read, the
-frame divergences and the finite-difference log-volume partials (one
-batched order-2 geometry over the stencil), are derived on that metric by
-their first user and kept read-only in its ``derived``; the mean Landsberg
-trace J_i = L^s_{si} is the geometry's ``J_down``.
+Every operator takes the point's `BundleMetric` (``operator_context``
+returns it; a metric exists only where g_ij is positive definite).  The
+per-point tables the operators read, the frame divergences and the
+finite-difference log-volume partials (one batched order-2 geometry over
+the stencil), are derived on that metric by their first user and kept
+read-only in its ``derived``; the mean Landsberg trace J_i = L^s_{si} is
+the geometry's ``J_down``.
 
 A vector field is its (2n,) float array of adapted components (X^i, Xbar_i),
 h first: `gradient`, `geodesic_spray` and `liouville_field` return one, and
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationDomainError
 from .geometry import PointGeometry, chart_partials, frame_derivative, read_only
 from .jets import ChartPoint, Jet, fd_combine, fd_partial, fd_stencil
 from .kahler import BundleMetric, DeformationParams, point_state
@@ -59,13 +59,10 @@ def operator_context(
     geom: PointGeometry = None,
     metric: BundleMetric = None,
 ) -> BundleMetric:
-    """The bundle metric the operators take at a point, once det(g_ij) is
-    seen to be positive."""
-    geom, metric = point_state(s, at, params, geom, metric)
-    det_g = float(np.linalg.det(geom.g_down))
-    if det_g <= 0.0:
-        raise EvaluationDomainError(f"det(g_ij) = {det_g:g} is not positive")
-    return metric
+    """The bundle metric the operators take at a point.  Its geometry's
+    ``g_up`` refuses a g_ij that is not positive definite (RegularityError),
+    so det(g_ij) > 0 wherever a metric exists."""
+    return point_state(s, at, params, geom, metric)[1]
 
 
 def _frame_divergences(m: BundleMetric) -> np.ndarray:

@@ -229,8 +229,8 @@ def test_a_bad_stencil_point_is_its_records_typed_error(kind, error):
         spec = next(spec for spec in checks.REGISTRY if spec.check_id == check_id)
         ctx = SimpleNamespace(structure=s, geometry=lambda idx: geom, tag=s.label)
         record = checks._record(spec, ctx, 0, at)
-        assert record.residual is None and not record.passed
-        assert record.error.startswith(error.__name__ + ":"), record.error
+        assert record["residual"] is None and record["pass"] is False
+        assert record["error"].startswith(error.__name__ + ":"), record["error"]
 
 
 def test_an_order4_stencil_geometry_keeps_values_and_refuses_second_x_derivatives():

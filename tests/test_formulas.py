@@ -3,10 +3,12 @@
 Every dotted name in an entry's ``where`` string (text in parentheses is a
 note) must resolve to an attribute of the ``cartanlab`` package, so a
 renamed or deleted function cannot leave a dangling reference behind.
+Every check of the registry names an anchor of the index.
 """
 import importlib
 import re
 
+from cartanlab.checks import REGISTRY
 from cartanlab.formulas import INDEX
 
 
@@ -32,3 +34,7 @@ def test_index_where_names_resolve():
     names = [(anchor, name) for anchor, entry in INDEX.items() for name in _dotted_names(entry.where)]
     assert len(names) >= 60  # non-vacuous: the parser finds the index's names
     assert [(a, n) for a, n in names if not _resolves(n)] == []
+
+
+def test_every_registry_anchor_is_indexed():
+    assert [(spec.check_id, spec.anchor) for spec in REGISTRY if spec.anchor not in INDEX] == []

@@ -9,7 +9,7 @@ import pytest
 from cartanlab import checks, geometry, levicivita
 from cartanlab.cartan import conformal_structure, flat_structure, randers_dual
 from cartanlab.checks import TOLERANCES, run_suite
-from cartanlab.errors import ValenceError
+from cartanlab.errors import EvaluationDomainError, ValenceError
 from cartanlab.geometry import PointGeometry, frame_block, slot_index
 from cartanlab.jets import Jet, fd_partial
 from cartanlab.kahler import BundleMetric, DeformationParams, tube_predicate
@@ -1102,3 +1102,27 @@ def test_planted_hv_h_defect_fails_every_universal_block_record(monkeypatch):
     report = run_suite(manifest, only=only)
     assert report["summary"]["failed"] == report["summary"]["total"] == 6
     assert max(r["residual"] for r in report["checks"]) < TOLERANCES["fd_single"]
+
+
+def test_the_closed_curvature_refuses_a_profile_that_reads_tau():
+    # the closed blocks freeze c at the point's tau: with v = 0.4 + 0.3 tau
+    # they would differ from the definition by about 0.1 in the universal
+    # hv_h and vv_v blocks, so the closed route and its traces refuse
+    s, at = conformal_structure(2, -1.0), pt([0.1, -0.2], [0.6, 0.3])
+    params = DeformationParams(v="0.4 + 0.3*tau")
+    for route in (curvature_closed, ricci, vertical_ricci_obstruction):
+        with pytest.raises(EvaluationDomainError, match=r"profile '0\.4 \+ 0\.3\*tau' reads tau"):
+            route(s, at, params)
+    # the definition route still takes it
+    assert np.isfinite(curvature_defn(s, at, params)).all()
+
+
+def test_a_constant_profile_keeps_its_closed_curvature_table():
+    s, at = conformal_structure(2, -1.0), pt([0.1, -0.2], [0.6, 0.3])
+    text, number = DeformationParams(v="0.4"), DeformationParams(v=0.4)
+    assert not text.reads_tau
+    table = curvature_closed(s, at, text)
+    assert np.array_equal(table, curvature_closed(s, at, number))
+    metric = BundleMetric(PointGeometry(s, at), text)
+    for which, rel in _block_residuals(s, at, text, metric, ("vv_v", "hv_v", "vv_h", "hv_h")).items():
+        assert rel <= 1e-12, which

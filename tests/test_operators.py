@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from cartanlab import checks, geometry, kahler, operators
-from cartanlab.cartan import conformal_structure, flat_structure, randers_dual
+from cartanlab.cartan import conformal_structure, expression_structure, flat_structure, randers_dual
 from cartanlab.checks import run_suite
+from cartanlab.errors import RegularityError
 from cartanlab.geometry import PointGeometry, frame_block
 from cartanlab.jets import ChartPoint
 from cartanlab.kahler import BundleMetric, DeformationParams, nijenhuis_table
@@ -320,3 +321,13 @@ def test_derived_state_does_not_keep_the_metric_alive():
         assert kept() is None and all(ref() is None for ref in gone)
     finally:
         gc.enable()
+
+
+def test_operator_context_refuses_an_indefinite_fundamental_tensor():
+    # K^2 = 0.75 > 0 at this point, but g has signature (+, -): the
+    # geometry's g_up refuses it before any operator table exists
+    s = expression_structure(2, "p1*p1 - p2*p2")
+    at = pt([0.1, 0.2], [1.0, 0.5])
+    assert s.k2_values(at.x, at.p) == pytest.approx(0.75)
+    with pytest.raises(RegularityError, match="fundamental tensor not positive definite"):
+        operator_context(s, at, DeformationParams(c=0.0))
