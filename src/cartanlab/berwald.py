@@ -22,7 +22,6 @@ import numpy as np
 from .errors import ValenceError
 from .geometry import PointGeometry
 from .jets import ChartPoint, Jet, fd_combine, fd_stencil
-from .kahler import point_state
 
 __all__ = [
     "DTensor",
@@ -81,7 +80,7 @@ def nonlinear_connection_fd(s, at: ChartPoint, geom: PointGeometry = None) -> np
     Richardson extrapolation), from one order-2 geometry over the 4n
     shifted points.
     """
-    geom, _ = point_state(s, at, geom=geom)
+    geom = PointGeometry(s, at) if geom is None else geom
     n = at.n
     chart, steps = range(2 * n), (1e-4,)
     gdown = PointGeometry(s, fd_stencil(at, chart, steps), order=2).g_down
@@ -104,7 +103,7 @@ def berwald_curvature_fd(s, at: ChartPoint, geom: PointGeometry = None) -> np.nd
     from one order-4 geometry over the 8n shifted points; N and B at the
     center are read from ``geom``.
     """
-    geom, _ = point_state(s, at, geom=geom)
+    geom = PointGeometry(s, at) if geom is None else geom
     n = at.n
     nval = geom.N
     b0 = geom.B

@@ -116,39 +116,34 @@ class CheckSpec:
 
 
 class CheckContext:
-    """Sampled points plus the memoized geometry and metric of the point
-    being checked, for one scope."""
+    """One scope of a manifest, by index: structure ``s_index`` alone, or
+    paired with params ``p_index``.  Holds the scope's sampled points plus
+    the memoized geometry and metric of the point being checked."""
 
-    def __init__(self, manifest, structure, config, s_index, params=None, param_label=None, p_index=None):
+    def __init__(self, manifest: Manifest, s_index: int, p_index: Optional[int] = None):
         self.manifest = manifest
-        self.structure = structure
-        self.config = config
-        self.params = params
-        self.param_label = param_label
+        self.structure = manifest.structures[s_index]
+        self.config = manifest.structure_configs[s_index]
+        self.params = None if p_index is None else manifest.params[p_index]
+        self.tag = self.structure.label
+        if p_index is not None:
+            self.tag += "|" + manifest.document["params"][p_index]["label"]
         self._scope_key = (s_index, 0 if p_index is None else p_index + 1)
-        sampling = manifest.sampling
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=sampling.seed, spawn_key=self._scope_key)
-        )
-        accept = tube_predicate(structure, params) if params is not None else None
+        sampling = manifest.document["sampling"]
+        accept = None if p_index is None else tube_predicate(self.structure, self.params)
         self.points = sample_points(
-            structure, sampling.count, rng, sampling.p_norm, accept=accept
+            self.structure, sampling["count"], self._rng(), sampling["p_norm"], accept=accept
         )
         self.memo = {}  # scope-wide state: the Randers limit structures
         # the point being checked, with its geometry and metric
         self._idx, self._geom, self._metric = None, None, None
 
-    @property
-    def tag(self) -> str:
-        if self.params is None:
-            return self.structure.label
-        return f"{self.structure.label}|{self.param_label}"
+    def _rng(self, *key) -> np.random.Generator:
+        seed = self.manifest.document["sampling"]["seed"]
+        return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=self._scope_key + key))
 
     def rng_for(self, check_id: str) -> np.random.Generator:
-        key = self._scope_key + (zlib.crc32(check_id.encode()),)
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.manifest.sampling.seed, spawn_key=key)
-        )
+        return self._rng(zlib.crc32(check_id.encode()))
 
     def _memo(self, key, build):
         if key not in self.memo:
@@ -225,10 +220,8 @@ def _r_metric_homogeneity(ctx, idx, pt):
 
 def _r_cartan_symmetry(ctx, idx, pt):
     C = ctx.geometry(idx).C_uuu
-    worst = 0.0
-    for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
-        worst = max(worst, float(np.abs(C - np.transpose(C, perm)).max()))
-    return worst
+    perms = ((0, 2, 1), (1, 0, 2), (2, 1, 0))
+    return float(np.max([np.abs(C - np.transpose(C, perm)).max() for perm in perms]))
 
 
 def _r_cartan_transversality(ctx, idx, pt):
@@ -285,7 +278,7 @@ def _r_connection_homogeneity(ctx, idx, pt):
     g = ctx.geometry(idx)
     r1 = np.abs(np.einsum("i,ijk->jk", pt.p, g.B) - g.N).max()
     r2 = np.abs(np.einsum("h,ihjk->ijk", pt.p, g.P_curv)).max()
-    return float(max(r1, r2))
+    return float(np.maximum(r1, r2))
 
 
 def _r_n_fd_oracle(ctx, idx, pt):
@@ -334,11 +327,11 @@ def _r_theta_canonical(ctx, idx, pt):
 
 def _r_positive_definite(ctx, idx, pt):
     m = ctx.metric(idx)
-    low = min(
-        float(np.linalg.eigvalsh(m.G_down).min()),
-        float(np.linalg.eigvalsh(m.G_up).min()),
-    )
-    return max(0.0, -low)
+    blocks = (m.G_down, m.G_up)
+    if not all(np.isfinite(b).all() for b in blocks):
+        return math.nan  # eigvalsh need not converge on a non-finite matrix
+    low = np.minimum(*(np.linalg.eigvalsh(b).min() for b in blocks))
+    return float(np.maximum(0.0, -low))
 
 
 def _nijenhuis_worst(m) -> float:
@@ -366,9 +359,9 @@ def _r_nijenhuis_detects(ctx, idx, pt):
 
 
 def _at(fn, ctx, idx, pt):
-    """``fn(s, pt, params, geom=, metric=)`` on the point's memoized geometry
-    and metric, which keeps whatever ``fn`` derives."""
-    return fn(ctx.structure, pt, ctx.params, geom=ctx.geometry(idx), metric=ctx.metric(idx))
+    """``fn(s, pt, params, metric)`` on the point's memoized metric, which
+    keeps whatever ``fn`` derives."""
+    return fn(ctx.structure, pt, ctx.params, ctx.metric(idx))
 
 
 def _r_koszul(ctx, idx, pt):
@@ -391,7 +384,7 @@ def _block_residual(ctx, idx, pt, names):
     defn = _at(curvature_defn, ctx, idx, pt)
     scale = np.maximum(1.0, np.abs(defn).max(axis=3))
     rel = np.abs(defn - closed).max(axis=3) / scale
-    return max(float(frame_block(rel, which).max()) for which in names)
+    return float(np.max([frame_block(rel, which).max() for which in names]))
 
 
 def _r_blocks_universal(ctx, idx, pt):
@@ -406,7 +399,7 @@ def _r_einstein_forward(ctx, idx, pt):
     rd = _at(ricci, ctx, idx, pt)
     g = ctx.geometry(idx)
     target = ctx.params.c_at(g.tau) * g.n * ctx.params.beta
-    return max(abs(rd.lambda_hat - target), rd.defect)
+    return float(np.maximum(abs(rd.lambda_hat - target), rd.defect))
 
 
 def _r_einstein_defect(ctx, idx, pt):
@@ -461,7 +454,7 @@ def _r_gradient_duality(ctx, idx, pt):
         gf = gradient(m, f)
         for _ in range(5):
             x = np.concatenate([rng.normal(size=n), rng.normal(size=n)])  # h, then v
-            worst = max(worst, abs(gf @ gram @ x - directional_derivative(m, f, x)))
+            worst = np.maximum(worst, abs(gf @ gram @ x - directional_derivative(m, f, x)))
     return worst
 
 
@@ -480,7 +473,7 @@ def _r_laplacian_routes(ctx, idx, pt):
     worst = 0.0
     for f in _field_corpus(ctx.structure):
         res = laplacian(m, f)
-        worst = max(worst, abs(res.difference))
+        worst = np.maximum(worst, abs(res.difference))
     return worst
 
 
@@ -488,7 +481,7 @@ def _r_k2_harmonic(ctx, idx, pt):
     m = _at(operator_context, ctx, idx, pt)
     s = ctx.structure
     res = laplacian(m, lambda q: s.k2_values(q.x, q.p))
-    return max(abs(res.direct), abs(res.closed))
+    return float(np.maximum(abs(res.direct), abs(res.closed)))
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +612,12 @@ def run_suite(manifest: Manifest, only=None) -> dict:
             points[ctx.tag] = [{"x": pt.x.tolist(), "p": pt.p.tolist()} for pt in ctx.points]
             records.extend(got)
 
-    for si, (structure, config) in enumerate(zip(manifest.structures, manifest.structure_configs)):
-        run_scope(CheckContext(manifest, structure, config, si), "structure")
+    for si in range(len(manifest.structures)):
+        run_scope(CheckContext(manifest, si), "structure")
         if not any(spec.scope == "pair" for spec in selected):
             continue
-        for pi, (params, plabel) in enumerate(zip(manifest.params, manifest.param_labels)):
-            run_scope(CheckContext(manifest, structure, config, si, params, plabel, pi), "pair")
+        for pi in range(len(manifest.params)):
+            run_scope(CheckContext(manifest, si, pi), "pair")
     records.sort(key=lambda r: (r["check_id"], r["structure"], r["point"]["index"]))
     passed = sum(1 for r in records if r["pass"])
     return {
@@ -639,6 +632,6 @@ def run_suite(manifest: Manifest, only=None) -> dict:
         "meta": {
             "engine_version": __version__,
             "format": "cartanlab-report-v2",
-            "manifest": manifest.echo,
+            "manifest": manifest.document,
         },
     }

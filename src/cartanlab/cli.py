@@ -154,24 +154,24 @@ class _Query:
 
 
 def _connection(q: _Query) -> dict:
-    conn = lc_closed_form(q.structure, q.at, q.params, geom=q.geom, metric=q.metric)
+    conn = lc_closed_form(q.structure, q.at, q.params, q.metric)
     doc = {key: {t: frame_block(conn, key + t) for t in "hv"} for key in ("v_v", "h_v", "v_h", "h_h")}
     return {"c_effective": q.params.c_at(q.geom.tau), **doc}
 
 
 def _curvature(q: _Query) -> dict:
-    k = curvature_closed(q.structure, q.at, q.params, geom=q.geom, metric=q.metric)
+    k = curvature_closed(q.structure, q.at, q.params, q.metric)
     return {which: {t: frame_block(k, which + t) for t in "hv"} for which in CURVATURE_BLOCKS}
 
 
 def _ricci(q: _Query) -> dict:
-    rd = ricci(q.structure, q.at, q.params, geom=q.geom, metric=q.metric)
+    rd = ricci(q.structure, q.at, q.params, q.metric)
     ric = {f"Ric_{kinds}": frame_block(rd.ric, kinds) for kinds in ("hh", "vv", "hv", "vh")}
     return {**ric, "lambda_hat": rd.lambda_hat, "defect": rd.defect}
 
 
 def _operators(q: _Query) -> dict:
-    m = operator_context(q.structure, q.at, q.params, geom=q.geom, metric=q.metric)
+    m = operator_context(q.structure, q.at, q.params, q.metric)
     # at an extreme |p| the float products overflow; `_as_lists` then names
     # the object, with no numpy warning before it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -232,7 +232,8 @@ def _tensor_objects(structure, params, at, names) -> dict:
 def _cmd_tensor(args) -> int:
     manifest = load_manifest(args.manifest)
     si = _select([s.label for s in manifest.structures], args.structure, "structure")
-    pi = _select(list(manifest.param_labels), args.params, "params")
+    param_labels = [entry["label"] for entry in manifest.document["params"]]
+    pi = _select(param_labels, args.params, "params")
     structure = manifest.structures[si]
     params = manifest.params[pi]
     at = _parse_point(args.point, structure.dim)
@@ -249,7 +250,7 @@ def _cmd_tensor(args) -> int:
             "engine_version": __version__,
             "format": "cartanlab-tensor-v1",
             "structure": structure.label,
-            "params": manifest.param_labels[pi],
+            "params": param_labels[pi],
             "point": {"x": [float(v) for v in at.x], "p": [float(v) for v in at.p]},
         },
         "objects": objects,

@@ -65,7 +65,9 @@ class DeformationParams:
 
     Give either c (profile v = -c alpha beta^2, constant) or v (a number
     or an expression string in 'tau').  Omitting both means v = 0.
-    ``reads_tau`` says whether the profile's expression reads tau.
+    ``reads_tau`` says whether the profile's expression reads tau.  A
+    non-finite alpha, beta, c or numeric v, or a constant profile whose
+    value is not finite, raises ValueError.
     """
 
     alpha: float = 1.0
@@ -74,6 +76,10 @@ class DeformationParams:
     v: Union[None, float, str] = None
 
     def __post_init__(self):
+        numbers = {"alpha": self.alpha, "beta": self.beta, "c": self.c, "v": self.v}
+        for name, value in numbers.items():
+            if isinstance(value, (int, float)) and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError(
                 f"scaling constants must be positive: alpha={self.alpha}, beta={self.beta}"
@@ -101,6 +107,8 @@ class DeformationParams:
             desc = f"v={v}"
         else:
             raise ValueError(f"unsupported deformation profile {v!r}")
+        if not reads_tau and not np.isfinite(fn(0.0)):
+            raise ValueError(f"deformation profile {desc} is not finite")
         object.__setattr__(self, "reads_tau", reads_tau)
         object.__setattr__(self, "_v_fn", fn)
         object.__setattr__(self, "_desc", desc)
@@ -155,6 +163,12 @@ class BundleMetric:
         self.params = params
         tau = np.asarray(geom.tau)
         v_val = np.array([params.v_at(t) for t in tau.flat], dtype=float).reshape(tau.shape)
+        bad = point_guard(~np.isfinite(v_val), self.at)
+        if bad is not None:
+            raise EvaluationDomainError(
+                f"deformation profile v = {v_val.flat[bad[0]]!r} is not finite at {bad[1]!r} "
+                f"(tau={tau.flat[bad[0]]:.6f})"
+            )
         gauge = params.alpha + 2.0 * tau * v_val
         bad = point_guard(gauge <= 0.0, self.at)
         if bad is not None:
@@ -244,15 +258,21 @@ def _omega(n: int) -> np.ndarray:
     return read_only(np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(n)))
 
 
-def point_state(s, at: ChartPoint, params: DeformationParams = None, geom=None, metric=None):
-    """(geom, metric) at a chart point from what the caller already holds:
-    the geometry defaults to the metric's, else a fresh one at ``at``; the
-    metric to one on that geometry when ``params`` is given, else None."""
-    if geom is None:
-        geom = metric.geom if metric is not None else PointGeometry(s, at)
-    if metric is None and params is not None:
-        metric = BundleMetric(geom, params)
-    return geom, metric
+def point_state(s, at: ChartPoint, params: DeformationParams, metric: BundleMetric = None) -> BundleMetric:
+    """The bundle metric of ``params`` at the chart point ``at`` of ``s``,
+    which holds all pair-scope state of the point: ``metric`` when given,
+    else one on a fresh geometry.  A metric built for another structure
+    (by identity), another point (by ``key()``) or another params (by
+    identity) raises ValueError: the arguments and the metric must agree."""
+    if metric is None:
+        return BundleMetric(PointGeometry(s, at), params)
+    if metric.geom.structure is not s:
+        raise ValueError(f"metric was built for structure {metric.geom.structure.label!r}, not {s.label!r}")
+    if metric.at.key() != at.key():
+        raise ValueError(f"metric was built at {metric.at!r}, not at {at!r}")
+    if metric.params is not params:
+        raise ValueError(f"metric was built for params {metric.params!r}, not {params!r}")
+    return metric
 
 
 def tube_predicate(s, params: DeformationParams):

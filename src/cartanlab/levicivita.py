@@ -7,9 +7,10 @@ nabla_{F_a} F_b.  The curvature is one table K[x, y, z, :] holding the
 adapted components of K(F_x, F_y) F_z.  A block of either, named by the
 frame kinds of its leading axes (``"h"`` for delta_i, ``"v"`` for pdot^i),
 is the slice ``geometry.frame_block(table, kinds)``: the curvature block
-``"hv_h"`` is K[:n, n:, :n].  Each table and the connection defects
-are built once per ``BundleMetric`` and kept on it; the tables are
-read-only.
+``"hv_h"`` is K[:n, n:, :n].  Each public function takes ``(s, at,
+params, metric=None)``; the point's ``BundleMetric`` (`kahler.point_state`)
+holds its pair-scope state, so each table and the connection defects are
+built once per metric and kept on it; the tables are read-only.
 
 Routes kept deliberately separate:
 
@@ -120,13 +121,13 @@ def _connection_blocks(C_uud, C_ddd, L_uuu, L_udd, B, G_up, G_down, p, beta: flo
     }
 
 
-def _connection_jet(geom: PointGeometry, metric: BundleMetric) -> Jet:
+def _connection_jet(metric: BundleMetric) -> Jet:
     """nabla_{F_a} F_b as one (2n, 2n, 2n) jet: adapted components at
     [a, b, :], at the common order of its eight blocks (1 from an order-5
     geometry).  The constant c is the jet of c(tau), so a profile that
     varies with tau enters the partials.  The coefficient array is
     read-only."""
-    params = metric.params
+    geom, params = metric.geom, metric.params
     blocks = _connection_blocks(
         geom.C_uud_jets, geom.C_ddd_jets, geom.L_uuu_jets, geom.L_udd_jets, geom.B_jets,
         metric.G_up_jets, metric.G_down_jets, geom.p_coord(3), params.beta, params.c_at(geom.k2 * 0.5),
@@ -141,16 +142,15 @@ def _connection_jet(geom: PointGeometry, metric: BundleMetric) -> Jet:
     return out
 
 
-def _connection(geom: PointGeometry, metric: BundleMetric) -> Jet:
+def _connection(metric: BundleMetric) -> Jet:
     """The connection jet at the metric's point, built once per metric."""
-    return metric.derive("connection", lambda: _connection_jet(geom, metric))
+    return metric.derive("connection", lambda: _connection_jet(metric))
 
 
 def lc_closed_form(
     s,
     at: ChartPoint,
     params: DeformationParams,
-    geom: PointGeometry = None,
     metric: BundleMetric = None,
 ) -> np.ndarray:
     """Closed-form Levi-Civita connection at a point: the read-only table of
@@ -161,8 +161,7 @@ def lc_closed_form(
     c = -v/(alpha beta^2); for other inputs it is simply the displayed
     coefficient field (the Koszul oracle then measures the discrepancy).
     """
-    geom, metric = point_state(s, at, params, geom, metric)
-    return _connection(geom, metric).c[..., 0]  # a view of the read-only coefficients
+    return _connection(point_state(s, at, params, metric)).c[..., 0]  # a view of the read-only coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +183,14 @@ class MetricStencil:
         return BundleMetric(PointGeometry(self.s, pt, order), self.params)
 
 
-def _gram_partials(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
+def _gram_partials(metric: BundleMetric) -> np.ndarray:
     """The partials of the Gram matrix G(F_a, F_b) along the 2n chart
     variables, at [var, a, b]: `jets.fd_combine` of the Gram matrices of
     one order-2 metric over the whole `jets.fd_stencil`.  Read-only, built
     once per metric."""
 
     def build():
+        geom = metric.geom
         chart = range(2 * geom.n)
         stencil = MetricStencil(geom.structure, metric.params)
         grams = stencil.metric_at(fd_stencil(geom.at, chart)).gram
@@ -199,7 +199,7 @@ def _gram_partials(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
     return metric.derive("gram_partials", build)
 
 
-def _koszul_table(geom: PointGeometry, metric: BundleMetric):
+def _koszul_table(metric: BundleMetric):
     """nabla_{F_x} F_y over the adapted basis, adapted components at
     [x, y, :], solved from the six Koszul terms for all slot pairs at once.
 
@@ -208,7 +208,8 @@ def _koszul_table(geom: PointGeometry, metric: BundleMetric):
     basis bracket table ``PointGeometry.basis_brackets``.  The array is
     read-only.
     """
-    dG = frame_derivative(_gram_partials(geom, metric), geom)
+    geom = metric.geom
+    dG = frame_derivative(_gram_partials(metric), geom)
     gram = metric.gram
     bG = geom.basis_brackets @ gram
     # 2 G(nabla_{F_x} F_y, F_z) at [x, y, z]
@@ -222,7 +223,6 @@ def koszul_oracle(
     s,
     at: ChartPoint,
     params: DeformationParams,
-    geom: PointGeometry = None,
     metric: BundleMetric = None,
 ) -> np.ndarray:
     """nabla_{F_x} F_y from the six-term Koszul formula over the adapted
@@ -237,8 +237,8 @@ def koszul_oracle(
     it.  Raises a conditioning error if the frame Gram matrix is numerically
     singular.
     """
-    geom, metric = point_state(s, at, params, geom, metric)
-    return metric.derive("koszul", lambda: _koszul_table(geom, metric))
+    metric = point_state(s, at, params, metric)
+    return metric.derive("koszul", lambda: _koszul_table(metric))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,6 @@ def connection_defects(
     s,
     at: ChartPoint,
     params: DeformationParams,
-    geom: PointGeometry = None,
     metric: BundleMetric = None,
 ):
     """(torsion, compatibility) residuals of the closed-form connection,
@@ -262,11 +261,12 @@ def connection_defects(
     b <= c for compatibility).  Both vanish exactly when the horizontal
     curvature matches the constant-curvature form for the effective constant.
     """
-    geom, metric = point_state(s, at, params, geom, metric)
+    metric = point_state(s, at, params, metric)
+    geom = metric.geom
 
     def build():
         dim = 2 * geom.n
-        nabla = lc_closed_form(s, at, params, geom, metric)
+        nabla = lc_closed_form(s, at, params, metric)
         a, b = np.triu_indices(dim, 1)
         torsion = nabla[a, b] - nabla[b, a] - geom.basis_brackets[a, b]
         paired = nabla @ metric.gram  # G(nabla_{F_x} F_b, F_c) at [x, b, c]
@@ -291,11 +291,11 @@ def _anti(t: np.ndarray) -> np.ndarray:
     return t - t.transpose(1, 0, 2, 3)
 
 
-def _closed_blocks(geom: PointGeometry, metric: BundleMetric) -> dict:
+def _closed_blocks(metric: BundleMetric) -> dict:
     """The six closed blocks by name (``CURVATURE_BLOCKS``): the (h, v) parts
     of K(F_i, F_j) F_k at [i, j, k, h].  The h- (``h*``) and v-covariant
     (``d*``) derivatives of C and L append their index last."""
-    params = metric.params
+    geom, params = metric.geom, metric.params
     c, b, p, eye = params.c_at(geom.tau), params.beta, geom.at.p, np.eye(geom.n)
     b2, inv_b2 = b * b, 1.0 / (b * b)
     C, Cd, Cm = geom.C_uud_jets.value, geom.C_ddd, geom.C_mixed
@@ -359,12 +359,12 @@ def _closed_blocks(geom: PointGeometry, metric: BundleMetric) -> dict:
     }
 
 
-def _closed_curvature(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
+def _closed_curvature(metric: BundleMetric) -> np.ndarray:
     """The read-only curvature table K[x, y, z, :] from the six closed
     blocks; the (v, h, .) kinds follow by antisymmetry in the first pair."""
-    dim = 2 * geom.n
+    dim = 2 * metric.n
     k = np.zeros((dim,) * 4)
-    for which, (H, V) in _closed_blocks(geom, metric).items():
+    for which, (H, V) in _closed_blocks(metric).items():
         frame_block(k, which + "h")[...] = H
         frame_block(k, which + "v")[...] = V
     frame_block(k, "vh")[...] = -frame_block(k, "hv").transpose(1, 0, 2, 3)
@@ -375,7 +375,6 @@ def curvature_closed(
     s,
     at: ChartPoint,
     params: DeformationParams,
-    geom: PointGeometry = None,
     metric: BundleMetric = None,
 ) -> np.ndarray:
     """Closed-form curvature: the read-only table of the adapted components
@@ -383,23 +382,23 @@ def curvature_closed(
     are ``frame_block(K, which)`` for ``which`` in ``CURVATURE_BLOCKS``.
     The blocks freeze c at the point's tau, so a profile that reads tau
     raises EvaluationDomainError."""
-    geom, metric = point_state(s, at, params, geom, metric)
-    if metric.params.reads_tau:
-        raise EvaluationDomainError(f"profile {metric.params.v!r} reads tau; the closed curvature covers constant profiles only")
-    return metric.derive("curvature", lambda: _closed_curvature(geom, metric))
+    metric = point_state(s, at, params, metric)
+    if params.reads_tau:
+        raise EvaluationDomainError(f"profile {params.v!r} reads tau; the closed curvature covers constant profiles only")
+    return metric.derive("curvature", lambda: _closed_curvature(metric))
 
 
 # ---------------------------------------------------------------------------
 # curvature: definition oracle
 
 
-def _defn_curvature(geom: PointGeometry, metric: BundleMetric) -> np.ndarray:
+def _defn_curvature(metric: BundleMetric) -> np.ndarray:
     """K(F_x, F_y) F_z = nabla_{F_x} nabla_{F_y} F_z - nabla_{F_y}
     nabla_{F_x} F_z - nabla_{[F_x, F_y]} F_z for every slot triple: the
     read-only table of adapted components at [x, y, z, :], from the
     connection jet at the center (its values and its exact first chart
     partials)."""
-    jet = _connection(geom, metric)
+    geom, jet = metric.geom, _connection(metric)
     gamma = jet.value
     # nabla_{F_x} (nabla_{F_y} F_z), with nabla_{F_y} F_z a coefficient field
     cov = frame_derivative(chart_partials(jet), geom) + np.einsum("yzm,xms->xyzs", gamma, gamma)
@@ -411,7 +410,6 @@ def curvature_defn(
     s,
     at: ChartPoint,
     params: DeformationParams,
-    geom: PointGeometry = None,
     metric: BundleMetric = None,
 ) -> np.ndarray:
     """Curvature by definition, K(X, Y) Z = nabla_X nabla_Y Z -
@@ -420,8 +418,8 @@ def curvature_defn(
     partials of its jet.  Laid out as ``curvature_closed``; the
     table is read-only, built once per metric and kept on it under
     ``"defn"``."""
-    geom, metric = point_state(s, at, params, geom, metric)
-    return metric.derive("defn", lambda: _defn_curvature(geom, metric))
+    metric = point_state(s, at, params, metric)
+    return metric.derive("defn", lambda: _defn_curvature(metric))
 
 
 # the same function: `benchmarks/tracing.py` spans both names
@@ -458,15 +456,14 @@ def ricci(
     s,
     at: ChartPoint,
     params: DeformationParams,
-    geom: PointGeometry = None,
     metric: BundleMetric = None,
 ) -> RicciData:
     """Ricci tensor as the trace of the closed curvature table, with
     lambda_hat = argmin_l |Ric - l G|_F over the Gram matrix and defect =
     max |Ric - lambda_hat G|.  Built once per metric."""
-    geom, metric = point_state(s, at, params, geom, metric)
+    metric = point_state(s, at, params, metric)
     return metric.derive(
-        "ricci", lambda: _ricci_data(metric, curvature_closed(s, at, params, geom, metric))
+        "ricci", lambda: _ricci_data(metric, curvature_closed(s, at, params, metric))
     )
 
 
@@ -474,7 +471,6 @@ def vertical_ricci_obstruction(
     s,
     at: ChartPoint,
     params: DeformationParams,
-    geom: PointGeometry = None,
     metric: BundleMetric = None,
 ):
     """(residual, mean_cartan): the momentum trace of the vertical Ricci
@@ -483,10 +479,11 @@ def vertical_ricci_obstruction(
     residual^j = p_k Ric(pdot^j, pdot^k) - c n beta p_k G^{jk}; a nonzero
     mean Cartan vector obstructs the Einstein property.
     """
-    geom, metric = point_state(s, at, params, geom, metric)
-    rd = ricci(s, at, params, geom, metric)
+    metric = point_state(s, at, params, metric)
+    rd = ricci(s, at, params, metric)
+    geom = metric.geom
     n = geom.n
-    c = metric.params.c_at(geom.tau)
-    beta = metric.params.beta
+    c = params.c_at(geom.tau)
+    beta = params.beta
     residual = frame_block(rd.ric, "vv") @ at.p - c * n * beta * (metric.G_up @ at.p)
     return residual, geom.I_up.copy()

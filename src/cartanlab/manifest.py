@@ -56,7 +56,6 @@ from .kahler import TUBE_MARGIN, DeformationParams, tube_predicate
 __all__ = [
     "DEFAULT_SAMPLING",
     "Manifest",
-    "SamplingSpec",
     "build_structure",
     "drift_vector",
     "load_manifest",
@@ -68,30 +67,18 @@ DEFAULT_SAMPLING = {"seed": 0, "count": 100, "p_norm": DEFAULT_P_NORM}
 
 
 @dataclass(frozen=True)
-class SamplingSpec:
-    seed: int
-    count: int
-    p_norm: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "count": self.count,
-            "p_norm": [self.p_norm[0], self.p_norm[1]],
-        }
-
-
-@dataclass(frozen=True)
 class Manifest:
-    """Validated manifest: built structures and params plus the
-    normalized document (``echo``) for report reproducibility."""
+    """A validated manifest: its normalized document ``{"structures",
+    "params", "sampling"}``, which the report echoes, and the structures and
+    params built from it, parallel to its lists."""
 
-    structures: tuple  # CartanStructure, parallel to structure_configs
-    structure_configs: tuple  # normalized per-structure dicts
-    params: tuple  # DeformationParams, parallel to param_labels
-    param_labels: tuple
-    sampling: SamplingSpec
-    echo: dict
+    document: dict
+    structures: tuple  # CartanStructure, one per document["structures"] entry
+    params: tuple  # DeformationParams, one per document["params"] entry
+
+    @property
+    def structure_configs(self) -> list:
+        return self.document["structures"]
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +284,15 @@ def _parse_params(entry, index: int):
         label = _as_str(label, f"{path}.label")
     else:
         label = params.describe()
-    echo = {"label": label, "alpha": params.alpha, "beta": params.beta}
+    normalized = {"label": label, "alpha": params.alpha, "beta": params.beta}
     if params.c is not None or params.v is None:
-        echo["c"] = params.c if params.c is not None else 0.0
+        normalized["c"] = params.c if params.c is not None else 0.0
     else:
-        echo["v"] = params.v
-    return params, label, echo
+        normalized["v"] = params.v
+    return params, normalized
 
 
-def _parse_sampling(entry) -> SamplingSpec:
+def _parse_sampling(entry) -> dict:
     path = "sampling"
     _check_keys(entry, path, allowed=("seed", "count", "p_norm"))
     seed = _as_int(entry.get("seed", DEFAULT_SAMPLING["seed"]), f"{path}.seed", minimum=0)
@@ -317,7 +304,7 @@ def _parse_sampling(entry) -> SamplingSpec:
     hi = _as_number(p_norm[1], f"{path}.p_norm[1]")
     if not (0 < lo <= hi):
         _fail(f"{path}.p_norm", f"need 0 < low <= high, got [{lo}, {hi}]")
-    return SamplingSpec(seed=seed, count=count, p_norm=(lo, hi))
+    return {"seed": seed, "count": count, "p_norm": [lo, hi]}
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +316,7 @@ def _probe_points(s: CartanStructure, p_low: float) -> list:
     return [ChartPoint(x, p_low * d) for x in chart_box_probes(s.dim, s.x_box) for d in directions]
 
 
-def _check_tube_feasibility(s: CartanStructure, params: DeformationParams, label: str, sampling: SamplingSpec) -> None:
+def _check_tube_feasibility(s: CartanStructure, params: DeformationParams, label: str, p_low: float) -> None:
     """Reject pairings whose whole sampling region violates the
     positive-definiteness gauge alpha + 2 tau v(tau) > 0 (for constant
     c > 0 this is the tube 2 tau < 1/(c beta^2)): accept one probe point
@@ -337,7 +324,7 @@ def _check_tube_feasibility(s: CartanStructure, params: DeformationParams, label
     typed error at a probe point skips it."""
     accept = tube_predicate(s, params)
     least_2tau = None
-    for pt in _probe_points(s, sampling.p_norm[0]):
+    for pt in _probe_points(s, p_low):
         if not s.admissible(pt):
             continue
         try:
@@ -411,12 +398,12 @@ def parse_manifest(text: str) -> Manifest:
     raw_params = doc.get("params", [{}])
     if not isinstance(raw_params, list) or not raw_params:
         _fail("params", "expected a non-empty list")
-    params, param_labels, param_echos = [], [], []
+    params, param_configs = [], []
     for i, entry in enumerate(raw_params):
-        p, label, echo = _parse_params(entry, i)
+        p, config = _parse_params(entry, i)
         params.append(p)
-        param_labels.append(label)
-        param_echos.append(echo)
+        param_configs.append(config)
+    param_labels = [config["label"] for config in param_configs]
     dupes = sorted({l for l in param_labels if param_labels.count(l) > 1})
     if dupes:
         _fail("params", f"duplicate params label(s) {dupes}; give distinct 'label' keys")
@@ -425,21 +412,10 @@ def parse_manifest(text: str) -> Manifest:
 
     for s in structures:
         for p, label in zip(params, param_labels):
-            _check_tube_feasibility(s, p, label, sampling)
+            _check_tube_feasibility(s, p, label, sampling["p_norm"][0])
 
-    echo = {
-        "structures": configs,
-        "params": param_echos,
-        "sampling": sampling.as_dict(),
-    }
-    return Manifest(
-        structures=tuple(structures),
-        structure_configs=tuple(configs),
-        params=tuple(params),
-        param_labels=tuple(param_labels),
-        sampling=sampling,
-        echo=echo,
-    )
+    document = {"structures": configs, "params": param_configs, "sampling": sampling}
+    return Manifest(document, tuple(structures), tuple(params))
 
 
 def load_manifest(path: str) -> Manifest:
@@ -452,7 +428,8 @@ def load_manifest(path: str) -> Manifest:
 
 
 def with_seed(m: Manifest, seed: int) -> Manifest:
-    """``m`` with its sampling seed replaced (``verify --seed``) and its echo
-    to match; a seed that is not an integer >= 0 raises ManifestError."""
-    sampling = dataclasses.replace(m.sampling, seed=_as_int(seed, "--seed", minimum=0))
-    return dataclasses.replace(m, sampling=sampling, echo={**m.echo, "sampling": sampling.as_dict()})
+    """``m`` with the seed of its document's sampling entry replaced
+    (``verify --seed``); a seed that is not an integer >= 0 raises
+    ManifestError."""
+    sampling = {**m.document["sampling"], "seed": _as_int(seed, "--seed", minimum=0)}
+    return dataclasses.replace(m, document={**m.document, "sampling": sampling})

@@ -56,13 +56,12 @@ def operator_context(
     s,
     at: ChartPoint,
     params: DeformationParams,
-    geom: PointGeometry = None,
     metric: BundleMetric = None,
 ) -> BundleMetric:
-    """The bundle metric the operators take at a point.  Its geometry's
-    ``g_up`` refuses a g_ij that is not positive definite (RegularityError),
-    so det(g_ij) > 0 wherever a metric exists."""
-    return point_state(s, at, params, geom, metric)[1]
+    """The bundle metric the operators take at a point (`kahler.point_state`).
+    Its geometry's ``g_up`` refuses a g_ij that is not positive definite
+    (RegularityError), so det(g_ij) > 0 wherever a metric exists."""
+    return point_state(s, at, params, metric)
 
 
 def _frame_divergences(m: BundleMetric) -> np.ndarray:

@@ -263,10 +263,10 @@ def test_criterion_4_connection_vs_koszul():
             total_pts += 1
             geom = PointGeometry(s, at)
             metric = BundleMetric(geom, params)
-            conn = lc_closed_form(s, at, params, geom, metric)
-            oracle = koszul_oracle(s, at, params, geom=geom, metric=metric)
+            conn = lc_closed_form(s, at, params, metric)
+            oracle = koszul_oracle(s, at, params, metric=metric)
             worst_koszul = max(worst_koszul, float(np.abs(oracle - conn).max()))
-            t, c = connection_defects(s, at, params, geom=geom, metric=metric)
+            t, c = connection_defects(s, at, params, metric=metric)
             worst_torsion = max(worst_torsion, t)
             worst_compat = max(worst_compat, c)
     ok = (

@@ -44,11 +44,11 @@ def _write(tmp_path, doc, name="m.json"):
 def test_parse_minimal_manifest_fills_defaults():
     m = parse_manifest(json.dumps(_manifest_dict(sampling={"seed": 1})))
     assert [s.label for s in m.structures] == ["flat-2d", "conformal-2d-c-1"]
-    assert list(m.param_labels) == ["flat-gauge", "hyperbolic"]
-    assert m.sampling.count == 100 and m.sampling.p_norm == (0.5, 2.0)
-    # echo reproduces the materialized configuration
-    assert m.echo["sampling"]["seed"] == 1
-    assert set(m.echo) == {"structures", "params", "sampling"}
+    assert [entry["label"] for entry in m.document["params"]] == ["flat-gauge", "hyperbolic"]
+    assert m.document["sampling"]["count"] == 100 and m.document["sampling"]["p_norm"] == [0.5, 2.0]
+    # the document reproduces the materialized configuration
+    assert m.document["sampling"]["seed"] == 1
+    assert set(m.document) == {"structures", "params", "sampling"}
 
 
 def test_parse_rejects_unknown_keys_with_path():
@@ -207,6 +207,16 @@ def test_params_v_must_be_finite(tmp_path, capsys, value):
     assert "params[0].v" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry", [{"v": "1e200*1e200"}, {"c": 1e300, "beta": 1e10}], ids=["v-expression", "c-times-beta"]
+)
+def test_a_non_finite_profile_is_a_manifest_error(tmp_path, capsys, entry):
+    # v = 1e200*1e200 is inf: accepted, it gave a NaN metric on which
+    # positive_definite, gradient_duality and laplacian_routes passed
+    err = _one_manifest_error(tmp_path, capsys, _manifest_dict(params=[{"label": "huge", **entry}]))
+    assert err.startswith("manifest error: params[0]: deformation profile ") and "is not finite" in err
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
 def test_scalar_drift_must_be_finite(value):
     text = json.dumps(_manifest_dict(structures=[{"family": "randers", "n": 2, "drift": 0.0}]))
@@ -235,7 +245,7 @@ def test_normalised_manifest_is_pinned():
         "sampling": {"seed": 4, "p_norm": [0.5, 1.5]},
     }
     m = parse_manifest(json.dumps(doc))
-    assert m.echo == {
+    assert m.document == {
         "structures": [
             {"family": "flat", "n": 2, "label": "flat-2d", "x_box": 1.0},
             {"family": "riemannian_conformal", "n": 3, "c": -1.0, "label": "hyperbolic-3d", "x_box": 0.5},
@@ -255,7 +265,7 @@ def test_normalised_manifest_is_pinned():
         ],
         "sampling": {"seed": 4, "count": 100, "p_norm": [0.5, 1.5]},
     }
-    assert list(m.structure_configs) == m.echo["structures"]
+    assert list(m.structure_configs) == m.document["structures"]
     assert [(s.label, s.dim, s.x_box) for s in m.structures] == [
         ("flat-2d", 2, 1.0),
         ("hyperbolic-3d", 3, 0.5),

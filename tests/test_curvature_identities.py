@@ -47,9 +47,9 @@ def default_pairs():
     structure/params pair of the default manifest."""
     manifest = load_manifest(str(DEFAULT))
     out = []
-    for si, (s, config) in enumerate(zip(manifest.structures, manifest.structure_configs)):
-        for pi, (params, label) in enumerate(zip(manifest.params, manifest.param_labels)):
-            ctx = checks.CheckContext(manifest, s, config, si, params, label, pi)
+    for si in range(len(manifest.structures)):
+        for pi in range(len(manifest.params)):
+            ctx = checks.CheckContext(manifest, si, pi)
             out.append((ctx, [(ctx.geometry(i), ctx.metric(i)) for i in range(POINTS)]))
     return out
 
@@ -61,10 +61,10 @@ def _rel(residual, table) -> float:
 def _identities(metric) -> dict:
     """Relative residual of each curvature identity of the closed table."""
     geom = metric.geom
-    k = curvature_closed(geom.structure, geom.at, metric.params, geom=geom, metric=metric)
+    k = curvature_closed(geom.structure, geom.at, metric.params, metric=metric)
     kl = np.einsum("xyzs,sw->xyzw", k, metric.gram)  # G(K(F_x, F_y) F_z, F_w)
     j = metric.complex_jets.value  # row a: the components of J F_a
-    ric = ricci(geom.structure, geom.at, metric.params, geom=geom, metric=metric).ric
+    ric = ricci(geom.structure, geom.at, metric.params, metric=metric).ric
     return {
         "bianchi": _rel(k + np.einsum("yzxs->xyzs", k) + np.einsum("zxys->xyzs", k), k),
         "g_skew": _rel(kl + np.einsum("xywz->xyzw", kl), kl),
@@ -102,8 +102,8 @@ def test_theta_is_closed_on_every_default_pair(default_pairs):
 def test_a_planted_hh_h_defect_breaks_the_identities_on_every_matching_pair(default_pairs, monkeypatch):
     closed_blocks = levicivita._closed_blocks
 
-    def planted(geom, metric):
-        blocks = dict(closed_blocks(geom, metric))
+    def planted(metric):
+        blocks = dict(closed_blocks(metric))
         H, V = blocks["hh_h"]
         blocks["hh_h"] = (H + 1e-7, V)
         return blocks

@@ -59,9 +59,9 @@ def _cl_terms(geom, metric):
 def _shift_cl_terms(clean, sign):
     """`clean` with the C.L products added (sign = 1) or taken out (-1)."""
 
-    def shifted(geom, metric):
-        blocks = dict(clean(geom, metric))
-        vv_v, vv_h = _cl_terms(geom, metric)
+    def shifted(metric):
+        blocks = dict(clean(metric))
+        vv_v, vv_h = _cl_terms(metric.geom, metric)
         H, V = blocks["vv_v"]
         blocks["vv_v"] = (H + sign * vv_v, V)
         H, V = blocks["vv_h"]
@@ -93,9 +93,9 @@ def _transpose_hc(clean):
     """(b) The h-covariant derivative of C in the hv_h h-part read with two
     indices transposed: hC[j, k, h, i] where hC[j, h, k, i] belongs."""
 
-    def planted(geom, metric):
-        blocks = dict(clean(geom, metric))
-        hc = geom.h_cov(geom.C_uud_jets, "uud").value
+    def planted(metric):
+        blocks = dict(clean(metric))
+        hc = metric.geom.h_cov(metric.geom.C_uud_jets, "uud").value
         H, V = blocks["hv_h"]
         blocks["hv_h"] = (H + np.einsum("jkhi->ijkh", hc) - np.einsum("jhki->ijkh", hc), V)
         return blocks

@@ -8,6 +8,9 @@ enters.
 One owner per name, checked on the source: no module imports another
 module's private (single-underscore) name.
 
+An independent ground truth, checked on the source: the computer-algebra
+generator under ``tests/ground_truth/`` imports nothing from the package.
+
 Layering, checked in a fresh interpreter: importing a module loads the
 package root and the modules its module-level ``from .x import`` lines
 reach, and nothing else: the package root imports no module.
@@ -119,9 +122,9 @@ def test_oracle_enters_none_of_the_closed_algebra(name, s, params, at):
 def test_an_oracle_that_reads_the_closed_form_fails_the_rule(monkeypatch):
     koszul = levicivita.koszul_oracle
 
-    def leaky(s, at, params, geom=None, metric=None):
-        levicivita.lc_closed_form(s, at, params, geom=geom, metric=metric)
-        return koszul(s, at, params, geom=geom, metric=metric)
+    def leaky(s, at, params, metric=None):
+        levicivita.lc_closed_form(s, at, params, metric=metric)
+        return koszul(s, at, params, metric=metric)
 
     monkeypatch.setattr(levicivita, "koszul_oracle", leaky)
     with pytest.raises(AssertionError, match="lc_closed_form"):
@@ -151,9 +154,9 @@ def test_an_fd_oracle_that_reads_the_exact_connection_fails_the_rule(monkeypatch
 def test_a_koszul_oracle_that_reads_cartan_or_the_metric_jets_fails_the_rule(leak, read, monkeypatch):
     koszul = levicivita.koszul_oracle
 
-    def leaky(s, at, params, geom=None, metric=None):
+    def leaky(s, at, params, metric=None):
         read(metric)
-        return koszul(s, at, params, geom=geom, metric=metric)
+        return koszul(s, at, params, metric=metric)
 
     monkeypatch.setattr(levicivita, "koszul_oracle", leaky)
     with pytest.raises(AssertionError, match=f"'{leak}'"):
@@ -182,6 +185,35 @@ def test_the_private_import_rule_sees_a_planted_import(tmp_path):
     planted = tmp_path / "planted.py"
     planted.write_text("from .geometry import PointGeometry, _AXES\nfrom . import __version__\n")
     assert _private_imports(planted) == [("geometry", "_AXES")]
+
+
+GROUND_TRUTH = Path(__file__).resolve().parent / "ground_truth"
+
+
+def _package_imports(path) -> list:
+    """Every module that one source file imports from the package, by
+    absolute or relative import."""
+    tree = ast.parse(Path(path).read_text(), filename=str(path))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+    return [name for name in names if name.startswith(".") or name.partition(".")[0] == "cartanlab"]
+
+
+def test_the_ground_truth_generator_imports_nothing_from_the_package():
+    scripts = sorted(GROUND_TRUTH.glob("*.py"))
+    assert scripts
+    found = {path.name: leaks for path in scripts if (leaks := _package_imports(path))}
+    assert not found, found
+
+
+def test_the_ground_truth_rule_sees_a_planted_import(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text("import sympy\nimport cartanlab.jets\nfrom cartanlab import geometry\nfrom . import tables\n")
+    assert _package_imports(planted) == ["cartanlab.jets", "cartanlab", "."]
 
 
 def _reached(module) -> set:

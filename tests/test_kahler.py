@@ -381,6 +381,73 @@ def test_a_planted_g_up_defect_fails_every_record_of_its_killers(monkeypatch):
         assert failed[G_UP_DUALITY] <= failed[cid], cid
 
 
+# the runners whose folds must carry a NaN of G^ij into their residual
+G_UP_NAN_READERS = (
+    "kahler.positive_definite",
+    "levicivita.curvature_blocks_universal",
+    "levicivita.einstein_forward",
+    "operators.gradient_duality",
+    "operators.laplacian_routes",
+    "operators.k2_harmonic",
+)
+
+
+def test_a_nan_metric_fails_every_record_of_its_readers(monkeypatch):
+    # Python's max(0.0, nan) is 0.0: a fold by max or min would pass these
+    # records with residual 0.0 on a metric whose G^ij is NaN; at n = 3
+    # eigvalsh raises numpy's LinAlgError on it, which would abort the suite
+    manifest = parse_manifest(json.dumps({
+        "structures": [
+            {"family": "riemannian_conformal", "n": 2, "c": -1.0},
+            {"family": "randers", "n": 2, "c": 0.0, "drift": 0.3},
+            {"family": "riemannian_conformal", "n": 3, "c": -1.0},
+        ],
+        "params": [
+            {"label": "hyperbolic", "alpha": 1.0, "beta": 1.0, "c": -1.0},
+            {"label": "flat-gauge", "alpha": 1.0, "beta": 1.0, "c": 0.0},
+        ],
+        "sampling": {"seed": 0, "count": 4},
+    }))
+    init = kahler.BundleMetric.__init__
+
+    def planted(self, geom, params):
+        init(self, geom, params)
+        self.G_up = np.full_like(self.G_up, np.nan)
+
+    monkeypatch.setattr(kahler.BundleMetric, "__init__", planted)
+    records = checks.run_suite(manifest, only=G_UP_NAN_READERS)["checks"]
+    for cid in G_UP_NAN_READERS:
+        mine = [r for r in records if r["check_id"] == cid]
+        assert mine and not any(r["pass"] for r in mine), cid
+        assert all(r["residual"] is None and "non-finite" in r["error"] for r in mine), cid
+
+
+def test_structure_runners_carry_a_nan_into_their_residual():
+    s = conformal_structure(2, -1.0)
+    at = pt([0.1, -0.2], [0.6, 0.3])
+    geom = PointGeometry(s, at)
+    C = geom.C_uuu.copy()
+    C[0, 0, 1] = np.nan
+    P = geom.P_curv.copy()
+    P[1, 1, 1, 1] = np.nan  # N and B stay finite, so only the second of the two maxima is NaN
+    ctx = SimpleNamespace(geometry=lambda idx: SimpleNamespace(C_uuu=C, B=geom.B, N=geom.N, P_curv=P))
+    assert np.isnan(checks._r_cartan_symmetry(ctx, 0, at))
+    assert np.isnan(checks._r_connection_homogeneity(ctx, 0, at))
+
+
+def test_a_non_finite_profile_is_refused():
+    for kwargs in ({"alpha": np.nan}, {"beta": np.inf}, {"c": np.nan}, {"v": -np.inf},
+                   {"v": "1e200*1e200"}, {"c": 1e300, "beta": 1e10}):
+        with pytest.raises(ValueError, match="finite"):
+            DeformationParams(**kwargs)
+    # a profile that reads tau is finite or not point by point: the metric
+    # refuses the points where it is not
+    params = DeformationParams(v="1e200*1e200*tau")
+    s = conformal_structure(2, -1.0)
+    with pytest.raises(EvaluationDomainError, match="not finite"):
+        BundleMetric(PointGeometry(s, pt([0.1, -0.2], [0.6, 0.3])), params)
+
+
 # ---------------------------------------------------------------------------
 # Nijenhuis tensor and integrability
 

@@ -25,6 +25,7 @@ from cartanlab.levicivita import (
     vertical_ricci_obstruction,
 )
 from cartanlab.manifest import parse_manifest
+from cartanlab.operators import operator_context
 
 from conftest import general_randers, pt
 
@@ -92,7 +93,7 @@ def test_riemannian_vertical_vertical_connection():
     for at in _sample_points(s, params, 2, 3):
         geom = PointGeometry(s, at)
         metric = BundleMetric(geom, params)
-        conn = lc_closed_form(s, at, params, geom, metric)
+        conn = lc_closed_form(s, at, params, metric)
         c = params.c_at(geom.tau)
         beta = params.beta
         want = c * beta * np.einsum("ij,s->ijs", metric.G_up, at.p)
@@ -105,8 +106,8 @@ def test_closed_form_matches_koszul():
         for at in _sample_points(s, params, 2, 2):
             geom = PointGeometry(s, at)
             metric = BundleMetric(geom, params)
-            conn = lc_closed_form(s, at, params, geom, metric)
-            got = koszul_oracle(s, at, params, geom=geom, metric=metric)
+            conn = lc_closed_form(s, at, params, metric)
+            got = koszul_oracle(s, at, params, metric=metric)
             worst = np.abs(got - conn).max()
             assert worst <= 1e-4, f"{s.label}: koszul mismatch {worst}"
 
@@ -120,7 +121,7 @@ def test_koszul_horizontal_horizontal_vertical_spot():
     geom = PointGeometry(s, at)
     metric = BundleMetric(geom, params)
     c = params.c_at(geom.tau)
-    got = koszul_oracle(s, at, params, geom=geom, metric=metric)[:2, :2, 2:]
+    got = koszul_oracle(s, at, params, metric=metric)[:2, :2, 2:]
     want = c * params.beta * np.einsum("js,i->ijs", metric.G_down, at.p)
     assert np.abs(got - want).max() <= 1e-6
 
@@ -190,7 +191,7 @@ def test_curvature_defn_riemannian_reductions():
     metric = BundleMetric(geom, params)
     c = params.c_at(geom.tau)
     eye = np.eye(2)
-    defn = curvature_defn(s, at, params, geom=geom, metric=metric)
+    defn = curvature_defn(s, at, params, metric=metric)
     want = c * params.beta * (
         np.einsum("kj,si->ijks", metric.G_down, eye) - np.einsum("ki,sj->ijks", metric.G_down, eye)
     )
@@ -204,7 +205,7 @@ def test_curvature_defn_riemannian_reductions():
     geom = PointGeometry(s, at)
     metric = BundleMetric(geom, params)
     c = params.c_at(geom.tau)
-    defn = curvature_defn(s, at, params, geom=geom, metric=metric)
+    defn = curvature_defn(s, at, params, metric=metric)
     want = -c * params.beta * np.einsum("sk,ij->ijks", metric.G_down, np.eye(2))
     assert np.abs(frame_block(defn, "hv_hv") - want).max() <= 1e-4
     assert np.abs(frame_block(defn, "hv_hh")).max() <= 1e-4
@@ -220,7 +221,7 @@ def test_closed_block_riemannian_reductions():
     b = params.beta
     eye = np.eye(2)
     Gu, Gd = metric.G_up, metric.G_down
-    k = curvature_closed(s, at, params, geom=geom, metric=metric)
+    k = curvature_closed(s, at, params, metric=metric)
     want_vv_v = c * b * (
         np.einsum("jk,ih->ijkh", Gu, eye) - np.einsum("ik,jh->ijkh", Gu, eye)
     )
@@ -318,7 +319,7 @@ def test_distribution_geodesy():
     s = general_randers()
     at = pt([0.25, -0.1], [0.9, 0.55])
     geom = PointGeometry(s, at)
-    conn = lc_closed_form(s, at, params, geom=geom)
+    conn = lc_closed_form(s, at, params, BundleMetric(geom, params))
     assert np.abs(frame_block(conn, "vvh") - params.beta**2 * geom.L_uuu).max() <= 1e-12
     assert np.abs(frame_block(conn, "vvh")).max() > 1e-6
     # vertical part of nabla_{delta_i} delta_j contracted with p^j equals
@@ -327,13 +328,50 @@ def test_distribution_geodesy():
     params = DeformationParams(c=-1.0)
     at = pt([0.25, -0.1], [0.9, 0.55])
     geom = PointGeometry(s, at)
-    conn = lc_closed_form(s, at, params, geom=geom)
+    conn = lc_closed_form(s, at, params, BundleMetric(geom, params))
     p_up = geom.p_up_jets.value
     got = np.einsum("ijs,j->is", frame_block(conn, "hhv"), p_up)
     c = params.c_at(geom.tau)
     want = c * np.outer(at.p, at.p) * (1.0 - 2.0 * c * params.beta**2 * geom.tau)
     assert np.abs(got - want).max() <= 1e-10
     assert np.abs(got).max() > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# a point's pair-scope state is its metric
+
+
+PAIR_ROUTES = (
+    lc_closed_form, koszul_oracle, connection_defects, curvature_closed, curvature_defn,
+    curvature_context, ricci, vertical_ricci_obstruction, operator_context,
+)
+
+
+@pytest.mark.parametrize("route", PAIR_ROUTES, ids=lambda f: f.__name__)
+def test_a_metric_built_for_other_arguments_is_refused(route):
+    # the c = -1 conformal dual with params c = +1: a metric built for
+    # c = -1 would give the c = -1 connection table (1.39 off the c = +1
+    # one) and lambda_hat = -2.0 where 1.387 is right
+    s = conformal_structure(2, -1.0)
+    at = pt([0.1, -0.2], [0.6, 0.3])
+    own = DeformationParams(c=-1.0)
+    metric = BundleMetric(PointGeometry(s, at), own)
+    with pytest.raises(ValueError, match="params"):
+        route(s, at, DeformationParams(c=1.0), metric)
+    with pytest.raises(ValueError, match="built at"):
+        route(s, pt([0.1, -0.2], [0.6, 0.31]), own, metric)
+    with pytest.raises(ValueError, match="structure"):
+        route(conformal_structure(2, -1.0), at, own, metric)
+    route(s, at, own, metric)  # its own arguments
+
+
+def test_each_route_builds_the_metric_of_its_arguments():
+    s = conformal_structure(2, -1.0)
+    at = pt([0.1, -0.2], [0.6, 0.3])
+    plus, minus = DeformationParams(c=1.0), DeformationParams(c=-1.0)
+    assert np.abs(lc_closed_form(s, at, plus) - lc_closed_form(s, at, minus)).max() > 1.39
+    assert abs(ricci(s, at, plus).lambda_hat - 1.3866) <= 1e-4
+    assert ricci(s, at, minus).lambda_hat == pytest.approx(-2.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +385,10 @@ def test_koszul_tables_reused_match_fresh(n):
     at = _sample_points(s, params, n, 1, seed=6)[0]
     geom = PointGeometry(s, at)
     shared = BundleMetric(geom, params)
-    reused = koszul_oracle(s, at, params, geom=geom, metric=shared)
+    reused = koszul_oracle(s, at, params, metric=shared)
     assert not reused.flags.writeable
-    assert koszul_oracle(s, at, params, geom=geom, metric=shared) is reused
-    fresh = koszul_oracle(s, at, params, geom=geom, metric=BundleMetric(geom, params))
+    assert koszul_oracle(s, at, params, metric=shared) is reused
+    fresh = koszul_oracle(s, at, params, metric=BundleMetric(geom, params))
     assert np.array_equal(reused, fresh)
 
 
@@ -369,14 +407,14 @@ def test_koszul_and_definition_share_one_evaluation_per_shifted_point(n, first, 
 
     def tables(metric):
         if first == "koszul":
-            k = koszul_oracle(s, at, params, geom=geom, metric=metric)
-            return k, curvature_context(s, at, params, geom=geom, metric=metric)
-        d = curvature_context(s, at, params, geom=geom, metric=metric)
-        return koszul_oracle(s, at, params, geom=geom, metric=metric), d
+            k = koszul_oracle(s, at, params, metric=metric)
+            return k, curvature_context(s, at, params, metric=metric)
+        d = curvature_context(s, at, params, metric=metric)
+        return koszul_oracle(s, at, params, metric=metric), d
 
     alone = (
-        koszul_oracle(s, at, params, geom=geom, metric=BundleMetric(geom, params)),
-        curvature_context(s, at, params, geom=geom, metric=BundleMetric(geom, params)),
+        koszul_oracle(s, at, params, metric=BundleMetric(geom, params)),
+        curvature_context(s, at, params, metric=BundleMetric(geom, params)),
     )
     built = []
     geom_init = geometry.PointGeometry.__init__
@@ -416,7 +454,7 @@ def test_connection_partials_match_finite_differences(s, params):
     at = _sample_points(s, params, n, 1, seed=40 + n)[0]
     geom = PointGeometry(s, at)
     metric = BundleMetric(geom, params)
-    exact = geometry.chart_partials(levicivita._connection(geom, metric))
+    exact = geometry.chart_partials(levicivita._connection(metric))
     # an order-4 geometry keeps the values of the connection table
     stencil = levicivita.MetricStencil(s, params)
     fd = fd_partial(
@@ -449,16 +487,16 @@ def test_curvature_ingredients_shared_match_fresh():
     at = pt([0.25, -0.1], [0.9, 0.55])
     geom = PointGeometry(s, at)
     shared = BundleMetric(geom, params)
-    got = curvature_closed(s, at, params, geom=geom, metric=shared)
-    want = curvature_closed(s, at, params, geom=geom, metric=BundleMetric(geom, params))
+    got = curvature_closed(s, at, params, metric=shared)
+    want = curvature_closed(s, at, params, metric=BundleMetric(geom, params))
     assert np.array_equal(got, want)
-    got = ricci(s, at, params, geom=geom, metric=shared)
-    want = ricci(s, at, params, geom=geom, metric=BundleMetric(geom, params))
+    got = ricci(s, at, params, metric=shared)
+    want = ricci(s, at, params, metric=BundleMetric(geom, params))
     assert np.array_equal(got.ric, want.ric)
     assert (got.lambda_hat, got.defect) == (want.lambda_hat, want.defect)
-    res, mean = vertical_ricci_obstruction(s, at, params, geom=geom, metric=shared)
+    res, mean = vertical_ricci_obstruction(s, at, params, metric=shared)
     res0, mean0 = vertical_ricci_obstruction(
-        s, at, params, geom=geom, metric=BundleMetric(geom, params)
+        s, at, params, metric=BundleMetric(geom, params)
     )
     assert np.array_equal(res, res0) and np.array_equal(mean, mean0)
 
@@ -511,10 +549,10 @@ def test_cached_koszul_tables_still_detect_mismatch():
     at = _sample_points(s, params, 2, 1, seed=7)[0]
     geom = PointGeometry(s, at)
     metric = BundleMetric(geom, params)
-    conn = lc_closed_form(s, at, params, geom, metric)
-    first = koszul_oracle(s, at, params, geom=geom, metric=metric)
+    conn = lc_closed_form(s, at, params, metric)
+    first = koszul_oracle(s, at, params, metric=metric)
     assert metric.derived["koszul"] is first
-    got = koszul_oracle(s, at, params, geom=geom, metric=metric)
+    got = koszul_oracle(s, at, params, metric=metric)
     worst = np.abs(got - conn).max()
     # measured 0.481 here, 4.8e3 times the koszul_agreement tolerance of 1e-4
     assert worst >= 0.4, f"mismatch only {worst}"
@@ -541,8 +579,8 @@ def test_planted_connection_defect_seen_for_every_slot_pair(n, monkeypatch):
     )
     clean = levicivita._connection_jet
 
-    def plant(g, m):
-        jet = clean(g, m)
+    def plant(m):
+        jet = clean(m)
         a, b = state["pair"]
         coeffs = jet.c.copy()
         coeffs[a, b, b, 0] += 1e-6
@@ -581,8 +619,8 @@ def test_planted_curvature_defect_seen_for_every_slot_triple(monkeypatch):
     assert clean < 1e-9
     closed = levicivita._closed_curvature
 
-    def plant(g, m):
-        k = closed(g, m).copy()
+    def plant(m):
+        k = closed(m).copy()
         k[state["triple"] + (state["triple"][2],)] += 1e-6
         return k
 
@@ -877,7 +915,7 @@ class _PerSlotDefn:
 
     def __init__(self, geom, metric):
         self.geom = geom
-        self.jet = levicivita._connection(geom, metric)
+        self.jet = levicivita._connection(metric)
         self.conn_x = np.moveaxis(self.jet.derivs(geom.xvars).value, -1, 0)
 
     @property
@@ -974,7 +1012,7 @@ def test_einsum_blocks_match_loop_reference(n):
             geom = PointGeometry(s, at)
             metric = BundleMetric(geom, params)
             w = _loop_inputs(geom, metric)
-            k = curvature_closed(s, at, params, geom=geom, metric=metric)
+            k = curvature_closed(s, at, params, metric=metric)
             for which in CURVATURE_BLOCKS:
                 H, V = _LOOP_BLOCKS[which](w)
                 scale = max(1.0, np.abs(H).max(), np.abs(V).max())
@@ -1030,8 +1068,8 @@ def test_ricci_is_the_four_block_trace():
             at = _sample_points(s, params, n, 1, seed=30 + n)[0]
             geom = PointGeometry(s, at)
             metric = BundleMetric(geom, params)
-            rd = ricci(s, at, params, geom=geom, metric=metric)
-            hh, vv, hv, vh = four_block(curvature_closed(s, at, params, geom=geom, metric=metric))
+            rd = ricci(s, at, params, metric=metric)
+            hh, vv, hv, vh = four_block(curvature_closed(s, at, params, metric=metric))
             want = np.block([[hh, hv], [vh, vv]])
             scale = max(1.0, np.abs(want).max())
             assert np.abs(rd.ric - want).max() / scale <= 1e-13, (s.label, n)
@@ -1051,7 +1089,7 @@ def test_cached_blocks_and_ricci_are_read_only():
     at = pt([0.25, -0.1], [0.9, 0.55])
     geom = PointGeometry(s, at)
     metric = BundleMetric(geom, params)
-    first = curvature_closed(s, at, params, geom=geom, metric=metric)
+    first = curvature_closed(s, at, params, metric=metric)
     kept = first.copy()
     with pytest.raises(ValueError):
         first[0, 0, 0, 0] = 1.0
@@ -1059,18 +1097,18 @@ def test_cached_blocks_and_ricci_are_read_only():
         first += 1.0
     with pytest.raises(ValueError):
         frame_block(first, "hv_h")[0, 0, 0, 0] = 1.0
-    again = curvature_closed(s, at, params, geom=geom, metric=metric)
+    again = curvature_closed(s, at, params, metric=metric)
     assert again is first and np.array_equal(again, kept)
-    conn = lc_closed_form(s, at, params, geom=geom, metric=metric)
+    conn = lc_closed_form(s, at, params, metric=metric)
     with pytest.raises(ValueError):
         conn[0, 0, 0] = 1.0
-    defn = curvature_defn(s, at, params, geom=geom, metric=metric)
+    defn = curvature_defn(s, at, params, metric=metric)
     with pytest.raises(ValueError):
         defn[0, 0, 0, 0] = 1.0
-    rd = ricci(s, at, params, geom=geom, metric=metric)
+    rd = ricci(s, at, params, metric=metric)
     with pytest.raises(ValueError):
         rd.ric[0, 0] = 1.0
-    assert ricci(s, at, params, geom=geom, metric=metric) is rd
+    assert ricci(s, at, params, metric=metric) is rd
 
 
 def test_planted_hv_h_defect_fails_every_universal_block_record(monkeypatch):
@@ -1092,8 +1130,8 @@ def test_planted_hv_h_defect_fails_every_universal_block_record(monkeypatch):
     assert {r["tolerance"] for r in clean["checks"]} == {TOLERANCES["jet_exact"]}
     closed_blocks = levicivita._closed_blocks
 
-    def planted(geom, metric):
-        blocks = dict(closed_blocks(geom, metric))
+    def planted(metric):
+        blocks = dict(closed_blocks(metric))
         H, V = blocks["hv_h"]
         blocks["hv_h"] = (H + 1e-7, V)
         return blocks
