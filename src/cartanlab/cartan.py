@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EvaluationDomainError, RegularityError
+from .errors import CartanLabError, EvaluationDomainError, RegularityError
 from .geometry import jet_mat_inv
 from .jets import ChartPoint, Jet, contract, exp, invert, log, power, sqrt, stack
 
@@ -399,7 +399,8 @@ def sample_points(
 ) -> list:
     """Rejection-sample chart points: x uniform in the structure's box,
     p uniform direction with norm in p_norm, filtered by the admissibility
-    predicate and an optional extra acceptance test."""
+    predicate and an optional extra acceptance test; a candidate whose test
+    raises a typed error is kept, so its own records carry the error."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     n = s.dim
@@ -425,7 +426,10 @@ def sample_points(
         pt = ChartPoint(x, p)
         if not s.admissible(pt):
             continue
-        if accept is not None and not accept(pt):
-            continue
+        try:
+            if accept is not None and not accept(pt):
+                continue
+        except CartanLabError:
+            pass
         pts.append(pt)
     return pts

@@ -169,11 +169,12 @@ class CheckContext:
 
 
 def _matching(ctx) -> bool:
+    """The structure's constant curvature is the constant profile's c, written as c or v."""
     s, p = ctx.structure, ctx.params
     return (
         s.constant_curvature is not None
-        and p.c is not None
-        and abs(s.constant_curvature - p.c) < 1e-12
+        and not p.reads_tau
+        and abs(s.constant_curvature - p.c_at(0.0)) < 1e-12
     )
 
 

@@ -166,7 +166,7 @@ INDEX: Mapping[str, FormulaEntry] = {
         "G(dot^i, dot^j) = the matching contravariant block "
         "(beta/1) scaling, G(delta, dot) = 0; positive definite under the "
         "gauge alpha + 2 tau v > 0.",
-        "kahler.BundleMetric / kahler.BundleMetric.gram (the Gram matrix of the adapted basis)",
+        "kahler.BundleMetric (gram: the Gram matrix of the adapted basis) / kahler.BundleMetric.gram_jets",
     ),
     "positivity-tube": FormulaEntry(
         "For c > 0 the bundle metric stays positive definite only on the "
@@ -179,7 +179,7 @@ INDEX: Mapping[str, FormulaEntry] = {
         "Almost complex structure J(delta_i) = G_ik dot^k, J(dot^i) = "
         "-G^ik delta_k; satisfies J^2 = -Id and G(JX, JY) = G(X, Y).",
         "kahler.BundleMetric.complex_jets (row a is J(F_a)) / kahler.BundleMetric.gram_jets "
-        "(J = gram Omega) / kahler.BundleMetric.gram (G(X, Y) is x @ gram @ y)",
+        "(J = gram Omega) / kahler.BundleMetric (its gram: G(X, Y) is x @ gram @ y)",
     ),
     "canonical-form": FormulaEntry(
         "Fundamental two-form theta(X, Y) = G(X, JY) equals the constant "
@@ -255,7 +255,7 @@ INDEX: Mapping[str, FormulaEntry] = {
         "lambda-hat = <Ric, G> / <G, G> over the Gram matrix equals "
         "c n beta and the max-norm defect max |Ric - lambda-hat G| "
         "vanishes).",
-        "levicivita.ricci / levicivita.RicciData / kahler.BundleMetric.gram",
+        "levicivita.ricci / levicivita.RicciData / kahler.BundleMetric (its gram)",
     ),
     "einstein-obstruction": FormulaEntry(
         "Obstruction identity: p_k Ric_vv[j,k] - c n beta p_k G^jk = I^j "

@@ -172,7 +172,12 @@ class PointGeometry:
     @cached_property
     def g_down_jets(self):
         _ = self.g_up  # run the positivity guard first
-        return jet_mat_inv(self.g_up_jets)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = jet_mat_inv(self.g_up_jets)
+        bad = point_guard(~np.isfinite(out.c).all(axis=(-3, -2, -1)), self.at)
+        if bad is not None:
+            raise EvaluationDomainError(f"the jet of the inverse fundamental tensor g_ij overflows at {bad[1]!r}")
+        return out
 
     @cached_property
     def g_down(self):

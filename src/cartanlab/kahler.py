@@ -24,8 +24,9 @@ The profile v(tau) is a number or an expression string in tau
 at least ``TUBE_MARGIN`` alpha (`tube_predicate`).
 
 A frame field is its (2n,) array of adapted components (see `geometry`).
-``BundleMetric.gram`` is the Gram matrix G(F_a, F_b) = block-diag(G_ij, G^ij)
-of the adapted basis, so G(X, Y) is ``x @ gram @ y``.  J on the basis is
+The metric is the Gram matrix G(F_a, F_b) = block-diag(G_ij, G^ij) of the
+adapted basis, held once as a value (``BundleMetric.gram``, so G(X, Y) is
+``x @ gram @ y``) and once as a jet (``gram_jets``).  J on the basis is
 ``complex_jets`` = ``gram_jets`` Omega with Omega = [[0, I], [-I, 0]]: row a
 of J = ``complex_jets.value`` is J(F_a), so J(X) is ``x @ J``.  The
 identities of J and theta are therefore matrix expressions (theta is
@@ -149,12 +150,12 @@ def _blocks(g_down, g_up, p, p_up, tau, v, alpha: float, beta: float):
 class BundleMetric:
     """Block-diagonal metric on the slit bundle in the adapted frame.
 
-    The point values G_ij and G^ij (``G_down``, ``G_up``) and the Gram
-    matrix are built from the geometry's values, on a geometry of one point
-    or of a batch (then with the batch axes in front); the jets of the
-    blocks (``G_down_jets``, ``G_up_jets``), which the connection, its
-    defects and J differentiate or read, are built for one point when one
-    of them is first asked for.
+    The Gram matrix G(F_a, F_b) = block-diag(G_ij, G^ij) is held once as a
+    value and once as a jet.  ``gram`` is built from the geometry's values,
+    on a geometry of one point or of a batch (then with the batch axes in
+    front), and ``G_down`` and ``G_up`` are its read-only blocks.
+    ``gram_jets``, which the connection, its defects and J differentiate or
+    read, is built for one point when it is first asked for.
     """
 
     def __init__(self, geom: PointGeometry, params: DeformationParams):
@@ -177,14 +178,18 @@ class BundleMetric:
                 f"deformed metric loses positivity: alpha + 2 tau v = {gauge.flat[k]:.6e} "
                 f"<= 0 at {bad[1]!r} (tau={tau.flat[k]:.6f}, v={v_val.flat[k]:.6f})"
             )
-        self.G_down, self.G_up = _blocks(
+        down, up = _blocks(
             geom.g_down, geom.g_up, self.at.p, geom.p_up, tau[..., None, None],
             v_val[..., None, None], params.alpha, params.beta,
         )
+        n = self.n
+        #: G(F_a, F_b) over the adapted basis, block-diag(G_ij, G^ij); read-only
+        self.gram = np.zeros(down.shape[:-2] + (2 * n, 2 * n))
+        self.gram[..., :n, :n], self.gram[..., n:, n:] = down, up
+        read_only(self.gram)
         #: all per-point state derived from this metric, built on first use:
-        #: the Gram derivatives, the Nijenhuis and Koszul tables, the
-        #: connection jet and its defects, the curvature tables, Ricci and
-        #: the operators' tables
+        #: the Nijenhuis and Koszul tables, the connection jet and its
+        #: defects, the curvature tables, Ricci and the operators' tables
         self.derived: dict = {}
 
     def derive(self, key: str, build):
@@ -198,52 +203,35 @@ class BundleMetric:
     def n(self):
         return self.geom.n
 
-    @cached_property
-    def _jets(self) -> tuple:
-        geom, params = self.geom, self.params
-        tau_jet = geom.k2 * 0.5
-        return _blocks(
-            geom.g_down_jets, geom.g_up_jets, geom.p_coord(3), geom.p_up_jets, tau_jet,
-            params.v_at(tau_jet), params.alpha, params.beta,
-        )
+    @property
+    def G_down(self) -> np.ndarray:
+        """G_ij: the h-h block of ``gram``, a read-only view."""
+        return self.gram[..., : self.n, : self.n]
 
-    @cached_property
-    def G_down_jets(self) -> Jet:
-        return self._jets[0]
-
-    @cached_property
-    def G_up_jets(self) -> Jet:
-        return self._jets[1]
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """G(F_a, F_b) over the adapted basis: the block-diagonal 2n x 2n
-        matrix of G_ij and G^ij.  Read-only."""
-        n = self.n
-        out = np.zeros(self.G_down.shape[:-2] + (2 * n, 2 * n))
-        out[..., :n, :n] = self.G_down
-        out[..., n:, n:] = self.G_up
-        return read_only(out)
+    @property
+    def G_up(self) -> np.ndarray:
+        """G^ij: the v-v block of ``gram``, a read-only view."""
+        return self.gram[..., self.n :, self.n :]
 
     @cached_property
     def gram_jets(self) -> Jet:
-        """The Gram matrix block-diag(G_ij, G^ij) as one (2n, 2n) jet at the
-        common order and x-cap of the two block jets."""
-        n, jets = self.n, (self.G_down_jets, self.G_up_jets)
-        order, xcap = min(t.order for t in jets), min(t.xcap for t in jets)
-        down, up = (t.truncate(order, xcap) for t in jets)
-        c = np.zeros((2 * n, 2 * n) + down.c.shape[-1:])
+        """The Gram matrix block-diag(G_ij, G^ij) as one (2n, 2n) jet; both
+        blocks share the order and x-cap of the geometry's g jets."""
+        geom, params = self.geom, self.params
+        tau_jet = geom.k2 * 0.5
+        down, up = _blocks(
+            geom.g_down_jets, geom.g_up_jets, geom.p_coord(3), geom.p_up_jets, tau_jet,
+            params.v_at(tau_jet), params.alpha, params.beta,
+        )
+        c = np.zeros((2 * self.n,) * 2 + down.c.shape[-1:])
         frame_block(c, "hh")[...] = down.c
         frame_block(c, "vv")[...] = up.c
-        return Jet(2 * n, order, c, xcap)
+        return Jet(down.nvars, down.order, c, down.xcap)
 
-    @property
+    @cached_property
     def gram_derivatives(self) -> np.ndarray:
-        """F_e(G(F_b, F_c)) at [e, b, c], exact, read off `gram_jets`; read-only,
-        built once per metric."""
-        return self.derive(
-            "gram_derivatives", lambda: read_only(frame_derivative(chart_partials(self.gram_jets), self.geom))
-        )
+        """F_e(G(F_b, F_c)) at [e, b, c], exact, read off `gram_jets`; read-only."""
+        return read_only(frame_derivative(chart_partials(self.gram_jets), self.geom))
 
     @cached_property
     def complex_jets(self) -> Jet:

@@ -127,10 +127,10 @@ def _connection_jet(metric: BundleMetric) -> Jet:
     geometry).  The constant c is the jet of c(tau), so a profile that
     varies with tau enters the partials.  The coefficient array is
     read-only."""
-    geom, params = metric.geom, metric.params
+    geom, params, gram = metric.geom, metric.params, metric.gram_jets
     blocks = _connection_blocks(
         geom.C_uud_jets, geom.C_ddd_jets, geom.L_uuu_jets, geom.L_udd_jets, geom.B_jets,
-        metric.G_up_jets, metric.G_down_jets, geom.p_coord(3), params.beta, params.c_at(geom.k2 * 0.5),
+        frame_block(gram, "vv"), frame_block(gram, "hh"), geom.p_coord(3), params.beta, params.c_at(geom.k2 * 0.5),
     )
     order = min(t.order for t in blocks.values())
     xcap = min(t.xcap for t in blocks.values())
@@ -176,11 +176,10 @@ class MetricStencil:
         self.s = s
         self.params = params
 
-    def metric_at(self, pt: ChartPoint, order: int = 2) -> BundleMetric:
-        """The metric at ``pt`` (a point or a batch) on a geometry of
-        ``order``: 2 keeps the values of G, 4 those of the connection table
-        too."""
-        return BundleMetric(PointGeometry(self.s, pt, order), self.params)
+    def metric_at(self, pt: ChartPoint) -> BundleMetric:
+        """The metric at ``pt`` (a point or a batch) on an order-2 geometry,
+        which keeps the values of G."""
+        return BundleMetric(PointGeometry(self.s, pt, 2), self.params)
 
 
 def _gram_partials(metric: BundleMetric) -> np.ndarray:

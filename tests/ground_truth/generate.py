@@ -15,17 +15,23 @@ cotangent bundle:
   [[G_ij + N_ik G^kl N_jl, -N_ik G^kl], [-G^kl N_jl, G^kl]];
 * the Levi-Civita connection and Riemann tensor of that coordinate metric
   from its first and second partials, evaluated exactly at a rational
-  point, mapped to the adapted frame.
+  point, mapped to the adapted frame;
+* the almost complex structure J(delta_i) = G_ik pdot^k,
+  J(pdot^i) = -G^ik delta_k as a field on the coordinate frame, and its
+  Nijenhuis tensor there from the chart partials of J's components,
+  mapped to the adapted frame.
 
 It writes, per case, the adapted-frame tables in the layout ``cartanlab``
 uses: the Gram matrix G(F_a, F_b) at [a, b], the connection
 nabla_{F_a} F_b at [a, b, :], the curvature K(F_x, F_y) F_z =
 nabla_x nabla_y F_z - nabla_y nabla_x F_z - nabla_[x,y] F_z at
-[x, y, z, :] and Ric(F_y, F_z) = sum_x K[x, y, z, x] at [y, z].  At a
+[x, y, z, :], Ric(F_y, F_z) = sum_x K[x, y, z, x] at [y, z], J with
+row a holding J(F_a), and N_J(F_a, F_b) = [JF_a, JF_b] - J[JF_a, F_b] -
+J[F_a, JF_b] - [F_a, F_b] at [a, b, :].  At a
 rational point of a polynomial K^2 every value is an exact rational, so
 each float in the JSON is the correctly rounded value.
 
-With ``sympy`` installed (about 12 s on one core)::
+With ``sympy`` installed (about 14 s on one core)::
 
     python tests/ground_truth/generate.py          # rewrite tables.json
     python tests/ground_truth/generate.py --check  # exit 1 if the tables
@@ -67,7 +73,8 @@ CASES = [
 
 
 def coordinate_metric(k2, params):
-    """(the 2n x 2n metric on the coordinate frame, N_ij) as expressions."""
+    """(the 2n x 2n metric on the coordinate frame, N_ij, G_ij, G^ij) as
+    expressions."""
     n = N_DIM
     g_up = sp.Matrix(n, n, lambda i, j: sp.diff(k2, PS[i], PS[j]) / 2)
     g_down = sp.simplify(g_up.inv())
@@ -97,15 +104,27 @@ def coordinate_metric(k2, params):
     G_up = G_down.inv()
     hh = G_down + nonlinear * G_up * nonlinear.T
     hv = -nonlinear * G_up
-    return sp.BlockMatrix([[hh, hv], [hv.T, G_up]]).as_explicit(), nonlinear
+    return sp.BlockMatrix([[hh, hv], [hv.T, G_up]]).as_explicit(), nonlinear, G_down, G_up
+
+
+def coordinate_complex_structure(nonlinear, G_down, G_up):
+    """J on the coordinate frame as expressions: row u holds the coordinate
+    components of J(d_u), from J(delta_i) = G_ik pdot^k and
+    J(pdot^i) = -G^ik delta_k with delta_i = d_i + N_il pdot^l."""
+    n = N_DIM
+    to_coords, to_adapted = sp.eye(2 * n), sp.eye(2 * n)
+    to_coords[:n, n:] = nonlinear
+    to_adapted[:n, n:] = -nonlinear
+    adapted = sp.BlockMatrix([[sp.zeros(n), G_down], [-G_up, sp.zeros(n)]]).as_explicit()
+    return to_adapted * adapted * to_coords
 
 
 def tables(k2, params) -> dict:
-    """The adapted-frame Gram, connection, curvature and Ricci tables at
-    (X, P), exact."""
+    """The adapted-frame Gram, connection, curvature, Ricci, J and
+    Nijenhuis tables at (X, P), exact."""
     dim = 2 * N_DIM
     subs = dict(zip(CHART, (*X, *P)))
-    metric, nonlinear = coordinate_metric(k2, params)
+    metric, nonlinear, G_down, G_up = coordinate_metric(k2, params)
     D = [metric.diff(u) for u in CHART]
     M = metric.xreplace(subs)
     dM = [d.xreplace(subs) for d in D]
@@ -184,11 +203,43 @@ def tables(k2, params) -> dict:
         ]
         curvature[x][y][z] = [sum(coords[d] * E_inv[d, s] for d in range(dim)) for s in range(dim)]
     ricci = [[sum(curvature[x][y][z][x] for x in range(dim)) for z in range(dim)] for y in range(dim)]
+
+    # J^w_u = Jc[u, w] on the coordinate frame, whose brackets vanish:
+    # N(d_u, d_v)^w = J^s_u d_s J^w_v - J^s_v d_s J^w_u - J^w_s (d_u J^s_v - d_v J^s_u)
+    Jc_field = coordinate_complex_structure(nonlinear, G_down, G_up)
+    Jc = Jc_field.xreplace(subs)
+    dJc = [Jc_field.diff(u).xreplace(subs) for u in CHART]
+    nij_coords = [
+        [
+            [
+                sum(
+                    Jc[u, s] * dJc[s][v, w] - Jc[v, s] * dJc[s][u, w] - (dJc[u][v, s] - dJc[v][u, s]) * Jc[s, w]
+                    for s in range(dim)
+                )
+                for w in range(dim)
+            ]
+            for v in range(dim)
+        ]
+        for u in range(dim)
+    ]
+    nijenhuis = []
+    for a in range(dim):
+        row = []
+        for b in range(dim):
+            coords = [
+                sum(E[a, u] * E[b, v] * nij_coords[u][v][w] for u in range(dim) for v in range(dim))
+                for w in range(dim)
+            ]
+            row.append([sum(coords[w] * E_inv[w, s] for w in range(dim)) for s in range(dim)])
+        nijenhuis.append(row)
+    J = E * Jc * E_inv
     return {
         "gram": [[gram[a, b] for b in range(dim)] for a in range(dim)],
         "connection": connection,
         "curvature": curvature,
         "ricci": ricci,
+        "J": [[J[a, b] for b in range(dim)] for a in range(dim)],
+        "nijenhuis": nijenhuis,
     }
 
 

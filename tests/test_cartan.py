@@ -334,6 +334,22 @@ def test_a_batch_with_one_nonpositive_k2_names_that_point():
     assert str(ei.value) == f"K^2 = {value!r} is not positive at ChartPoint(x=[0.2, 0.1], p=[0.5, 0.5])"
 
 
+EXP_K2 = "exp(600*x1*p1) * (p1*p1 + p2*p2)"
+
+
+def test_an_overflowing_inverse_metric_jet_names_its_point_without_warnings():
+    # K^2 = 3.6e-305 at the second point: g^ij has a finite inverse, but the
+    # Newton iteration for the jet of g_ij overflows past its value
+    s = expression_structure(2, EXP_K2)
+    at = ChartPoint(np.array([[0.1, 0.5], [0.75, 0.5]]), np.array([[0.6, 0.5], [-1.56, 0.5]]))
+    with pytest.raises(EvaluationDomainError) as ei:
+        PointGeometry(s, at).g_down_jets
+    assert str(ei.value) == (
+        "the jet of the inverse fundamental tensor g_ij overflows at ChartPoint(x=[0.75, 0.5], p=[-1.56, 0.5])"
+    )
+    assert np.isfinite(PointGeometry(s, at.points()[0]).g_down_jets.c).all()
+
+
 # ---------------------------------------------------------------------------
 # expression parser
 
@@ -433,6 +449,19 @@ def test_sampling_is_seeded_and_in_domain():
         assert np.max(np.abs(pt.x)) <= s.x_box
         assert 0.5 <= np.linalg.norm(pt.p) <= 2.0
         assert s.admissible(pt)
+
+
+def test_sampling_keeps_a_candidate_whose_acceptance_test_raises():
+    # the error then lands in that point's own records, not in the sampler
+    s = conformal_structure(2, -1.0)
+
+    def accept(pt):
+        if pt.x[0] > 0.0:
+            raise EvaluationDomainError("planted")
+        return False
+
+    pts = sample_points(s, 5, 7, accept=accept)
+    assert len(pts) == 5 and all(pt.x[0] > 0.0 for pt in pts)
 
 
 def test_sampling_reports_infeasible_domain():

@@ -10,6 +10,7 @@ import pytest
 
 from cartanlab import levicivita
 from cartanlab.cartan import MAX_EXPRESSION_DEPTH, CartanStructure
+from cartanlab.checks import run_suite
 from cartanlab.cli import main
 from cartanlab.errors import ManifestError
 from cartanlab.kahler import DeformationParams
@@ -484,8 +485,6 @@ def test_verify_error_record_names_its_exception(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("residual", [float("nan"), float("inf")])
 def test_non_finite_residual_is_an_error_record(monkeypatch, residual):
-    from cartanlab.checks import run_suite
-
     check_id = _single_check_registry(monkeypatch, residual)
     m = parse_manifest(json.dumps(_manifest_dict(count=2, structures=[{"family": "flat", "n": 2}])))
     report = run_suite(m, only=[check_id])
@@ -502,8 +501,6 @@ def test_non_finite_residual_is_an_error_record(monkeypatch, residual):
 def test_zero_residual_detection_record_fails_with_a_null_margin(monkeypatch):
     # floor / 0 is an unbounded margin: the record fails, and the summary
     # stays standard JSON with a null margin beside the residual 0
-    from cartanlab.checks import run_suite
-
     check_id = _single_check_registry(monkeypatch, 0.0, "kahler.nijenhuis_detects_mismatch")
     m = parse_manifest(json.dumps(_manifest_dict(count=2)))
     report = run_suite(m, only=[check_id])
@@ -713,6 +710,57 @@ def test_tensor_overflowing_primitive_is_one_typed_error(tmp_path, capsys, expr,
     captured = capsys.readouterr()
     assert code == 3 and not out.exists() and captured.out == ""
     assert captured.err == f"evaluation error: {message}\n"
+
+
+EXP_K2 = {"family": "expression", "n": 2, "label": "exp-k2", "k2": "exp(600*x1*p1) * (p1*p1 + p2*p2)"}
+
+
+def test_tensor_overflowing_inverse_metric_jet_is_one_typed_error(tmp_path, capsys):
+    # K^2 = 3.6e-305 here: the jet of g_ij overflows, and its own guard
+    # names the point before B reads it, with no numpy warning
+    path = _write(tmp_path, _manifest_dict(structures=[EXP_K2]))
+    out = tmp_path / "t.json"
+    code = main(["tensor", "--manifest", path, "--params", "flat-gauge", "--point=0.75,0.5;-1.56,0.5",
+                 "--objects", "B", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3 and not out.exists() and captured.out == ""
+    assert captured.err == (
+        "evaluation error: the jet of the inverse fundamental tensor g_ij overflows at "
+        "ChartPoint(x=[0.75, 0.5], p=[-1.56, 0.5])\n"
+    )
+
+
+def test_verify_keeps_a_pair_scope_point_whose_k2_overflows(tmp_path, capsys):
+    # the tube test of pair-scope point 30 evaluates an overflowing K^2:
+    # that point's records carry the error and the run writes its report
+    doc = {
+        "structures": [EXP_K2],
+        "params": [{"label": "flat-gauge", "alpha": 1.0, "beta": 2.0, "c": 0.0}],
+        "sampling": {"count": 100},
+    }
+    out = tmp_path / "report.json"
+    code = main(["verify", "--manifest", _write(tmp_path, doc), "--out", str(out)])
+    assert code == 1 and capsys.readouterr().err == ""
+    records = json.loads(out.read_text())["checks"]
+    overflowed = [r for r in records if r.get("error") == "EvaluationDomainError: exp of 833.2453539495955 overflows"]
+    assert {(r["structure"], r["point"]["index"]) for r in overflowed} == {("exp-k2|flat-gauge", 30)}
+    assert sorted(r["check_id"] for r in overflowed) == [
+        "kahler.hermitian", "kahler.j_squared", "kahler.positive_definite", "kahler.theta_canonical",
+    ]
+
+
+def test_a_constant_profile_runs_the_same_checks_written_as_c_or_v():
+    # v = -c alpha beta^2: both spellings are the matching profile of c = -1
+    def records(profile):
+        doc = _manifest_dict(count=8, structures=[{"family": "riemannian_conformal", "n": 2, "c": -1.0}],
+                             params=[{"label": "hyperbolic", **profile}])
+        doc["sampling"]["seed"] = 0
+        report = run_suite(parse_manifest(json.dumps(doc)))
+        return [(r["check_id"], r["point"], r["residual"]) for r in report["checks"]]
+
+    as_c, as_v = records({"c": -1.0}), records({"v": 1.0})
+    assert len(as_c) == 235 and as_v == as_c
+    assert {"levicivita.koszul_agreement", "kahler.nijenhuis_integrable"} <= {cid for cid, *_ in as_v}
 
 
 def test_an_untyped_fault_at_a_tube_probe_point_exits_three(tmp_path, capsys, monkeypatch):

@@ -1,15 +1,16 @@
 """The engine against a ground truth by computer algebra.
 
 ``tests/ground_truth/generate.py`` derives the adapted-frame Gram matrix,
-Levi-Civita connection, curvature and Ricci tables of the bundle metric
-with ``sympy``, sharing no code with the package, and keeps them exact to
-the float in ``tests/ground_truth/tables.json``.  These tests read that
-file, so they need no ``sympy``.
+Levi-Civita connection, curvature and Ricci tables of the bundle metric,
+its almost complex structure J and J's Nijenhuis tensor with ``sympy``,
+sharing no code with the package, and keeps them exact to the float in
+``tests/ground_truth/tables.json``.  These tests read that file, so they
+need no ``sympy``.
 
 The closed connection, curvature and Ricci are the Levi-Civita ones only
 on a matching pair (the structure's constant curvature is the params' c),
-so they are compared there alone; the Gram matrix and the Koszul oracle,
-which hold on every pair, are compared on both.
+so they are compared there alone; the Gram matrix, the Koszul oracle, J
+and N_J, which hold on every pair, are compared on both.
 """
 import json
 from fractions import Fraction
@@ -22,7 +23,7 @@ from cartanlab.cartan import conformal_structure
 from cartanlab.checks import REGISTRY, TOLERANCES
 from cartanlab.geometry import PointGeometry
 from cartanlab.jets import ChartPoint
-from cartanlab.kahler import BundleMetric, DeformationParams
+from cartanlab.kahler import BundleMetric, DeformationParams, nijenhuis_table
 from cartanlab.levicivita import curvature_closed, koszul_oracle, lc_closed_form, ricci
 
 CASES = json.loads((Path(__file__).resolve().parent / "ground_truth" / "tables.json").read_text())["cases"]
@@ -62,6 +63,21 @@ def test_the_cases_cover_a_matching_and_a_mismatched_pair():
 def test_the_gram_matrix_is_the_ground_truth(case):
     *_, metric = _state(case)
     assert _worst(metric.gram, case["gram"]) <= EXACT_TOL
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_j_and_its_nijenhuis_tensor_are_the_ground_truth(case):
+    # the ground truth takes N_J on the coordinate frame from the chart
+    # partials of J, the engine by the Leibniz rule on the basis brackets
+    *_, metric = _state(case)
+    assert _worst(metric.complex_jets.value, case["J"]) <= EXACT_TOL
+    assert _worst(nijenhuis_table(metric), case["nijenhuis"]) <= EXACT_TOL
+
+
+def test_the_true_nijenhuis_tensor_vanishes_exactly_on_the_matching_pair():
+    # non-vacuous: J is integrable on the matching pair alone
+    assert _worst(MATCHING[0]["nijenhuis"], 0.0) == 0.0
+    assert _worst(MISMATCHED[0]["nijenhuis"], 0.0) > 0.1
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)

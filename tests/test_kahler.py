@@ -112,6 +112,21 @@ def test_flat_hand_computed_blocks():
     np.testing.assert_allclose(invert(m.G_down), m.G_up, atol=1e-12)
 
 
+def test_g_down_and_g_up_are_read_only_blocks_of_the_one_gram_matrix():
+    s = conformal_structure(2, -1.0)
+    m = BundleMetric(PointGeometry(s, pt([0.1, -0.2], [0.6, 0.3])), DeformationParams(c=-1.0))
+    assert np.shares_memory(m.G_down, m.gram) and np.shares_memory(m.G_up, m.gram)
+    np.testing.assert_array_equal(m.G_down, frame_block(m.gram_jets.value, "hh"))
+    np.testing.assert_array_equal(m.G_up, frame_block(m.gram_jets.value, "vv"))
+    for name in ("_jets", "G_down_jets", "G_up_jets"):
+        assert not hasattr(m, name), name
+    for name in ("G_down", "G_up"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, np.eye(2))
+        with pytest.raises(ValueError):
+            getattr(m, name)[0, 0] = 1.0
+
+
 def test_positivity_domain_boundary():
     s = flat_structure(2)
     params = DeformationParams(alpha=1.0, beta=1.0, c=1.0)
@@ -218,8 +233,9 @@ def test_j_keeps_the_x_cap_of_the_metric_jets(n):
     assert j.c.shape[-1] == j._table.size
     for chart in (geom.pvars, geom.xvars):
         d = j.derivs(chart).value
-        np.testing.assert_array_equal(frame_block(d, "hv"), m.G_down_jets.derivs(chart).value)
-        np.testing.assert_array_equal(frame_block(d, "vh"), -m.G_up_jets.derivs(chart).value)
+        g = m.gram_jets.derivs(chart).value
+        np.testing.assert_array_equal(frame_block(d, "hv"), frame_block(g, "hh"))
+        np.testing.assert_array_equal(frame_block(d, "vh"), -frame_block(g, "vv"))
         np.testing.assert_array_equal(frame_block(d, "hh"), 0.0)
         np.testing.assert_array_equal(frame_block(d, "vv"), 0.0)
 
@@ -254,11 +270,11 @@ def test_metric_is_hermitian_under_j():
 @pytest.mark.parametrize("s", [conformal_structure(3, -1.0), general_randers(3)], ids=lambda s: s.label)
 def test_j_is_the_gram_jet_times_omega_exactly(s):
     # J = gram_jets Omega takes each entry as +-1 times one Gram coefficient,
-    # so J holds the coefficients of the two block jets bit for bit
+    # so J holds the coefficients of the two Gram blocks bit for bit
     params = DeformationParams(alpha=2.0, beta=0.5, v="-(1 + tau)/4")
     m = BundleMetric(PointGeometry(s, _sample(s, params, 1, 61)[0]), params)
-    down, up, gram, j = m.G_down_jets.c, m.G_up_jets.c, m.gram_jets.c, m.complex_jets.c
-    assert np.array_equal(frame_block(gram, "hh"), down) and np.array_equal(frame_block(gram, "vv"), up)
+    gram, j = m.gram_jets.c, m.complex_jets.c
+    down, up = frame_block(gram, "hh"), frame_block(gram, "vv")
     assert np.array_equal(frame_block(j, "hv"), down) and np.array_equal(frame_block(j, "vh"), -up)
     for zero in ("hv", "vh"):
         assert not frame_block(gram, zero).any()
@@ -314,6 +330,14 @@ KAHLER_RUNNERS = (checks._r_j_squared, checks._r_hermitian, checks._r_theta_cano
 KAHLER_PARAMS = [DeformationParams(c=-1.0), DeformationParams(alpha=1.5, beta=0.7)]
 
 
+def _scaled_g_up(n, factor):
+    """A multiplier of the 2n x 2n Gram matrix that plants ``factor`` in its
+    G^ij block alone."""
+    scale = np.ones((2 * n, 2 * n))
+    frame_block(scale, "vv")[...] = factor
+    return scale
+
+
 @pytest.mark.parametrize("params", KAHLER_PARAMS, ids=["matching", "mismatched"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_matrix_kahler_checks_match_per_basis_reference(n, params):
@@ -332,13 +356,13 @@ def test_matrix_kahler_checks_match_per_basis_reference(n, params):
 @pytest.mark.parametrize("params", KAHLER_PARAMS, ids=["matching", "mismatched"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_matrix_kahler_checks_see_a_planted_metric_defect(n, params):
-    # G^ij scaled by (1 + 1e-6) at one point, before the Gram matrix and J
-    # are first read, reaches J^2, G(JX, JY) and theta alike
+    # G^ij scaled by (1 + 1e-6) in the Gram matrix and its jet at one point,
+    # before J is first read, reaches J^2, G(JX, JY) and theta alike
     s = conformal_structure(n, -1.0)
     at = _sample(s, params, 1, 29 + n)[0]
     m = BundleMetric(PointGeometry(s, at), params)
-    m.G_up_jets = m.G_up_jets * (1.0 + 1e-6)
-    m.G_up = m.G_up_jets.value
+    m.gram_jets = m.gram_jets * _scaled_g_up(n, 1.0 + 1e-6)
+    m.gram = m.gram_jets.value
     ctx = SimpleNamespace(metric=lambda idx: m)
     for run in KAHLER_RUNNERS:
         assert run(ctx, 0, at) >= 5e-7, run.__name__
@@ -368,7 +392,7 @@ def test_a_planted_g_up_defect_fails_every_record_of_its_killers(monkeypatch):
 
     def planted(self, geom, params):
         init(self, geom, params)
-        self.G_up = self.G_up * (1.0 + 1e-6)
+        self.gram = self.gram * _scaled_g_up(geom.n, 1.0 + 1e-6)
 
     monkeypatch.setattr(kahler.BundleMetric, "__init__", planted)
     records = checks.run_suite(manifest)["checks"]
@@ -412,7 +436,7 @@ def test_a_nan_metric_fails_every_record_of_its_readers(monkeypatch):
 
     def planted(self, geom, params):
         init(self, geom, params)
-        self.G_up = np.full_like(self.G_up, np.nan)
+        self.gram = self.gram * _scaled_g_up(geom.n, np.nan)
 
     monkeypatch.setattr(kahler.BundleMetric, "__init__", planted)
     records = checks.run_suite(manifest, only=G_UP_NAN_READERS)["checks"]
@@ -589,7 +613,7 @@ def test_antisymmetrized_metric_defect_vanishes_for_any_profile(s):
     params = DeformationParams(alpha=2.0, beta=0.5, v="-(1 + tau)/4")
     for at in _sample(s, params, 3, 37):
         geom = PointGeometry(s, at)
-        assert _anti_res(geom, BundleMetric(geom, params).G_down_jets) <= 1e-7
+        assert _anti_res(geom, frame_block(BundleMetric(geom, params).gram_jets, "hh")) <= 1e-7
         assert _anti_res(geom, geom.g_down_jets) <= 1e-7
 
 
