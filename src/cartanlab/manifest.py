@@ -51,7 +51,7 @@ from .cartan import (
 )
 from .errors import CartanLabError, ManifestError
 from .jets import ChartPoint
-from .kahler import TUBE_MARGIN, DeformationParams, tube_predicate
+from .kahler import DeformationParams, tube_predicate
 
 __all__ = [
     "DEFAULT_SAMPLING",
@@ -318,10 +318,12 @@ def _probe_points(s: CartanStructure, p_low: float) -> list:
 
 def _check_tube_feasibility(s: CartanStructure, params: DeformationParams, label: str, p_low: float) -> None:
     """Reject pairings whose whole sampling region violates the
-    positive-definiteness gauge alpha + 2 tau v(tau) > 0 (for constant
-    c > 0 this is the tube 2 tau < 1/(c beta^2)): accept one probe point
-    where K^2 is positive and finite and `kahler.tube_predicate` holds.  A
-    typed error at a probe point skips it."""
+    positive-definiteness gauge alpha + 2 tau v(tau) > 0: accept one probe
+    point where K^2 is positive and finite and `kahler.tube_predicate`
+    holds.  A typed error at a probe point skips it.  The profile is
+    constant, so c = -v/(alpha beta^2) is one number whether written as c
+    or as v; for c <= 0 the gauge is at least alpha, so a refusal has
+    c > 0 and names the tube 2 tau < 1/(c beta^2)."""
     accept = tube_predicate(s, params)
     least_2tau = None
     for pt in _probe_points(s, p_low):
@@ -342,23 +344,14 @@ def _check_tube_feasibility(s: CartanStructure, params: DeformationParams, label
             f"structure '{s.label}' has no evaluable probe point (K^2 must be "
             f"positive and finite somewhere in the chart box)",
         )
-    c = params.c
-    if c is not None and c > 0:
-        bound = 1.0 / (c * params.beta**2)
-        _fail(
-            "sampling",
-            f"structure '{s.label}' with params '{label}': the sampling "
-            f"region exits the positivity tube 2*tau < 1/(c*beta^2): the "
-            f"smallest reachable 2*tau ~ {least_2tau:.4g} already exceeds "
-            f"the tube bound {bound:.4g} (with margin); lower beta or c, "
-            f"shrink p_norm, or drop this pairing",
-        )
+    bound = 1.0 / (params.c_at(0.0) * params.beta**2)
     _fail(
         "sampling",
-        f"structure '{s.label}' with params '{label}': no probe point "
-        f"satisfies the positivity gauge alpha + 2*tau*v(tau) > "
-        f"{TUBE_MARGIN:g}*alpha; the deformation profile makes the "
-        f"bundle metric indefinite on the whole sampling region",
+        f"structure '{s.label}' with params '{label}': the sampling "
+        f"region exits the positivity tube 2*tau < 1/(c*beta^2): the "
+        f"smallest reachable 2*tau ~ {least_2tau:.4g} already exceeds "
+        f"the tube bound {bound:.4g} (with margin); lower beta or c, "
+        f"shrink p_norm, or drop this pairing",
     )
 
 

@@ -27,11 +27,13 @@ nabla_{F_a} F_b at [a, b, :], the curvature K(F_x, F_y) F_z =
 nabla_x nabla_y F_z - nabla_y nabla_x F_z - nabla_[x,y] F_z at
 [x, y, z, :], Ric(F_y, F_z) = sum_x K[x, y, z, x] at [y, z], J with
 row a holding J(F_a), and N_J(F_a, F_b) = [JF_a, JF_b] - J[JF_a, F_b] -
-J[F_a, JF_b] - [F_a, F_b] at [a, b, :].  At a
-rational point of a polynomial K^2 every value is an exact rational, so
-each float in the JSON is the correctly rounded value.
+J[F_a, JF_b] - [F_a, F_b] at [a, b, :].  Each case carries its own
+rational point.  There every value is an exact rational, for a polynomial
+K^2 and for the Randers K^2 at a p with |p| = 1, where its square root and
+all the square root's powers are rational, so each float in the JSON is the
+correctly rounded value.
 
-With ``sympy`` installed (about 14 s on one core)::
+With ``sympy`` installed (about 21 s on one core)::
 
     python tests/ground_truth/generate.py          # rewrite tables.json
     python tests/ground_truth/generate.py --check  # exit 1 if the tables
@@ -62,14 +64,39 @@ def conformal_k2(c):
     return phi**2 * sum(q * q for q in PS)
 
 
-X = (sp.Rational(1, 10), sp.Rational(-1, 5))
-P = (sp.Rational(3, 5), sp.Rational(3, 10))
+def randers_k2(drift):
+    """K^2 = (|p| + drift p_1)^2, the Randers dual of the flat metric with
+    the constant drift b = (drift, 0)."""
+    return (sp.sqrt(sum(q * q for q in PS)) + sp.Rational(drift) * PS[0]) ** 2
 
-# (structure label, K^2, params) per case; alpha = beta = 1
+
+X = (sp.Rational(1, 10), sp.Rational(-1, 5))
+P_CONFORMAL = (sp.Rational(3, 5), sp.Rational(3, 10))
+P_UNIT = (sp.Rational(3, 5), sp.Rational(4, 5))
+
+# (structure label, K^2, x, p, params) per case; alpha = beta = 1
 CASES = [
-    ("conformal-2d-c-1", conformal_k2(-1), {"alpha": 1, "beta": 1, "c": -1}),
-    ("conformal-2d-c-1", conformal_k2(-1), {"alpha": 1, "beta": 1, "c": 0}),
+    ("conformal-2d-c-1", conformal_k2(-1), X, P_CONFORMAL, {"alpha": 1, "beta": 1, "c": -1}),
+    ("conformal-2d-c-1", conformal_k2(-1), X, P_CONFORMAL, {"alpha": 1, "beta": 1, "c": 0}),
+    ("randers-2d", randers_k2("3/10"), X, P_UNIT, {"alpha": 1, "beta": 1, "c": 0}),
+    ("randers-2d", randers_k2("3/10"), X, P_UNIT, {"alpha": 1, "beta": 1, "c": -1}),
 ]
+
+
+def _det(A):
+    """det A by cofactor expansion along the first row."""
+    if A.rows == 1:
+        return A[0, 0]
+    return sum((-1) ** j * A[0, j] * _det(A.minor_submatrix(0, j)) for j in range(A.cols))
+
+
+def inverse(A):
+    """A^-1 as the adjugate over the determinant, left unsimplified: sympy's
+    own inverse and determinant simplify as they go, which with the square
+    root of the Randers K^2 takes minutes.  The tables are exact at the
+    point either way."""
+    det = _det(A)
+    return sp.Matrix(A.rows, A.cols, lambda i, j: (-1) ** (i + j) * _det(A.minor_submatrix(j, i)) / det)
 
 
 def coordinate_metric(k2, params):
@@ -77,7 +104,7 @@ def coordinate_metric(k2, params):
     expressions."""
     n = N_DIM
     g_up = sp.Matrix(n, n, lambda i, j: sp.diff(k2, PS[i], PS[j]) / 2)
-    g_down = sp.simplify(g_up.inv())
+    g_down = inverse(g_up)
     p_up = g_up * sp.Matrix(PS)
     gamma = [
         [
@@ -101,7 +128,7 @@ def coordinate_metric(k2, params):
     alpha, beta = sp.Rational(params["alpha"]), sp.Rational(params["beta"])
     v = -sp.Rational(params["c"]) * alpha * beta**2
     G_down = g_down / beta + sp.Matrix(PS) * sp.Matrix(PS).T * (v / (alpha * beta))
-    G_up = G_down.inv()
+    G_up = inverse(G_down)
     hh = G_down + nonlinear * G_up * nonlinear.T
     hv = -nonlinear * G_up
     return sp.BlockMatrix([[hh, hv], [hv.T, G_up]]).as_explicit(), nonlinear, G_down, G_up
@@ -119,11 +146,11 @@ def coordinate_complex_structure(nonlinear, G_down, G_up):
     return to_adapted * adapted * to_coords
 
 
-def tables(k2, params) -> dict:
+def tables(k2, x, p, params) -> dict:
     """The adapted-frame Gram, connection, curvature, Ricci, J and
-    Nijenhuis tables at (X, P), exact."""
+    Nijenhuis tables at (x, p), exact."""
     dim = 2 * N_DIM
-    subs = dict(zip(CHART, (*X, *P)))
+    subs = dict(zip(CHART, (*x, *p)))
     metric, nonlinear, G_down, G_up = coordinate_metric(k2, params)
     D = [metric.diff(u) for u in CHART]
     M = metric.xreplace(subs)
@@ -251,14 +278,14 @@ def _floats(table):
 
 def document() -> dict:
     cases = []
-    for label, k2, params in CASES:
+    for label, k2, x, p, params in CASES:
         cases.append({
             "structure": label,
             "k2": str(k2),
-            "x": [str(q) for q in X],
-            "p": [str(q) for q in P],
+            "x": [str(q) for q in x],
+            "p": [str(q) for q in p],
             "params": params,
-            **{name: _floats(t) for name, t in tables(k2, params).items()},
+            **{name: _floats(t) for name, t in tables(k2, x, p, params).items()},
         })
     return {"sympy": sp.__version__, "cases": cases}
 

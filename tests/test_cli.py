@@ -108,6 +108,40 @@ def test_parse_rejects_infeasible_tube():
         parse_manifest(json.dumps(doc))
 
 
+def _tube_error(params) -> str:
+    doc = _manifest_dict(
+        structures=[{"family": "riemannian_conformal", "n": 2, "c": 1.0}],
+        params=[params],
+        sampling={"p_norm": [1.5, 2.0]},
+    )
+    with pytest.raises(ManifestError) as exc:
+        parse_manifest(json.dumps(doc))
+    return str(exc.value)
+
+
+def test_one_infeasible_profile_is_refused_the_same_way_however_written():
+    # c = 3 and v = -c alpha beta^2 = -3 are one profile: one refusal,
+    # naming the tube and its bound 1/(c beta^2)
+    by_c = _tube_error({"label": "hot", "c": 3.0})
+    assert by_c == _tube_error({"label": "hot", "v": -3.0})
+    assert "positivity tube" in by_c and "tube bound 0.3333" in by_c
+
+
+@pytest.mark.parametrize("p_norm", [[0.5, 1.5], [1.5, 2.0]])
+def test_no_constant_profile_with_c_at_most_zero_leaves_the_tube(p_norm):
+    # alpha + 2 tau v >= alpha when c <= 0: every default structure takes
+    # such a profile, written as c, as a number v or as a string v
+    alpha, beta = 1.5, 0.7
+    params = []
+    for c in (0.0, -1.0, -4.0):
+        v = -c * alpha * beta**2
+        for spelling, profile in (("c", {"c": c}), ("v", {"v": v}), ("v-str", {"v": repr(v)})):
+            params.append({"label": f"{spelling}{c:g}", "alpha": alpha, "beta": beta, **profile})
+    doc = dict(load_manifest("manifests/default.json").document, params=params, sampling={"p_norm": p_norm})
+    m = parse_manifest(json.dumps(doc))
+    assert len(m.structures) == 6 and len(m.params) == 9
+
+
 def _one_manifest_error(tmp_path, capsys, doc) -> str:
     """The stderr of `verify` on ``doc``, which must exit 2 with one
     ``manifest error:`` line and write no report."""

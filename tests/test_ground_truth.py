@@ -7,8 +7,10 @@ sharing no code with the package, and keeps them exact to the float in
 ``tests/ground_truth/tables.json``.  These tests read that file, so they
 need no ``sympy``.
 
-The closed connection, curvature and Ricci are the Levi-Civita ones only
-on a matching pair (the structure's constant curvature is the params' c),
+Each structure, the conformal dual with c = -1 and the Randers dual with
+drift 0.3, has one matching and one mismatched pair.  The closed
+connection, curvature and Ricci are the Levi-Civita ones only on a
+matching pair (the structure's constant curvature is the params' c),
 so they are compared there alone; the Gram matrix, the Koszul oracle, J
 and N_J, which hold on every pair, are compared on both.
 """
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cartanlab.cartan import conformal_structure
+from cartanlab.cartan import conformal_structure, randers_dual
 from cartanlab.checks import REGISTRY, TOLERANCES
 from cartanlab.geometry import PointGeometry
 from cartanlab.jets import ChartPoint
@@ -27,7 +29,7 @@ from cartanlab.kahler import BundleMetric, DeformationParams, nijenhuis_table
 from cartanlab.levicivita import curvature_closed, koszul_oracle, lc_closed_form, ricci
 
 CASES = json.loads((Path(__file__).resolve().parent / "ground_truth" / "tables.json").read_text())["cases"]
-STRUCTURES = {"conformal-2d-c-1": conformal_structure(2, -1.0)}
+STRUCTURES = {"conformal-2d-c-1": conformal_structure(2, -1.0), "randers-2d": randers_dual(n=2)}
 # the closed tables agree with the exact ones to roundoff
 EXACT_TOL = 1e-12
 
@@ -56,7 +58,8 @@ def _worst(got, want) -> float:
 
 
 def test_the_cases_cover_a_matching_and_a_mismatched_pair():
-    assert len(MATCHING) == len(MISMATCHED) == 1
+    for label in STRUCTURES:
+        assert sorted(_matching(case) for case in CASES if case["structure"] == label) == [False, True]
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -75,9 +78,21 @@ def test_j_and_its_nijenhuis_tensor_are_the_ground_truth(case):
 
 
 def test_the_true_nijenhuis_tensor_vanishes_exactly_on_the_matching_pair():
-    # non-vacuous: J is integrable on the matching pair alone
-    assert _worst(MATCHING[0]["nijenhuis"], 0.0) == 0.0
-    assert _worst(MISMATCHED[0]["nijenhuis"], 0.0) > 0.1
+    # non-vacuous: J is integrable on the matching pairs alone
+    assert all(_worst(case["nijenhuis"], 0.0) == 0.0 for case in MATCHING)
+    assert all(_worst(case["nijenhuis"], 0.0) > 0.1 for case in MISMATCHED)
+
+
+def test_the_kahler_randers_pair_is_not_einstein():
+    # the paper's non-Riemannian regime: J is integrable there (the test
+    # above), and the true defect max|Ric - lambda_hat Gram| (lambda_hat the
+    # least-squares multiple) is the engine's and clears the check's floor
+    spec = next(spec for spec in REGISTRY if spec.check_id == "levicivita.einstein_defect_nonriemannian")
+    case = next(case for case in MATCHING if case["structure"] == "randers-2d")
+    ric, gram = np.asarray(case["ricci"]), np.asarray(case["gram"])
+    defect = np.abs(ric - (ric * gram).sum() / (gram * gram).sum() * gram).max()
+    assert defect > spec.floor
+    assert abs(ricci(*_state(case)).defect - defect) <= EXACT_TOL
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -97,6 +112,7 @@ def test_the_closed_routes_are_the_ground_truth_on_a_matching_pair(case):
 
 @pytest.mark.parametrize("case", MISMATCHED, ids=_case_id)
 def test_the_closed_connection_is_not_the_true_one_on_a_mismatched_pair(case):
-    # the ground truth sees the mismatch: the closed table is 0.31 off
+    # the ground truth sees the mismatch: the closed table is 0.31 (conformal)
+    # and 0.44 (Randers) off
     s, at, params, metric = _state(case)
     assert _worst(lc_closed_form(s, at, params, metric), case["connection"]) > 0.1
